@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -40,7 +41,9 @@ class SeriesDivergenceError(AnnulusError, ValueError):
 
 
 class TailEnvelopeError(AnnulusError, RuntimeError):
-    """The certified tail envelope failed its internal monotonicity check."""
+    """A series could not be certified: its tail envelope failed the internal
+    monotonicity check, or a term, an envelope or a closed-form part is not a
+    finite double (for instance at large n, where the value overflows)."""
 
 
 class BracketingError(AnnulusError, RuntimeError):
@@ -64,6 +67,21 @@ def sphere_surface_area(n: int) -> float:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise DomainValidationError(f"dimension must be an integer >= 2, got {n!r}")
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
+
+
+def sphere_surface_area_rel_error(n: int) -> float:
+    """First-order bound on the relative rounding error of sphere_surface_area(n).
+
+    exp turns the absolute error of its argument into a relative error.  That
+    argument is log 2 + (n/2) log pi - lgamma(n/2): log and exp are taken as
+    faithful, lgamma as good to 4 ulps, and each product and sum rounds once.
+    """
+    u = 2.0**-53
+    t1 = math.log(2.0)
+    t2 = 0.5 * n * math.log(math.pi)
+    t3 = math.lgamma(0.5 * n)
+    arg_error = u * (t1 + 0.5 * n + 2.0 * t2 + 4.0 * abs(t3) + (t1 + t2) + abs(t1 + t2 - t3))
+    return arg_error + u
 
 
 @dataclass(frozen=True)
@@ -128,9 +146,9 @@ class AnnulusGeometry:
         if not (0.0 < self.a < 1.0):
             raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {self.a!r}")
 
-    @property
+    @cached_property
     def omega(self) -> float:
-        """Surface area of the unit sphere in R^n."""
+        """Surface area of the unit sphere in R^n, computed once per geometry."""
         return sphere_surface_area(self.n)
 
     def require_series_dim(self) -> None:
@@ -219,9 +237,16 @@ DEFAULT_POLICY = TruncationPolicy()
 class EvalResult:
     """A numeric value plus the evidence of how it was truncated.
 
-    ``tail_bound`` is a certified upper bound on the discarded remainder;
-    ``converged`` is set only when that bound met the policy tolerance, so
-    ``converged`` implies ``tail_bound <= abs_tol`` of the policy used.
+    ``tail_bound`` is a certified upper bound on the error of ``value``.  For
+    the Robin family (``robin_eval``, both gradient series,
+    ``critical_equation_eval`` and the three planar ``robin2d_*``) it is the
+    discarded remainder plus a first-order bound on floating-point rounding in
+    the closed form and the summed terms; for the other series it bounds the
+    discarded remainder only.
+
+    ``converged`` refers to the truncation tail alone: it is set when the
+    discarded remainder met the policy's ``abs_tol``.  Where rounding is
+    included, ``tail_bound`` can exceed ``abs_tol`` on a converged result.
     """
 
     value: float

@@ -112,10 +112,15 @@ def _sweep_bracket(
 def _bisect(
     f: _CountedSeries, lo: float, hi: float, sign_lo: int, solver_tol: float
 ) -> tuple[float, float]:
-    """Bisection to floating-point width, then a residual certificate."""
+    """Bisection to floating-point width, then a residual certificate.
+
+    The bracket shrinks until its ends are adjacent doubles; the root is the
+    end with the smaller |value|, since a steep gradient can change by more
+    than the solver tolerance from one double to the next.
+    """
     flo_sign = sign_lo
     a_, b_ = lo, hi
-    while b_ - a_ > 1e-15 * max(1.0, abs(a_)):
+    while True:
         mid = 0.5 * (a_ + b_)
         if mid <= a_ or mid >= b_:
             break
@@ -127,8 +132,8 @@ def _bisect(
             a_ = mid
         else:
             b_ = mid
-    root = 0.5 * (a_ + b_)
-    res = f.result(root)
+    res_a, res_b = f.result(a_), f.result(b_)
+    root, res = (a_, res_a) if abs(res_a.value) <= abs(res_b.value) else (b_, res_b)
     residual = abs(res.value) + res.tail_bound
     if residual > solver_tol:
         raise BracketingError(

@@ -7,9 +7,21 @@ undefined at coincident radii).  The Robin function, its radial gradient
 r R'(r), the derivative of that gradient, and the planar (n = 2) Robin family
 are all diagonal series over the harmonic-space dimensions.
 
-Every power of the radii is carried incrementally as a product of per-mode
-factors in (0, 1), so deep truncations neither overflow nor divide
-underflowed quantities.
+In the two Green routes every power of the radii is carried incrementally as
+a product of per-mode factors in (0, 1), so deep truncations neither overflow
+nor divide underflowed quantities.
+
+The diagonal (Robin) series are split by the two-image identity
+1/(1 - A_m) = 1 + A_m/(1 - A_m), A_m = a^(2m+n-2).  The A-free part sums in
+closed form through sum_m C(k+m-1, m) x^m = (1 - x)^-k (and
+sum_m x^m/m = -log(1 - x) in the plane) and carries the divergence at both
+spheres; it is evaluated through (1 - r)(1 + r) and (r - a)(r + a), so no
+r^2 - a^2 cancels.  The remainder's term ratio is at most a^2 wherever r
+lies, so it takes tens of modes next to a sphere as well as mid-gap.  Its
+products are powers of numbers in (0, 1) and overflow only where the value
+itself leaves the double range, which raises TailEnvelopeError.  The
+reported tail_bound of these series adds a first-order bound on rounding in
+the closed form and in the summed modes to the truncation tail.
 """
 
 from __future__ import annotations
@@ -24,8 +36,10 @@ from .core import (
     DomainValidationError,
     EvalResult,
     SingularityError,
+    TailEnvelopeError,
     TruncationPolicy,
     newtonian_potential,
+    sphere_surface_area_rel_error,
 )
 from .specfun import _clamp_argument, iter_gegenbauer
 from .summation import sum_series
@@ -173,54 +187,166 @@ def green_piecewise_eval(
     return sum_series(_modal_triples(geom.n, geom.a, lo, hi, t, geom.omega), policy)
 
 
-def _radial_state(n: int, a: float, r: float):
-    """Shared per-mode radial products for the diagonal (Robin) series.
+# unit roundoff of binary64: a correctly rounded operation errs by at most
+# this much relative to its exact result
+_U = 2.0**-53
 
-    Yields (m, binom, one_minus_A, t1, t2, t4) with
-      t1 = r^(2m), t2 = a^(2m+n-2) / r^(n-2), t4 = a^(2m+n-2) / r^(2m+2n-4),
-    and binom = C(n+m-3, m); all advance by per-step factors in (0, 1).
+
+def _split_result(
+    closed: float,
+    closed_rounding: float,
+    remainder: EvalResult,
+    remainder_rounding: float,
+    prefactor_rel_error: float = 0.0,
+) -> EvalResult:
+    """Closed form plus summed remainder, with their rounding added to the tail.
+
+    ``prefactor_rel_error`` is the relative error of a factor shared by every
+    piece (1/omega): it moves the whole value coherently, so it costs that
+    share of |value| rather than of every piece.
     """
-    t1 = 1.0
-    t2 = (a / r) ** (n - 2)
-    t4 = a ** (n - 2) / r ** (2 * (n - 2))
-    big_a = a ** (n - 2)
-    binom = 1.0
-    q1 = r * r
-    q2 = a * a
-    q4 = (a / r) ** 2
+    value = closed + remainder.value
+    if not math.isfinite(value):
+        raise TailEnvelopeError(f"the series value is not a finite double ({value!r})")
+    rounding = closed_rounding + remainder_rounding + (prefactor_rel_error + _U) * abs(value)
+    return EvalResult(
+        value=value,
+        terms_used=remainder.terms_used,
+        tail_bound=remainder.tail_bound + rounding,
+        converged=remainder.converged,
+    )
+
+
+def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: list):
+    """Remainder modes of a split diagonal series in R^n, k = n - 2 >= 1.
+
+    The full series is scale * sum_m C(k+m-1, m) sum_i P_i(m) c_i x_i^m / (1 - A_m)
+    over the images x_1 = r^2, x_2 = a^2, x_4 = a^2/r^2, with c_1 = 1,
+    c_2 = (a/r)^k, c_4 = (a/r^2)^k and A_m = a^(k+2m).  ``parts`` holds
+    (coef, d, e) per image, in that order, for P_i(m) = coef (m + d)^e with
+    d >= 0.  Writing 1/(1 - A) = 1 + A/(1 - A) gives a closed form plus this
+    remainder, whose products s_i = c_i x_i^m A_m shrink by at most
+    a^2 max(r^2, a^2/r^2) <= a^2 per mode wherever r lies.  Each s_i is a
+    product of powers of numbers in (0, 1), so nothing overflows before the
+    true terms do.
+
+    Each mode adds to ``rounding[0]`` a first-order bound on its rounding
+    error, in units of the unit roundoff and relative to the sum of the
+    absolute values of its parts.  The s_i (m + d_i)^e_i are products of
+    powers of bases with at most two roundings: 4m + 2k + 4.  1 - A_m is
+    -expm1((k+2m) log a), which errs by 4 since |x| e^x / (1 - e^x) <= 1 for
+    x < 0.  The exact binomial's conversion, the prefactor, the mode's
+    products and sums and the compensated sum add 12.
+    """
+    (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
+    abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
+    expm1 = math.expm1
+    log_a = math.log(a)
+    b1 = r * a
+    b4 = a * a / r
+    s1_0 = a**k
+    s2_0 = (a * a / r) ** k
+    s4_0 = (a / r) ** (2 * k)
+    env_k = -1.0 / expm1(k * log_a)  # 1/(1 - a^k) bounds every 1/(1 - A_m)
+    step = a * a * max(r * r, (a / r) ** 2)
+    e_max = max(e1, e2, e4)
+    fixed = 2 * k + 20
+    binom = 1  # C(k+m-1, m), exact
     m = 0
     while True:
-        yield m, binom, 1.0 - big_a, t1, t2, t4
-        t1 *= q1
-        t2 *= q2
-        t4 *= q4
-        big_a *= a * a
-        binom *= (n + m - 2) / (m + 1)
+        # s_i (m + d_i)^e_i, so that P_i(m) s_i = coef_i w_i
+        w1 = s1_0 * b1 ** (2 * m) * (m + d1) ** e1
+        w2 = s2_0 * a ** (4 * m) * (m + d2) ** e2
+        w4 = s4_0 * b4 ** (2 * m) * (m + d4) ** e4
+        inv = -1.0 / expm1((k + 2 * m) * log_a)
+        sb = scale * float(binom)
+        size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
+        rounding[0] += size * inv * (4 * m + fixed)
+        # binomial, power and polynomial growth of the envelope, each
+        # nonincreasing in m
+        if m > 0:
+            rho = (k + m) / (m + 1) * step * ((m + 1) / m) ** e_max
+        else:
+            rho = math.inf if e_max > 0 else k * step
+        yield sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho
+        binom = binom * (k + m) // (m + 1)
         m += 1
+
+
+def _robin_split(
+    geom: AnnulusGeometry,
+    r: float,
+    policy: TruncationPolicy,
+    closed_form,
+    scale_factor: float,
+    parts,
+) -> EvalResult:
+    """A Robin-family series for n >= 3 as closed form plus summed remainder.
+
+    ``closed_form(k, a, r, u, v, w)`` returns the closed-form pieces, which
+    are multiplied by -1/omega, and the number of ulps each may be off by.
+    It receives u = 1 - r^2, v = r^2 - a^2 and w = 1 - a^2, each formed as a
+    difference times a sum so that nothing cancels next to a sphere.  The
+    remainder carries the prefactor -scale_factor / (k omega) and the
+    polynomials ``parts`` of _robin_remainder.
+    """
+    geom.require_series_dim()
+    geom.require_interior_radius(r)
+    n, a = geom.n, geom.a
+    k = n - 2
+    rounding = [0.0]
+    try:
+        omega = geom.omega
+        u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
+        pieces, ulps = closed_form(k, a, r, u, v, w)
+        closed = -sum(pieces) / omega
+        # the pieces, their two sums and the division
+        closed_rounding = (ulps + 3) * _U * sum(abs(p) for p in pieces) / omega
+        scale = -scale_factor / (k * omega)
+        res = sum_series(_robin_remainder(k, a, r, scale, parts, rounding), policy)
+    except (OverflowError, ZeroDivisionError):
+        raise TailEnvelopeError(
+            f"the Robin series for n = {n} leaves the double-precision range here: "
+            "its closed form or its modes overflow"
+        ) from None
+    return _split_result(
+        closed, closed_rounding, res, _U * rounding[0], sphere_surface_area_rel_error(n)
+    )
+
+
+def _robin_closed(k, a, r, u, v, w):
+    # [(1-r^2)^-k + a^k (r^2-a^2)^-k - 2 (a/r)^k (1-a^2)^-k] / k; a k-th power
+    # of a base with b roundings errs by b k + 1 ulps, and here b <= 5
+    return (u**-k / k, (a / v) ** k / k, -2.0 * (a / (r * w)) ** k / k), 5 * k + 2
+
+
+def _gradient_closed(k, a, r, u, v, w):
+    # 2 [r^2 (1-r^2)^(-k-1) - a^k r^2 (r^2-a^2)^(-k-1) + (a/r)^k (1-a^2)^-k];
+    # the powers as in _robin_closed, and at most 6 roundings around them
+    return (
+        2.0 * (r * r) * u ** (-k - 1),
+        -2.0 * (a / v) ** k * (r * r / v),
+        2.0 * (a / (r * w)) ** k,
+    ), 5 * k + 7
+
+
+def _slope_closed(k, a, r, u, v, w):
+    # d/dr of _gradient_closed; at most 13 roundings around the powers
+    return (
+        4.0 * r * (1.0 + k * (r * r)) * u ** (-k - 2),
+        4.0 * r * (a * a + k * (r * r)) * (a / v) ** k / (v * v),
+        -2.0 * k * (a / (r * w)) ** k / r,
+    ), 5 * k + 14
 
 
 def robin_eval(geom: AnnulusGeometry, r: float, policy: TruncationPolicy) -> EvalResult:
     """Robin function (diagonal regular part of the Green function) at radius r.
 
-    Negative on (a, 1) and divergent toward both boundary spheres; near the
-    boundaries the policy budget decides how deep the series goes, and an
-    exhausted budget is reported through converged = False.
+    Negative on (a, 1) and divergent toward both boundary spheres.  The
+    divergence sits in the two-image closed form, so the remainder needs
+    about as many modes next to a sphere as in the middle of the gap.
     """
-    geom.require_series_dim()
-    geom.require_interior_radius(r)
-    n, a, omega = geom.n, geom.a, geom.omega
-    env_k = 1.0 / ((n - 2) * omega * (1.0 - a ** (n - 2)))
-    qmax = max(r * r, (a / r) ** 2)
-
-    def triples():
-        for m, binom, one_minus_a, t1, t2, t4 in _radial_state(n, a, r):
-            # numerator as a sum of two nonnegative pieces: no cancellation blowup
-            term = -binom * ((t1 - t2) + (t4 - t2)) / ((n - 2) * one_minus_a * omega)
-            env = env_k * binom * (t1 + t4)
-            rho = (n + m - 2) / (m + 1) * qmax
-            yield term, env, rho
-
-    return sum_series(triples(), policy)
+    return _robin_split(geom, r, policy, _robin_closed, 1.0, ((1, 0, 0), (-2, 0, 0), (1, 0, 0)))
 
 
 def robin_radial_gradient(
@@ -231,69 +357,26 @@ def robin_radial_gradient(
     Strictly decreasing in r, +inf toward the inner sphere and -inf toward
     the outer sphere, so its unique zero is the radial critical point.
     """
-    geom.require_series_dim()
-    geom.require_interior_radius(r)
-    n, a, omega = geom.n, geom.a, geom.omega
-    return sum_series(
-        _gradient_triples(n, a, r, scale=-2.0 / omega), policy
-    )
-
-
-def _gradient_triples(n: int, a: float, r: float, scale: float):
-    q1 = r * r
-    q4 = (a / r) ** 2
-    env_k = abs(scale) / ((n - 2) * (1.0 - a ** (n - 2)))
-    for m, binom, one_minus_a, t1, t2, t4 in _radial_state(n, a, r):
-        bracket = (2 - m - n) * t4 + m * t1 + (n - 2) * t2
-        term = scale * binom * bracket / ((n - 2) * one_minus_a)
-        env = env_k * binom * ((m + n - 2) * t4 + m * t1 + (n - 2) * t2)
-        if m == 0:
-            rho = math.inf
-        else:
-            rho = (n + m - 2) / (m + 1) * max(
-                (m + n - 1) / (m + n - 2) * q4, (m + 1) / m * q1, a * a
-            )
-        yield term, env, rho
+    k = geom.n - 2
+    return _robin_split(geom, r, policy, _gradient_closed, 2.0, ((1, 0, 1), (k, 0, 0), (-1, k, 1)))
 
 
 def critical_equation_eval(
     geom: AnnulusGeometry, r: float, policy: TruncationPolicy
 ) -> EvalResult:
-    """The concentration-radius root equation: the gradient series without its
-    -2/omega prefactor.  Shares its unique zero with robin_radial_gradient."""
-    geom.require_series_dim()
-    geom.require_interior_radius(r)
-    return sum_series(_gradient_triples(geom.n, geom.a, r, scale=1.0), policy)
+    """The concentration-radius root equation: the radial gradient times
+    -omega/2.  Shares its unique zero with robin_radial_gradient."""
+    return robin_radial_gradient(geom, r, policy).scaled(-0.5 * geom.omega)
 
 
 def robin_radial_gradient_derivative(
     geom: AnnulusGeometry, r: float, policy: TruncationPolicy
 ) -> EvalResult:
     """Derivative in r of the radial gradient r * R'(r); negative on (a, 1)."""
-    geom.require_series_dim()
-    geom.require_interior_radius(r)
-    n, a, omega = geom.n, geom.a, geom.omega
-    q1 = r * r
-    q4 = (a / r) ** 2
-    env_k = 2.0 / (omega * (n - 2) * (1.0 - a ** (n - 2)) * r)
-
-    def triples():
-        for m, binom, one_minus_a, t1, t2, t4 in _radial_state(n, a, r):
-            c4 = m + n - 2
-            bracket = (2.0 * c4 * c4 * t4 + 2.0 * m * m * t1 - (n - 2) ** 2 * t2) / r
-            term = -2.0 * binom * bracket / (omega * (n - 2) * one_minus_a)
-            env = env_k * binom * (2.0 * c4 * c4 * t4 + 2.0 * m * m * t1 + (n - 2) ** 2 * t2)
-            if m == 0:
-                rho = math.inf
-            else:
-                rho = (n + m - 2) / (m + 1) * max(
-                    ((m + n - 1) / (m + n - 2)) ** 2 * q4,
-                    ((m + 1) / m) ** 2 * q1,
-                    a * a,
-                )
-            yield term, env, rho
-
-    return sum_series(triples(), policy)
+    k = geom.n - 2
+    return _robin_split(
+        geom, r, policy, _slope_closed, 2.0 / r, ((2, 0, 2), (-k * k, 0, 0), (2, k, 2))
+    )
 
 
 def _check_planar(a: float, r: float) -> None:
@@ -303,6 +386,58 @@ def _check_planar(a: float, r: float) -> None:
         raise DomainValidationError(f"radius {r} must lie strictly between a = {a} and 1")
 
 
+def _planar_remainder(a: float, r: float, scale: float, parts, rounding: list):
+    """Remainder modes of a split planar series.
+
+    The full series is scale * sum_{m>=1} sum_i P_i(m) x_i^m / (1 - a^(2m))
+    over x_1 = r^2, x_2 = a^2, x_4 = a^2/r^2, with (coef, d, e) per image
+    for P_i(m) = coef (2m + d)^e.  As for n >= 3, 1/(1 - A) = 1 + A/(1 - A)
+    leaves a closed form and this remainder, whose products
+    s_i = x_i^m a^(2m) shrink by at most a^2 max(r^2, a^2/r^2) per mode.
+    ``rounding[0]`` collects each mode's first-order rounding bound, counted
+    as in _robin_remainder: 4m + 3 in the s_i (2m + d_i)^e_i, 4 in
+    1 - a^(2m), 10 in the prefactor, the mode's products and sums and the
+    compensated sum.
+    """
+    (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
+    abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
+    expm1 = math.expm1
+    log_a = math.log(a)
+    b1 = r * a
+    b4 = a * a / r
+    env_k = -1.0 / expm1(2.0 * log_a)  # 1/(1 - a^2) bounds every 1/(1 - A_m)
+    step = a * a * max(r * r, (a / r) ** 2)
+    active = [(d, e) for c, d, e in parts if c]
+    e_max = max(0, max(e for _, e in active))
+    d_min = min(d for d, _ in active)
+    abs_scale = abs(scale)
+    m = 1
+    while True:
+        w1 = b1 ** (2 * m) * (2 * m + d1) ** e1
+        w2 = a ** (4 * m) * (2 * m + d2) ** e2
+        w4 = b4 ** (2 * m) * (2 * m + d4) ** e4
+        inv = -1.0 / expm1(2 * m * log_a)
+        size = abs_scale * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
+        rounding[0] += size * inv * (4 * m + 17)
+        rho = step * ((2 * m + 2 + d_min) / (2 * m + d_min)) ** e_max
+        yield scale * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho
+        m += 1
+
+
+def _planar_split(
+    a: float,
+    r: float,
+    policy: TruncationPolicy,
+    pieces,
+    closed_rounding: float,
+    scale: float,
+    parts,
+) -> EvalResult:
+    rounding = [0.0]
+    res = sum_series(_planar_remainder(a, r, scale, parts, rounding), policy)
+    return _split_result(sum(pieces), closed_rounding, res, _U * rounding[0])
+
+
 def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Planar Robin function: -log^2 r / log a plus the mode series.
 
@@ -310,72 +445,46 @@ def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     unique critical point is a radial minimum.
     """
     _check_planar(a, r)
-    closed = -math.log(r) ** 2 / math.log(a)
-    qmax = max(r * r, (a / r) ** 2)
-
-    def triples():
-        r2m = 1.0
-        a2m = 1.0
-        ar2m = 1.0
-        m = 0
-        while True:
-            m += 1
-            r2m *= r * r
-            a2m *= a * a
-            ar2m *= (a / r) ** 2
-            term = (r2m - 2.0 * a2m + ar2m) / (m * (1.0 - a2m))
-            env = (r2m + 2.0 * a2m + ar2m) / (m * (1.0 - a * a))
-            yield term, env, qmax
-
-    res = sum_series(triples(), policy)
-    return EvalResult(closed + res.value, res.terms_used, res.tail_bound, res.converged)
+    # sum_m x^m/m = -log(1 - x) for each of the three images
+    pieces = (
+        -math.log(r) ** 2 / math.log(a),
+        -math.log((1.0 - r) * (1.0 + r)),
+        2.0 * math.log((1.0 - a) * (1.0 + a)),
+        -math.log((r - a) * (r + a) / (r * r)),
+    )
+    # each log errs by its argument's 3-5 roundings absolutely, plus one ulp
+    rounding = _U * (14.0 + 8.0 * sum(abs(p) for p in pieces))
+    # mode weights (x_1^m - 2 x_2^m + x_4^m) / m, with 1/m = 2 (2m)^-1
+    parts = ((2, 0, -1), (-4, 0, -1), (2, 0, -1))
+    return _planar_split(a, r, policy, pieces, rounding, 1.0, parts)
 
 
 def robin2d_first(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Derivative of the planar Robin function; -inf at the inner circle,
     +inf at the outer circle, with a single interior zero."""
     _check_planar(a, r)
-    closed = -2.0 * math.log(r) / (r * math.log(a))
-    qmax = max(r * r, (a / r) ** 2)
-
-    def triples():
-        r_odd = 1.0 / r  # r^(2m-1)
-        a2m = 1.0
-        ar_odd = 1.0 / r  # a^(2m) r^(-2m-1)
-        q4 = (a / r) ** 2
-        while True:
-            r_odd *= r * r
-            a2m *= a * a
-            ar_odd *= q4
-            term = 2.0 * (r_odd - ar_odd) / (1.0 - a2m)
-            env = 2.0 * (r_odd + ar_odd) / (1.0 - a * a)
-            yield term, env, qmax
-
-    res = sum_series(triples(), policy)
-    return EvalResult(closed + res.value, res.terms_used, res.tail_bound, res.converged)
+    pieces = (
+        -2.0 * math.log(r) / (r * math.log(a)),
+        2.0 * r / ((1.0 - r) * (1.0 + r)),
+        -2.0 * (a * a) / (r * ((r - a) * (r + a))),
+    )
+    rounding = 8.0 * _U * sum(abs(p) for p in pieces)
+    parts = ((1, 0, 0), (0, 0, 0), (-1, 0, 0))
+    return _planar_split(a, r, policy, pieces, rounding, 2.0 / r, parts)
 
 
 def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Second derivative of the planar Robin function; positive on all of (a, 1)."""
     _check_planar(a, r)
-    closed = -2.0 * (1.0 - math.log(r)) / (r * r * math.log(a))
-    q1 = r * r
-    q4 = (a / r) ** 2
-
-    def triples():
-        r_even = 1.0 / (r * r)  # r^(2m-2)
-        a2m = 1.0
-        ar_even = 1.0 / (r * r)  # a^(2m) r^(-2m-2)
-        m = 0
-        while True:
-            m += 1
-            r_even *= r * r
-            a2m *= a * a
-            ar_even *= q4
-            term = 2.0 * ((2 * m - 1) * r_even + (2 * m + 1) * ar_even) / (1.0 - a2m)
-            env = 2.0 * ((2 * m - 1) * r_even + (2 * m + 1) * ar_even) / (1.0 - a * a)
-            rho = max((2 * m + 1) / (2 * m - 1) * q1, (2 * m + 3) / (2 * m + 1) * q4)
-            yield term, env, rho
-
-    res = sum_series(triples(), policy)
-    return EvalResult(closed + res.value, res.terms_used, res.tail_bound, res.converged)
+    r2 = r * r
+    u = (1.0 - r) * (1.0 + r)
+    v = (r - a) * (r + a)
+    pieces = (
+        -2.0 * (1.0 - math.log(r)) / (r2 * math.log(a)),
+        2.0 * (1.0 + r2) / (u * u),
+        2.0 * (a * a) * (3.0 * r2 - a * a) / (r2 * (v * v)),
+    )
+    rounding = 20.0 * _U * sum(abs(p) for p in pieces)
+    return _planar_split(
+        a, r, policy, pieces, rounding, 2.0 / r2, ((1, -1, 1), (0, 0, 0), (1, 1, 1))
+    )

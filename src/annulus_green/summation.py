@@ -22,7 +22,9 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
 
     Stops after ``policy.tail_safety`` consecutive indices whose certified
     tail is <= ``policy.abs_tol``, or when ``policy.max_terms`` terms have
-    been consumed (converged = False in that case).
+    been consumed (converged = False in that case).  A term or envelope that
+    is not a finite double raises TailEnvelopeError instead of poisoning the
+    sum.
     """
     total = 0.0
     comp = 0.0
@@ -33,6 +35,7 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
     contracting = False
     prev_env = math.inf
 
+    isfinite = math.isfinite
     it = iter(triples)
     while used < policy.max_terms:
         try:
@@ -42,6 +45,10 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
                 "series stream exhausted before the policy allowed stopping"
             ) from None
 
+        if not isfinite(term + env):
+            raise TailEnvelopeError(
+                f"non-finite term {term!r} or envelope {env!r} at index {used}"
+            )
         y = term - comp
         t = total + y
         comp = (t - total) - y

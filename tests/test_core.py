@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +16,8 @@ from annulus_green import (
     newtonian_potential,
     sphere_surface_area,
 )
+from annulus_green import core
+from annulus_green.core import sphere_surface_area_rel_error
 
 # 16-digit reference values of 2 pi^(n/2) / Gamma(n/2), computed from an
 # independent Gamma table (integer and half-integer arguments)
@@ -48,6 +51,31 @@ def test_surface_area_gamma_recursion():
         lhs = sphere_surface_area(n + 2)
         rhs = 2 * math.pi * sphere_surface_area(n) / n
         assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)) + [57, 120, 301, 400])
+def test_surface_area_rounding_bound(n):
+    # the Robin family adds this share of |value| to its certified bound
+    with mpmath.workdps(40):
+        exact = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+        rel = float(abs(mpmath.mpf(sphere_surface_area(n)) / exact - 1))
+    assert rel <= sphere_surface_area_rel_error(n)
+
+
+def test_omega_is_computed_once_per_geometry(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return sphere_surface_area(n)
+
+    monkeypatch.setattr(core, "sphere_surface_area", counted)
+    geom = AnnulusGeometry(5, 0.4)
+    assert geom.omega == geom.omega == sphere_surface_area(5)
+    assert calls == [5]
+    # the cache is not a field: equality and hashing still see (n, a) only
+    assert geom == AnnulusGeometry(5, 0.4)
+    assert hash(geom) == hash(AnnulusGeometry(5, 0.4))
 
 
 @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, True])

@@ -58,6 +58,21 @@ def test_envelope_monotonicity_enforced():
         sum_series(bad(), TruncationPolicy(abs_tol=1e-30, max_terms=100))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [(math.inf, math.inf, 0.5), (math.nan, 1.0, 0.5), (1.0, math.inf, 0.5), (1.0, math.nan, 0.5)],
+)
+def test_non_finite_term_or_envelope_is_an_error(bad):
+    def stream():
+        yield 1.0, 1.0, 0.5
+        yield bad
+        while True:
+            yield 0.0, 0.0, 0.5
+
+    with pytest.raises(TailEnvelopeError):
+        sum_series(stream(), TruncationPolicy(abs_tol=1e-30, max_terms=100))
+
+
 def test_exhausted_stream_is_an_error():
     with pytest.raises(TailEnvelopeError):
         sum_series(iter([(1.0, 1.0, math.inf)]), TruncationPolicy(abs_tol=0.0, max_terms=10))
