@@ -2,10 +2,16 @@
 
 For n >= 3 the zero of the strictly decreasing radial gradient r R'(r) is
 bracketed by a geometric sweep out of both boundary layers (where its signs
-are guaranteed) and then bisected; for n = 2 the same procedure runs on the
-planar R'(r), which is strictly increasing.  The report carries the observed
-second-derivative value, its cross-check uncertainty, and the resulting
-minimum/maximum classification as evidence rather than assumption.
+are guaranteed), located by Brent-Dekker to within about two ulps, and then
+bisected to adjacent doubles; for n = 2 the same procedure runs on the
+planar R'(r), which is strictly increasing.  The root is the end of that
+pair with the smaller |value|, and it carries one of two certificates:
+``"residual"`` when |value| + tail_bound is within the solver tolerance, or
+``"sign-pinned"`` when a steep gradient moves by more than that tolerance
+from one double to the next but certain opposite signs lie within 128 ulps
+on both sides.  The report carries the observed second-derivative value, its
+cross-check uncertainty, and the resulting minimum/maximum classification as
+evidence rather than assumption.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ class CriticalPointReport:
     r0: float
     bracket: tuple[float, float]
     residual: float
+    certificate: str
     second_derivative: float
     second_derivative_uncertainty: float
     is_radial_minimum: bool
@@ -55,7 +62,7 @@ class CriticalPointReport:
 
 
 class _CountedSeries:
-    """Wraps a series evaluator, counting calls and exposing bare values."""
+    """Wraps a series evaluator, counting its calls."""
 
     def __init__(self, fn: Callable[[float], EvalResult]):
         self._fn = fn
@@ -64,9 +71,6 @@ class _CountedSeries:
     def result(self, r: float) -> EvalResult:
         self.calls += 1
         return self._fn(r)
-
-    def value(self, r: float) -> float:
-        return self.result(r).value
 
 
 def _certain_sign(res: EvalResult) -> int | None:
@@ -80,10 +84,11 @@ def _certain_sign(res: EvalResult) -> int | None:
 
 def _sweep_bracket(
     f: _CountedSeries, a: float, standoff: float
-) -> tuple[float, float, int, int]:
+) -> tuple[float, EvalResult, float, EvalResult, int]:
     """Shrink offsets geometrically toward both boundaries until the series
     shows certain opposite signs; the strict monotonicity of the gradient
-    guarantees this succeeds once the offsets pass the root."""
+    guarantees this succeeds once the offsets pass the root.  Returns both
+    ends with their results and the sign at the low end."""
     off = standoff
     for _ in range(48):
         lo = a + off
@@ -100,7 +105,7 @@ def _sweep_bracket(
                 "raise max_terms in the truncation policy"
             )
         if sign_lo != sign_hi:
-            return lo, hi, sign_lo, sign_hi
+            return lo, res_lo, hi, res_hi, sign_lo
         off *= 0.5
     raise BracketingError(
         "no sign change found while sweeping toward the boundaries; this would "
@@ -109,38 +114,161 @@ def _sweep_bracket(
     )
 
 
-def _bisect(
-    f: _CountedSeries, lo: float, hi: float, sign_lo: int, solver_tol: float
-) -> tuple[float, float]:
-    """Bisection to floating-point width, then a residual certificate.
+# Brent-Dekker stops once its bracket is within tol = 2**-52 |b| of its best
+# point b on either side, one to two ulps; no step is shorter than tol
+_BRENT_REL_TOL = 2.0**-52
 
-    The bracket shrinks until its ends are adjacent doubles; the root is the
-    end with the smaller |value|, since a steep gradient can change by more
-    than the solver tolerance from one double to the next.
+
+def _brent(
+    f: _CountedSeries, lo: float, res_lo: EvalResult, hi: float, res_hi: EvalResult
+) -> tuple[float, EvalResult, float, EvalResult]:
+    """Brent-Dekker (zeroin) on a bracket with opposite computed signs.
+
+    Secant, inverse quadratic and bisection steps as in Brent, Algorithms for
+    Minimization without Derivatives (1973), ch. 4.  Returns the final
+    bracket, low end first, with its results; its ends keep the computed
+    signs of ``lo`` and ``hi``.  It is one point twice where the computed
+    value is exactly zero.
     """
-    flo_sign = sign_lo
-    a_, b_ = lo, hi
+    # b is the best point, c the contrapoint of opposite sign, a the previous b
+    b, rb, c, rc = hi, res_hi, lo, res_lo
+    a, ra = c, rc
+    d = e = b - a
     while True:
-        mid = 0.5 * (a_ + b_)
-        if mid <= a_ or mid >= b_:
-            break
-        v = f.value(mid)
-        if v == 0.0:
-            a_ = b_ = mid
-            break
-        if (1 if v > 0 else -1) == flo_sign:
-            a_ = mid
+        fb, fc = rb.value, rc.value
+        if abs(fc) < abs(fb):
+            a, ra = b, rb
+            b, rb, c, rc = c, rc, b, rb
+            fb, fc = fc, fb
+        if fb == 0.0:
+            return b, rb, b, rb
+        tol = _BRENT_REL_TOL * abs(b)
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol:
+            return (b, rb, c, rc) if b < c else (c, rc, b, rb)
+        fa = ra.value
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                t = fb / fc
+                p = s * (2.0 * xm * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            b_ = mid
-    res_a, res_b = f.result(a_), f.result(b_)
-    root, res = (a_, res_a) if abs(res_a.value) <= abs(res_b.value) else (b_, res_b)
+            d = e = xm
+        a, ra = b, rb
+        b += d if abs(d) > tol else (tol if xm > 0.0 else -tol)
+        rb = f.result(b)
+        if rb.value != 0.0 and (rb.value > 0.0) == (fc > 0.0):
+            c, rc = a, ra
+            d = e = b - a
+
+
+def _bisect(
+    f: _CountedSeries,
+    lo: float,
+    hi: float,
+    sign_lo: int,
+    p: float,
+    res_p: EvalResult,
+    q: float,
+    res_q: EvalResult,
+) -> tuple[float, EvalResult, float, EvalResult]:
+    """Bisection of the sweep bracket [lo, hi] to adjacent doubles, given
+    Brent's final bracket [p, q].
+
+    The midpoints are those of plain bisection of [lo, hi].  Only midpoints
+    within half a bracket width of [p, q] are evaluated; one farther out
+    takes the side of the nearer end.  Rounding can flip the computed sign
+    within a few ulps of the root, so the window reaches past [p, q]; where
+    no flip lies beyond it, the end pair is the one plain bisection reaches.
+    Returns the ends, low end first, with their results: adjacent doubles
+    with opposite computed signs, or one point twice where the computed value
+    is exactly zero.
+    """
+    margin = 0.5 * (q - p)
+    res_lo = res_hi = None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if mid < p - margin:
+            lo, res_lo = mid, None
+        elif mid > q + margin:
+            hi, res_hi = mid, None
+        else:
+            res = res_p if mid == p else res_q if mid == q else f.result(mid)
+            if res.value == 0.0:
+                return mid, res, mid, res
+            if (1 if res.value > 0.0 else -1) == sign_lo:
+                lo, res_lo = mid, res
+            else:
+                hi, res_hi = mid, res
+    # an end settled without an evaluation is one double outside the
+    # evaluated window; it still needs its value
+    return lo, res_lo or f.result(lo), hi, res_hi or f.result(hi)
+
+
+# the sign-pinned certificate steps out from each end by 1, 2, 4, ... ulps
+_PIN_MAX_ULPS = 128
+
+
+def _pinned(f: _CountedSeries, x: float, res: EvalResult, step: float, want: int) -> bool:
+    """Whether the series certainly has sign ``want`` at x or at x + k step
+    for the first k in 1, 2, 4, ..., 128 where its sign is certain."""
+    k = 0
+    while True:
+        sign = _certain_sign(res)
+        if sign is not None:
+            return sign == want
+        k = 2 * k or 1
+        if k > _PIN_MAX_ULPS:
+            return False
+        res = f.result(x + k * step)
+
+
+def _solve(
+    f: _CountedSeries, a: float, solver_tol: float
+) -> tuple[float, float, str, tuple[float, float]]:
+    """Certified root of the monotone series f in (a, 1).
+
+    Sweep a bracket, run Brent-Dekker and bisection to adjacent doubles, and
+    take the end with the smaller |value| as the root.  Its residual
+    |f(r0)| + tail_bound is reported either way.  The ``"residual"``
+    certificate holds when that residual is within ``solver_tol``.  Where a
+    steep gradient moves by more than ``solver_tol`` from one double to the
+    next, the ``"sign-pinned"`` certificate holds instead when certain
+    opposite signs are found within 128 ulps outside both ends, so the root
+    is pinned to a few ulps.  Returns (r0, residual, certificate, sweep
+    bracket).
+    """
+    standoff = DEFAULT_STANDOFF_FACTOR * (1.0 - a)
+    lo, res_lo, hi, res_hi, sign_lo = _sweep_bracket(f, a, standoff)
+    p, res_p, q, res_q = _brent(f, lo, res_lo, hi, res_hi)
+    x_lo, r_lo, x_hi, r_hi = _bisect(f, lo, hi, sign_lo, p, res_p, q, res_q)
+    root, res = (x_lo, r_lo) if abs(r_lo.value) <= abs(r_hi.value) else (x_hi, r_hi)
     residual = abs(res.value) + res.tail_bound
-    if residual > solver_tol:
-        raise BracketingError(
-            f"residual {residual} exceeds solver tolerance {solver_tol} at the "
-            "bisection limit; tighten the truncation policy"
-        )
-    return root, residual
+    if residual <= solver_tol:
+        return root, residual, "residual", (lo, hi)
+    ulp = x_hi - x_lo or 2.0**-52 * x_hi
+    if _pinned(f, x_lo, r_lo, -ulp, sign_lo) and _pinned(f, x_hi, r_hi, ulp, -sign_lo):
+        return root, residual, "sign-pinned", (lo, hi)
+    raise BracketingError(
+        f"residual {residual} exceeds solver tolerance {solver_tol} at adjacent "
+        f"doubles and no certain sign change lies within {_PIN_MAX_ULPS} ulps; "
+        "tighten the truncation policy"
+    )
 
 
 def _series_policy(policy: TruncationPolicy | None, solver_tol: float) -> TruncationPolicy:
@@ -175,9 +303,7 @@ def find_critical_point(
     else:
         f = _CountedSeries(lambda r: robin2d_first(a, r, pol))
 
-    standoff = DEFAULT_STANDOFF_FACTOR * (1.0 - a)
-    lo, hi, sign_lo, _ = _sweep_bracket(f, a, standoff)
-    r0, residual = _bisect(f, lo, hi, sign_lo, solver_tol)
+    r0, residual, certificate, bracket = _solve(f, a, solver_tol)
 
     h = 1e-4 * (1.0 - a)
     if geom.n >= 3:
@@ -188,7 +314,10 @@ def find_critical_point(
         fd = (plus.value / (r0 + h) - minus.value / (r0 - h)) / (2.0 * h)
         fd_tail = (plus.tail_bound + minus.tail_bound) / (2.0 * h * (r0 - h))
         uncertainty = abs(second - fd) + fd_tail + slope.tail_bound / r0
-        method = "bisection on r*R'(r), series second derivative"
+        method = (
+            "Brent-Dekker then bisection to adjacent doubles on r*R'(r), "
+            "series second derivative"
+        )
     else:
         second_res = robin2d_second(a, r0, pol)
         second = second_res.value
@@ -197,12 +326,16 @@ def find_critical_point(
         fd = (plus.value - minus.value) / (2.0 * h)
         fd_tail = (plus.tail_bound + minus.tail_bound) / (2.0 * h)
         uncertainty = abs(second - fd) + fd_tail + second_res.tail_bound
-        method = "bisection on R'(r), series second derivative"
+        method = (
+            "Brent-Dekker then bisection to adjacent doubles on R'(r), "
+            "series second derivative"
+        )
 
     return CriticalPointReport(
         r0=r0,
-        bracket=(lo, hi),
+        bracket=bracket,
         residual=residual,
+        certificate=certificate,
         second_derivative=second,
         second_derivative_uncertainty=uncertainty,
         is_radial_minimum=second > 0.0,
@@ -221,8 +354,8 @@ def refine_critical_point(
     """Derivative-based refinement of a critical-radius estimate.
 
     Newton iteration on the gradient with its own derivative series (the
-    planar pair for n = 2); a route independent of bisection, kept for
-    cross-method agreement checks.  The start must lie inside the gap and
+    planar pair for n = 2); a route independent of the bracketing solver,
+    kept for cross-method agreement checks.  The start must lie inside the gap and
     close enough that the iterates stay there.
     """
     if solver_tol <= 0.0:
@@ -267,20 +400,18 @@ def concentration_root(
 ) -> float:
     """Root of the concentration-radius equation (n >= 3).
 
-    The equation is the radial-gradient series stripped of its constant
-    prefactor, so the returned radius coincides with the critical point of
-    find_critical_point up to the combined solver tolerances.
+    The equation is the radial-gradient series times -omega/2 and runs
+    through the same solver, so the returned radius is the critical point of
+    find_critical_point.
     """
     geom.require_series_dim()
     if solver_tol <= 0.0:
         raise DomainValidationError(f"solver_tol must be positive, got {solver_tol!r}")
     pol = _series_policy(policy, solver_tol)
     f = _CountedSeries(lambda r: critical_equation_eval(geom, r, pol))
-    standoff = DEFAULT_STANDOFF_FACTOR * (1.0 - geom.a)
-    lo, hi, sign_lo, _ = _sweep_bracket(f, geom.a, standoff)
     # the root equation is -(omega/2) times the gradient, so the residual
     # budget scales by the same factor
-    root, _ = _bisect(f, lo, hi, sign_lo, solver_tol * geom.omega / 2.0)
+    root, _, _, _ = _solve(f, geom.a, solver_tol * geom.omega / 2.0)
     return root
 
 

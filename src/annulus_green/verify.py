@@ -500,7 +500,7 @@ def suite_critical_point(rng: np.random.Generator, policy: TruncationPolicy | No
                 err_c = abs(root - rep.r0)
                 out.check(err_c <= 1e-8, err_c, f"concentration root n={n}")
 
-            # cross-method agreement: bisection vs derivative refinement,
+            # cross-method agreement: bracketing solver vs derivative refinement,
             # started off-center on purpose
             start = rep.r0 + 0.05 * (1.0 - a)
             newton = refine_critical_point(geom, start, pol, solver_tol=1e-12)

@@ -1,5 +1,7 @@
 import json
 
+from annulus_green import AnnulusGeometry, refine_critical_point
+from annulus_green import cli
 from annulus_green.cli import main
 
 
@@ -87,7 +89,13 @@ class TestCriticalPoint:
         assert record["residual"] <= 1e-10
         assert record["is_radial_minimum"] is False
         assert record["nondegenerate"] is True
-        assert record["concentration_root_difference"] <= 1e-8
+        assert record["certificate"] == "residual"
+        assert "concentration_root" not in record
+        # the independent Newton route, started off-centre, lands on r0
+        newton = refine_critical_point(
+            AnnulusGeometry(3, 0.5), record["r0"] + 0.05 * 0.5, None, solver_tol=1e-12
+        )
+        assert abs(newton - record["r0"]) <= 1e-10
 
     def test_planar_record(self, capsys):
         code, out = run_cli(capsys, "critical-point", "--n", "2", "--a", "0.2")
@@ -99,6 +107,35 @@ class TestCriticalPoint:
     def test_invalid_inner_radius_exit_2(self, capsys):
         code, _ = run_cli(capsys, "critical-point", "--n", "3", "--a", "1.5")
         assert code == 2
+
+
+class TestCachedParser:
+    SEQUENCE = (
+        ["eval-robin", "--n", "3", "--a", "0.5", "0.7"],
+        ["critical-point", "--n", "4", "--a", "0.3"],
+        ["critical-point", "--n", "3", "--a", "1.5"],
+        ["eval-robin", "--n", "3", "--a", "0.5", "0.7"],
+    )
+
+    def _run_all(self, capsys, fresh):
+        runs = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                cli._build_parser.cache_clear()
+            runs.append(run_cli(capsys, *argv))
+        return runs
+
+    def test_no_state_carried_between_calls(self, capsys):
+        cached = self._run_all(capsys, fresh=False)
+        assert [code for code, _ in cached] == [0, 0, 2, 0]
+        assert cached[0][1] == cached[3][1]
+        assert cached == self._run_all(capsys, fresh=True)
+
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        run_cli(capsys, *self.SEQUENCE[0])
+        run_cli(capsys, *self.SEQUENCE[1])
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestVerifyCommand:

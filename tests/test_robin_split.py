@@ -212,6 +212,23 @@ def test_thin_annulus_critical_point_brackets(n, a):
         assert below.value > below.tail_bound and above.value < -above.tail_bound
 
 
+@pytest.mark.parametrize("n, a", [(4, 0.937), (5, 0.853), (6, 0.784), (6, 0.942)])
+def test_thin_annulus_sign_pinned_root_against_mpmath(n, a):
+    # no double certifies a residual of 1e-12 here: the gradient moves by
+    # more than that from one double to the next
+    report = find_critical_point(AnnulusGeometry(n, a), None, solver_tol=1e-12)
+    assert report.certificate == "sign-pinned"
+    assert report.residual > 1e-12
+    with mpmath.workdps(DPS):
+        # two Newton steps on the reference gradient r R'(r) from r0
+        root = mpf(report.r0)
+        for _ in range(2):
+            _, first, second = mpmath.diffs(lambda x: mp_robin(n, a, x), root, 2)
+            slope = first + root * second
+            root -= root * first / slope
+    assert _error(report.r0, root) <= report.residual / abs(float(slope))
+
+
 @pytest.mark.parametrize("r", [0.75, 0.999])
 @pytest.mark.parametrize(
     "fn", [robin_eval, robin_radial_gradient, robin_radial_gradient_derivative]
