@@ -10,6 +10,8 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from functools import lru_cache
@@ -163,11 +165,12 @@ def _emit_record(args, record: dict) -> None:
     if args.format == "json":
         _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
     else:
-        keys = list(record)
-        row = ",".join(
-            _fmt(record[k]) if isinstance(record[k], float) else str(record[k]) for k in keys
-        )
-        _emit(args, ",".join(keys) + "\n" + row + "\n")
+        # quoted where a field holds a comma (the critical-point method does)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(record)
+        writer.writerow(_fmt(v) if isinstance(v, float) else v for v in record.values())
+        _emit(args, buf.getvalue())
 
 
 def _emit_table(args, header: list[str], rows: Iterable[list]) -> None:

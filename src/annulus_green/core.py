@@ -151,6 +151,12 @@ class AnnulusGeometry:
         """Surface area of the unit sphere in R^n, computed once per geometry."""
         return sphere_surface_area(self.n)
 
+    @cached_property
+    def omega_rel_error(self) -> float:
+        """Rounding bound of ``omega`` relative to its value, computed once per
+        geometry."""
+        return sphere_surface_area_rel_error(self.n)
+
     def require_series_dim(self) -> None:
         if self.n < 3:
             raise DomainValidationError(
@@ -163,7 +169,7 @@ class AnnulusGeometry:
             raise DomainValidationError(
                 f"expected a point of R^{self.n}, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainValidationError("point coordinates must be finite")
         return arr
 
@@ -238,11 +244,11 @@ class EvalResult:
     """A numeric value plus the evidence of how it was truncated.
 
     ``tail_bound`` is a certified upper bound on the error of ``value``.  For
-    the Robin family (``robin_eval``, both gradient series,
-    ``critical_equation_eval`` and the three planar ``robin2d_*``) it is the
-    discarded remainder plus a first-order bound on floating-point rounding in
-    the closed form and the summed terms; for the other series it bounds the
-    discarded remainder only.
+    ``green_eval`` and the Robin family (``robin_eval``, both gradient
+    series, ``critical_equation_eval`` and the three planar ``robin2d_*``) it
+    is the discarded remainder plus a first-order bound on floating-point
+    rounding in the closed form and the summed terms; for the other series it
+    bounds the discarded remainder only.
 
     ``converged`` refers to the truncation tail alone: it is set when the
     discarded remainder met the policy's ``abs_tol``.  Where rounding is

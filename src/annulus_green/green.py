@@ -11,22 +11,30 @@ In the two Green routes every power of the radii is carried incrementally as
 a product of per-mode factors in (0, 1), so deep truncations neither overflow
 nor divide underflowed quantities.
 
-The diagonal (Robin) series are split by the two-image identity
-1/(1 - A_m) = 1 + A_m/(1 - A_m), A_m = a^(2m+n-2).  The A-free part sums in
-closed form through sum_m C(k+m-1, m) x^m = (1 - x)^-k (and
-sum_m x^m/m = -log(1 - x) in the plane) and carries the divergence at both
-spheres; it is evaluated through (1 - r)(1 + r) and (r - a)(r + a), so no
-r^2 - a^2 cancels.  The remainder's term ratio is at most a^2 wherever r
-lies, so it takes tens of modes next to a sphere as well as mid-gap.  Its
-products are powers of numbers in (0, 1) and overflow only where the value
-itself leaves the double range, which raises TailEnvelopeError.  The
-reported tail_bound of these series adds a first-order bound on rounding in
-the closed form and in the summed modes to the truncation tail.
+The correction series of green_eval and the diagonal (Robin) series are
+split by the identity 1/(1 - A_m) = 1 + A_m/(1 - A_m), A_m = a^(2m+n-2).
+The A-free part sums in closed form and carries the divergence at both
+spheres: four Kelvin images through the Gegenbauer generating function
+sum_m q^m P_m(t) = (1 - 2qt + q^2)^(-(n-2)/2) for green_eval, two images
+through sum_m C(k+m-1, m) x^m = (1 - x)^-k for the Robin family (and
+sum_m x^m/m = -log(1 - x) in the plane).  Every difference next to a sphere
+is formed as (p - q)(p + q), so no r^2 - a^2 or 1 - r^2 cancels.  The
+remainder's term ratio is at most a^2 wherever the points lie, so it takes
+tens of modes next to a sphere as well as mid-gap.  Its products are powers
+of numbers in (0, 1) and overflow only where the value itself leaves the
+double range, which raises TailEnvelopeError.  The reported tail_bound of
+these series adds a first-order bound on rounding in the closed form and in
+the summed modes to the truncation tail.
+
+green_piecewise_eval stays the unsplit modal series on purpose: its split
+would be the same computation as green_eval's, and it serves as the
+independent route that green_eval is checked against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -38,8 +46,6 @@ from .core import (
     SingularityError,
     TailEnvelopeError,
     TruncationPolicy,
-    newtonian_potential,
-    sphere_surface_area_rel_error,
 )
 from .specfun import _clamp_argument, iter_gegenbauer
 from .summation import sum_series
@@ -71,40 +77,173 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
     )
 
 
-def _correction_triples(n: int, a: float, r: float, s: float, t: float, omega: float):
-    """Modes of the regular-part series subtracted from the fundamental solution.
+# unit roundoff of binary64: a correctly rounded operation errs by at most
+# this much relative to its exact result
+_U = 2.0**-53
 
-    The mode coefficient divided by (rs)^(m+n-2) splits into four products
-    g1 - g2 - g3 + g4 whose per-step ratios all lie in (0, 1) for interior
-    radii, which is what makes deep sums underflow-safe.  The envelope keeps
-    only the two outer products (the subtracted ones are positive).
+
+def _split_result(
+    closed: float,
+    closed_rounding: float,
+    remainder: EvalResult,
+    remainder_rounding: float,
+    prefactor_rel_error: float = 0.0,
+) -> EvalResult:
+    """Closed form plus summed remainder, with their rounding added to the tail.
+
+    ``prefactor_rel_error`` is the relative error of a factor shared by every
+    piece (1/omega): it moves the whole value coherently, so it costs that
+    share of |value| rather than of every piece.
     """
-    lam = 0.5 * (n - 2)
-    lo, hi = (r, s) if r <= s else (s, r)
-    q1 = lo * hi
-    q2 = a * a * lo / hi
-    q3 = a * a * hi / lo
-    q4 = a * a / (lo * hi)
-    g1 = 1.0
-    g2 = (a / hi) ** (n - 2)
-    g3 = (a / lo) ** (n - 2)
-    g4 = (a / (lo * hi)) ** (n - 2)
-    big_a = a ** (n - 2)
+    value = closed + remainder.value
+    if not math.isfinite(value):
+        raise TailEnvelopeError(f"the series value is not a finite double ({value!r})")
+    rounding = closed_rounding + remainder_rounding + (prefactor_rel_error + _U) * abs(value)
+    return EvalResult(
+        value=value,
+        terms_used=remainder.terms_used,
+        tail_bound=remainder.tail_bound + rounding,
+        converged=remainder.converged,
+    )
+
+
+def _factored(p: float, q: float, e: float) -> tuple[float, float]:
+    """(p - q)(p + q) for p >= q >= 0, and a first-order bound on its error in
+    units of the unit roundoff when p and q carry relative errors up to e units.
+
+    The difference errs by at most (p + q) e + |p - q| units, the sum by
+    (p + q)(e + 1), and the product rounds once: 2 e (p + q)^2 + 3 |w| in all.
+    """
+    w = (p - q) * (p + q)
+    return w, 2.0 * e * (p + q) ** 2 + 3.0 * w
+
+
+def _image_base(c_d2: float, c_err: float, x, y) -> tuple[float, float]:
+    """E = c_d2 + x y from nonnegative parts, with its error bound in units.
+
+    ``c_err`` is the absolute error bound of c_d2; ``x`` and ``y`` are
+    (value, error) pairs such as _factored returns.  The product and the sum
+    round once each, relative to quantities no larger than E.
+    """
+    (xv, xe), (yv, ye) = x, y
+    xy = xv * yv
+    base = c_d2 + xy
+    return base, c_err + xe * yv + xv * ye + xy + base
+
+
+# relative rounding error of the computed radii |x|, |y| and of |x - y|, in
+# units of the unit roundoff: math.hypot errs by under one ulp (two units),
+# and each coordinate difference feeding math.dist rounds once more
+_E_RADIUS = 2.0
+_E_DIST = 3.0
+# error of t = <x, y> / (|x| |y|): fsum of the rounded products (2), the two
+# radii (2 _E_RADIUS), their product and the division (2)
+_E_COSINE = 4.0 + 2.0 * _E_RADIUS
+
+
+def _green_closed(k: int, a: float, lo: float, hi: float, d: float):
+    """The Newtonian term and the four images of the Green correction.
+
+    Mode m of the correction is (g1 - g2 - g3 + g4) P_m(t) / (1 - A_m) with
+    g_i = c_i q_i^m, q = (lo hi, a^2 lo / hi, a^2 hi / lo, a^2 / (lo hi)) and
+    c = (1, (a/hi)^k, (a/lo)^k, (a/(lo hi))^k), all over k omega.  Its A-free
+    part sums through sum_m q^m P_m(t) = (1 - 2 q t + q^2)^(-k/2) to four
+    images c_i (1 - 2 q_i t + q_i^2)^(-k/2), each written through |x - y|:
+
+        image 1 = (d^2 + (1 - r^2)(1 - s^2))^(-k/2)
+        image 2 = (a^2 / (a^2 d^2 + (1 - a^2)(hi^2 - a^2 lo^2)))^(k/2)
+        image 3 = (a^2 / (a^2 d^2 + (1 - a^2)(lo^2 - a^2 hi^2)))^(k/2)
+        image 4 = (a^2 / (a^2 d^2 + (r^2 - a^2)(s^2 - a^2)))^(k/2)
+
+    Image 1 equals d^-k on the outer sphere and image 4 on the inner one;
+    every base is a sum of nonnegative parts whose differences are formed as
+    (p - q)(p + q), so nothing cancels as r, s approach a sphere.
+
+    Returns the pieces of d^-k - image 1 + image 2 + image 3 - image 4 and a
+    first-order bound on their rounding, in units of the unit roundoff and
+    relative to 1 (the common factor 1/(k omega) is left to the caller).
+    """
+    lam = 0.5 * k
+    a2 = a * a
+    d2 = d * d
+    ad2 = (a * d) ** 2
+    ad2_err = ad2 * (2.0 * _E_DIST + 3.0)
+    bases = (
+        _image_base(
+            d2,
+            d2 * (2.0 * _E_DIST + 1.0),
+            _factored(1.0, lo, _E_RADIUS),
+            _factored(1.0, hi, _E_RADIUS),
+        ),
+        _image_base(
+            ad2, ad2_err, _factored(1.0, a, 0.0), _factored(hi, a * lo, _E_RADIUS + 1.0)
+        ),
+        _image_base(
+            ad2, ad2_err, _factored(1.0, a, 0.0), _factored(lo, a * hi, _E_RADIUS + 1.0)
+        ),
+        _image_base(ad2, ad2_err, _factored(lo, a, _E_RADIUS), _factored(hi, a, _E_RADIUS)),
+    )
+    newton = d**-k
+    pieces = [newton]
+    # d^-k errs by k _E_DIST units plus the power's two; (c/E)^lam by lam
+    # times (E's relative error plus two units for a^2 and the division),
+    # plus the power's two
+    ulps = newton * (k * _E_DIST + 2.0)
+    for sign, c, (base, err) in zip((-1.0, 1.0, 1.0, -1.0), (1.0, a2, a2, a2), bases):
+        image = (c / base) ** lam
+        pieces.append(sign * image)
+        ulps += image * (lam * (err / base + 2.0) + 2.0)
+    return pieces, ulps
+
+
+def _green_remainder(
+    k: int, a: float, lo: float, hi: float, t: float, scale: float, rounding: list
+):
+    """Remainder modes of the split Green correction, k = n - 2 >= 1.
+
+    With h_i = g_i A_m (see _green_closed) the remainder is
+    scale * sum_m (h1 - h2 - h3 + h4) P_m(t) / (1 - A_m), where
+    h = (a^k (a^2 lo hi)^m, (a^2/hi)^k (a^4 lo/hi)^m, (a^2/lo)^k (a^4 hi/lo)^m,
+    (a^2/(lo hi))^k (a^4/(lo hi))^m).  lo hi >= a^2 makes every per-mode
+    factor at most a^2, wherever the points lie.  |P_m| <= C(k+m-1, m) and
+    0 <= h1 - h2 - h3 + h4 <= h1 + h4 bound the envelope.
+
+    Each mode adds to ``rounding[0]`` a first-order bound on its rounding
+    error, in units of the unit roundoff, as a multiple of its envelope (at
+    least half the sum of the absolute values of its parts).  The h_i take
+    6 + 2 _E_RADIUS units per mode and (3 + 2 _E_RADIUS) k + 1 to start;
+    1 - A_m, with A_m carried as a product, costs (2m + 1) A_m/(1 - A_m) + 2;
+    the mode's sums and products, the prefactor and the compensated sum add
+    10.  The forward recurrence errs by less than 2 (m+1)^2 u C(k+m-1, m)
+    (measured against a 40-digit recurrence over t in [-1, 1]: at most 0.23
+    of that for m <= 400, k <= 4 and for m <= 300, k up to 48), and
+    |dP_m/dt| <= (m+1)^2 C(k+m-1, m) turns the error of t into
+    (m+1)^2 _E_COSINE units more.
+    """
+    lam = 0.5 * k
+    a2 = a * a
+    a4 = a2 * a2
+    b1, b2, b3, b4 = a2 * (lo * hi), a4 * lo / hi, a4 * hi / lo, a4 / (lo * hi)
+    h1, h2, h3, h4 = a**k, (a2 / hi) ** k, (a2 / lo) ** k, (a2 / (lo * hi)) ** k
+    big_a = a**k
+    amp = 1.0 / (1.0 - big_a)  # bounds every 1/(1 - A_m)
+    env_k = abs(scale) * amp
+    qmax = max(b1, b4)
+    per_mode = 6.0 + 2.0 * _E_RADIUS + 2.0 * amp
+    fixed = (3.0 + 2.0 * _E_RADIUS) * k + 13.0 + amp
+    quad = 2.0 + _E_COSINE
     binom = 1.0
-    env_k = 1.0 / ((n - 2) * omega * (1.0 - a ** (n - 2)))
-    qmax = max(q1, q4)
     m = 0
     for p in iter_gegenbauer(lam, t):
-        beta = 2 * m + n - 2
-        z = (beta / (n - 2)) * p
-        coeff = (g1 - g2 - g3 + g4) / (beta * (1.0 - big_a))
-        yield coeff * z / omega, env_k * binom * (g1 + g4), (n + m - 2) / (m + 1) * qmax
-        g1 *= q1
-        g2 *= q2
-        g3 *= q3
-        g4 *= q4
-        big_a *= a * a
-        binom *= (n + m - 2) / (m + 1)
+        env = env_k * binom * (h1 + h4)
+        rounding[0] += 2.0 * env * (quad * (m + 1) ** 2 + per_mode * m + fixed)
+        yield scale * (((h1 - h2) - h3) + h4) * p / (1.0 - big_a), env, (k + m) / (m + 1) * qmax
+        h1 *= b1
+        h2 *= b2
+        h3 *= b3
+        h4 *= b4
+        big_a *= a2
+        binom *= (k + m) / (m + 1)
         m += 1
 
 
@@ -116,27 +255,38 @@ def green_eval(
     Fundamental solution minus the correction series; valid for radii in the
     closed interval [a, 1] (so boundary points are admissible and give zero
     up to the tail bound) and in particular at coincident radii |x| = |y|.
+    The correction is four closed-form images plus a remainder whose term
+    ratio is at most a^2, and ``tail_bound`` covers rounding as well as
+    truncation.
     """
     geom.require_series_dim()
-    xv = geom.point(x)
-    yv = geom.point(y)
-    r = geom.clamp_radius(float(np.linalg.norm(xv)))
-    s = geom.clamp_radius(float(np.linalg.norm(yv)))
-    d = float(np.linalg.norm(xv - yv))
+    xs = geom.point(x).tolist()
+    ys = geom.point(y).tolist()
+    r = geom.clamp_radius(math.hypot(*xs))
+    s = geom.clamp_radius(math.hypot(*ys))
+    d = math.dist(xs, ys)
     if d < NEAR_DIAGONAL:
         raise SingularityError(
             f"|x - y| = {d} is inside the near-diagonal guard {NEAR_DIAGONAL}; "
             "diagonal values come from robin_eval"
         )
-    newt = newtonian_potential(geom, xv, yv)
-    t = _clamp_argument(float(xv @ yv) / (r * s))
-    res = sum_series(_correction_triples(geom.n, geom.a, r, s, t, geom.omega), policy)
-    return EvalResult(
-        value=newt - res.value,
-        terms_used=res.terms_used,
-        tail_bound=res.tail_bound,
-        converged=res.converged,
-    )
+    t = _clamp_argument(math.fsum(map(operator.mul, xs, ys)) / (r * s))
+    n, a = geom.n, geom.a
+    k = n - 2
+    lo, hi = (r, s) if r <= s else (s, r)
+    rounding = [0.0]
+    try:
+        scale = 1.0 / (k * geom.omega)
+        pieces, ulps = _green_closed(k, a, lo, hi, d)
+        closed = sum(pieces) * scale
+        # the pieces' own errors, their four sums and the two roundings of scale
+        closed_rounding = _U * scale * (ulps + 7.0 * sum(abs(p) for p in pieces))
+        res = sum_series(_green_remainder(k, a, lo, hi, t, -scale, rounding), policy)
+    except (OverflowError, ZeroDivisionError):
+        raise TailEnvelopeError(
+            f"the Green function for n = {n} leaves the double-precision range here"
+        ) from None
+    return _split_result(closed, closed_rounding, res, _U * rounding[0], geom.omega_rel_error)
 
 
 def _modal_triples(n: int, a: float, lo: float, hi: float, t: float, omega: float):
@@ -185,36 +335,6 @@ def green_piecewise_eval(
     lo, hi = (r, s) if r < s else (s, r)
     t = _clamp_argument(float(xv @ yv) / (r * s))
     return sum_series(_modal_triples(geom.n, geom.a, lo, hi, t, geom.omega), policy)
-
-
-# unit roundoff of binary64: a correctly rounded operation errs by at most
-# this much relative to its exact result
-_U = 2.0**-53
-
-
-def _split_result(
-    closed: float,
-    closed_rounding: float,
-    remainder: EvalResult,
-    remainder_rounding: float,
-    prefactor_rel_error: float = 0.0,
-) -> EvalResult:
-    """Closed form plus summed remainder, with their rounding added to the tail.
-
-    ``prefactor_rel_error`` is the relative error of a factor shared by every
-    piece (1/omega): it moves the whole value coherently, so it costs that
-    share of |value| rather than of every piece.
-    """
-    value = closed + remainder.value
-    if not math.isfinite(value):
-        raise TailEnvelopeError(f"the series value is not a finite double ({value!r})")
-    rounding = closed_rounding + remainder_rounding + (prefactor_rel_error + _U) * abs(value)
-    return EvalResult(
-        value=value,
-        terms_used=remainder.terms_used,
-        tail_bound=remainder.tail_bound + rounding,
-        converged=remainder.converged,
-    )
 
 
 def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: list):
@@ -309,9 +429,7 @@ def _robin_split(
             f"the Robin series for n = {n} leaves the double-precision range here: "
             "its closed form or its modes overflow"
         ) from None
-    return _split_result(
-        closed, closed_rounding, res, _U * rounding[0], sphere_surface_area_rel_error(n)
-    )
+    return _split_result(closed, closed_rounding, res, _U * rounding[0], geom.omega_rel_error)
 
 
 def _robin_closed(k, a, r, u, v, w):

@@ -22,7 +22,6 @@ from .core import (
     newtonian_potential,
 )
 from .critical import (
-    concentration_root,
     count_gradient_sign_changes,
     find_critical_point,
     refine_critical_point,
@@ -494,11 +493,6 @@ def suite_critical_point(rng: np.random.Generator, policy: TruncationPolicy | No
             )
             err = abs(r_scan - rep.r0)
             out.check(err <= 1e-6, err, f"grid scan n={n}")
-
-            if n >= 3:
-                root = concentration_root(geom, pol, solver_tol=1e-12)
-                err_c = abs(root - rep.r0)
-                out.check(err_c <= 1e-8, err_c, f"concentration root n={n}")
 
             # cross-method agreement: bracketing solver vs derivative refinement,
             # started off-center on purpose

@@ -1,8 +1,10 @@
-"""Direct (unsplit) diagonal series of the Robin family, kept as a test oracle.
+"""Direct (unsplit) series of the Robin family and of the Green correction,
+kept as a test oracle.
 
 These are the series exactly as the package summed them before the two-image
-split: every mode keeps its full denominator 1 - a^(2m+n-2), so the term
-ratio tends to max(r^2, a^2/r^2) and the cost grows like 1/dist(r, boundary).
+and four-image splits: every mode keeps its full denominator
+1 - a^(2m+n-2), so the term ratio tends to max(r^2, a^2/r^2) (max(rs,
+a^2/(rs)) for the Green function) and the cost grows like 1/dist(r, boundary).
 They share no closed form with the split evaluators in
 ``annulus_green.green``, which is what makes them an independent check at
 interior radii.  The values are bit-for-bit those of the old evaluators; the
@@ -14,7 +16,19 @@ from __future__ import annotations
 
 import math
 
-from annulus_green.core import AnnulusGeometry, DomainValidationError, EvalResult, TruncationPolicy
+import numpy as np
+
+from annulus_green.core import (
+    AnnulusGeometry,
+    ArrayLike,
+    DomainValidationError,
+    EvalResult,
+    SingularityError,
+    TruncationPolicy,
+    newtonian_potential,
+)
+from annulus_green.green import NEAR_DIAGONAL
+from annulus_green.specfun import _clamp_argument, iter_gegenbauer
 from annulus_green.summation import sum_series
 
 
@@ -22,7 +36,7 @@ _U = 2.0**-53
 
 
 def _certified(
-    triples, policy: TruncationPolicy, a: float, k: int, first_mode: int = 0
+    triples, policy: TruncationPolicy, a: float, k: int, first_mode: int = 0, dim: int = 0
 ) -> EvalResult:
     """sum_series, with a first-order bound on the rounding of the terms
     added to the tail.
@@ -33,14 +47,25 @@ def _certified(
     mode's own arithmetic, the prefactor (omega included) and the compensated
     sum add fewer than 48.  Every envelope below is at least half the sum of
     the absolute values of its mode's parts.
+
+    A Green series in R^dim (dim > 0) also carries the radii's rounding
+    (np.linalg.norm, under dim/2 + 2 units each) into its m-th powers, and a
+    Gegenbauer factor whose forward recurrence errs by under 2 (m+1)^2 units
+    of its envelope, plus (m+1)^2 units per unit of error in its argument
+    (under 2 dim + 8 units).
     """
     rounding = [0.0]
+    green_linear = 2 * dim + 8
+    green_quadratic = 2 * dim + 10 if dim else 0
 
     def tallied():
         for i, (term, env, rho) in enumerate(triples):
             m = i + first_mode
             big_a = a ** (k + 2 * m)
-            rounding[0] += 2.0 * env * (6 * m + k + 48 + (2 * m + 1) * big_a / (1.0 - big_a))
+            units = 6 * m + k + 48 + (2 * m + 1) * big_a / (1.0 - big_a)
+            if dim:
+                units += green_linear * m + green_quadratic * (m + 1) ** 2
+            rounding[0] += 2.0 * env * units
             yield term, env, rho
 
     res = sum_series(tallied(), policy)
@@ -253,3 +278,72 @@ def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
 
     res = _certified(triples(), policy, a, 0, first_mode=1)
     return EvalResult(closed + res.value, res.terms_used, res.tail_bound, res.converged)
+
+
+def _correction_triples(n: int, a: float, r: float, s: float, t: float, omega: float):
+    """Modes of the regular-part series subtracted from the fundamental solution.
+
+    The mode coefficient divided by (rs)^(m+n-2) splits into four products
+    g1 - g2 - g3 + g4 whose per-step ratios all lie in (0, 1) for interior
+    radii, which is what makes deep sums underflow-safe.  The envelope keeps
+    only the two outer products (the subtracted ones are positive).
+    """
+    lam = 0.5 * (n - 2)
+    lo, hi = (r, s) if r <= s else (s, r)
+    q1 = lo * hi
+    q2 = a * a * lo / hi
+    q3 = a * a * hi / lo
+    q4 = a * a / (lo * hi)
+    g1 = 1.0
+    g2 = (a / hi) ** (n - 2)
+    g3 = (a / lo) ** (n - 2)
+    g4 = (a / (lo * hi)) ** (n - 2)
+    big_a = a ** (n - 2)
+    binom = 1.0
+    env_k = 1.0 / ((n - 2) * omega * (1.0 - a ** (n - 2)))
+    qmax = max(q1, q4)
+    m = 0
+    for p in iter_gegenbauer(lam, t):
+        beta = 2 * m + n - 2
+        z = (beta / (n - 2)) * p
+        coeff = (g1 - g2 - g3 + g4) / (beta * (1.0 - big_a))
+        yield coeff * z / omega, env_k * binom * (g1 + g4), (n + m - 2) / (m + 1) * qmax
+        g1 *= q1
+        g2 *= q2
+        g3 *= q3
+        g4 *= q4
+        big_a *= a * a
+        binom *= (n + m - 2) / (m + 1)
+        m += 1
+
+
+def green_eval(
+    geom: AnnulusGeometry, x: ArrayLike, y: ArrayLike, policy: TruncationPolicy
+) -> EvalResult:
+    """Dirichlet Green function: fundamental solution minus the direct
+    correction series.
+
+    The tail bound adds the fundamental solution's rounding (|x - y| to
+    dim/2 + 3 units, raised to the power n - 2, plus 4 units) to _certified's.
+    """
+    geom.require_series_dim()
+    xv = geom.point(x)
+    yv = geom.point(y)
+    r = geom.clamp_radius(float(np.linalg.norm(xv)))
+    s = geom.clamp_radius(float(np.linalg.norm(yv)))
+    d = float(np.linalg.norm(xv - yv))
+    if d < NEAR_DIAGONAL:
+        raise SingularityError(f"|x - y| = {d} is inside the near-diagonal guard")
+    newt = newtonian_potential(geom, xv, yv)
+    t = _clamp_argument(float(xv @ yv) / (r * s))
+    n = geom.n
+    res = _certified(
+        _correction_triples(n, geom.a, r, s, t, geom.omega), policy, geom.a, n - 2, dim=n
+    )
+    newt_rounding = _U * newt * ((n - 2) * (0.5 * n + 3) + 4)
+    return EvalResult(
+        value=newt - res.value,
+        terms_used=res.terms_used,
+        tail_bound=res.tail_bound + newt_rounding,
+        converged=res.converged,
+    )

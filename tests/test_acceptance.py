@@ -19,7 +19,6 @@ from annulus_green import (
     TruncationPolicy,
     ball_green_closed_form,
     build_sphere_quadrature,
-    concentration_root,
     count_gradient_sign_changes,
     find_critical_point,
     gegenbauer_endpoint_exact,
@@ -36,6 +35,7 @@ from annulus_green import (
     newtonian_potential,
     newtonian_series_inner,
     newtonian_series_outer,
+    refine_critical_point,
     robin2d_eval,
     robin2d_first,
     robin2d_second,
@@ -195,7 +195,7 @@ def test_c06_critical_point():
     scan_policy = TruncationPolicy(abs_tol=1e-12, max_terms=300_000)
     worst_scan = 0.0
     worst_resid = 0.0
-    worst_root = 0.0
+    worst_newton = 0.0
     ok = True
     for n, a, kind in ((2, 0.2, "min"), (3, 0.5, "max"), (4, 0.3, "max")):
         geom = AnnulusGeometry(n, a)
@@ -214,10 +214,10 @@ def test_c06_critical_point():
         worst_scan = max(worst_scan, abs(r_scan - rep.r0))
         ok = ok and abs(r_scan - rep.r0) <= 1e-6
 
-        if n >= 3:
-            root = concentration_root(geom, policy, solver_tol=1e-12)
-            worst_root = max(worst_root, abs(root - rep.r0))
-            ok = ok and abs(root - rep.r0) <= 1e-8
+        # the independent Newton route, started off-centre
+        newton = refine_critical_point(geom, rep.r0 + 0.05 * span, policy, solver_tol=1e-12)
+        worst_newton = max(worst_newton, abs(newton - rep.r0))
+        ok = ok and abs(newton - rep.r0) <= 1e-8
 
         changes, _ = count_gradient_sign_changes(
             geom, TruncationPolicy(abs_tol=1e-8, max_terms=500_000), num=2_000
@@ -228,7 +228,7 @@ def test_c06_critical_point():
         "critical-point",
         ok,
         f"scan dev={worst_scan:.3e}, residual={worst_resid:.3e}, "
-        f"root agreement={worst_root:.3e}",
+        f"newton agreement={worst_newton:.3e}",
     )
 
 

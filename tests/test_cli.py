@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 from annulus_green import AnnulusGeometry, refine_critical_point
@@ -107,6 +109,41 @@ class TestCriticalPoint:
     def test_invalid_inner_radius_exit_2(self, capsys):
         code, _ = run_cli(capsys, "critical-point", "--n", "3", "--a", "1.5")
         assert code == 2
+
+
+class TestCsvRecords:
+    @staticmethod
+    def _read(out):
+        return list(csv.reader(io.StringIO(out)))
+
+    def test_critical_point_method_keeps_its_comma(self, capsys):
+        argv = ("critical-point", "--n", "6", "--a", "0.942")
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.endswith("\n") and "\r" not in out
+        header, row = self._read(out)
+        assert len(header) == len(row)
+        fields = dict(zip(header, row))
+        _, json_out = run_cli(capsys, *argv)
+        record = json.loads(json_out)
+        assert sorted(record) == sorted(header)
+        assert "," in record["method"]
+        assert fields["method"] == record["method"]
+        assert float(fields["r0"]) == record["r0"]
+        assert fields["is_radial_minimum"] == "False"
+
+    def test_eval_green_record(self, capsys):
+        argv = ("eval-green", "--n", "3", "--a", "0.5", "0.6", "0.1", "0", "0.8", "-0.2", "0.1")
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, row = self._read(out)
+        assert len(header) == len(row)
+        fields = dict(zip(header, row))
+        _, json_out = run_cli(capsys, *argv)
+        record = json.loads(json_out)
+        assert float(fields["value"]) == record["value"]
+        assert [float(v) for v in fields["x"].split(";")] == record["x"]
+        assert int(fields["terms_used"]) == record["terms_used"]
 
 
 class TestCachedParser:

@@ -13,7 +13,10 @@ from annulus_green import (
     Point,
     SingularityError,
     TruncationPolicy,
+    green_eval,
     newtonian_potential,
+    robin_eval,
+    robin_radial_gradient,
     sphere_surface_area,
 )
 from annulus_green import core
@@ -76,6 +79,23 @@ def test_omega_is_computed_once_per_geometry(monkeypatch):
     # the cache is not a field: equality and hashing still see (n, a) only
     assert geom == AnnulusGeometry(5, 0.4)
     assert hash(geom) == hash(AnnulusGeometry(5, 0.4))
+
+
+def test_omega_rounding_bound_is_computed_once_per_geometry(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return sphere_surface_area_rel_error(n)
+
+    monkeypatch.setattr(core, "sphere_surface_area_rel_error", counted)
+    geom = AnnulusGeometry(4, 0.5)
+    policy = TruncationPolicy()
+    robin_eval(geom, 0.7, policy)
+    robin_radial_gradient(geom, 0.7, policy)
+    green_eval(geom, [0.6, 0.0, 0.0, 0.0], [0.0, 0.8, 0.0, 0.0], policy)
+    assert geom.omega_rel_error == sphere_surface_area_rel_error(4)
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, True])
