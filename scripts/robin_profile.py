@@ -10,14 +10,16 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from annulus_green import (
     AnnulusGeometry,
     TruncationPolicy,
     find_critical_point,
-    robin2d_eval,
-    robin2d_first,
-    robin_eval,
-    robin_radial_gradient,
+    robin2d_eval_grid,
+    robin2d_first_grid,
+    robin_eval_grid,
+    robin_radial_gradient_grid,
 )
 
 
@@ -42,20 +44,20 @@ def main() -> int:
     print(f"second derivative {report.second_derivative:.6f} "
           f"+- {report.second_derivative_uncertainty:.2e}")
 
+    radii = lo + (hi - lo) * np.arange(args.points) / (args.points - 1)
+    if args.n == 2:
+        val = robin2d_eval_grid(args.a, radii, policy)
+        grad = robin2d_first_grid(args.a, radii, policy).scaled(radii)
+    else:
+        val = robin_eval_grid(geom, radii, policy)
+        grad = robin_radial_gradient_grid(geom, radii, policy)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["r", "robin", "robin_tail", "radial_gradient", "gradient_tail"])
-        for i in range(args.points):
-            r = lo + (hi - lo) * i / (args.points - 1)
-            if args.n == 2:
-                val = robin2d_eval(args.a, r, policy)
-                grad = robin2d_first(args.a, r, policy).scaled(r)
-            else:
-                val = robin_eval(geom, r, policy)
-                grad = robin_radial_gradient(geom, r, policy)
+        for i, r in enumerate(radii.tolist()):
             writer.writerow(
-                [f"{r:.17g}", f"{val.value:.17g}", f"{val.tail_bound:.3e}",
-                 f"{grad.value:.17g}", f"{grad.tail_bound:.3e}"]
+                [f"{r:.17g}", f"{val.value[i]:.17g}", f"{val.tail_bound[i]:.3e}",
+                 f"{grad.value[i]:.17g}", f"{grad.tail_bound[i]:.3e}"]
             )
     print(f"wrote {args.points} rows to {args.out}")
     return 0

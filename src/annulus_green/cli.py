@@ -27,6 +27,7 @@ from .core import (
     GridEdgeError,
     QuadratureDegreeError,
     SeriesDivergenceError,
+    EvalGrid,
     SingularityError,
     TruncationPolicy,
 )
@@ -34,11 +35,14 @@ from .critical import find_critical_point
 from .green import (
     green_eval,
     green_piecewise_eval,
+    green_slice_grid,
     modal_coefficient,
     robin2d_eval,
-    robin2d_first,
+    robin2d_eval_grid,
+    robin2d_first_grid,
     robin_eval,
-    robin_radial_gradient,
+    robin_eval_grid,
+    robin_radial_gradient_grid,
 )
 from .verify import SUITES, render_summary, run_suites
 
@@ -294,38 +298,52 @@ def _radial_grid(args, geom: AnnulusGeometry) -> np.ndarray:
     return np.linspace(lo, hi, args.grid_points)
 
 
+def _grid_rows(radii: np.ndarray, res: EvalGrid) -> list:
+    return list(
+        zip(
+            radii.tolist(),
+            res.value.tolist(),
+            res.tail_bound.tolist(),
+            res.terms_used.tolist(),
+            res.converged.tolist(),
+        )
+    )
+
+
+def _interior_rows(evaluate, radii: np.ndarray, a: float) -> EvalGrid:
+    """``evaluate`` over the radii, which it refuses if one lies outside
+    (a, 1); the rows before that radius are evaluated first, so that their
+    errors come first, as they would one row at a time."""
+    inside = (a < radii) & (radii < 1.0)
+    if not inside.all():
+        evaluate(radii[: int(np.argmin(inside))])
+    return evaluate(radii)
+
+
 def _cmd_export_grid(args) -> int:
     geom = AnnulusGeometry(args.n, args.a)
     policy = _policy_from(args)
     status = EXIT_OK
 
-    if args.quantity == "robin":
+    if args.quantity in ("robin", "gradient"):
         radii = _radial_grid(args, geom)
-        rows = []
-        for r in radii:
-            r = float(r)
-            res = robin2d_eval(geom.a, r, policy) if geom.n == 2 else robin_eval(geom, r, policy)
-            rows.append([r, res.value, res.tail_bound, res.terms_used, res.converged])
-            if not res.converged:
-                status = EXIT_NO_CONVERGENCE
-        _emit_table(args, ["r", "robin", "tail_bound", "terms_used", "converged"], rows)
-        return status
-
-    if args.quantity == "gradient":
-        radii = _radial_grid(args, geom)
-        rows = []
-        for r in radii:
-            r = float(r)
-            res = (
-                robin2d_first(geom.a, r, policy).scaled(r)
-                if geom.n == 2
-                else robin_radial_gradient(geom, r, policy)
-            )
-            rows.append([r, res.value, res.tail_bound, res.terms_used, res.converged])
-            if not res.converged:
-                status = EXIT_NO_CONVERGENCE
+        if args.quantity == "robin":
+            column = "robin"
+            if geom.n == 2:
+                evaluate = lambda r: robin2d_eval_grid(geom.a, r, policy)  # noqa: E731
+            else:
+                evaluate = lambda r: robin_eval_grid(geom, r, policy)  # noqa: E731
+        else:
+            column = "radial_gradient"
+            if geom.n == 2:
+                evaluate = lambda r: robin2d_first_grid(geom.a, r, policy).scaled(r)  # noqa: E731
+            else:
+                evaluate = lambda r: robin_radial_gradient_grid(geom, r, policy)  # noqa: E731
+        res = _interior_rows(evaluate, radii, geom.a)
+        if not res.converged.all():
+            status = EXIT_NO_CONVERGENCE
         _emit_table(
-            args, ["r", "radial_gradient", "tail_bound", "terms_used", "converged"], rows
+            args, ["r", column, "tail_bound", "terms_used", "converged"], _grid_rows(radii, res)
         )
         return status
 
@@ -339,21 +357,22 @@ def _cmd_export_grid(args) -> int:
         if not (geom.a - 1e-12 <= lo < hi <= 1.0 + 1e-12):
             raise DomainValidationError(f"grid window [{lo}, {hi}] must sit inside [{geom.a}, 1]")
         radii = np.linspace(lo, hi, args.grid_points)
-        e1 = np.zeros(geom.n)
-        e1[0] = 1.0
-        rows = []
-        for r in radii:
-            r = float(r)
-            x = r * e1
-            if float(np.linalg.norm(x - y)) < 1e-6:
-                # refused near-singular point: emit NaNs rather than bad data
-                rows.append([r, float("nan"), float("nan"), 0, False])
-                continue
-            res = green_eval(geom, x, y, policy)
-            rows.append([r, res.value, res.tail_bound, res.terms_used, res.converged])
-            if not res.converged:
+        points = np.zeros((radii.size, geom.n))
+        points[:, 0] = radii
+        # refused near-singular points: emit NaNs rather than bad data
+        far = np.linalg.norm(points - y, axis=1) >= 1e-6
+        value, tail = np.full(radii.size, np.nan), np.full(radii.size, np.nan)
+        terms, converged = np.zeros(radii.size, dtype=int), np.zeros(radii.size, dtype=bool)
+        if far.any():
+            part = green_slice_grid(geom, radii[far], y, policy)
+            value[far], tail[far] = part.value, part.tail_bound
+            terms[far], converged[far] = part.terms_used, part.converged
+            if not part.converged.all():
                 status = EXIT_NO_CONVERGENCE
-        _emit_table(args, ["r", "green", "tail_bound", "terms_used", "converged"], rows)
+        res = EvalGrid(value, terms, tail, converged)
+        _emit_table(
+            args, ["r", "green", "tail_bound", "terms_used", "converged"], _grid_rows(radii, res)
+        )
         return status
 
     # modal-coefficient

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .core import (
     AnnulusGeometry,
     BracketingError,
@@ -29,9 +31,11 @@ from .core import (
 from .green import (
     critical_equation_eval,
     robin2d_first,
+    robin2d_first_grid,
     robin2d_second,
     robin_radial_gradient,
     robin_radial_gradient_derivative,
+    robin_radial_gradient_grid,
 )
 
 # the gradient diverges at both boundaries; stand off before sweeping
@@ -421,7 +425,8 @@ def count_gradient_sign_changes(
     num: int = 2000,
     standoff_factor: float = DEFAULT_STANDOFF_FACTOR,
 ) -> tuple[int, list[float]]:
-    """Count sign changes of the radial gradient on a standoff grid.
+    """Count sign changes of the radial gradient on a standoff grid, evaluated
+    as one table.
 
     Returns the count and the change locations.  Anything other than exactly
     one change contradicts uniqueness of the critical point and should be
@@ -435,15 +440,15 @@ def count_gradient_sign_changes(
     lo = a + delta
     hi = 1.0 - delta
     step = (hi - lo) / (num - 1)
+    radii = lo + np.arange(num) * step
+    if geom.n >= 3:
+        values = robin_radial_gradient_grid(geom, radii, pol).value
+    else:
+        values = robin2d_first_grid(a, radii, pol).value
     changes: list[float] = []
     prev_sign = 0
     prev_r = lo
-    for i in range(num):
-        r = lo + i * step
-        if geom.n >= 3:
-            v = robin_radial_gradient(geom, r, pol).value
-        else:
-            v = robin2d_first(a, r, pol).value
+    for r, v in zip(radii.tolist(), values.tolist()):
         sign = 1 if v > 0 else (-1 if v < 0 else 0)
         if sign != 0:
             if prev_sign != 0 and sign != prev_sign:

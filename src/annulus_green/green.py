@@ -29,26 +29,42 @@ the summed modes to the truncation tail.
 green_piecewise_eval stays the unsplit modal series on purpose: its split
 would be the same computation as green_eval's, and it serves as the
 independent route that green_eval is checked against.
+
+Every split remainder contracts by at most a^2 per mode at every radius, so
+a grid of radii can share one mode loop.  The grid twins robin_eval_grid,
+robin_radial_gradient_grid, robin2d_eval_grid, robin2d_first_grid and
+green_slice_grid take an array of radii and sum their remainders as one
+(modes x radii) table with summation.sum_series_table.  Their generators
+(_robin_remainder_grid, _planar_remainder_grid, _green_remainder_grid) sit
+beside the scalar ones, reuse the same closed forms and count rounding with
+the same named constants; only the powers and logs that depend on the
+radius are numpy's, and each adds _NUMPY_EXTRA units to its piece.  A grid
+entry therefore matches the scalar evaluator's terms used and convergence
+and stays inside its bound, while its value may differ by ulps.  A single
+point keeps the scalar path, whose fixed cost is far below a table's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
 import numpy as np
 
 from .core import (
+    RADIUS_SLACK,
     AnnulusGeometry,
     ArrayLike,
     DomainValidationError,
+    EvalGrid,
     EvalResult,
     SingularityError,
     TailEnvelopeError,
     TruncationPolicy,
 )
 from .specfun import _clamp_argument, iter_gegenbauer
-from .summation import sum_series
+from .summation import sum_series, sum_series_table
 
 # below this separation the subtraction against the fundamental solution is
 # pure cancellation; callers wanting diagonal values should use robin_eval
@@ -81,6 +97,19 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
 # this much relative to its exact result
 _U = 2.0**-53
 
+# the grid twins take powers and logs of arrays with numpy, whose vectorised
+# power and log may err by this many units more than the libm results the
+# scalar counts allow for (tests/test_numpy_rounding.py measures both against
+# mpmath); every factor taken that way adds it to its piece's count
+_NUMPY_EXTRA = 2.0
+
+# (slope, fixed): a Robin-family remainder mode m rounds by at most
+# slope m + fixed (+ 2k for n >= 3) units of the absolute sum of its parts
+# times 1/(1 - A_m), as _robin_remainder and _planar_remainder count them;
+# their grid twins add their numpy powers to the same counts
+_ROBIN_UNITS = (4, 20)
+_PLANAR_UNITS = (4, 17)
+
 
 def _split_result(
     closed: float,
@@ -93,13 +122,18 @@ def _split_result(
 
     ``prefactor_rel_error`` is the relative error of a factor shared by every
     piece (1/omega): it moves the whole value coherently, so it costs that
-    share of |value| rather than of every piece.
+    share of |value| rather than of every piece.  The remainder is an
+    EvalResult, or an EvalGrid from a grid twin, and so is the result.
     """
     value = closed + remainder.value
-    if not math.isfinite(value):
+    if isinstance(remainder, EvalResult):
+        finite = math.isfinite(value)
+    else:
+        finite = bool(np.isfinite(value).all())
+    if not finite:
         raise TailEnvelopeError(f"the series value is not a finite double ({value!r})")
     rounding = closed_rounding + remainder_rounding + (prefactor_rel_error + _U) * abs(value)
-    return EvalResult(
+    return type(remainder)(
         value=value,
         terms_used=remainder.terms_used,
         tail_bound=remainder.tail_bound + rounding,
@@ -196,6 +230,22 @@ def _green_closed(k: int, a: float, lo: float, hi: float, d: float):
     return pieces, ulps
 
 
+def _column(values) -> np.ndarray:
+    """Per-mode numbers as a column that broadcasts against a row of radii."""
+    return np.fromiter(values, dtype=float)[:, None]
+
+
+def _green_units(k: int, amp: float) -> tuple[float, float, float]:
+    """(quad, per_mode, fixed): a Green remainder mode m rounds by at most
+    quad (m+1)^2 + per_mode m + fixed units of its envelope, counted in
+    _green_remainder's docstring; amp = 1/(1 - a^k)."""
+    return (
+        2.0 + _E_COSINE,
+        6.0 + 2.0 * _E_RADIUS + 2.0 * amp,
+        (3.0 + 2.0 * _E_RADIUS) * k + 13.0 + amp,
+    )
+
+
 def _green_remainder(
     k: int, a: float, lo: float, hi: float, t: float, scale: float, rounding: list
 ):
@@ -229,9 +279,7 @@ def _green_remainder(
     amp = 1.0 / (1.0 - big_a)  # bounds every 1/(1 - A_m)
     env_k = abs(scale) * amp
     qmax = max(b1, b4)
-    per_mode = 6.0 + 2.0 * _E_RADIUS + 2.0 * amp
-    fixed = (3.0 + 2.0 * _E_RADIUS) * k + 13.0 + amp
-    quad = 2.0 + _E_COSINE
+    quad, per_mode, fixed = _green_units(k, amp)
     binom = 1.0
     m = 0
     for p in iter_gegenbauer(lam, t):
@@ -245,6 +293,61 @@ def _green_remainder(
         big_a *= a2
         binom *= (k + m) / (m + 1)
         m += 1
+
+
+def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float, modes: int):
+    """_green_remainder for arrays of radius pairs (lo, hi) and cosines t, in
+    chunks of ``modes`` modes as sum_series_table reads them.
+
+    The arithmetic is _green_remainder's, in the same order: the h_i are the
+    same running products and P_m(t) the same recurrence, so a column differs
+    from the scalar stream only through h2, h3 and h4's starting powers, which
+    numpy takes; the rounding row adds _NUMPY_EXTRA for them.
+    """
+    lam = 0.5 * k
+    a2 = a * a
+    a4 = a2 * a2
+    b = np.array([a2 * (lo * hi), a4 * lo / hi, a4 * hi / lo, a4 / (lo * hi)])
+    h = np.array([np.full_like(lo, a**k), (a2 / hi) ** k, (a2 / lo) ** k, (a2 / (lo * hi)) ** k])
+    big_a = a**k
+    amp = 1.0 / (1.0 - big_a)
+    env_k = abs(scale) * amp
+    qmax = np.maximum(b[0], b[3])
+    quad, per_mode, fixed = _green_units(k, amp)
+    fixed += _NUMPY_EXTRA
+    steps = np.broadcast_to(b[:, None, :], (4, modes - 1, lo.size))
+    gegenbauer = iter_gegenbauer(lam, t)
+    binom = 1.0
+    for m0 in itertools.count(0, modes):
+        ms = range(m0, m0 + modes)
+        binoms, one_minus_a = [], []
+        for m in ms:
+            binoms.append(binom)
+            one_minus_a.append(1.0 - big_a)
+            big_a *= a2
+            binom *= (k + m) / (m + 1)
+        # h_i carried as running products, as the scalar stream carries them
+        products = np.multiply.accumulate(np.concatenate([h[:, None], steps], axis=1), axis=1)
+        h1, h2, h3, h4 = products
+        h = products[:, -1] * b
+        p = np.array([next(gegenbauer) for _ in ms])
+        env = env_k * _column(binoms) * (h1 + h4)
+        m = _column(ms)
+        yield (
+            scale * (((h1 - h2) - h3) + h4) * p / _column(one_minus_a),
+            env,
+            _column((k + i) / (i + 1) for i in ms) * qmax,
+            2.0 * env * (quad * (m + 1.0) ** 2 + per_mode * m + fixed),
+        )
+
+
+def _green_closed_part(k: int, a: float, lo, hi, d, scale: float, extra: float = 0.0):
+    """The Newtonian term minus the four images, times ``scale`` = 1/(k omega),
+    and its rounding bound; ``extra`` units per piece cover numpy's powers."""
+    pieces, ulps = _green_closed(k, a, lo, hi, d)
+    closed = sum(pieces) * scale
+    # the pieces' own errors, their four sums and the two roundings of scale
+    return closed, _U * scale * (ulps + (7.0 + extra) * sum(abs(p) for p in pieces))
 
 
 def green_eval(
@@ -277,16 +380,60 @@ def green_eval(
     rounding = [0.0]
     try:
         scale = 1.0 / (k * geom.omega)
-        pieces, ulps = _green_closed(k, a, lo, hi, d)
-        closed = sum(pieces) * scale
-        # the pieces' own errors, their four sums and the two roundings of scale
-        closed_rounding = _U * scale * (ulps + 7.0 * sum(abs(p) for p in pieces))
+        closed, closed_rounding = _green_closed_part(k, a, lo, hi, d, scale)
         res = sum_series(_green_remainder(k, a, lo, hi, t, -scale, rounding), policy)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
             f"the Green function for n = {n} leaves the double-precision range here"
         ) from None
     return _split_result(closed, closed_rounding, res, _U * rounding[0], geom.omega_rel_error)
+
+
+def green_slice_grid(
+    geom: AnnulusGeometry, radii, y: ArrayLike, policy: TruncationPolicy
+) -> EvalGrid:
+    """green_eval(geom, r e1, y, policy) for every radius r of ``radii``, with
+    e1 the first coordinate axis, summed as one table.
+
+    Each entry stays inside green_eval's bound and matches its terms used and
+    convergence; values may differ from green_eval's by ulps.  A radius may
+    miss [a, 1] by RADIUS_SLACK; a point within NEAR_DIAGONAL of y raises
+    SingularityError, as green_eval does.
+    """
+    geom.require_series_dim()
+    ys = geom.point(y).tolist()
+    n, a = geom.n, geom.a
+    x0 = _radius_array(radii)
+    outside = ~((a - RADIUS_SLACK <= x0) & (x0 <= 1.0 + RADIUS_SLACK))
+    if outside.any():
+        raise DomainValidationError(
+            f"radius {float(x0[outside][0])} outside the annulus range [{a}, 1]"
+        )
+    r = np.clip(x0, a, 1.0)
+    s = geom.clamp_radius(math.hypot(*ys))
+    # |x - y| errs by _E_DIST like math.dist: the difference and its square
+    # take 3 units, fsum of the other squares 2, their sum and sqrt 1 each
+    d = np.sqrt((x0 - ys[0]) ** 2 + math.fsum(v * v for v in ys[1:]))
+    if (d < NEAR_DIAGONAL).any():
+        raise SingularityError(
+            f"|x - y| = {float(d.min())} is inside the near-diagonal guard {NEAR_DIAGONAL}; "
+            "diagonal values come from robin_eval"
+        )
+    # <x, y> / (|x| |y|) with the roundings of green_eval's fsum form
+    t = np.clip((x0 * ys[0]) / (r * s), -1.0, 1.0)
+    k = n - 2
+    lo, hi = np.minimum(r, s), np.maximum(r, s)
+    with np.errstate(all="ignore"):
+        scale = 1.0 / (k * geom.omega)
+        closed, closed_rounding = _green_closed_part(k, a, lo, hi, d, scale, _NUMPY_EXTRA)
+        res, units = sum_series_table(
+            lambda cols, modes: _green_remainder_grid(
+                k, a, lo[cols], hi[cols], t[cols], -scale, modes
+            ),
+            r.size,
+            policy,
+        )
+    return _split_result(closed, closed_rounding, res, _U * units, geom.omega_rel_error)
 
 
 def _modal_triples(n: int, a: float, lo: float, hi: float, t: float, omega: float):
@@ -370,7 +517,8 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: 
     env_k = -1.0 / expm1(k * log_a)  # 1/(1 - a^k) bounds every 1/(1 - A_m)
     step = a * a * max(r * r, (a / r) ** 2)
     e_max = max(e1, e2, e4)
-    fixed = 2 * k + 20
+    slope, fixed = _ROBIN_UNITS
+    fixed += 2 * k
     binom = 1  # C(k+m-1, m), exact
     m = 0
     while True:
@@ -381,7 +529,7 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: 
         inv = -1.0 / expm1((k + 2 * m) * log_a)
         sb = scale * float(binom)
         size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        rounding[0] += size * inv * (4 * m + fixed)
+        rounding[0] += size * inv * (slope * m + fixed)
         # binomial, power and polynomial growth of the envelope, each
         # nonincreasing in m
         if m > 0:
@@ -391,6 +539,61 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: 
         yield sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho
         binom = binom * (k + m) // (m + 1)
         m += 1
+
+
+def _robin_remainder_grid(k: int, a: float, r, scale: float, parts, modes: int):
+    """_robin_remainder for an array of radii, in chunks of ``modes`` modes as
+    sum_series_table reads them.
+
+    The per-mode factors that do not depend on r (a^(4m), (m + d_i)^e_i,
+    1/(1 - A_m), the binomial) are _robin_remainder's own scalars; the powers
+    b^(2m) and the starts s_2, s_4 of every radius are numpy's, in the same
+    order of operations.  w_4 holds two of them, so the rounding row adds
+    2 _NUMPY_EXTRA to _robin_remainder's count.
+    """
+    (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
+    abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
+    expm1 = math.expm1
+    log_a = math.log(a)
+    b1 = r * a
+    b4 = a * a / r
+    s1_0 = a**k
+    s2_0 = (a * a / r) ** k
+    s4_0 = (a / r) ** (2 * k)
+    env_k = -1.0 / expm1(k * log_a)
+    step = a * a * np.maximum(r * r, (a / r) ** 2)
+    e_max = max(e1, e2, e4)
+    slope, fixed = _ROBIN_UNITS
+    fixed += 2 * k + 2.0 * _NUMPY_EXTRA
+    binom = 1
+    for m0 in itertools.count(0, modes):
+        ms = range(m0, m0 + modes)
+        sb, inv, lift = [], [], []
+        for m in ms:
+            sb.append(scale * float(binom))
+            inv.append(-1.0 / expm1((k + 2 * m) * log_a))
+            lift.append(a ** (4 * m))
+            binom = binom * (k + m) // (m + 1)
+        sb, inv = _column(sb), _column(inv)
+        m = _column(ms)
+        w1 = s1_0 * b1 ** (2.0 * m) * _column((i + d1) ** e1 for i in ms)
+        w2 = s2_0 * _column(lift) * _column((i + d2) ** e2 for i in ms)
+        w4 = s4_0 * b4 ** (2.0 * m) * _column((i + d4) ** e4 for i in ms)
+        size = np.abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
+        # _robin_remainder's ratio, in its order of operations
+        rho = (
+            _column((k + i) / (i + 1) for i in ms)
+            * step
+            * _column(((i + 1) / i) ** e_max if i else 1.0 for i in ms)
+        )
+        if m0 == 0:
+            rho[0] = math.inf if e_max > 0 else k * step
+        yield (
+            sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv,
+            size * env_k,
+            rho,
+            size * inv * (slope * m + fixed),
+        )
 
 
 def _robin_split(
@@ -416,20 +619,70 @@ def _robin_split(
     k = n - 2
     rounding = [0.0]
     try:
-        omega = geom.omega
-        u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
-        pieces, ulps = closed_form(k, a, r, u, v, w)
-        closed = -sum(pieces) / omega
-        # the pieces, their two sums and the division
-        closed_rounding = (ulps + 3) * _U * sum(abs(p) for p in pieces) / omega
-        scale = -scale_factor / (k * omega)
+        closed, closed_rounding = _robin_closed_part(geom, r, closed_form)
+        scale = -scale_factor / (k * geom.omega)
         res = sum_series(_robin_remainder(k, a, r, scale, parts, rounding), policy)
     except (OverflowError, ZeroDivisionError):
-        raise TailEnvelopeError(
-            f"the Robin series for n = {n} leaves the double-precision range here: "
-            "its closed form or its modes overflow"
-        ) from None
+        raise _robin_overflow(n) from None
     return _split_result(closed, closed_rounding, res, _U * rounding[0], geom.omega_rel_error)
+
+
+def _robin_closed_part(geom: AnnulusGeometry, r, closed_form, extra: float = 0.0):
+    """A Robin-family closed form times -1/omega, and its rounding bound;
+    ``extra`` units per piece cover numpy's powers on the grid path."""
+    a = geom.a
+    u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
+    pieces, ulps = closed_form(geom.n - 2, a, r, u, v, w)
+    closed = -sum(pieces) / geom.omega
+    # the pieces, their two sums and the division
+    return closed, (ulps + 3 + extra) * _U * sum(abs(p) for p in pieces) / geom.omega
+
+
+def _robin_overflow(n: int) -> TailEnvelopeError:
+    return TailEnvelopeError(
+        f"the Robin series for n = {n} leaves the double-precision range here: "
+        "its closed form or its modes overflow"
+    )
+
+
+def _radius_array(radii) -> np.ndarray:
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1:
+        raise DomainValidationError(f"expected a 1-d array of radii, got shape {r.shape}")
+    return r
+
+
+def _interior_radii(a: float, radii) -> np.ndarray:
+    """``radii`` as an array, each strictly between a and 1."""
+    r = _radius_array(radii)
+    outside = ~((a < r) & (r < 1.0))
+    if outside.any():
+        raise DomainValidationError(
+            f"radius {float(r[outside][0])} must lie strictly between a = {a} and 1"
+        )
+    return r
+
+
+def _robin_split_grid(
+    geom: AnnulusGeometry, radii, policy: TruncationPolicy, closed_form, scale_factor, parts
+) -> EvalGrid:
+    """_robin_split over an array of radii, its remainder summed as one table."""
+    geom.require_series_dim()
+    r = _interior_radii(geom.a, radii)
+    n, a = geom.n, geom.a
+    k = n - 2
+    try:
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
+            closed, closed_rounding = _robin_closed_part(geom, r, closed_form, _NUMPY_EXTRA)
+            scale = -scale_factor / (k * geom.omega)
+            res, units = sum_series_table(
+                lambda cols, modes: _robin_remainder_grid(k, a, r[cols], scale, parts, modes),
+                r.size,
+                policy,
+            )
+    except OverflowError:
+        raise _robin_overflow(n) from None
+    return _split_result(closed, closed_rounding, res, _U * units, geom.omega_rel_error)
 
 
 def _robin_closed(k, a, r, u, v, w):
@@ -479,6 +732,28 @@ def robin_radial_gradient(
     return _robin_split(geom, r, policy, _gradient_closed, 2.0, ((1, 0, 1), (k, 0, 0), (-1, k, 1)))
 
 
+def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> EvalGrid:
+    """robin_eval at every radius of ``radii``, summed as one table.
+
+    Each entry stays inside robin_eval's bound and matches its terms used and
+    convergence; values may differ from robin_eval's by ulps.
+    """
+    return _robin_split_grid(
+        geom, radii, policy, _robin_closed, 1.0, ((1, 0, 0), (-2, 0, 0), (1, 0, 0))
+    )
+
+
+def robin_radial_gradient_grid(
+    geom: AnnulusGeometry, radii, policy: TruncationPolicy
+) -> EvalGrid:
+    """robin_radial_gradient at every radius of ``radii``, summed as one table,
+    with robin_eval_grid's contract."""
+    k = geom.n - 2
+    return _robin_split_grid(
+        geom, radii, policy, _gradient_closed, 2.0, ((1, 0, 1), (k, 0, 0), (-1, k, 1))
+    )
+
+
 def critical_equation_eval(
     geom: AnnulusGeometry, r: float, policy: TruncationPolicy
 ) -> EvalResult:
@@ -525,10 +800,9 @@ def _planar_remainder(a: float, r: float, scale: float, parts, rounding: list):
     b4 = a * a / r
     env_k = -1.0 / expm1(2.0 * log_a)  # 1/(1 - a^2) bounds every 1/(1 - A_m)
     step = a * a * max(r * r, (a / r) ** 2)
-    active = [(d, e) for c, d, e in parts if c]
-    e_max = max(0, max(e for _, e in active))
-    d_min = min(d for d, _ in active)
+    e_max, d_min = _planar_growth(parts)
     abs_scale = abs(scale)
+    slope, fixed = _PLANAR_UNITS
     m = 1
     while True:
         w1 = b1 ** (2 * m) * (2 * m + d1) ** e1
@@ -536,10 +810,52 @@ def _planar_remainder(a: float, r: float, scale: float, parts, rounding: list):
         w4 = b4 ** (2 * m) * (2 * m + d4) ** e4
         inv = -1.0 / expm1(2 * m * log_a)
         size = abs_scale * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        rounding[0] += size * inv * (4 * m + 17)
+        rounding[0] += size * inv * (slope * m + fixed)
         rho = step * ((2 * m + 2 + d_min) / (2 * m + d_min)) ** e_max
         yield scale * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho
         m += 1
+
+
+def _planar_growth(parts) -> tuple[int, int]:
+    """(e_max, d_min) of the images with a nonzero coefficient: the
+    polynomial growth (2m + 2 + d_min)/(2m + d_min) bounds, to power e_max."""
+    active = [(d, e) for c, d, e in parts if c]
+    return max(0, max(e for _, e in active)), min(d for d, _ in active)
+
+
+def _planar_remainder_grid(a: float, r, scale, parts, modes: int):
+    """_planar_remainder for arrays of radii and scales, in chunks of
+    ``modes`` modes as sum_series_table reads them.
+
+    As in _robin_remainder_grid, only the powers b^(2m) are numpy's; each
+    part holds one, so the rounding row adds _NUMPY_EXTRA.
+    """
+    (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
+    abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
+    expm1 = math.expm1
+    log_a = math.log(a)
+    b1 = r * a
+    b4 = a * a / r
+    env_k = -1.0 / expm1(2.0 * log_a)
+    step = a * a * np.maximum(r * r, (a / r) ** 2)
+    e_max, d_min = _planar_growth(parts)
+    abs_scale = np.abs(scale)
+    slope, fixed = _PLANAR_UNITS
+    fixed += _NUMPY_EXTRA
+    for m0 in itertools.count(1, modes):
+        ms = range(m0, m0 + modes)
+        m = _column(ms)
+        w1 = b1 ** (2.0 * m) * _column((2 * i + d1) ** e1 for i in ms)
+        w2 = _column(a ** (4 * i) for i in ms) * _column((2 * i + d2) ** e2 for i in ms)
+        w4 = b4 ** (2.0 * m) * _column((2 * i + d4) ** e4 for i in ms)
+        inv = _column(-1.0 / expm1(2 * i * log_a) for i in ms)
+        size = abs_scale * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
+        yield (
+            scale * (c1 * w1 + c2 * w2 + c4 * w4) * inv,
+            size * env_k,
+            step * _column(((2 * i + 2 + d_min) / (2 * i + d_min)) ** e_max for i in ms),
+            size * inv * (slope * m + fixed),
+        )
 
 
 def _planar_split(
@@ -556,6 +872,55 @@ def _planar_split(
     return _split_result(sum(pieces), closed_rounding, res, _U * rounding[0])
 
 
+def _planar_split_grid(
+    a: float, r, policy: TruncationPolicy, pieces, closed_rounding, scale, parts
+) -> EvalGrid:
+    scale = np.broadcast_to(scale, r.shape)
+    with np.errstate(all="ignore"):
+        res, units = sum_series_table(
+            lambda cols, modes: _planar_remainder_grid(a, r[cols], scale[cols], parts, modes),
+            r.size,
+            policy,
+        )
+    return _split_result(sum(pieces), closed_rounding, res, _U * units)
+
+
+def _planar_radii(a: float, radii) -> np.ndarray:
+    if not (0.0 < a < 1.0):
+        raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {a!r}")
+    return _interior_radii(a, radii)
+
+
+def _robin2d_closed(a: float, r, log=math.log, extra: float = 0.0):
+    """-log^2 r / log a and the three images of the planar Robin function,
+    with their rounding bound; ``log`` is math.log, or np.log for an array of
+    radii with ``extra`` units per piece."""
+    # sum_m x^m/m = -log(1 - x) for each of the three images
+    pieces = (
+        -log(r) ** 2 / math.log(a),
+        -log((1.0 - r) * (1.0 + r)),
+        2.0 * math.log((1.0 - a) * (1.0 + a)),
+        -log((r - a) * (r + a) / (r * r)),
+    )
+    # each log errs by its argument's 3-5 roundings absolutely, plus one ulp
+    return pieces, _U * (14.0 + (8.0 + extra) * sum(abs(p) for p in pieces))
+
+
+def _robin2d_first_closed(a: float, r, log=math.log, extra: float = 0.0):
+    """The closed part of robin2d_first, as _robin2d_closed gives robin2d_eval's."""
+    pieces = (
+        -2.0 * log(r) / (r * math.log(a)),
+        2.0 * r / ((1.0 - r) * (1.0 + r)),
+        -2.0 * (a * a) / (r * ((r - a) * (r + a))),
+    )
+    return pieces, (8.0 + extra) * _U * sum(abs(p) for p in pieces)
+
+
+# mode weights (x_1^m - 2 x_2^m + x_4^m) / m, with 1/m = 2 (2m)^-1
+_ROBIN2D_PARTS = ((2, 0, -1), (-4, 0, -1), (2, 0, -1))
+_ROBIN2D_FIRST_PARTS = ((1, 0, 0), (0, 0, 0), (-1, 0, 0))
+
+
 def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Planar Robin function: -log^2 r / log a plus the mode series.
 
@@ -563,32 +928,35 @@ def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     unique critical point is a radial minimum.
     """
     _check_planar(a, r)
-    # sum_m x^m/m = -log(1 - x) for each of the three images
-    pieces = (
-        -math.log(r) ** 2 / math.log(a),
-        -math.log((1.0 - r) * (1.0 + r)),
-        2.0 * math.log((1.0 - a) * (1.0 + a)),
-        -math.log((r - a) * (r + a) / (r * r)),
-    )
-    # each log errs by its argument's 3-5 roundings absolutely, plus one ulp
-    rounding = _U * (14.0 + 8.0 * sum(abs(p) for p in pieces))
-    # mode weights (x_1^m - 2 x_2^m + x_4^m) / m, with 1/m = 2 (2m)^-1
-    parts = ((2, 0, -1), (-4, 0, -1), (2, 0, -1))
-    return _planar_split(a, r, policy, pieces, rounding, 1.0, parts)
+    pieces, rounding = _robin2d_closed(a, r)
+    return _planar_split(a, r, policy, pieces, rounding, 1.0, _ROBIN2D_PARTS)
 
 
 def robin2d_first(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Derivative of the planar Robin function; -inf at the inner circle,
     +inf at the outer circle, with a single interior zero."""
     _check_planar(a, r)
-    pieces = (
-        -2.0 * math.log(r) / (r * math.log(a)),
-        2.0 * r / ((1.0 - r) * (1.0 + r)),
-        -2.0 * (a * a) / (r * ((r - a) * (r + a))),
-    )
-    rounding = 8.0 * _U * sum(abs(p) for p in pieces)
-    parts = ((1, 0, 0), (0, 0, 0), (-1, 0, 0))
-    return _planar_split(a, r, policy, pieces, rounding, 2.0 / r, parts)
+    pieces, rounding = _robin2d_first_closed(a, r)
+    return _planar_split(a, r, policy, pieces, rounding, 2.0 / r, _ROBIN2D_FIRST_PARTS)
+
+
+def robin2d_eval_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
+    """robin2d_eval at every radius of ``radii``, summed as one table, with
+    robin_eval_grid's contract.  log r^2 squares a numpy log, hence twice
+    the extra units."""
+    r = _planar_radii(a, radii)
+    with np.errstate(all="ignore"):
+        pieces, rounding = _robin2d_closed(a, r, np.log, 2.0 * _NUMPY_EXTRA)
+    return _planar_split_grid(a, r, policy, pieces, rounding, 1.0, _ROBIN2D_PARTS)
+
+
+def robin2d_first_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
+    """robin2d_first at every radius of ``radii``, summed as one table, with
+    robin_eval_grid's contract."""
+    r = _planar_radii(a, radii)
+    with np.errstate(all="ignore"):
+        pieces, rounding = _robin2d_first_closed(a, r, np.log, _NUMPY_EXTRA)
+    return _planar_split_grid(a, r, policy, pieces, rounding, 2.0 / r, _ROBIN2D_FIRST_PARTS)
 
 
 def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:

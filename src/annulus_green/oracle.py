@@ -196,12 +196,14 @@ def ball_green_closed_form(n: int, x, y) -> float:
 
 
 def grid_scan_extremum(
-    fn: Callable[[float], float], lo: float, hi: float, num: int, kind: str = "min"
+    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, num: int, kind: str = "min"
 ) -> tuple[float, float]:
     """Brute-force extremum of fn on a uniform grid plus parabolic refinement.
 
-    An extremum on the first or last node raises GridEdgeError, since it
-    means the requested window failed to bracket the interior extremum.
+    ``fn`` is called once, on the whole grid, and maps that array of nodes to
+    an array of values, one per node.  An extremum on the first or last node
+    raises GridEdgeError, since it means the requested window failed to
+    bracket the interior extremum.
     """
     if num < 1000:
         raise DomainValidationError(f"need at least 1000 grid points, got {num!r}")
@@ -210,7 +212,11 @@ def grid_scan_extremum(
     if kind not in ("min", "max"):
         raise DomainValidationError(f"kind must be 'min' or 'max', got {kind!r}")
     xs = np.linspace(lo, hi, num)
-    vals = np.array([float(fn(x)) for x in xs])
+    vals = np.asarray(fn(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise DomainValidationError(
+            f"fn must map the {num} grid nodes to as many values, got shape {vals.shape}"
+        )
     if not np.all(np.isfinite(vals)):
         raise DomainValidationError("fn must be finite on the whole window")
     idx = int(np.argmin(vals)) if kind == "min" else int(np.argmax(vals))

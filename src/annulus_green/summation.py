@@ -5,16 +5,34 @@ Every series in this package supplies, per index m, a triple
 upper bound on ``envelope(k+1)/envelope(k)`` valid for every ``k >= m`` and
 nonincreasing in m.  Once ``ratio < 1`` the discarded tail after index m is
 at most ``envelope * ratio / (1 - ratio)``, which is what gets reported.
+
+sum_series reads one triple at a time.  Its column-wise twin
+sum_series_table sums many series at once, one per column of a
+(modes x columns) table that arrives in chunks of a few modes, and stops each
+column on its own row by the same rule.  A grid of radii shares one mode loop
+that way, and no table is ever larger than one chunk of one column block.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, Iterator, Tuple
 
-from .core import EvalResult, TailEnvelopeError, TruncationPolicy
+import numpy as np
+
+from .core import EvalGrid, EvalResult, TailEnvelopeError, TruncationPolicy
 
 Triple = Tuple[float, float, float]
+# (term, envelope, ratio, rounding) arrays of one chunk, shape (modes, columns)
+Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# modes per chunk and columns per block of sum_series_table: a chunk holds at
+# most TABLE_MODES x TABLE_COLUMNS doubles per array, whatever max_terms is
+TABLE_MODES = 24
+TABLE_COLUMNS = 2048
+
+# a contracting envelope may grow by this relative slack before it is a defect
+_ENVELOPE_SLACK = 1.0 + 1e-9
 
 
 def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResult:
@@ -36,6 +54,7 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
     prev_env = math.inf
 
     isfinite = math.isfinite
+    slack = _ENVELOPE_SLACK
     it = iter(triples)
     while used < policy.max_terms:
         try:
@@ -55,7 +74,7 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
         total = t
         used += 1
 
-        if contracting and env > prev_env * (1.0 + 1e-9):
+        if contracting and env > prev_env * slack:
             raise TailEnvelopeError(
                 f"tail envelope increased after contraction started (index {used - 1})"
             )
@@ -72,3 +91,138 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
         prev_env = env
 
     return EvalResult(value=total, terms_used=used, tail_bound=tail, converged=converged)
+
+
+def sum_series_table(
+    table: Callable[[slice, int], Iterator[Chunk]],
+    width: int,
+    policy: TruncationPolicy,
+    modes: int = TABLE_MODES,
+) -> tuple[EvalGrid, np.ndarray]:
+    """sum_series applied to each of ``width`` series at once, one per column.
+
+    ``table(cols, modes)`` returns an iterator over the series of the columns
+    in the slice ``cols``, in consecutive chunks of ``modes`` modes: tuples
+    (term, envelope, ratio, rounding) of arrays of shape (modes, columns).
+    ``rounding`` is a per-mode rounding allowance, summed over the modes each
+    column consumes.
+
+    Every column follows sum_series's rule: Kahan compensation, a streak of
+    ``tail_safety`` certified tails <= ``abs_tol``, the ``max_terms`` cap, and
+    TailEnvelopeError for a non-finite term or envelope, or a growing
+    envelope, on a row the column consumes.  Each column stops on its own row
+    and is read there; the streak, envelope and contraction state carry from
+    one chunk to the next.  A column therefore gets the value, terms used,
+    tail and convergence that sum_series gives for its stream alone.  Columns
+    are summed in blocks of TABLE_COLUMNS, each with its own ``table`` call.
+
+    Returns the sums as an EvalGrid and each column's summed rounding.
+    """
+    value = np.zeros(width)
+    terms = np.zeros(width, dtype=np.int64)
+    tail = np.full(width, math.inf)
+    converged = np.zeros(width, dtype=bool)
+    rounding = np.zeros(width)
+    for start in range(0, width, TABLE_COLUMNS):
+        cols = slice(start, min(start + TABLE_COLUMNS, width))
+        out = (value[cols], terms[cols], tail[cols], converged[cols], rounding[cols])
+        _sum_columns(table(cols, modes), policy, *out)
+    return EvalGrid(value, terms, tail, converged), rounding
+
+
+def _sum_columns(
+    chunks: Iterator[Chunk],
+    policy: TruncationPolicy,
+    value: np.ndarray,
+    terms: np.ndarray,
+    tail: np.ndarray,
+    converged: np.ndarray,
+    rounding: np.ndarray,
+) -> None:
+    """sum_series_table on one block of columns, written into the block's
+    views of the result arrays."""
+    tol, safety = policy.abs_tol, policy.tail_safety
+    width = value.size
+    # state of the columns still summing; column live[j] is entry j
+    live = np.arange(width)
+    total = np.zeros(width)
+    comp = np.zeros(width)
+    units_sum = np.zeros(width)
+    streak = np.zeros(width, dtype=np.int64)
+    contracting = np.zeros(width, dtype=bool)
+    prev_env = np.full(width, math.inf)
+    last_tail = np.full(width, math.inf)
+    used = 0
+    with np.errstate(all="ignore"):  # rows past a column's stop may overflow
+        while live.size:
+            chunk = next(chunks, None)
+            rows = 0 if chunk is None else min(len(chunk[0]), policy.max_terms - used)
+            if rows <= 0:
+                raise TailEnvelopeError(
+                    "series stream exhausted before the policy allowed stopping"
+                )
+            term, env, rho, units = (x[:rows, live] for x in chunk)
+            idx = np.arange(rows)[:, None]
+            cols = np.arange(live.size)
+
+            below = rho < 1.0
+            tails = env * rho / (1.0 - rho)
+            ok = below & (tails <= tol)
+            # the streak on each row: certified tails since the last
+            # uncertified one, or since the carried streak began
+            hits = np.cumsum(ok, axis=0)
+            reset = np.maximum.accumulate(np.where(below & ~ok, idx, -1), axis=0)
+            start = np.where(
+                reset >= 0, np.take_along_axis(hits, np.maximum(reset, 0), axis=0), -streak
+            )
+            run = hits - start
+            done = ok & (run >= safety)
+            first = np.where(done.any(axis=0), done.argmax(axis=0), rows)
+            capped = used + rows >= policy.max_terms
+            ends = (first < rows) | capped
+            stop = np.minimum(first, rows - 1)  # the last row each column consumes
+
+            seen = contracting | np.logical_or.accumulate(below, axis=0)
+            before = np.vstack([contracting[None, :], seen[:-1]])
+            prev = np.vstack([prev_env[None, :], env[:-1]])
+            bad = ~np.isfinite(term + env)
+            faulty = (bad | (before & (env > prev * _ENVELOPE_SLACK))) & (idx <= stop)
+            if faulty.any():
+                i, j = divmod(int(np.argmax(faulty)), live.size)
+                if bad[i, j]:
+                    raise TailEnvelopeError(
+                        f"non-finite term {float(term[i, j])!r} or envelope {float(env[i, j])!r} "
+                        f"at index {used + i}"
+                    )
+                raise TailEnvelopeError(
+                    f"tail envelope increased after contraction started (index {used + i})"
+                )
+
+            depth = int(stop.max()) + 1
+            partial = np.empty((depth, live.size))
+            for i in range(depth):
+                y = term[i] - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+                partial[i] = t
+
+            last = np.maximum.accumulate(np.where(below, idx, -1), axis=0)[stop, cols]
+            tail_now = np.where(last >= 0, tails[np.maximum(last, 0), cols], last_tail)
+            units_now = units_sum + np.cumsum(units, axis=0)[stop, cols]
+
+            out = live[ends]
+            value[out] = partial[stop, cols][ends]
+            terms[out] = used + stop[ends] + 1
+            tail[out] = tail_now[ends]
+            converged[out] = (first < rows)[ends]
+            rounding[out] = units_now[ends]
+
+            keep = ~ends
+            live = live[keep]
+            total, comp = total[keep], comp[keep]
+            units_sum, last_tail = units_now[keep], tail_now[keep]
+            streak = run[-1, keep]
+            contracting = seen[-1, keep]
+            prev_env = env[-1, keep]
+            used += rows

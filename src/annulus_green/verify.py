@@ -31,9 +31,11 @@ from .green import (
     green_piecewise_eval,
     modal_coefficient,
     robin2d_eval,
+    robin2d_eval_grid,
     robin2d_first,
     robin2d_second,
     robin_eval,
+    robin_eval_grid,
     robin_radial_gradient,
     robin_radial_gradient_derivative,
 )
@@ -485,9 +487,9 @@ def suite_critical_point(rng: np.random.Generator, policy: TruncationPolicy | No
 
             span = 1.0 - a
             if n >= 3:
-                fn = lambda r: robin_eval(geom, r, scan_pol).value
+                fn = lambda r: robin_eval_grid(geom, r, scan_pol).value
             else:
-                fn = lambda r: robin2d_eval(a, r, scan_pol).value
+                fn = lambda r: robin2d_eval_grid(a, r, scan_pol).value
             r_scan, _ = grid_scan_extremum(
                 fn, a + 0.05 * span, 1.0 - 0.05 * span, 30_001, kind=kind
             )

@@ -36,10 +36,11 @@ from annulus_green import (
     newtonian_series_inner,
     newtonian_series_outer,
     refine_critical_point,
-    robin2d_eval,
+    robin2d_eval_grid,
     robin2d_first,
     robin2d_second,
     robin_eval,
+    robin_eval_grid,
     robin_radial_gradient,
     robin_radial_gradient_derivative,
 )
@@ -205,9 +206,9 @@ def test_c06_critical_point():
 
         span = 1.0 - a
         if n >= 3:
-            fn = lambda r: robin_eval(geom, r, scan_policy).value
+            fn = lambda r: robin_eval_grid(geom, r, scan_policy).value
         else:
-            fn = lambda r: robin2d_eval(a, r, scan_policy).value
+            fn = lambda r: robin2d_eval_grid(a, r, scan_policy).value
         r_scan, _ = grid_scan_extremum(
             fn, a + 0.05 * span, 1.0 - 0.05 * span, 100_000, kind=kind
         )

@@ -9,7 +9,7 @@ from annulus_green import (
     find_critical_point,
     grid_scan_extremum,
     refine_critical_point,
-    robin2d_eval,
+    robin2d_eval_grid,
     robin2d_second,
     robin_eval,
 )
@@ -22,7 +22,7 @@ class TestPlanarCriticalPoint:
         geom = AnnulusGeometry(2, 0.2)
         report = find_critical_point(geom, POLICY, solver_tol=1e-12)
         r_scan, _ = grid_scan_extremum(
-            lambda r: robin2d_eval(0.2, r, POLICY).value, 0.24, 0.96, 20_001, kind="min"
+            lambda r: robin2d_eval_grid(0.2, r, POLICY).value, 0.24, 0.96, 20_001, kind="min"
         )
         assert abs(report.r0 - r_scan) <= 1e-6
         assert report.is_radial_minimum

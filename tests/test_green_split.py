@@ -7,6 +7,9 @@ Two references, neither sharing the split's closed forms or its rounding:
 - a 50-digit mpmath evaluation, whose images are summed in their
   generating-function form c_i (1 - 2 q_i t + q_i^2)^(-k/2) from the exact
   inputs, with its own Gegenbauer recurrence for the remainder.
+
+The remainder is also checked alone, scalar generator and grid twin, against
+its own 50-digit sum, so that its rounding allowance is tested by itself.
 """
 
 import math
@@ -20,6 +23,8 @@ from mpmath import mpf
 
 import direct_series
 from annulus_green import AnnulusGeometry, TailEnvelopeError, TruncationPolicy, green_eval
+from annulus_green.green import _U, _green_remainder, _green_remainder_grid
+from annulus_green.summation import sum_series, sum_series_table
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
 DPS = 50
@@ -159,3 +164,70 @@ def test_overflow_at_large_n_is_a_typed_error():
     x, y = _pair(400, 0.75, 0.75, 1e-3)
     with pytest.raises(TailEnvelopeError):
         green_eval(AnnulusGeometry(400, 0.5), x, y, POLICY)
+
+
+def mp_remainder(k, a, lo, hi, t, scale):
+    """The split's remainder at 50 digits from the same doubles:
+    scale * sum_m (h1 - h2 - h3 + h4) P_m(t) / (1 - A_m), with the h_i of
+    _green_remainder's docstring, summed until its envelope is negligible."""
+    with mpmath.workdps(DPS):
+        a, lo, hi, t, scale = (mpf(v) for v in (a, lo, hi, t, scale))
+        lam = mpf(k) / 2
+        a2 = a * a
+        bs = (a2 * lo * hi, a2 * a2 * lo / hi, a2 * a2 * hi / lo, a2 * a2 / (lo * hi))
+        hs = [a**k, (a2 / hi) ** k, (a2 / lo) ** k, (a2 / (lo * hi)) ** k]
+        qmax = max(bs[0], bs[3])
+        total = mpf(0)
+        p_prev, p, binom = mpf(0), mpf(1), mpf(1)
+        m = 0
+        while True:
+            big_a = a ** (k + 2 * m)
+            total += (hs[0] - hs[1] - hs[2] + hs[3]) * p / (1 - big_a)
+            env = binom * (hs[0] + hs[3]) / (1 - a**k)
+            rho = (k + m) / mpf(m + 1) * qmax
+            if rho < 1 and env * rho / (1 - rho) <= mpf(10) ** (8 - DPS) * abs(total):
+                return scale * total
+            p_prev, p = p, (2 * t * (m + lam) * p - (m + 2 * lam - 1) * p_prev) / (m + 1)
+            binom *= (k + m) / mpf(m + 1)
+            hs = [h * b for h, b in zip(hs, bs)]
+            m += 1
+
+
+# a near 1 with mid-gap radii, where the remainder is of the size of the value
+REMAINDER_CASES = [
+    (n, a, lo_frac, hi_frac, t)
+    for n in (3, 4, 6)
+    for a in (0.9, 0.97)
+    for lo_frac, hi_frac in ((0.3, 0.6), (0.5, 0.5))
+    for t in (1.0, 0.3, -0.9)
+]
+
+
+@pytest.mark.parametrize("n, a, lo_frac, hi_frac, t", REMAINDER_CASES)
+def test_remainder_rounding_allowance_covers_mpmath_error(n, a, lo_frac, hi_frac, t):
+    # the remainder alone, so the closed form's allowance cannot cover for
+    # it: the only budget is the remainder's own rounding count plus a
+    # truncation tail that tol 1e-30 makes negligible
+    k = n - 2
+    lo, hi = a + lo_frac * (1.0 - a), a + hi_frac * (1.0 - a)
+    scale = -1.0 / (k * AnnulusGeometry(n, a).omega)
+    policy = TruncationPolicy(abs_tol=1e-30, max_terms=300_000)
+    ref = mp_remainder(k, a, lo, hi, t, scale)
+
+    rounding = [0.0]
+    res = sum_series(_green_remainder(k, a, lo, hi, t, scale, rounding), policy)
+    assert res.converged
+    assert _error(res.value, ref) <= _U * rounding[0] + res.tail_bound
+
+    # the grid twin, with the row of the same radii twice
+    arrays = [np.array([v, v]) for v in (lo, hi, t)]
+    grid, units = sum_series_table(
+        lambda cols, modes: _green_remainder_grid(
+            k, a, *(v[cols] for v in arrays), scale, modes
+        ),
+        2,
+        policy,
+    )
+    for j in range(2):
+        assert grid[j].terms_used == res.terms_used
+        assert _error(grid.value[j], ref) <= _U * units[j] + grid.tail_bound[j]

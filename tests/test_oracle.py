@@ -154,3 +154,8 @@ class TestGridScan:
     def test_rejects_small_grid(self):
         with pytest.raises(DomainValidationError):
             grid_scan_extremum(lambda x: x * x, -1.0, 1.0, 999)
+
+    def test_rejects_fn_without_one_value_per_node(self):
+        # fn is called once on the whole grid and must map it elementwise
+        with pytest.raises(DomainValidationError):
+            grid_scan_extremum(lambda x: float(x[0]), 0.0, 1.0, 1_000)

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from annulus_green import TailEnvelopeError, TruncationPolicy
-from annulus_green.summation import sum_series
+from annulus_green.summation import TABLE_COLUMNS, TABLE_MODES, sum_series, sum_series_table
 
 
 def geometric(q, coeff=1.0):
@@ -89,3 +92,141 @@ def test_kahan_compensation_beats_naive():
 
     res = sum_series(stream(), TruncationPolicy(abs_tol=0.0, max_terms=10_002))
     assert res.value == pytest.approx(1.0 + 1e-14, abs=3e-15)
+
+
+# --- the column-wise twin -------------------------------------------------
+
+
+def _random_stream(rng, length):
+    """(term, envelope, ratio) rows whose certified tail wanders above and
+    below 1e-3, so that streaks start, break and restart; some streams
+    start with ratios >= 1, some grow their envelope, some hold a NaN/inf."""
+    env = rng.uniform(0.5, 2.0) * np.cumprod(rng.uniform(0.2, 1.0, length))
+    rho = rng.uniform(0.05, 0.995, length)
+    rho[: rng.integers(0, 4)] = rng.uniform(1.0, 3.0)
+    if rng.random() < 0.15:
+        env[rng.integers(1, length)] *= 1.5
+    term = env * rng.uniform(-1.0, 1.0, length)
+    if rng.random() < 0.15:
+        term[rng.integers(0, length)] = rng.choice([math.inf, -math.inf, math.nan])
+    return term, env, rho, rng.uniform(0.0, 1.0, length)
+
+
+def _table(streams):
+    """sum_series_table's callable over a list of per-column streams."""
+
+    def table(cols, modes):
+        block = streams[cols]
+        length = len(block[0][0])
+        for start in range(0, length, modes):
+            yield tuple(
+                np.array([s[f][start : start + modes] for s in block]).T for f in range(4)
+            )
+
+    return table
+
+
+def _scalar(stream, policy):
+    try:
+        return sum_series(zip(*stream[:3]), policy)
+    except TailEnvelopeError:
+        return None
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    width=st.integers(min_value=1, max_value=6),
+    modes=st.integers(min_value=1, max_value=30),
+    tail_safety=st.integers(min_value=1, max_value=4),
+    max_terms=st.integers(min_value=1, max_value=80),
+)
+def test_table_columns_match_sum_series(seed, width, modes, tail_safety, max_terms):
+    rng = np.random.default_rng(seed)
+    streams = [_random_stream(rng, 60) for _ in range(width)]
+    policy = TruncationPolicy(abs_tol=1e-3, max_terms=max_terms, tail_safety=tail_safety)
+    scalars = [_scalar(s, policy) for s in streams]
+    if any(res is None for res in scalars):
+        with pytest.raises(TailEnvelopeError):
+            sum_series_table(_table(streams), width, policy, modes)
+        return
+    grid, rounding = sum_series_table(_table(streams), width, policy, modes)
+    for j, res in enumerate(scalars):
+        assert grid[j] == res  # Kahan on the same rows gives the same double
+        assert rounding[j] == pytest.approx(math.fsum(streams[j][3][: res.terms_used]))
+
+
+def _stream(env, rho):
+    env = np.array(env, dtype=float)
+    return 0.5 * env, env, np.array(rho, dtype=float), np.ones(len(env))
+
+
+def test_streak_carries_across_chunk_edges():
+    # rows 3, 4 and 5 certify (tail = envelope at ratio 1/2), so a streak of
+    # three ends on row 5, across the edge of chunks of four rows
+    env = [1.0, 1.0, 1.0] + [1e-9] * 12
+    stream = _stream(env, [0.5] * 15)
+    policy = TruncationPolicy(abs_tol=1e-6, max_terms=100, tail_safety=3)
+    assert sum_series(zip(*stream[:3]), policy).terms_used == 6
+    for modes in (1, 2, 4, 5):
+        grid, rounding = sum_series_table(_table([stream]), 1, policy, modes)
+        assert grid[0].terms_used == 6 and grid[0].converged
+        assert rounding[0] == 6.0
+
+
+def test_faults_past_a_columns_stop_are_not_read():
+    # column 0 stops on row 1; its NaN on row 2 and its growing envelope on
+    # row 3 lie past its stop, while column 1 still needs all four rows
+    first = (np.array([1.0, 1e-9, math.nan, 0.0]), np.array([1.0, 1e-9, 1e-9, 1.0]),
+             np.full(4, 0.5), np.ones(4))
+    second = _stream([1.0, 0.5, 0.25, 1e-9], [0.5] * 4)
+    policy = TruncationPolicy(abs_tol=1e-6, max_terms=4, tail_safety=1)
+    grid, _ = sum_series_table(_table([first, second]), 2, policy, 4)
+    assert grid[0] == sum_series(zip(*first[:3]), policy)
+    assert grid[0].terms_used == 2
+    assert grid[1].terms_used == 4 and grid[1].converged
+    with pytest.raises(TailEnvelopeError):
+        sum_series_table(_table([first]), 1, TruncationPolicy(abs_tol=1e-12, max_terms=4), 4)
+
+
+def test_envelope_growth_across_a_chunk_edge_is_an_error():
+    stream = _stream([1.0, 0.5, 0.6, 0.1], [0.5] * 4)
+    policy = TruncationPolicy(abs_tol=1e-30, max_terms=4)
+    with pytest.raises(TailEnvelopeError):
+        sum_series_table(_table([stream]), 1, policy, 2)
+
+
+def test_table_is_read_in_bounded_blocks():
+    # a wide grid is summed TABLE_COLUMNS columns and `modes` rows at a time,
+    # never max_terms rows deep
+    width = 2 * TABLE_COLUMNS + 5
+    seen = []
+
+    def table(cols, modes):
+        n = cols.stop - cols.start
+        q = np.linspace(0.1, 0.9, width)[cols]
+        m = 0
+        while True:
+            seen.append((n, modes))
+            powers = q ** np.arange(m, m + modes)[:, None]
+            yield powers, powers, np.broadcast_to(q, powers.shape), np.zeros_like(powers)
+            m += modes
+
+    policy = TruncationPolicy(abs_tol=1e-12, max_terms=100_000)
+    grid, _ = sum_series_table(table, width, policy)
+    assert max(n for n, _ in seen) == TABLE_COLUMNS
+    assert all(modes == TABLE_MODES for _, modes in seen)
+    for j in (0, TABLE_COLUMNS, width - 1):
+        res = sum_series(geometric(float(np.linspace(0.1, 0.9, width)[j])), policy)
+        assert grid[j].terms_used == res.terms_used and grid[j].converged
+        assert grid[j].value == pytest.approx(res.value, rel=1e-14)
+
+
+def test_empty_table():
+    grid, rounding = sum_series_table(_table([]), 0, TruncationPolicy())
+    assert len(grid) == 0 and rounding.size == 0
+
+
+def test_exhausted_table_is_an_error():
+    stream = _stream([1.0, 0.5], [0.5, 0.5])
+    with pytest.raises(TailEnvelopeError):
+        sum_series_table(_table([stream]), 1, TruncationPolicy(abs_tol=0.0, max_terms=10))
