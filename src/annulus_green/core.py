@@ -272,23 +272,12 @@ class EvalResult:
 @dataclass(frozen=True, eq=False)
 class EvalGrid:
     """EvalResult over a grid of points: four arrays with one entry per point,
-    in the order the points were given.  ``grid[i]`` is point i's EvalResult."""
+    in the order the points were given."""
 
     value: np.ndarray
     terms_used: np.ndarray
     tail_bound: np.ndarray
     converged: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-    def __getitem__(self, i: int) -> EvalResult:
-        return EvalResult(
-            value=float(self.value[i]),
-            terms_used=int(self.terms_used[i]),
-            tail_bound=float(self.tail_bound[i]),
-            converged=bool(self.converged[i]),
-        )
 
     def scaled(self, factor) -> "EvalGrid":
         """Every value times ``factor``, a number or one factor per point."""

@@ -64,6 +64,7 @@ from .core import (
     TruncationPolicy,
 )
 from .specfun import _clamp_argument, iter_gegenbauer
+from . import summation
 from .summation import sum_series, sum_series_table
 
 # below this separation the subtraction against the fundamental solution is
@@ -295,9 +296,9 @@ def _green_remainder(
         m += 1
 
 
-def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float, modes: int):
+def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
     """_green_remainder for arrays of radius pairs (lo, hi) and cosines t, in
-    chunks of ``modes`` modes as sum_series_table reads them.
+    chunks of summation.TABLE_MODES modes as sum_series_table reads them.
 
     The arithmetic is _green_remainder's, in the same order: the h_i are the
     same running products and P_m(t) the same recurrence, so a column differs
@@ -315,6 +316,7 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float, modes: int)
     qmax = np.maximum(b[0], b[3])
     quad, per_mode, fixed = _green_units(k, amp)
     fixed += _NUMPY_EXTRA
+    modes = summation.TABLE_MODES
     steps = np.broadcast_to(b[:, None, :], (4, modes - 1, lo.size))
     gegenbauer = iter_gegenbauer(lam, t)
     binom = 1.0
@@ -427,9 +429,7 @@ def green_slice_grid(
         scale = 1.0 / (k * geom.omega)
         closed, closed_rounding = _green_closed_part(k, a, lo, hi, d, scale, _NUMPY_EXTRA)
         res, units = sum_series_table(
-            lambda cols, modes: _green_remainder_grid(
-                k, a, lo[cols], hi[cols], t[cols], -scale, modes
-            ),
+            lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
             r.size,
             policy,
         )
@@ -541,9 +541,9 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: 
         m += 1
 
 
-def _robin_remainder_grid(k: int, a: float, r, scale: float, parts, modes: int):
-    """_robin_remainder for an array of radii, in chunks of ``modes`` modes as
-    sum_series_table reads them.
+def _robin_remainder_grid(k: int, a: float, r, scale: float, parts):
+    """_robin_remainder for an array of radii, in chunks of
+    summation.TABLE_MODES modes as sum_series_table reads them.
 
     The per-mode factors that do not depend on r (a^(4m), (m + d_i)^e_i,
     1/(1 - A_m), the binomial) are _robin_remainder's own scalars; the powers
@@ -566,6 +566,7 @@ def _robin_remainder_grid(k: int, a: float, r, scale: float, parts, modes: int):
     slope, fixed = _ROBIN_UNITS
     fixed += 2 * k + 2.0 * _NUMPY_EXTRA
     binom = 1
+    modes = summation.TABLE_MODES
     for m0 in itertools.count(0, modes):
         ms = range(m0, m0 + modes)
         sb, inv, lift = [], [], []
@@ -676,7 +677,7 @@ def _robin_split_grid(
             closed, closed_rounding = _robin_closed_part(geom, r, closed_form, _NUMPY_EXTRA)
             scale = -scale_factor / (k * geom.omega)
             res, units = sum_series_table(
-                lambda cols, modes: _robin_remainder_grid(k, a, r[cols], scale, parts, modes),
+                lambda cols: _robin_remainder_grid(k, a, r[cols], scale, parts),
                 r.size,
                 policy,
             )
@@ -823,9 +824,9 @@ def _planar_growth(parts) -> tuple[int, int]:
     return max(0, max(e for _, e in active)), min(d for d, _ in active)
 
 
-def _planar_remainder_grid(a: float, r, scale, parts, modes: int):
+def _planar_remainder_grid(a: float, r, scale, parts):
     """_planar_remainder for arrays of radii and scales, in chunks of
-    ``modes`` modes as sum_series_table reads them.
+    summation.TABLE_MODES modes as sum_series_table reads them.
 
     As in _robin_remainder_grid, only the powers b^(2m) are numpy's; each
     part holds one, so the rounding row adds _NUMPY_EXTRA.
@@ -842,6 +843,7 @@ def _planar_remainder_grid(a: float, r, scale, parts, modes: int):
     abs_scale = np.abs(scale)
     slope, fixed = _PLANAR_UNITS
     fixed += _NUMPY_EXTRA
+    modes = summation.TABLE_MODES
     for m0 in itertools.count(1, modes):
         ms = range(m0, m0 + modes)
         m = _column(ms)
@@ -878,7 +880,7 @@ def _planar_split_grid(
     scale = np.broadcast_to(scale, r.shape)
     with np.errstate(all="ignore"):
         res, units = sum_series_table(
-            lambda cols, modes: _planar_remainder_grid(a, r[cols], scale[cols], parts, modes),
+            lambda cols: _planar_remainder_grid(a, r[cols], scale[cols], parts),
             r.size,
             policy,
         )

@@ -94,17 +94,17 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
 
 
 def sum_series_table(
-    table: Callable[[slice, int], Iterator[Chunk]],
+    table: Callable[[slice], Iterator[Chunk]],
     width: int,
     policy: TruncationPolicy,
-    modes: int = TABLE_MODES,
 ) -> tuple[EvalGrid, np.ndarray]:
     """sum_series applied to each of ``width`` series at once, one per column.
 
-    ``table(cols, modes)`` returns an iterator over the series of the columns
-    in the slice ``cols``, in consecutive chunks of ``modes`` modes: tuples
-    (term, envelope, ratio, rounding) of arrays of shape (modes, columns).
-    ``rounding`` is a per-mode rounding allowance, summed over the modes each
+    ``table(cols)`` returns an iterator over the series of the columns in the
+    slice ``cols``, in consecutive chunks of TABLE_MODES modes, read from this
+    module when the iterator starts: tuples (term, envelope, ratio, rounding)
+    of arrays of shape (modes, columns).  The summer itself takes chunks of
+    any length.  ``rounding`` is a per-mode rounding allowance, summed over the modes each
     column consumes.
 
     Every column follows sum_series's rule: Kahan compensation, a streak of
@@ -126,7 +126,7 @@ def sum_series_table(
     for start in range(0, width, TABLE_COLUMNS):
         cols = slice(start, min(start + TABLE_COLUMNS, width))
         out = (value[cols], terms[cols], tail[cols], converged[cols], rounding[cols])
-        _sum_columns(table(cols, modes), policy, *out)
+        _sum_columns(table(cols), policy, *out)
     return EvalGrid(value, terms, tail, converged), rounding
 
 

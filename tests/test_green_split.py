@@ -222,12 +222,10 @@ def test_remainder_rounding_allowance_covers_mpmath_error(n, a, lo_frac, hi_frac
     # the grid twin, with the row of the same radii twice
     arrays = [np.array([v, v]) for v in (lo, hi, t)]
     grid, units = sum_series_table(
-        lambda cols, modes: _green_remainder_grid(
-            k, a, *(v[cols] for v in arrays), scale, modes
-        ),
+        lambda cols: _green_remainder_grid(k, a, *(v[cols] for v in arrays), scale),
         2,
         policy,
     )
     for j in range(2):
-        assert grid[j].terms_used == res.terms_used
+        assert grid.terms_used[j] == res.terms_used
         assert _error(grid.value[j], ref) <= _U * units[j] + grid.tail_bound[j]

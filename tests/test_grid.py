@@ -31,7 +31,7 @@ from annulus_green import (
     robin_radial_gradient_grid,
 )
 from annulus_green.cli import main
-from annulus_green.summation import TABLE_MODES
+from annulus_green import summation
 from test_green_split import _error, mp_green
 from test_robin_split import mp_reference
 
@@ -70,12 +70,11 @@ def _source(n, a, s_frac, angle):
 
 
 def assert_matches_scalar(grid, scalars):
-    assert len(grid) == len(scalars)
+    assert grid.value.size == len(scalars)
     for i, res in enumerate(scalars):
-        entry = grid[i]
-        assert entry.terms_used == res.terms_used
-        assert entry.converged == res.converged
-        assert abs(entry.value - res.value) <= entry.tail_bound + res.tail_bound
+        assert grid.terms_used[i] == res.terms_used
+        assert grid.converged[i] == res.converged
+        assert abs(grid.value[i] - res.value) <= grid.tail_bound[i] + res.tail_bound
 
 
 # fractions of the gap, down to the 1e-3 standoff of export-grid's windows
@@ -116,28 +115,32 @@ def test_green_slice_matches_scalar(n, a, fracs, s_frac, angle):
     assert_matches_scalar(grid, [green_eval(geom, float(r) * e1, y, POLICY) for r in radii])
 
 
+@pytest.mark.parametrize("modes", [7, summation.TABLE_MODES])
 @pytest.mark.parametrize("name", sorted(QUANTITIES))
-def test_series_past_one_chunk(name):
+def test_series_past_one_chunk(name, modes, monkeypatch):
     # a = 0.95 needs hundreds of modes at the end rows, so the stopping state
     # crosses many chunk edges; the interior rows stop at other depths
+    monkeypatch.setattr(summation, "TABLE_MODES", modes)
     a = 0.95
     n = 2 if name.startswith("robin2d") else 4
     policy = TruncationPolicy(abs_tol=1e-12, tail_safety=3)
     radii = _radii(a, [1e-3, 0.3, 0.5, 0.77, 1.0 - 1e-3])
     grid_fn, scalar_fn = QUANTITIES[name]
     grid = grid_fn(n, a, radii, policy)
-    assert grid.terms_used.min() > 3 * TABLE_MODES
+    assert grid.terms_used.min() > 3 * modes
     assert len(set(grid.terms_used.tolist())) > 1
     assert_matches_scalar(grid, [scalar_fn(n, a, float(r), policy) for r in radii])
 
 
-def test_green_slice_past_one_chunk():
+@pytest.mark.parametrize("modes", [7, summation.TABLE_MODES])
+def test_green_slice_past_one_chunk(modes, monkeypatch):
+    monkeypatch.setattr(summation, "TABLE_MODES", modes)
     geom = AnnulusGeometry(4, 0.95)
     y = _source(4, 0.95, 0.5, 0.4)
     radii = np.linspace(0.95, 1.0, 9)
     policy = TruncationPolicy(abs_tol=1e-12, tail_safety=3)
     grid = green_slice_grid(geom, radii, y, policy)
-    assert grid.terms_used.max() > 3 * TABLE_MODES
+    assert grid.terms_used.max() > 3 * modes
     e1 = np.eye(4)[0]
     assert_matches_scalar(grid, [green_eval(geom, float(r) * e1, y, policy) for r in radii])
 
@@ -158,9 +161,8 @@ def test_end_rows_bound_covers_mpmath_error(name, a):
     radii = _radii(a, [1e-3, 1.0 - 1e-3])
     grid = QUANTITIES[name][0](n, a, radii, POLICY)
     for i, r in enumerate(radii.tolist()):
-        entry = grid[i]
-        assert entry.converged
-        assert _error(entry.value, mp_reference(MP_NAMES[name], n, a, r)) <= entry.tail_bound
+        assert grid.converged[i]
+        assert _error(grid.value[i], mp_reference(MP_NAMES[name], n, a, r)) <= grid.tail_bound[i]
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -173,9 +175,8 @@ def test_green_slice_end_rows_against_mpmath(n, a):
     for i, r in enumerate(radii.tolist()):
         x = np.zeros(n)
         x[0] = r
-        entry = grid[i]
-        assert entry.converged
-        assert _error(entry.value, mp_green(n, a, x, y)) <= entry.tail_bound
+        assert grid.converged[i]
+        assert _error(grid.value[i], mp_green(n, a, x, y)) <= grid.tail_bound[i]
     # the sphere rows are zeros of the Green function, within the bound
     assert abs(grid.value[0]) <= grid.tail_bound[0]
     assert abs(grid.value[-1]) <= grid.tail_bound[-1]
@@ -183,7 +184,7 @@ def test_green_slice_end_rows_against_mpmath(n, a):
 
 def test_empty_grid():
     grid = robin_eval_grid(AnnulusGeometry(3, 0.5), np.array([]), POLICY)
-    assert len(grid) == 0
+    assert grid.value.size == 0
 
 
 @pytest.mark.parametrize(

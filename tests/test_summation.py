@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from annulus_green import TailEnvelopeError, TruncationPolicy
-from annulus_green.summation import TABLE_COLUMNS, TABLE_MODES, sum_series, sum_series_table
+from annulus_green import EvalResult, TailEnvelopeError, TruncationPolicy, summation
+from annulus_green.summation import TABLE_COLUMNS, sum_series, sum_series_table
 
 
 def geometric(q, coeff=1.0):
@@ -113,10 +113,12 @@ def _random_stream(rng, length):
 
 
 def _table(streams):
-    """sum_series_table's callable over a list of per-column streams."""
+    """sum_series_table's callable over a list of per-column streams, in
+    chunks of summation.TABLE_MODES modes like the grid generators."""
 
-    def table(cols, modes):
+    def table(cols):
         block = streams[cols]
+        modes = summation.TABLE_MODES
         length = len(block[0][0])
         for start in range(0, length, modes):
             yield tuple(
@@ -124,6 +126,21 @@ def _table(streams):
             )
 
     return table
+
+
+def _row(grid, j):
+    return EvalResult(
+        value=float(grid.value[j]),
+        terms_used=int(grid.terms_used[j]),
+        tail_bound=float(grid.tail_bound[j]),
+        converged=bool(grid.converged[j]),
+    )
+
+
+def _sum_in_chunks(modes, streams, policy):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(summation, "TABLE_MODES", modes)
+        return sum_series_table(_table(streams), len(streams), policy)
 
 
 def _scalar(stream, policy):
@@ -147,11 +164,11 @@ def test_table_columns_match_sum_series(seed, width, modes, tail_safety, max_ter
     scalars = [_scalar(s, policy) for s in streams]
     if any(res is None for res in scalars):
         with pytest.raises(TailEnvelopeError):
-            sum_series_table(_table(streams), width, policy, modes)
+            _sum_in_chunks(modes, streams, policy)
         return
-    grid, rounding = sum_series_table(_table(streams), width, policy, modes)
+    grid, rounding = _sum_in_chunks(modes, streams, policy)
     for j, res in enumerate(scalars):
-        assert grid[j] == res  # Kahan on the same rows gives the same double
+        assert _row(grid, j) == res  # Kahan on the same rows gives the same double
         assert rounding[j] == pytest.approx(math.fsum(streams[j][3][: res.terms_used]))
 
 
@@ -168,8 +185,8 @@ def test_streak_carries_across_chunk_edges():
     policy = TruncationPolicy(abs_tol=1e-6, max_terms=100, tail_safety=3)
     assert sum_series(zip(*stream[:3]), policy).terms_used == 6
     for modes in (1, 2, 4, 5):
-        grid, rounding = sum_series_table(_table([stream]), 1, policy, modes)
-        assert grid[0].terms_used == 6 and grid[0].converged
+        grid, rounding = _sum_in_chunks(modes, [stream], policy)
+        assert grid.terms_used[0] == 6 and grid.converged[0]
         assert rounding[0] == 6.0
 
 
@@ -180,50 +197,49 @@ def test_faults_past_a_columns_stop_are_not_read():
              np.full(4, 0.5), np.ones(4))
     second = _stream([1.0, 0.5, 0.25, 1e-9], [0.5] * 4)
     policy = TruncationPolicy(abs_tol=1e-6, max_terms=4, tail_safety=1)
-    grid, _ = sum_series_table(_table([first, second]), 2, policy, 4)
-    assert grid[0] == sum_series(zip(*first[:3]), policy)
-    assert grid[0].terms_used == 2
-    assert grid[1].terms_used == 4 and grid[1].converged
+    grid, _ = _sum_in_chunks(4, [first, second], policy)
+    assert _row(grid, 0) == sum_series(zip(*first[:3]), policy)
+    assert grid.terms_used[0] == 2
+    assert grid.terms_used[1] == 4 and grid.converged[1]
     with pytest.raises(TailEnvelopeError):
-        sum_series_table(_table([first]), 1, TruncationPolicy(abs_tol=1e-12, max_terms=4), 4)
+        _sum_in_chunks(4, [first], TruncationPolicy(abs_tol=1e-12, max_terms=4))
 
 
 def test_envelope_growth_across_a_chunk_edge_is_an_error():
     stream = _stream([1.0, 0.5, 0.6, 0.1], [0.5] * 4)
     policy = TruncationPolicy(abs_tol=1e-30, max_terms=4)
     with pytest.raises(TailEnvelopeError):
-        sum_series_table(_table([stream]), 1, policy, 2)
+        _sum_in_chunks(2, [stream], policy)
 
 
 def test_table_is_read_in_bounded_blocks():
-    # a wide grid is summed TABLE_COLUMNS columns and `modes` rows at a time,
-    # never max_terms rows deep
+    # a wide grid is summed TABLE_COLUMNS columns at a time
     width = 2 * TABLE_COLUMNS + 5
     seen = []
+    modes = summation.TABLE_MODES
 
-    def table(cols, modes):
+    def table(cols):
         n = cols.stop - cols.start
         q = np.linspace(0.1, 0.9, width)[cols]
         m = 0
         while True:
-            seen.append((n, modes))
+            seen.append(n)
             powers = q ** np.arange(m, m + modes)[:, None]
             yield powers, powers, np.broadcast_to(q, powers.shape), np.zeros_like(powers)
             m += modes
 
     policy = TruncationPolicy(abs_tol=1e-12, max_terms=100_000)
     grid, _ = sum_series_table(table, width, policy)
-    assert max(n for n, _ in seen) == TABLE_COLUMNS
-    assert all(modes == TABLE_MODES for _, modes in seen)
+    assert max(seen) == TABLE_COLUMNS
     for j in (0, TABLE_COLUMNS, width - 1):
         res = sum_series(geometric(float(np.linspace(0.1, 0.9, width)[j])), policy)
-        assert grid[j].terms_used == res.terms_used and grid[j].converged
-        assert grid[j].value == pytest.approx(res.value, rel=1e-14)
+        assert grid.terms_used[j] == res.terms_used and grid.converged[j]
+        assert grid.value[j] == pytest.approx(res.value, rel=1e-14)
 
 
 def test_empty_table():
     grid, rounding = sum_series_table(_table([]), 0, TruncationPolicy())
-    assert len(grid) == 0 and rounding.size == 0
+    assert grid.value.size == 0 and rounding.size == 0
 
 
 def test_exhausted_table_is_an_error():
