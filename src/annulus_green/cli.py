@@ -213,15 +213,15 @@ def _cmd_eval_green(args) -> int:
         "converged": res.converged,
     }
     rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    all_converged = res.converged
     if abs(rx - ry) > 1e-9:
+        # reported cross-check only: at near-equal radii the unsplit route
+        # can hit max_terms where green_eval converges in a few modes
         alt = green_piecewise_eval(geom, x, y, policy)
         record["piecewise_value"] = alt.value
         record["piecewise_tail_bound"] = alt.tail_bound
         record["piecewise_terms_used"] = alt.terms_used
         record["piecewise_converged"] = alt.converged
         record["path_difference"] = abs(alt.value - res.value)
-        all_converged = all_converged and alt.converged
     if args.format == "csv":
         flat = dict(record)
         flat["x"] = ";".join(_fmt(v) for v in x)
@@ -229,7 +229,7 @@ def _cmd_eval_green(args) -> int:
         _emit_record(args, flat)
     else:
         _emit_record(args, record)
-    return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
 def _cmd_eval_robin(args) -> int:

@@ -15,10 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-ArrayLike = Union[Sequence[float], np.ndarray, "Point"]
-
-# absolute tolerance on |x| used to classify a point as lying on a boundary sphere
-BOUNDARY_TOL = 1e-12
+ArrayLike = Union[Sequence[float], np.ndarray]
 
 # radii passed to the evaluators may miss [a, 1] by this much before rejection
 RADIUS_SLACK = 1e-9
@@ -84,40 +81,6 @@ def sphere_surface_area_rel_error(n: int) -> float:
     return arg_error + u
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of R^n stored as a plain coordinate tuple."""
-
-    coords: tuple[float, ...]
-
-    @classmethod
-    def of(cls, values: Sequence[float]) -> "Point":
-        return cls(tuple(float(v) for v in values))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coords))
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-    def unit(self) -> np.ndarray:
-        r = self.norm
-        if r == 0.0:
-            raise DomainValidationError("the zero vector has no direction")
-        return self.array() / r
-
-
-def as_coords(x: ArrayLike) -> np.ndarray:
-    if isinstance(x, Point):
-        return x.array()
-    return np.asarray(x, dtype=float)
-
-
 def unit_and_radius(v: np.ndarray) -> tuple[float, np.ndarray]:
     r = float(np.linalg.norm(v))
     if r == 0.0:
@@ -126,7 +89,7 @@ def unit_and_radius(v: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def require_unit(v: ArrayLike, tol: float = 1e-10) -> np.ndarray:
-    arr = as_coords(v)
+    arr = np.asarray(v, dtype=float)
     r = float(np.linalg.norm(arr))
     if abs(r - 1.0) > tol:
         raise DomainValidationError(f"expected a unit vector, got |v| = {r}")
@@ -164,7 +127,7 @@ class AnnulusGeometry:
             )
 
     def point(self, x: ArrayLike) -> np.ndarray:
-        arr = as_coords(x)
+        arr = np.asarray(x, dtype=float)
         if arr.shape != (self.n,):
             raise DomainValidationError(
                 f"expected a point of R^{self.n}, got shape {arr.shape}"
@@ -172,17 +135,6 @@ class AnnulusGeometry:
         if not np.isfinite(arr).all():
             raise DomainValidationError("point coordinates must be finite")
         return arr
-
-    def radius(self, x: ArrayLike) -> float:
-        return float(np.linalg.norm(self.point(x)))
-
-    def is_interior(self, x: ArrayLike) -> bool:
-        r = self.radius(x)
-        return self.a < r < 1.0
-
-    def on_boundary(self, x: ArrayLike, tol: float = BOUNDARY_TOL) -> bool:
-        r = self.radius(x)
-        return abs(r - self.a) <= tol or abs(r - 1.0) <= tol
 
     def clamp_radius(self, r: float, slack: float = RADIUS_SLACK) -> float:
         """Validate r against the closed interval [a, 1] and clamp roundoff."""
@@ -234,9 +186,6 @@ class TruncationPolicy:
             raise DomainValidationError(f"max_terms must be >= 1, got {self.max_terms!r}")
         if self.tail_safety < 1:
             raise DomainValidationError(f"tail_safety must be >= 1, got {self.tail_safety!r}")
-
-
-DEFAULT_POLICY = TruncationPolicy()
 
 
 @dataclass(frozen=True)

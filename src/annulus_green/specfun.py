@@ -20,7 +20,6 @@ from .core import (
     DomainValidationError,
     EvalResult,
     TruncationPolicy,
-    as_coords,
     require_unit,
 )
 from .summation import sum_series
@@ -94,26 +93,6 @@ def gegenbauer_endpoint_exact(n: int, m: int) -> int:
     if p.denominator != 1:
         raise ArithmeticError(f"endpoint value is not integral: {p}")
     return int(p)
-
-
-def gegenbauer_generating_partial_sum(lam: float, t: float, r: float, m_max: int) -> float:
-    """Partial sum over m = 0..m_max of P_m(t) r^m.
-
-    Converges to (1 - 2rt + r^2)^(-lam) as m_max grows; requires 0 <= r < 1.
-    """
-    lam = _check_order(lam)
-    tc = _clamp_argument(t)
-    if not (0.0 <= r < 1.0):
-        raise DomainValidationError(f"generating variable must satisfy 0 <= r < 1, got {r!r}")
-    if m_max < 0:
-        raise DomainValidationError(f"m_max must be >= 0, got {m_max!r}")
-    total = 0.0
-    rp = 1.0
-    it = iter_gegenbauer(lam, tc)
-    for _ in range(m_max + 1):
-        total += float(next(it)) * rp
-        rp *= r
-    return total
 
 
 def gegenbauer_generating_sum(
@@ -194,7 +173,7 @@ def zonal_direct(n: int, m: int, x: ArrayLike, xi: ArrayLike) -> float:
         raise DomainValidationError(f"needs n >= 3, got {n!r}")
     if m < 0:
         raise DomainValidationError(f"degree must be >= 0, got {m!r}")
-    xv = as_coords(x)
+    xv = np.asarray(x, dtype=float)
     xiv = require_unit(xi)
     if xv.shape != (n,) or xiv.shape != (n,):
         raise DomainValidationError("x and xi must both be vectors of R^n")
@@ -222,9 +201,3 @@ def zonal_from_gegenbauer(n: int, m: int, xprime: ArrayLike, yprime: ArrayLike) 
     t = _clamp_argument(float(xp @ yp))
     return (2 * m + n - 2) / (n - 2) * gegenbauer_eval(0.5 * (n - 2), m, t)
 
-
-def zonal_2d(m: int, theta: float, phi: float) -> float:
-    """Planar zonal kernel 2 cos(m (theta - phi)) for degree m >= 1."""
-    if m < 1:
-        raise DomainValidationError("degree must be >= 1 (the degree-0 kernel is the constant 1)")
-    return 2.0 * math.cos(m * (theta - phi))

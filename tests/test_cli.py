@@ -50,6 +50,15 @@ class TestEvalGreen:
         record = json.loads(out)
         assert record["error"] == "SingularityError"
 
+    def test_near_equal_radii_exit_0_when_green_eval_converges(self, capsys):
+        code, out = run_cli(
+            capsys, "eval-green", "--n", "3", "0.7", "0", "0", "0", "0.70001", "0"
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["converged"] is True
+        assert record["piecewise_converged"] is False
+
     def test_wrong_coordinate_count_exit_2(self, capsys):
         code, _ = run_cli(capsys, "eval-green", "--n", "3", "--a", "0.5", "0.7", "0", "0")
         assert code == 2

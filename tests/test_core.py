@@ -10,7 +10,6 @@ from annulus_green import (
     AnnulusGeometry,
     DomainValidationError,
     EvalResult,
-    Point,
     SingularityError,
     TruncationPolicy,
     green_eval,
@@ -155,36 +154,14 @@ def test_geometry_invariants(n, a):
         AnnulusGeometry(n, a)
 
 
-def test_geometry_membership():
-    geom = AnnulusGeometry(3, 0.5)
-    assert geom.is_interior([0.7, 0.0, 0.0])
-    assert not geom.is_interior([0.4, 0.0, 0.0])
-    assert not geom.is_interior([1.0, 0.0, 0.0])
-    assert geom.on_boundary([1.0, 0.0, 0.0])
-    assert geom.on_boundary([0.5 + 1e-13, 0.0, 0.0])
-    assert not geom.on_boundary([0.7, 0.0, 0.0])
-    # the default tolerance is 1e-12 absolute on |x|
-    assert not geom.on_boundary([1.0 + 1e-10, 0.0, 0.0])
-    assert geom.on_boundary([1.0 + 1e-10, 0.0, 0.0], tol=1e-9)
-
-
 def test_geometry_point_validation():
     geom = AnnulusGeometry(3, 0.5)
     with pytest.raises(DomainValidationError):
         geom.point([1.0, 2.0])
     with pytest.raises(DomainValidationError):
         geom.point([1.0, float("nan"), 0.0])
-    arr = geom.point(Point.of([0.7, 0.1, 0.0]))
+    arr = geom.point([0.7, 0.1, 0.0])
     assert arr.shape == (3,)
-
-
-def test_point_helpers():
-    p = Point.of([3.0, 4.0])
-    assert p.dim == 2
-    assert p.norm == pytest.approx(5.0)
-    assert np.allclose(p.unit(), [0.6, 0.8])
-    with pytest.raises(DomainValidationError):
-        Point.of([0.0, 0.0]).unit()
 
 
 @pytest.mark.parametrize(

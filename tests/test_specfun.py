@@ -10,10 +10,8 @@ from annulus_green import (
     TruncationPolicy,
     gegenbauer_endpoint_exact,
     gegenbauer_eval,
-    gegenbauer_generating_partial_sum,
     gegenbauer_generating_sum,
     harmonic_space_dim,
-    zonal_2d,
     zonal_direct,
     zonal_from_gegenbauer,
 )
@@ -88,22 +86,6 @@ class TestEndpointIdentity:
 
 
 class TestGeneratingFunction:
-    def test_collapses_at_t_one(self):
-        total = gegenbauer_generating_partial_sum(0.5, 1.0, 0.5, 120)
-        assert total == pytest.approx(2.0, abs=1e-12)
-
-    def test_single_term(self):
-        assert gegenbauer_generating_partial_sum(0.5, 0.0, 0.5, 0) == 1.0
-
-    def test_partial_sum_matches_closed_form(self):
-        val = gegenbauer_generating_partial_sum(1.5, 0.2, 0.3, 40)
-        closed = (1 - 2 * 0.3 * 0.2 + 0.09) ** (-1.5)
-        assert val == pytest.approx(closed, abs=1e-10)
-
-    def test_rejects_r_at_one(self):
-        with pytest.raises(DomainValidationError):
-            gegenbauer_generating_partial_sum(0.5, 0.0, 1.0, 10)
-
     def test_policy_sum_certifies(self):
         policy = TruncationPolicy(abs_tol=1e-11, max_terms=5000)
         for lam in (0.5, 1.0, 1.5, 2.5):
@@ -209,17 +191,3 @@ class TestZonal:
         with pytest.raises(DomainValidationError):
             zonal_direct(3, 2, np.ones(3), np.array([0.5, 0.0, 0.0]))
 
-
-class TestZonal2D:
-    def test_coincidence(self):
-        assert zonal_2d(1, 0.3, 0.3) == pytest.approx(2.0)
-
-    def test_quarter_turn(self):
-        assert zonal_2d(2, math.pi / 4, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_half_turn(self):
-        assert zonal_2d(3, math.pi / 3, 0.0) == pytest.approx(-2.0)
-
-    def test_rejects_degree_zero(self):
-        with pytest.raises(DomainValidationError):
-            zonal_2d(0, 0.1, 0.2)

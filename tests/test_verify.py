@@ -1,7 +1,55 @@
+import math
+import time
+
 import pytest
 
 from annulus_green import TruncationPolicy
 from annulus_green.verify import SUITES, render_summary, run_suites
+
+# Tier-1 runs every suite at this seed.  The check counts are pinned, so a
+# sample size cannot shrink without an edit here.
+TEST_SEED = 1234
+CHECKS_AT_TEST_SEED = {
+    "special-functions": 3432,
+    "distance-series": 1740,
+    "poisson-extension": 89,
+    "green-function": 850,
+    "modal-oracle": 2056,
+    "robin-derivatives": 406,
+    "critical-point": 24,
+}
+# wall-clock limits in seconds
+TIME_LIMITS = {"green-function": 30.0, "modal-oracle": 60.0}
+
+
+@pytest.fixture(scope="module")
+def seeded_run():
+    """``run_suites([name], seed=TEST_SEED)`` and its wall time, run once per
+    suite and module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            t0 = time.monotonic()
+            (res,) = run_suites([name], seed=TEST_SEED)
+            runs[name] = res, time.monotonic() - t0
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_passes_at_test_seed(seeded_run, name):
+    res, elapsed = seeded_run(name)
+    assert res.passed, render_summary([res], TEST_SEED)
+    assert res.checks == CHECKS_AT_TEST_SEED[name]
+    assert elapsed <= TIME_LIMITS.get(name, math.inf)
+
+
+def test_full_summary_is_byte_identical_across_runs(seeded_run):
+    first = render_summary([seeded_run(name)[0] for name in SUITES], TEST_SEED)
+    second = render_summary(run_suites(seed=TEST_SEED), TEST_SEED)
+    assert second == first
 
 
 def test_suite_registry_names():
