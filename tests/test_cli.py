@@ -195,6 +195,23 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_repeated_suite_flag_prints_one_line_per_suite(self, capsys):
+        verify = ("verify", "--seed", "7", "--default-policy")
+        code, out = run_cli(
+            capsys, *verify, "--suite", "distance-series", "--suite", "special-functions"
+        )
+        _, alone = run_cli(capsys, *verify, "--suite", "distance-series")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "verification seed=7"
+        assert [line.split()[1] for line in lines[1:-1]] == [
+            "distance-series",
+            "special-functions",
+        ]
+        assert lines[-1].startswith("RESULT PASS checks=")
+        # a suite's draws do not depend on which other suites run
+        assert lines[1] == alone.splitlines()[1]
+
     def test_starved_policy_exits_1(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--seed", "7", "--max-terms", "2", "--suite", "distance-series"

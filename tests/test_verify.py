@@ -1,10 +1,12 @@
 import math
+import re
 import time
+from collections import Counter
 
 import pytest
 
 from annulus_green import TruncationPolicy
-from annulus_green.verify import SUITES, render_summary, run_suites
+from annulus_green.verify import SUITES, SuiteResult, render_summary, run_suites
 
 # Tier-1 runs every suite at this seed.  The check counts are pinned, so a
 # sample size cannot shrink without an edit here.
@@ -21,18 +23,93 @@ CHECKS_AT_TEST_SEED = {
 # wall-clock limits in seconds
 TIME_LIMITS = {"green-function": 30.0, "modal-oracle": 60.0}
 
+# The acceptance criteria c01-c11, each mapped to the suite and the checks
+# that cover it: check label (a regular expression over the whole label) ->
+# the least number of such checks at the test seed, which is the sample size
+# the criterion asks for.  The pinned totals above would not notice draws
+# moved from one check to another; these do.
+CRITERIA = {
+    "c01-dirichlet-boundary": (
+        "green-function",
+        {rf"dirichlet n={n} a={a}": 50 for n in (3, 4) for a in (r"0\.3", r"0\.5")},
+    ),
+    "c02-green-symmetry": ("green-function", {"symmetry": 200}),
+    "c03-regular-part-harmonic": ("green-function", {"harmonic regular part": 50}),
+    "c04-modal-oracle": (
+        "modal-oracle",
+        {
+            r"modal (ratio|zero) n=3 m=\d+": 51 * 20,
+            r"modal (ratio|zero) n=4 m=\d+": 51 * 20,
+            r"fd accuracy n=3 m=1 a=0\.5": 1,
+            r"fd accuracy n=3 m=2 a=0\.5": 1,
+            r"fd accuracy n=4 m=1 a=0\.3": 1,
+            r"fd order n=3 m=1 a=0\.5": 2,
+            r"fd order n=3 m=2 a=0\.5": 2,
+            r"fd order n=4 m=1 a=0\.3": 2,
+        },
+    ),
+    "c05-ball-limit": ("modal-oracle", {"ball limit monotone": 1, r"ball limit scale a=.*": 3}),
+    "c06-critical-point": (
+        "critical-point",
+        {
+            f"{check} n={n}": 1
+            for check in ("residual", "grid scan", "newton agreement", "single sign change")
+            for n in (2, 3, 4)
+        },
+    ),
+    "c07-planar-convexity": (
+        "robin-derivatives",
+        {
+            rf"planar {check} a={a}": count
+            for check, count in (("convexity", 50), ("end signs", 1))
+            for a in (r"0\.1", r"0\.2", r"0\.5")
+        },
+    ),
+    "c08-special-functions": (
+        "special-functions",
+        {
+            r"endpoint n=\d m=\d+": 6 * 31,
+            r"generating .*": 4 * 5 * 3,
+            r"route n=\d m=\d+": 1000,
+            r"diagonal n=\d m=\d+": 1000,
+        },
+    ),
+    "c09-distance-series": (
+        "distance-series",
+        {f"{side} n={n}": 250 for side in ("outer", "inner") for n in (3, 4, 5)},
+    ),
+    "c10-harmonic-extension": (
+        "poisson-extension",
+        {"mean value f=1": 50, "coordinate trace": 20, r"mode-1 profile r=.*": 9},
+    ),
+    "c11-gradient-checks": (
+        "robin-derivatives",
+        {f"{check} fd n={n}": 10 for check in ("gradient", "slope") for n in (3, 4)},
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def seeded_run():
-    """``run_suites([name], seed=TEST_SEED)`` and its wall time, run once per
-    suite and module."""
+    """``run_suites([name], seed=TEST_SEED)``, its wall time and the number of
+    checks under each label, run once per suite and module."""
     runs = {}
 
     def run(name):
         if name not in runs:
-            t0 = time.monotonic()
-            (res,) = run_suites([name], seed=TEST_SEED)
-            runs[name] = res, time.monotonic() - t0
+            labels = Counter()
+            check = SuiteResult.check
+
+            def counting_check(self, ok, err, label):
+                labels[label] += 1
+                check(self, ok, err, label)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(SuiteResult, "check", counting_check)
+                t0 = time.monotonic()
+                (res,) = run_suites([name], seed=TEST_SEED)
+                elapsed = time.monotonic() - t0
+            runs[name] = res, elapsed, labels
         return runs[name]
 
     return run
@@ -40,10 +117,21 @@ def seeded_run():
 
 @pytest.mark.parametrize("name", list(SUITES))
 def test_suite_passes_at_test_seed(seeded_run, name):
-    res, elapsed = seeded_run(name)
+    res, elapsed, labels = seeded_run(name)
     assert res.passed, render_summary([res], TEST_SEED)
     assert res.checks == CHECKS_AT_TEST_SEED[name]
+    assert sum(labels.values()) == res.checks
     assert elapsed <= TIME_LIMITS.get(name, math.inf)
+
+
+@pytest.mark.parametrize("criterion", list(CRITERIA))
+def test_criterion_is_covered(seeded_run, criterion):
+    name, least = CRITERIA[criterion]
+    res, _, labels = seeded_run(name)
+    assert res.passed, render_summary([res], TEST_SEED)
+    for pattern, count in least.items():
+        seen = sum(k for label, k in labels.items() if re.fullmatch(pattern, label))
+        assert seen >= count, f"{criterion}: {seen} checks match {pattern!r}, want {count}"
 
 
 def test_full_summary_is_byte_identical_across_runs(seeded_run):
