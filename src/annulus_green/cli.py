@@ -15,7 +15,6 @@ import io
 import json
 import sys
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -33,9 +32,10 @@ from .core import (
 )
 from .critical import find_critical_point
 from .green import (
+    NEAR_DIAGONAL,
+    _green_slice,
     green_eval,
     green_piecewise_eval,
-    green_slice_grid,
     modal_coefficient,
     robin2d_eval,
     robin2d_eval_grid,
@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     p_green = sub.add_parser("eval-green", help="evaluate the Green function at a pair")
     common(p_green)
@@ -121,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p_verify.add_argument(
         "--suite",
         action="append",
@@ -177,14 +177,17 @@ def _emit_record(args, record: dict) -> None:
         _emit(args, buf.getvalue())
 
 
-def _emit_table(args, header: list[str], rows: Iterable[list]) -> None:
+# a CSV field by dtype kind, as _fmt or str writes it: '%.17g' % x equals
+# format(x, '.17g') for every double, nan, inf and -0.0 included
+_CSV_FIELDS = {"f": "%.17g", "i": "%d", "b": "%s"}
+
+
+def _emit_table(args, header: list[str], columns: list[np.ndarray]) -> None:
+    """The table whose columns are the 1-d arrays ``columns``, one row per entry."""
+    rows = zip(*(c.tolist() for c in columns))
     if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        line = ",".join(_CSV_FIELDS[c.dtype.kind] for c in columns) + "\n"
+        _emit(args, ",".join(header) + "\n" + "".join(map(line.__mod__, rows)))
     else:
         record = {"columns": header, "rows": [list(r) for r in rows]}
         _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
@@ -298,18 +301,6 @@ def _radial_grid(args, geom: AnnulusGeometry) -> np.ndarray:
     return np.linspace(lo, hi, args.grid_points)
 
 
-def _grid_rows(radii: np.ndarray, res: EvalGrid) -> list:
-    return list(
-        zip(
-            radii.tolist(),
-            res.value.tolist(),
-            res.tail_bound.tolist(),
-            res.terms_used.tolist(),
-            res.converged.tolist(),
-        )
-    )
-
-
 def _interior_rows(evaluate, radii: np.ndarray, a: float) -> EvalGrid:
     """``evaluate`` over the radii, which it refuses if one lies outside
     (a, 1); the rows before that radius are evaluated first, so that their
@@ -323,7 +314,16 @@ def _interior_rows(evaluate, radii: np.ndarray, a: float) -> EvalGrid:
 def _cmd_export_grid(args) -> int:
     geom = AnnulusGeometry(args.n, args.a)
     policy = _policy_from(args)
-    status = EXIT_OK
+
+    if args.quantity == "modal-coefficient":
+        if args.s_radius is None:
+            raise DomainValidationError("modal-coefficient needs --s-radius")
+        radii = _radial_grid(args, geom)
+        value = [modal_coefficient(geom, args.mode, r, args.s_radius) for r in radii.tolist()]
+        # closed form: roundoff-level error only
+        columns = [radii, np.array(value), np.zeros_like(radii)]
+        _emit_table(args, ["r", "coefficient", "tail_bound"], columns)
+        return EXIT_OK
 
     if args.quantity in ("robin", "gradient"):
         radii = _radial_grid(args, geom)
@@ -340,14 +340,8 @@ def _cmd_export_grid(args) -> int:
             else:
                 evaluate = lambda r: robin_radial_gradient_grid(geom, r, policy)  # noqa: E731
         res = _interior_rows(evaluate, radii, geom.a)
-        if not res.converged.all():
-            status = EXIT_NO_CONVERGENCE
-        _emit_table(
-            args, ["r", column, "tail_bound", "terms_used", "converged"], _grid_rows(radii, res)
-        )
-        return status
-
-    if args.quantity == "green-slice":
+        settled = res.converged
+    else:  # green-slice
         if args.y is None:
             raise DomainValidationError("green-slice needs --y with n comma-separated floats")
         y = np.array([float(v) for v in args.y.split(",")])
@@ -357,35 +351,16 @@ def _cmd_export_grid(args) -> int:
         if not (geom.a - 1e-12 <= lo < hi <= 1.0 + 1e-12):
             raise DomainValidationError(f"grid window [{lo}, {hi}] must sit inside [{geom.a}, 1]")
         radii = np.linspace(lo, hi, args.grid_points)
-        points = np.zeros((radii.size, geom.n))
-        points[:, 0] = radii
-        # refused near-singular points: emit NaNs rather than bad data
-        far = np.linalg.norm(points - y, axis=1) >= 1e-6
-        value, tail = np.full(radii.size, np.nan), np.full(radii.size, np.nan)
-        terms, converged = np.zeros(radii.size, dtype=int), np.zeros(radii.size, dtype=bool)
-        if far.any():
-            part = green_slice_grid(geom, radii[far], y, policy)
-            value[far], tail[far] = part.value, part.tail_bound
-            terms[far], converged[far] = part.terms_used, part.converged
-            if not part.converged.all():
-                status = EXIT_NO_CONVERGENCE
-        res = EvalGrid(value, terms, tail, converged)
-        _emit_table(
-            args, ["r", "green", "tail_bound", "terms_used", "converged"], _grid_rows(radii, res)
-        )
-        return status
-
-    # modal-coefficient
-    if args.s_radius is None:
-        raise DomainValidationError("modal-coefficient needs --s-radius")
-    radii = _radial_grid(args, geom)
-    rows = []
-    for r in radii:
-        r = float(r)
-        value = modal_coefficient(geom, args.mode, r, args.s_radius)
-        rows.append([r, value, 0.0])  # closed form: roundoff-level error only
-    _emit_table(args, ["r", "coefficient", "tail_bound"], rows)
-    return status
+        column = "green"
+        # near-singular points are refused: their rows hold NaNs, not bad data
+        d, res = _green_slice(geom, radii, y, policy)
+        settled = res.converged | (d < NEAR_DIAGONAL)
+    _emit_table(
+        args,
+        ["r", column, "tail_bound", "terms_used", "converged"],
+        [radii, res.value, res.tail_bound, res.terms_used, res.converged],
+    )
+    return EXIT_OK if settled.all() else EXIT_NO_CONVERGENCE
 
 
 _COMMANDS = {

@@ -192,12 +192,15 @@ class TruncationPolicy:
 class EvalResult:
     """A numeric value plus the evidence of how it was truncated.
 
-    ``tail_bound`` is a certified upper bound on the error of ``value``.  For
-    ``green_eval`` and the Robin family (``robin_eval``, both gradient
-    series, ``critical_equation_eval`` and the three planar ``robin2d_*``) it
-    is the discarded remainder plus a first-order bound on floating-point
-    rounding in the closed form and the summed terms; for the other series it
-    bounds the discarded remainder only.
+    ``tail_bound`` is a certified upper bound on the error of ``value``: the
+    discarded remainder plus the rounding allowances that summation adds up
+    over the terms it consumed, and for a split series the rounding of its
+    closed form.  ``green_eval`` and the Robin family (``robin_eval``, both
+    gradient series, ``critical_equation_eval`` and the three planar
+    ``robin2d_*``) count their rounding.  The other series still yield a
+    rounding allowance of 0.0 (``green_piecewise_eval``, the generating
+    series and the three ``newtonian_series_*``, ``harmonic_extension``), so
+    for them it bounds the discarded remainder only.
 
     ``converged`` refers to the truncation tail alone: it is set when the
     discarded remainder met the policy's ``abs_tol``.  Where rounding is

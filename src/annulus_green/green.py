@@ -24,7 +24,8 @@ tens of modes next to a sphere as well as mid-gap.  Its products are powers
 of numbers in (0, 1) and overflow only where the value itself leaves the
 double range, which raises TailEnvelopeError.  The reported tail_bound of
 these series adds a first-order bound on rounding in the closed form and in
-the summed modes to the truncation tail.
+the summed modes to the truncation tail: each remainder row carries its
+mode's rounding allowance, which summation folds into the tail.
 
 green_piecewise_eval stays the unsplit modal series on purpose: its split
 would be the same computation as green_eval's, and it serves as the
@@ -36,9 +37,10 @@ robin_radial_gradient_grid, robin2d_eval_grid, robin2d_first_grid and
 green_slice_grid take an array of radii and sum their remainders as one
 (modes x radii) table with summation.sum_series_table.  Their generators
 (_robin_remainder_grid, _planar_remainder_grid, _green_remainder_grid) sit
-beside the scalar ones, reuse the same closed forms and count rounding with
-the same named constants; only the powers and logs that depend on the
-radius are numpy's, and each adds _NUMPY_EXTRA units to its piece.  A grid
+beside the scalar ones, yield rows of the same shape, reuse the same closed
+forms and count rounding with the same named constants; only the powers and
+logs that depend on the radius are numpy's, and each adds _NUMPY_EXTRA units
+to its piece.  A grid
 entry therefore matches the scalar evaluator's terms used and convergence
 and stays inside its bound, while its value may differ by ulps.  A single
 point keeps the scalar path, whose fixed cost is far below a table's.
@@ -65,7 +67,7 @@ from .core import (
 )
 from .specfun import _clamp_argument, iter_gegenbauer
 from . import summation
-from .summation import sum_series, sum_series_table
+from .summation import _U, sum_series, sum_series_table
 
 # below this separation the subtraction against the fundamental solution is
 # pure cancellation; callers wanting diagonal values should use robin_eval
@@ -94,10 +96,6 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
     )
 
 
-# unit roundoff of binary64: a correctly rounded operation errs by at most
-# this much relative to its exact result
-_U = 2.0**-53
-
 # the grid twins take powers and logs of arrays with numpy, whose vectorised
 # power and log may err by this many units more than the libm results the
 # scalar counts allow for (tests/test_numpy_rounding.py measures both against
@@ -116,10 +114,10 @@ def _split_result(
     closed: float,
     closed_rounding: float,
     remainder: EvalResult,
-    remainder_rounding: float,
     prefactor_rel_error: float = 0.0,
 ) -> EvalResult:
-    """Closed form plus summed remainder, with their rounding added to the tail.
+    """Closed form plus summed remainder, with the closed form's rounding and
+    the final sum's added to the remainder's tail, which covers its own.
 
     ``prefactor_rel_error`` is the relative error of a factor shared by every
     piece (1/omega): it moves the whole value coherently, so it costs that
@@ -133,7 +131,7 @@ def _split_result(
         finite = bool(np.isfinite(value).all())
     if not finite:
         raise TailEnvelopeError(f"the series value is not a finite double ({value!r})")
-    rounding = closed_rounding + remainder_rounding + (prefactor_rel_error + _U) * abs(value)
+    rounding = closed_rounding + (prefactor_rel_error + _U) * abs(value)
     return type(remainder)(
         value=value,
         terms_used=remainder.terms_used,
@@ -247,9 +245,7 @@ def _green_units(k: int, amp: float) -> tuple[float, float, float]:
     )
 
 
-def _green_remainder(
-    k: int, a: float, lo: float, hi: float, t: float, scale: float, rounding: list
-):
+def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: float):
     """Remainder modes of the split Green correction, k = n - 2 >= 1.
 
     With h_i = g_i A_m (see _green_closed) the remainder is
@@ -259,8 +255,8 @@ def _green_remainder(
     factor at most a^2, wherever the points lie.  |P_m| <= C(k+m-1, m) and
     0 <= h1 - h2 - h3 + h4 <= h1 + h4 bound the envelope.
 
-    Each mode adds to ``rounding[0]`` a first-order bound on its rounding
-    error, in units of the unit roundoff, as a multiple of its envelope (at
+    Each row's rounding allowance bounds its mode's rounding error to first
+    order, in units of the unit roundoff, as a multiple of its envelope (at
     least half the sum of the absolute values of its parts).  The h_i take
     6 + 2 _E_RADIUS units per mode and (3 + 2 _E_RADIUS) k + 1 to start;
     1 - A_m, with A_m carried as a product, costs (2m + 1) A_m/(1 - A_m) + 2;
@@ -285,8 +281,12 @@ def _green_remainder(
     m = 0
     for p in iter_gegenbauer(lam, t):
         env = env_k * binom * (h1 + h4)
-        rounding[0] += 2.0 * env * (quad * (m + 1) ** 2 + per_mode * m + fixed)
-        yield scale * (((h1 - h2) - h3) + h4) * p / (1.0 - big_a), env, (k + m) / (m + 1) * qmax
+        yield (
+            scale * (((h1 - h2) - h3) + h4) * p / (1.0 - big_a),
+            env,
+            (k + m) / (m + 1) * qmax,
+            2.0 * env * (quad * (m + 1) ** 2 + per_mode * m + fixed),
+        )
         h1 *= b1
         h2 *= b2
         h3 *= b3
@@ -379,16 +379,15 @@ def green_eval(
     n, a = geom.n, geom.a
     k = n - 2
     lo, hi = (r, s) if r <= s else (s, r)
-    rounding = [0.0]
     try:
         scale = 1.0 / (k * geom.omega)
         closed, closed_rounding = _green_closed_part(k, a, lo, hi, d, scale)
-        res = sum_series(_green_remainder(k, a, lo, hi, t, -scale, rounding), policy)
+        res = sum_series(_green_remainder(k, a, lo, hi, t, -scale), policy)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
             f"the Green function for n = {n} leaves the double-precision range here"
         ) from None
-    return _split_result(closed, closed_rounding, res, _U * rounding[0], geom.omega_rel_error)
+    return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
 
 
 def green_slice_grid(
@@ -402,6 +401,22 @@ def green_slice_grid(
     miss [a, 1] by RADIUS_SLACK; a point within NEAR_DIAGONAL of y raises
     SingularityError, as green_eval does.
     """
+    d, grid = _green_slice(geom, radii, y, policy)
+    if (d < NEAR_DIAGONAL).any():
+        raise SingularityError(
+            f"|x - y| = {float(d.min())} is inside the near-diagonal guard {NEAR_DIAGONAL}; "
+            "diagonal values come from robin_eval"
+        )
+    return grid
+
+
+def _green_slice(
+    geom: AnnulusGeometry, radii, y: ArrayLike, policy: TruncationPolicy
+) -> tuple[np.ndarray, EvalGrid]:
+    """The distances |x - y| of green_slice_grid's points and its rows, where
+    a point within NEAR_DIAGONAL of y is not evaluated: its row holds a NaN
+    value and tail, 0 terms and converged False.  export-grid writes those
+    rows as they are."""
     geom.require_series_dim()
     ys = geom.point(y).tolist()
     n, a = geom.n, geom.a
@@ -411,33 +426,40 @@ def green_slice_grid(
         raise DomainValidationError(
             f"radius {float(x0[outside][0])} outside the annulus range [{a}, 1]"
         )
-    r = np.clip(x0, a, 1.0)
-    s = geom.clamp_radius(math.hypot(*ys))
     # |x - y| errs by _E_DIST like math.dist: the difference and its square
     # take 3 units, fsum of the other squares 2, their sum and sqrt 1 each
     d = np.sqrt((x0 - ys[0]) ** 2 + math.fsum(v * v for v in ys[1:]))
-    if (d < NEAR_DIAGONAL).any():
-        raise SingularityError(
-            f"|x - y| = {float(d.min())} is inside the near-diagonal guard {NEAR_DIAGONAL}; "
-            "diagonal values come from robin_eval"
-        )
+    far = d >= NEAR_DIAGONAL
+    grid = EvalGrid(
+        value=np.full(d.size, np.nan),
+        terms_used=np.zeros(d.size, dtype=np.int64),
+        tail_bound=np.full(d.size, np.nan),
+        converged=np.zeros(d.size, dtype=bool),
+    )
+    x0 = x0[far]
+    r = np.clip(x0, a, 1.0)
+    s = geom.clamp_radius(math.hypot(*ys))
     # <x, y> / (|x| |y|) with the roundings of green_eval's fsum form
     t = np.clip((x0 * ys[0]) / (r * s), -1.0, 1.0)
     k = n - 2
     lo, hi = np.minimum(r, s), np.maximum(r, s)
     with np.errstate(all="ignore"):
         scale = 1.0 / (k * geom.omega)
-        closed, closed_rounding = _green_closed_part(k, a, lo, hi, d, scale, _NUMPY_EXTRA)
-        res, units = sum_series_table(
+        closed, closed_rounding = _green_closed_part(k, a, lo, hi, d[far], scale, _NUMPY_EXTRA)
+        res = sum_series_table(
             lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
             r.size,
             policy,
         )
-    return _split_result(closed, closed_rounding, res, _U * units, geom.omega_rel_error)
+    res = _split_result(closed, closed_rounding, res, geom.omega_rel_error)
+    grid.value[far], grid.terms_used[far] = res.value, res.terms_used
+    grid.tail_bound[far], grid.converged[far] = res.tail_bound, res.converged
+    return d, grid
 
 
-def _modal_triples(n: int, a: float, lo: float, hi: float, t: float, omega: float):
-    """Modes of the radius-ordered Green series (lo < hi strictly)."""
+def _modal_rows(n: int, a: float, lo: float, hi: float, t: float, omega: float):
+    """Modes of the radius-ordered Green series (lo < hi strictly); their
+    rounding is not counted yet."""
     lam = 0.5 * (n - 2)
     hi_pow = hi ** (2 - n)  # hi^(2-n) (lo/hi)^m
     q = lo / hi
@@ -452,7 +474,7 @@ def _modal_triples(n: int, a: float, lo: float, hi: float, t: float, omega: floa
         beta = 2 * m + n - 2
         z = (beta / (n - 2)) * p
         coeff = (hi_pow - g4) * (1.0 - hib) / (beta * (1.0 - big_a))
-        yield coeff * z / omega, env_k * binom * hi_pow, (n + m - 2) / (m + 1) * q
+        yield coeff * z / omega, env_k * binom * hi_pow, (n + m - 2) / (m + 1) * q, 0.0
         hi_pow *= q
         g4 *= q4
         hib *= hi * hi
@@ -481,10 +503,10 @@ def green_piecewise_eval(
         )
     lo, hi = (r, s) if r < s else (s, r)
     t = _clamp_argument(float(xv @ yv) / (r * s))
-    return sum_series(_modal_triples(geom.n, geom.a, lo, hi, t, geom.omega), policy)
+    return sum_series(_modal_rows(geom.n, geom.a, lo, hi, t, geom.omega), policy)
 
 
-def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: list):
+def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     """Remainder modes of a split diagonal series in R^n, k = n - 2 >= 1.
 
     The full series is scale * sum_m C(k+m-1, m) sum_i P_i(m) c_i x_i^m / (1 - A_m)
@@ -497,8 +519,8 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: 
     product of powers of numbers in (0, 1), so nothing overflows before the
     true terms do.
 
-    Each mode adds to ``rounding[0]`` a first-order bound on its rounding
-    error, in units of the unit roundoff and relative to the sum of the
+    Each row's rounding allowance bounds its mode's rounding error to first
+    order, in units of the unit roundoff and relative to the sum of the
     absolute values of its parts.  The s_i (m + d_i)^e_i are products of
     powers of bases with at most two roundings: 4m + 2k + 4.  1 - A_m is
     -expm1((k+2m) log a), which errs by 4 since |x| e^x / (1 - e^x) <= 1 for
@@ -529,14 +551,14 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts, rounding: 
         inv = -1.0 / expm1((k + 2 * m) * log_a)
         sb = scale * float(binom)
         size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        rounding[0] += size * inv * (slope * m + fixed)
+        units = size * inv * (slope * m + fixed)
         # binomial, power and polynomial growth of the envelope, each
         # nonincreasing in m
         if m > 0:
             rho = (k + m) / (m + 1) * step * ((m + 1) / m) ** e_max
         else:
             rho = math.inf if e_max > 0 else k * step
-        yield sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho
+        yield sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho, units
         binom = binom * (k + m) // (m + 1)
         m += 1
 
@@ -618,14 +640,13 @@ def _robin_split(
     geom.require_interior_radius(r)
     n, a = geom.n, geom.a
     k = n - 2
-    rounding = [0.0]
     try:
         closed, closed_rounding = _robin_closed_part(geom, r, closed_form)
         scale = -scale_factor / (k * geom.omega)
-        res = sum_series(_robin_remainder(k, a, r, scale, parts, rounding), policy)
+        res = sum_series(_robin_remainder(k, a, r, scale, parts), policy)
     except (OverflowError, ZeroDivisionError):
         raise _robin_overflow(n) from None
-    return _split_result(closed, closed_rounding, res, _U * rounding[0], geom.omega_rel_error)
+    return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
 
 
 def _robin_closed_part(geom: AnnulusGeometry, r, closed_form, extra: float = 0.0):
@@ -676,14 +697,14 @@ def _robin_split_grid(
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
             closed, closed_rounding = _robin_closed_part(geom, r, closed_form, _NUMPY_EXTRA)
             scale = -scale_factor / (k * geom.omega)
-            res, units = sum_series_table(
+            res = sum_series_table(
                 lambda cols: _robin_remainder_grid(k, a, r[cols], scale, parts),
                 r.size,
                 policy,
             )
     except OverflowError:
         raise _robin_overflow(n) from None
-    return _split_result(closed, closed_rounding, res, _U * units, geom.omega_rel_error)
+    return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
 
 
 def _robin_closed(k, a, r, u, v, w):
@@ -780,7 +801,7 @@ def _check_planar(a: float, r: float) -> None:
         raise DomainValidationError(f"radius {r} must lie strictly between a = {a} and 1")
 
 
-def _planar_remainder(a: float, r: float, scale: float, parts, rounding: list):
+def _planar_remainder(a: float, r: float, scale: float, parts):
     """Remainder modes of a split planar series.
 
     The full series is scale * sum_{m>=1} sum_i P_i(m) x_i^m / (1 - a^(2m))
@@ -788,10 +809,9 @@ def _planar_remainder(a: float, r: float, scale: float, parts, rounding: list):
     for P_i(m) = coef (2m + d)^e.  As for n >= 3, 1/(1 - A) = 1 + A/(1 - A)
     leaves a closed form and this remainder, whose products
     s_i = x_i^m a^(2m) shrink by at most a^2 max(r^2, a^2/r^2) per mode.
-    ``rounding[0]`` collects each mode's first-order rounding bound, counted
-    as in _robin_remainder: 4m + 3 in the s_i (2m + d_i)^e_i, 4 in
-    1 - a^(2m), 10 in the prefactor, the mode's products and sums and the
-    compensated sum.
+    Each row's rounding allowance is counted as in _robin_remainder: 4m + 3
+    in the s_i (2m + d_i)^e_i, 4 in 1 - a^(2m), 10 in the prefactor, the
+    mode's products and sums and the compensated sum.
     """
     (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
@@ -811,9 +831,9 @@ def _planar_remainder(a: float, r: float, scale: float, parts, rounding: list):
         w4 = b4 ** (2 * m) * (2 * m + d4) ** e4
         inv = -1.0 / expm1(2 * m * log_a)
         size = abs_scale * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        rounding[0] += size * inv * (slope * m + fixed)
+        units = size * inv * (slope * m + fixed)
         rho = step * ((2 * m + 2 + d_min) / (2 * m + d_min)) ** e_max
-        yield scale * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho
+        yield scale * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho, units
         m += 1
 
 
@@ -869,9 +889,8 @@ def _planar_split(
     scale: float,
     parts,
 ) -> EvalResult:
-    rounding = [0.0]
-    res = sum_series(_planar_remainder(a, r, scale, parts, rounding), policy)
-    return _split_result(sum(pieces), closed_rounding, res, _U * rounding[0])
+    res = sum_series(_planar_remainder(a, r, scale, parts), policy)
+    return _split_result(sum(pieces), closed_rounding, res)
 
 
 def _planar_split_grid(
@@ -879,12 +898,12 @@ def _planar_split_grid(
 ) -> EvalGrid:
     scale = np.broadcast_to(scale, r.shape)
     with np.errstate(all="ignore"):
-        res, units = sum_series_table(
+        res = sum_series_table(
             lambda cols: _planar_remainder_grid(a, r[cols], scale[cols], parts),
             r.size,
             policy,
         )
-    return _split_result(sum(pieces), closed_rounding, res, _U * units)
+    return _split_result(sum(pieces), closed_rounding, res)
 
 
 def _planar_radii(a: float, radii) -> np.ndarray:

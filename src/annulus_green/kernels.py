@@ -4,7 +4,9 @@ Three expansions of |p - q|^(2-n) in zonal harmonics (source on the unit
 sphere, source on the inner sphere, and the exterior form for |x| > |y|)
 plus the two-sphere Poisson kernel that extends continuous boundary data
 harmonically into the annulus.  All series carry certified geometric tail
-bounds built from |Z_m| <= dim of the degree-m harmonic space.
+bounds built from |Z_m| <= dim of the degree-m harmonic space.  The three
+expansions sum specfun's generating series, |p - q|^(2-n) =
+|p|^(2-n) sum_m (|q|/|p|)^m P_m(t) for |q| < |p|.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import (
     sphere_surface_area,
     unit_and_radius,
 )
-from .specfun import _clamp_argument, iter_gegenbauer
+from .specfun import _clamp_argument, _generating_rows, iter_gegenbauer
 from .summation import sum_series
 
 
@@ -104,22 +106,6 @@ def build_sphere_quadrature(degree: int) -> SphereQuadrature:
     )
 
 
-def _distance_triples(n: int, t: float, q: float, scale: float):
-    """Terms scale * (n-2)/(2m+n-2) * q^m * Z_m(t) with envelope
-    scale * C(n+m-3, m) * q^m (the zonal kernel peaks on the diagonal)."""
-    lam = 0.5 * (n - 2)
-    binom = 1.0
-    qp = scale
-    m = 0
-    for p in iter_gegenbauer(lam, t):
-        beta = 2 * m + n - 2
-        z = (beta / (n - 2)) * p
-        yield ((n - 2) / beta) * qp * z, binom * abs(qp), (n + m - 2) / (m + 1) * q
-        binom *= (n + m - 2) / (m + 1)
-        qp *= q
-        m += 1
-
-
 def newtonian_series_outer(
     geom: AnnulusGeometry, xi: ArrayLike, y: ArrayLike, policy: TruncationPolicy
 ) -> EvalResult:
@@ -137,7 +123,7 @@ def newtonian_series_outer(
     if s == 0.0:
         return EvalResult(value=1.0, terms_used=1, tail_bound=0.0, converged=True)
     t = _clamp_argument(float(xiv @ yv) / s)
-    return sum_series(_distance_triples(geom.n, t, q=s, scale=1.0), policy)
+    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s), policy)
 
 
 def newtonian_series_inner(
@@ -152,7 +138,7 @@ def newtonian_series_inner(
         raise SeriesDivergenceError(f"series diverges for |y| <= a, got |y| = {s}")
     t = _clamp_argument(float(xiv @ yv) / s)
     scale = s ** (2 - geom.n)
-    return sum_series(_distance_triples(geom.n, t, q=geom.a / s, scale=scale), policy)
+    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, geom.a / s, scale), policy)
 
 
 def newtonian_series_exterior(
@@ -168,7 +154,7 @@ def newtonian_series_exterior(
         raise SeriesDivergenceError(f"series needs |x| > |y|, got |x| = {r}, |y| = {s}")
     t = _clamp_argument(float(xhat @ yhat))
     scale = r ** (2 - geom.n)
-    return sum_series(_distance_triples(geom.n, t, q=s / r, scale=scale), policy)
+    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s / r, scale), policy)
 
 
 def poisson_coeff_b(geom: AnnulusGeometry, m: int, r: float) -> float:
@@ -241,7 +227,7 @@ def harmonic_extension(
         raise QuadratureDegreeError("quadrature cannot integrate even the constant mode")
     mode_cap = min(policy.max_terms, usable_modes + 1)
 
-    def triples():
+    def rows():
         A = a ** (n - 2)  # a^(2m+n-2)
         rbeta = r ** (n - 2)  # r^(2m+n-2)
         rp = 1.0  # r^m
@@ -259,7 +245,7 @@ def harmonic_extension(
             dm = binom * beta / (n - 2)
             env = dm * (rp * fmax_out + qin * fmax_in) / denom0
             rho = ((n + m - 2) / (m + 1)) * ((2 * m + n) / (2 * m + n - 2)) * max(r, a / r)
-            yield term, env, rho
+            yield term, env, rho, 0.0
             A *= a * a
             rbeta *= r * r
             rp *= r
@@ -270,7 +256,7 @@ def harmonic_extension(
     eff = TruncationPolicy(
         abs_tol=policy.abs_tol, max_terms=mode_cap, tail_safety=policy.tail_safety
     )
-    res = sum_series(triples(), eff)
+    res = sum_series(rows(), eff)
     if not res.converged and mode_cap < policy.max_terms:
         raise QuadratureDegreeError(
             f"truncation needs modes beyond degree {quad.max_exact_degree} "

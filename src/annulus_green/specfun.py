@@ -108,19 +108,21 @@ def gegenbauer_generating_sum(
     tc = _clamp_argument(t)
     if not (0.0 <= r < 1.0):
         raise DomainValidationError(f"generating variable must satisfy 0 <= r < 1, got {r!r}")
+    return sum_series(_generating_rows(lam, tc, r), policy)
 
-    def triples():
-        coeff = 1.0  # C(m + 2 lam - 1, m), the t = 1 polynomial value
-        rp = 1.0
-        m = 0
-        for p in iter_gegenbauer(lam, tc):
-            crat = (m + 2.0 * lam) / (m + 1.0)
-            yield float(p) * rp, coeff * rp, r * max(1.0, crat)
-            coeff *= crat
-            rp *= r
-            m += 1
 
-    return sum_series(triples(), policy)
+def _generating_rows(lam: float, t: float, r: float, scale: float = 1.0):
+    """Rows of scale * sum_m r^m P_m(t) for sum_series, scale > 0; their
+    rounding is not counted yet."""
+    coeff = 1.0  # C(m + 2 lam - 1, m), the t = 1 polynomial value
+    rp = scale
+    m = 0
+    for p in iter_gegenbauer(lam, t):
+        crat = (m + 2.0 * lam) / (m + 1.0)
+        yield p * rp, coeff * rp, r * crat if crat > 1.0 else r, 0.0
+        coeff *= crat
+        rp *= r
+        m += 1
 
 
 def harmonic_space_dim(n: int, m: int) -> int:

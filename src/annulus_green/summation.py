@@ -1,16 +1,24 @@
 """Certified truncation of infinite series via geometric tail envelopes.
 
-Every series in this package supplies, per index m, a triple
-``(term, envelope, ratio)`` where ``envelope >= |term|`` and ``ratio`` is an
-upper bound on ``envelope(k+1)/envelope(k)`` valid for every ``k >= m`` and
-nonincreasing in m.  Once ``ratio < 1`` the discarded tail after index m is
-at most ``envelope * ratio / (1 - ratio)``, which is what gets reported.
+Every series in this package supplies, per index m, a row
+``(term, envelope, ratio, rounding)`` where ``envelope >= |term|`` and
+``ratio`` is an upper bound on ``envelope(k+1)/envelope(k)`` valid for every
+``k >= m`` and nonincreasing in m.  Once ``ratio < 1`` the discarded tail
+after index m is at most ``envelope * ratio / (1 - ratio)``.  ``rounding``
+bounds the row's rounding error to first order, in units of u = 2^-53.
 
-sum_series reads one triple at a time.  Its column-wise twin
-sum_series_table sums many series at once, one per column of a
-(modes x columns) table that arrives in chunks of a few modes, and stops each
-column on its own row by the same rule.  A grid of radii shares one mode loop
-that way, and no table is ever larger than one chunk of one column block.
+Rounding enters a bound here alone: ``tail_bound`` is the truncation tail
+plus u times the rounding of the rows consumed, summed in row order, while
+stopping and ``converged`` judge the truncation tail.  The split remainders
+of green_eval and the Robin family count their rounding; the modes of
+green_piecewise_eval, the generating series (gegenbauer_generating_sum and
+the three newtonian_series_*) and harmonic_extension still yield 0.0.
+
+sum_series reads one row at a time.  Its column-wise twin sum_series_table
+sums many series at once, one per column of a (modes x columns) table that
+arrives in chunks of a few modes, and stops each column on its own row by the
+same rule.  A grid of radii shares one mode loop that way, and no table is
+ever larger than one chunk of one column block.
 """
 
 from __future__ import annotations
@@ -22,8 +30,12 @@ import numpy as np
 
 from .core import EvalGrid, EvalResult, TailEnvelopeError, TruncationPolicy
 
-Triple = Tuple[float, float, float]
-# (term, envelope, ratio, rounding) arrays of one chunk, shape (modes, columns)
+# unit roundoff of binary64: a correctly rounded operation errs by at most
+# this much relative to its exact result
+_U = 2.0**-53
+
+Row = Tuple[float, float, float, float]
+# the rows of one chunk as four arrays of shape (modes, columns)
 Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 # modes per chunk and columns per block of sum_series_table: a chunk holds at
@@ -35,7 +47,7 @@ TABLE_COLUMNS = 2048
 _ENVELOPE_SLACK = 1.0 + 1e-9
 
 
-def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResult:
+def sum_series(rows: Iterable[Row], policy: TruncationPolicy) -> EvalResult:
     """Kahan-compensated summation with certified geometric tail bounds.
 
     Stops after ``policy.tail_safety`` consecutive indices whose certified
@@ -52,13 +64,14 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
     converged = False
     contracting = False
     prev_env = math.inf
+    units = 0.0
 
     isfinite = math.isfinite
     slack = _ENVELOPE_SLACK
-    it = iter(triples)
+    it = iter(rows)
     while used < policy.max_terms:
         try:
-            term, env, rho = next(it)
+            term, env, rho, rounding = next(it)
         except StopIteration:
             raise TailEnvelopeError(
                 "series stream exhausted before the policy allowed stopping"
@@ -72,6 +85,7 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
         t = total + y
         comp = (t - total) - y
         total = t
+        units += rounding
         used += 1
 
         if contracting and env > prev_env * slack:
@@ -90,44 +104,42 @@ def sum_series(triples: Iterable[Triple], policy: TruncationPolicy) -> EvalResul
                 streak = 0
         prev_env = env
 
-    return EvalResult(value=total, terms_used=used, tail_bound=tail, converged=converged)
+    return EvalResult(
+        value=total, terms_used=used, tail_bound=tail + _U * units, converged=converged
+    )
 
 
 def sum_series_table(
     table: Callable[[slice], Iterator[Chunk]],
     width: int,
     policy: TruncationPolicy,
-) -> tuple[EvalGrid, np.ndarray]:
+) -> EvalGrid:
     """sum_series applied to each of ``width`` series at once, one per column.
 
     ``table(cols)`` returns an iterator over the series of the columns in the
     slice ``cols``, in consecutive chunks of TABLE_MODES modes, read from this
-    module when the iterator starts: tuples (term, envelope, ratio, rounding)
-    of arrays of shape (modes, columns).  The summer itself takes chunks of
-    any length.  ``rounding`` is a per-mode rounding allowance, summed over the modes each
-    column consumes.
+    module when the iterator starts: the rows of sum_series as four arrays
+    of shape (modes, columns).  The summer itself takes chunks of any length.
 
     Every column follows sum_series's rule: Kahan compensation, a streak of
     ``tail_safety`` certified tails <= ``abs_tol``, the ``max_terms`` cap, and
     TailEnvelopeError for a non-finite term or envelope, or a growing
     envelope, on a row the column consumes.  Each column stops on its own row
     and is read there; the streak, envelope and contraction state carry from
-    one chunk to the next.  A column therefore gets the value, terms used,
-    tail and convergence that sum_series gives for its stream alone.  Columns
-    are summed in blocks of TABLE_COLUMNS, each with its own ``table`` call.
-
-    Returns the sums as an EvalGrid and each column's summed rounding.
+    one chunk to the next, and so does the sum of the rounding allowances,
+    added in row order.  A column therefore gets bit for bit the value, terms
+    used, tail bound and convergence that sum_series gives for its stream
+    alone.  Columns are summed in blocks of TABLE_COLUMNS, each with its own
+    ``table`` call.
     """
     value = np.zeros(width)
     terms = np.zeros(width, dtype=np.int64)
     tail = np.full(width, math.inf)
     converged = np.zeros(width, dtype=bool)
-    rounding = np.zeros(width)
     for start in range(0, width, TABLE_COLUMNS):
         cols = slice(start, min(start + TABLE_COLUMNS, width))
-        out = (value[cols], terms[cols], tail[cols], converged[cols], rounding[cols])
-        _sum_columns(table(cols), policy, *out)
-    return EvalGrid(value, terms, tail, converged), rounding
+        _sum_columns(table(cols), policy, value[cols], terms[cols], tail[cols], converged[cols])
+    return EvalGrid(value, terms, tail, converged)
 
 
 def _sum_columns(
@@ -137,7 +149,6 @@ def _sum_columns(
     terms: np.ndarray,
     tail: np.ndarray,
     converged: np.ndarray,
-    rounding: np.ndarray,
 ) -> None:
     """sum_series_table on one block of columns, written into the block's
     views of the result arrays."""
@@ -209,14 +220,15 @@ def _sum_columns(
 
             last = np.maximum.accumulate(np.where(below, idx, -1), axis=0)[stop, cols]
             tail_now = np.where(last >= 0, tails[np.maximum(last, 0), cols], last_tail)
-            units_now = units_sum + np.cumsum(units, axis=0)[stop, cols]
+            # cumsum runs down the rows one at a time, after the carried sum,
+            # in sum_series's order of additions
+            units_now = np.cumsum(np.vstack([units_sum[None, :], units]), axis=0)[stop + 1, cols]
 
             out = live[ends]
             value[out] = partial[stop, cols][ends]
             terms[out] = used + stop[ends] + 1
-            tail[out] = tail_now[ends]
+            tail[out] = tail_now[ends] + _U * units_now[ends]
             converged[out] = (first < rows)[ends]
-            rounding[out] = units_now[ends]
 
             keep = ~ends
             live = live[keep]

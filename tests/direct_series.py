@@ -38,8 +38,8 @@ _U = 2.0**-53
 def _certified(
     triples, policy: TruncationPolicy, a: float, k: int, first_mode: int = 0, dim: int = 0
 ) -> EvalResult:
-    """sum_series, with a first-order bound on the rounding of the terms
-    added to the tail.
+    """sum_series over ``triples``, each row carrying a first-order bound on
+    the rounding of its term as its rounding allowance.
 
     Mode m's radial products take up to 4m + k + 3 roundings in their
     incremental updates and the binomial 2m more; 1 - A_m inherits the
@@ -54,22 +54,19 @@ def _certified(
     of its envelope, plus (m+1)^2 units per unit of error in its argument
     (under 2 dim + 8 units).
     """
-    rounding = [0.0]
     green_linear = 2 * dim + 8
     green_quadratic = 2 * dim + 10 if dim else 0
 
-    def tallied():
+    def rows():
         for i, (term, env, rho) in enumerate(triples):
             m = i + first_mode
             big_a = a ** (k + 2 * m)
             units = 6 * m + k + 48 + (2 * m + 1) * big_a / (1.0 - big_a)
             if dim:
                 units += green_linear * m + green_quadratic * (m + 1) ** 2
-            rounding[0] += 2.0 * env * units
-            yield term, env, rho
+            yield term, env, rho, 2.0 * env * units
 
-    res = sum_series(tallied(), policy)
-    return EvalResult(res.value, res.terms_used, res.tail_bound + _U * rounding[0], res.converged)
+    return sum_series(rows(), policy)
 
 
 def _radial_state(n: int, a: float, r: float):

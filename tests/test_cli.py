@@ -1,6 +1,11 @@
+import argparse
 import csv
 import io
 import json
+import math
+
+import numpy as np
+import pytest
 
 from annulus_green import AnnulusGeometry, refine_critical_point
 from annulus_green import cli
@@ -212,6 +217,19 @@ class TestVerifyCommand:
         # a suite's draws do not depend on which other suites run
         assert lines[1] == alone.splitlines()[1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval-green", "0.6", "0.1", "0", "0.8", "-0.2", "0.1"),
+            ("eval-robin", "0.7"),
+            ("critical-point",),
+            ("export-grid", "robin"),
+        ],
+    )
+    def test_seed_belongs_to_verify_alone(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+        assert run_cli(capsys, *argv, "--seed", "7")[0] == 2
+
     def test_starved_policy_exits_1(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--seed", "7", "--max-terms", "2", "--suite", "distance-series"
@@ -308,3 +326,47 @@ class TestExportGrid:
     def test_missing_source_point_exit_2(self, capsys):
         code, _ = run_cli(capsys, "export-grid", "green-slice", "--n", "3", "--a", "0.5")
         assert code == 2
+
+    def test_green_slice_row_one_ulp_inside_the_guard_is_a_nan_row(self, capsys, tmp_path):
+        # |x - y| of the first row rounds to 1e-6 less one ulp: that row is
+        # refused and written as NaNs, the others are evaluated
+        path = tmp_path / "slice.csv"
+        code, _ = run_cli(
+            capsys,
+            "export-grid", "green-slice", "--n", "3", "--a", "0.5",
+            "--r-min", "0.7210468281493043", "--r-max", "0.95", "--grid-points", "3",
+            "--y=0.721046828149682,9.209929812912979e-07,3.8957916834967444e-07",
+            "--format", "csv", "--out", str(path),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert rows[0] == ["0.72104682814930432", "nan", "nan", "0", "False"]
+        assert [row[4] for row in rows[1:]] == ["True", "True"]
+
+
+def test_table_text_is_pinned(capsys):
+    columns = [
+        np.array([0.5, 0.75, 1.0]),
+        np.array([-0.0, math.nan, 1.0 / 3.0]),
+        np.array([0.0, math.nan, math.inf]),
+        np.array([12, 0, 7], dtype=np.int64),
+        np.array([True, False, True]),
+    ]
+    header = ["r", "green", "tail_bound", "terms_used", "converged"]
+    cli._emit_table(argparse.Namespace(format="csv", out=None), header, columns)
+    text = capsys.readouterr().out
+    assert text == (
+        "r,green,tail_bound,terms_used,converged\n"
+        "0.5,-0,0,12,True\n"
+        "0.75,nan,nan,0,False\n"
+        "1,0.33333333333333331,inf,7,True\n"
+    )
+    # each field as format(x, ".17g") or str(x) writes it
+    rows = zip(*(c.tolist() for c in columns))
+    assert text.splitlines()[1:] == [
+        ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    cli._emit_table(argparse.Namespace(format="json", out=None), header, columns)
+    record = json.loads(capsys.readouterr().out)
+    assert record["rows"][2] == [1.0, 1.0 / 3.0, math.inf, 7, True]

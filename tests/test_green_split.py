@@ -23,7 +23,7 @@ from mpmath import mpf
 
 import direct_series
 from annulus_green import AnnulusGeometry, TailEnvelopeError, TruncationPolicy, green_eval
-from annulus_green.green import _U, _green_remainder, _green_remainder_grid
+from annulus_green.green import _green_remainder, _green_remainder_grid
 from annulus_green.summation import sum_series, sum_series_table
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
@@ -214,18 +214,17 @@ def test_remainder_rounding_allowance_covers_mpmath_error(n, a, lo_frac, hi_frac
     policy = TruncationPolicy(abs_tol=1e-30, max_terms=300_000)
     ref = mp_remainder(k, a, lo, hi, t, scale)
 
-    rounding = [0.0]
-    res = sum_series(_green_remainder(k, a, lo, hi, t, scale, rounding), policy)
+    res = sum_series(_green_remainder(k, a, lo, hi, t, scale), policy)
     assert res.converged
-    assert _error(res.value, ref) <= _U * rounding[0] + res.tail_bound
+    assert _error(res.value, ref) <= res.tail_bound
 
     # the grid twin, with the row of the same radii twice
     arrays = [np.array([v, v]) for v in (lo, hi, t)]
-    grid, units = sum_series_table(
+    grid = sum_series_table(
         lambda cols: _green_remainder_grid(k, a, *(v[cols] for v in arrays), scale),
         2,
         policy,
     )
     for j in range(2):
         assert grid.terms_used[j] == res.terms_used
-        assert _error(grid.value[j], ref) <= _U * units[j] + grid.tail_bound[j]
+        assert _error(grid.value[j], ref) <= grid.tail_bound[j]

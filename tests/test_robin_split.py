@@ -6,12 +6,17 @@ Three references, none sharing the split's closed forms or its rounding:
 - a 50-digit mpmath evaluation of the Robin function itself, with the
   gradient and slope taken by mpmath's numerical differentiation;
 - sign changes of the direct gradient around each computed critical radius.
+
+The remainders are also checked alone, scalar generator and grid twin,
+against their own 50-digit sums, so that their rounding allowances are
+tested by themselves.
 """
 
 import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +37,15 @@ from annulus_green import (
     robin_radial_gradient_derivative,
 )
 from annulus_green.cli import main
+from annulus_green.green import (
+    _ROBIN2D_FIRST_PARTS,
+    _ROBIN2D_PARTS,
+    _planar_remainder,
+    _planar_remainder_grid,
+    _robin_remainder,
+    _robin_remainder_grid,
+)
+from annulus_green.summation import sum_series, sum_series_table
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
 DPS = 50
@@ -253,3 +267,96 @@ def test_fifty_dimensions_is_certified(r):
         ref = mp_robin(50, 0.5, r)
     assert _error(res.value, ref) <= res.tail_bound
     assert res.tail_bound <= 1e-12 * abs(res.value)
+
+
+# (parts, scale factor) of each split remainder as green.py sums it: the
+# spatial parts as functions of k, the planar scale factors of r
+SPATIAL_PARTS = {
+    "robin_eval": (lambda k: ((1, 0, 0), (-2, 0, 0), (1, 0, 0)), lambda r: 1.0),
+    "robin_radial_gradient": (lambda k: ((1, 0, 1), (k, 0, 0), (-1, k, 1)), lambda r: 2.0),
+    "robin_radial_gradient_derivative": (
+        lambda k: ((2, 0, 2), (-k * k, 0, 0), (2, k, 2)),
+        lambda r: 2.0 / r,
+    ),
+}
+PLANAR_PARTS = {
+    "robin2d_eval": (_ROBIN2D_PARTS, lambda r: 1.0),
+    "robin2d_first": (_ROBIN2D_FIRST_PARTS, lambda r: 2.0 / r),
+    "robin2d_second": (((1, -1, 1), (0, 0, 0), (1, 1, 1)), lambda r: 2.0 / (r * r)),
+}
+
+
+def mp_split_remainder(k, a, r, scale, parts):
+    """A split remainder at 50 digits from the float inputs:
+    scale sum_m C(k+m-1, m) sum_i coef_i (m + d_i)^e_i c_i x_i^m A_m / (1 - A_m)
+    over x = (r^2, a^2, a^2/r^2), c = (1, (a/r)^k, (a/r^2)^k), A_m = a^(k+2m)
+    for k >= 1, and for k = 0 the planar sum over m >= 1 with weights
+    coef_i (2m + d_i)^e_i and no binomial."""
+    with mpmath.workdps(DPS):
+        a, r, scale = mpf(a), mpf(r), mpf(scale)
+        m = 0 if k else 1
+        big_a = a ** (k + 2 * m)
+        binom = mpf(1)  # C(k+m-1, m) for k >= 1
+        xs = (r * r, a * a, (a / r) ** 2)
+        # c_i x_i^m, with c = (1, (a/r)^k, (a/r^2)^k)
+        images = [c * x**m for c, x in zip((1, (a / r) ** k, (a / (r * r)) ** k), xs)]
+        total = mpf(0)
+        while True:
+            base = m if k else 2 * m
+            weights = [coef * mpf(base + d) ** e for coef, d, e in parts]
+            factor = scale * binom * big_a / (1 - big_a)
+            total += factor * mpmath.fsum(w * y for w, y in zip(weights, images))
+            env = abs(factor) * mpmath.fsum(abs(w) * y for w, y in zip(weights, images))
+            # the modes shrink by at least a^2 max(r^2, a^2/r^2) <= a^2 <= 0.95
+            # times a polynomial factor near 1, so the rest is under 100 env
+            if m >= 20 and env <= mpf(10) ** (10 - DPS) * abs(total):
+                return total
+            if k:
+                binom = binom * (k + m) / (m + 1)
+            images = [y * x for y, x in zip(images, xs)]
+            big_a *= a * a
+            m += 1
+
+
+# a near 1 with mid-gap radii, where the remainder is of the size of the value
+SPLIT_REMAINDER_CASES = [
+    (name, n, a, frac)
+    for n in (2, 3, 4, 6)
+    for name in (sorted(PLANAR_PARTS) if n == 2 else sorted(SPATIAL_PARTS))
+    for a in (0.9, 0.97)
+    for frac in (0.3, 0.7)
+]
+
+
+@pytest.mark.parametrize("name, n, a, frac", SPLIT_REMAINDER_CASES)
+def test_remainder_rounding_allowance_covers_mpmath_error(name, n, a, frac):
+    # the remainder alone, so the closed form's allowance cannot cover for
+    # it: the only budget is the remainder's own rounding count plus a
+    # truncation tail that tol 1e-30 makes negligible
+    k = n - 2
+    r = a + frac * (1.0 - a)
+    policy = TruncationPolicy(abs_tol=1e-30, max_terms=300_000)
+    radii = np.array([r, r])
+    if n == 2:
+        parts, factor = PLANAR_PARTS[name]
+        scale = factor(r)
+        res = sum_series(_planar_remainder(a, r, scale, parts), policy)
+        scales = np.array([scale, scale])
+        grid = sum_series_table(
+            lambda cols: _planar_remainder_grid(a, radii[cols], scales[cols], parts), 2, policy
+        )
+    else:
+        parts, factor = SPATIAL_PARTS[name]
+        parts = parts(k)
+        scale = -factor(r) / (k * AnnulusGeometry(n, a).omega)
+        res = sum_series(_robin_remainder(k, a, r, scale, parts), policy)
+        grid = sum_series_table(
+            lambda cols: _robin_remainder_grid(k, a, radii[cols], scale, parts), 2, policy
+        )
+    ref = mp_split_remainder(k, a, r, scale, parts)
+    assert res.converged
+    assert _error(res.value, ref) <= res.tail_bound
+    # the grid twin, with the row of the same radius twice
+    for j in range(2):
+        assert grid.terms_used[j] == res.terms_used
+        assert _error(grid.value[j], ref) <= grid.tail_bound[j]

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from annulus_green import EvalResult, TailEnvelopeError, TruncationPolicy, summation
 from annulus_green.summation import TABLE_COLUMNS, sum_series, sum_series_table
 
+_U = 2.0**-53
 
-def geometric(q, coeff=1.0):
+
+def geometric(q, coeff=1.0, rounding=0.0):
     """Exact geometric stream: term = coeff * q^m with its own envelope."""
-    m = 0
     term = coeff
     while True:
-        yield term, abs(term), q
+        yield term, abs(term), q, rounding
         term *= q
-        m += 1
 
 
 def test_geometric_series_value_and_tail():
@@ -52,10 +52,10 @@ def test_tail_safety_consumes_extra_terms():
 
 def test_envelope_monotonicity_enforced():
     def bad():
-        yield 1.0, 1.0, 0.5  # contracting from the start
-        yield 0.1, 2.0, 0.5  # envelope jumps back up: defect
+        yield 1.0, 1.0, 0.5, 0.0  # contracting from the start
+        yield 0.1, 2.0, 0.5, 0.0  # envelope jumps back up: defect
         while True:
-            yield 0.0, 0.0, 0.5
+            yield 0.0, 0.0, 0.5, 0.0
 
     with pytest.raises(TailEnvelopeError):
         sum_series(bad(), TruncationPolicy(abs_tol=1e-30, max_terms=100))
@@ -63,14 +63,19 @@ def test_envelope_monotonicity_enforced():
 
 @pytest.mark.parametrize(
     "bad",
-    [(math.inf, math.inf, 0.5), (math.nan, 1.0, 0.5), (1.0, math.inf, 0.5), (1.0, math.nan, 0.5)],
+    [
+        (math.inf, math.inf, 0.5, 0.0),
+        (math.nan, 1.0, 0.5, 0.0),
+        (1.0, math.inf, 0.5, 0.0),
+        (1.0, math.nan, 0.5, 0.0),
+    ],
 )
 def test_non_finite_term_or_envelope_is_an_error(bad):
     def stream():
-        yield 1.0, 1.0, 0.5
+        yield 1.0, 1.0, 0.5, 0.0
         yield bad
         while True:
-            yield 0.0, 0.0, 0.5
+            yield 0.0, 0.0, 0.5, 0.0
 
     with pytest.raises(TailEnvelopeError):
         sum_series(stream(), TruncationPolicy(abs_tol=1e-30, max_terms=100))
@@ -78,29 +83,43 @@ def test_non_finite_term_or_envelope_is_an_error(bad):
 
 def test_exhausted_stream_is_an_error():
     with pytest.raises(TailEnvelopeError):
-        sum_series(iter([(1.0, 1.0, math.inf)]), TruncationPolicy(abs_tol=0.0, max_terms=10))
+        sum_series(iter([(1.0, 1.0, math.inf, 0.0)]), TruncationPolicy(abs_tol=0.0, max_terms=10))
 
 
 def test_kahan_compensation_beats_naive():
     # many tiny terms after a large head: plain accumulation loses them
     def stream():
-        yield 1.0, 1.0, 0.999999
+        yield 1.0, 1.0, 0.999999, 0.0
         for _ in range(10_000):
-            yield 1e-18, 1e-18, 0.9
+            yield 1e-18, 1e-18, 0.9, 0.0
         while True:
-            yield 0.0, 0.0, 0.0
+            yield 0.0, 0.0, 0.0, 0.0
 
     res = sum_series(stream(), TruncationPolicy(abs_tol=0.0, max_terms=10_002))
     assert res.value == pytest.approx(1.0 + 1e-14, abs=3e-15)
+
+
+def test_rounding_allowances_join_the_tail_bound():
+    # the truncation tail plus u times the allowances of the rows consumed;
+    # the value, the stop and convergence ignore them
+    policy = TruncationPolicy(abs_tol=1e-12, max_terms=10_000)
+    plain = sum_series(geometric(0.5), policy)
+    rounded = sum_series(geometric(0.5, rounding=3.0), policy)
+    assert (rounded.value, rounded.terms_used, rounded.converged) == (
+        plain.value, plain.terms_used, plain.converged
+    )
+    assert rounded.tail_bound == plain.tail_bound + _U * (3.0 * plain.terms_used)
 
 
 # --- the column-wise twin -------------------------------------------------
 
 
 def _random_stream(rng, length):
-    """(term, envelope, ratio) rows whose certified tail wanders above and
-    below 1e-3, so that streaks start, break and restart; some streams
-    start with ratios >= 1, some grow their envelope, some hold a NaN/inf."""
+    """(term, envelope, ratio, rounding) rows whose certified tail wanders
+    above and below 1e-3, so that streaks start, break and restart; some
+    streams start with ratios >= 1, some grow their envelope, some hold a
+    NaN/inf.  The allowances span many binades, so that a change in the
+    order of their additions shows in the tail bound's last bits."""
     env = rng.uniform(0.5, 2.0) * np.cumprod(rng.uniform(0.2, 1.0, length))
     rho = rng.uniform(0.05, 0.995, length)
     rho[: rng.integers(0, 4)] = rng.uniform(1.0, 3.0)
@@ -109,7 +128,7 @@ def _random_stream(rng, length):
     term = env * rng.uniform(-1.0, 1.0, length)
     if rng.random() < 0.15:
         term[rng.integers(0, length)] = rng.choice([math.inf, -math.inf, math.nan])
-    return term, env, rho, rng.uniform(0.0, 1.0, length)
+    return term, env, rho, rng.uniform(0.0, 1.0, length) * 10.0 ** rng.integers(-3, 4, length)
 
 
 def _table(streams):
@@ -145,7 +164,7 @@ def _sum_in_chunks(modes, streams, policy):
 
 def _scalar(stream, policy):
     try:
-        return sum_series(zip(*stream[:3]), policy)
+        return sum_series(zip(*stream), policy)
     except TailEnvelopeError:
         return None
 
@@ -166,10 +185,11 @@ def test_table_columns_match_sum_series(seed, width, modes, tail_safety, max_ter
         with pytest.raises(TailEnvelopeError):
             _sum_in_chunks(modes, streams, policy)
         return
-    grid, rounding = _sum_in_chunks(modes, streams, policy)
+    grid = _sum_in_chunks(modes, streams, policy)
     for j, res in enumerate(scalars):
-        assert _row(grid, j) == res  # Kahan on the same rows gives the same double
-        assert rounding[j] == pytest.approx(math.fsum(streams[j][3][: res.terms_used]))
+        # the same rows in the same order: value, terms, tail bound and
+        # convergence agree bit for bit
+        assert _row(grid, j) == res
 
 
 def _stream(env, rho):
@@ -183,11 +203,12 @@ def test_streak_carries_across_chunk_edges():
     env = [1.0, 1.0, 1.0] + [1e-9] * 12
     stream = _stream(env, [0.5] * 15)
     policy = TruncationPolicy(abs_tol=1e-6, max_terms=100, tail_safety=3)
-    assert sum_series(zip(*stream[:3]), policy).terms_used == 6
+    res = sum_series(zip(*stream), policy)
+    assert res.terms_used == 6
+    assert res.tail_bound == 1e-9 + 6.0 * _U
     for modes in (1, 2, 4, 5):
-        grid, rounding = _sum_in_chunks(modes, [stream], policy)
-        assert grid.terms_used[0] == 6 and grid.converged[0]
-        assert rounding[0] == 6.0
+        grid = _sum_in_chunks(modes, [stream], policy)
+        assert _row(grid, 0) == res
 
 
 def test_faults_past_a_columns_stop_are_not_read():
@@ -197,8 +218,8 @@ def test_faults_past_a_columns_stop_are_not_read():
              np.full(4, 0.5), np.ones(4))
     second = _stream([1.0, 0.5, 0.25, 1e-9], [0.5] * 4)
     policy = TruncationPolicy(abs_tol=1e-6, max_terms=4, tail_safety=1)
-    grid, _ = _sum_in_chunks(4, [first, second], policy)
-    assert _row(grid, 0) == sum_series(zip(*first[:3]), policy)
+    grid = _sum_in_chunks(4, [first, second], policy)
+    assert _row(grid, 0) == sum_series(zip(*first), policy)
     assert grid.terms_used[0] == 2
     assert grid.terms_used[1] == 4 and grid.converged[1]
     with pytest.raises(TailEnvelopeError):
@@ -229,7 +250,7 @@ def test_table_is_read_in_bounded_blocks():
             m += modes
 
     policy = TruncationPolicy(abs_tol=1e-12, max_terms=100_000)
-    grid, _ = sum_series_table(table, width, policy)
+    grid = sum_series_table(table, width, policy)
     assert max(seen) == TABLE_COLUMNS
     for j in (0, TABLE_COLUMNS, width - 1):
         res = sum_series(geometric(float(np.linspace(0.1, 0.9, width)[j])), policy)
@@ -238,8 +259,8 @@ def test_table_is_read_in_bounded_blocks():
 
 
 def test_empty_table():
-    grid, rounding = sum_series_table(_table([]), 0, TruncationPolicy())
-    assert grid.value.size == 0 and rounding.size == 0
+    grid = sum_series_table(_table([]), 0, TruncationPolicy())
+    assert grid.value.size == 0
 
 
 def test_exhausted_table_is_an_error():
