@@ -172,16 +172,24 @@ class TruncationPolicy:
     """Controls series truncation: target tail bound plus hard term caps.
 
     ``tail_safety`` is the number of consecutive indices whose certified tail
-    bound must fall below ``abs_tol`` before summation stops.
+    bound must fall below the target before summation stops.  The target is
+    ``abs_tol``, or with ``rel_tol`` > 0 the larger of ``abs_tol`` and
+    ``rel_tol`` times the magnitude of the running value, the closed part of
+    a split series included (see summation.sum_series).  The default 0.0
+    keeps the absolute target; the grid summer sum_series_table refuses a
+    relative one.
     """
 
     abs_tol: float = 1e-10
     max_terms: int = 100_000
     tail_safety: int = 2
+    rel_tol: float = 0.0
 
     def __post_init__(self):
         if not (self.abs_tol >= 0.0) or not math.isfinite(self.abs_tol):
             raise DomainValidationError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
+        if not (self.rel_tol >= 0.0) or not math.isfinite(self.rel_tol):
+            raise DomainValidationError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
         if self.max_terms < 1:
             raise DomainValidationError(f"max_terms must be >= 1, got {self.max_terms!r}")
         if self.tail_safety < 1:
@@ -195,15 +203,17 @@ class EvalResult:
     ``tail_bound`` is a certified upper bound on the error of ``value``: the
     discarded remainder plus the rounding allowances that summation adds up
     over the terms it consumed, and for a split series the rounding of its
-    closed form.  ``green_eval`` and the Robin family (``robin_eval``, both
+    closed form.  ``green_eval``, the Robin family (``robin_eval``, both
     gradient series, ``critical_equation_eval`` and the three planar
-    ``robin2d_*``) count their rounding.  The other series still yield a
-    rounding allowance of 0.0 (``green_piecewise_eval``, the generating
-    series and the three ``newtonian_series_*``, ``harmonic_extension``), so
-    for them it bounds the discarded remainder only.
+    ``robin2d_*``), the generating series and the three
+    ``newtonian_series_*`` count their rounding.  The other series still
+    yield a rounding allowance of 0.0 (``green_piecewise_eval``,
+    ``harmonic_extension``), so for them it bounds the discarded remainder
+    only.
 
     ``converged`` refers to the truncation tail alone: it is set when the
-    discarded remainder met the policy's ``abs_tol``.  Where rounding is
+    discarded remainder met the policy's target, ``abs_tol`` or the relative
+    target of a policy with ``rel_tol`` > 0.  Where rounding is
     included, ``tail_bound`` can exceed ``abs_tol`` on a converged result.
     """
 

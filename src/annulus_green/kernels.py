@@ -6,12 +6,17 @@ plus the two-sphere Poisson kernel that extends continuous boundary data
 harmonically into the annulus.  All series carry certified geometric tail
 bounds built from |Z_m| <= dim of the degree-m harmonic space.  The three
 expansions sum specfun's generating series, |p - q|^(2-n) =
-|p|^(2-n) sum_m (|q|/|p|)^m P_m(t) for |q| < |p|.
+|p|^(2-n) sum_m (|q|/|p|)^m P_m(t) for |q| < |p|, and hand it the errors of
+its inputs, in units of the unit roundoff: a unit vector x / |x| errs by
+_norm_units + 1 per component, so the cosine t errs by the dot product's n
+plus both factors' errors (plus the division by |y| where y is not
+normalised); the ratio of radii and the power |p|^(2-n) inherit the norms'
+errors, and the power adds 2.  Their tail bounds therefore cover rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -106,6 +111,13 @@ def build_sphere_quadrature(degree: int) -> SphereQuadrature:
     )
 
 
+def _norm_units(n: int) -> float:
+    """Relative error bound of np.linalg.norm on an n-vector, in units of the
+    unit roundoff: the dot product's n halved by the square root, plus the
+    root's own rounding."""
+    return 0.5 * n + 1.0
+
+
 def newtonian_series_outer(
     geom: AnnulusGeometry, xi: ArrayLike, y: ArrayLike, policy: TruncationPolicy
 ) -> EvalResult:
@@ -123,7 +135,9 @@ def newtonian_series_outer(
     if s == 0.0:
         return EvalResult(value=1.0, terms_used=1, tail_bound=0.0, converged=True)
     t = _clamp_argument(float(xiv @ yv) / s)
-    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s), policy)
+    e = _norm_units(geom.n)
+    inputs = (geom.n + 2.0 * e + 3.0, e, 0.0)
+    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s, 1.0, inputs), policy)
 
 
 def newtonian_series_inner(
@@ -138,7 +152,9 @@ def newtonian_series_inner(
         raise SeriesDivergenceError(f"series diverges for |y| <= a, got |y| = {s}")
     t = _clamp_argument(float(xiv @ yv) / s)
     scale = s ** (2 - geom.n)
-    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, geom.a / s, scale), policy)
+    e = _norm_units(geom.n)
+    inputs = (geom.n + 2.0 * e + 3.0, e + 1.0, (geom.n - 2) * e + 2.0)
+    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, geom.a / s, scale, inputs), policy)
 
 
 def newtonian_series_exterior(
@@ -154,7 +170,9 @@ def newtonian_series_exterior(
         raise SeriesDivergenceError(f"series needs |x| > |y|, got |x| = {r}, |y| = {s}")
     t = _clamp_argument(float(xhat @ yhat))
     scale = r ** (2 - geom.n)
-    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s / r, scale), policy)
+    e = _norm_units(geom.n)
+    inputs = (geom.n + 2.0 * e + 2.0, 2.0 * e + 1.0, (geom.n - 2) * e + 2.0)
+    return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s / r, scale, inputs), policy)
 
 
 def poisson_coeff_b(geom: AnnulusGeometry, m: int, r: float) -> float:
@@ -253,10 +271,7 @@ def harmonic_extension(
             binom *= (n + m - 2) / (m + 1)
             m += 1
 
-    eff = TruncationPolicy(
-        abs_tol=policy.abs_tol, max_terms=mode_cap, tail_safety=policy.tail_safety
-    )
-    res = sum_series(rows(), eff)
+    res = sum_series(rows(), replace(policy, max_terms=mode_cap))
     if not res.converged and mode_cap < policy.max_terms:
         raise QuadratureDegreeError(
             f"truncation needs modes beyond degree {quad.max_exact_degree} "

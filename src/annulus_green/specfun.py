@@ -111,17 +111,41 @@ def gegenbauer_generating_sum(
     return sum_series(_generating_rows(lam, tc, r), policy)
 
 
-def _generating_rows(lam: float, t: float, r: float, scale: float = 1.0):
-    """Rows of scale * sum_m r^m P_m(t) for sum_series, scale > 0; their
-    rounding is not counted yet."""
+def _generating_rows(
+    lam: float, t: float, r: float, scale: float = 1.0, inputs=(0.0, 0.0, 0.0)
+):
+    """Rows of scale * sum_m r^m P_m(t) for sum_series, scale > 0.
+
+    ``inputs`` holds the errors the caller's arithmetic left in t (absolute),
+    r and scale (relative), in units of the unit roundoff.  Each row's
+    rounding allowance bounds its mode's rounding error to first order, in
+    those units, as a multiple of its envelope C(m+2lam-1, m) scale r^m >=
+    |P_m(t)| scale r^m.  The forward recurrence errs by less than
+    2 (m+1)^2 u C(m+2lam-1, m): measured against a 40-digit recurrence over
+    t in [-1, 1] and lam from 1/4 to 24, it reached at most 0.2 of that for
+    m <= 100 000, the default max_terms.  |dP_m/dt| <= (m+1)^2
+    C(m+2lam-1, m) turns the error of t into (m+1)^2 units more per unit.
+    The running power scale r^m errs by m roundings plus m times r's error
+    plus scale's, and the product and the compensated sum add 3.
+    """
+    t_units, r_units, scale_units = inputs
+    quad = 2.0 + t_units
+    # quad (m+1)^2 + (1 + r_units) m + 3 + scale_units units, advanced by its
+    # differences; every count is a multiple of 1/2, so the sums are exact
+    units = quad + 3.0 + scale_units
+    step = 3.0 * quad + 1.0 + r_units
+    curve = 2.0 * quad
     coeff = 1.0  # C(m + 2 lam - 1, m), the t = 1 polynomial value
     rp = scale
     m = 0
     for p in iter_gegenbauer(lam, t):
         crat = (m + 2.0 * lam) / (m + 1.0)
-        yield p * rp, coeff * rp, r * crat if crat > 1.0 else r, 0.0
+        env = coeff * rp
+        yield p * rp, env, r * crat if crat > 1.0 else r, env * units
         coeff *= crat
         rp *= r
+        units += step
+        step += curve
         m += 1
 
 

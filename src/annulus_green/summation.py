@@ -10,15 +10,25 @@ bounds the row's rounding error to first order, in units of u = 2^-53.
 Rounding enters a bound here alone: ``tail_bound`` is the truncation tail
 plus u times the rounding of the rows consumed, summed in row order, while
 stopping and ``converged`` judge the truncation tail.  The split remainders
-of green_eval and the Robin family count their rounding; the modes of
-green_piecewise_eval, the generating series (gegenbauer_generating_sum and
-the three newtonian_series_*) and harmonic_extension still yield 0.0.
+of green_eval and the Robin family and the generating series
+(gegenbauer_generating_sum and the three newtonian_series_*) count their
+rounding; the modes of green_piecewise_eval and harmonic_extension still
+yield 0.0.
+
+A tail is certified when it is at most the policy's target: ``abs_tol``, or
+with ``rel_tol`` > 0 the larger of ``abs_tol`` and ``rel_tol`` times
+|offset + running sum|, where ``offset`` is the closed part that a split
+series adds to its remainder.  A relative target lets a caller that only
+needs a sign or a few digits of a large value stop early.  The rule is
+chosen once per call, so a sum to an absolute target does no per-row work
+for it.
 
 sum_series reads one row at a time.  Its column-wise twin sum_series_table
 sums many series at once, one per column of a (modes x columns) table that
 arrives in chunks of a few modes, and stops each column on its own row by the
 same rule.  A grid of radii shares one mode loop that way, and no table is
-ever larger than one chunk of one column block.
+ever larger than one chunk of one column block.  It takes absolute targets
+only and refuses a policy with ``rel_tol`` > 0 rather than ignore it.
 """
 
 from __future__ import annotations
@@ -28,7 +38,13 @@ from typing import Callable, Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .core import EvalGrid, EvalResult, TailEnvelopeError, TruncationPolicy
+from .core import (
+    DomainValidationError,
+    EvalGrid,
+    EvalResult,
+    TailEnvelopeError,
+    TruncationPolicy,
+)
 
 # unit roundoff of binary64: a correctly rounded operation errs by at most
 # this much relative to its exact result
@@ -47,15 +63,19 @@ TABLE_COLUMNS = 2048
 _ENVELOPE_SLACK = 1.0 + 1e-9
 
 
-def sum_series(rows: Iterable[Row], policy: TruncationPolicy) -> EvalResult:
+def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.0) -> EvalResult:
     """Kahan-compensated summation with certified geometric tail bounds.
 
     Stops after ``policy.tail_safety`` consecutive indices whose certified
     tail is <= ``policy.abs_tol``, or when ``policy.max_terms`` terms have
-    been consumed (converged = False in that case).  A term or envelope that
-    is not a finite double raises TailEnvelopeError instead of poisoning the
-    sum.
+    been consumed (converged = False in that case).  With ``policy.rel_tol``
+    > 0 a tail also counts when it is <= rel_tol |offset + running sum|;
+    ``offset`` is the closed part of a split series, which the returned value
+    does not include.  A term or envelope that is not a finite double raises
+    TailEnvelopeError instead of poisoning the sum.
     """
+    if policy.rel_tol > 0.0:
+        return _sum_relative(rows, policy, offset)
     total = 0.0
     comp = 0.0
     used = 0
@@ -109,6 +129,63 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy) -> EvalResult:
     )
 
 
+def _sum_relative(rows: Iterable[Row], policy: TruncationPolicy, offset: float) -> EvalResult:
+    """sum_series's loop with the target max(abs_tol, rel_tol |offset + total|)
+    on each row, kept apart so that the absolute loop pays nothing for it."""
+    total = 0.0
+    comp = 0.0
+    used = 0
+    tail = math.inf
+    streak = 0
+    converged = False
+    contracting = False
+    prev_env = math.inf
+    units = 0.0
+
+    abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
+    isfinite = math.isfinite
+    slack = _ENVELOPE_SLACK
+    it = iter(rows)
+    while used < policy.max_terms:
+        try:
+            term, env, rho, rounding = next(it)
+        except StopIteration:
+            raise TailEnvelopeError(
+                "series stream exhausted before the policy allowed stopping"
+            ) from None
+
+        if not isfinite(term + env):
+            raise TailEnvelopeError(
+                f"non-finite term {term!r} or envelope {env!r} at index {used}"
+            )
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        units += rounding
+        used += 1
+
+        if contracting and env > prev_env * slack:
+            raise TailEnvelopeError(
+                f"tail envelope increased after contraction started (index {used - 1})"
+            )
+        if rho < 1.0:
+            contracting = True
+            tail = env * rho / (1.0 - rho)
+            if tail <= abs_tol or tail <= rel_tol * abs(offset + total):
+                streak += 1
+                if streak >= policy.tail_safety:
+                    converged = True
+                    break
+            else:
+                streak = 0
+        prev_env = env
+
+    return EvalResult(
+        value=total, terms_used=used, tail_bound=tail + _U * units, converged=converged
+    )
+
+
 def sum_series_table(
     table: Callable[[slice], Iterator[Chunk]],
     width: int,
@@ -130,8 +207,13 @@ def sum_series_table(
     added in row order.  A column therefore gets bit for bit the value, terms
     used, tail bound and convergence that sum_series gives for its stream
     alone.  Columns are summed in blocks of TABLE_COLUMNS, each with its own
-    ``table`` call.
+    ``table`` call.  A policy with ``rel_tol`` > 0 raises
+    DomainValidationError: the table has no relative target.
     """
+    if policy.rel_tol > 0.0:
+        raise DomainValidationError(
+            f"sum_series_table takes absolute targets only, got rel_tol = {policy.rel_tol!r}"
+        )
     value = np.zeros(width)
     terms = np.zeros(width, dtype=np.int64)
     tail = np.full(width, math.inf)

@@ -6,6 +6,7 @@ The new solver must end on the same adjacent-double pair, and so on the same
 root, in far fewer evaluations.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -14,10 +15,11 @@ import bisection_oracle
 from annulus_green import (
     AnnulusGeometry,
     BracketingError,
+    EvalResult,
     concentration_root,
     find_critical_point,
 )
-from annulus_green import critical
+from annulus_green import critical, green
 from annulus_green.green import robin2d_first, robin_radial_gradient
 
 SOLVER_TOL = 1e-12
@@ -36,9 +38,9 @@ def _seeded_geometries(count, seed=20261018):
 def _gradient(n, a):
     policy = critical._series_policy(None, SOLVER_TOL)
     if n == 2:
-        return critical._CountedSeries(lambda r: robin2d_first(a, r, policy))
+        return critical._CountedSeries(lambda r, p: robin2d_first(a, r, p), policy)
     geom = AnnulusGeometry(n, a)
-    return critical._CountedSeries(lambda r: robin_radial_gradient(geom, r, policy))
+    return critical._CountedSeries(lambda r, p: robin_radial_gradient(geom, r, p), policy)
 
 
 def test_same_adjacent_pair_as_bisection():
@@ -84,3 +86,128 @@ def test_concentration_root_is_the_same_root():
         geom = AnnulusGeometry(n, a)
         root = concentration_root(geom, None, SOLVER_TOL)
         assert root == find_critical_point(geom, None, SOLVER_TOL).r0
+
+
+# --- the relative sign target of the sweep and Brent-Dekker ---------------
+
+
+def _wide_geometries(count, seed=20261019):
+    """n = 2..7 and a across [0.02, 0.98], a tenth of them thin annuli."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        a = rng.uniform(0.9, 0.98) if i % 10 == 0 else rng.uniform(0.02, 0.98)
+        out.append((rng.randint(2, 7), a))
+    return out
+
+
+def _reported(report):
+    """Every field of a report except the evaluation and term counts."""
+    fields = dataclasses.asdict(report)
+    del fields["evaluations"], fields["phases"]
+    return fields
+
+
+def _solve_both(n, a, monkeypatch):
+    geom = AnnulusGeometry(n, a)
+    relaxed = find_critical_point(geom, None, SOLVER_TOL)
+    with monkeypatch.context() as patch:
+        patch.setattr(critical, "_SIGN_REL_TOL", 0.0)
+        absolute = find_critical_point(geom, None, SOLVER_TOL)
+    return relaxed, absolute
+
+
+def test_relative_sign_target_moves_no_reported_number(monkeypatch):
+    # the sweep and Brent only decide signs, and every number the report
+    # carries is summed to the absolute policy
+    draws = _seeded_geometries(120) + [SIGN_NOISE_CASE] + _wide_geometries(600)
+    pinned = 0
+    for n, a in draws:
+        relaxed, absolute = _solve_both(n, a, monkeypatch)
+        assert _reported(relaxed) == _reported(absolute), (n, a)
+        pinned += relaxed.certificate == "sign-pinned"
+    # the draw reaches the steep gradients of thin annuli too
+    assert pinned >= 10
+
+
+# 30 geometries for the term-count guard: five per dimension 2..7
+GUARD_GEOMETRIES = [(n, a) for n in range(2, 8) for a in (0.05, 0.3, 0.5, 0.7, 0.93)]
+
+
+def _terms(report):
+    return sum(phase.terms for phase in report.phases)
+
+
+def test_relative_sign_target_saves_a_quarter_of_the_terms(monkeypatch):
+    relaxed = absolute = 0
+    for n, a in GUARD_GEOMETRIES:
+        rel_report, abs_report = _solve_both(n, a, monkeypatch)
+        relaxed += _terms(rel_report)
+        absolute += _terms(abs_report)
+    assert relaxed <= 0.75 * absolute
+
+
+@pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2), (5, 0.93), (6, 0.8)])
+def test_phase_counts_add_up(n, a, monkeypatch):
+    # wrap the evaluators where critical looks them up, and count the terms
+    # they sum; the phases split exactly that work
+    summed = []
+
+    def counted(fn):
+        def wrapper(*args):
+            res = fn(*args)
+            summed.append(res.terms_used)
+            return res
+
+        return wrapper
+
+    for name in (
+        "robin_radial_gradient",
+        "robin_radial_gradient_derivative",
+        "robin2d_first",
+        "robin2d_second",
+    ):
+        monkeypatch.setattr(critical, name, counted(getattr(green, name)))
+    report = find_critical_point(AnnulusGeometry(n, a), None, SOLVER_TOL)
+    assert [p.phase for p in report.phases] == list(critical.PHASES)
+    assert sum(p.evaluations for p in report.phases) == report.evaluations == len(summed)
+    assert _terms(report) == sum(summed)
+    counts = {p.phase: p for p in report.phases}
+    assert counts["sweep"].evaluations >= 2
+    # the finite-difference pair and the slope series
+    assert counts["second_derivative"].evaluations == 3
+
+
+def _steep_line(relaxed_tail):
+    """fn(r, policy) for 1e6 (0.6 - r) + 1e-7, whose root lies between
+    doubles: a relaxed sum (rel_tol > 0) reports 1 term and a tail of
+    ``relaxed_tail`` times |value|, an absolute one 2 terms and no tail."""
+
+    def fn(r, policy):
+        value = 1e6 * (0.6 - r) + 1e-7
+        if policy.rel_tol > 0.0:
+            return EvalResult(value * (1.0 + 1e-3), 1, relaxed_tail * abs(value), True)
+        return EvalResult(value, 2, 0.0, True)
+
+    return fn
+
+
+def test_uncertain_relaxed_sign_is_summed_again():
+    # every relaxed result is too loose to fix a sign, so the sweep must
+    # fall back to absolute sums rather than give up
+    policy = critical._series_policy(None, SOLVER_TOL)
+    f = critical._CountedSeries(_steep_line(1.0), policy)
+    lo, res_lo, hi, res_hi, sign_lo = critical._sweep_bracket(f, 0.5, 1e-4)
+    assert (sign_lo, res_lo.terms_used, res_hi.terms_used) == (1, 2, 2)
+
+
+def test_brent_ends_are_settled_to_the_absolute_policy():
+    # on a steep line the relaxed values next to the root still exceed
+    # abs_tol / rel_tol, so Brent's final ends must be summed again
+    policy = critical._series_policy(None, SOLVER_TOL)
+    f = critical._CountedSeries(_steep_line(1e-3), policy)
+    lo, res_lo, hi, res_hi, _ = critical._sweep_bracket(f, 0.5, 1e-4)
+    assert (res_lo.terms_used, res_hi.terms_used) == (1, 1)
+    p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi)
+    assert p < q and res_p.value > 0.0 > res_q.value
+    assert (res_p.terms_used, res_q.terms_used) == (2, 2)

@@ -1,11 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from annulus_green import EvalResult, TailEnvelopeError, TruncationPolicy, summation
+from annulus_green import (
+    DomainValidationError,
+    EvalResult,
+    TailEnvelopeError,
+    TruncationPolicy,
+    summation,
+)
 from annulus_green.summation import TABLE_COLUMNS, sum_series, sum_series_table
 
 _U = 2.0**-53
@@ -111,6 +118,73 @@ def test_rounding_allowances_join_the_tail_bound():
     assert rounded.tail_bound == plain.tail_bound + _U * (3.0 * plain.terms_used)
 
 
+# --- the relative target ---------------------------------------------------
+
+
+def test_relative_target_counts_the_offset():
+    # tail after row m is 0.5^m and the running sum 2 - 0.5^m
+    policy = TruncationPolicy(abs_tol=1e-12, max_terms=1000, rel_tol=1e-3)
+    absolute = sum_series(geometric(0.5), replace(policy, rel_tol=0.0))
+    assert absolute.terms_used == 42
+    # target 1e-3 (2 - 0.5^m): rows 9 and 10 certify
+    alone = sum_series(geometric(0.5), policy)
+    assert (alone.terms_used, alone.converged) == (11, True)
+    # a closed part of 1000 raises the target to about 1: rows 0 and 1
+    shifted = sum_series(geometric(0.5), policy, offset=1000.0)
+    assert (shifted.terms_used, shifted.converged) == (2, True)
+    # the value is the series alone, without the offset
+    assert shifted.value == 1.5
+    assert shifted.tail_bound == 0.5
+
+
+def test_relative_target_resets_the_streak():
+    # tail = envelope * 0.05 / 0.95 = 0.526 on every row; with rel_tol 0.1 it
+    # certifies while |offset + sum| = 10 and not on row 1, where it is 0.5
+    rows = [(0.0, 10.0, 0.05, 0.0), (-9.5, 10.0, 0.05, 0.0), (9.5, 10.0, 0.05, 0.0)]
+    rows += [(0.0, 10.0, 0.05, 0.0)] * 10
+    policy = TruncationPolicy(abs_tol=1e-6, max_terms=100, tail_safety=2, rel_tol=0.1)
+    res = sum_series(rows, policy, offset=10.0)
+    assert (res.value, res.terms_used, res.converged) == (0.0, 4, True)
+    # without the dip the streak completes on row 1
+    flat = [(0.0, 10.0, 0.05, 0.0)] * 10
+    assert sum_series(flat, policy, offset=10.0).terms_used == 2
+
+
+def test_relative_target_obeys_max_terms():
+    policy = TruncationPolicy(abs_tol=0.0, max_terms=7, tail_safety=1, rel_tol=1e-9)
+    res = sum_series(geometric(0.9), policy, offset=5.0)
+    assert (res.terms_used, res.converged) == (7, False)
+    assert res.value == sum_series(geometric(0.9), replace(policy, rel_tol=0.0)).value
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tail_safety=st.integers(min_value=1, max_value=4),
+    max_terms=st.integers(min_value=1, max_value=80),
+    offset=st.floats(min_value=-1e3, max_value=1e3),
+)
+def test_absolute_rule_ignores_the_offset(seed, tail_safety, max_terms, offset):
+    # rel_tol = 0 takes no notice of the offset, and the relative loop with a
+    # target too small ever to govern gives the same results bit for bit
+    stream = _random_stream(np.random.default_rng(seed), 60)
+    policy = TruncationPolicy(abs_tol=1e-3, max_terms=max_terms, tail_safety=tail_safety)
+    plain = _scalar(stream, policy)
+    assert _scalar(stream, policy, offset) == plain
+    assert _scalar(stream, replace(policy, rel_tol=1e-300), offset) == plain
+
+
+@pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+def test_policy_rejects_a_bad_rel_tol(bad):
+    with pytest.raises(DomainValidationError):
+        TruncationPolicy(rel_tol=bad)
+
+
+def test_table_refuses_a_relative_target():
+    stream = _stream([1.0, 0.5], [0.5, 0.5])
+    with pytest.raises(DomainValidationError):
+        sum_series_table(_table([stream]), 1, TruncationPolicy(rel_tol=1e-3))
+
+
 # --- the column-wise twin -------------------------------------------------
 
 
@@ -162,9 +236,9 @@ def _sum_in_chunks(modes, streams, policy):
         return sum_series_table(_table(streams), len(streams), policy)
 
 
-def _scalar(stream, policy):
+def _scalar(stream, policy, offset=0.0):
     try:
-        return sum_series(zip(*stream), policy)
+        return sum_series(zip(*stream), policy, offset)
     except TailEnvelopeError:
         return None
 
