@@ -81,8 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_n: int = 3) -> None:
-        p.add_argument("--n", type=int, default=default_n, help="space dimension")
+    def output(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n", type=int, default=3, help="space dimension")
         p.add_argument("--a", type=float, default=0.5, help="inner radius in (0, 1)")
         p.add_argument("--tol", type=float, default=1e-10, help="target absolute tail bound")
         p.add_argument("--max-terms", type=int, default=100_000, help="series term cap")
@@ -92,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=2,
             help="consecutive certified-tail successes required before stopping",
         )
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+        output(p)
 
     p_green = sub.add_parser("eval-green", help="evaluate the Green function at a pair")
     common(p_green)
@@ -122,8 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_verify = sub.add_parser("verify", help="run the verification suites")
-    common(p_verify)
+    p_verify = sub.add_parser(
+        "verify", help="run the verification suites, each check at its own truncation policy"
+    )
+    output(p_verify)
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p_verify.add_argument(
         "--suite",
@@ -131,14 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES),
         help="restrict to the named suite (repeatable; default all)",
     )
-    p_verify.add_argument(
-        "--default-policy",
-        action="store_true",
-        help="let each suite pick its own truncation policy instead of --tol/--max-terms",
-    )
 
     p_grid = sub.add_parser("export-grid", help="export plot data over a radial grid")
-    common(p_grid, default_n=3)
+    common(p_grid)
     p_grid.add_argument(
         "quantity", choices=("green-slice", "robin", "gradient", "modal-coefficient")
     )
@@ -288,8 +288,7 @@ def _cmd_critical_point(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    policy = None if args.default_policy else _policy_from(args)
-    results = run_suites(args.suite, seed=args.seed, policy=policy)
+    results = run_suites(args.suite, seed=args.seed)
     summary = render_summary(results, args.seed)
     _emit(args, summary)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL

@@ -448,12 +448,15 @@ def find_critical_point(
     )
 
 
+# Newton steps refine_critical_point takes before it judges the residual
+_NEWTON_MAX_ITER = 30
+
+
 def refine_critical_point(
     geom: AnnulusGeometry,
     r_start: float,
     policy: TruncationPolicy | None = None,
     solver_tol: float = 1e-12,
-    max_iter: int = 30,
 ) -> float:
     """Derivative-based refinement of a critical-radius estimate.
 
@@ -475,7 +478,7 @@ def refine_critical_point(
     r = float(r_start)
     if not (a < r < 1.0):
         raise DomainValidationError(f"start {r} outside the open gap ({a}, 1)")
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         fv = fun(r)
         if abs(fv) <= solver_tol:
             return r
@@ -525,7 +528,6 @@ def count_gradient_sign_changes(
     geom: AnnulusGeometry,
     policy: TruncationPolicy | None = None,
     num: int = 2000,
-    standoff_factor: float = DEFAULT_STANDOFF_FACTOR,
 ) -> tuple[int, list[float]]:
     """Count sign changes of the radial gradient on a standoff grid, evaluated
     as one table.
@@ -538,7 +540,7 @@ def count_gradient_sign_changes(
         raise DomainValidationError(f"need at least 3 grid points, got {num!r}")
     pol = policy if policy is not None else TruncationPolicy(abs_tol=1e-8)
     a = geom.a
-    delta = standoff_factor * (1.0 - a)
+    delta = DEFAULT_STANDOFF_FACTOR * (1.0 - a)
     lo = a + delta
     hi = 1.0 - delta
     step = (hi - lo) / (num - 1)

@@ -200,16 +200,17 @@ def harmonic_extension(
     data: BoundaryData,
     x: ArrayLike,
     policy: TruncationPolicy,
-    quad: SphereQuadrature | None = None,
+    quad: SphereQuadrature,
 ) -> EvalResult:
     """Harmonic extension of two-sphere boundary data, evaluated at interior x.
 
-    Sums the Poisson-kernel modes against quadrature approximations of the
-    boundary integrals; the built-in quadrature (n = 3 only) is sized to the
-    policy mode cap as degree 2*(max_terms - 1) + 2, which makes the zonal
-    integrands it actually sums exact.  The certified tail envelope uses the
-    sampled sup of |data| and so only reflects series truncation; quadrature
-    exactness is the caller's contract via ``max_exact_degree``.
+    Sums the Poisson-kernel modes against the caller's quadrature ``quad`` of
+    the boundary integrals, whose dimension must be geom.n.  A rule exact to
+    degree 2M + 2 integrates mode M's zonal integrands exactly, so at most
+    (max_exact_degree - 2) // 2 + 1 modes are summed, and a series that needs
+    more raises QuadratureDegreeError; build_sphere_quadrature(2 * (M - 1) + 2)
+    covers M modes for n = 3.  The certified tail envelope uses the sampled
+    sup of |data| and so only reflects series truncation.
     """
     geom.require_series_dim()
     xv = geom.point(x)
@@ -217,12 +218,6 @@ def harmonic_extension(
     if not (geom.a < r < 1.0):
         raise DomainValidationError(f"evaluation point must be interior, got |x| = {r}")
 
-    if quad is None:
-        if geom.n != 3:
-            raise DomainValidationError(
-                "the built-in quadrature covers n = 3 only; pass quad= for other dimensions"
-            )
-        quad = build_sphere_quadrature(2 * (policy.max_terms - 1) + 2)
     if quad.dim != geom.n:
         raise DomainValidationError("quadrature dimension does not match the geometry")
 

@@ -19,9 +19,8 @@ A tail is certified when it is at most the policy's target: ``abs_tol``, or
 with ``rel_tol`` > 0 the larger of ``abs_tol`` and ``rel_tol`` times
 |offset + running sum|, where ``offset`` is the closed part that a split
 series adds to its remainder.  A relative target lets a caller that only
-needs a sign or a few digits of a large value stop early.  The rule is
-chosen once per call, so a sum to an absolute target does no per-row work
-for it.
+needs a sign or a few digits of a large value stop early.  With rel_tol = 0
+the relative test is skipped on every row.
 
 sum_series reads one row at a time.  Its column-wise twin sum_series_table
 sums many series at once, one per column of a (modes x columns) table that
@@ -74,8 +73,6 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.
     does not include.  A term or envelope that is not a finite double raises
     TailEnvelopeError instead of poisoning the sum.
     """
-    if policy.rel_tol > 0.0:
-        return _sum_relative(rows, policy, offset)
     total = 0.0
     comp = 0.0
     used = 0
@@ -86,10 +83,11 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.
     prev_env = math.inf
     units = 0.0
 
+    abs_tol, rel_tol, max_terms = policy.abs_tol, policy.rel_tol, policy.max_terms
     isfinite = math.isfinite
     slack = _ENVELOPE_SLACK
     it = iter(rows)
-    while used < policy.max_terms:
+    while used < max_terms:
         try:
             term, env, rho, rounding = next(it)
         except StopIteration:
@@ -115,64 +113,7 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.
         if rho < 1.0:
             contracting = True
             tail = env * rho / (1.0 - rho)
-            if tail <= policy.abs_tol:
-                streak += 1
-                if streak >= policy.tail_safety:
-                    converged = True
-                    break
-            else:
-                streak = 0
-        prev_env = env
-
-    return EvalResult(
-        value=total, terms_used=used, tail_bound=tail + _U * units, converged=converged
-    )
-
-
-def _sum_relative(rows: Iterable[Row], policy: TruncationPolicy, offset: float) -> EvalResult:
-    """sum_series's loop with the target max(abs_tol, rel_tol |offset + total|)
-    on each row, kept apart so that the absolute loop pays nothing for it."""
-    total = 0.0
-    comp = 0.0
-    used = 0
-    tail = math.inf
-    streak = 0
-    converged = False
-    contracting = False
-    prev_env = math.inf
-    units = 0.0
-
-    abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
-    isfinite = math.isfinite
-    slack = _ENVELOPE_SLACK
-    it = iter(rows)
-    while used < policy.max_terms:
-        try:
-            term, env, rho, rounding = next(it)
-        except StopIteration:
-            raise TailEnvelopeError(
-                "series stream exhausted before the policy allowed stopping"
-            ) from None
-
-        if not isfinite(term + env):
-            raise TailEnvelopeError(
-                f"non-finite term {term!r} or envelope {env!r} at index {used}"
-            )
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        units += rounding
-        used += 1
-
-        if contracting and env > prev_env * slack:
-            raise TailEnvelopeError(
-                f"tail envelope increased after contraction started (index {used - 1})"
-            )
-        if rho < 1.0:
-            contracting = True
-            tail = env * rho / (1.0 - rho)
-            if tail <= abs_tol or tail <= rel_tol * abs(offset + total):
+            if tail <= abs_tol or (rel_tol and tail <= rel_tol * abs(offset + total)):
                 streak += 1
                 if streak >= policy.tail_safety:
                     converged = True

@@ -1,11 +1,12 @@
 """Seeded verification suites: every module invariant as a pass/fail check.
 
 This is the one place where an invariant, its tolerance and its sample size
-are written down.  The ``verify`` subcommand runs the suites at any seed, and
-the tier-1 tests run each of them at a fixed seed.  The oracles (direct
-distance formulas, the two-point modal construction, finite differences, the
-reflection ball kernel, dense grid scans) are independent of the series code
-they check.
+are written down.  Each check runs at the truncation policy written beside
+it, and no caller can replace that policy.  The ``verify`` subcommand runs
+the suites at any seed, and the tier-1 tests run each of them at a fixed
+seed.  The oracles (direct distance formulas, the two-point modal
+construction, finite differences, the reflection ball kernel, dense grid
+scans) are independent of the series code they check.
 
 Each suite draws its randomness from a generator seeded by (seed, suite
 index), so summaries are byte-identical across runs with the same seed and
@@ -114,19 +115,13 @@ def unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
             return v / norm
 
 
-def _policy(policy: TruncationPolicy | None, abs_tol: float, max_terms: int) -> TruncationPolicy:
-    if policy is not None:
-        return policy
-    return TruncationPolicy(abs_tol=abs_tol, max_terms=max_terms)
-
-
 # ---------------------------------------------------------------------------
 # suites
 
 
-def suite_special_functions(rng: np.random.Generator, policy: TruncationPolicy | None) -> SuiteResult:
+def suite_special_functions(rng: np.random.Generator) -> SuiteResult:
     out = SuiteResult("special-functions")
-    pol = _policy(policy, 1e-11, 5000)
+    pol = TruncationPolicy(abs_tol=1e-11, max_terms=5000)
 
     for lam in (0.5, 1.0, 1.5, 2.5):
         for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
@@ -163,9 +158,9 @@ def suite_special_functions(rng: np.random.Generator, policy: TruncationPolicy |
     return out
 
 
-def suite_distance_series(rng: np.random.Generator, policy: TruncationPolicy | None) -> SuiteResult:
+def suite_distance_series(rng: np.random.Generator) -> SuiteResult:
     out = SuiteResult("distance-series")
-    pol = _policy(policy, 1e-12, 50_000)
+    pol = TruncationPolicy(abs_tol=1e-12, max_terms=50_000)
     a = 0.4
     for n in (3, 4, 5):
         geom = AnnulusGeometry(n, a)
@@ -193,10 +188,10 @@ def suite_distance_series(rng: np.random.Generator, policy: TruncationPolicy | N
     return out
 
 
-def suite_poisson_extension(rng: np.random.Generator, policy: TruncationPolicy | None) -> SuiteResult:
+def suite_poisson_extension(rng: np.random.Generator) -> SuiteResult:
     out = SuiteResult("poisson-extension")
     geom = AnnulusGeometry(3, 0.5)
-    pol = _policy(policy, 1e-9, 48)
+    pol = TruncationPolicy(abs_tol=1e-9, max_terms=48)
     quad = build_sphere_quadrature(2 * (pol.max_terms - 1) + 2)
     span = 1.0 - geom.a
 
@@ -264,9 +259,9 @@ def _neville(xs, vals) -> float:
     return tab[-1]
 
 
-def suite_green_function(rng: np.random.Generator, policy: TruncationPolicy | None) -> SuiteResult:
+def suite_green_function(rng: np.random.Generator) -> SuiteResult:
     out = SuiteResult("green-function")
-    pol = _policy(policy, 1e-9, 200_000)
+    pol = TruncationPolicy(abs_tol=1e-9, max_terms=200_000)
 
     for n in (3, 4):
         for a in (0.3, 0.5):
@@ -286,7 +281,7 @@ def suite_green_function(rng: np.random.Generator, policy: TruncationPolicy | No
 
     geom = AnnulusGeometry(3, 0.5)
     span = 0.5
-    tight = _policy(policy, 1e-12, 200_000)
+    tight = TruncationPolicy(abs_tol=1e-12, max_terms=200_000)
 
     def interior(margin=0.02):
         return rng.uniform(geom.a + margin * span, 1.0 - margin * span) * unit_vector(rng, 3)
@@ -313,7 +308,7 @@ def suite_green_function(rng: np.random.Generator, policy: TruncationPolicy | No
         out.check(err <= g1.tail_bound + g2.tail_bound + 1e-12, err, "path agreement")
 
     # regular part is harmonic: discrete Laplacian of G - fundamental solution
-    vtight = _policy(policy, 1e-13, 200_000)
+    vtight = TruncationPolicy(abs_tol=1e-13, max_terms=200_000)
     h = 1e-3
     for _ in range(50):
         x = rng.uniform(geom.a + 0.15 * span, 1.0 - 0.15 * span) * unit_vector(rng, 3)
@@ -335,7 +330,7 @@ def suite_green_function(rng: np.random.Generator, policy: TruncationPolicy | No
     return out
 
 
-def suite_modal_oracle(rng: np.random.Generator, policy: TruncationPolicy | None) -> SuiteResult:
+def suite_modal_oracle(rng: np.random.Generator) -> SuiteResult:
     out = SuiteResult("modal-oracle")
 
     for n, a in ((3, 0.5), (4, 0.3)):
@@ -373,7 +368,7 @@ def suite_modal_oracle(rng: np.random.Generator, policy: TruncationPolicy | None
     x = np.array([0.5, 0.0, 0.0])
     y = np.array([0.3, 0.2, 0.0])
     ref = ball_green_closed_form(3, x, y)
-    pol = _policy(policy, 1e-13, 200_000)
+    pol = TruncationPolicy(abs_tol=1e-13, max_terms=200_000)
     radii = (0.1, 0.03, 0.01)
     errs = [abs(green_eval(AnnulusGeometry(3, a), x, y, pol).value - ref) for a in radii]
     out.check(errs[0] > errs[1] > errs[2], 0.0, "ball limit monotone")
@@ -385,9 +380,9 @@ def suite_modal_oracle(rng: np.random.Generator, policy: TruncationPolicy | None
     return out
 
 
-def suite_robin_derivatives(rng: np.random.Generator, policy: TruncationPolicy | None) -> SuiteResult:
+def suite_robin_derivatives(rng: np.random.Generator) -> SuiteResult:
     out = SuiteResult("robin-derivatives")
-    pol = _policy(policy, 1e-12, 200_000)
+    pol = TruncationPolicy(abs_tol=1e-12, max_terms=200_000)
     h = 1e-4
 
     for n, a in ((3, 0.5), (4, 0.3)):
@@ -415,7 +410,7 @@ def suite_robin_derivatives(rng: np.random.Generator, policy: TruncationPolicy |
 
     # divergence toward the outer sphere
     geom = AnnulusGeometry(3, 0.5)
-    wide = _policy(policy, 1e-8, 500_000)
+    wide = TruncationPolicy(abs_tol=1e-8, max_terms=500_000)
     v1 = robin_eval(geom, 1.0 - 9e-4, wide).value
     v2 = robin_eval(geom, 1.0 - 4.5e-4, wide).value
     out.check(v1 < -10.0 and v2 < v1, max(0.0, v1 + 10.0), "outer blowup")
@@ -466,10 +461,9 @@ def suite_robin_derivatives(rng: np.random.Generator, policy: TruncationPolicy |
     return out
 
 
-def suite_critical_point(rng: np.random.Generator, policy: TruncationPolicy | None) -> SuiteResult:
+def suite_critical_point(rng: np.random.Generator) -> SuiteResult:
     out = SuiteResult("critical-point")
-    pol = _policy(policy, 1e-12, 200_000)
-    scan_pol = _policy(policy, 1e-12, 200_000)
+    pol = TruncationPolicy(abs_tol=1e-12, max_terms=200_000)
 
     for n, a, kind in ((2, 0.2, "min"), (3, 0.5, "max"), (4, 0.3, "max")):
         geom = AnnulusGeometry(n, a)
@@ -501,9 +495,9 @@ def suite_critical_point(rng: np.random.Generator, policy: TruncationPolicy | No
 
             span = 1.0 - a
             if n >= 3:
-                fn = lambda r: robin_eval_grid(geom, r, scan_pol).value
+                fn = lambda r: robin_eval_grid(geom, r, pol).value
             else:
-                fn = lambda r: robin2d_eval_grid(a, r, scan_pol).value
+                fn = lambda r: robin2d_eval_grid(a, r, pol).value
             r_scan, _ = grid_scan_extremum(
                 fn, a + 0.05 * span, 1.0 - 0.05 * span, 100_000, kind=kind
             )
@@ -522,7 +516,7 @@ def suite_critical_point(rng: np.random.Generator, policy: TruncationPolicy | No
     return out
 
 
-SUITES: dict[str, Callable[[np.random.Generator, TruncationPolicy | None], SuiteResult]] = {
+SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
     "special-functions": suite_special_functions,
     "distance-series": suite_distance_series,
     "poisson-extension": suite_poisson_extension,
@@ -533,11 +527,7 @@ SUITES: dict[str, Callable[[np.random.Generator, TruncationPolicy | None], Suite
 }
 
 
-def run_suites(
-    names: list[str] | None = None,
-    seed: int = 0,
-    policy: TruncationPolicy | None = None,
-) -> list[SuiteResult]:
+def run_suites(names: list[str] | None = None, seed: int = 0) -> list[SuiteResult]:
     selected = list(SUITES) if not names else names
     order = {name: i for i, name in enumerate(SUITES)}
     results = []
@@ -545,7 +535,7 @@ def run_suites(
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         rng = np.random.default_rng([seed, order[name]])
-        results.append(SUITES[name](rng, policy))
+        results.append(SUITES[name](rng))
     return results
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from annulus_green import AnnulusGeometry, refine_critical_point
+from annulus_green import AnnulusGeometry, EvalResult, refine_critical_point
 from annulus_green import cli
 from annulus_green.cli import main
 
@@ -200,16 +200,16 @@ class TestCachedParser:
 class TestVerifyCommand:
     def test_seeded_runs_are_byte_identical(self, capsys):
         code1, out1 = run_cli(
-            capsys, "verify", "--seed", "7", "--default-policy", "--suite", "distance-series"
+            capsys, "verify", "--seed", "7", "--suite", "distance-series"
         )
         code2, out2 = run_cli(
-            capsys, "verify", "--seed", "7", "--default-policy", "--suite", "distance-series"
+            capsys, "verify", "--seed", "7", "--suite", "distance-series"
         )
         assert code1 == code2 == 0
         assert out1 == out2
 
     def test_repeated_suite_flag_prints_one_line_per_suite(self, capsys):
-        verify = ("verify", "--seed", "7", "--default-policy")
+        verify = ("verify", "--seed", "7")
         code, out = run_cli(
             capsys, *verify, "--suite", "distance-series", "--suite", "special-functions"
         )
@@ -238,12 +238,36 @@ class TestVerifyCommand:
         assert run_cli(capsys, *argv)[0] == 0
         assert run_cli(capsys, *argv, "--seed", "7")[0] == 2
 
-    def test_starved_policy_exits_1(self, capsys):
-        code, out = run_cli(
-            capsys, "verify", "--seed", "7", "--max-terms", "2", "--suite", "distance-series"
+    def test_out_writes_the_printed_summary(self, capsys, tmp_path):
+        path = tmp_path / "summary.txt"
+        argv = ("verify", "--seed", "7", "--suite", "special-functions")
+        code, out = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "")
+        assert path.read_bytes() == out.encode()
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        wrong = EvalResult(value=-1.0, terms_used=1, tail_bound=0.0, converged=True)
+        monkeypatch.setattr(
+            "annulus_green.verify.newtonian_series_outer", lambda *args: wrong
         )
+        code, out = run_cli(capsys, "verify", "--seed", "7", "--suite", "distance-series")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ("--default-policy",),
+            ("--tol", "1e-6"),
+            ("--max-terms", "2"),
+            ("--tail-safety", "1"),
+            ("--n", "4"),
+            ("--a", "0.3"),
+        ],
+    )
+    def test_policy_options_are_refused(self, capsys, option):
+        argv = ("verify", "--seed", "7", "--suite", "special-functions")
+        assert run_cli(capsys, *argv, *option)[0] == 2
 
 
 class TestExportGrid:

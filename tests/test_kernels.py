@@ -199,11 +199,11 @@ class TestHarmonicExtension:
         with pytest.raises(DomainValidationError):
             harmonic_extension(self.GEOM, bad, np.array([0.7, 0.0, 0.0]), self.POL, quad)
 
-    def test_needs_quadrature_outside_three_dimensions(self):
+    def test_rejects_quadrature_of_another_dimension(self, quad):
         geom4 = AnnulusGeometry(4, 0.5)
         ones = BoundaryData(outer=lambda v: 1.0, inner=lambda v: 1.0)
-        with pytest.raises(DomainValidationError):
-            harmonic_extension(geom4, ones, np.array([0.7, 0.0, 0.0, 0.0]), self.POL)
+        with pytest.raises(DomainValidationError, match="quadrature dimension"):
+            harmonic_extension(geom4, ones, np.array([0.7, 0.0, 0.0, 0.0]), self.POL, quad)
 
     def test_rejects_boundary_point(self, quad):
         ones = BoundaryData(outer=lambda v: 1.0, inner=lambda v: 1.0)

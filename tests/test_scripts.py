@@ -1,0 +1,37 @@
+"""Smoke tests of the example scripts, each run in-process as ``__main__``."""
+
+import csv
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return exc.value.code
+
+
+def test_robin_profile_writes_its_csv(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "profile.csv"
+    code = run_script(monkeypatch, "robin_profile.py", "--points", "40", "--out", str(path))
+    assert code == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["r", "robin", "robin_tail", "radial_gradient", "gradient_tail"]
+    assert len(rows) == 41
+    out = capsys.readouterr().out
+    assert out.startswith("critical radius r0 = ")
+    assert f"wrote 40 rows to {path}" in out
+
+
+def test_ball_limit_study_fits_its_constant(monkeypatch, capsys):
+    assert run_script(monkeypatch, "ball_limit_study.py") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ball Green value: ")
+    assert lines[-1].startswith("fitted constant C = ")

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from annulus_green import TruncationPolicy
+from annulus_green import EvalResult, verify
 from annulus_green.verify import SUITES, SuiteResult, render_summary, run_suites
 
 # Tier-1 runs every suite at this seed.  The check counts are pinned, so a
@@ -167,11 +167,18 @@ def test_seed_changes_draws():
     assert r1[0].worst != r2[0].worst
 
 
-def test_starved_policy_reports_failures():
-    starved = TruncationPolicy(abs_tol=1e-12, max_terms=2, tail_safety=1)
-    res = run_suites(["distance-series"], seed=0, policy=starved)[0]
+def wrong_outer_series(*args):
+    """A stand-in for newtonian_series_outer: a negative value, which a
+    distance power never is, claimed exact with a zero tail."""
+    return EvalResult(value=-1.0, terms_used=1, tail_bound=0.0, converged=True)
+
+
+def test_wrong_series_reports_failures(monkeypatch):
+    monkeypatch.setattr(verify, "newtonian_series_outer", wrong_outer_series)
+    res = run_suites(["distance-series"], seed=0)[0]
     assert not res.passed
-    assert res.failures > 0
+    # every outer check fails, 250 for each of n = 3, 4, 5, and no other
+    assert res.failures == 750
     assert any("FAIL" in note for note in res.notes)
 
 
