@@ -211,6 +211,10 @@ class EvalResult:
     ``harmonic_extension``), so for them it bounds the discarded remainder
     only.
 
+    ``terms_used`` counts the terms summed.  Where the Robin family takes its
+    image route in a thin annulus (see annulus_green.green), those are the
+    head modes plus the image rows, each row standing for every deeper mode.
+
     ``converged`` refers to the truncation tail alone: it is set when the
     discarded remainder met the policy's target, ``abs_tol`` or the relative
     target of a policy with ``rel_tol`` > 0.  Where rounding is

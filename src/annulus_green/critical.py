@@ -16,10 +16,12 @@ evidence rather than assumption, and the evaluations and terms of each phase.
 The sweep and Brent-Dekker only decide signs, so they sum each gradient to a
 relative target: until its tail is within _SIGN_REL_TOL of its value, or
 abs_tol if that is larger (see summation.sum_series).  That saves the deep
-modes of the large values away from the root.  A certain sign of a
-relaxed result is the sign of the true value, and a relaxed result whose
-sign is not certain is summed again to the absolute policy, so the sweep
-stops, and raises BracketingError, where an absolute sweep does.
+modes of the large values away from the root.  Brent's iterates tighten the
+target to the relative size of the step that reached them, so that its
+interpolation reads values as accurate as its steps are short.  A certain
+sign of a relaxed result is the sign of the true value, and a relaxed result
+whose sign is not certain is summed again to the absolute policy, so the
+sweep stops, and raises BracketingError, where an absolute sweep does.
 Bisection, the sign-pinned certificate, the finite-difference pair and the
 slope series keep the absolute policy, and so do Brent's final ends, which
 bisection reuses.  Every number the report carries (r0, bracket, residual,
@@ -110,12 +112,12 @@ class _CountedSeries:
     """Wraps a series evaluator fn(r, policy), counting its evaluations and
     their terms per phase of PHASES; ``phase`` names the current one.
 
-    ``result`` sums to the absolute policy.  ``sign_result`` sums to the
-    relative target _SIGN_REL_TOL.  Where that target cannot have stopped the
-    sum early (the sum ran to max_terms, or rel |value| stayed below
-    abs_tol on every row of the stopping streak) the result is the absolute
-    one; otherwise it is kept where its sign is certain and replaced by
-    ``result`` where not.  ``settled`` swaps a kept relaxed result for the
+    ``result`` sums to the absolute policy.  ``sign_result`` sums to a
+    relative target, _SIGN_REL_TOL or a smaller one.  Where that target
+    cannot have stopped the sum early (the sum ran to max_terms, or
+    rel |value| stayed below abs_tol on every row of the stopping streak) the
+    result is the absolute one; otherwise it is kept where its sign is
+    certain and replaced by ``result`` where not.  ``settled`` swaps a kept relaxed result for the
     absolute one.  ``scale`` is |fn's value| over |its running sum|, for an
     evaluator that scales its series.
     """
@@ -129,13 +131,8 @@ class _CountedSeries:
         self._fn = fn
         self._policy = policy
         self._sign_policy = replace(policy, rel_tol=_SIGN_REL_TOL)
-        # a term is at most the tail certified on the row before it, so the
-        # running sum moves by at most the larger of abs_tol and rel |sum| per
-        # row; where rel |final sum| is at most this, rel |sum| <= abs_tol held
-        # on every row of the stopping streak, and the relaxed sum stopped
-        # where the absolute one does (one spare rel covers rounding)
-        share = max(0.0, 1.0 - policy.tail_safety * _SIGN_REL_TOL)
-        self._exact_limit = scale * policy.abs_tol * share
+        self._scaled_tol = scale * policy.abs_tol
+        self._exact_limit = self._limit(_SIGN_REL_TOL)
         self._relaxed: set[EvalResult] = set()
         self.phase = PHASES[0]
         self._counts = {name: [0, 0] for name in PHASES}
@@ -150,9 +147,24 @@ class _CountedSeries:
     def result(self, r: float) -> EvalResult:
         return self.tally(self._fn(r, self._policy))
 
-    def sign_result(self, r: float) -> EvalResult:
-        res = self.tally(self._fn(r, self._sign_policy))
-        if not res.converged or self._sign_policy.rel_tol * abs(res.value) <= self._exact_limit:
+    def _limit(self, rel: float) -> float:
+        # a term is at most the tail certified on the row before it, so the
+        # running sum moves by at most the larger of abs_tol and rel |sum| per
+        # row; where rel |final sum| is at most this, rel |sum| <= abs_tol held
+        # on every row of the stopping streak, and the relaxed sum stopped
+        # where the absolute one does (one spare rel covers rounding)
+        return self._scaled_tol * max(0.0, 1.0 - self._policy.tail_safety * rel)
+
+    def sign_result(self, r: float, rel: float | None = None) -> EvalResult:
+        policy, exact_limit = self._sign_policy, self._exact_limit
+        if rel is None or rel >= policy.rel_tol:
+            rel = policy.rel_tol
+        else:
+            p = self._policy
+            policy = TruncationPolicy(p.abs_tol, p.max_terms, p.tail_safety, rel)
+            exact_limit = self._limit(rel)
+        res = self.tally(self._fn(r, policy))
+        if not res.converged or rel * abs(res.value) <= exact_limit:
             return res  # summed as the absolute policy sums it
         if _certain_sign(res) is None:
             return self.result(r)
@@ -224,9 +236,11 @@ def _brent(
 
     Secant, inverse quadratic and bisection steps as in Brent, Algorithms for
     Minimization without Derivatives (1973), ch. 4.  Every iterate is summed
-    to the relative sign target first.  Returns the final bracket, low end
-    first, with its results settled to the absolute policy; its ends keep
-    the computed signs of ``lo`` and ``hi``.  It is one point twice where the
+    to a relative sign target first: _SIGN_REL_TOL, or the step's length
+    relative to the iterate where that is smaller, since an interpolation
+    step moves by about that share of its value's error.  Returns the final
+    bracket, low end first, with its results settled to the absolute policy;
+    its ends keep the computed signs of ``lo`` and ``hi``.  It is one point twice where the
     computed value is exactly zero.
     """
     # b is the best point, c the contrapoint of opposite sign, a the previous b
@@ -269,7 +283,7 @@ def _brent(
             d = e = xm
         a, ra = b, rb
         b += d if abs(d) > tol else (tol if xm > 0.0 else -tol)
-        rb = f.sign_result(b)
+        rb = f.sign_result(b, min(_SIGN_REL_TOL, abs(d / b)))
         if rb.value != 0.0 and (rb.value > 0.0) == (fc > 0.0):
             c, rc = a, ra
             d = e = b - a

@@ -20,7 +20,8 @@ through sum_m C(k+m-1, m) x^m = (1 - x)^-k for the Robin family (and
 sum_m x^m/m = -log(1 - x) in the plane).  Every difference next to a sphere
 is formed as (p - q)(p + q), so no r^2 - a^2 or 1 - r^2 cancels.  The
 remainder's term ratio is at most a^2 wherever the points lie, so it takes
-tens of modes next to a sphere as well as mid-gap.  Its products are powers
+as many modes next to a sphere as mid-gap: tens for a up to about 0.8, but
+about 11/(1 - a) at tol 1e-10 as a approaches 1.  Its products are powers
 of numbers in (0, 1) and overflow only where the value itself leaves the
 double range, which raises TailEnvelopeError.  The reported tail_bound of
 these series adds a first-order bound on rounding in the closed form and in
@@ -28,6 +29,15 @@ the summed modes to the truncation tail: each remainder row carries its
 mode's rounding allowance, which summation folds into the tail.  The
 closed form goes to sum_series as its ``offset``, so that a policy with
 ``rel_tol`` > 0 measures its target against the whole value.
+
+In a thin annulus the Robin family sums that remainder by images instead
+(see _image_route and _image_rows): robin_eval, both gradient series,
+robin2d_first, robin2d_second and their grid twins sum the first
+_HEAD_MODES remainder modes, then the deeper modes as rows of images, each
+row j the j-th term of sum_j A_m^j = A_m / (1 - A_m) summed over all modes
+m >= _HEAD_MODES in closed form.  The rows shrink by a^(k + 2 _HEAD_MODES),
+and terms_used counts head modes plus image rows.  robin2d_eval keeps its
+modes: its 1/m weights have no elementary sum over m.
 
 green_piecewise_eval stays the unsplit modal series on purpose: its split
 would be the same computation as green_eval's, and it serves as the
@@ -50,6 +60,7 @@ point keeps the scalar path, whose fixed cost is far below a table's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -110,6 +121,12 @@ _NUMPY_EXTRA = 2.0
 # their grid twins add their numpy powers to the same counts
 _ROBIN_UNITS = (4, 20)
 _PLANAR_UNITS = (4, 17)
+
+# the image route of the Robin family (see _image_rows): where the mode
+# series is predicted to need more than _SWITCH_MODES modes, the remainder
+# is summed as its first _HEAD_MODES modes and then as rows of images
+_HEAD_MODES = 16
+_SWITCH_MODES = 64
 
 
 def _split_result(
@@ -622,6 +639,220 @@ def _robin_remainder_grid(k: int, a: float, r, scale: float, parts):
         )
 
 
+def _image_route(a: float, policy: TruncationPolicy, parts) -> bool:
+    """Whether a Robin-family remainder is summed through _image_rows.
+
+    The remainder's modes shrink like a^(2m), so the mode series is predicted
+    to need more than _SWITCH_MODES modes where abs_tol < a^(2 _SWITCH_MODES).
+    The prediction reads a and abs_tol only, so every radius of a geometry
+    takes the same route.  The route needs more than _HEAD_MODES terms and
+    polynomial weights: the 1/m weights of robin2d_eval have no elementary
+    image sum.
+    """
+    return (
+        policy.abs_tol < a ** (2 * _SWITCH_MODES)
+        and policy.max_terms > _HEAD_MODES
+        and min(e for c, _, e in parts if c) >= 0
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _image_weights(k: int, d: int, e: int, m0: int) -> tuple[float, ...]:
+    """The forward differences D^s f(0), highest s first, of the mode weight
+    f(l) = w(m0 + l), where w(m) = C(k+m-1, m) (m + d)^e for k >= 1 and
+    w(m) = (2m + d)^e in the plane (k = 0).
+
+    f is a polynomial of degree k - 1 + e (e in the plane), so Newton's
+    forward formula and sum_l C(l, s) q^l = q^s / (1 - q)^(s+1) give
+    sum_{m >= m0} w(m) q^m = q^m0 / (1 - q) sum_s D^s f(0) z^s with
+    z = q / (1 - q).  Every difference is an integer >= 0: the binomial's are
+    C(k+m0-1, k-1-s) (Vandermonde), and (m0 + d + l)^e, or (2m0 + d + 2l)^e
+    in the plane, has nonnegative coefficients in the basis C(l, s) where its
+    constant term is >= 0, as it is for every part here.
+    """
+    degree = e + k - 1 if k else e
+    f = [
+        (math.comb(k + m - 1, m) * (m + d) ** e if k else (2 * m + d) ** e)
+        for m in range(m0, m0 + degree + 1)
+    ]
+    diffs = []
+    while f:
+        diffs.append(f[0])
+        f = [y - x for x, y in zip(f, f[1:])]
+    return tuple(float(x) for x in reversed(diffs))
+
+
+def _image_units(k: int, degree: int, m0: int, e_y: float, t: float) -> tuple[float, float]:
+    """(fixed, slope): an image piece rounds by at most fixed + slope |log q|
+    units of itself, as _image_rows computes it, when log q errs by at most
+    e_y |log q| units and each exp or expm1 by t.
+
+    The start s_i, a k-th power of a base with two roundings, takes 2k + t,
+    and the prefactor scale coef_i s_i 5 more; 1 - q = -expm1(log q) errs by
+    e_y + t, as |y| e^y / (1 - e^y) <= 1 for y < 0; z = q / (1 - q) by
+    e_y |log q| + e_y + 2t + 1; the Horner sum of degree D with nonnegative
+    weights by D times z's error plus 2D + 1; the exponent
+    (j-1) k log a + m0 log q by (2.5k + m0 (e_y + 2)) |log q| absolutely,
+    with j k |log a| <= k |log q| / 2; its exp, the division and the two
+    products add t + 3, and the sum over the images and the compensated sum 4.
+    """
+    return (
+        2 * k + 3 * t + e_y + 13 + degree * (e_y + 2 * t + 3),
+        2.5 * k + m0 * (e_y + 2) + degree * e_y,
+    )
+
+
+def _images(k: int, a: float, r, scale, parts, m0: int, log, e_y: float, t: float):
+    """Per image with a nonzero coefficient: scale coef_i s_i, log x_i, the
+    weights of _image_weights and the (fixed, slope) counts of _image_units.
+
+    s_i = c_i a^k is _robin_remainder's start (1 in the plane), and
+    log x_i = (2 log r, 2 log a, 2 (log a - log r)); ``log`` is math.log, or
+    np.log for an array of radii.
+    """
+    la, lr = math.log(a), log(r)
+    starts = (a**k, (a * a / r) ** k, (a / r) ** (2 * k))
+    logs = (2.0 * lr, 2.0 * la, 2.0 * (la - lr))
+    out = []
+    for (coef, d, e), start, log_x in zip(parts, starts, logs):
+        if coef:
+            weights = _image_weights(k, d, e, m0)
+            degree = len(weights) - 1
+            out.append((scale * coef * start, log_x, weights, *_image_units(k, degree, m0, e_y, t)))
+    return out
+
+
+def _image_rows(k: int, a: float, r: float, scale: float, parts, m0: int):
+    """The modes m >= m0 of a Robin-family remainder, summed over m as rows of
+    images j = 1, 2, ...
+
+    The remainder is scale sum_m w_i(m) coef_i c_i x_i^m A_m / (1 - A_m) over
+    the images of _robin_remainder (of _planar_remainder for k = 0, where
+    c_i = 1 and A_m = a^(2m)), with w_i the weights of _image_weights.  As
+    A_m / (1 - A_m) = sum_{j >= 1} A_m^j and A_m^j = a^(jk) a^(2jm), its modes
+    m >= m0 equal sum_j scale a^(jk) sum_i coef_i c_i Q_i(x_i a^(2j)) with
+    Q_i(q) = sum_{m >= m0} w_i(m) q^m, which _image_weights sums in closed
+    form.  Row j is the j-th term of that sum.  Each Q_i has nonnegative
+    terms, so Q_i(q a^2) <= a^(2 m0) Q_i(q) and the rows' envelopes shrink
+    by the constant ratio a^(k + 2 m0).
+
+    q = x_i a^(2j) is carried as its log, y = log x_i + 2j log a, which errs
+    by at most 8 |y| units, and 1 - q as -expm1(y), so nothing cancels next to
+    a sphere or as a -> 1.  c_i a^(jk) q^m0 = s_i exp((j-1) k log a + m0 y)
+    with s_i <= 1.  Each row's rounding allowance adds up _image_units over
+    its images.
+    """
+    ratio = a ** (k + 2 * m0)
+    la = math.log(a)
+    two_la, k_la = 2.0 * la, k * la
+    images = _images(k, a, r, scale, parts, m0, math.log, 8.0, 2.0)
+    exp, expm1 = math.exp, math.expm1
+    for j in itertools.count(1):
+        shift = (j - 1) * k_la
+        term = env = units = 0.0
+        for start, log_x, weights, fixed, slope in images:
+            y = log_x + j * two_la
+            w = -expm1(y)
+            z = exp(y) / w
+            p = 0.0
+            for c in weights:
+                p = p * z + c
+            g = exp(shift + m0 * y) / w * p
+            term += start * g
+            size = abs(start) * g
+            env += size
+            units += size * (fixed - slope * y)
+        yield term, env, ratio, units
+
+
+def _image_rows_grid(k: int, a: float, r, scale, parts, m0: int):
+    """_image_rows for an array of radii (and of scales, in the plane), in
+    chunks of summation.TABLE_MODES rows as sum_series_table reads them.
+
+    The arithmetic is _image_rows', in its order; log r, the starts' powers,
+    exp and expm1 are numpy's, so log q errs by at most 10 |log q| units
+    and each power, exp or expm1 by _NUMPY_EXTRA more.
+    """
+    ratio = a ** (k + 2 * m0)
+    la = math.log(a)
+    two_la, k_la = 2.0 * la, k * la
+    images = _images(k, a, r, scale, parts, m0, np.log, 10.0, 2.0 + _NUMPY_EXTRA)
+    modes = summation.TABLE_MODES
+    for j0 in itertools.count(1, modes):
+        j = _column(range(j0, j0 + modes))
+        shift = (j - 1.0) * k_la
+        term = env = units = 0.0
+        for start, log_x, weights, fixed, slope in images:
+            y = log_x + j * two_la
+            w = -np.expm1(y)
+            z = np.exp(y) / w
+            p = 0.0
+            for c in weights:
+                p = p * z + c
+            g = np.exp(shift + m0 * y) / w * p
+            term = term + start * g
+            size = np.abs(start) * g
+            env = env + size
+            units = units + size * (fixed - slope * y)
+        yield term, env, np.full(term.shape, ratio), units
+
+
+def _imaged(rows, images):
+    """The first _HEAD_MODES rows of a mode stream, with ratio inf so that
+    they never stop the sum, then the image rows of the deeper modes."""
+    inf = math.inf
+    for term, env, _, units in itertools.islice(rows, _HEAD_MODES):
+        yield term, env, inf, units
+    yield from images
+
+
+def _imaged_grid(chunks, images):
+    """_imaged for a grid twin's chunks: the first _HEAD_MODES rows, cut from
+    whole chunks, then the image chunks."""
+    left = _HEAD_MODES
+    for term, env, rho, units in chunks:
+        rows = min(left, len(term))
+        yield term[:rows], env[:rows], np.full(rho[:rows].shape, math.inf), units[:rows]
+        left -= rows
+        if not left:
+            break
+    yield from images
+
+
+def _remainder_rows(k: int, a: float, r: float, scale: float, parts, images: bool):
+    """The rows of a Robin-family remainder (planar for k = 0): its modes, or
+    with ``images`` its first _HEAD_MODES modes and then the image rows of
+    the rest, which start at mode _HEAD_MODES (the modes start at 1 in the
+    plane)."""
+    if k:
+        rows = _robin_remainder(k, a, r, scale, parts)
+    else:
+        rows = _planar_remainder(a, r, scale, parts)
+    if images:
+        rows = _imaged(rows, _image_rows(k, a, r, scale, parts, _HEAD_MODES + (k == 0)))
+    return rows
+
+
+def _remainder_table(k: int, a: float, r, scale, parts, images: bool):
+    """_remainder_rows for an array of radii as sum_series_table reads it, a
+    function of the slice of columns; ``scale`` is a number, or in the plane
+    one per radius."""
+
+    def table(cols):
+        rr, sc = r[cols], (scale[cols] if np.ndim(scale) else scale)
+        if k:
+            chunks = _robin_remainder_grid(k, a, rr, sc, parts)
+        else:
+            chunks = _planar_remainder_grid(a, rr, sc, parts)
+        if images:
+            chunks = _imaged_grid(
+                chunks, _image_rows_grid(k, a, rr, sc, parts, _HEAD_MODES + (k == 0))
+            )
+        return chunks
+
+    return table
+
+
 def _robin_split(
     geom: AnnulusGeometry,
     r: float,
@@ -637,7 +868,8 @@ def _robin_split(
     It receives u = 1 - r^2, v = r^2 - a^2 and w = 1 - a^2, each formed as a
     difference times a sum so that nothing cancels next to a sphere.  The
     remainder carries the prefactor -scale_factor / (k omega) and the
-    polynomials ``parts`` of _robin_remainder.
+    polynomials ``parts`` of _robin_remainder, and is summed as
+    _remainder_rows gives it: through images where _image_route holds.
     """
     geom.require_series_dim()
     geom.require_interior_radius(r)
@@ -646,7 +878,8 @@ def _robin_split(
     try:
         closed, closed_rounding = _robin_closed_part(geom, r, closed_form)
         scale = -scale_factor / (k * geom.omega)
-        res = sum_series(_robin_remainder(k, a, r, scale, parts), policy, closed)
+        rows = _remainder_rows(k, a, r, scale, parts, _image_route(a, policy, parts))
+        res = sum_series(rows, policy, closed)
     except (OverflowError, ZeroDivisionError):
         raise _robin_overflow(n) from None
     return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
@@ -660,7 +893,7 @@ def _robin_closed_part(geom: AnnulusGeometry, r, closed_form, extra: float = 0.0
     pieces, ulps = closed_form(geom.n - 2, a, r, u, v, w)
     closed = -sum(pieces) / geom.omega
     # the pieces, their two sums and the division
-    return closed, (ulps + 3 + extra) * _U * sum(abs(p) for p in pieces) / geom.omega
+    return closed, (ulps + 3 + extra) * _U * sum(map(abs, pieces)) / geom.omega
 
 
 def _robin_overflow(n: int) -> TailEnvelopeError:
@@ -700,11 +933,8 @@ def _robin_split_grid(
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
             closed, closed_rounding = _robin_closed_part(geom, r, closed_form, _NUMPY_EXTRA)
             scale = -scale_factor / (k * geom.omega)
-            res = sum_series_table(
-                lambda cols: _robin_remainder_grid(k, a, r[cols], scale, parts),
-                r.size,
-                policy,
-            )
+            table = _remainder_table(k, a, r, scale, parts, _image_route(a, policy, parts))
+            res = sum_series_table(table, r.size, policy)
     except OverflowError:
         raise _robin_overflow(n) from None
     return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
@@ -735,6 +965,19 @@ def _slope_closed(k, a, r, u, v, w):
     ), 5 * k + 14
 
 
+# the parts (coef, d, e) of the spatial remainders (see _robin_remainder):
+# robin_eval's, and those of the gradient and its slope as functions of k
+_ROBIN_PARTS = ((1, 0, 0), (-2, 0, 0), (1, 0, 0))
+
+
+def _gradient_parts(k: int):
+    return ((1, 0, 1), (k, 0, 0), (-1, k, 1))
+
+
+def _slope_parts(k: int):
+    return ((2, 0, 2), (-k * k, 0, 0), (2, k, 2))
+
+
 def robin_eval(geom: AnnulusGeometry, r: float, policy: TruncationPolicy) -> EvalResult:
     """Robin function (diagonal regular part of the Green function) at radius r.
 
@@ -742,7 +985,7 @@ def robin_eval(geom: AnnulusGeometry, r: float, policy: TruncationPolicy) -> Eva
     divergence sits in the two-image closed form, so the remainder needs
     about as many modes next to a sphere as in the middle of the gap.
     """
-    return _robin_split(geom, r, policy, _robin_closed, 1.0, ((1, 0, 0), (-2, 0, 0), (1, 0, 0)))
+    return _robin_split(geom, r, policy, _robin_closed, 1.0, _ROBIN_PARTS)
 
 
 def robin_radial_gradient(
@@ -753,8 +996,7 @@ def robin_radial_gradient(
     Strictly decreasing in r, +inf toward the inner sphere and -inf toward
     the outer sphere, so its unique zero is the radial critical point.
     """
-    k = geom.n - 2
-    return _robin_split(geom, r, policy, _gradient_closed, 2.0, ((1, 0, 1), (k, 0, 0), (-1, k, 1)))
+    return _robin_split(geom, r, policy, _gradient_closed, 2.0, _gradient_parts(geom.n - 2))
 
 
 def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> EvalGrid:
@@ -763,9 +1005,7 @@ def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> E
     Each entry stays inside robin_eval's bound and matches its terms used and
     convergence; values may differ from robin_eval's by ulps.
     """
-    return _robin_split_grid(
-        geom, radii, policy, _robin_closed, 1.0, ((1, 0, 0), (-2, 0, 0), (1, 0, 0))
-    )
+    return _robin_split_grid(geom, radii, policy, _robin_closed, 1.0, _ROBIN_PARTS)
 
 
 def robin_radial_gradient_grid(
@@ -773,9 +1013,8 @@ def robin_radial_gradient_grid(
 ) -> EvalGrid:
     """robin_radial_gradient at every radius of ``radii``, summed as one table,
     with robin_eval_grid's contract."""
-    k = geom.n - 2
     return _robin_split_grid(
-        geom, radii, policy, _gradient_closed, 2.0, ((1, 0, 1), (k, 0, 0), (-1, k, 1))
+        geom, radii, policy, _gradient_closed, 2.0, _gradient_parts(geom.n - 2)
     )
 
 
@@ -791,10 +1030,7 @@ def robin_radial_gradient_derivative(
     geom: AnnulusGeometry, r: float, policy: TruncationPolicy
 ) -> EvalResult:
     """Derivative in r of the radial gradient r * R'(r); negative on (a, 1)."""
-    k = geom.n - 2
-    return _robin_split(
-        geom, r, policy, _slope_closed, 2.0 / r, ((2, 0, 2), (-k * k, 0, 0), (2, k, 2))
-    )
+    return _robin_split(geom, r, policy, _slope_closed, 2.0 / r, _slope_parts(geom.n - 2))
 
 
 def _check_planar(a: float, r: float) -> None:
@@ -893,7 +1129,8 @@ def _planar_split(
     parts,
 ) -> EvalResult:
     closed = sum(pieces)
-    res = sum_series(_planar_remainder(a, r, scale, parts), policy, closed)
+    rows = _remainder_rows(0, a, r, scale, parts, _image_route(a, policy, parts))
+    res = sum_series(rows, policy, closed)
     return _split_result(closed, closed_rounding, res)
 
 
@@ -901,12 +1138,9 @@ def _planar_split_grid(
     a: float, r, policy: TruncationPolicy, pieces, closed_rounding, scale, parts
 ) -> EvalGrid:
     scale = np.broadcast_to(scale, r.shape)
+    table = _remainder_table(0, a, r, scale, parts, _image_route(a, policy, parts))
     with np.errstate(all="ignore"):
-        res = sum_series_table(
-            lambda cols: _planar_remainder_grid(a, r[cols], scale[cols], parts),
-            r.size,
-            policy,
-        )
+        res = sum_series_table(table, r.size, policy)
     return _split_result(sum(pieces), closed_rounding, res)
 
 
@@ -928,7 +1162,7 @@ def _robin2d_closed(a: float, r, log=math.log, extra: float = 0.0):
         -log((r - a) * (r + a) / (r * r)),
     )
     # each log errs by its argument's 3-5 roundings absolutely, plus one ulp
-    return pieces, _U * (14.0 + (8.0 + extra) * sum(abs(p) for p in pieces))
+    return pieces, _U * (14.0 + (8.0 + extra) * sum(map(abs, pieces)))
 
 
 def _robin2d_first_closed(a: float, r, log=math.log, extra: float = 0.0):
@@ -938,12 +1172,13 @@ def _robin2d_first_closed(a: float, r, log=math.log, extra: float = 0.0):
         2.0 * r / ((1.0 - r) * (1.0 + r)),
         -2.0 * (a * a) / (r * ((r - a) * (r + a))),
     )
-    return pieces, (8.0 + extra) * _U * sum(abs(p) for p in pieces)
+    return pieces, (8.0 + extra) * _U * sum(map(abs, pieces))
 
 
 # mode weights (x_1^m - 2 x_2^m + x_4^m) / m, with 1/m = 2 (2m)^-1
 _ROBIN2D_PARTS = ((2, 0, -1), (-4, 0, -1), (2, 0, -1))
 _ROBIN2D_FIRST_PARTS = ((1, 0, 0), (0, 0, 0), (-1, 0, 0))
+_ROBIN2D_SECOND_PARTS = ((1, -1, 1), (0, 0, 0), (1, 1, 1))
 
 
 def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
@@ -995,7 +1230,5 @@ def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
         2.0 * (1.0 + r2) / (u * u),
         2.0 * (a * a) * (3.0 * r2 - a * a) / (r2 * (v * v)),
     )
-    rounding = 20.0 * _U * sum(abs(p) for p in pieces)
-    return _planar_split(
-        a, r, policy, pieces, rounding, 2.0 / r2, ((1, -1, 1), (0, 0, 0), (1, 1, 1))
-    )
+    rounding = 20.0 * _U * sum(map(abs, pieces))
+    return _planar_split(a, r, policy, pieces, rounding, 2.0 / r2, _ROBIN2D_SECOND_PARTS)

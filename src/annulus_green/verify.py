@@ -35,6 +35,12 @@ from .critical import (
     refine_critical_point,
 )
 from .green import (
+    _ROBIN2D_FIRST_PARTS,
+    _ROBIN2D_SECOND_PARTS,
+    _ROBIN_PARTS,
+    _gradient_parts,
+    _remainder_rows,
+    _slope_parts,
     green_eval,
     green_piecewise_eval,
     modal_coefficient,
@@ -71,6 +77,7 @@ from .specfun import (
     zonal_direct,
     zonal_from_gegenbauer,
 )
+from .summation import sum_series
 
 
 @dataclass
@@ -458,6 +465,37 @@ def suite_robin_derivatives(rng: np.random.Generator) -> SuiteResult:
     lo_sign = robin2d_first(0.2, 0.21, pol).value
     hi_sign = robin2d_first(0.2, 0.99, pol).value
     out.check(lo_sign < 0.0 < hi_sign, 0.0, "planar derivative signs")
+
+    # image tail agreement: on seeded thin annuli, each switched remainder
+    # summed through its image rows against its plain mode series, within
+    # the sum of both bounds
+    tail_pol = TruncationPolicy(abs_tol=1e-10, max_terms=200_000)
+    for n in range(2, 7):
+        for _ in range(4):
+            a = float(rng.uniform(0.85, 0.99))
+            r = a + float(rng.uniform(1e-3, 1.0 - 1e-3)) * (1.0 - a)
+            k = n - 2
+            if n == 2:
+                tails = (
+                    ("robin2d_first", 2.0 / r, _ROBIN2D_FIRST_PARTS),
+                    ("robin2d_second", 2.0 / (r * r), _ROBIN2D_SECOND_PARTS),
+                )
+            else:
+                c = -1.0 / (k * AnnulusGeometry(n, a).omega)
+                tails = (
+                    ("robin_eval", c, _ROBIN_PARTS),
+                    ("robin_radial_gradient", 2.0 * c, _gradient_parts(k)),
+                    ("robin_radial_gradient_derivative", 2.0 / r * c, _slope_parts(k)),
+                )
+            for name, scale, parts in tails:
+                modes, images = (
+                    sum_series(_remainder_rows(k, a, r, scale, parts, flag), tail_pol)
+                    for flag in (False, True)
+                )
+                bound = modes.tail_bound + images.tail_bound
+                excess = max(0.0, abs(modes.value - images.value) - bound)
+                ok = modes.converged and images.converged and excess == 0.0
+                out.check(ok, excess, f"image tail agreement {name} n={n}")
     return out
 
 

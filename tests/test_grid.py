@@ -31,7 +31,7 @@ from annulus_green import (
     robin_radial_gradient_grid,
 )
 from annulus_green.cli import main
-from annulus_green import summation
+from annulus_green import green, summation
 from test_green_split import _error, mp_green
 from test_robin_split import mp_reference
 
@@ -119,8 +119,10 @@ def test_green_slice_matches_scalar(n, a, fracs, s_frac, angle):
 @pytest.mark.parametrize("name", sorted(QUANTITIES))
 def test_series_past_one_chunk(name, modes, monkeypatch):
     # a = 0.95 needs hundreds of modes at the end rows, so the stopping state
-    # crosses many chunk edges; the interior rows stop at other depths
+    # crosses many chunk edges; the interior rows stop at other depths.  The
+    # mode series is forced: the image route stops within 40 terms here
     monkeypatch.setattr(summation, "TABLE_MODES", modes)
+    monkeypatch.setattr(green, "_SWITCH_MODES", 10**9)
     a = 0.95
     n = 2 if name.startswith("robin2d") else 4
     policy = TruncationPolicy(abs_tol=1e-12, tail_safety=3)
@@ -129,6 +131,24 @@ def test_series_past_one_chunk(name, modes, monkeypatch):
     grid = grid_fn(n, a, radii, policy)
     assert grid.terms_used.min() > 3 * modes
     assert len(set(grid.terms_used.tolist())) > 1
+    assert_matches_scalar(grid, [scalar_fn(n, a, float(r), policy) for r in radii])
+
+
+@pytest.mark.parametrize("modes", [7, summation.TABLE_MODES])
+@pytest.mark.parametrize("name", ["robin", "gradient", "robin2d_first"])
+def test_image_route_past_one_chunk(name, modes, monkeypatch):
+    # at a = 0.99 the head modes and the image rows cross at least three
+    # chunk edges.  Each image row shrinks by a^(k + 2M), far more than the
+    # rows' envelopes differ from one radius to the next, so here every
+    # radius stops on the same row
+    monkeypatch.setattr(summation, "TABLE_MODES", modes)
+    a = 0.99
+    n = 2 if name.startswith("robin2d") else 4
+    policy = TruncationPolicy(abs_tol=1e-12, tail_safety=3)
+    radii = _radii(a, [1e-3, 0.3, 0.5, 0.77, 1.0 - 1e-3])
+    grid_fn, scalar_fn = QUANTITIES[name]
+    grid = grid_fn(n, a, radii, policy)
+    assert grid.terms_used.min() > 3 * modes
     assert_matches_scalar(grid, [scalar_fn(n, a, float(r), policy) for r in radii])
 
 

@@ -286,17 +286,19 @@ PLANAR_PARTS = {
 }
 
 
-def mp_split_remainder(k, a, r, scale, parts):
+def mp_split_remainder(k, a, r, scale, parts, start=None):
     """A split remainder at 50 digits from the float inputs:
     scale sum_m C(k+m-1, m) sum_i coef_i (m + d_i)^e_i c_i x_i^m A_m / (1 - A_m)
     over x = (r^2, a^2, a^2/r^2), c = (1, (a/r)^k, (a/r^2)^k), A_m = a^(k+2m)
     for k >= 1, and for k = 0 the planar sum over m >= 1 with weights
-    coef_i (2m + d_i)^e_i and no binomial."""
+    coef_i (2m + d_i)^e_i and no binomial.  ``start`` sums the modes
+    m >= start only."""
     with mpmath.workdps(DPS):
         a, r, scale = mpf(a), mpf(r), mpf(scale)
-        m = 0 if k else 1
+        m = (0 if k else 1) if start is None else start
         big_a = a ** (k + 2 * m)
-        binom = mpf(1)  # C(k+m-1, m) for k >= 1
+        # C(k+m-1, m) for k >= 1
+        binom = mpmath.binomial(k + m - 1, m) if k else mpf(1)
         xs = (r * r, a * a, (a / r) ** 2)
         # c_i x_i^m, with c = (1, (a/r)^k, (a/r^2)^k)
         images = [c * x**m for c, x in zip((1, (a / r) ** k, (a / (r * r)) ** k), xs)]
@@ -309,7 +311,7 @@ def mp_split_remainder(k, a, r, scale, parts):
             env = abs(factor) * mpmath.fsum(abs(w) * y for w, y in zip(weights, images))
             # the modes shrink by at least a^2 max(r^2, a^2/r^2) <= a^2 <= 0.95
             # times a polynomial factor near 1, so the rest is under 100 env
-            if m >= 20 and env <= mpf(10) ** (10 - DPS) * abs(total):
+            if m >= (start or 0) + 20 and env <= mpf(10) ** (10 - DPS) * abs(total):
                 return total
             if k:
                 binom = binom * (k + m) / (m + 1)

@@ -35,3 +35,19 @@ def test_ball_limit_study_fits_its_constant(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("ball Green value: ")
     assert lines[-1].startswith("fitted constant C = ")
+
+
+def test_tail_crossover_prints_both_routes(monkeypatch, capsys):
+    argv = ["--n", "2", "3", "--a", "0.5", "0.99", "--head", "16", "24", "--repeat", "1"]
+    assert run_script(monkeypatch, "tail_crossover.py", *argv) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == [
+        "evaluator", "n", "a", "r", "M", "mode_terms", "mode_us", "image_terms", "image_us"
+    ]
+    # two planar and three spatial evaluators, three radii, two a, two M
+    assert len(rows) == 1 + (2 + 3) * 3 * 2 * 2
+    for row in rows[1:]:
+        mode_terms, image_terms = int(row[5]), int(row[7])
+        assert image_terms > int(row[4])
+        if row[2] == "0.99":
+            assert image_terms < mode_terms

@@ -180,12 +180,13 @@ def test_phase_counts_add_up(n, a, monkeypatch):
 
 def _steep_line(relaxed_tail):
     """fn(r, policy) for 1e6 (0.6 - r) + 1e-7, whose root lies between
-    doubles: a relaxed sum (rel_tol > 0) reports 1 term and a tail of
-    ``relaxed_tail`` times |value|, an absolute one 2 terms and no tail."""
+    doubles: a sum that its relative target lets stop early
+    (rel_tol |value| > abs_tol) reports 1 term and a tail of ``relaxed_tail``
+    times |value|, any other one 2 terms and no tail."""
 
     def fn(r, policy):
         value = 1e6 * (0.6 - r) + 1e-7
-        if policy.rel_tol > 0.0:
+        if policy.rel_tol * abs(value) > policy.abs_tol:
             return EvalResult(value * (1.0 + 1e-3), 1, relaxed_tail * abs(value), True)
         return EvalResult(value, 2, 0.0, True)
 

@@ -17,7 +17,7 @@ CHECKS_AT_TEST_SEED = {
     "poisson-extension": 89,
     "green-function": 850,
     "modal-oracle": 2056,
-    "robin-derivatives": 406,
+    "robin-derivatives": 462,
     "critical-point": 24,
 }
 # wall-clock limits in seconds
@@ -85,6 +85,18 @@ CRITERIA = {
     "c11-gradient-checks": (
         "robin-derivatives",
         {f"{check} fd n={n}": 10 for check in ("gradient", "slope") for n in (3, 4)},
+    ),
+    "c12-image-tail-agreement": (
+        "robin-derivatives",
+        {
+            f"image tail agreement {name} n={n}": 4
+            for n in range(2, 7)
+            for name in (
+                ("robin2d_first", "robin2d_second")
+                if n == 2
+                else ("robin_eval", "robin_radial_gradient", "robin_radial_gradient_derivative")
+            )
+        },
     ),
 }
 
