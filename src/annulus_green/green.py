@@ -1175,6 +1175,19 @@ def _robin2d_first_closed(a: float, r, log=math.log, extra: float = 0.0):
     return pieces, (8.0 + extra) * _U * sum(map(abs, pieces))
 
 
+def _robin2d_second_closed(a: float, r, log=math.log, extra: float = 0.0):
+    """The closed part of robin2d_second, as _robin2d_closed gives robin2d_eval's."""
+    r2 = r * r
+    u = (1.0 - r) * (1.0 + r)
+    v = (r - a) * (r + a)
+    pieces = (
+        -2.0 * (1.0 - log(r)) / (r2 * math.log(a)),
+        2.0 * (1.0 + r2) / (u * u),
+        2.0 * (a * a) * (3.0 * r2 - a * a) / (r2 * (v * v)),
+    )
+    return pieces, (20.0 + extra) * _U * sum(map(abs, pieces))
+
+
 # mode weights (x_1^m - 2 x_2^m + x_4^m) / m, with 1/m = 2 (2m)^-1
 _ROBIN2D_PARTS = ((2, 0, -1), (-4, 0, -1), (2, 0, -1))
 _ROBIN2D_FIRST_PARTS = ((1, 0, 0), (0, 0, 0), (-1, 0, 0))
@@ -1222,13 +1235,5 @@ def robin2d_first_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
 def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Second derivative of the planar Robin function; positive on all of (a, 1)."""
     _check_planar(a, r)
-    r2 = r * r
-    u = (1.0 - r) * (1.0 + r)
-    v = (r - a) * (r + a)
-    pieces = (
-        -2.0 * (1.0 - math.log(r)) / (r2 * math.log(a)),
-        2.0 * (1.0 + r2) / (u * u),
-        2.0 * (a * a) * (3.0 * r2 - a * a) / (r2 * (v * v)),
-    )
-    rounding = 20.0 * _U * sum(map(abs, pieces))
-    return _planar_split(a, r, policy, pieces, rounding, 2.0 / r2, _ROBIN2D_SECOND_PARTS)
+    pieces, rounding = _robin2d_second_closed(a, r)
+    return _planar_split(a, r, policy, pieces, rounding, 2.0 / (r * r), _ROBIN2D_SECOND_PARTS)

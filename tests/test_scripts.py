@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from annulus_green import critical
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -51,3 +53,15 @@ def test_tail_crossover_prints_both_routes(monkeypatch, capsys):
         assert image_terms > int(row[4])
         if row[2] == "0.99":
             assert image_terms < mode_terms
+
+
+def test_solver_phases_prints_every_phase(monkeypatch, capsys):
+    assert run_script(monkeypatch, "solver_phases.py", "--count", "12", "--seed", "3") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("12 solves, 0 failed")
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == [*critical.PHASES, "total"]
+    evals = [float(row[1]) for row in rows]
+    assert evals[-1] == pytest.approx(sum(evals[:-1]))
+    # the sweep's two ends and the second-derivative check's three series
+    assert evals[0] == 2.0 and evals[-2] == 3.0

@@ -7,6 +7,7 @@ root, in far fewer evaluations.
 """
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -36,19 +37,26 @@ def _seeded_geometries(count, seed=20261018):
 
 
 def _gradient(n, a):
+    """The solver's counted gradient and the closed part its seed reads."""
     policy = critical._series_policy(None, SOLVER_TOL)
     if n == 2:
-        return critical._CountedSeries(lambda r, p: robin2d_first(a, r, p), policy)
+        f = critical._CountedSeries(lambda r, p: robin2d_first(a, r, p), policy)
+        return f, critical._planar_closed_part(a)
     geom = AnnulusGeometry(n, a)
-    return critical._CountedSeries(lambda r, p: robin_radial_gradient(geom, r, p), policy)
+    f = critical._CountedSeries(lambda r, p: robin_radial_gradient(geom, r, p), policy)
+    return f, critical._gradient_closed_part(geom, -1.0 / geom.omega)
+
+
+def _swept(n, a):
+    f, closed = _gradient(n, a)
+    standoff = critical.DEFAULT_STANDOFF_FACTOR * (1.0 - a)
+    return f, closed, critical._sweep_bracket(f, a, standoff)
 
 
 def test_same_adjacent_pair_as_bisection():
     certified = 0
     for n, a in _seeded_geometries(120) + [SIGN_NOISE_CASE]:
-        f = _gradient(n, a)
-        standoff = critical.DEFAULT_STANDOFF_FACTOR * (1.0 - a)
-        lo, res_lo, hi, res_hi, sign_lo = critical._sweep_bracket(f, a, standoff)
+        f, closed, (lo, res_lo, hi, res_hi, sign_lo) = _swept(n, a)
 
         oracle_pair = bisection_oracle.bisect_bracket(f, lo, hi, sign_lo)
         try:
@@ -56,7 +64,9 @@ def test_same_adjacent_pair_as_bisection():
         except BracketingError:
             oracle_root = None
 
-        p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi)
+        weight = critical._pole_weight(a, n - 1)
+        seed = lambda: critical._closed_root(closed, lo, hi, sign_lo)  # noqa: E731
+        p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi, weight, seed)
         x_lo, _, x_hi, _ = critical._bisect(f, lo, hi, sign_lo, p, res_p, q, res_q)
         assert (x_lo, x_hi) == oracle_pair, (n, a)
 
@@ -72,11 +82,46 @@ def test_same_adjacent_pair_as_bisection():
     assert certified >= 100
 
 
+def _raising():
+    raise OverflowError("the closed part overflows")
+
+
+# first iterates Brent must survive: each is skipped, or taken as an
+# ordinary iterate, and the pair stays the one bisection reaches
+BAD_SEEDS = {
+    "low end": lambda lo, hi, root: lo,
+    "high end": lambda lo, hi, root: hi,
+    "outside": lambda lo, hi, root: hi + 0.5 * (hi - lo),
+    "nan": lambda lo, hi, root: math.nan,
+    "inf": lambda lo, hi, root: math.inf,
+    "beyond the root": lambda lo, hi, root: root + 0.9 * (hi - root),
+    "short of the root": lambda lo, hi, root: lo + 1e-3 * (root - lo),
+    "at the root": lambda lo, hi, root: root,
+    "raises": lambda lo, hi, root: _raising(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SEEDS))
+@pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2), (6, 0.93), SIGN_NOISE_CASE])
+def test_any_seed_ends_on_the_bisection_pair(n, a, name):
+    f, _, (lo, res_lo, hi, res_hi, sign_lo) = _swept(n, a)
+    oracle_pair = bisection_oracle.bisect_bracket(f, lo, hi, sign_lo)
+    root = oracle_pair[0]
+    x = BAD_SEEDS[name]
+    seed = lambda: x(lo, hi, root)  # noqa: E731
+    weight = critical._pole_weight(a, n - 1)
+    p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi, weight, seed)
+    assert p <= q
+    x_lo, _, x_hi, _ = critical._bisect(f, lo, hi, sign_lo, p, res_p, q, res_q)
+    assert (x_lo, x_hi) == oracle_pair
+
+
 @pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2)])
 def test_evaluation_count(n, a):
-    # pure bisection took 58 evaluations on both
+    # pure bisection took 58 evaluations on both, Brent from the sweep
+    # bracket 16 and 13; from the closed-form seed they take 13 each
     report = find_critical_point(AnnulusGeometry(n, a), None, SOLVER_TOL)
-    assert report.evaluations <= 30
+    assert report.evaluations <= 14
 
 
 def test_concentration_root_is_the_same_root():
@@ -108,10 +153,22 @@ def _reported(report):
     return fields
 
 
-def _solve_both(n, a, monkeypatch):
+def _unseeded(patch):
+    """Switch off Brent's closed-form seed: a non-finite seed is skipped."""
+    patch.setattr(critical, "_closed_root", lambda *args: math.nan)
+
+
+def _unweighted(patch):
+    """Switch off the pole weight of Brent's interpolation."""
+    patch.setattr(critical, "_pole_weight", lambda a, order: None)
+
+
+def _solve_both(n, a, monkeypatch, seeded=True):
     geom = AnnulusGeometry(n, a)
-    relaxed = find_critical_point(geom, None, SOLVER_TOL)
     with monkeypatch.context() as patch:
+        if not seeded:
+            _unseeded(patch)
+        relaxed = find_critical_point(geom, None, SOLVER_TOL)
         patch.setattr(critical, "_SIGN_REL_TOL", 0.0)
         absolute = find_critical_point(geom, None, SOLVER_TOL)
     return relaxed, absolute
@@ -139,12 +196,53 @@ def _terms(report):
 
 
 def test_relative_sign_target_saves_a_quarter_of_the_terms(monkeypatch):
+    # without the seed, so that the ratio is what the relative target alone
+    # saves; the seed shortens the all-absolute solve more than the relaxed
+    # one, since its first iterate already lies next to the root
     relaxed = absolute = 0
     for n, a in GUARD_GEOMETRIES:
-        rel_report, abs_report = _solve_both(n, a, monkeypatch)
+        rel_report, abs_report = _solve_both(n, a, monkeypatch, seeded=False)
         relaxed += _terms(rel_report)
         absolute += _terms(abs_report)
     assert relaxed <= 0.75 * absolute
+
+
+def _solve_seeded_and_plain(n, a, monkeypatch):
+    geom = AnnulusGeometry(n, a)
+    seeded = find_critical_point(geom, None, SOLVER_TOL)
+    with monkeypatch.context() as patch:
+        _unseeded(patch)
+        _unweighted(patch)
+        plain = find_critical_point(geom, None, SOLVER_TOL)
+    return seeded, plain
+
+
+def test_seed_and_weight_move_no_reported_number(monkeypatch):
+    # Brent's path only chooses which midpoints of plain bisection are
+    # evaluated, so the seed and the pole weight change the counts alone
+    draws = _seeded_geometries(120) + [SIGN_NOISE_CASE] + _wide_geometries(600)
+    pinned = 0
+    for n, a in draws:
+        seeded, plain = _solve_seeded_and_plain(n, a, monkeypatch)
+        assert _reported(seeded) == _reported(plain), (n, a)
+        pinned += seeded.certificate == "sign-pinned"
+    assert pinned >= 10
+
+
+def _phase(report, name):
+    return next(p for p in report.phases if p.phase == name)
+
+
+def test_seed_and_weight_save_brent_evaluations(monkeypatch):
+    brent = plain_brent = terms = plain_terms = 0
+    for n, a in GUARD_GEOMETRIES:
+        seeded, plain = _solve_seeded_and_plain(n, a, monkeypatch)
+        brent += _phase(seeded, "brent").evaluations
+        plain_brent += _phase(plain, "brent").evaluations
+        terms += _terms(seeded)
+        plain_terms += _terms(plain)
+    assert brent <= 0.7 * plain_brent
+    assert terms <= plain_terms
 
 
 @pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2), (5, 0.93), (6, 0.8)])
