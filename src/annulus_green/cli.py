@@ -294,10 +294,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL
 
 
-def _radial_grid(args, geom: AnnulusGeometry) -> np.ndarray:
+def _radial_grid(args, geom: AnnulusGeometry, standoff: float = 1e-3) -> np.ndarray:
+    """The requested radii; the default window stands off both spheres by
+    ``standoff`` times the gap."""
     span = 1.0 - geom.a
-    lo = args.r_min if args.r_min is not None else geom.a + 1e-3 * span
-    hi = args.r_max if args.r_max is not None else 1.0 - 1e-3 * span
+    lo = args.r_min if args.r_min is not None else geom.a + standoff * span
+    hi = args.r_max if args.r_max is not None else 1.0 - standoff * span
     if args.grid_points < 2:
         raise DomainValidationError("need at least 2 grid points")
     if not (geom.a - 1e-12 <= lo < hi <= 1.0 + 1e-12):
@@ -350,11 +352,7 @@ def _cmd_export_grid(args) -> int:
             raise DomainValidationError("green-slice needs --y with n comma-separated floats")
         y = np.array([float(v) for v in args.y.split(",")])
         y = geom.point(y)
-        lo = args.r_min if args.r_min is not None else geom.a
-        hi = args.r_max if args.r_max is not None else 1.0
-        if not (geom.a - 1e-12 <= lo < hi <= 1.0 + 1e-12):
-            raise DomainValidationError(f"grid window [{lo}, {hi}] must sit inside [{geom.a}, 1]")
-        radii = np.linspace(lo, hi, args.grid_points)
+        radii = _radial_grid(args, geom, standoff=0.0)  # the slice reaches both walls
         column = "green"
         # near-singular points are refused: their rows hold NaNs, not bad data
         d, res = _green_slice(geom, radii, y, policy)

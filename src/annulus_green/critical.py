@@ -12,6 +12,8 @@ from one double to the next but certain opposite signs lie within 128 ulps
 on both sides.  The report carries the observed second-derivative value, its
 cross-check uncertainty, and the resulting minimum/maximum classification as
 evidence rather than assumption, and the evaluations and terms of each phase.
+concentration_root returns the same r0 as the root of the
+concentration-radius equation, the gradient times -omega/2.
 
 Brent-Dekker is aimed with the closed forms of green.py.  Its first iterate
 is the root of the series' closed part (the Kelvin images; for n = 2 the
@@ -46,6 +48,7 @@ seeded geometries every field of the report except ``evaluations`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -63,7 +66,6 @@ from .green import (
     _robin2d_first_closed,
     _robin2d_second_closed,
     _slope_closed,
-    critical_equation_eval,
     robin2d_first,
     robin2d_first_grid,
     robin2d_second,
@@ -115,10 +117,6 @@ class CriticalPointReport:
     phases: tuple[PhaseCounts, ...]
 
     @property
-    def second_derivative_sign(self) -> int:
-        return 1 if self.second_derivative > 0 else -1
-
-    @property
     def nondegenerate(self) -> bool:
         return abs(self.second_derivative) > self.second_derivative_uncertainty
 
@@ -133,20 +131,15 @@ class _CountedSeries:
     rel |value| stayed below abs_tol on every row of the stopping streak) the
     result is the absolute one; otherwise it is kept where its sign is
     certain and replaced by ``result`` where not.  ``settled`` swaps a kept
-    relaxed result for the absolute one.  ``scale`` is |fn's value| over
-    |its running sum|, for an evaluator that scales its series.
+    relaxed result for the absolute one.
     """
 
     def __init__(
-        self,
-        fn: Callable[[float, TruncationPolicy], EvalResult],
-        policy: TruncationPolicy,
-        scale: float = 1.0,
+        self, fn: Callable[[float, TruncationPolicy], EvalResult], policy: TruncationPolicy
     ):
         self._fn = fn
         self._policy = policy
         self._sign_policy = replace(policy, rel_tol=_SIGN_REL_TOL)
-        self._scaled_tol = scale * policy.abs_tol
         self._exact_limit = self._limit(_SIGN_REL_TOL)
         self._relaxed: dict[int, EvalResult] = {}
         self.phase = PHASES[0]
@@ -168,7 +161,7 @@ class _CountedSeries:
         # row; where rel |final sum| is at most this, rel |sum| <= abs_tol held
         # on every row of the stopping streak, and the relaxed sum stopped
         # where the absolute one does (one spare rel covers rounding)
-        return self._scaled_tol * max(0.0, 1.0 - self._policy.tail_safety * rel)
+        return self._policy.abs_tol * max(0.0, 1.0 - self._policy.tail_safety * rel)
 
     def sign_result(self, r: float, rel: float | None = None) -> EvalResult:
         policy, exact_limit = self._sign_policy, self._exact_limit
@@ -520,7 +513,10 @@ def _planar_closed_part(a: float) -> Callable[[float], tuple[float, float]]:
 
 def _series_policy(policy: TruncationPolicy | None, solver_tol: float) -> TruncationPolicy:
     """The caller's policy with abs_tol within the residual budget and an
-    absolute target: the reported numbers are summed to it."""
+    absolute target: the reported numbers are summed to it.  The budget must
+    be positive and finite."""
+    if not 0.0 < solver_tol < math.inf:
+        raise DomainValidationError(f"solver_tol must be positive and finite, got {solver_tol!r}")
     base = policy if policy is not None else TruncationPolicy()
     return replace(base, abs_tol=min(base.abs_tol, 0.05 * solver_tol), rel_tol=0.0)
 
@@ -538,46 +534,34 @@ def find_critical_point(
     uncertainty is the discrepancy between the two routes plus the series
     tails, so nondegeneracy can be judged from the report alone.
     """
-    if solver_tol <= 0.0:
-        raise DomainValidationError(f"solver_tol must be positive, got {solver_tol!r}")
     pol = _series_policy(policy, solver_tol)
     a = geom.a
 
+    # the series f solved for is R'(r) times d(r); slope is its derivative
     if geom.n >= 3:
         f = _CountedSeries(lambda r, p: robin_radial_gradient(geom, r, p), pol)
         closed = _gradient_closed_part(geom, -1.0 / geom.omega)
+        slope = lambda r: robin_radial_gradient_derivative(geom, r, pol)
+        d = lambda r: r
+        name = "r*R'(r)"
     else:
         f = _CountedSeries(lambda r, p: robin2d_first(a, r, p), pol)
         closed = _planar_closed_part(a)
+        slope = lambda r: robin2d_second(a, r, pol)
+        d = lambda r: 1.0
+        name = "R'(r)"
 
     r0, residual, certificate, bracket = _solve(f, a, solver_tol, geom.n - 1, closed)
 
     h = 1e-4 * (1.0 - a)
     f.phase = "second_derivative"
-    if geom.n >= 3:
-        slope = f.tally(robin_radial_gradient_derivative(geom, r0, pol))
-        second = slope.value / r0  # R'' = f'(r0)/r0 at the zero of f = r R'
-        plus = f.result(r0 + h)
-        minus = f.result(r0 - h)
-        fd = (plus.value / (r0 + h) - minus.value / (r0 - h)) / (2.0 * h)
-        fd_tail = (plus.tail_bound + minus.tail_bound) / (2.0 * h * (r0 - h))
-        uncertainty = abs(second - fd) + fd_tail + slope.tail_bound / r0
-        method = (
-            "Brent-Dekker then bisection to adjacent doubles on r*R'(r), "
-            "series second derivative"
-        )
-    else:
-        second_res = f.tally(robin2d_second(a, r0, pol))
-        second = second_res.value
-        plus = f.result(r0 + h)
-        minus = f.result(r0 - h)
-        fd = (plus.value - minus.value) / (2.0 * h)
-        fd_tail = (plus.tail_bound + minus.tail_bound) / (2.0 * h)
-        uncertainty = abs(second - fd) + fd_tail + second_res.tail_bound
-        method = (
-            "Brent-Dekker then bisection to adjacent doubles on R'(r), "
-            "series second derivative"
-        )
+    slope_res = f.tally(slope(r0))
+    second = slope_res.value / d(r0)  # R'' = f'(r0)/d(r0) at the zero of f
+    plus = f.result(r0 + h)
+    minus = f.result(r0 - h)
+    fd = (plus.value / d(r0 + h) - minus.value / d(r0 - h)) / (2.0 * h)
+    fd_tail = (plus.tail_bound + minus.tail_bound) / (2.0 * h * d(r0 - h))
+    uncertainty = abs(second - fd) + fd_tail + slope_res.tail_bound / d(r0)
 
     return CriticalPointReport(
         r0=r0,
@@ -587,7 +571,10 @@ def find_critical_point(
         second_derivative=second,
         second_derivative_uncertainty=uncertainty,
         is_radial_minimum=second > 0.0,
-        method=method,
+        method=(
+            f"Brent-Dekker then bisection to adjacent doubles on {name}, "
+            "series second derivative"
+        ),
         evaluations=f.calls,
         phases=f.phase_counts(),
     )
@@ -610,8 +597,6 @@ def refine_critical_point(
     kept for cross-method agreement checks.  The start must lie inside the gap and
     close enough that the iterates stay there.
     """
-    if solver_tol <= 0.0:
-        raise DomainValidationError(f"solver_tol must be positive, got {solver_tol!r}")
     pol = _series_policy(policy, solver_tol)
     a = geom.a
     if geom.n >= 3:
@@ -650,25 +635,14 @@ def concentration_root(
     policy: TruncationPolicy | None = None,
     solver_tol: float = 1e-12,
 ) -> float:
-    """Root of the concentration-radius equation (n >= 3).
+    """Root of the concentration-radius equation (n >= 3): find_critical_point's r0.
 
-    The equation is the radial-gradient series times -omega/2 and runs
-    through the same solver, so the returned radius is the critical point of
-    find_critical_point.
+    The equation is the radial gradient times -omega/2
+    (green.critical_equation_eval), so it shares the gradient's unique zero;
+    the root is found, and certified, as find_critical_point finds it.
     """
     geom.require_series_dim()
-    if solver_tol <= 0.0:
-        raise DomainValidationError(f"solver_tol must be positive, got {solver_tol!r}")
-    pol = _series_policy(policy, solver_tol)
-    # the root equation is -(omega/2) times the gradient, so the residual
-    # budget and the values against the sum's running value scale by the
-    # same factor
-    scale = 0.5 * geom.omega
-    f = _CountedSeries(lambda r, p: critical_equation_eval(geom, r, p), pol, scale)
-    # the gradient's closed part carries -1/omega, the equation -omega/2 more
-    closed = _gradient_closed_part(geom, 0.5)
-    root, _, _, _ = _solve(f, geom.a, solver_tol * scale, geom.n - 1, closed)
-    return root
+    return find_critical_point(geom, policy, solver_tol).r0
 
 
 def count_gradient_sign_changes(

@@ -46,7 +46,7 @@ independent route that green_eval is checked against.
 Every split remainder contracts by at most a^2 per mode at every radius, so
 a grid of radii can share one mode loop.  The grid twins robin_eval_grid,
 robin_radial_gradient_grid, robin2d_eval_grid, robin2d_first_grid and
-green_slice_grid take an array of radii and sum their remainders as one
+_green_slice take an array of radii and sum their remainders as one
 (modes x radii) table with summation.sum_series_table.  Their generators
 (_robin_remainder_grid, _planar_remainder_grid, _green_remainder_grid) sit
 beside the scalar ones, yield rows of the same shape, reuse the same closed
@@ -410,33 +410,20 @@ def green_eval(
     return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
 
 
-def green_slice_grid(
-    geom: AnnulusGeometry, radii, y: ArrayLike, policy: TruncationPolicy
-) -> EvalGrid:
-    """green_eval(geom, r e1, y, policy) for every radius r of ``radii``, with
-    e1 the first coordinate axis, summed as one table.
-
-    Each entry stays inside green_eval's bound and matches its terms used and
-    convergence; values may differ from green_eval's by ulps.  A radius may
-    miss [a, 1] by RADIUS_SLACK; a point within NEAR_DIAGONAL of y raises
-    SingularityError, as green_eval does.
-    """
-    d, grid = _green_slice(geom, radii, y, policy)
-    if (d < NEAR_DIAGONAL).any():
-        raise SingularityError(
-            f"|x - y| = {float(d.min())} is inside the near-diagonal guard {NEAR_DIAGONAL}; "
-            "diagonal values come from robin_eval"
-        )
-    return grid
-
-
 def _green_slice(
     geom: AnnulusGeometry, radii, y: ArrayLike, policy: TruncationPolicy
 ) -> tuple[np.ndarray, EvalGrid]:
-    """The distances |x - y| of green_slice_grid's points and its rows, where
-    a point within NEAR_DIAGONAL of y is not evaluated: its row holds a NaN
+    """green_eval(geom, r e1, y, policy) for every radius r of ``radii``, with
+    e1 the first coordinate axis, summed as one table; returns the distances
+    |r e1 - y| and the rows.
+
+    Each row stays inside green_eval's bound and matches its terms used and
+    convergence; values may differ from green_eval's by ulps.  A radius may
+    miss [a, 1] by RADIUS_SLACK.  A point within NEAR_DIAGONAL of y, where
+    green_eval raises SingularityError, is not evaluated: its row holds a NaN
     value and tail, 0 terms and converged False.  export-grid writes those
-    rows as they are."""
+    rows as they are.
+    """
     geom.require_series_dim()
     ys = geom.point(y).tolist()
     n, a = geom.n, geom.a

@@ -128,6 +128,14 @@ class TestCriticalPoint:
         assert record["is_radial_minimum"] is True
         assert "concentration_root" not in record
 
+    @pytest.mark.parametrize("solver_tol", ["nan", "inf", "0", "-1"])
+    def test_solver_tol_must_be_positive_and_finite(self, capsys, solver_tol):
+        code, out = run_cli(
+            capsys, "critical-point", "--n", "3", "--a", "0.5", "--solver-tol", solver_tol
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainValidationError"
+
     def test_invalid_inner_radius_exit_2(self, capsys):
         code, _ = run_cli(capsys, "critical-point", "--n", "3", "--a", "1.5")
         assert code == 2
@@ -354,6 +362,16 @@ class TestExportGrid:
             "--r-min", "0.9", "--r-max", "0.6",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_green_slice_needs_two_grid_points(self, capsys, points):
+        code, out = run_cli(
+            capsys,
+            "export-grid", "green-slice", "--n", "3", "--a", "0.5", "--y", "0,0.7,0",
+            "--grid-points", points,
+        )
+        assert code == 2
+        assert json.loads(out)["message"] == "need at least 2 grid points"
 
     def test_missing_source_point_exit_2(self, capsys):
         code, _ = run_cli(capsys, "export-grid", "green-slice", "--n", "3", "--a", "0.5")

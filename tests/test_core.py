@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import annulus_green
 from annulus_green import (
     AnnulusGeometry,
     DomainValidationError,
@@ -184,3 +185,12 @@ def test_eval_result_scaled():
     assert scaled.value == -6.0
     assert scaled.tail_bound == pytest.approx(3e-9)
     assert scaled.converged and scaled.terms_used == 5
+
+
+def test_public_surface_is_sorted_unique_and_resolves():
+    # a name left in __all__ after its function is deleted breaks
+    # `from annulus_green import *`
+    names = annulus_green.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(annulus_green, name)] == []

@@ -20,7 +20,6 @@ from annulus_green import (
     TailEnvelopeError,
     TruncationPolicy,
     green_eval,
-    green_slice_grid,
     robin2d_eval,
     robin2d_eval_grid,
     robin2d_first,
@@ -110,7 +109,7 @@ def test_green_slice_matches_scalar(n, a, fracs, s_frac, angle):
     geom = AnnulusGeometry(n, a)
     y = _source(n, a, s_frac, angle)
     radii = _radii(a, fracs)
-    grid = green_slice_grid(geom, radii, y, POLICY)
+    grid = green._green_slice(geom, radii, y, POLICY)[1]
     e1 = np.eye(n)[0]
     assert_matches_scalar(grid, [green_eval(geom, float(r) * e1, y, POLICY) for r in radii])
 
@@ -159,7 +158,7 @@ def test_green_slice_past_one_chunk(modes, monkeypatch):
     y = _source(4, 0.95, 0.5, 0.4)
     radii = np.linspace(0.95, 1.0, 9)
     policy = TruncationPolicy(abs_tol=1e-12, tail_safety=3)
-    grid = green_slice_grid(geom, radii, y, policy)
+    grid = green._green_slice(geom, radii, y, policy)[1]
     assert grid.terms_used.max() > 3 * modes
     e1 = np.eye(4)[0]
     assert_matches_scalar(grid, [green_eval(geom, float(r) * e1, y, policy) for r in radii])
@@ -191,7 +190,7 @@ def test_green_slice_end_rows_against_mpmath(n, a):
     geom = AnnulusGeometry(n, a)
     y = _source(n, a, 0.5, 0.7)
     radii = np.array([a, a + 1e-3 * (1.0 - a), 1.0 - 1e-3 * (1.0 - a), 1.0])
-    grid = green_slice_grid(geom, radii, y, POLICY)
+    grid = green._green_slice(geom, radii, y, POLICY)[1]
     for i, r in enumerate(radii.tolist()):
         x = np.zeros(n)
         x[0] = r
@@ -212,7 +211,7 @@ def test_empty_grid():
     [
         lambda r: robin_eval_grid(AnnulusGeometry(400, 0.5), r, POLICY),
         lambda r: robin_radial_gradient_grid(AnnulusGeometry(400, 0.5), r, POLICY),
-        lambda r: green_slice_grid(AnnulusGeometry(400, 0.5), r, np.eye(400)[1] * 0.7, POLICY),
+        lambda r: green._green_slice(AnnulusGeometry(400, 0.5), r, np.eye(400)[1] * 0.7, POLICY),
     ],
 )
 def test_overflow_at_large_n_is_a_typed_error(fn):

@@ -16,9 +16,11 @@ import bisection_oracle
 from annulus_green import (
     AnnulusGeometry,
     BracketingError,
+    DomainValidationError,
     EvalResult,
     concentration_root,
     find_critical_point,
+    refine_critical_point,
 )
 from annulus_green import critical, green
 from annulus_green.green import robin2d_first, robin_radial_gradient
@@ -131,6 +133,29 @@ def test_concentration_root_is_the_same_root():
         geom = AnnulusGeometry(n, a)
         root = concentration_root(geom, None, SOLVER_TOL)
         assert root == find_critical_point(geom, None, SOLVER_TOL).r0
+
+
+def test_concentration_root_refuses_the_plane():
+    # find_critical_point solves n = 2 too; the root equation is n >= 3 only
+    with pytest.raises(DomainValidationError):
+        concentration_root(AnnulusGeometry(2, 0.5), None, SOLVER_TOL)
+
+
+@pytest.mark.parametrize("solver_tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda geom, tol: find_critical_point(geom, None, tol),
+        lambda geom, tol: refine_critical_point(geom, 0.7, None, tol),
+        lambda geom, tol: concentration_root(geom, None, tol),
+    ],
+    ids=["find_critical_point", "refine_critical_point", "concentration_root"],
+)
+def test_solver_tol_must_be_positive_and_finite(solve, solver_tol):
+    # a NaN budget can certify no point and an infinite one any point,
+    # refine_critical_point's start included
+    with pytest.raises(DomainValidationError):
+        solve(AnnulusGeometry(3, 0.5), solver_tol)
 
 
 # --- the relative sign target of the sweep and Brent-Dekker ---------------
