@@ -12,15 +12,8 @@ import sys
 
 import numpy as np
 
-from annulus_green import (
-    AnnulusGeometry,
-    TruncationPolicy,
-    find_critical_point,
-    robin2d_eval_grid,
-    robin2d_first_grid,
-    robin_eval_grid,
-    robin_radial_gradient_grid,
-)
+from annulus_green import AnnulusGeometry, TruncationPolicy, find_critical_point
+from annulus_green.green import _radial
 
 
 def main() -> int:
@@ -45,12 +38,10 @@ def main() -> int:
           f"+- {report.second_derivative_uncertainty:.2e}")
 
     radii = lo + (hi - lo) * np.arange(args.points) / (args.points - 1)
-    if args.n == 2:
-        val = robin2d_eval_grid(args.a, radii, policy)
-        grad = robin2d_first_grid(args.a, radii, policy).scaled(radii)
-    else:
-        val = robin_eval_grid(geom, radii, policy)
-        grad = robin_radial_gradient_grid(geom, radii, policy)
+    family = _radial(geom)
+    val = family.value_grid(radii, policy)
+    # r R'(r) in every dimension: the solved gradient times r / d(r)
+    grad = family.gradient_grid(radii, policy).scaled(radii / family.d(radii))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["r", "robin", "robin_tail", "radial_gradient", "gradient_tail"])

@@ -34,15 +34,10 @@ from .critical import find_critical_point
 from .green import (
     NEAR_DIAGONAL,
     _green_slice,
+    _radial,
     green_eval,
     green_piecewise_eval,
     modal_coefficient,
-    robin2d_eval,
-    robin2d_eval_grid,
-    robin2d_first_grid,
-    robin_eval,
-    robin_eval_grid,
-    robin_radial_gradient_grid,
 )
 from .verify import SUITES, render_summary, run_suites
 
@@ -62,6 +57,9 @@ _CONVERGENCE_ERRORS = (BracketingError, GridEdgeError, QuadratureDegreeError)
 # eval-green reports the green_piecewise_eval cross-check (the piecewise_*
 # and path_difference keys) only where the radii satisfy lo <= this * hi
 PIECEWISE_RATIO = 0.99
+
+# export-grid refuses more radii than this before it allocates any of them
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _fmt(value: float) -> str:
@@ -242,13 +240,7 @@ def _cmd_eval_green(args) -> int:
 
 def _cmd_eval_robin(args) -> int:
     policy = _policy_from(args)
-    if args.n == 2:
-        if not (0.0 < args.a < 1.0):
-            raise DomainValidationError(f"inner radius must be in (0, 1), got {args.a}")
-        res = robin2d_eval(args.a, args.radius, policy)
-    else:
-        geom = AnnulusGeometry(args.n, args.a)
-        res = robin_eval(geom, args.radius, policy)
+    res = _radial(AnnulusGeometry(args.n, args.a)).value(args.radius, policy)
     record = {
         "command": "eval-robin",
         "n": args.n,
@@ -302,6 +294,10 @@ def _radial_grid(args, geom: AnnulusGeometry, standoff: float = 1e-3) -> np.ndar
     hi = args.r_max if args.r_max is not None else 1.0 - standoff * span
     if args.grid_points < 2:
         raise DomainValidationError("need at least 2 grid points")
+    if args.grid_points > _MAX_GRID_POINTS:
+        raise DomainValidationError(
+            f"at most {_MAX_GRID_POINTS} grid points, got {args.grid_points}"
+        )
     if not (geom.a - 1e-12 <= lo < hi <= 1.0 + 1e-12):
         raise DomainValidationError(f"grid window [{lo}, {hi}] must sit inside [{geom.a}, 1]")
     return np.linspace(lo, hi, args.grid_points)
@@ -333,18 +329,14 @@ def _cmd_export_grid(args) -> int:
 
     if args.quantity in ("robin", "gradient"):
         radii = _radial_grid(args, geom)
-        if args.quantity == "robin":
-            column = "robin"
-            if geom.n == 2:
-                evaluate = lambda r: robin2d_eval_grid(geom.a, r, policy)  # noqa: E731
-            else:
-                evaluate = lambda r: robin_eval_grid(geom, r, policy)  # noqa: E731
-        else:
-            column = "radial_gradient"
-            if geom.n == 2:
-                evaluate = lambda r: robin2d_first_grid(geom.a, r, policy).scaled(r)  # noqa: E731
-            else:
-                evaluate = lambda r: robin_radial_gradient_grid(geom, r, policy)  # noqa: E731
+        family = _radial(geom)
+        column = "robin" if args.quantity == "robin" else "radial_gradient"
+
+        def evaluate(r: np.ndarray) -> EvalGrid:
+            if args.quantity == "robin":
+                return family.value_grid(r, policy)
+            return family.gradient_grid(r, policy).scaled(r / family.d(r))  # r R'(r)
+
         res = _interior_rows(evaluate, radii, geom.a)
         settled = res.converged
     else:  # green-slice

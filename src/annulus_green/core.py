@@ -136,9 +136,9 @@ class AnnulusGeometry:
             raise DomainValidationError("point coordinates must be finite")
         return arr
 
-    def clamp_radius(self, r: float, slack: float = RADIUS_SLACK) -> float:
-        """Validate r against the closed interval [a, 1] and clamp roundoff."""
-        if not (self.a - slack <= r <= 1.0 + slack):
+    def clamp_radius(self, r: float) -> float:
+        """Validate r against [a, 1], up to RADIUS_SLACK, and clamp roundoff."""
+        if not (self.a - RADIUS_SLACK <= r <= 1.0 + RADIUS_SLACK):
             raise DomainValidationError(
                 f"radius {r} outside the annulus range [{self.a}, 1]"
             )

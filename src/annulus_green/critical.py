@@ -4,18 +4,21 @@ For n >= 3 the zero of the strictly decreasing radial gradient r R'(r) is
 bracketed by a geometric sweep out of both boundary layers (where its signs
 are guaranteed), located by Brent-Dekker to within about two ulps, and then
 bisected to adjacent doubles; for n = 2 the same procedure runs on the
-planar R'(r), which is strictly increasing.  The root is the end of that
-pair with the smaller |value|, and it carries one of two certificates:
-``"residual"`` when |value| + tail_bound is within the solver tolerance, or
-``"sign-pinned"`` when a steep gradient moves by more than that tolerance
-from one double to the next but certain opposite signs lie within 128 ulps
-on both sides.  The report carries the observed second-derivative value, its
-cross-check uncertainty, and the resulting minimum/maximum classification as
-evidence rather than assumption, and the evaluations and terms of each phase.
-concentration_root returns the same r0 as the root of the
-concentration-radius equation, the gradient times -omega/2.
+planar R'(r), which is strictly increasing.  green.py owns that choice:
+green._radial gives the gradient, its slope and its closed part for the
+geometry's dimension, and this module never branches on it.  The root is
+the end of that pair with the smaller |value|, and it carries one of two
+certificates: ``"residual"`` when |value| + tail_bound is within the solver
+tolerance, or ``"sign-pinned"`` when a steep gradient moves by more than
+that tolerance from one double to the next but certain opposite signs lie
+within 128 ulps on both sides.  The report carries the observed
+second-derivative value, its cross-check uncertainty, and the resulting
+minimum/maximum classification as evidence rather than assumption, and the
+evaluations and terms of each phase.  concentration_root returns the same
+r0 as the root of the concentration-radius equation, the gradient times
+-omega/2.
 
-Brent-Dekker is aimed with the closed forms of green.py.  Its first iterate
+Brent-Dekker is aimed with the family's closed part.  Its first iterate
 is the root of the series' closed part (the Kelvin images; for n = 2 the
 planar closed forms), found by a float-only Newton iteration, and its
 interpolation and |value| comparisons read g = f w with
@@ -61,18 +64,7 @@ from .core import (
     EvalResult,
     TruncationPolicy,
 )
-from .green import (
-    _gradient_closed,
-    _robin2d_first_closed,
-    _robin2d_second_closed,
-    _slope_closed,
-    robin2d_first,
-    robin2d_first_grid,
-    robin2d_second,
-    robin_radial_gradient,
-    robin_radial_gradient_derivative,
-    robin_radial_gradient_grid,
-)
+from .green import _radial
 
 # the gradient diverges at both boundaries; stand off before sweeping
 DEFAULT_STANDOFF_FACTOR = 1e-3
@@ -489,28 +481,6 @@ def _solve(
     )
 
 
-def _gradient_closed_part(
-    geom: AnnulusGeometry, scale: float
-) -> Callable[[float], tuple[float, float]]:
-    """r -> the closed parts of robin_radial_gradient and its slope (the
-    Kelvin images, before the zonal remainder) times ``scale``."""
-    k, a = geom.n - 2, geom.a
-    w = (1.0 - a) * (1.0 + a)
-
-    def closed(r: float) -> tuple[float, float]:
-        u, v = (1.0 - r) * (1.0 + r), (r - a) * (r + a)
-        value = sum(_gradient_closed(k, a, r, u, v, w)[0])
-        slope = sum(_slope_closed(k, a, r, u, v, w)[0])
-        return scale * value, scale * slope
-
-    return closed
-
-
-def _planar_closed_part(a: float) -> Callable[[float], tuple[float, float]]:
-    """r -> the closed parts of robin2d_first and robin2d_second."""
-    return lambda r: (sum(_robin2d_first_closed(a, r)[0]), sum(_robin2d_second_closed(a, r)[0]))
-
-
 def _series_policy(policy: TruncationPolicy | None, solver_tol: float) -> TruncationPolicy:
     """The caller's policy with abs_tol within the residual budget and an
     absolute target: the reported numbers are summed to it.  The budget must
@@ -536,26 +506,14 @@ def find_critical_point(
     """
     pol = _series_policy(policy, solver_tol)
     a = geom.a
-
-    # the series f solved for is R'(r) times d(r); slope is its derivative
-    if geom.n >= 3:
-        f = _CountedSeries(lambda r, p: robin_radial_gradient(geom, r, p), pol)
-        closed = _gradient_closed_part(geom, -1.0 / geom.omega)
-        slope = lambda r: robin_radial_gradient_derivative(geom, r, pol)
-        d = lambda r: r
-        name = "r*R'(r)"
-    else:
-        f = _CountedSeries(lambda r, p: robin2d_first(a, r, p), pol)
-        closed = _planar_closed_part(a)
-        slope = lambda r: robin2d_second(a, r, pol)
-        d = lambda r: 1.0
-        name = "R'(r)"
-
-    r0, residual, certificate, bracket = _solve(f, a, solver_tol, geom.n - 1, closed)
+    # the series f solved for is R'(r) times d(r)
+    family = _radial(geom)
+    f, d = _CountedSeries(family.gradient, pol), family.d
+    r0, residual, certificate, bracket = _solve(f, a, solver_tol, geom.n - 1, family.closed)
 
     h = 1e-4 * (1.0 - a)
     f.phase = "second_derivative"
-    slope_res = f.tally(slope(r0))
+    slope_res = f.tally(family.slope(r0, pol))
     second = slope_res.value / d(r0)  # R'' = f'(r0)/d(r0) at the zero of f
     plus = f.result(r0 + h)
     minus = f.result(r0 - h)
@@ -572,7 +530,7 @@ def find_critical_point(
         second_derivative_uncertainty=uncertainty,
         is_radial_minimum=second > 0.0,
         method=(
-            f"Brent-Dekker then bisection to adjacent doubles on {name}, "
+            f"Brent-Dekker then bisection to adjacent doubles on {family.name}, "
             "series second derivative"
         ),
         evaluations=f.calls,
@@ -599,12 +557,9 @@ def refine_critical_point(
     """
     pol = _series_policy(policy, solver_tol)
     a = geom.a
-    if geom.n >= 3:
-        fun = lambda r: robin_radial_gradient(geom, r, pol).value
-        slope = lambda r: robin_radial_gradient_derivative(geom, r, pol).value
-    else:
-        fun = lambda r: robin2d_first(a, r, pol).value
-        slope = lambda r: robin2d_second(a, r, pol).value
+    family = _radial(geom)
+    fun = lambda r: family.gradient(r, pol).value
+    slope = lambda r: family.slope(r, pol).value
     r = float(r_start)
     if not (a < r < 1.0):
         raise DomainValidationError(f"start {r} outside the open gap ({a}, 1)")
@@ -666,10 +621,7 @@ def count_gradient_sign_changes(
     hi = 1.0 - delta
     step = (hi - lo) / (num - 1)
     radii = lo + np.arange(num) * step
-    if geom.n >= 3:
-        values = robin_radial_gradient_grid(geom, radii, pol).value
-    else:
-        values = robin2d_first_grid(a, radii, pol).value
+    values = _radial(geom).gradient_grid(radii, pol).value
     changes: list[float] = []
     prev_sign = 0
     prev_r = lo

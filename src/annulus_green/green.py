@@ -39,6 +39,10 @@ m >= _HEAD_MODES in closed form.  The rows shrink by a^(k + 2 _HEAD_MODES),
 and terms_used counts head modes plus image rows.  robin2d_eval keeps its
 modes: its 1/m weights have no elementary sum over m.
 
+_radial gives the Robin family of a geometry's dimension (value, solved
+gradient, its slope, their grid twins and closed parts): it is the one place
+that chooses between the spatial series and the planar ones.
+
 green_piecewise_eval stays the unsplit modal series on purpose: its split
 would be the same computation as green_eval's, and it serves as the
 independent route that green_eval is checked against.
@@ -64,6 +68,7 @@ import functools
 import itertools
 import math
 import operator
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -840,36 +845,63 @@ def _remainder_table(k: int, a: float, r, scale, parts, images: bool):
     return table
 
 
+def _split(
+    k: int, a: float, r, policy: TruncationPolicy, closed_part, scale, parts, rel_error=0.0
+):
+    """A Robin-family series (planar for k = 0) at r, or at every radius of
+    an array r: the closed form and rounding bound ``closed_part()`` returns
+    plus the remainder of prefactor ``scale`` (one per radius in the plane)
+    and polynomials ``parts`` (see _remainder_rows), summed through images
+    where _image_route holds and, for an array, as one table.  ``rel_error``
+    is that of a factor every piece shares (see _split_result).
+    """
+    route = _image_route(a, policy, parts)
+    try:
+        if isinstance(r, np.ndarray):
+            with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
+                closed, closed_rounding = closed_part()
+                table = _remainder_table(k, a, r, scale, parts, route)
+                res = sum_series_table(table, r.size, policy)
+        else:
+            closed, closed_rounding = closed_part()
+            res = sum_series(_remainder_rows(k, a, r, scale, parts, route), policy, closed)
+    except (OverflowError, ZeroDivisionError):
+        raise TailEnvelopeError(
+            f"the Robin series for n = {k + 2} leaves the double-precision range here: "
+            "its closed form or its modes overflow"
+        ) from None
+    return _split_result(closed, closed_rounding, res, rel_error)
+
+
 def _robin_split(
     geom: AnnulusGeometry,
-    r: float,
+    r,
     policy: TruncationPolicy,
     closed_form,
     scale_factor: float,
     parts,
-) -> EvalResult:
-    """A Robin-family series for n >= 3 as closed form plus summed remainder.
+    grid: bool = False,
+):
+    """A Robin-family series for n >= 3 at r, or with ``grid`` at every
+    radius of the array r, through _split.
 
     ``closed_form(k, a, r, u, v, w)`` returns the closed-form pieces, which
     are multiplied by -1/omega, and the number of ulps each may be off by.
     It receives u = 1 - r^2, v = r^2 - a^2 and w = 1 - a^2, each formed as a
     difference times a sum so that nothing cancels next to a sphere.  The
     remainder carries the prefactor -scale_factor / (k omega) and the
-    polynomials ``parts`` of _robin_remainder, and is summed as
-    _remainder_rows gives it: through images where _image_route holds.
+    polynomials ``parts`` of _robin_remainder.
     """
     geom.require_series_dim()
-    geom.require_interior_radius(r)
-    n, a = geom.n, geom.a
-    k = n - 2
-    try:
-        closed, closed_rounding = _robin_closed_part(geom, r, closed_form)
-        scale = -scale_factor / (k * geom.omega)
-        rows = _remainder_rows(k, a, r, scale, parts, _image_route(a, policy, parts))
-        res = sum_series(rows, policy, closed)
-    except (OverflowError, ZeroDivisionError):
-        raise _robin_overflow(n) from None
-    return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
+    if grid:
+        r = _interior_radii(geom.a, r)
+    else:
+        geom.require_interior_radius(r)
+    k = geom.n - 2
+    extra = _NUMPY_EXTRA if grid else 0.0
+    closed = lambda: _robin_closed_part(geom, r, closed_form, extra)  # noqa: E731
+    scale = -scale_factor / (k * geom.omega)
+    return _split(k, geom.a, r, policy, closed, scale, parts, geom.omega_rel_error)
 
 
 def _robin_closed_part(geom: AnnulusGeometry, r, closed_form, extra: float = 0.0):
@@ -881,13 +913,6 @@ def _robin_closed_part(geom: AnnulusGeometry, r, closed_form, extra: float = 0.0
     closed = -sum(pieces) / geom.omega
     # the pieces, their two sums and the division
     return closed, (ulps + 3 + extra) * _U * sum(map(abs, pieces)) / geom.omega
-
-
-def _robin_overflow(n: int) -> TailEnvelopeError:
-    return TailEnvelopeError(
-        f"the Robin series for n = {n} leaves the double-precision range here: "
-        "its closed form or its modes overflow"
-    )
 
 
 def _radius_array(radii) -> np.ndarray:
@@ -906,25 +931,6 @@ def _interior_radii(a: float, radii) -> np.ndarray:
             f"radius {float(r[outside][0])} must lie strictly between a = {a} and 1"
         )
     return r
-
-
-def _robin_split_grid(
-    geom: AnnulusGeometry, radii, policy: TruncationPolicy, closed_form, scale_factor, parts
-) -> EvalGrid:
-    """_robin_split over an array of radii, its remainder summed as one table."""
-    geom.require_series_dim()
-    r = _interior_radii(geom.a, radii)
-    n, a = geom.n, geom.a
-    k = n - 2
-    try:
-        with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-            closed, closed_rounding = _robin_closed_part(geom, r, closed_form, _NUMPY_EXTRA)
-            scale = -scale_factor / (k * geom.omega)
-            table = _remainder_table(k, a, r, scale, parts, _image_route(a, policy, parts))
-            res = sum_series_table(table, r.size, policy)
-    except OverflowError:
-        raise _robin_overflow(n) from None
-    return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
 
 
 def _robin_closed(k, a, r, u, v, w):
@@ -992,7 +998,7 @@ def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> E
     Each entry stays inside robin_eval's bound and matches its terms used and
     convergence; values may differ from robin_eval's by ulps.
     """
-    return _robin_split_grid(geom, radii, policy, _robin_closed, 1.0, _ROBIN_PARTS)
+    return _robin_split(geom, radii, policy, _robin_closed, 1.0, _ROBIN_PARTS, grid=True)
 
 
 def robin_radial_gradient_grid(
@@ -1000,8 +1006,8 @@ def robin_radial_gradient_grid(
 ) -> EvalGrid:
     """robin_radial_gradient at every radius of ``radii``, summed as one table,
     with robin_eval_grid's contract."""
-    return _robin_split_grid(
-        geom, radii, policy, _gradient_closed, 2.0, _gradient_parts(geom.n - 2)
+    return _robin_split(
+        geom, radii, policy, _gradient_closed, 2.0, _gradient_parts(geom.n - 2), grid=True
     )
 
 
@@ -1106,31 +1112,6 @@ def _planar_remainder_grid(a: float, r, scale, parts):
         )
 
 
-def _planar_split(
-    a: float,
-    r: float,
-    policy: TruncationPolicy,
-    pieces,
-    closed_rounding: float,
-    scale: float,
-    parts,
-) -> EvalResult:
-    closed = sum(pieces)
-    rows = _remainder_rows(0, a, r, scale, parts, _image_route(a, policy, parts))
-    res = sum_series(rows, policy, closed)
-    return _split_result(closed, closed_rounding, res)
-
-
-def _planar_split_grid(
-    a: float, r, policy: TruncationPolicy, pieces, closed_rounding, scale, parts
-) -> EvalGrid:
-    scale = np.broadcast_to(scale, r.shape)
-    table = _remainder_table(0, a, r, scale, parts, _image_route(a, policy, parts))
-    with np.errstate(all="ignore"):
-        res = sum_series_table(table, r.size, policy)
-    return _split_result(sum(pieces), closed_rounding, res)
-
-
 def _planar_radii(a: float, radii) -> np.ndarray:
     if not (0.0 < a < 1.0):
         raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {a!r}")
@@ -1138,8 +1119,8 @@ def _planar_radii(a: float, radii) -> np.ndarray:
 
 
 def _robin2d_closed(a: float, r, log=math.log, extra: float = 0.0):
-    """-log^2 r / log a and the three images of the planar Robin function,
-    with their rounding bound; ``log`` is math.log, or np.log for an array of
+    """-log^2 r / log a plus the three images of the planar Robin function,
+    and its rounding bound; ``log`` is math.log, or np.log for an array of
     radii with ``extra`` units per piece."""
     # sum_m x^m/m = -log(1 - x) for each of the three images
     pieces = (
@@ -1149,7 +1130,7 @@ def _robin2d_closed(a: float, r, log=math.log, extra: float = 0.0):
         -log((r - a) * (r + a) / (r * r)),
     )
     # each log errs by its argument's 3-5 roundings absolutely, plus one ulp
-    return pieces, _U * (14.0 + (8.0 + extra) * sum(map(abs, pieces)))
+    return sum(pieces), _U * (14.0 + (8.0 + extra) * sum(map(abs, pieces)))
 
 
 def _robin2d_first_closed(a: float, r, log=math.log, extra: float = 0.0):
@@ -1159,7 +1140,7 @@ def _robin2d_first_closed(a: float, r, log=math.log, extra: float = 0.0):
         2.0 * r / ((1.0 - r) * (1.0 + r)),
         -2.0 * (a * a) / (r * ((r - a) * (r + a))),
     )
-    return pieces, (8.0 + extra) * _U * sum(map(abs, pieces))
+    return sum(pieces), (8.0 + extra) * _U * sum(map(abs, pieces))
 
 
 def _robin2d_second_closed(a: float, r, log=math.log, extra: float = 0.0):
@@ -1172,7 +1153,7 @@ def _robin2d_second_closed(a: float, r, log=math.log, extra: float = 0.0):
         2.0 * (1.0 + r2) / (u * u),
         2.0 * (a * a) * (3.0 * r2 - a * a) / (r2 * (v * v)),
     )
-    return pieces, (20.0 + extra) * _U * sum(map(abs, pieces))
+    return sum(pieces), (20.0 + extra) * _U * sum(map(abs, pieces))
 
 
 # mode weights (x_1^m - 2 x_2^m + x_4^m) / m, with 1/m = 2 (2m)^-1
@@ -1188,16 +1169,15 @@ def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     unique critical point is a radial minimum.
     """
     _check_planar(a, r)
-    pieces, rounding = _robin2d_closed(a, r)
-    return _planar_split(a, r, policy, pieces, rounding, 1.0, _ROBIN2D_PARTS)
+    return _split(0, a, r, policy, lambda: _robin2d_closed(a, r), 1.0, _ROBIN2D_PARTS)
 
 
 def robin2d_first(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Derivative of the planar Robin function; -inf at the inner circle,
     +inf at the outer circle, with a single interior zero."""
     _check_planar(a, r)
-    pieces, rounding = _robin2d_first_closed(a, r)
-    return _planar_split(a, r, policy, pieces, rounding, 2.0 / r, _ROBIN2D_FIRST_PARTS)
+    closed = lambda: _robin2d_first_closed(a, r)  # noqa: E731
+    return _split(0, a, r, policy, closed, 2.0 / r, _ROBIN2D_FIRST_PARTS)
 
 
 def robin2d_eval_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
@@ -1205,22 +1185,78 @@ def robin2d_eval_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
     robin_eval_grid's contract.  log r^2 squares a numpy log, hence twice
     the extra units."""
     r = _planar_radii(a, radii)
-    with np.errstate(all="ignore"):
-        pieces, rounding = _robin2d_closed(a, r, np.log, 2.0 * _NUMPY_EXTRA)
-    return _planar_split_grid(a, r, policy, pieces, rounding, 1.0, _ROBIN2D_PARTS)
+    closed = lambda: _robin2d_closed(a, r, np.log, 2.0 * _NUMPY_EXTRA)  # noqa: E731
+    return _split(0, a, r, policy, closed, 1.0, _ROBIN2D_PARTS)
 
 
 def robin2d_first_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
     """robin2d_first at every radius of ``radii``, summed as one table, with
     robin_eval_grid's contract."""
     r = _planar_radii(a, radii)
-    with np.errstate(all="ignore"):
-        pieces, rounding = _robin2d_first_closed(a, r, np.log, _NUMPY_EXTRA)
-    return _planar_split_grid(a, r, policy, pieces, rounding, 2.0 / r, _ROBIN2D_FIRST_PARTS)
+    closed = lambda: _robin2d_first_closed(a, r, np.log, _NUMPY_EXTRA)  # noqa: E731
+    return _split(0, a, r, policy, closed, 2.0 / r, _ROBIN2D_FIRST_PARTS)
 
 
 def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Second derivative of the planar Robin function; positive on all of (a, 1)."""
     _check_planar(a, r)
-    pieces, rounding = _robin2d_second_closed(a, r)
-    return _planar_split(a, r, policy, pieces, rounding, 2.0 / (r * r), _ROBIN2D_SECOND_PARTS)
+    closed = lambda: _robin2d_second_closed(a, r)  # noqa: E731
+    return _split(0, a, r, policy, closed, 2.0 / (r * r), _ROBIN2D_SECOND_PARTS)
+
+
+class _Radial(NamedTuple):
+    """The Robin family of one dimension (see _radial).  Each series takes
+    (r, policy), each grid twin (radii, policy)."""
+
+    value: Callable  # the Robin function R(r)
+    value_grid: Callable
+    gradient: Callable  # the solved gradient: r R'(r) for n >= 3, R'(r) for n = 2
+    gradient_grid: Callable
+    slope: Callable  # the gradient's derivative in r
+    closed: Callable  # r -> the value and slope of the gradient's closed part
+    d: Callable  # r -> d(r), with R'(r) = gradient / d(r)
+    name: str  # the gradient, as a solver's method names it
+
+
+def _radial(geom: AnnulusGeometry) -> _Radial:
+    """The Robin family of the geometry's dimension: the one place that
+    chooses between the spatial series (n >= 3) and the planar ones.
+
+    Each series is the public evaluator it stands for, as this module's
+    namespace holds it when the family is built, bound to the geometry.  A
+    wrapper installed there (a tracer, a test's counter) therefore sees the
+    calls of families built after it: build one per use and keep none.
+    ``closed`` is the part of the gradient and of its slope that the series
+    split off in closed form (the Kelvin images, or the planar closed forms),
+    scaled as the series are and computed in floats only.
+    """
+    a = geom.a
+    if geom.n == 2:
+        return _Radial(
+            functools.partial(robin2d_eval, a),
+            functools.partial(robin2d_eval_grid, a),
+            functools.partial(robin2d_first, a),
+            functools.partial(robin2d_first_grid, a),
+            functools.partial(robin2d_second, a),
+            lambda r: (_robin2d_first_closed(a, r)[0], _robin2d_second_closed(a, r)[0]),
+            lambda r: 1.0,
+            "R'(r)",
+        )
+    k, w, scale = geom.n - 2, (1.0 - a) * (1.0 + a), -1.0 / geom.omega
+
+    def closed(r: float) -> tuple[float, float]:
+        u, v = (1.0 - r) * (1.0 + r), (r - a) * (r + a)
+        value = sum(_gradient_closed(k, a, r, u, v, w)[0])
+        slope = sum(_slope_closed(k, a, r, u, v, w)[0])
+        return scale * value, scale * slope
+
+    return _Radial(
+        functools.partial(robin_eval, geom),
+        functools.partial(robin_eval_grid, geom),
+        functools.partial(robin_radial_gradient, geom),
+        functools.partial(robin_radial_gradient_grid, geom),
+        functools.partial(robin_radial_gradient_derivative, geom),
+        closed,
+        lambda r: r,
+        "r*R'(r)",
+    )

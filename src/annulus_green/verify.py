@@ -39,17 +39,16 @@ from .green import (
     _ROBIN2D_SECOND_PARTS,
     _ROBIN_PARTS,
     _gradient_parts,
+    _radial,
     _remainder_rows,
     _slope_parts,
     green_eval,
     green_piecewise_eval,
     modal_coefficient,
     robin2d_eval,
-    robin2d_eval_grid,
     robin2d_first,
     robin2d_second,
     robin_eval,
-    robin_eval_grid,
     robin_radial_gradient,
     robin_radial_gradient_derivative,
 )
@@ -517,10 +516,8 @@ def suite_critical_point(rng: np.random.Generator) -> SuiteResult:
 
             # second-derivative sign against the central second difference
             hh = 1e-3
-            if n >= 3:
-                vals = [robin_eval(geom, rep.r0 + k * hh, pol).value for k in (-1, 0, 1)]
-            else:
-                vals = [robin2d_eval(a, rep.r0 + k * hh, pol).value for k in (-1, 0, 1)]
+            family = _radial(geom)
+            vals = [family.value(rep.r0 + k * hh, pol).value for k in (-1, 0, 1)]
             second_fd = (vals[0] - 2 * vals[1] + vals[2]) / hh**2
             out.check(
                 (second_fd > 0) == (rep.second_derivative > 0), 0.0, f"curvature sign n={n}"
@@ -532,10 +529,7 @@ def suite_critical_point(rng: np.random.Generator) -> SuiteResult:
             out.check(changes == 1, abs(changes - 1), f"single sign change n={n}")
 
             span = 1.0 - a
-            if n >= 3:
-                fn = lambda r: robin_eval_grid(geom, r, pol).value
-            else:
-                fn = lambda r: robin2d_eval_grid(a, r, pol).value
+            fn = lambda r: family.value_grid(r, pol).value
             r_scan, _ = grid_scan_extremum(
                 fn, a + 0.05 * span, 1.0 - 0.05 * span, 100_000, kind=kind
             )

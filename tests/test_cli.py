@@ -95,6 +95,13 @@ class TestEvalRobin:
         code, _ = run_cli(capsys, "eval-robin", "--n", "3", "--a", "0.5", "0.4")
         assert code == 2
 
+    @pytest.mark.parametrize("a", ["0", "1", "1.5", "nan"])
+    def test_invalid_planar_inner_radius_exit_2(self, capsys, a):
+        # the geometry validates the plane's a as it does every other dimension's
+        code, out = run_cli(capsys, "eval-robin", "--n", "2", "--a", a, "0.7")
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainValidationError"
+
     def test_budget_exhaustion_exit_3(self, capsys):
         code, out = run_cli(
             capsys, "eval-robin", "--n", "3", "--a", "0.5", "--max-terms", "4", "0.99"
@@ -372,6 +379,22 @@ class TestExportGrid:
         )
         assert code == 2
         assert json.loads(out)["message"] == "need at least 2 grid points"
+
+    @pytest.mark.parametrize("points", [cli._MAX_GRID_POINTS + 1, 10**13])
+    @pytest.mark.parametrize("quantity", ["robin", "gradient", "green-slice"])
+    def test_grid_points_above_the_cap_exit_2(self, capsys, tmp_path, quantity, points):
+        # refused before any radius is allocated: 10^13 points would need
+        # tens of TiB
+        argv = ["export-grid", quantity, "--n", "3", "--a", "0.5", "--y", "0,0.7,0"]
+        argv += ["--grid-points", str(points)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        record = json.loads(out)
+        assert record["error"] == "DomainValidationError"
+        assert "rows" not in record
+        path = tmp_path / "grid.csv"
+        assert run_cli(capsys, *argv, "--format", "csv", "--out", str(path)) == (2, "")
+        assert not path.exists()
 
     def test_missing_source_point_exit_2(self, capsys):
         code, _ = run_cli(capsys, "export-grid", "green-slice", "--n", "3", "--a", "0.5")

@@ -7,20 +7,27 @@ from annulus_green import (
     AnnulusGeometry,
     DomainValidationError,
     SingularityError,
+    TailEnvelopeError,
     TruncationPolicy,
     ball_green_closed_form,
     critical_equation_eval,
+    find_critical_point,
     green_eval,
     green_piecewise_eval,
     modal_coefficient,
     newtonian_potential,
     robin2d_eval,
+    robin2d_eval_grid,
     robin2d_first,
+    robin2d_first_grid,
     robin2d_second,
     robin_eval,
+    robin_eval_grid,
     robin_radial_gradient,
     robin_radial_gradient_derivative,
+    robin_radial_gradient_grid,
 )
+from annulus_green import green
 from conftest import random_unit
 
 POLICY = TruncationPolicy(abs_tol=1e-12, max_terms=300_000)
@@ -243,6 +250,13 @@ class TestPlanarRobin:
             ) / (2 * h)
             assert robin2d_second(0.2, r, POLICY).value == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("fn", [robin2d_eval, robin2d_first])
+    def test_closed_form_out_of_range_is_a_tail_envelope_error(self, fn):
+        # r^2 underflows at r = 2e-300, so the closed form has no double
+        # value; the planar tail reports that as the spatial one does
+        with pytest.raises(TailEnvelopeError):
+            fn(1e-300, 2e-300, POLICY)
+
     def test_rejects_bad_radii(self):
         with pytest.raises(DomainValidationError):
             robin2d_eval(0.2, 0.15, POLICY)
@@ -279,3 +293,74 @@ class TestGreenProperties:
                 e[i] = h
                 lap += regular(x + e) + regular(x - e)
             assert abs(lap) / h**2 <= 1e-4
+
+
+class TestRadialFamily:
+    """green._radial stands for the public evaluators of each dimension."""
+
+    # field: (planar evaluator, spatial evaluator)
+    SERIES = {
+        "value": (robin2d_eval, robin_eval),
+        "gradient": (robin2d_first, robin_radial_gradient),
+        "slope": (robin2d_second, robin_radial_gradient_derivative),
+    }
+    GRIDS = {
+        "value_grid": (robin2d_eval_grid, robin_eval_grid),
+        "gradient_grid": (robin2d_first_grid, robin_radial_gradient_grid),
+    }
+    # a = 0.97 sums the deep modes through images
+    RADII = (0.975, 0.98, 0.99, 0.999)
+
+    @staticmethod
+    def _bits(res):
+        fields = (res.value, res.terms_used, res.tail_bound, res.converged)
+        return tuple(np.asarray(f).tobytes() for f in fields)
+
+    @pytest.mark.parametrize("a", [0.3, 0.97])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_fields_are_bit_identical_to_the_public_evaluators(self, n, a):
+        geom = AnnulusGeometry(n, a)
+        family = green._radial(geom)
+        first = a if n == 2 else geom
+        radii = np.array([a + (r - 0.97) / 0.03 * (1.0 - a) for r in self.RADII])
+        for name, evaluators in self.SERIES.items():
+            public = evaluators[n > 2]
+            for r in radii.tolist():
+                got = getattr(family, name)(r, POLICY)
+                assert self._bits(got) == self._bits(public(first, r, POLICY)), (name, r)
+        for name, evaluators in self.GRIDS.items():
+            got = getattr(family, name)(radii, POLICY)
+            assert self._bits(got) == self._bits(evaluators[n > 2](first, radii, POLICY)), name
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_d_turns_the_gradient_into_r_times_the_derivative(self, n):
+        geom = AnnulusGeometry(n, 0.4)
+        family = green._radial(geom)
+        r, h = 0.7, 1e-5
+        derivative = (
+            family.value(r + h, POLICY).value - family.value(r - h, POLICY).value
+        ) / (2 * h)
+        gradient = family.gradient(r, POLICY).value
+        assert gradient / family.d(r) == pytest.approx(derivative, rel=1e-7)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_closed_slope_is_the_derivative_of_the_closed_value(self, n):
+        family = green._radial(AnnulusGeometry(n, 0.4))
+        r, h = 0.7, 1e-6
+        value, slope = family.closed(r)
+        fd = (family.closed(r + h)[0] - family.closed(r - h)[0]) / (2 * h)
+        assert slope == pytest.approx(fd, rel=1e-6)
+        # the closed part carries the gradient's poles: its sign at the ends
+        near = 1e-3 * 0.6
+        assert family.closed(0.4 + near)[0] * family.gradient(0.4 + near, POLICY).value > 0
+        assert family.closed(1.0 - near)[0] * family.gradient(1.0 - near, POLICY).value > 0
+
+    def test_method_keeps_both_wordings(self):
+        assert green._radial(AnnulusGeometry(2, 0.2)).name == "R'(r)"
+        assert green._radial(AnnulusGeometry(3, 0.5)).name == "r*R'(r)"
+        for n, name in ((2, "R'(r)"), (3, "r*R'(r)"), (5, "r*R'(r)")):
+            report = find_critical_point(AnnulusGeometry(n, 0.3))
+            assert report.method == (
+                f"Brent-Dekker then bisection to adjacent doubles on {name}, "
+                "series second derivative"
+            )

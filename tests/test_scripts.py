@@ -32,6 +32,19 @@ def test_robin_profile_writes_its_csv(monkeypatch, capsys, tmp_path):
     assert f"wrote 40 rows to {path}" in out
 
 
+def test_robin_profile_in_the_plane(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "profile.csv"
+    argv = ["--n", "2", "--a", "0.2", "--points", "40", "--out", str(path)]
+    assert run_script(monkeypatch, "robin_profile.py", *argv) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # the planar R'(r), times r, rises through one zero: a radial minimum
+    positive = [float(row[3]) > 0 for row in rows]
+    assert not positive[0] and positive[-1]
+    assert sum(p != q for p, q in zip(positive, positive[1:])) == 1
+    assert "(minimum)" in capsys.readouterr().out
+
+
 def test_ball_limit_study_fits_its_constant(monkeypatch, capsys):
     assert run_script(monkeypatch, "ball_limit_study.py") == 0
     lines = capsys.readouterr().out.splitlines()

@@ -23,7 +23,6 @@ from annulus_green import (
     refine_critical_point,
 )
 from annulus_green import critical, green
-from annulus_green.green import robin2d_first, robin_radial_gradient
 
 SOLVER_TOL = 1e-12
 
@@ -41,12 +40,8 @@ def _seeded_geometries(count, seed=20261018):
 def _gradient(n, a):
     """The solver's counted gradient and the closed part its seed reads."""
     policy = critical._series_policy(None, SOLVER_TOL)
-    if n == 2:
-        f = critical._CountedSeries(lambda r, p: robin2d_first(a, r, p), policy)
-        return f, critical._planar_closed_part(a)
-    geom = AnnulusGeometry(n, a)
-    f = critical._CountedSeries(lambda r, p: robin_radial_gradient(geom, r, p), policy)
-    return f, critical._gradient_closed_part(geom, -1.0 / geom.omega)
+    family = green._radial(AnnulusGeometry(n, a))
+    return critical._CountedSeries(family.gradient, policy), family.closed
 
 
 def _swept(n, a):
@@ -272,8 +267,8 @@ def test_seed_and_weight_save_brent_evaluations(monkeypatch):
 
 @pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2), (5, 0.93), (6, 0.8)])
 def test_phase_counts_add_up(n, a, monkeypatch):
-    # wrap the evaluators where critical looks them up, and count the terms
-    # they sum; the phases split exactly that work
+    # wrap the evaluators in green, where the family looks them up, and count
+    # the terms they sum; the phases split exactly that work
     summed = []
 
     def counted(fn):
@@ -290,7 +285,7 @@ def test_phase_counts_add_up(n, a, monkeypatch):
         "robin2d_first",
         "robin2d_second",
     ):
-        monkeypatch.setattr(critical, name, counted(getattr(green, name)))
+        monkeypatch.setattr(green, name, counted(getattr(green, name)))
     report = find_critical_point(AnnulusGeometry(n, a), None, SOLVER_TOL)
     assert [p.phase for p in report.phases] == list(critical.PHASES)
     assert sum(p.evaluations for p in report.phases) == report.evaluations == len(summed)
