@@ -18,7 +18,10 @@ spheres: four Kelvin images through the Gegenbauer generating function
 sum_m q^m P_m(t) = (1 - 2qt + q^2)^(-(n-2)/2) for green_eval, two images
 through sum_m C(k+m-1, m) x^m = (1 - x)^-k for the Robin family (and
 sum_m x^m/m = -log(1 - x) in the plane).  Every difference next to a sphere
-is formed as (p - q)(p + q), so no r^2 - a^2 or 1 - r^2 cancels.  The
+is formed as (p - q)(p + q), so no r^2 - a^2 or 1 - r^2 cancels.  One
+generator, _robin_remainder, yields the remainder modes of every
+Robin-family series: the plane is its k = 0 member, the family's limit in
+which the binomial weights become the log kernel's 1/m (see _mode_form).  The
 remainder's term ratio is at most a^2 wherever the points lie, so it takes
 as many modes next to a sphere as mid-gap: tens for a up to about 0.8, but
 about 11/(1 - a) at tol 1e-10 as a approaches 1.  Its products are powers
@@ -52,7 +55,7 @@ a grid of radii can share one mode loop.  The grid twins robin_eval_grid,
 robin_radial_gradient_grid, robin2d_eval_grid, robin2d_first_grid and
 _green_slice take an array of radii and sum their remainders as one
 (modes x radii) table with summation.sum_series_table.  Their generators
-(_robin_remainder_grid, _planar_remainder_grid, _green_remainder_grid) sit
+(_robin_remainder_grid, planar for k = 0, and _green_remainder_grid) sit
 beside the scalar ones, yield rows of the same shape, reuse the same closed
 forms and count rounding with the same named constants; only the powers and
 logs that depend on the radius are numpy's, and each adds _NUMPY_EXTRA units
@@ -119,13 +122,6 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
 # scalar counts allow for (tests/test_numpy_rounding.py measures both against
 # mpmath); every factor taken that way adds it to its piece's count
 _NUMPY_EXTRA = 2.0
-
-# (slope, fixed): a Robin-family remainder mode m rounds by at most
-# slope m + fixed (+ 2k for n >= 3) units of the absolute sum of its parts
-# times 1/(1 - A_m), as _robin_remainder and _planar_remainder count them;
-# their grid twins add their numpy powers to the same counts
-_ROBIN_UNITS = (4, 20)
-_PLANAR_UNITS = (4, 17)
 
 # the image route of the Robin family (see _image_rows): where the mode
 # series is predicted to need more than _SWITCH_MODES modes, the remainder
@@ -518,116 +514,150 @@ def green_piecewise_eval(
     return sum_series(_modal_rows(geom.n, geom.a, lo, hi, t, geom.omega), policy)
 
 
-def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
-    """Remainder modes of a split diagonal series in R^n, k = n - 2 >= 1.
+def _mode_form(k: int) -> tuple[int, int, int, int]:
+    """(first, stride, order, fixed) of a Robin-family remainder (see
+    _robin_remainder): its modes start at m = first, the argument of its
+    polynomials is x = stride m, its weights are the binomials
+    C(order + m - 1, m), and mode m rounds by at most 4m + fixed units.
 
-    The full series is scale * sum_m C(k+m-1, m) sum_i P_i(m) c_i x_i^m / (1 - A_m)
+    In R^n (k = n - 2 >= 1) that is (0, 1, k, 20 + 2k).  The plane is the
+    family's k -> 0 limit, where C(k+m-1, m)/k tends to 1/m: its modes start
+    at 1, its parts carry the 1/m as 2 (2m)^-1, so x = 2m, and it has no
+    binomial: order 1 makes every weight C(m, m) = 1 and every weight ratio
+    (1 + m)/(m + 1) = 1.0.  Its starts a^0 and its weights are exact, which
+    saves 3 units: (1, 2, 1, 17).
+    """
+    return (0, 1, k, 20 + 2 * k) if k else (1, 2, 1, 17)
+
+
+@functools.lru_cache(maxsize=256)
+def _growth(parts) -> tuple[int, int]:
+    """(e_max, d_min) of the images with a nonzero coefficient: from the mode
+    with argument x to the next, x' = x + stride, their polynomials grow by at
+    most ((x' + d_min)/(x + d_min))^e_max where x + d_min > 0.  Every part
+    has x + d >= 0 at every mode, so x + d_min can vanish at the first mode
+    only."""
+    active = [(d, e) for c, d, e in parts if c]
+    return max(0, max(e for _, e in active)), min(d for d, _ in active)
+
+
+def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
+    """Remainder modes of a split diagonal series in R^n, k = n - 2 >= 1, or
+    in the plane, k = 0.
+
+    The full series is scale * sum_m w(m) sum_i P_i(m) c_i x_i^m / (1 - A_m)
     over the images x_1 = r^2, x_2 = a^2, x_4 = a^2/r^2, with c_1 = 1,
     c_2 = (a/r)^k, c_4 = (a/r^2)^k and A_m = a^(k+2m).  ``parts`` holds
-    (coef, d, e) per image, in that order, for P_i(m) = coef (m + d)^e with
-    d >= 0.  Writing 1/(1 - A) = 1 + A/(1 - A) gives a closed form plus this
-    remainder, whose products s_i = c_i x_i^m A_m shrink by at most
-    a^2 max(r^2, a^2/r^2) <= a^2 per mode wherever r lies.  Each s_i is a
-    product of powers of numbers in (0, 1), so nothing overflows before the
-    true terms do.
+    (coef, d, e) per image, in that order, for P_i(m) = coef (x + d)^e.  The
+    modes m, their arguments x and their weights w(m) are _mode_form's:
+    m >= 0, x = m and w(m) = C(k+m-1, m) in R^n, where every d >= 0, and
+    m >= 1, x = 2m and w(m) = 1 in the plane.  Writing
+    1/(1 - A) = 1 + A/(1 - A) gives a closed form plus this remainder, whose
+    products s_i = c_i x_i^m A_m shrink by at most a^2 max(r^2, a^2/r^2) <= a^2
+    per mode wherever r lies.  Each s_i is a product of powers of numbers in
+    (0, 1), so nothing overflows before the true terms do.
 
     Each row's rounding allowance bounds its mode's rounding error to first
     order, in units of the unit roundoff and relative to the sum of the
-    absolute values of its parts.  The s_i (m + d_i)^e_i are products of
-    powers of bases with at most two roundings: 4m + 2k + 4.  1 - A_m is
-    -expm1((k+2m) log a), which errs by 4 since |x| e^x / (1 - e^x) <= 1 for
-    x < 0.  The exact binomial's conversion, the prefactor, the mode's
-    products and sums and the compensated sum add 12.
+    absolute values of its parts.  The s_i (x + d_i)^e_i are products of
+    powers of bases with at most two roundings: 4m + 2k + 4, or 4m + 3 in the
+    plane, whose starts are 1.  1 - A_m is -expm1((k+2m) log a), which errs
+    by 4 since |y| e^y / (1 - e^y) <= 1 for y < 0.  The binomial's
+    conversion, the prefactor, the mode's products and sums and the
+    compensated sum add 12, or 10 in the plane, whose weights are 1.  A mode
+    thus rounds by at most 4m + 20 + 2k units in R^n and 4m + 17 in the plane.
     """
     (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
     expm1 = math.expm1
     log_a = math.log(a)
+    first, stride, order, fixed = _mode_form(k)
     b1 = r * a
     b4 = a * a / r
     s1_0 = a**k
     s2_0 = (a * a / r) ** k
     s4_0 = (a / r) ** (2 * k)
-    env_k = -1.0 / expm1(k * log_a)  # 1/(1 - a^k) bounds every 1/(1 - A_m)
+    # 1/(1 - A_first) bounds every 1/(1 - A_m)
+    env_k = -1.0 / expm1((k + 2 * first) * log_a)
     step = a * a * max(r * r, (a / r) ** 2)
-    e_max = max(e1, e2, e4)
-    slope, fixed = _ROBIN_UNITS
-    fixed += 2 * k
-    binom = 1  # C(k+m-1, m), exact
-    m = 0
+    e_max, d_min = _growth(parts)
+    binom = 1  # C(order+m-1, m), exact
+    m = first
     while True:
-        # s_i (m + d_i)^e_i, so that P_i(m) s_i = coef_i w_i
-        w1 = s1_0 * b1 ** (2 * m) * (m + d1) ** e1
-        w2 = s2_0 * a ** (4 * m) * (m + d2) ** e2
-        w4 = s4_0 * b4 ** (2 * m) * (m + d4) ** e4
+        x = stride * m
+        # s_i (x + d_i)^e_i, so that P_i(m) s_i = coef_i w_i
+        w1 = s1_0 * b1 ** (2 * m) * (x + d1) ** e1
+        w2 = s2_0 * a ** (4 * m) * (x + d2) ** e2
+        w4 = s4_0 * b4 ** (2 * m) * (x + d4) ** e4
         inv = -1.0 / expm1((k + 2 * m) * log_a)
         sb = scale * float(binom)
         size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        units = size * inv * (slope * m + fixed)
-        # binomial, power and polynomial growth of the envelope, each
+        units = size * inv * (4 * m + fixed)
+        # weight, power and polynomial growth of the envelope, each
         # nonincreasing in m
-        if m > 0:
-            rho = (k + m) / (m + 1) * step * ((m + 1) / m) ** e_max
-        else:
-            rho = math.inf if e_max > 0 else k * step
+        rho = (order + m) / (m + 1) * step
+        low = x + d_min
+        if low:
+            rho *= ((low + stride) / low) ** e_max
+        elif e_max:  # the polynomials of least d vanish at this mode
+            rho = math.inf
         yield sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho, units
-        binom = binom * (k + m) // (m + 1)
+        binom = binom * (order + m) // (m + 1)
         m += 1
 
 
-def _robin_remainder_grid(k: int, a: float, r, scale: float, parts):
-    """_robin_remainder for an array of radii, in chunks of
-    summation.TABLE_MODES modes as sum_series_table reads them.
+def _robin_remainder_grid(k: int, a: float, r, scale, parts):
+    """_robin_remainder for an array of radii (and of scales, in the plane),
+    in chunks of summation.TABLE_MODES modes as sum_series_table reads them.
 
-    The per-mode factors that do not depend on r (a^(4m), (m + d_i)^e_i,
+    The per-mode factors that do not depend on r (a^(4m), (x + d_i)^e_i,
     1/(1 - A_m), the binomial) are _robin_remainder's own scalars; the powers
     b^(2m) and the starts s_2, s_4 of every radius are numpy's, in the same
     order of operations.  w_4 holds two of them, so the rounding row adds
-    2 _NUMPY_EXTRA to _robin_remainder's count.
+    2 _NUMPY_EXTRA to _robin_remainder's count; in the plane, where the
+    starts are 1, it adds one.
     """
     (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
     expm1 = math.expm1
     log_a = math.log(a)
+    first, stride, order, fixed = _mode_form(k)
+    fixed += (2.0 if k else 1.0) * _NUMPY_EXTRA
     b1 = r * a
     b4 = a * a / r
     s1_0 = a**k
     s2_0 = (a * a / r) ** k
     s4_0 = (a / r) ** (2 * k)
-    env_k = -1.0 / expm1(k * log_a)
+    env_k = -1.0 / expm1((k + 2 * first) * log_a)
     step = a * a * np.maximum(r * r, (a / r) ** 2)
-    e_max = max(e1, e2, e4)
-    slope, fixed = _ROBIN_UNITS
-    fixed += 2 * k + 2.0 * _NUMPY_EXTRA
+    e_max, d_min = _growth(parts)
     binom = 1
     modes = summation.TABLE_MODES
-    for m0 in itertools.count(0, modes):
+    for m0 in itertools.count(first, modes):
         ms = range(m0, m0 + modes)
-        sb, inv, lift = [], [], []
+        xs = [stride * i for i in ms]
+        binoms, inv, lift = [], [], []
         for m in ms:
-            sb.append(scale * float(binom))
+            binoms.append(float(binom))
             inv.append(-1.0 / expm1((k + 2 * m) * log_a))
             lift.append(a ** (4 * m))
-            binom = binom * (k + m) // (m + 1)
-        sb, inv = _column(sb), _column(inv)
+            binom = binom * (order + m) // (m + 1)
+        sb, inv = scale * _column(binoms), _column(inv)
         m = _column(ms)
-        w1 = s1_0 * b1 ** (2.0 * m) * _column((i + d1) ** e1 for i in ms)
-        w2 = s2_0 * _column(lift) * _column((i + d2) ** e2 for i in ms)
-        w4 = s4_0 * b4 ** (2.0 * m) * _column((i + d4) ** e4 for i in ms)
+        w1 = s1_0 * b1 ** (2.0 * m) * _column((x + d1) ** e1 for x in xs)
+        w2 = s2_0 * _column(lift) * _column((x + d2) ** e2 for x in xs)
+        w4 = s4_0 * b4 ** (2.0 * m) * _column((x + d4) ** e4 for x in xs)
         size = np.abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
         # _robin_remainder's ratio, in its order of operations
-        rho = (
-            _column((k + i) / (i + 1) for i in ms)
-            * step
-            * _column(((i + 1) / i) ** e_max if i else 1.0 for i in ms)
-        )
-        if m0 == 0:
-            rho[0] = math.inf if e_max > 0 else k * step
+        growth = (((x + stride + d_min) / (x + d_min)) ** e_max if x + d_min else 1.0 for x in xs)
+        rho = _column((order + i) / (i + 1) for i in ms) * step * _column(growth)
+        if e_max and not xs[0] + d_min:  # as in _robin_remainder
+            rho[0] = math.inf
         yield (
             sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv,
             size * env_k,
             rho,
-            size * inv * (slope * m + fixed),
+            size * inv * (4 * m + fixed),
         )
 
 
@@ -652,9 +682,10 @@ def _image_route(a: float, policy: TruncationPolicy, parts) -> bool:
 def _image_weights(k: int, d: int, e: int, m0: int) -> tuple[float, ...]:
     """The forward differences D^s f(0), highest s first, of the mode weight
     f(l) = w(m0 + l), where w(m) = C(k+m-1, m) (m + d)^e for k >= 1 and
-    w(m) = (2m + d)^e in the plane (k = 0).
+    w(m) = (2m + d)^e in the plane (k = 0): the weight and the polynomial
+    argument of _robin_remainder's mode m.
 
-    f is a polynomial of degree k - 1 + e (e in the plane), so Newton's
+    f is a polynomial of degree order - 1 + e (see _mode_form), so Newton's
     forward formula and sum_l C(l, s) q^l = q^s / (1 - q)^(s+1) give
     sum_{m >= m0} w(m) q^m = q^m0 / (1 - q) sum_s D^s f(0) z^s with
     z = q / (1 - q).  Every difference is an integer >= 0: the binomial's are
@@ -662,9 +693,10 @@ def _image_weights(k: int, d: int, e: int, m0: int) -> tuple[float, ...]:
     in the plane, has nonnegative coefficients in the basis C(l, s) where its
     constant term is >= 0, as it is for every part here.
     """
-    degree = e + k - 1 if k else e
+    _, stride, order, _ = _mode_form(k)
+    degree = e + order - 1
     f = [
-        (math.comb(k + m - 1, m) * (m + d) ** e if k else (2 * m + d) ** e)
+        math.comb(order + m - 1, m) * (stride * m + d) ** e
         for m in range(m0, m0 + degree + 1)
     ]
     diffs = []
@@ -719,8 +751,8 @@ def _image_rows(k: int, a: float, r: float, scale: float, parts, m0: int):
     images j = 1, 2, ...
 
     The remainder is scale sum_m w_i(m) coef_i c_i x_i^m A_m / (1 - A_m) over
-    the images of _robin_remainder (of _planar_remainder for k = 0, where
-    c_i = 1 and A_m = a^(2m)), with w_i the weights of _image_weights.  As
+    the images of _robin_remainder (in the plane, k = 0, c_i = 1 and
+    A_m = a^(2m)), with w_i the weights of _image_weights.  As
     A_m / (1 - A_m) = sum_{j >= 1} A_m^j and A_m^j = a^(jk) a^(2jm), its modes
     m >= m0 equal sum_j scale a^(jk) sum_i coef_i c_i Q_i(x_i a^(2j)) with
     Q_i(q) = sum_{m >= m0} w_i(m) q^m, which _image_weights sums in closed
@@ -814,14 +846,10 @@ def _imaged_grid(chunks, images):
 def _remainder_rows(k: int, a: float, r: float, scale: float, parts, images: bool):
     """The rows of a Robin-family remainder (planar for k = 0): its modes, or
     with ``images`` its first _HEAD_MODES modes and then the image rows of
-    the rest, which start at mode _HEAD_MODES (the modes start at 1 in the
-    plane)."""
-    if k:
-        rows = _robin_remainder(k, a, r, scale, parts)
-    else:
-        rows = _planar_remainder(a, r, scale, parts)
+    the rest."""
+    rows = _robin_remainder(k, a, r, scale, parts)
     if images:
-        rows = _imaged(rows, _image_rows(k, a, r, scale, parts, _HEAD_MODES + (k == 0)))
+        rows = _imaged(rows, _image_rows(k, a, r, scale, parts, _HEAD_MODES + _mode_form(k)[0]))
     return rows
 
 
@@ -832,14 +860,10 @@ def _remainder_table(k: int, a: float, r, scale, parts, images: bool):
 
     def table(cols):
         rr, sc = r[cols], (scale[cols] if np.ndim(scale) else scale)
-        if k:
-            chunks = _robin_remainder_grid(k, a, rr, sc, parts)
-        else:
-            chunks = _planar_remainder_grid(a, rr, sc, parts)
+        chunks = _robin_remainder_grid(k, a, rr, sc, parts)
         if images:
-            chunks = _imaged_grid(
-                chunks, _image_rows_grid(k, a, rr, sc, parts, _HEAD_MODES + (k == 0))
-            )
+            m0 = _HEAD_MODES + _mode_form(k)[0]
+            chunks = _imaged_grid(chunks, _image_rows_grid(k, a, rr, sc, parts, m0))
         return chunks
 
     return table
@@ -850,21 +874,22 @@ def _split(
 ):
     """A Robin-family series (planar for k = 0) at r, or at every radius of
     an array r: the closed form and rounding bound ``closed_part()`` returns
-    plus the remainder of prefactor ``scale`` (one per radius in the plane)
+    plus the remainder of prefactor ``scale(r)`` (one per radius in the plane)
     and polynomials ``parts`` (see _remainder_rows), summed through images
     where _image_route holds and, for an array, as one table.  ``rel_error``
-    is that of a factor every piece shares (see _split_result).
+    is that of a factor every piece shares (see _split_result).  The closed
+    form and the prefactor are formed inside the overflow guard.
     """
     route = _image_route(a, policy, parts)
     try:
         if isinstance(r, np.ndarray):
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
                 closed, closed_rounding = closed_part()
-                table = _remainder_table(k, a, r, scale, parts, route)
+                table = _remainder_table(k, a, r, scale(r), parts, route)
                 res = sum_series_table(table, r.size, policy)
         else:
             closed, closed_rounding = closed_part()
-            res = sum_series(_remainder_rows(k, a, r, scale, parts, route), policy, closed)
+            res = sum_series(_remainder_rows(k, a, r, scale(r), parts, route), policy, closed)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
             f"the Robin series for n = {k + 2} leaves the double-precision range here: "
@@ -878,7 +903,7 @@ def _robin_split(
     r,
     policy: TruncationPolicy,
     closed_form,
-    scale_factor: float,
+    scale_factor,
     parts,
     grid: bool = False,
 ):
@@ -889,18 +914,18 @@ def _robin_split(
     are multiplied by -1/omega, and the number of ulps each may be off by.
     It receives u = 1 - r^2, v = r^2 - a^2 and w = 1 - a^2, each formed as a
     difference times a sum so that nothing cancels next to a sphere.  The
-    remainder carries the prefactor -scale_factor / (k omega) and the
+    remainder carries the prefactor -scale_factor(r) / (k omega) and the
     polynomials ``parts`` of _robin_remainder.
     """
     geom.require_series_dim()
     if grid:
-        r = _interior_radii(geom.a, r)
+        r = _interior_radii(geom, r)
     else:
         geom.require_interior_radius(r)
     k = geom.n - 2
     extra = _NUMPY_EXTRA if grid else 0.0
     closed = lambda: _robin_closed_part(geom, r, closed_form, extra)  # noqa: E731
-    scale = -scale_factor / (k * geom.omega)
+    scale = lambda r: -scale_factor(r) / (k * geom.omega)  # noqa: E731
     return _split(k, geom.a, r, policy, closed, scale, parts, geom.omega_rel_error)
 
 
@@ -922,13 +947,13 @@ def _radius_array(radii) -> np.ndarray:
     return r
 
 
-def _interior_radii(a: float, radii) -> np.ndarray:
+def _interior_radii(geom: AnnulusGeometry, radii) -> np.ndarray:
     """``radii`` as an array, each strictly between a and 1."""
     r = _radius_array(radii)
-    outside = ~((a < r) & (r < 1.0))
+    outside = ~((geom.a < r) & (r < 1.0))
     if outside.any():
         raise DomainValidationError(
-            f"radius {float(r[outside][0])} must lie strictly between a = {a} and 1"
+            f"radius {float(r[outside][0])} must lie strictly between a = {geom.a} and 1"
         )
     return r
 
@@ -978,7 +1003,7 @@ def robin_eval(geom: AnnulusGeometry, r: float, policy: TruncationPolicy) -> Eva
     divergence sits in the two-image closed form, so the remainder needs
     about as many modes next to a sphere as in the middle of the gap.
     """
-    return _robin_split(geom, r, policy, _robin_closed, 1.0, _ROBIN_PARTS)
+    return _robin_split(geom, r, policy, _robin_closed, lambda r: 1.0, _ROBIN_PARTS)
 
 
 def robin_radial_gradient(
@@ -989,7 +1014,8 @@ def robin_radial_gradient(
     Strictly decreasing in r, +inf toward the inner sphere and -inf toward
     the outer sphere, so its unique zero is the radial critical point.
     """
-    return _robin_split(geom, r, policy, _gradient_closed, 2.0, _gradient_parts(geom.n - 2))
+    parts = _gradient_parts(geom.n - 2)
+    return _robin_split(geom, r, policy, _gradient_closed, lambda r: 2.0, parts)
 
 
 def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> EvalGrid:
@@ -998,7 +1024,9 @@ def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> E
     Each entry stays inside robin_eval's bound and matches its terms used and
     convergence; values may differ from robin_eval's by ulps.
     """
-    return _robin_split(geom, radii, policy, _robin_closed, 1.0, _ROBIN_PARTS, grid=True)
+    return _robin_split(
+        geom, radii, policy, _robin_closed, lambda r: 1.0, _ROBIN_PARTS, grid=True
+    )
 
 
 def robin_radial_gradient_grid(
@@ -1006,9 +1034,8 @@ def robin_radial_gradient_grid(
 ) -> EvalGrid:
     """robin_radial_gradient at every radius of ``radii``, summed as one table,
     with robin_eval_grid's contract."""
-    return _robin_split(
-        geom, radii, policy, _gradient_closed, 2.0, _gradient_parts(geom.n - 2), grid=True
-    )
+    parts = _gradient_parts(geom.n - 2)
+    return _robin_split(geom, radii, policy, _gradient_closed, lambda r: 2.0, parts, grid=True)
 
 
 def critical_equation_eval(
@@ -1023,99 +1050,8 @@ def robin_radial_gradient_derivative(
     geom: AnnulusGeometry, r: float, policy: TruncationPolicy
 ) -> EvalResult:
     """Derivative in r of the radial gradient r * R'(r); negative on (a, 1)."""
-    return _robin_split(geom, r, policy, _slope_closed, 2.0 / r, _slope_parts(geom.n - 2))
-
-
-def _check_planar(a: float, r: float) -> None:
-    if not (0.0 < a < 1.0):
-        raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {a!r}")
-    if not (a < r < 1.0):
-        raise DomainValidationError(f"radius {r} must lie strictly between a = {a} and 1")
-
-
-def _planar_remainder(a: float, r: float, scale: float, parts):
-    """Remainder modes of a split planar series.
-
-    The full series is scale * sum_{m>=1} sum_i P_i(m) x_i^m / (1 - a^(2m))
-    over x_1 = r^2, x_2 = a^2, x_4 = a^2/r^2, with (coef, d, e) per image
-    for P_i(m) = coef (2m + d)^e.  As for n >= 3, 1/(1 - A) = 1 + A/(1 - A)
-    leaves a closed form and this remainder, whose products
-    s_i = x_i^m a^(2m) shrink by at most a^2 max(r^2, a^2/r^2) per mode.
-    Each row's rounding allowance is counted as in _robin_remainder: 4m + 3
-    in the s_i (2m + d_i)^e_i, 4 in 1 - a^(2m), 10 in the prefactor, the
-    mode's products and sums and the compensated sum.
-    """
-    (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
-    abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
-    expm1 = math.expm1
-    log_a = math.log(a)
-    b1 = r * a
-    b4 = a * a / r
-    env_k = -1.0 / expm1(2.0 * log_a)  # 1/(1 - a^2) bounds every 1/(1 - A_m)
-    step = a * a * max(r * r, (a / r) ** 2)
-    e_max, d_min = _planar_growth(parts)
-    abs_scale = abs(scale)
-    slope, fixed = _PLANAR_UNITS
-    m = 1
-    while True:
-        w1 = b1 ** (2 * m) * (2 * m + d1) ** e1
-        w2 = a ** (4 * m) * (2 * m + d2) ** e2
-        w4 = b4 ** (2 * m) * (2 * m + d4) ** e4
-        inv = -1.0 / expm1(2 * m * log_a)
-        size = abs_scale * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        units = size * inv * (slope * m + fixed)
-        rho = step * ((2 * m + 2 + d_min) / (2 * m + d_min)) ** e_max
-        yield scale * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho, units
-        m += 1
-
-
-def _planar_growth(parts) -> tuple[int, int]:
-    """(e_max, d_min) of the images with a nonzero coefficient: the
-    polynomial growth (2m + 2 + d_min)/(2m + d_min) bounds, to power e_max."""
-    active = [(d, e) for c, d, e in parts if c]
-    return max(0, max(e for _, e in active)), min(d for d, _ in active)
-
-
-def _planar_remainder_grid(a: float, r, scale, parts):
-    """_planar_remainder for arrays of radii and scales, in chunks of
-    summation.TABLE_MODES modes as sum_series_table reads them.
-
-    As in _robin_remainder_grid, only the powers b^(2m) are numpy's; each
-    part holds one, so the rounding row adds _NUMPY_EXTRA.
-    """
-    (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
-    abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
-    expm1 = math.expm1
-    log_a = math.log(a)
-    b1 = r * a
-    b4 = a * a / r
-    env_k = -1.0 / expm1(2.0 * log_a)
-    step = a * a * np.maximum(r * r, (a / r) ** 2)
-    e_max, d_min = _planar_growth(parts)
-    abs_scale = np.abs(scale)
-    slope, fixed = _PLANAR_UNITS
-    fixed += _NUMPY_EXTRA
-    modes = summation.TABLE_MODES
-    for m0 in itertools.count(1, modes):
-        ms = range(m0, m0 + modes)
-        m = _column(ms)
-        w1 = b1 ** (2.0 * m) * _column((2 * i + d1) ** e1 for i in ms)
-        w2 = _column(a ** (4 * i) for i in ms) * _column((2 * i + d2) ** e2 for i in ms)
-        w4 = b4 ** (2.0 * m) * _column((2 * i + d4) ** e4 for i in ms)
-        inv = _column(-1.0 / expm1(2 * i * log_a) for i in ms)
-        size = abs_scale * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        yield (
-            scale * (c1 * w1 + c2 * w2 + c4 * w4) * inv,
-            size * env_k,
-            step * _column(((2 * i + 2 + d_min) / (2 * i + d_min)) ** e_max for i in ms),
-            size * inv * (slope * m + fixed),
-        )
-
-
-def _planar_radii(a: float, radii) -> np.ndarray:
-    if not (0.0 < a < 1.0):
-        raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {a!r}")
-    return _interior_radii(a, radii)
+    parts = _slope_parts(geom.n - 2)
+    return _robin_split(geom, r, policy, _slope_closed, lambda r: 2.0 / r, parts)
 
 
 def _robin2d_closed(a: float, r, log=math.log, extra: float = 0.0):
@@ -1168,40 +1104,40 @@ def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     Divergent (to +inf) toward both circles; strictly convex inside, so its
     unique critical point is a radial minimum.
     """
-    _check_planar(a, r)
-    return _split(0, a, r, policy, lambda: _robin2d_closed(a, r), 1.0, _ROBIN2D_PARTS)
+    AnnulusGeometry(2, a).require_interior_radius(r)
+    return _split(0, a, r, policy, lambda: _robin2d_closed(a, r), lambda r: 1.0, _ROBIN2D_PARTS)
 
 
 def robin2d_first(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Derivative of the planar Robin function; -inf at the inner circle,
     +inf at the outer circle, with a single interior zero."""
-    _check_planar(a, r)
+    AnnulusGeometry(2, a).require_interior_radius(r)
     closed = lambda: _robin2d_first_closed(a, r)  # noqa: E731
-    return _split(0, a, r, policy, closed, 2.0 / r, _ROBIN2D_FIRST_PARTS)
+    return _split(0, a, r, policy, closed, lambda r: 2.0 / r, _ROBIN2D_FIRST_PARTS)
 
 
 def robin2d_eval_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
     """robin2d_eval at every radius of ``radii``, summed as one table, with
     robin_eval_grid's contract.  log r^2 squares a numpy log, hence twice
     the extra units."""
-    r = _planar_radii(a, radii)
+    r = _interior_radii(AnnulusGeometry(2, a), radii)
     closed = lambda: _robin2d_closed(a, r, np.log, 2.0 * _NUMPY_EXTRA)  # noqa: E731
-    return _split(0, a, r, policy, closed, 1.0, _ROBIN2D_PARTS)
+    return _split(0, a, r, policy, closed, lambda r: 1.0, _ROBIN2D_PARTS)
 
 
 def robin2d_first_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
     """robin2d_first at every radius of ``radii``, summed as one table, with
     robin_eval_grid's contract."""
-    r = _planar_radii(a, radii)
+    r = _interior_radii(AnnulusGeometry(2, a), radii)
     closed = lambda: _robin2d_first_closed(a, r, np.log, _NUMPY_EXTRA)  # noqa: E731
-    return _split(0, a, r, policy, closed, 2.0 / r, _ROBIN2D_FIRST_PARTS)
+    return _split(0, a, r, policy, closed, lambda r: 2.0 / r, _ROBIN2D_FIRST_PARTS)
 
 
 def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Second derivative of the planar Robin function; positive on all of (a, 1)."""
-    _check_planar(a, r)
+    AnnulusGeometry(2, a).require_interior_radius(r)
     closed = lambda: _robin2d_second_closed(a, r)  # noqa: E731
-    return _split(0, a, r, policy, closed, 2.0 / (r * r), _ROBIN2D_SECOND_PARTS)
+    return _split(0, a, r, policy, closed, lambda r: 2.0 / (r * r), _ROBIN2D_SECOND_PARTS)
 
 
 class _Radial(NamedTuple):

@@ -222,6 +222,12 @@ class TestGradientDerivative:
             ) / (2 * h)
             assert abs(slope.value - fd) / max(1.0, abs(slope.value)) <= 1e-6
 
+    @pytest.mark.parametrize("n, r", [(3, 0.0), (3, -0.0), (2, 0.0), (3, 2.0), (3, math.nan)])
+    def test_rejects_bad_radii_before_its_prefactor(self, n, r):
+        # the prefactor 2/r is formed only once r is known to be interior
+        with pytest.raises(DomainValidationError):
+            robin_radial_gradient_derivative(AnnulusGeometry(n, 0.5), r, POLICY)
+
 
 class TestPlanarRobin:
     def test_derivative_consistency(self):
@@ -250,7 +256,7 @@ class TestPlanarRobin:
             ) / (2 * h)
             assert robin2d_second(0.2, r, POLICY).value == pytest.approx(fd, rel=1e-6)
 
-    @pytest.mark.parametrize("fn", [robin2d_eval, robin2d_first])
+    @pytest.mark.parametrize("fn", [robin2d_eval, robin2d_first, robin2d_second])
     def test_closed_form_out_of_range_is_a_tail_envelope_error(self, fn):
         # r^2 underflows at r = 2e-300, so the closed form has no double
         # value; the planar tail reports that as the spatial one does
@@ -262,6 +268,11 @@ class TestPlanarRobin:
             robin2d_eval(0.2, 0.15, POLICY)
         with pytest.raises(DomainValidationError):
             robin2d_eval(1.2, 0.5, POLICY)
+        for grid in (robin2d_eval_grid, robin2d_first_grid):
+            with pytest.raises(DomainValidationError, match="0 < a < 1"):
+                grid(1.2, [0.5], POLICY)
+            with pytest.raises(DomainValidationError, match="strictly between"):
+                grid(0.2, [0.5, 0.15], POLICY)
 
 
 class TestGreenProperties:

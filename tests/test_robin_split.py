@@ -12,13 +12,15 @@ against their own 50-digit sums, so that their rounding allowances are
 tested by themselves.
 """
 
+import itertools
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
@@ -40,8 +42,6 @@ from annulus_green.cli import main
 from annulus_green.green import (
     _ROBIN2D_FIRST_PARTS,
     _ROBIN2D_PARTS,
-    _planar_remainder,
-    _planar_remainder_grid,
     _robin_remainder,
     _robin_remainder_grid,
 )
@@ -342,10 +342,10 @@ def test_remainder_rounding_allowance_covers_mpmath_error(name, n, a, frac):
     if n == 2:
         parts, factor = PLANAR_PARTS[name]
         scale = factor(r)
-        res = sum_series(_planar_remainder(a, r, scale, parts), policy)
+        res = sum_series(_robin_remainder(0, a, r, scale, parts), policy)
         scales = np.array([scale, scale])
         grid = sum_series_table(
-            lambda cols: _planar_remainder_grid(a, radii[cols], scales[cols], parts), 2, policy
+            lambda cols: _robin_remainder_grid(0, a, radii[cols], scales[cols], parts), 2, policy
         )
     else:
         parts, factor = SPATIAL_PARTS[name]
@@ -362,3 +362,36 @@ def test_remainder_rounding_allowance_covers_mpmath_error(name, n, a, frac):
     for j in range(2):
         assert grid.terms_used[j] == res.terms_used
         assert _error(grid.value[j], ref) <= grid.tail_bound[j]
+
+
+# every remainder stream: the spatial parts for k = 0..6, where k = 0 sums
+# them as the plane does, and the planar parts
+ROW_STREAMS = [(k, parts(k)) for k in range(7) for parts, _ in SPATIAL_PARTS.values()] + [
+    (0, parts) for parts, _ in PLANAR_PARTS.values()
+]
+
+
+@settings(max_examples=200)
+@given(
+    a=st.floats(min_value=0.02, max_value=0.9999),
+    side=st.sampled_from(["inner", "outer"]),
+    depth=st.floats(min_value=1e-6, max_value=0.05),
+)
+def test_remainder_rows_keep_the_tail_contract(a, side, depth):
+    # what every Robin-family tail bound rests on: each envelope covers its
+    # term and each ratio bounds the next envelope, in the scalar rows and
+    # in the grid twin's, at radii in either boundary layer.  A ratio is a
+    # relative bound, which subnormal envelopes (below 2^-1022, reached within
+    # 80 modes for small a) cannot keep; the tail they leave is far below any
+    # tolerance.
+    r = a + depth * (1.0 - a) if side == "inner" else 1.0 - depth * (1.0 - a)
+    assume(a < r < 1.0)
+    for k, parts in ROW_STREAMS:
+        chunks = _robin_remainder_grid(k, a, np.array([r]), 1.0, parts)
+        grid = itertools.chain.from_iterable(zip(*(x[:, 0] for x in c)) for c in chunks)
+        for stream in (_robin_remainder(k, a, r, 1.0, parts), grid):
+            rows = list(itertools.islice(stream, 80))
+            for term, env, _, _ in rows:
+                assert abs(term) <= env
+            for (_, env, rho, _), (_, nxt, _, _) in zip(rows, rows[1:]):
+                assert nxt <= rho * env * (1.0 + 1e-9) or nxt < sys.float_info.min
