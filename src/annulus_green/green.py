@@ -1178,9 +1178,12 @@ def _radial(geom: AnnulusGeometry) -> _Radial:
             lambda r: 1.0,
             "R'(r)",
         )
-    k, w, scale = geom.n - 2, (1.0 - a) * (1.0 + a), -1.0 / geom.omega
+    k, w = geom.n - 2, (1.0 - a) * (1.0 + a)
 
     def closed(r: float) -> tuple[float, float]:
+        # formed per call, not when the family is built: omega underflows to
+        # 0 for n >= 456, where the series raise TailEnvelopeError first
+        scale = -1.0 / geom.omega
         u, v = (1.0 - r) * (1.0 + r), (r - a) * (r + a)
         value = sum(_gradient_closed(k, a, r, u, v, w)[0])
         slope = sum(_slope_closed(k, a, r, u, v, w)[0])

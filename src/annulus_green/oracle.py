@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import (
     DomainValidationError,
@@ -99,13 +98,43 @@ class FDGrid:
         return np.linspace(self.a, 1.0, self.num_nodes)
 
 
+def _thomas(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solution of the tridiagonal system with row i
+    lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]
+    by LU without pivoting (the Thomas algorithm); lower[0] and upper[-1]
+    are not read.
+
+    Stable where the matrix is an M-matrix or diagonally dominant (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 9.5).
+    """
+    lower, diag, upper, rhs = (v.tolist() for v in (lower, diag, upper, rhs))
+    size = len(diag)
+    c = [0.0] * size  # the eliminated upper diagonal, U's off-diagonal over its pivot
+    x = [0.0] * size  # forward: the eliminated right-hand side; backward: the solution
+    c[0], x[0] = upper[0] / diag[0], rhs[0] / diag[0]
+    for i in range(1, size):
+        pivot = diag[i] - lower[i] * c[i - 1]
+        c[i] = upper[i] / pivot
+        x[i] = (rhs[i] - lower[i] * x[i - 1]) / pivot
+    for i in range(size - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return np.array(x)
+
+
 def _modal_interior_solve(
     n: int, m: int, grid: FDGrid, interior_rhs: np.ndarray, u_inner: float, u_outer: float
 ) -> np.ndarray:
-    """Second-order banded solve of the modal operator on the interior nodes.
+    """Second-order tridiagonal solve of the modal operator on the interior
+    nodes.
 
     Dirichlet values are imposed exactly by elimination (moved to the right
     hand side), so the returned profile carries them without roundoff.
+    _thomas solves the system without pivoting, which is stable where the
+    matrix is an M-matrix: where every lower off-diagonal is <= 0, that is
+    where (n - 1) h <= 2 r at the first interior node.  Coarser grids are
+    refused.
     """
     r = grid.nodes
     h = grid.spacing
@@ -116,15 +145,15 @@ def _modal_interior_solve(
     upper = -(1.0 / h**2) - (n - 1) / (2.0 * h * ri)  # couples u_{i+1}
     diag = 2.0 / h**2 + mu / ri**2
     lower = -(1.0 / h**2) + (n - 1) / (2.0 * h * ri)  # couples u_{i-1}
-    size = num - 2
-    ab = np.zeros((3, size))
-    ab[1, :] = diag
-    ab[0, 1:] = upper[:-1]
-    ab[2, :-1] = lower[1:]
+    if np.any(lower > 0.0):
+        raise DomainValidationError(
+            f"grid spacing {h} is too coarse for n = {n}: (n - 1) h must not exceed "
+            f"2 r at the first interior node {ri[0]}"
+        )
     rhs = np.asarray(interior_rhs, dtype=float).copy()
     rhs[0] -= lower[0] * u_inner
     rhs[-1] -= upper[-1] * u_outer
-    inner = solve_banded((1, 1), ab, rhs)
+    inner = _thomas(lower, diag, upper, rhs)
     if not np.all(np.isfinite(inner)):
         raise ArithmeticError("singular modal system: discretization defect")
     profile = np.empty(num)

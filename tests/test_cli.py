@@ -148,6 +148,22 @@ class TestCriticalPoint:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval-robin", "--n", "456", "--a", "0.5", "0.75"),
+        ("critical-point", "--n", "456", "--a", "0.5"),
+        ("export-grid", "robin", "--n", "456", "--a", "0.5"),
+    ],
+)
+def test_underflowing_sphere_area_exit_3(capsys, argv):
+    # omega underflows to 0 for n >= 456: the Robin family leaves the double
+    # range there, a typed error and not a ZeroDivisionError
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == "TailEnvelopeError"
+
+
 class TestCsvRecords:
     @staticmethod
     def _read(out):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -194,3 +198,18 @@ def test_public_surface_is_sorted_unique_and_resolves():
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(annulus_green, name)] == []
+
+
+def test_package_and_cli_import_without_scipy():
+    # a fresh interpreter, so that no other test's imports are counted: the
+    # package's import time is what every CLI process pays first
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import annulus_green, annulus_green.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

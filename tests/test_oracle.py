@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from annulus_green import (
     modal_green_fd,
     poisson_coeff_b,
 )
+from annulus_green import oracle
 
 
 class TestModalAnalytic:
@@ -106,6 +108,94 @@ class TestModalFD:
         prof = modal_bvp_fd(3, 1, 0.5, 0.0, 1.0, grid)
         exact = np.array([poisson_coeff_b(geom, 1, float(r)) * float(r) for r in grid.nodes])
         assert np.max(np.abs(prof - exact)) <= 1e-7
+
+
+def _mp_thomas(lower, diag, upper, rhs):
+    """The tridiagonal system of _thomas solved in 50-digit arithmetic, and
+    the largest residual of that solution relative to |A| |x| per row."""
+    with mpmath.workdps(50):
+        lo, d, up, b = ([mpmath.mpf(float(v)) for v in w] for w in (lower, diag, upper, rhs))
+        size = len(d)
+        c, x = [mpmath.mpf(0)] * size, [mpmath.mpf(0)] * size
+        c[0], x[0] = up[0] / d[0], b[0] / d[0]
+        for i in range(1, size):
+            pivot = d[i] - lo[i] * c[i - 1]
+            c[i], x[i] = up[i] / pivot, (b[i] - lo[i] * x[i - 1]) / pivot
+        for i in range(size - 2, -1, -1):
+            x[i] -= c[i] * x[i + 1]
+        worst = mpmath.mpf(0)
+        for i in range(size):
+            row = [(d[i], x[i])]
+            row += [(lo[i], x[i - 1])] if i > 0 else []
+            row += [(up[i], x[i + 1])] if i < size - 1 else []
+            res = b[i] - sum(coef * xj for coef, xj in row)
+            worst = max(worst, abs(res) / sum(abs(coef * xj) for coef, xj in row))
+        return x, float(worst)
+
+
+class TestThomasSolve:
+    """oracle._thomas, the tridiagonal LU solve without pivoting behind
+    modal_green_fd and modal_bvp_fd."""
+
+    @pytest.fixture()
+    def systems(self, monkeypatch):
+        """Each (lower, diag, upper, rhs, solution) that _thomas solves."""
+        seen, solve = [], oracle._thomas
+
+        def spy(*system):
+            x = solve(*system)
+            seen.append((*system, x))
+            return x
+
+        monkeypatch.setattr(oracle, "_thomas", spy)
+        return seen
+
+    @pytest.mark.parametrize("num", [501, 2001])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("n, a, s", [(3, 0.5, 0.8), (4, 0.3, 0.72)])
+    def test_modal_system_against_mpmath(self, systems, n, m, a, s, num):
+        # the float system the oracle built, solved to 50 digits.  Without
+        # pivoting on an M-matrix, (A + dA) x_hat = b with |dA| <= 4u |A| to
+        # first order (Higham, Accuracy and Stability of Numerical
+        # Algorithms, section 9.5), so |x_hat - x| <= 4u A^-1 |A| |x_hat| row
+        # by row, A^-1 being >= 0; 8u leaves room for the O(u^2) terms
+        modal_green_fd(n, m, a, s, FDGrid(num, a))
+        [(lower, diag, upper, rhs, x_hat)] = systems
+        assert lower.max() <= 0.0 and upper.max() <= 0.0 and diag.min() > 0.0
+        exact, residual = _mp_thomas(lower, diag, upper, rhs)
+        assert residual <= 1e-40
+        abs_ax = np.abs(diag * x_hat)
+        abs_ax[1:] += np.abs(lower[1:] * x_hat[:-1])
+        abs_ax[:-1] += np.abs(upper[:-1] * x_hat[1:])
+        spread, _ = _mp_thomas(lower, diag, upper, abs_ax)
+        u = 2.0**-53
+        for xi, ref, sp in zip(x_hat.tolist(), exact, spread):
+            assert float(abs(mpmath.mpf(xi) - ref)) <= 8.0 * u * float(sp)
+
+    def test_diagonally_dominant_systems_match_numpy(self, rng):
+        for size in (1, 2, 3, 7, 40, 200):
+            for _ in range(5):
+                lower, upper = rng.uniform(-1.0, 1.0, size=(2, size))
+                lower[0] = upper[-1] = 0.0
+                margin = rng.uniform(0.05, 2.0, size=size)
+                diag = rng.choice([-1.0, 1.0], size=size) * (abs(lower) + abs(upper) + margin)
+                rhs = rng.normal(size=size)
+                dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+                want = np.linalg.solve(dense, rhs)
+                got = oracle._thomas(lower, diag, upper, rhs)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: modal_bvp_fd(4, 1, 0.1, 0.0, 1.0, FDGrid(3, 0.1)),
+            lambda: modal_green_fd(20, 1, 0.01, 0.5, FDGrid(100, 0.01)),
+        ],
+    )
+    def test_refuses_grids_outside_the_m_matrix_range(self, solve):
+        # (n - 1) h > 2 r at the first interior node: 1.35 > 1.1 and 0.19 > 0.04
+        with pytest.raises(DomainValidationError, match="too coarse"):
+            solve()
 
 
 class TestBallGreen:
