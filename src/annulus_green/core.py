@@ -156,7 +156,9 @@ def newtonian_potential(geom: AnnulusGeometry, x: ArrayLike, y: ArrayLike) -> fl
     """Fundamental solution 1/((n-2) omega |x-y|^(n-2)); requires n >= 3.
 
     Symmetric in its arguments and strictly positive; the distance enters only
-    through |x-y|, so the scaling d -> value(1) * d^(2-n) is exact.
+    through |x-y|, so the scaling d -> value(1) * d^(2-n) is exact.  Where
+    the value is not a finite double (at large n, where omega underflows)
+    it raises TailEnvelopeError.
     """
     geom.require_series_dim()
     xv = geom.point(x)
@@ -164,7 +166,15 @@ def newtonian_potential(geom: AnnulusGeometry, x: ArrayLike, y: ArrayLike) -> fl
     d = float(np.linalg.norm(xv - yv))
     if d == 0.0:
         raise SingularityError("the fundamental solution is singular at x == y")
-    return d ** (2 - geom.n) / ((geom.n - 2) * geom.omega)
+    try:
+        value = d ** (2 - geom.n) / ((geom.n - 2) * geom.omega)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if value == math.inf:
+        raise TailEnvelopeError(
+            f"the fundamental solution for n = {geom.n} leaves the double-precision range here"
+        )
+    return value
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ the end of that pair with the smaller |value|, and it carries one of two
 certificates: ``"residual"`` when |value| + tail_bound is within the solver
 tolerance, or ``"sign-pinned"`` when a steep gradient moves by more than
 that tolerance from one double to the next but certain opposite signs lie
-within 128 ulps on both sides.  The report carries the observed
-second-derivative value, its cross-check uncertainty, and the resulting
-minimum/maximum classification as evidence rather than assumption, and the
-evaluations and terms of each phase.  concentration_root returns the same
-r0 as the root of the concentration-radius equation, the gradient times
--omega/2.
+within 128 ulps on both sides.  The report carries the second derivative
+from the slope series, a bound on its error that rests on that series' own
+certified tail and on the residual, and the resulting minimum/maximum
+classification as evidence rather than assumption, and the evaluations and
+terms of each phase.  concentration_root returns the same r0 as the root of
+the concentration-radius equation, the gradient times -omega/2.
 
 Brent-Dekker is aimed with the family's closed part.  Its first iterate
 is the root of the series' closed part (the Kelvin images; for n = 2 the
@@ -26,7 +26,8 @@ w = ((1 - r)(r - a)/(1 - a)^2)^(n - 1), which has f's sign and root but not
 its poles of order n - 1 at the spheres.  Its sign decisions, its zero test
 and the results it returns stay f's.  On a draw of 1 500 geometries over
 n = 2..6, a in [0.05, 0.95] this takes Brent from 10.2 evaluations per solve
-to 6.2, and a solve from 17.0 to 13.0 (scripts/solver_phases.py).
+to 6.2, and a solve from 17.0 to 13.0; bounding the second derivative from
+its slope series alone takes it to 11.0 (scripts/solver_phases.py).
 
 The sweep and Brent-Dekker only decide signs, so they sum each gradient to a
 relative target: until its tail is within _SIGN_REL_TOL of its value, or
@@ -37,16 +38,16 @@ interpolation reads values as accurate as its steps are short.  A certain
 sign of a relaxed result is the sign of the true value, and a relaxed result
 whose sign is not certain is summed again to the absolute policy, so the
 sweep stops, and raises BracketingError, where an absolute sweep does.
-Bisection, the sign-pinned certificate, the finite-difference pair and the
-slope series keep the absolute policy, and so do Brent's final ends, which
-bisection reuses.  Every number the report carries (r0, bracket, residual,
-certificate, second derivative and its uncertainty) is therefore computed
-from absolute sums, at the midpoints of the sweep bracket that plain
-bisection visits; Brent's bracket, which the relaxed values, the seed and
-the weight may move, only decides which of them are evaluated.  On 20 000
-seeded geometries every field of the report except ``evaluations`` and
-``phases`` matched an all-absolute solve, and on 2 521 (n = 2..7, a up to
-0.98) it matched an unseeded, unweighted one.
+Bisection, the sign-pinned certificate and the slope series keep the
+absolute policy, and so do Brent's final ends, which bisection reuses.
+Every number the report carries (r0, bracket, residual, certificate, second
+derivative and its uncertainty) is therefore computed from absolute sums,
+at the midpoints of the sweep bracket that plain bisection visits; Brent's
+bracket, which the relaxed values, the seed and the weight may move, only
+decides which of them are evaluated.  On 20 000 seeded geometries every
+field of the report except ``evaluations`` and ``phases`` matched an
+all-absolute solve, and on 2 521 (n = 2..7, a up to 0.98) it matched an
+unseeded, unweighted one.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .core import (
     TruncationPolicy,
 )
 from .green import _radial
+from .summation import _U
 
 # the gradient diverges at both boundaries; stand off before sweeping
 DEFAULT_STANDOFF_FACTOR = 1e-3
@@ -74,8 +76,8 @@ DEFAULT_STANDOFF_FACTOR = 1e-3
 # converged result has |value| >= 20 tail and, rounding aside, a certain sign
 _SIGN_REL_TOL = 0.05
 
-# the solver phases, in the order they run; the second-derivative check
-# counts the finite-difference pair and the slope series
+# the solver phases, in the order they run; the second-derivative phase
+# sums the slope series once, at r0
 PHASES = ("sweep", "brent", "bisection", "pinning", "second_derivative")
 
 
@@ -92,9 +94,15 @@ class PhaseCounts:
 class CriticalPointReport:
     """Root location plus the evidence used to certify it.
 
-    ``evaluations`` counts every series evaluation of the solve, the slope
-    series of the second-derivative check included; ``phases`` splits it,
-    and the terms summed, over PHASES.
+    ``second_derivative`` is R''(r0) read from the slope series at the
+    reported double r0, and ``second_derivative_uncertainty`` bounds its
+    error against the exact R''(r0) at that double: the slope's tail bound
+    (truncation and rounding) over d(r0), plus ``residual`` / (r0 d(r0)) for
+    the gradient not vanishing exactly at r0, plus the rounding of the
+    quotient and of that sum.  ``nondegenerate`` holds where |R''(r0)| is
+    certainly positive.  ``evaluations`` counts every series evaluation of
+    the solve, the slope series included; ``phases`` splits it, and the
+    terms summed, over PHASES.
     """
 
     r0: float
@@ -499,27 +507,28 @@ def find_critical_point(
     """Locate the unique radial critical point of the Robin function.
 
     Uses the radial gradient r R'(r) for n >= 3 and the planar R'(r) for
-    n = 2.  The second derivative is evaluated from its own series and
-    cross-checked against a central difference of the gradient; the reported
-    uncertainty is the discrepancy between the two routes plus the series
-    tails, so nondegeneracy can be judged from the report alone.
+    n = 2.  The second derivative comes from one sum of the gradient's slope
+    series at r0, and its uncertainty from that sum's certified tail bound
+    and the root's residual (see CriticalPointReport), so nondegeneracy can
+    be judged from the report alone.
     """
     pol = _series_policy(policy, solver_tol)
     a = geom.a
     # the series f solved for is R'(r) times d(r)
     family = _radial(geom)
-    f, d = _CountedSeries(family.gradient, pol), family.d
+    f = _CountedSeries(family.gradient, pol)
     r0, residual, certificate, bracket = _solve(f, a, solver_tol, geom.n - 1, family.closed)
 
-    h = 1e-4 * (1.0 - a)
     f.phase = "second_derivative"
     slope_res = f.tally(family.slope(r0, pol))
-    second = slope_res.value / d(r0)  # R'' = f'(r0)/d(r0) at the zero of f
-    plus = f.result(r0 + h)
-    minus = f.result(r0 - h)
-    fd = (plus.value / d(r0 + h) - minus.value / d(r0 - h)) / (2.0 * h)
-    fd_tail = (plus.tail_bound + minus.tail_bound) / (2.0 * h * d(r0 - h))
-    uncertainty = abs(second - fd) + fd_tail + slope_res.tail_bound / d(r0)
+    d0 = family.d(r0)
+    second = slope_res.value / d0  # R'' = f'(r0)/d(r0) at the zero of f
+    # R''(r0) = f'(r0)/d - f(r0) d'/d^2, with |f(r0)| <= residual and
+    # |d'| <= d/r (d = r, or 1).  The quotient errs by at most
+    # u/(1 - u) |second| < 2u |second|, and the bound's own four roundings
+    # by at most 4u of it.
+    bound = slope_res.tail_bound / d0 + residual / (r0 * d0)
+    uncertainty = (1.0 + 4.0 * _U) * bound + 2.0 * _U * abs(second)
 
     return CriticalPointReport(
         r0=r0,

@@ -100,7 +100,8 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
     series, including the 1/omega prefactor.
 
     Vanishes when either radius sits on a boundary sphere, is symmetric in
-    (r, s), and is positive strictly inside.
+    (r, s), and is positive strictly inside.  Raises TailEnvelopeError where
+    it leaves the double-precision range (at large n, where omega underflows).
     """
     geom.require_series_dim()
     if m < 0:
@@ -109,12 +110,21 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
     hi = geom.clamp_radius(max(r, s))
     n, a = geom.n, geom.a
     beta = 2 * m + n - 2
-    big_a = a**beta
-    return (
-        (lo**beta - big_a)
-        * (1.0 - hi**beta)
-        / (beta * (lo * hi) ** (m + n - 2) * (1.0 - big_a) * geom.omega)
-    )
+    # (lo^beta - a^beta) / (lo hi)^(m+n-2) scaled as _modal_rows scales it:
+    # every power that grows with m is of a number in (0, 1], so none
+    # underflows before the coefficient does
+    try:
+        return (
+            (lo / hi) ** m
+            * hi ** (2 - n)
+            * (1.0 - (a / lo) ** beta)
+            * (1.0 - hi**beta)
+            / (beta * (1.0 - a**beta) * geom.omega)
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise TailEnvelopeError(
+            f"the modal coefficient for n = {n} leaves the double-precision range here"
+        ) from None
 
 
 # the grid twins take powers and logs of arrays with numpy, whose vectorised
@@ -497,7 +507,9 @@ def green_piecewise_eval(
     """Green function from the radius-ordered modal series, |x| != |y|.
 
     Coincident radii make every mode the same size, so that case is refused
-    and callers are pointed at green_eval, which stays valid there.
+    and callers are pointed at green_eval, which stays valid there.  Where a
+    mode leaves the double-precision range (at large n) it raises
+    TailEnvelopeError, as green_eval does.
     """
     geom.require_series_dim()
     xv = geom.point(x)
@@ -511,7 +523,12 @@ def green_piecewise_eval(
         )
     lo, hi = (r, s) if r < s else (s, r)
     t = _clamp_argument(float(xv @ yv) / (r * s))
-    return sum_series(_modal_rows(geom.n, geom.a, lo, hi, t, geom.omega), policy)
+    try:
+        return sum_series(_modal_rows(geom.n, geom.a, lo, hi, t, geom.omega), policy)
+    except (OverflowError, ZeroDivisionError):
+        raise TailEnvelopeError(
+            f"the Green function for n = {geom.n} leaves the double-precision range here"
+        ) from None
 
 
 def _mode_form(k: int) -> tuple[int, int, int, int]:

@@ -366,6 +366,18 @@ class TestExportGrid:
         assert record["columns"] == ["r", "coefficient", "tail_bound"]
         assert len(record["rows"]) == 11
 
+    def test_modal_coefficient_at_a_high_mode(self, capsys):
+        # lo^beta and (lo hi)^(m+n-2) underflow on their own at this mode
+        code, out = run_cli(
+            capsys,
+            "export-grid", "modal-coefficient", "--mode", "2000", "--s-radius", "0.7",
+            "--grid-points", "3",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 3
+        assert all(math.isfinite(v) and v >= 0.0 for row in rows for v in row)
+
     def test_full_precision_rendering(self, capsys, tmp_path):
         path = tmp_path / "robin.csv"
         run_cli(

@@ -16,6 +16,7 @@ from annulus_green import (
     DomainValidationError,
     EvalResult,
     SingularityError,
+    TailEnvelopeError,
     TruncationPolicy,
     green_eval,
     newtonian_potential,
@@ -151,6 +152,16 @@ def test_newtonian_rejects_singularity_and_plane():
         newtonian_potential(geom, x, x)
     with pytest.raises(DomainValidationError):
         newtonian_potential(AnnulusGeometry(2, 0.5), [0.7, 0.0], [0.6, 0.0])
+
+
+@pytest.mark.parametrize("n", [455, 456])
+def test_newtonian_out_of_range_is_a_tail_envelope_error(n):
+    # at n = 455 the quotient overflows to inf; from 456 on omega is 0
+    geom = AnnulusGeometry(n, 0.5)
+    x, y = np.zeros(n), np.zeros(n)
+    x[0], y[1] = 0.6, 0.8
+    with pytest.raises(TailEnvelopeError):
+        newtonian_potential(geom, x, y)
 
 
 @pytest.mark.parametrize("n,a", [(1, 0.5), (3, 0.0), (3, 1.0), (3, -0.1), (3, 1.5)])

@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import mpmath
+import pytest
+from mpmath import mpf
+
+import image_references as refs
 from annulus_green import (
     AnnulusGeometry,
     BracketingError,
@@ -15,6 +20,15 @@ from annulus_green import (
 )
 
 POLICY = TruncationPolicy(abs_tol=1e-12, max_terms=300_000)
+
+# two seeded geometries per dimension n = 2..6 with a in [0.05, 0.95], thin
+# annuli, and the sign-pinned geometries of test_robin_split
+_DRAW = random.Random(29)
+CURVATURE_CASES = (
+    [(n, _DRAW.uniform(0.05, 0.95)) for n in range(2, 7) for _ in range(2)]
+    + [(2, 0.99), (3, 0.99), (6, 0.99), (6, 0.999)]
+    + [(4, 0.937), (5, 0.853), (6, 0.784), (6, 0.942)]
+)
 
 
 class TestPlanarCriticalPoint:
@@ -96,3 +110,18 @@ class TestFailureModes:
         starving = TruncationPolicy(abs_tol=1e-12, max_terms=3, tail_safety=1)
         with pytest.raises(BracketingError):
             find_critical_point(geom, starving, solver_tol=1e-12)
+
+
+@pytest.mark.parametrize("n, a", CURVATURE_CASES, ids=lambda v: f"{v:.4g}")
+def test_second_derivative_uncertainty_covers_mpmath_error(n, a):
+    report = find_critical_point(AnnulusGeometry(n, a), None, solver_tol=1e-12)
+    # R, D R and D^2 R with D = r d/dr, at 50 digits and at the reported double
+    _, first, second = refs.robin_powers(n, a, report.r0)
+    with mpmath.workdps(refs.DPS):
+        r0 = mpf(report.r0)
+        exact = (second - first) / (r0 * r0)
+        error = float(abs(mpf(report.second_derivative) - exact))
+    assert error <= report.second_derivative_uncertainty
+    # sharp enough to be evidence: within a few thousand ulps of |R''|
+    assert report.second_derivative_uncertainty <= 1e-12 * abs(report.second_derivative)
+    assert report.nondegenerate

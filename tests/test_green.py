@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,25 @@ class TestModalCoefficient:
         with pytest.raises(DomainValidationError):
             modal_coefficient(self.GEOM, 0, 0.4, 0.8)
 
+    @pytest.mark.parametrize("m", [800, 2000])
+    def test_high_modes_against_mpmath(self, m):
+        # lo^beta and (lo hi)^(m+n-2) underflow on their own from m ~ 1000,
+        # long before the coefficient does
+        value = modal_coefficient(self.GEOM, m, 0.6, 0.7)
+        with mpmath.workdps(50):
+            a, lo, hi = mpmath.mpf(0.5), mpmath.mpf(0.6), mpmath.mpf(0.7)
+            beta = 2 * m + 1
+            exact = (
+                (lo**beta - a**beta)
+                * (1 - hi**beta)
+                / (beta * (lo * hi) ** (m + 1) * (1 - a**beta) * 4 * mpmath.pi)
+            )
+            assert abs(value - exact) <= 1e-12 * exact
+
+    def test_underflowing_sphere_area_is_a_tail_envelope_error(self):
+        with pytest.raises(TailEnvelopeError):
+            modal_coefficient(AnnulusGeometry(456, 0.5), 2, 0.6, 0.7)
+
 
 class TestGreenEval:
     GEOM = AnnulusGeometry(3, 0.5)
@@ -132,6 +152,15 @@ class TestPiecewiseRoute:
         y = np.array([0.0, 0.7, 0.0])
         with pytest.raises(DomainValidationError):
             green_piecewise_eval(self.GEOM, x, y, POLICY)
+
+    def test_underflowing_sphere_area_is_a_tail_envelope_error(self):
+        # omega underflows to 0 for n >= 456; green_eval refuses these points too
+        geom = AnnulusGeometry(456, 0.5)
+        x, y = np.zeros(456), np.zeros(456)
+        x[0], y[1] = 0.6, 0.8
+        for fn in (green_eval, green_piecewise_eval):
+            with pytest.raises(TailEnvelopeError):
+                fn(geom, x, y, POLICY)
 
 
 class TestRobin:

@@ -76,5 +76,5 @@ def test_solver_phases_prints_every_phase(monkeypatch, capsys):
     assert [row[0] for row in rows] == [*critical.PHASES, "total"]
     evals = [float(row[1]) for row in rows]
     assert evals[-1] == pytest.approx(sum(evals[:-1]))
-    # the sweep's two ends and the second-derivative check's three series
-    assert evals[0] == 2.0 and evals[-2] == 3.0
+    # the sweep's two ends and the second-derivative phase's slope series
+    assert evals[0] == 2.0 and evals[-2] == 1.0
