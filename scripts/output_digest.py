@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the evaluators' outputs over a seeded draw.
+
+Imports annulus_green from the source tree ``--src``, evaluates each group of
+evaluators below over a seeded draw of geometries, radii and policies, and
+prints one SHA-256 per group over the exact outputs: value, tail_bound,
+terms_used and converged of every result, every field of every
+CriticalPointReport, and the type and message of every error.  Two source
+trees that print the same digests give bit-identical outputs on the draw, so
+running the script on a change and on its parent checks a refactor that
+should change no number.
+
+The draw takes n in {2..6, 9, 20}; a uniform in [0.05, 0.95] or 1 - a
+log-uniform down to 1e-4, where the deep modes are summed as images; radii
+1e-6 of the gap from either sphere and one in between; and the default
+policy beside one with rel_tol 0.05.  The "errors" group adds the typed
+errors at n = 456 (where omega underflows), in the plane for the spatial
+evaluators, at r = 0 and where r^2 underflows.
+
+Example:
+    python scripts/output_digest.py --src src --count 150 --seed 7
+"""
+
+import argparse
+import hashlib
+import math
+import random
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SPATIAL_DIMS = (3, 4, 5, 6, 9, 20)
+FIELDS = ("value", "tail_bound", "terms_used", "converged")
+
+
+def _record(fn, *args):
+    """The exact outputs of fn(*args), or its error's type and message."""
+    try:
+        res = fn(*args)
+    except Exception as exc:  # every error is an output here
+        return type(exc).__name__, str(exc)
+    if all(hasattr(res, f) for f in FIELDS):
+        # tolist turns numpy scalars and arrays into floats, whose repr is exact
+        return tuple(np.asarray(getattr(res, f)).tolist() for f in FIELDS)
+    return repr(res)
+
+
+def _thickness(rng: random.Random) -> float:
+    if rng.random() < 0.5:
+        return rng.uniform(0.05, 0.95)
+    return 1.0 - 10.0 ** rng.uniform(-4.0, -1.0)
+
+
+def _radii(rng: random.Random, a: float) -> list[float]:
+    return [a + f * (1.0 - a) for f in (1e-6, rng.uniform(0.0, 1.0), 1.0 - 1e-6)]
+
+
+def _groups(ag, count: int, seed: int) -> dict:
+    """Group name -> list of records, in the draw's order."""
+    from annulus_green import green
+
+    rng = random.Random(seed)
+    policies = (ag.TruncationPolicy(), ag.TruncationPolicy(rel_tol=0.05))
+    spatial = (
+        ag.robin_eval,
+        ag.robin_radial_gradient,
+        ag.robin_radial_gradient_derivative,
+        ag.critical_equation_eval,
+    )
+    spatial_grid = (ag.robin_eval_grid, ag.robin_radial_gradient_grid)
+    planar = (ag.robin2d_eval, ag.robin2d_first, ag.robin2d_second)
+    planar_grid = (ag.robin2d_eval_grid, ag.robin2d_first_grid)
+    out = {
+        name: []
+        for name in ("robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed",
+                     "green", "critical", "errors")
+    }
+    for _ in range(count):
+        n, a = rng.choice(SPATIAL_DIMS), _thickness(rng)
+        geom, radii = ag.AnnulusGeometry(n, a), _radii(rng, a)
+        for pol in policies:
+            out["robin"] += [_record(fn, geom, r, pol) for fn in spatial for r in radii]
+            out["robin_grid"] += [_record(fn, geom, np.array(radii), pol) for fn in spatial_grid]
+        out["radial_closed"] += [_record(green._radial(geom).closed, r) for r in radii]
+
+        a = _thickness(rng)
+        radii = _radii(rng, a)
+        for pol in policies:
+            out["robin2d"] += [_record(fn, a, r, pol) for fn in planar for r in radii]
+            out["robin2d_grid"] += [_record(fn, a, np.array(radii), pol) for fn in planar_grid]
+        out["radial_closed"] += [
+            _record(green._radial(ag.AnnulusGeometry(2, a)).closed, r) for r in radii
+        ]
+
+        n, a = rng.choice(SPATIAL_DIMS), rng.uniform(0.05, 0.95)
+        geom = ag.AnnulusGeometry(n, a)
+        r, s = _radii(rng, a)[1], a + rng.uniform(0.0, 1.0) * (1.0 - a)
+        angle = rng.uniform(0.0, math.pi)
+        x, y = np.zeros(n), np.zeros(n)
+        x[0], y[0], y[1] = r, s * math.cos(angle), s * math.sin(angle)
+        for pol in policies:
+            out["green"] += [
+                _record(ag.green_eval, geom, x, y, pol),
+                _record(ag.green_piecewise_eval, geom, x, y, pol),
+                _record(green._green_slice, geom, np.linspace(a, 1.0, 5), y, pol),
+            ]
+
+        geom = ag.AnnulusGeometry(rng.choice((2, *SPATIAL_DIMS)), _thickness(rng))
+        out["critical"].append(_record(ag.find_critical_point, geom))
+
+    # omega underflows at n = 456; r^2 underflows at r = 2e-300
+    pol, pair = policies[0], np.array([0.6, 0.75])
+    far, plane = ag.AnnulusGeometry(456, 0.5), ag.AnnulusGeometry(2, 0.5)
+    mid = ag.AnnulusGeometry(3, 0.5)
+    errors = out["errors"]
+    for fn in spatial:
+        errors += [_record(fn, g, r, pol) for g, r in ((far, 0.75), (plane, 0.75), (mid, 0.0))]
+    for fn in spatial_grid:
+        errors += [_record(fn, far, pair, pol), _record(fn, plane, pair, pol)]
+    for fn in planar:
+        errors += [_record(fn, 0.5, 0.0, pol), _record(fn, 1e-300, 2e-300, pol)]
+    for fn in planar_grid:
+        errors.append(_record(fn, 1e-300, np.array([2e-300]), pol))
+    errors.append(_record(ag.find_critical_point, far))
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--src", type=Path, default=SRC, help="source tree holding annulus_green")
+    ap.add_argument("--count", type=int, default=150, help="draws per group")
+    ap.add_argument("--seed", type=int, default=7, help="seed of the draw")
+    args = ap.parse_args()
+
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import annulus_green as ag
+
+    if src not in Path(ag.__file__).resolve().parents:
+        print(f"annulus_green was already imported from {ag.__file__}", file=sys.stderr)
+        return 2
+    for name, records in _groups(ag, args.count, args.seed).items():
+        digest = hashlib.sha256()
+        for record in records:
+            digest.update(repr(record).encode() + b"\n")
+        print(f"{name:<14} {len(records):>6} {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

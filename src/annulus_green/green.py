@@ -42,9 +42,11 @@ m >= _HEAD_MODES in closed form.  The rows shrink by a^(k + 2 _HEAD_MODES),
 and terms_used counts head modes plus image rows.  robin2d_eval keeps its
 modes: its 1/m weights have no elementary sum over m.
 
-_radial gives the Robin family of a geometry's dimension (value, solved
-gradient, its slope, their grid twins and closed parts): it is the one place
-that chooses between the spatial series and the planar ones.
+_robin_series sums every Robin-family series of either dimension, at one
+radius or an array of them, from the table _SERIES; its closed forms share
+one signature (see _Series), and only their normalisation depends on the
+dimension (_normalised).  _radial binds a geometry's public evaluators: it
+is the one place that chooses between the spatial family and the planar one.
 
 green_piecewise_eval stays the unsplit modal series on purpose: its split
 would be the same computation as green_eval's, and it serves as the
@@ -461,14 +463,19 @@ def _green_slice(
     t = np.clip((x0 * ys[0]) / (r * s), -1.0, 1.0)
     k = n - 2
     lo, hi = np.minimum(r, s), np.maximum(r, s)
-    with np.errstate(all="ignore"):
-        scale = 1.0 / (k * geom.omega)
-        closed, closed_rounding = _green_closed_part(k, a, lo, hi, d[far], scale, _NUMPY_EXTRA)
-        res = sum_series_table(
-            lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
-            r.size,
-            policy,
-        )
+    try:
+        with np.errstate(all="ignore"):
+            scale = 1.0 / (k * geom.omega)
+            closed, closed_rounding = _green_closed_part(k, a, lo, hi, d[far], scale, _NUMPY_EXTRA)
+            res = sum_series_table(
+                lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
+                r.size,
+                policy,
+            )
+    except (OverflowError, ZeroDivisionError):
+        raise TailEnvelopeError(
+            f"the Green function for n = {n} leaves the double-precision range here"
+        ) from None
     res = _split_result(closed, closed_rounding, res, geom.omega_rel_error)
     grid.value[far], grid.terms_used[far] = res.value, res.terms_used
     grid.tail_bound[far], grid.converged[far] = res.tail_bound, res.converged
@@ -860,101 +867,173 @@ def _imaged_grid(chunks, images):
     yield from images
 
 
-def _remainder_rows(k: int, a: float, r: float, scale: float, parts, images: bool):
+def _remainder_rows(k: int, a: float, r, scale, parts, images: bool):
     """The rows of a Robin-family remainder (planar for k = 0): its modes, or
     with ``images`` its first _HEAD_MODES modes and then the image rows of
-    the rest."""
-    rows = _robin_remainder(k, a, r, scale, parts)
+    the rest.  For an array of radii (and of scales, in the plane) the rows
+    come in the grid twins' chunks, as sum_series_table reads them."""
+    if isinstance(r, np.ndarray):
+        modes, image_rows, imaged = _robin_remainder_grid, _image_rows_grid, _imaged_grid
+    else:
+        modes, image_rows, imaged = _robin_remainder, _image_rows, _imaged
+    rows = modes(k, a, r, scale, parts)
     if images:
-        rows = _imaged(rows, _image_rows(k, a, r, scale, parts, _HEAD_MODES + _mode_form(k)[0]))
+        rows = imaged(rows, image_rows(k, a, r, scale, parts, _HEAD_MODES + _mode_form(k)[0]))
     return rows
 
 
-def _remainder_table(k: int, a: float, r, scale, parts, images: bool):
-    """_remainder_rows for an array of radii as sum_series_table reads it, a
-    function of the slice of columns; ``scale`` is a number, or in the plane
-    one per radius."""
-
-    def table(cols):
-        rr, sc = r[cols], (scale[cols] if np.ndim(scale) else scale)
-        chunks = _robin_remainder_grid(k, a, rr, sc, parts)
-        if images:
-            m0 = _HEAD_MODES + _mode_form(k)[0]
-            chunks = _imaged_grid(chunks, _image_rows_grid(k, a, rr, sc, parts, m0))
-        return chunks
-
-    return table
+def _robin_closed(k, a, r, u, v, w, log):
+    # [(1-r^2)^-k + a^k (r^2-a^2)^-k - 2 (a/r)^k (1-a^2)^-k] / k; a k-th power
+    # of a base with b roundings errs by b k + 1 ulps, and here b <= 5; the
+    # sum and the division by omega add 3
+    return (u**-k / k, (a / v) ** k / k, -2.0 * (a / (r * w)) ** k / k), 5 * k + 5, 0, 1
 
 
-def _split(
-    k: int, a: float, r, policy: TruncationPolicy, closed_part, scale, parts, rel_error=0.0
-):
-    """A Robin-family series (planar for k = 0) at r, or at every radius of
-    an array r: the closed form and rounding bound ``closed_part()`` returns
-    plus the remainder of prefactor ``scale(r)`` (one per radius in the plane)
-    and polynomials ``parts`` (see _remainder_rows), summed through images
-    where _image_route holds and, for an array, as one table.  ``rel_error``
-    is that of a factor every piece shares (see _split_result).  The closed
-    form and the prefactor are formed inside the overflow guard.
+def _gradient_closed(k, a, r, u, v, w, log):
+    # 2 [r^2 (1-r^2)^(-k-1) - a^k r^2 (r^2-a^2)^(-k-1) + (a/r)^k (1-a^2)^-k];
+    # counted as _robin_closed, with at most 6 roundings around the powers
+    return (
+        2.0 * (r * r) * u ** (-k - 1),
+        -2.0 * (a / v) ** k * (r * r / v),
+        2.0 * (a / (r * w)) ** k,
+    ), 5 * k + 10, 0, 1
+
+
+def _slope_closed(k, a, r, u, v, w, log):
+    # d/dr of _gradient_closed; as there, with 13 roundings around the powers
+    return (
+        4.0 * r * (1.0 + k * (r * r)) * u ** (-k - 2),
+        4.0 * r * (a * a + k * (r * r)) * (a / v) ** k / (v * v),
+        -2.0 * k * (a / (r * w)) ** k / r,
+    ), 5 * k + 17, 0, 1
+
+
+def _robin2d_closed(k, a, r, u, v, w, log):
+    # -log^2 r / log a plus the three images, each by sum_m x^m/m = -log(1 - x);
+    # each log errs by its argument's 3-5 roundings absolutely, plus one ulp;
+    # log^2 r squares a log of r, hence two radius factors
+    return (
+        -log(r) ** 2 / math.log(a),
+        -log(u),
+        2.0 * math.log(w),
+        -log(v / (r * r)),
+    ), 8, 14, 2
+
+
+def _robin2d_first_closed(k, a, r, u, v, w, log):
+    # the derivative of _robin2d_closed
+    return (-2.0 * log(r) / (r * math.log(a)), 2.0 * r / u, -2.0 * (a * a) / (r * v)), 8, 0, 1
+
+
+def _robin2d_second_closed(k, a, r, u, v, w, log):
+    # the derivative of _robin2d_first_closed
+    r2 = r * r
+    return (
+        -2.0 * (1.0 - log(r)) / (r2 * math.log(a)),
+        2.0 * (1.0 + r2) / (u * u),
+        2.0 * (a * a) * (3.0 * r2 - a * a) / (r2 * (v * v)),
+    ), 20, 0, 1
+
+
+class _Series(NamedTuple):
+    """A Robin-family series, as _robin_series sums it.
+
+    ``closed(k, a, r, u, v, w, log)`` returns (pieces, ulps, absolute units,
+    radius factors): the closed form is the sum of the pieces and rounds by
+    at most ulps units of their summed magnitudes plus the absolute units,
+    and on the grid path each radius factor adds _NUMPY_EXTRA to ulps.
+    u = 1 - r^2, v = r^2 - a^2 and w = 1 - a^2 come as (p - q)(p + q).
     """
-    route = _image_route(a, policy, parts)
+
+    closed: Callable
+    # (k, r) -> the remainder's prefactor, before the normalisation, and its
+    # parts (coef, d, e) as _robin_remainder takes them
+    remainder: Callable
+
+
+# every Robin-family series; the planar mode weights are
+# (x_1^m - 2 x_2^m + x_4^m) / m and their derivatives, with 1/m = 2 (2m)^-1
+_SERIES = {
+    "robin_eval": _Series(_robin_closed, lambda k, r: (1.0, ((1, 0, 0), (-2, 0, 0), (1, 0, 0)))),
+    "robin_radial_gradient": _Series(
+        _gradient_closed, lambda k, r: (2.0, ((1, 0, 1), (k, 0, 0), (-1, k, 1)))
+    ),
+    "robin_radial_gradient_derivative": _Series(
+        _slope_closed, lambda k, r: (2.0 / r, ((2, 0, 2), (-k * k, 0, 0), (2, k, 2)))
+    ),
+    "robin2d_eval": _Series(
+        _robin2d_closed, lambda k, r: (1.0, ((2, 0, -1), (-4, 0, -1), (2, 0, -1)))
+    ),
+    "robin2d_first": _Series(
+        _robin2d_first_closed, lambda k, r: (2.0 / r, ((1, 0, 0), (0, 0, 0), (-1, 0, 0)))
+    ),
+    "robin2d_second": _Series(
+        _robin2d_second_closed, lambda k, r: (2.0 / (r * r), ((1, -1, 1), (0, 0, 0), (1, 1, 1)))
+    ),
+}
+
+
+def _normalised(series: _Series, geom: AnnulusGeometry, r, log):
+    """The closed form of ``series`` at r, its rounding bound, and its
+    remainder's prefactor and parts, in the family's normalisation: for
+    n >= 3 the closed form times -1/omega and the prefactor over -k omega, in
+    the plane both as they are.  ``log`` is math.log, or np.log for an array
+    of radii.
+    """
+    k, a = geom.n - 2, geom.a
+    u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
+    pieces, ulps, absolute, factors = series.closed(k, a, r, u, v, w, log)
+    if log is np.log:
+        ulps += factors * _NUMPY_EXTRA
+    closed, rounding = sum(pieces), _U * (absolute + ulps * sum(map(abs, pieces)))
+    scale, parts = series.remainder(k, r)
+    if not k:
+        return closed, rounding, scale, parts
+    omega = geom.omega
+    return -closed / omega, rounding / omega, -scale / (k * omega), parts
+
+
+def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
+    """A Robin-family series of either dimension at r, or at every radius of
+    an array r as one table: its closed form plus its remainder (k = n - 2,
+    0 in the plane), summed through images where _image_route holds.
+    ``geom`` is a spatial series' geometry, n >= 3, or as the planar
+    evaluators take it the inner radius a of a planar annulus."""
+    if isinstance(geom, AnnulusGeometry):
+        geom.require_series_dim()
+    else:
+        geom = AnnulusGeometry(2, geom)
+    grid = isinstance(r, np.ndarray)
+    if grid:
+        outside = ~((geom.a < _radius_array(r)) & (r < 1.0))
+        if outside.any():
+            raise DomainValidationError(
+                f"radius {float(r[outside][0])} must lie strictly between a = {geom.a} and 1"
+            )
+    else:
+        geom.require_interior_radius(r)
+    k, a = geom.n - 2, geom.a
     try:
-        if isinstance(r, np.ndarray):
+        if grid:
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-                closed, closed_rounding = closed_part()
-                table = _remainder_table(k, a, r, scale(r), parts, route)
+                closed, rounding, scale, parts = _normalised(series, geom, r, np.log)
+                route = _image_route(a, policy, parts)
+
+                def table(cols):  # in the plane a prefactor may vary with r
+                    sc = scale[cols] if np.ndim(scale) else scale
+                    return _remainder_rows(k, a, r[cols], sc, parts, route)
+
                 res = sum_series_table(table, r.size, policy)
         else:
-            closed, closed_rounding = closed_part()
-            res = sum_series(_remainder_rows(k, a, r, scale(r), parts, route), policy, closed)
+            closed, rounding, scale, parts = _normalised(series, geom, r, math.log)
+            rows = _remainder_rows(k, a, r, scale, parts, _image_route(a, policy, parts))
+            res = sum_series(rows, policy, closed)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
             f"the Robin series for n = {k + 2} leaves the double-precision range here: "
             "its closed form or its modes overflow"
         ) from None
-    return _split_result(closed, closed_rounding, res, rel_error)
-
-
-def _robin_split(
-    geom: AnnulusGeometry,
-    r,
-    policy: TruncationPolicy,
-    closed_form,
-    scale_factor,
-    parts,
-    grid: bool = False,
-):
-    """A Robin-family series for n >= 3 at r, or with ``grid`` at every
-    radius of the array r, through _split.
-
-    ``closed_form(k, a, r, u, v, w)`` returns the closed-form pieces, which
-    are multiplied by -1/omega, and the number of ulps each may be off by.
-    It receives u = 1 - r^2, v = r^2 - a^2 and w = 1 - a^2, each formed as a
-    difference times a sum so that nothing cancels next to a sphere.  The
-    remainder carries the prefactor -scale_factor(r) / (k omega) and the
-    polynomials ``parts`` of _robin_remainder.
-    """
-    geom.require_series_dim()
-    if grid:
-        r = _interior_radii(geom, r)
-    else:
-        geom.require_interior_radius(r)
-    k = geom.n - 2
-    extra = _NUMPY_EXTRA if grid else 0.0
-    closed = lambda: _robin_closed_part(geom, r, closed_form, extra)  # noqa: E731
-    scale = lambda r: -scale_factor(r) / (k * geom.omega)  # noqa: E731
-    return _split(k, geom.a, r, policy, closed, scale, parts, geom.omega_rel_error)
-
-
-def _robin_closed_part(geom: AnnulusGeometry, r, closed_form, extra: float = 0.0):
-    """A Robin-family closed form times -1/omega, and its rounding bound;
-    ``extra`` units per piece cover numpy's powers on the grid path."""
-    a = geom.a
-    u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
-    pieces, ulps = closed_form(geom.n - 2, a, r, u, v, w)
-    closed = -sum(pieces) / geom.omega
-    # the pieces, their two sums and the division
-    return closed, (ulps + 3 + extra) * _U * sum(map(abs, pieces)) / geom.omega
+    return _split_result(closed, rounding, res, geom.omega_rel_error if k else 0.0)
 
 
 def _radius_array(radii) -> np.ndarray:
@@ -964,55 +1043,6 @@ def _radius_array(radii) -> np.ndarray:
     return r
 
 
-def _interior_radii(geom: AnnulusGeometry, radii) -> np.ndarray:
-    """``radii`` as an array, each strictly between a and 1."""
-    r = _radius_array(radii)
-    outside = ~((geom.a < r) & (r < 1.0))
-    if outside.any():
-        raise DomainValidationError(
-            f"radius {float(r[outside][0])} must lie strictly between a = {geom.a} and 1"
-        )
-    return r
-
-
-def _robin_closed(k, a, r, u, v, w):
-    # [(1-r^2)^-k + a^k (r^2-a^2)^-k - 2 (a/r)^k (1-a^2)^-k] / k; a k-th power
-    # of a base with b roundings errs by b k + 1 ulps, and here b <= 5
-    return (u**-k / k, (a / v) ** k / k, -2.0 * (a / (r * w)) ** k / k), 5 * k + 2
-
-
-def _gradient_closed(k, a, r, u, v, w):
-    # 2 [r^2 (1-r^2)^(-k-1) - a^k r^2 (r^2-a^2)^(-k-1) + (a/r)^k (1-a^2)^-k];
-    # the powers as in _robin_closed, and at most 6 roundings around them
-    return (
-        2.0 * (r * r) * u ** (-k - 1),
-        -2.0 * (a / v) ** k * (r * r / v),
-        2.0 * (a / (r * w)) ** k,
-    ), 5 * k + 7
-
-
-def _slope_closed(k, a, r, u, v, w):
-    # d/dr of _gradient_closed; at most 13 roundings around the powers
-    return (
-        4.0 * r * (1.0 + k * (r * r)) * u ** (-k - 2),
-        4.0 * r * (a * a + k * (r * r)) * (a / v) ** k / (v * v),
-        -2.0 * k * (a / (r * w)) ** k / r,
-    ), 5 * k + 14
-
-
-# the parts (coef, d, e) of the spatial remainders (see _robin_remainder):
-# robin_eval's, and those of the gradient and its slope as functions of k
-_ROBIN_PARTS = ((1, 0, 0), (-2, 0, 0), (1, 0, 0))
-
-
-def _gradient_parts(k: int):
-    return ((1, 0, 1), (k, 0, 0), (-1, k, 1))
-
-
-def _slope_parts(k: int):
-    return ((2, 0, 2), (-k * k, 0, 0), (2, k, 2))
-
-
 def robin_eval(geom: AnnulusGeometry, r: float, policy: TruncationPolicy) -> EvalResult:
     """Robin function (diagonal regular part of the Green function) at radius r.
 
@@ -1020,7 +1050,7 @@ def robin_eval(geom: AnnulusGeometry, r: float, policy: TruncationPolicy) -> Eva
     divergence sits in the two-image closed form, so the remainder needs
     about as many modes next to a sphere as in the middle of the gap.
     """
-    return _robin_split(geom, r, policy, _robin_closed, lambda r: 1.0, _ROBIN_PARTS)
+    return _robin_series(_SERIES["robin_eval"], geom, r, policy)
 
 
 def robin_radial_gradient(
@@ -1031,8 +1061,7 @@ def robin_radial_gradient(
     Strictly decreasing in r, +inf toward the inner sphere and -inf toward
     the outer sphere, so its unique zero is the radial critical point.
     """
-    parts = _gradient_parts(geom.n - 2)
-    return _robin_split(geom, r, policy, _gradient_closed, lambda r: 2.0, parts)
+    return _robin_series(_SERIES["robin_radial_gradient"], geom, r, policy)
 
 
 def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> EvalGrid:
@@ -1041,9 +1070,7 @@ def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> E
     Each entry stays inside robin_eval's bound and matches its terms used and
     convergence; values may differ from robin_eval's by ulps.
     """
-    return _robin_split(
-        geom, radii, policy, _robin_closed, lambda r: 1.0, _ROBIN_PARTS, grid=True
-    )
+    return _robin_series(_SERIES["robin_eval"], geom, np.asarray(radii, dtype=float), policy)
 
 
 def robin_radial_gradient_grid(
@@ -1051,8 +1078,8 @@ def robin_radial_gradient_grid(
 ) -> EvalGrid:
     """robin_radial_gradient at every radius of ``radii``, summed as one table,
     with robin_eval_grid's contract."""
-    parts = _gradient_parts(geom.n - 2)
-    return _robin_split(geom, radii, policy, _gradient_closed, lambda r: 2.0, parts, grid=True)
+    radii = np.asarray(radii, dtype=float)
+    return _robin_series(_SERIES["robin_radial_gradient"], geom, radii, policy)
 
 
 def critical_equation_eval(
@@ -1067,52 +1094,7 @@ def robin_radial_gradient_derivative(
     geom: AnnulusGeometry, r: float, policy: TruncationPolicy
 ) -> EvalResult:
     """Derivative in r of the radial gradient r * R'(r); negative on (a, 1)."""
-    parts = _slope_parts(geom.n - 2)
-    return _robin_split(geom, r, policy, _slope_closed, lambda r: 2.0 / r, parts)
-
-
-def _robin2d_closed(a: float, r, log=math.log, extra: float = 0.0):
-    """-log^2 r / log a plus the three images of the planar Robin function,
-    and its rounding bound; ``log`` is math.log, or np.log for an array of
-    radii with ``extra`` units per piece."""
-    # sum_m x^m/m = -log(1 - x) for each of the three images
-    pieces = (
-        -log(r) ** 2 / math.log(a),
-        -log((1.0 - r) * (1.0 + r)),
-        2.0 * math.log((1.0 - a) * (1.0 + a)),
-        -log((r - a) * (r + a) / (r * r)),
-    )
-    # each log errs by its argument's 3-5 roundings absolutely, plus one ulp
-    return sum(pieces), _U * (14.0 + (8.0 + extra) * sum(map(abs, pieces)))
-
-
-def _robin2d_first_closed(a: float, r, log=math.log, extra: float = 0.0):
-    """The closed part of robin2d_first, as _robin2d_closed gives robin2d_eval's."""
-    pieces = (
-        -2.0 * log(r) / (r * math.log(a)),
-        2.0 * r / ((1.0 - r) * (1.0 + r)),
-        -2.0 * (a * a) / (r * ((r - a) * (r + a))),
-    )
-    return sum(pieces), (8.0 + extra) * _U * sum(map(abs, pieces))
-
-
-def _robin2d_second_closed(a: float, r, log=math.log, extra: float = 0.0):
-    """The closed part of robin2d_second, as _robin2d_closed gives robin2d_eval's."""
-    r2 = r * r
-    u = (1.0 - r) * (1.0 + r)
-    v = (r - a) * (r + a)
-    pieces = (
-        -2.0 * (1.0 - log(r)) / (r2 * math.log(a)),
-        2.0 * (1.0 + r2) / (u * u),
-        2.0 * (a * a) * (3.0 * r2 - a * a) / (r2 * (v * v)),
-    )
-    return sum(pieces), (20.0 + extra) * _U * sum(map(abs, pieces))
-
-
-# mode weights (x_1^m - 2 x_2^m + x_4^m) / m, with 1/m = 2 (2m)^-1
-_ROBIN2D_PARTS = ((2, 0, -1), (-4, 0, -1), (2, 0, -1))
-_ROBIN2D_FIRST_PARTS = ((1, 0, 0), (0, 0, 0), (-1, 0, 0))
-_ROBIN2D_SECOND_PARTS = ((1, -1, 1), (0, 0, 0), (1, 1, 1))
+    return _robin_series(_SERIES["robin_radial_gradient_derivative"], geom, r, policy)
 
 
 def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
@@ -1121,40 +1103,30 @@ def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     Divergent (to +inf) toward both circles; strictly convex inside, so its
     unique critical point is a radial minimum.
     """
-    AnnulusGeometry(2, a).require_interior_radius(r)
-    return _split(0, a, r, policy, lambda: _robin2d_closed(a, r), lambda r: 1.0, _ROBIN2D_PARTS)
+    return _robin_series(_SERIES["robin2d_eval"], a, r, policy)
 
 
 def robin2d_first(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Derivative of the planar Robin function; -inf at the inner circle,
     +inf at the outer circle, with a single interior zero."""
-    AnnulusGeometry(2, a).require_interior_radius(r)
-    closed = lambda: _robin2d_first_closed(a, r)  # noqa: E731
-    return _split(0, a, r, policy, closed, lambda r: 2.0 / r, _ROBIN2D_FIRST_PARTS)
+    return _robin_series(_SERIES["robin2d_first"], a, r, policy)
 
 
 def robin2d_eval_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
     """robin2d_eval at every radius of ``radii``, summed as one table, with
-    robin_eval_grid's contract.  log r^2 squares a numpy log, hence twice
-    the extra units."""
-    r = _interior_radii(AnnulusGeometry(2, a), radii)
-    closed = lambda: _robin2d_closed(a, r, np.log, 2.0 * _NUMPY_EXTRA)  # noqa: E731
-    return _split(0, a, r, policy, closed, lambda r: 1.0, _ROBIN2D_PARTS)
+    robin_eval_grid's contract."""
+    return _robin_series(_SERIES["robin2d_eval"], a, np.asarray(radii, dtype=float), policy)
 
 
 def robin2d_first_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
     """robin2d_first at every radius of ``radii``, summed as one table, with
     robin_eval_grid's contract."""
-    r = _interior_radii(AnnulusGeometry(2, a), radii)
-    closed = lambda: _robin2d_first_closed(a, r, np.log, _NUMPY_EXTRA)  # noqa: E731
-    return _split(0, a, r, policy, closed, lambda r: 2.0 / r, _ROBIN2D_FIRST_PARTS)
+    return _robin_series(_SERIES["robin2d_first"], a, np.asarray(radii, dtype=float), policy)
 
 
 def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Second derivative of the planar Robin function; positive on all of (a, 1)."""
-    AnnulusGeometry(2, a).require_interior_radius(r)
-    closed = lambda: _robin2d_second_closed(a, r)  # noqa: E731
-    return _split(0, a, r, policy, closed, lambda r: 2.0 / (r * r), _ROBIN2D_SECOND_PARTS)
+    return _robin_series(_SERIES["robin2d_second"], a, r, policy)
 
 
 class _Radial(NamedTuple):
@@ -1180,39 +1152,31 @@ def _radial(geom: AnnulusGeometry) -> _Radial:
     wrapper installed there (a tracer, a test's counter) therefore sees the
     calls of families built after it: build one per use and keep none.
     ``closed`` is the part of the gradient and of its slope that the series
-    split off in closed form (the Kelvin images, or the planar closed forms),
-    scaled as the series are and computed in floats only.
+    split off in closed form (their _SERIES closed forms, times -1/omega for
+    n >= 3), computed in floats only.
     """
-    a = geom.a
-    if geom.n == 2:
-        return _Radial(
-            functools.partial(robin2d_eval, a),
-            functools.partial(robin2d_eval_grid, a),
-            functools.partial(robin2d_first, a),
-            functools.partial(robin2d_first_grid, a),
-            functools.partial(robin2d_second, a),
-            lambda r: (_robin2d_first_closed(a, r)[0], _robin2d_second_closed(a, r)[0]),
-            lambda r: 1.0,
-            "R'(r)",
-        )
-    k, w = geom.n - 2, (1.0 - a) * (1.0 + a)
+    a, k = geom.a, geom.n - 2
+    if k:
+        first, d, name = geom, lambda r: r, "r*R'(r)"
+        value, value_grid = robin_eval, robin_eval_grid
+        gradient, gradient_grid = robin_radial_gradient, robin_radial_gradient_grid
+        slope = robin_radial_gradient_derivative
+        closed_forms = ("robin_radial_gradient", "robin_radial_gradient_derivative")
+    else:
+        first, d, name = a, lambda r: 1.0, "R'(r)"
+        value, value_grid = robin2d_eval, robin2d_eval_grid
+        gradient, gradient_grid = robin2d_first, robin2d_first_grid
+        slope = robin2d_second
+        closed_forms = ("robin2d_first", "robin2d_second")
+    gradient_closed, slope_closed = (_SERIES[s].closed for s in closed_forms)
 
     def closed(r: float) -> tuple[float, float]:
         # formed per call, not when the family is built: omega underflows to
         # 0 for n >= 456, where the series raise TailEnvelopeError first
-        scale = -1.0 / geom.omega
-        u, v = (1.0 - r) * (1.0 + r), (r - a) * (r + a)
-        value = sum(_gradient_closed(k, a, r, u, v, w)[0])
-        slope = sum(_slope_closed(k, a, r, u, v, w)[0])
-        return scale * value, scale * slope
+        scale = -1.0 / geom.omega if k else 1.0
+        u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
+        part = sum(gradient_closed(k, a, r, u, v, w, math.log)[0])
+        return scale * part, scale * sum(slope_closed(k, a, r, u, v, w, math.log)[0])
 
-    return _Radial(
-        functools.partial(robin_eval, geom),
-        functools.partial(robin_eval_grid, geom),
-        functools.partial(robin_radial_gradient, geom),
-        functools.partial(robin_radial_gradient_grid, geom),
-        functools.partial(robin_radial_gradient_derivative, geom),
-        closed,
-        lambda r: r,
-        "r*R'(r)",
-    )
+    evaluators = (value, value_grid, gradient, gradient_grid, slope)
+    return _Radial(*(functools.partial(f, first) for f in evaluators), closed, d, name)

@@ -19,6 +19,7 @@ from .core import (
     DomainValidationError,
     GridEdgeError,
     SingularityError,
+    TailEnvelopeError,
     sphere_surface_area,
 )
 
@@ -204,7 +205,8 @@ def ball_green_closed_form(n: int, x, y) -> float:
     """Dirichlet Green function of the unit ball by reflection.
 
     The reflected distance is evaluated as sqrt(|x|^2 |y|^2 - 2 x.y + 1),
-    which stays stable down to y = 0 (where it equals 1).
+    which stays stable down to y = 0 (where it equals 1).  A value out of
+    the double range (at large n) raises TailEnvelopeError.
     """
     if n < 3:
         raise DomainValidationError(f"needs n >= 3, got {n!r}")
@@ -221,7 +223,15 @@ def ball_green_closed_form(n: int, x, y) -> float:
         raise SingularityError("Green function is singular at x == y")
     refl_sq = rx * rx * ry * ry - 2.0 * float(xv @ yv) + 1.0
     omega = sphere_surface_area(n)
-    return (d ** (2 - n) - refl_sq ** (0.5 * (2 - n))) / ((n - 2) * omega)
+    try:
+        value = (d ** (2 - n) - refl_sq ** (0.5 * (2 - n))) / ((n - 2) * omega)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise TailEnvelopeError(
+            f"the ball's Green function for n = {n} leaves the double-precision range here"
+        )
+    return value
 
 
 def grid_scan_extremum(

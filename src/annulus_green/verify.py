@@ -35,13 +35,10 @@ from .critical import (
     refine_critical_point,
 )
 from .green import (
-    _ROBIN2D_FIRST_PARTS,
-    _ROBIN2D_SECOND_PARTS,
-    _ROBIN_PARTS,
-    _gradient_parts,
+    _SERIES,
+    _normalised,
     _radial,
     _remainder_rows,
-    _slope_parts,
     green_eval,
     green_piecewise_eval,
     modal_coefficient,
@@ -473,20 +470,13 @@ def suite_robin_derivatives(rng: np.random.Generator) -> SuiteResult:
         for _ in range(4):
             a = float(rng.uniform(0.85, 0.99))
             r = a + float(rng.uniform(1e-3, 1.0 - 1e-3)) * (1.0 - a)
-            k = n - 2
+            k, geom = n - 2, AnnulusGeometry(n, a)
             if n == 2:
-                tails = (
-                    ("robin2d_first", 2.0 / r, _ROBIN2D_FIRST_PARTS),
-                    ("robin2d_second", 2.0 / (r * r), _ROBIN2D_SECOND_PARTS),
-                )
+                names = ("robin2d_first", "robin2d_second")
             else:
-                c = -1.0 / (k * AnnulusGeometry(n, a).omega)
-                tails = (
-                    ("robin_eval", c, _ROBIN_PARTS),
-                    ("robin_radial_gradient", 2.0 * c, _gradient_parts(k)),
-                    ("robin_radial_gradient_derivative", 2.0 / r * c, _slope_parts(k)),
-                )
-            for name, scale, parts in tails:
+                names = ("robin_eval", "robin_radial_gradient", "robin_radial_gradient_derivative")
+            for name in names:
+                _, _, scale, parts = _normalised(_SERIES[name], geom, r, math.log)
                 modes, images = (
                     sum_series(_remainder_rows(k, a, r, scale, parts, flag), tail_pol)
                     for flag in (False, True)

@@ -154,6 +154,10 @@ class TestCriticalPoint:
         ("eval-robin", "--n", "456", "--a", "0.5", "0.75"),
         ("critical-point", "--n", "456", "--a", "0.5"),
         ("export-grid", "robin", "--n", "456", "--a", "0.5"),
+        (
+            "export-grid", "green-slice", "--n", "456", "--a", "0.5", "--grid-points", "3",
+            "--y=" + ",".join(["0", "0.7"] + ["0"] * 454),
+        ),
     ],
 )
 def test_underflowing_sphere_area_exit_3(capsys, argv):

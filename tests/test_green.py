@@ -161,6 +161,8 @@ class TestPiecewiseRoute:
         for fn in (green_eval, green_piecewise_eval):
             with pytest.raises(TailEnvelopeError):
                 fn(geom, x, y, POLICY)
+        with pytest.raises(TailEnvelopeError):
+            green._green_slice(geom, np.array([0.6, 0.7]), y, POLICY)
 
 
 class TestRobin:
@@ -256,6 +258,24 @@ class TestGradientDerivative:
         # the prefactor 2/r is formed only once r is known to be interior
         with pytest.raises(DomainValidationError):
             robin_radial_gradient_derivative(AnnulusGeometry(n, 0.5), r, POLICY)
+
+
+@pytest.mark.parametrize(
+    "fn, r",
+    [
+        (robin_eval, 0.7),
+        (robin_radial_gradient, 0.7),
+        (robin_radial_gradient_derivative, 0.7),
+        (critical_equation_eval, 0.7),
+        (robin_eval_grid, np.array([0.6, 0.7])),
+        (robin_radial_gradient_grid, np.array([0.6, 0.7])),
+    ],
+)
+def test_spatial_evaluators_refuse_the_plane(fn, r):
+    # one function sums the Robin series of both families; the spatial entry
+    # points still refuse n = 2, whose series are the robin2d_* ones
+    with pytest.raises(DomainValidationError, match="n >= 3"):
+        fn(AnnulusGeometry(2, 0.5), r, POLICY)
 
 
 class TestPlanarRobin:

@@ -11,6 +11,7 @@ from annulus_green import (
     GridEdgeError,
     ModalOperator,
     SingularityError,
+    TailEnvelopeError,
     ball_green_closed_form,
     grid_scan_extremum,
     modal_bvp_fd,
@@ -224,6 +225,14 @@ class TestBallGreen:
             ball_green_closed_form(3, np.array([0.3, 0, 0]), np.array([0.3, 0, 0]))
         with pytest.raises(DomainValidationError):
             ball_green_closed_form(3, np.array([1.3, 0, 0]), np.zeros(3))
+
+    @pytest.mark.parametrize("n", [455, 456])
+    def test_out_of_range_is_a_tail_envelope_error(self, n):
+        # the value overflows at n = 455, and omega underflows to 0 at 456
+        x, y = np.zeros(n), np.zeros(n)
+        x[0], y[1] = 0.6, 0.8
+        with pytest.raises(TailEnvelopeError):
+            ball_green_closed_form(n, x, y)
 
 
 class TestGridScan:

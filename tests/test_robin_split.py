@@ -39,12 +39,7 @@ from annulus_green import (
     robin_radial_gradient_derivative,
 )
 from annulus_green.cli import main
-from annulus_green.green import (
-    _ROBIN2D_FIRST_PARTS,
-    _ROBIN2D_PARTS,
-    _robin_remainder,
-    _robin_remainder_grid,
-)
+from annulus_green.green import _robin_remainder, _robin_remainder_grid
 from annulus_green.summation import sum_series, sum_series_table
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
@@ -280,8 +275,8 @@ SPATIAL_PARTS = {
     ),
 }
 PLANAR_PARTS = {
-    "robin2d_eval": (_ROBIN2D_PARTS, lambda r: 1.0),
-    "robin2d_first": (_ROBIN2D_FIRST_PARTS, lambda r: 2.0 / r),
+    "robin2d_eval": (((2, 0, -1), (-4, 0, -1), (2, 0, -1)), lambda r: 1.0),
+    "robin2d_first": (((1, 0, 0), (0, 0, 0), (-1, 0, 0)), lambda r: 2.0 / r),
     "robin2d_second": (((1, -1, 1), (0, 0, 0), (1, 1, 1)), lambda r: 2.0 / (r * r)),
 }
 

@@ -78,3 +78,18 @@ def test_solver_phases_prints_every_phase(monkeypatch, capsys):
     assert evals[-1] == pytest.approx(sum(evals[:-1]))
     # the sweep's two ends and the second-derivative phase's slope series
     assert evals[0] == 2.0 and evals[-2] == 1.0
+
+
+def test_output_digest_repeats_itself(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends --src
+    outputs = []
+    for _ in range(2):
+        assert run_script(monkeypatch, "output_digest.py", "--count", "2", "--seed", "3") == 0
+        outputs.append(capsys.readouterr().out)
+    rows = [line.split() for line in outputs[0].splitlines()]
+    assert [row[0] for row in rows] == [
+        "robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed", "green", "critical",
+        "errors",
+    ]
+    assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
+    assert outputs[1] == outputs[0]
