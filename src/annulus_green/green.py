@@ -141,6 +141,13 @@ _NUMPY_EXTRA = 2.0
 _HEAD_MODES = 16
 _SWITCH_MODES = 64
 
+# a Robin-family remainder mode whose two larger images, w_1 + w_4 (see
+# _robin_remainder), sum to less than this is formed in a binary frame (see
+# _framed_images): past it a power may be subnormal, and a binomial weight
+# can lift its rounding, which is absolute there, into a normal row that its
+# ratio no longer bounds
+_FRAME_BELOW = 2.0**-900
+
 
 def _split_result(
     closed: float,
@@ -565,6 +572,43 @@ def _growth(parts) -> tuple[int, int]:
     return max(0, max(e for _, e in active)), min(d for d, _ in active)
 
 
+def _framed_images(bases, starts, powers, polys):
+    """(w, top): the images s_i b_i^n_i P_i of a Robin-family remainder mode
+    as w_i 2^top, for a mode whose direct images sum below _FRAME_BELOW.
+
+    frexp splits each base into f 2^e and each start into g 2^h, both
+    exactly, and w_i = g f^n P_i 2^(n e + h - top) rounds as s b^n P_i does:
+    the power once, each product once, so the rounding rows stand.  top is
+    the largest n e + h of a nonzero image, so the largest w_i is at least
+    2^-(n+1) P_i: every step stays in the normal range while n (2m, or 4m
+    for the image of a^2) stays under about 1000, and only a row that is
+    itself subnormal rounds when it is scaled back by 2^top.  An image scaled
+    below the normal range errs by at most 2^-1074 in the frame, far below
+    the unit roundoff of the largest.
+    """
+    ws, tops = [], []
+    for b, s, n, p in zip(bases, starts, powers, polys):
+        f, e = math.frexp(b)
+        g, h = math.frexp(s)
+        ws.append(g * f**n * p)
+        tops.append(n * e + h)
+    top = max((t for w, t in zip(ws, tops) if w), default=0)
+    return [math.ldexp(w, t - top) for w, t in zip(ws, tops)], top
+
+
+def _framed_images_grid(bases, starts, powers, polys):
+    """_framed_images for arrays of entries, with numpy's power as the grid
+    twin takes it; an entry whose images all vanish keeps them zero."""
+    ws, tops = [], []
+    for b, s, n, p in zip(bases, starts, powers, polys):
+        f, e = np.frexp(b)
+        g, h = np.frexp(s)
+        ws.append(g * f**n * p)
+        tops.append(n * e + h)
+    top = np.max([np.where(w != 0.0, t, -(2**30)) for w, t in zip(ws, tops)], axis=0)
+    return [np.ldexp(w, t - top) for w, t in zip(ws, tops)], top
+
+
 def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     """Remainder modes of a split diagonal series in R^n, k = n - 2 >= 1, or
     in the plane, k = 0.
@@ -590,10 +634,12 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     conversion, the prefactor, the mode's products and sums and the
     compensated sum add 12, or 10 in the plane, whose weights are 1.  A mode
     thus rounds by at most 4m + 20 + 2k units in R^n and 4m + 17 in the plane.
+    A mode deep enough that its powers may leave the normal range is formed
+    in _framed_images' binary frame, which keeps these counts.
     """
     (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
-    expm1 = math.expm1
+    expm1, ldexp = math.expm1, math.ldexp
     log_a = math.log(a)
     first, stride, order, fixed = _mode_form(k)
     b1 = r * a
@@ -605,6 +651,7 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     env_k = -1.0 / expm1((k + 2 * first) * log_a)
     step = a * a * max(r * r, (a / r) ** 2)
     e_max, d_min = _growth(parts)
+    below = _FRAME_BELOW
     binom = 1  # C(order+m-1, m), exact
     m = first
     while True:
@@ -615,8 +662,6 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
         w4 = s4_0 * b4 ** (2 * m) * (x + d4) ** e4
         inv = -1.0 / expm1((k + 2 * m) * log_a)
         sb = scale * float(binom)
-        size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        units = size * inv * (4 * m + fixed)
         # weight, power and polynomial growth of the envelope, each
         # nonincreasing in m
         rho = (order + m) / (m + 1) * step
@@ -625,7 +670,28 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
             rho *= ((low + stride) / low) ** e_max
         elif e_max:  # the polynomials of least d vanish at this mode
             rho = math.inf
-        yield sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv, size * env_k, rho, units
+        if w1 + w4 >= below:  # w2 is the least image
+            size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
+            yield (
+                sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv,
+                size * env_k,
+                rho,
+                size * inv * (4 * m + fixed),
+            )
+        else:  # the same row, formed as w_i 2^top and scaled back at the end
+            (w1, w2, w4), top = _framed_images(
+                (b1, a, b4),
+                (s1_0, s2_0, s4_0),
+                (2 * m, 4 * m, 2 * m),
+                ((x + d1) ** e1, (x + d2) ** e2, (x + d4) ** e4),
+            )
+            size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
+            yield (
+                ldexp(sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv, top),
+                ldexp(size * env_k, top),
+                rho,
+                ldexp(size * inv * (4 * m + fixed), top),
+            )
         binom = binom * (order + m) // (m + 1)
         m += 1
 
@@ -639,7 +705,8 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
     b^(2m) and the starts s_2, s_4 of every radius are numpy's, in the same
     order of operations.  w_4 holds two of them, so the rounding row adds
     2 _NUMPY_EXTRA to _robin_remainder's count; in the plane, where the
-    starts are 1, it adds one.
+    starts are 1, it adds one.  The entries below _FRAME_BELOW are formed
+    again in _robin_remainder's frame, with numpy's powers.
     """
     (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
@@ -668,21 +735,35 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
             binom = binom * (order + m) // (m + 1)
         sb, inv = scale * _column(binoms), _column(inv)
         m = _column(ms)
-        w1 = s1_0 * b1 ** (2.0 * m) * _column((x + d1) ** e1 for x in xs)
-        w2 = s2_0 * _column(lift) * _column((x + d2) ** e2 for x in xs)
-        w4 = s4_0 * b4 ** (2.0 * m) * _column((x + d4) ** e4 for x in xs)
+        polys = [_column((x + d) ** e for x in xs) for d, e in ((d1, e1), (d2, e2), (d4, e4))]
+        w1 = s1_0 * b1 ** (2.0 * m) * polys[0]
+        w2 = s2_0 * _column(lift) * polys[1]
+        w4 = s4_0 * b4 ** (2.0 * m) * polys[2]
         size = np.abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
+        term = sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv
+        env = size * env_k
+        units = size * inv * (4 * m + fixed)
+        low = w1 + w4 < _FRAME_BELOW
+        if low.any():  # _robin_remainder's frame, at those entries alone
+            i, j = np.nonzero(low)
+            n = 2 * np.arange(m0, m0 + modes)[i]
+            (w1, w2, w4), top = _framed_images_grid(
+                (b1[j], a, b4[j]),
+                (s1_0, s2_0[j], s4_0[j]),
+                (n, 2 * n, n),
+                [p[i, 0] for p in polys],
+            )
+            sb_l, inv_l = np.broadcast_to(sb, low.shape)[i, j], inv[i, 0]
+            size = np.abs(sb_l) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
+            term[i, j] = np.ldexp(sb_l * (c1 * w1 + c2 * w2 + c4 * w4) * inv_l, top)
+            env[i, j] = np.ldexp(size * env_k, top)
+            units[i, j] = np.ldexp(size * inv_l * (4 * m[i, 0] + fixed), top)
         # _robin_remainder's ratio, in its order of operations
         growth = (((x + stride + d_min) / (x + d_min)) ** e_max if x + d_min else 1.0 for x in xs)
         rho = _column((order + i) / (i + 1) for i in ms) * step * _column(growth)
         if e_max and not xs[0] + d_min:  # as in _robin_remainder
             rho[0] = math.inf
-        yield (
-            sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv,
-            size * env_k,
-            rho,
-            size * inv * (4 * m + fixed),
-        )
+        yield term, env, rho, units
 
 
 def _image_route(a: float, policy: TruncationPolicy, parts) -> bool:
