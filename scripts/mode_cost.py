@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Nanoseconds per series term and terms per call of the table-backed evaluators.
+
+Every evaluator whose series reads a mode table (specfun._mode_table: the
+Gegenbauer tables of the generating series and of both Green routes, and the
+Robin-family tables) is called at a mid-gap radius and at a boundary-layer
+radius, 1e-3 of the gap from the sphere its series converges slowest
+toward.  For each call the script prints terms_used and the time per term,
+cold (every mode table cleared just before the call) and warm (the median of
+``--repeat`` calls with the tables filled).  Term counts sit next to the
+times, so an algorithmic change shows even where timings are noisy.
+
+Point-pair evaluators take x = r e1 and a second point at a quarter of the
+gap at angle 1 rad; the Newtonian expansions take their series variable at
+r (newtonian_series_inner its source on the inner sphere, so its layer lies
+next to a); gegenbauer_generating_sum runs at lam = (n - 2)/2, t = 0.3 and
+its variable q = r.
+
+Example:
+    python scripts/mode_cost.py --n 3 --a 0.5 --repeat 51
+"""
+
+import argparse
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _calls(ag, n: int, a: float):
+    """(evaluator, call, {label: r}) per table-backed evaluator."""
+    geom, pol = ag.AnnulusGeometry(n, a), ag.TruncationPolicy()
+    gap = 1.0 - a
+    mid, outer, inner = a + 0.5 * gap, 1.0 - 1e-3 * gap, a + 1e-3 * gap
+    s = a + 0.25 * gap
+
+    def point(radius, angle=0.0):
+        x = [0.0] * n
+        x[0], x[1] = radius * math.cos(angle), radius * math.sin(angle)
+        return x
+
+    e1 = point(1.0)
+    spatial = {
+        "newtonian_series_outer": lambda r: ag.newtonian_series_outer(geom, e1, point(r, 1.0), pol),
+        "newtonian_series_inner": lambda r: ag.newtonian_series_inner(geom, e1, point(r, 1.0), pol),
+        "newtonian_series_exterior": (
+            lambda r: ag.newtonian_series_exterior(geom, point(1.0), point(r, 1.0), pol)
+        ),
+        "gegenbauer_generating_sum": (
+            lambda r: ag.gegenbauer_generating_sum(0.5 * (n - 2), 0.3, r, pol)
+        ),
+        "green_eval": lambda r: ag.green_eval(geom, point(r), point(s, 1.0), pol),
+        "green_piecewise_eval": (
+            lambda r: ag.green_piecewise_eval(geom, point(r), point(s, 1.0), pol)
+        ),
+        "robin_eval": lambda r: ag.robin_eval(geom, r, pol),
+        "robin_radial_gradient": lambda r: ag.robin_radial_gradient(geom, r, pol),
+        "robin_radial_gradient_derivative": (
+            lambda r: ag.robin_radial_gradient_derivative(geom, r, pol)
+        ),
+    }
+    planar = {
+        "robin2d_eval": lambda r: ag.robin2d_eval(a, r, pol),
+        "robin2d_first": lambda r: ag.robin2d_first(a, r, pol),
+        "robin2d_second": lambda r: ag.robin2d_second(a, r, pol),
+    }
+    for name, call in {**spatial, **planar}.items():
+        layer = inner if name == "newtonian_series_inner" else outer
+        yield name, call, {"mid": mid, "layer": layer}
+
+
+def _timed(call, r, clear) -> tuple[int, float]:
+    """(terms used, ns per term) of one call, after ``clear()``."""
+    clear()
+    t0 = time.perf_counter_ns()
+    res = call(r)
+    return res.terms_used, (time.perf_counter_ns() - t0) / res.terms_used
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--src", type=Path, default=SRC, help="source tree holding annulus_green")
+    ap.add_argument("--n", type=int, default=3, help="dimension of the spatial evaluators")
+    ap.add_argument("--a", type=float, default=0.5, help="inner radius")
+    ap.add_argument("--repeat", type=int, default=21, help="calls per timing")
+    args = ap.parse_args()
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import annulus_green as ag
+    from annulus_green import specfun
+
+    # a source tree without mode tables times every call as warm
+    clear = getattr(getattr(specfun, "_mode_table", None), "cache_clear", lambda: None)
+    print(f"{'evaluator':<34} {'radius':<6} {'r':>8} {'terms':>6} {'cold_ns':>9} {'warm_ns':>9}")
+    for name, call, radii in _calls(ag, args.n, args.a):
+        for label, r in radii.items():
+            cold = [_timed(call, r, clear) for _ in range(args.repeat)]
+            call(r)
+            warm = [_timed(call, r, lambda: None) for _ in range(args.repeat)]
+            terms = warm[0][0]
+            assert all(t == terms for t, _ in cold + warm), f"{name}: terms_used varies"
+            cold_ns = statistics.median(ns for _, ns in cold)
+            warm_ns = statistics.median(ns for _, ns in warm)
+            print(f"{name:<34} {label:<6} {r:>8.6g} {terms:>6} {cold_ns:>9.1f} {warm_ns:>9.1f}")
+    clear()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

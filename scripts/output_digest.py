@@ -17,6 +17,13 @@ policy beside one with rel_tol 0.05.  The "errors" group adds the typed
 errors at n = 456 (where omega underflows), in the plane for the spatial
 evaluators, at r = 0 and where r^2 underflows.
 
+Two more draws, from a second generator so that the groups above keep their
+records, reach past the 256 modes that a mode table stores: "robin2d" adds
+planar annuli with a uniform in [0.99, 0.999], and the "gegenbauer" group
+sums the three newtonian_series_* and gegenbauer_generating_sum with the
+series variable q either uniform in [0, 0.9] or 1 - q log-uniform down to
+1e-3, at n in {3..6, 9, 20}, under both policies.
+
 Example:
     python scripts/output_digest.py --src src --count 150 --seed 7
 """
@@ -75,7 +82,7 @@ def _groups(ag, count: int, seed: int) -> dict:
     out = {
         name: []
         for name in ("robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed",
-                     "green", "critical", "errors")
+                     "green", "gegenbauer", "critical", "errors")
     }
     for _ in range(count):
         n, a = rng.choice(SPATIAL_DIMS), _thickness(rng)
@@ -109,6 +116,28 @@ def _groups(ag, count: int, seed: int) -> dict:
 
         geom = ag.AnnulusGeometry(rng.choice((2, *SPATIAL_DIMS)), _thickness(rng))
         out["critical"].append(_record(ag.find_critical_point, geom))
+
+    deep = random.Random(f"deep modes {seed}")
+    for _ in range(count):
+        a = deep.uniform(0.99, 0.999)
+        radii = _radii(deep, a)
+        for pol in policies:
+            out["robin2d"] += [_record(fn, a, r, pol) for fn in planar for r in radii]
+
+        n = deep.choice(SPATIAL_DIMS)
+        q = deep.uniform(0.0, 0.9) if deep.random() < 0.5 else 1.0 - 10.0 ** deep.uniform(-3, -1)
+        s, angle, t = deep.uniform(0.5, 1.0), deep.uniform(0.0, math.pi), deep.uniform(-1, 1)
+        xi, y = np.zeros(n), np.zeros(n)
+        xi[0], y[0], y[1] = 1.0, math.cos(angle), math.sin(angle)
+        # the series variable is q in each: |y| = q, a / |y| = q, |y| / |x| = q
+        for pol in policies:
+            out["gegenbauer"] += [
+                _record(ag.newtonian_series_outer, ag.AnnulusGeometry(n, 0.5), xi, q * y, pol),
+                _record(ag.newtonian_series_inner, ag.AnnulusGeometry(n, q * s), xi, s * y, pol),
+                _record(ag.newtonian_series_exterior, ag.AnnulusGeometry(n, 0.5), s * xi,
+                        q * s * y, pol),
+                _record(ag.gegenbauer_generating_sum, 0.5 * (n - 2), t, q, pol),
+            ]
 
     # omega underflows at n = 456; r^2 underflows at r = 2e-300
     pol, pair = policies[0], np.array([0.6, 0.75])

@@ -48,6 +48,20 @@ one signature (see _Series), and only their normalisation depends on the
 dimension (_normalised).  _radial binds a geometry's public evaluators: it
 is the one place that chooses between the spatial family and the planar one.
 
+The per-mode constants that depend only on a stream's shape come from the
+mode tables of specfun (see its docstring), filled at first use and bounded
+by specfun._STORED_MODES = 256 modes per shape and specfun._SHAPES shapes in
+one LRU, grown copy on write.  _green_remainder, its grid twin and
+_modal_rows read the Gegenbauer table of lam = k/2: the ratio (k+m)/(m+1),
+the binomial C(k+m-1, m) and the recurrence constants.  Every Robin-family
+remainder reads the table of its shape (k, parts), whose rows _robin_modes
+builds: per mode m, the polynomials (x + d_i)^e_i, the weight
+float(C(order+m-1, m)), the weight ratio, the polynomials' growth to the next
+mode and the rounding count 4m + fixed.  _robin_remainder and its grid twin
+both read it, so neither keeps its own copy of that arithmetic.  A row holds
+the doubles the streams computed per call before, so every value, tail
+bound and term count is unchanged bit for bit.
+
 green_piecewise_eval stays the unsplit modal series on purpose: its split
 would be the same computation as green_eval's, and it serves as the
 independent route that green_eval is checked against.
@@ -88,7 +102,7 @@ from .core import (
     TailEnvelopeError,
     TruncationPolicy,
 )
-from .specfun import _clamp_argument, iter_gegenbauer
+from .specfun import _clamp_argument, _gegenbauer_modes, _mode_table, iter_gegenbauer
 from . import summation
 from .summation import _U, sum_series, sum_series_table
 
@@ -307,7 +321,6 @@ def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: fl
     |dP_m/dt| <= (m+1)^2 C(k+m-1, m) turns the error of t into
     (m+1)^2 _E_COSINE units more.
     """
-    lam = 0.5 * k
     a2 = a * a
     a4 = a2 * a2
     b1, b2, b3, b4 = a2 * (lo * hi), a4 * lo / hi, a4 * hi / lo, a4 / (lo * hi)
@@ -317,23 +330,24 @@ def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: fl
     env_k = abs(scale) * amp
     qmax = max(b1, b4)
     quad, per_mode, fixed = _green_units(k, amp)
-    binom = 1.0
-    m = 0
-    for p in iter_gegenbauer(lam, t):
+    # iter_gegenbauer's recurrence, inline; ratio = (k + m)/(m + 1) and
+    # binom = C(k + m - 1, m)
+    two_t = 2.0 * t
+    p_prev, p = 0.0, 1.0
+    for ratio, binom, m_lam, below, m_next in _mode_table(_gegenbauer_modes, 0.5 * k):
         env = env_k * binom * (h1 + h4)
         yield (
             scale * (((h1 - h2) - h3) + h4) * p / (1.0 - big_a),
             env,
-            (k + m) / (m + 1) * qmax,
-            2.0 * env * (quad * (m + 1) ** 2 + per_mode * m + fixed),
+            ratio * qmax,
+            2.0 * env * (quad * (m_next * m_next) + per_mode * (m_next - 1.0) + fixed),
         )
+        p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
         h1 *= b1
         h2 *= b2
         h3 *= b3
         h4 *= b4
         big_a *= a2
-        binom *= (k + m) / (m + 1)
-        m += 1
 
 
 def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
@@ -345,7 +359,6 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
     from the scalar stream only through h2, h3 and h4's starting powers, which
     numpy takes; the rounding row adds _NUMPY_EXTRA for them.
     """
-    lam = 0.5 * k
     a2 = a * a
     a4 = a2 * a2
     b = np.array([a2 * (lo * hi), a4 * lo / hi, a4 * hi / lo, a4 / (lo * hi)])
@@ -358,27 +371,25 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
     fixed += _NUMPY_EXTRA
     modes = summation.TABLE_MODES
     steps = np.broadcast_to(b[:, None, :], (4, modes - 1, lo.size))
-    gegenbauer = iter_gegenbauer(lam, t)
-    binom = 1.0
+    lam = 0.5 * k
+    rows = zip(_mode_table(_gegenbauer_modes, lam), iter_gegenbauer(lam, t))
     for m0 in itertools.count(0, modes):
-        ms = range(m0, m0 + modes)
-        binoms, one_minus_a = [], []
-        for m in ms:
-            binoms.append(binom)
+        consts, p = zip(*itertools.islice(rows, modes))
+        ratios, binoms, *_ = zip(*consts)
+        one_minus_a = []
+        for _ in consts:
             one_minus_a.append(1.0 - big_a)
             big_a *= a2
-            binom *= (k + m) / (m + 1)
         # h_i carried as running products, as the scalar stream carries them
         products = np.multiply.accumulate(np.concatenate([h[:, None], steps], axis=1), axis=1)
         h1, h2, h3, h4 = products
         h = products[:, -1] * b
-        p = np.array([next(gegenbauer) for _ in ms])
         env = env_k * _column(binoms) * (h1 + h4)
-        m = _column(ms)
+        m = _column(range(m0, m0 + modes))
         yield (
-            scale * (((h1 - h2) - h3) + h4) * p / _column(one_minus_a),
+            scale * (((h1 - h2) - h3) + h4) * np.array(p) / _column(one_minus_a),
             env,
-            _column((k + i) / (i + 1) for i in ms) * qmax,
+            _column(ratios) * qmax,
             2.0 * env * (quad * (m + 1.0) ** 2 + per_mode * m + fixed),
         )
 
@@ -499,20 +510,20 @@ def _modal_rows(n: int, a: float, lo: float, hi: float, t: float, omega: float):
     g4 = (a / (lo * hi)) ** (n - 2)  # A / (lo*hi)^(m+n-2)
     hib = hi ** (n - 2)  # hi^(2m+n-2)
     big_a = a ** (n - 2)
-    binom = 1.0
     env_k = 1.0 / ((n - 2) * omega * (1.0 - a ** (n - 2)))
-    m = 0
-    for p in iter_gegenbauer(lam, t):
-        beta = 2 * m + n - 2
-        z = (beta / (n - 2)) * p
-        coeff = (hi_pow - g4) * (1.0 - hib) / (beta * (1.0 - big_a))
-        yield coeff * z / omega, env_k * binom * hi_pow, (n + m - 2) / (m + 1) * q, 0.0
+    # iter_gegenbauer's recurrence, inline; ratio = (n + m - 2)/(m + 1),
+    # binom = C(n + m - 3, m), and m + lam = beta / 2 with beta = 2m + n - 2
+    two_t = 2.0 * t
+    p_prev, p = 0.0, 1.0
+    for ratio, binom, m_lam, below, m_next in _mode_table(_gegenbauer_modes, lam):
+        z = (m_lam / lam) * p  # (beta / (n - 2)) P_m(t)
+        coeff = (hi_pow - g4) * (1.0 - hib) / ((m_lam + m_lam) * (1.0 - big_a))
+        yield coeff * z / omega, env_k * binom * hi_pow, ratio * q, 0.0
+        p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
         hi_pow *= q
         g4 *= q4
         hib *= hi * hi
         big_a *= a * a
-        binom *= (n + m - 2) / (m + 1)
-        m += 1
 
 
 def green_piecewise_eval(
@@ -561,7 +572,6 @@ def _mode_form(k: int) -> tuple[int, int, int, int]:
     return (0, 1, k, 20 + 2 * k) if k else (1, 2, 1, 17)
 
 
-@functools.lru_cache(maxsize=256)
 def _growth(parts) -> tuple[int, int]:
     """(e_max, d_min) of the images with a nonzero coefficient: from the mode
     with argument x to the next, x' = x + stride, their polynomials grow by at
@@ -570,6 +580,46 @@ def _growth(parts) -> tuple[int, int]:
     only."""
     active = [(d, e) for c, d, e in parts if c]
     return max(0, max(e for _, e in active)), min(d for d, _ in active)
+
+
+def _robin_modes(k: int, parts, after=None):
+    """Rows (m, P_1, P_2, P_4, weight, ratio, growth, units) of the mode
+    constants of a Robin-family remainder of shape (k, parts), from the row
+    ``after`` on (see _robin_remainder): P_i = (x + d_i)^e_i as a double, the
+    weight float(C(order + m - 1, m)), the weight ratio (order + m)/(m + 1),
+    the polynomials' growth ((x + stride + d_min)/(x + d_min))^e_max to the
+    next mode (1.0 where e_max = 0, inf where x + d_min = 0 < e_max) and the
+    rounding count 4m + fixed, with _mode_form's stride, order and fixed and
+    _growth's e_max and d_min.
+    """
+    first, stride, order, fixed = _mode_form(k)
+    e_max, d_min = _growth(parts)
+    (_, d1, e1), (_, d2, e2), (_, d4, e4) = parts
+    m = first if after is None else after[0] + 1
+    binom = math.comb(order + m - 1, m)  # exact
+    while True:
+        x = stride * m
+        low = x + d_min
+        # where a value is 1 the row holds the constant 1.0, one object that
+        # every row shares, which keeps the stored tables small
+        if not e_max:
+            growth = 1.0
+        elif low:
+            growth = ((low + stride) / low) ** e_max
+        else:  # the polynomials of least d vanish at this mode
+            growth = math.inf
+        yield (
+            m,
+            float((x + d1) ** e1) if e1 else 1.0,
+            float((x + d2) ** e2) if e2 else 1.0,
+            float((x + d4) ** e4) if e4 else 1.0,
+            float(binom) if binom != 1 else 1.0,
+            (order + m) / (m + 1),
+            growth,
+            float(4 * m + fixed),
+        )
+        binom = binom * (order + m) // (m + 1)
+        m += 1
 
 
 def _framed_images(bases, starts, powers, polys):
@@ -637,11 +687,11 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     A mode deep enough that its powers may leave the normal range is formed
     in _framed_images' binary frame, which keeps these counts.
     """
-    (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
+    (c1, _, _), (c2, _, _), (c4, _, _) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
     expm1, ldexp = math.expm1, math.ldexp
     log_a = math.log(a)
-    first, stride, order, fixed = _mode_form(k)
+    first = _mode_form(k)[0]
     b1 = r * a
     b4 = a * a / r
     s1_0 = a**k
@@ -650,70 +700,56 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     # 1/(1 - A_first) bounds every 1/(1 - A_m)
     env_k = -1.0 / expm1((k + 2 * first) * log_a)
     step = a * a * max(r * r, (a / r) ** 2)
-    e_max, d_min = _growth(parts)
     below = _FRAME_BELOW
-    binom = 1  # C(order+m-1, m), exact
-    m = first
-    while True:
-        x = stride * m
+    for m, p1, p2, p4, weight, ratio, growth, units in _mode_table(_robin_modes, k, parts):
         # s_i (x + d_i)^e_i, so that P_i(m) s_i = coef_i w_i
-        w1 = s1_0 * b1 ** (2 * m) * (x + d1) ** e1
-        w2 = s2_0 * a ** (4 * m) * (x + d2) ** e2
-        w4 = s4_0 * b4 ** (2 * m) * (x + d4) ** e4
+        w1 = s1_0 * b1 ** (2 * m) * p1
+        w2 = s2_0 * a ** (4 * m) * p2
+        w4 = s4_0 * b4 ** (2 * m) * p4
         inv = -1.0 / expm1((k + 2 * m) * log_a)
-        sb = scale * float(binom)
+        sb = scale * weight
         # weight, power and polynomial growth of the envelope, each
         # nonincreasing in m
-        rho = (order + m) / (m + 1) * step
-        low = x + d_min
-        if low:
-            rho *= ((low + stride) / low) ** e_max
-        elif e_max:  # the polynomials of least d vanish at this mode
-            rho = math.inf
+        rho = ratio * step * growth
         if w1 + w4 >= below:  # w2 is the least image
             size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
             yield (
                 sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv,
                 size * env_k,
                 rho,
-                size * inv * (4 * m + fixed),
+                size * inv * units,
             )
         else:  # the same row, formed as w_i 2^top and scaled back at the end
             (w1, w2, w4), top = _framed_images(
-                (b1, a, b4),
-                (s1_0, s2_0, s4_0),
-                (2 * m, 4 * m, 2 * m),
-                ((x + d1) ** e1, (x + d2) ** e2, (x + d4) ** e4),
+                (b1, a, b4), (s1_0, s2_0, s4_0), (2 * m, 4 * m, 2 * m), (p1, p2, p4)
             )
             size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
             yield (
                 ldexp(sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv, top),
                 ldexp(size * env_k, top),
                 rho,
-                ldexp(size * inv * (4 * m + fixed), top),
+                ldexp(size * inv * units, top),
             )
-        binom = binom * (order + m) // (m + 1)
-        m += 1
 
 
 def _robin_remainder_grid(k: int, a: float, r, scale, parts):
     """_robin_remainder for an array of radii (and of scales, in the plane),
     in chunks of summation.TABLE_MODES modes as sum_series_table reads them.
 
-    The per-mode factors that do not depend on r (a^(4m), (x + d_i)^e_i,
-    1/(1 - A_m), the binomial) are _robin_remainder's own scalars; the powers
+    The per-mode factors that do not depend on r (a^(4m), 1/(1 - A_m) and
+    the shape table's rows) are _robin_remainder's own scalars; the powers
     b^(2m) and the starts s_2, s_4 of every radius are numpy's, in the same
     order of operations.  w_4 holds two of them, so the rounding row adds
     2 _NUMPY_EXTRA to _robin_remainder's count; in the plane, where the
     starts are 1, it adds one.  The entries below _FRAME_BELOW are formed
     again in _robin_remainder's frame, with numpy's powers.
     """
-    (c1, d1, e1), (c2, d2, e2), (c4, d4, e4) = parts
+    (c1, _, _), (c2, _, _), (c4, _, _) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
     expm1 = math.expm1
     log_a = math.log(a)
-    first, stride, order, fixed = _mode_form(k)
-    fixed += (2.0 if k else 1.0) * _NUMPY_EXTRA
+    first = _mode_form(k)[0]
+    extra = (2.0 if k else 1.0) * _NUMPY_EXTRA
     b1 = r * a
     b4 = a * a / r
     s1_0 = a**k
@@ -721,49 +757,37 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
     s4_0 = (a / r) ** (2 * k)
     env_k = -1.0 / expm1((k + 2 * first) * log_a)
     step = a * a * np.maximum(r * r, (a / r) ** 2)
-    e_max, d_min = _growth(parts)
-    binom = 1
+    rows = iter(_mode_table(_robin_modes, k, parts))
     modes = summation.TABLE_MODES
-    for m0 in itertools.count(first, modes):
-        ms = range(m0, m0 + modes)
-        xs = [stride * i for i in ms]
-        binoms, inv, lift = [], [], []
-        for m in ms:
-            binoms.append(float(binom))
-            inv.append(-1.0 / expm1((k + 2 * m) * log_a))
-            lift.append(a ** (4 * m))
-            binom = binom * (order + m) // (m + 1)
-        sb, inv = scale * _column(binoms), _column(inv)
-        m = _column(ms)
-        polys = [_column((x + d) ** e for x in xs) for d, e in ((d1, e1), (d2, e2), (d4, e4))]
-        w1 = s1_0 * b1 ** (2.0 * m) * polys[0]
-        w2 = s2_0 * _column(lift) * polys[1]
-        w4 = s4_0 * b4 ** (2.0 * m) * polys[2]
+    while True:
+        ms, *columns = zip(*itertools.islice(rows, modes))
+        p1, p2, p4, weights, ratios, growths, counts = map(_column, columns)
+        counts += extra
+        inv = _column(-1.0 / expm1((k + 2 * m) * log_a) for m in ms)
+        sb, m = scale * weights, _column(ms)
+        w1 = s1_0 * b1 ** (2.0 * m) * p1
+        w2 = s2_0 * _column(a ** (4 * m) for m in ms) * p2
+        w4 = s4_0 * b4 ** (2.0 * m) * p4
         size = np.abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
         term = sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv
         env = size * env_k
-        units = size * inv * (4 * m + fixed)
+        units = size * inv * counts
         low = w1 + w4 < _FRAME_BELOW
         if low.any():  # _robin_remainder's frame, at those entries alone
             i, j = np.nonzero(low)
-            n = 2 * np.arange(m0, m0 + modes)[i]
+            n = 2 * np.array(ms)[i]
             (w1, w2, w4), top = _framed_images_grid(
                 (b1[j], a, b4[j]),
                 (s1_0, s2_0[j], s4_0[j]),
                 (n, 2 * n, n),
-                [p[i, 0] for p in polys],
+                [p[i, 0] for p in (p1, p2, p4)],
             )
             sb_l, inv_l = np.broadcast_to(sb, low.shape)[i, j], inv[i, 0]
             size = np.abs(sb_l) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
             term[i, j] = np.ldexp(sb_l * (c1 * w1 + c2 * w2 + c4 * w4) * inv_l, top)
             env[i, j] = np.ldexp(size * env_k, top)
-            units[i, j] = np.ldexp(size * inv_l * (4 * m[i, 0] + fixed), top)
-        # _robin_remainder's ratio, in its order of operations
-        growth = (((x + stride + d_min) / (x + d_min)) ** e_max if x + d_min else 1.0 for x in xs)
-        rho = _column((order + i) / (i + 1) for i in ms) * step * _column(growth)
-        if e_max and not xs[0] + d_min:  # as in _robin_remainder
-            rho[0] = math.inf
-        yield term, env, rho, units
+            units[i, j] = np.ldexp(size * inv_l * counts[i, 0], top)
+        yield term, env, ratios * step * growths, units
 
 
 def _image_route(a: float, policy: TruncationPolicy, parts) -> bool:
@@ -1092,7 +1116,7 @@ def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
                 f"radius {float(r[outside][0])} must lie strictly between a = {geom.a} and 1"
             )
     else:
-        geom.require_interior_radius(r)
+        r = geom.require_interior_radius(r)
     k, a = geom.n - 2, geom.a
     try:
         if grid:
@@ -1117,6 +1141,19 @@ def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
     return _split_result(closed, rounding, res, geom.omega_rel_error if k else 0.0)
 
 
+def _scalar_radius(r):
+    """A scalar evaluator's radius: a numpy scalar or a 0-d array becomes a
+    float, so that its modes run in float arithmetic; an array with a
+    dimension is refused."""
+    if isinstance(r, (np.ndarray, np.generic)):
+        if r.ndim:
+            raise DomainValidationError(
+                f"expected a scalar radius, got an array of shape {r.shape}"
+            )
+        return float(r)
+    return r
+
+
 def _radius_array(radii) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1:
@@ -1131,7 +1168,7 @@ def robin_eval(geom: AnnulusGeometry, r: float, policy: TruncationPolicy) -> Eva
     divergence sits in the two-image closed form, so the remainder needs
     about as many modes next to a sphere as in the middle of the gap.
     """
-    return _robin_series(_SERIES["robin_eval"], geom, r, policy)
+    return _robin_series(_SERIES["robin_eval"], geom, _scalar_radius(r), policy)
 
 
 def robin_radial_gradient(
@@ -1142,7 +1179,7 @@ def robin_radial_gradient(
     Strictly decreasing in r, +inf toward the inner sphere and -inf toward
     the outer sphere, so its unique zero is the radial critical point.
     """
-    return _robin_series(_SERIES["robin_radial_gradient"], geom, r, policy)
+    return _robin_series(_SERIES["robin_radial_gradient"], geom, _scalar_radius(r), policy)
 
 
 def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> EvalGrid:
@@ -1175,7 +1212,8 @@ def robin_radial_gradient_derivative(
     geom: AnnulusGeometry, r: float, policy: TruncationPolicy
 ) -> EvalResult:
     """Derivative in r of the radial gradient r * R'(r); negative on (a, 1)."""
-    return _robin_series(_SERIES["robin_radial_gradient_derivative"], geom, r, policy)
+    series = _SERIES["robin_radial_gradient_derivative"]
+    return _robin_series(series, geom, _scalar_radius(r), policy)
 
 
 def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
@@ -1184,13 +1222,13 @@ def robin2d_eval(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     Divergent (to +inf) toward both circles; strictly convex inside, so its
     unique critical point is a radial minimum.
     """
-    return _robin_series(_SERIES["robin2d_eval"], a, r, policy)
+    return _robin_series(_SERIES["robin2d_eval"], a, _scalar_radius(r), policy)
 
 
 def robin2d_first(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Derivative of the planar Robin function; -inf at the inner circle,
     +inf at the outer circle, with a single interior zero."""
-    return _robin_series(_SERIES["robin2d_first"], a, r, policy)
+    return _robin_series(_SERIES["robin2d_first"], a, _scalar_radius(r), policy)
 
 
 def robin2d_eval_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
@@ -1207,7 +1245,7 @@ def robin2d_first_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
 
 def robin2d_second(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
     """Second derivative of the planar Robin function; positive on all of (a, 1)."""
-    return _robin_series(_SERIES["robin2d_second"], a, r, policy)
+    return _robin_series(_SERIES["robin2d_second"], a, _scalar_radius(r), policy)
 
 
 class _Radial(NamedTuple):

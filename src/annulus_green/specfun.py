@@ -4,14 +4,37 @@ The three-term recurrence is the workhorse for polynomial evaluation.  The
 finite expansion of the zonal kernel in powers of the inner product is kept
 as an independent cross-check path, and the two routes are tied together by
 the endpoint identity P_m(1) = C(n+m-3, m) for the parameter (n-2)/2.
+
+Mode tables.  A series stream's per-mode constants that depend only on its
+shape are read from one table per shape (_ModeTable, looked up through
+_mode_table), not computed again on every call.  For the Gegenbauer
+parameter lam the table (rows from _gegenbauer_modes) holds, per mode m, the
+coefficient ratio (m + 2 lam)/(m + 1), the running binomial
+C(m + 2 lam - 1, m) = P_m(1) and the recurrence constants m + lam,
+m + 2 lam - 1 and m + 1; iter_gegenbauer, the generating series
+(_generating_rows, behind gegenbauer_generating_sum and the three
+kernels.newtonian_series_*) and the two Green streams of green.py read it.
+green.py keeps one table per Robin-family shape the same way.
+
+A table is filled at its first use, never at import, in blocks of _BLOCK
+rows as far as its callers read, and stores at most _STORED_MODES = 256
+modes; deeper modes come from the same row builder and are not stored.  At
+most _SHAPES = 64 tables are kept, in one LRU, least recently used first
+out.  A table grows by publishing a new tuple (copy on write), so a caller
+running beside another never sees a torn or repeated row.  Every entry is
+the double that the stream's own arithmetic gave per call before the tables
+existed, in the same order of operations, so every value, tail bound, term
+count and error is bit for bit what it was.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Union
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -27,6 +50,88 @@ from .summation import sum_series
 Scalar = Union[float, np.ndarray]
 
 _T_TOL = 1e-12
+
+# a mode table stores at most _STORED_MODES modes, and at most _SHAPES tables
+# are kept (see the module docstring)
+_STORED_MODES = 256
+_SHAPES = 64
+# a table grows by whole blocks of this many rows
+_BLOCK = 16
+
+
+class _ModeTable:
+    """The per-mode constants of one series shape, one tuple row per mode.
+
+    ``build(after)`` yields the rows that follow the row ``after``, or the
+    rows from the first mode when ``after`` is None.  Iterating the table
+    gives every row from the first mode on: the stored ones, then, while
+    fewer than _STORED_MODES are stored, the next block of _BLOCK rows
+    stored, then rows built on the fly.
+    """
+
+    __slots__ = ("rows", "_build", "_lock")
+
+    def __init__(self, build: Callable[[object], Iterator[tuple]]):
+        self.rows: tuple = ()
+        self._build = build
+        self._lock = threading.Lock()
+
+    def __iter__(self) -> Iterator[tuple]:
+        rows = self.rows
+        return itertools.chain(rows, self._beyond(len(rows)))
+
+    def _beyond(self, start: int) -> Iterator[tuple]:
+        rows = self.rows
+        while start < _STORED_MODES:
+            rows = self._grow(start + 1)
+            yield from itertools.islice(rows, start, None)
+            start = len(rows)
+        yield from self._build(rows[start - 1] if start else None)
+
+    def _grow(self, need: int) -> tuple:
+        """The stored rows, first grown to at least ``need`` of them (up to
+        _STORED_MODES); the longer tuple replaces the old one whole."""
+        with self._lock:
+            rows = self.rows
+            if len(rows) < need:
+                size = min(-(-need // _BLOCK) * _BLOCK, _STORED_MODES)
+                more = self._build(rows[-1] if rows else None)
+                rows += tuple(itertools.islice(more, size - len(rows)))
+                self.rows = rows
+            return rows
+
+
+@lru_cache(maxsize=_SHAPES)
+def _mode_table(build: Callable, *shape) -> _ModeTable:
+    """The table of the rows ``build(*shape, after)`` yields, made at its
+    first use; the least recently used of _SHAPES tables is dropped."""
+    return _ModeTable(partial(build, *shape))
+
+
+def _gegenbauer_modes(lam: float, after=None) -> Iterator[tuple]:
+    """Rows (ratio, binomial, m + lam, m + 2 lam - 1, m + 1) of the mode
+    constants for the parameter lam, in the order of operations of the
+    recurrence and of the coefficient ratio (m + 2 lam)/(m + 1), whose
+    running product is the binomial C(m + 2 lam - 1, m).
+
+    Mode 0 stores 0.0 for m + 2 lam - 1: it multiplies P_{-1} = 0, and a zero
+    constant keeps P_1 = ((2 t) lam) 1.0 - 0.0 equal to (2 lam) t, signed
+    zeros included.
+    """
+    two_lam = 2.0 * lam
+    if after is None:
+        m, binom, below = 0.0, 1.0, 0.0
+    else:
+        ratio, binom, _, _, m = after
+        binom *= ratio
+        below = (m + two_lam) - 1.0
+    while True:
+        m_next = m + 1.0
+        ratio = (m + two_lam) / m_next
+        yield ratio, binom, m + lam, below, m_next
+        binom *= ratio
+        m = m_next
+        below = (m + two_lam) - 1.0
 
 
 def _check_order(lam: float) -> float:
@@ -44,20 +149,16 @@ def _clamp_argument(t: float) -> float:
 def iter_gegenbauer(lam: float, t: Scalar) -> Iterator[Scalar]:
     """Yield P_0(t), P_1(t), ... for the weight (1 - 2rt + r^2)^(-lam).
 
-    Recurrence: (m+1) P_{m+1} = 2t(m+lam) P_m - (m+2lam-1) P_{m-1}.
-    Works elementwise when ``t`` is an ndarray.
+    Recurrence: (m+1) P_{m+1} = 2t(m+lam) P_m - (m+2lam-1) P_{m-1}, with its
+    constants read from lam's mode table.  Works elementwise when ``t`` is an
+    ndarray.
     """
+    two_t = 2.0 * t
     p_prev: Scalar = 0.0
     p: Scalar = 1.0 + 0.0 * t
-    m = 0
-    while True:
+    for _, _, m_lam, below, m_next in _mode_table(_gegenbauer_modes, lam):
         yield p
-        if m == 0:
-            nxt = (2.0 * lam) * t * p
-        else:
-            nxt = (2.0 * t * (m + lam) * p - (m + 2.0 * lam - 1.0) * p_prev) / (m + 1.0)
-        p_prev, p = p, nxt
-        m += 1
+        p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
 
 
 def gegenbauer_eval(lam: float, m: int, t: float) -> float:
@@ -135,18 +236,18 @@ def _generating_rows(
     units = quad + 3.0 + scale_units
     step = 3.0 * quad + 1.0 + r_units
     curve = 2.0 * quad
-    coeff = 1.0  # C(m + 2 lam - 1, m), the t = 1 polynomial value
     rp = scale
-    m = 0
-    for p in iter_gegenbauer(lam, t):
-        crat = (m + 2.0 * lam) / (m + 1.0)
+    # iter_gegenbauer's recurrence, inline; coeff = C(m + 2 lam - 1, m), the
+    # t = 1 polynomial value
+    two_t = 2.0 * t
+    p_prev, p = 0.0, 1.0
+    for crat, coeff, m_lam, below, m_next in _mode_table(_gegenbauer_modes, lam):
         env = coeff * rp
         yield p * rp, env, r * crat if crat > 1.0 else r, env * units
-        coeff *= crat
+        p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
         rp *= r
         units += step
         step += curve
-        m += 1
 
 
 def harmonic_space_dim(n: int, m: int) -> int:

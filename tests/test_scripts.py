@@ -88,8 +88,19 @@ def test_output_digest_repeats_itself(monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
     rows = [line.split() for line in outputs[0].splitlines()]
     assert [row[0] for row in rows] == [
-        "robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed", "green", "critical",
-        "errors",
+        "robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed", "green", "gegenbauer",
+        "critical", "errors",
     ]
     assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
     assert outputs[1] == outputs[0]
+
+
+def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends --src
+    argv = ["--n", "4", "--a", "0.2", "--repeat", "1"]
+    assert run_script(monkeypatch, "mode_cost.py", *argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["evaluator", "radius", "r", "terms", "cold_ns", "warm_ns"]
+    assert len(rows) == 1 + 12 * 2
+    assert {row[1] for row in rows[1:]} == {"mid", "layer"}
+    assert all(int(row[3]) > 0 and float(row[4]) > 0 and float(row[5]) > 0 for row in rows[1:])
