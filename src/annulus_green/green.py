@@ -330,8 +330,8 @@ def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: fl
     env_k = abs(scale) * amp
     qmax = max(b1, b4)
     quad, per_mode, fixed = _green_units(k, amp)
-    # iter_gegenbauer's recurrence, inline; ratio = (k + m)/(m + 1) and
-    # binom = C(k + m - 1, m)
+    # iter_gegenbauer's recurrence, inline as specfun's docstring explains;
+    # ratio = (k + m)/(m + 1) and binom = C(k + m - 1, m)
     two_t = 2.0 * t
     p_prev, p = 0.0, 1.0
     for ratio, binom, m_lam, below, m_next in _mode_table(_gegenbauer_modes, 0.5 * k):
@@ -511,8 +511,9 @@ def _modal_rows(n: int, a: float, lo: float, hi: float, t: float, omega: float):
     hib = hi ** (n - 2)  # hi^(2m+n-2)
     big_a = a ** (n - 2)
     env_k = 1.0 / ((n - 2) * omega * (1.0 - a ** (n - 2)))
-    # iter_gegenbauer's recurrence, inline; ratio = (n + m - 2)/(m + 1),
-    # binom = C(n + m - 3, m), and m + lam = beta / 2 with beta = 2m + n - 2
+    # iter_gegenbauer's recurrence, inline as specfun's docstring explains;
+    # ratio = (n + m - 2)/(m + 1), binom = C(n + m - 3, m), and
+    # m + lam = beta / 2 with beta = 2m + n - 2
     two_t = 2.0 * t
     p_prev, p = 0.0, 1.0
     for ratio, binom, m_lam, below, m_next in _mode_table(_gegenbauer_modes, lam):
@@ -1142,10 +1143,10 @@ def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
 
 
 def _scalar_radius(r):
-    """A scalar evaluator's radius: a numpy scalar or a 0-d array becomes a
-    float, so that its modes run in float arithmetic; an array with a
-    dimension is refused."""
-    if isinstance(r, (np.ndarray, np.generic)):
+    """A scalar evaluator's radius: a 0-d array becomes a float, so that
+    _robin_series takes its scalar path, and an array with a dimension is
+    refused.  Numpy scalars pass; require_interior_radius makes them floats."""
+    if isinstance(r, np.ndarray):
         if r.ndim:
             raise DomainValidationError(
                 f"expected a scalar radius, got an array of shape {r.shape}"

@@ -212,6 +212,19 @@ def test_scalar_robin_evaluators_take_any_real_scalar(fn, geom, radius):
             fn(geom, radii, policy)
 
 
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.5, 3.5])
+@pytest.mark.parametrize("t", [-1.0, -0.7, -0.0, 0.0, 0.31, 1.0])
+def test_generating_rows_give_iter_gegenbauers_polynomials(lam, t):
+    # at r = 1 and scale 1 each row's value is its P_m(t) times 1.0 exactly,
+    # so the stream's own recurrence must give iter_gegenbauer's doubles,
+    # past the stored modes too
+    rows = specfun._generating_rows(lam, t, 1.0)
+    got = [row[0] for _, row in zip(range(300), rows)]
+    want = [p for _, p in zip(range(300), specfun.iter_gegenbauer(lam, t))]
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+    assert got == want
+
+
 @pytest.mark.parametrize("lam", [0.25, 0.5, 1.5])
 def test_first_recurrence_step_keeps_signed_zeros(lam):
     # mode 0's table constant for P_{-1} is 0.0, so P_1(t) = (2 lam) t
