@@ -24,6 +24,15 @@ sums the three newtonian_series_* and gegenbauer_generating_sum with the
 series variable q either uniform in [0, 0.9] or 1 - q log-uniform down to
 1e-3, at n in {3..6, 9, 20}, under both policies.
 
+A third generator draws two more groups.  "harmonic" runs harmonic_extension
+at n = 3 with seeded boundary data, policies and points 10 to 60 % of the way
+across the gap, against quadratures exact for 16 and for 48 modes; the first
+mostly raises QuadratureDegreeError, the second mostly converges.  "frames"
+reaches the Robin family's binary frame (_FRAME_BELOW in green.py) through
+the public evaluators with abs_tol 0 and max_terms 300: robin2d_eval and
+robin2d_first with their grid twins at a uniform in [0.01, 0.06], robin_eval
+and robin_radial_gradient with theirs at a uniform in [1e-3, 3e-3].
+
 Example:
     python scripts/output_digest.py --src src --count 150 --seed 7
 """
@@ -64,6 +73,48 @@ def _radii(rng: random.Random, a: float) -> list[float]:
     return [a + f * (1.0 - a) for f in (1e-6, rng.uniform(0.0, 1.0), 1.0 - 1e-6)]
 
 
+def _boundary_data(ag, rng: random.Random):
+    """Smooth boundary data with seeded coefficients on both spheres."""
+    c = [rng.uniform(-1.0, 1.0) for _ in range(8)]
+    return ag.BoundaryData(
+        outer=lambda xi: c[0] + c[1] * xi[0] + c[2] * xi[1] * xi[2] + c[3] * math.exp(xi[2]),
+        inner=lambda xi: c[4] + c[5] * xi[1] + c[6] * xi[0] * xi[0] + c[7] * math.cos(3 * xi[0]),
+    )
+
+
+def _harmonic_draw(ag, rng: random.Random, quads) -> list:
+    """harmonic_extension at one seeded point, data and policy, per rule."""
+    geom, data = ag.AnnulusGeometry(3, rng.uniform(0.05, 0.5)), _boundary_data(ag, rng)
+    direction = np.array([rng.gauss(0.0, 1.0) for _ in range(3)])
+    r = geom.a + rng.uniform(0.1, 0.6) * (1.0 - geom.a)
+    x = r * direction / np.linalg.norm(direction)
+    pol = ag.TruncationPolicy(
+        abs_tol=10.0 ** rng.uniform(-8.0, -1.0), rel_tol=rng.choice((0.0, 0.05))
+    )
+    return [_record(ag.harmonic_extension, geom, data, x, pol, q) for q in quads]
+
+
+def _frames_draw(ag, rng: random.Random) -> list:
+    """A planar and a spatial annulus with a small inner radius, whose deep
+    modes are formed in the binary frame: each evaluator at three radii, and
+    its grid twin at all three."""
+    pol = ag.TruncationPolicy(abs_tol=0.0, max_terms=300)
+    planar = ((ag.robin2d_eval, ag.robin2d_eval_grid), (ag.robin2d_first, ag.robin2d_first_grid))
+    spatial = (
+        (ag.robin_eval, ag.robin_eval_grid),
+        (ag.robin_radial_gradient, ag.robin_radial_gradient_grid),
+    )
+    records = []
+    a = rng.uniform(0.01, 0.06)
+    geom = ag.AnnulusGeometry(rng.choice(SPATIAL_DIMS), rng.uniform(1e-3, 3e-3))
+    for first, pairs, inner in ((a, planar, a), (geom, spatial, geom.a)):
+        radii = _radii(rng, inner)
+        for fn, grid_fn in pairs:
+            records += [_record(fn, first, r, pol) for r in radii]
+            records.append(_record(grid_fn, first, np.array(radii), pol))
+    return records
+
+
 def _groups(ag, count: int, seed: int) -> dict:
     """Group name -> list of records, in the draw's order."""
     from annulus_green import green
@@ -82,7 +133,7 @@ def _groups(ag, count: int, seed: int) -> dict:
     out = {
         name: []
         for name in ("robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed",
-                     "green", "gegenbauer", "critical", "errors")
+                     "green", "gegenbauer", "harmonic", "frames", "critical", "errors")
     }
     for _ in range(count):
         n, a = rng.choice(SPATIAL_DIMS), _thickness(rng)
@@ -138,6 +189,13 @@ def _groups(ag, count: int, seed: int) -> dict:
                         q * s * y, pol),
                 _record(ag.gegenbauer_generating_sum, 0.5 * (n - 2), t, q, pol),
             ]
+
+    more = random.Random(f"harmonic and frames {seed}")
+    # a rule of degree 2M integrates M modes (see harmonic_extension)
+    quads = [ag.build_sphere_quadrature(2 * modes) for modes in (16, 48)]
+    for _ in range(count):
+        out["harmonic"] += _harmonic_draw(ag, more, quads)
+        out["frames"] += _frames_draw(ag, more)
 
     # omega underflows at n = 456; r^2 underflows at r = 2e-300
     pol, pair = policies[0], np.array([0.6, 0.75])

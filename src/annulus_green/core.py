@@ -55,14 +55,20 @@ class QuadratureDegreeError(AnnulusError, RuntimeError):
     """The truncation degree exceeds what the quadrature integrates exactly."""
 
 
+def require_integer(value, name: str, least: int) -> None:
+    """DomainValidationError unless ``value`` is an int or a numpy integer,
+    not a bool, and at least ``least``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise DomainValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def sphere_surface_area(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1} in R^n.
 
     Evaluated as exp(log 2 + (n/2) log pi - lgamma(n/2)); the log-Gamma route
     keeps large ``n`` from overflowing the Gamma factor.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise DomainValidationError(f"dimension must be an integer >= 2, got {n!r}")
+    require_integer(n, "dimension", 2)
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
 
@@ -104,8 +110,7 @@ class AnnulusGeometry:
     a: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 2:
-            raise DomainValidationError(f"dimension must be an integer >= 2, got {self.n!r}")
+        require_integer(self.n, "dimension", 2)
         if not (0.0 < self.a < 1.0):
             raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {self.a!r}")
 
@@ -200,10 +205,8 @@ class TruncationPolicy:
             raise DomainValidationError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
         if not (self.rel_tol >= 0.0) or not math.isfinite(self.rel_tol):
             raise DomainValidationError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
-        if self.max_terms < 1:
-            raise DomainValidationError(f"max_terms must be >= 1, got {self.max_terms!r}")
-        if self.tail_safety < 1:
-            raise DomainValidationError(f"tail_safety must be >= 1, got {self.tail_safety!r}")
+        require_integer(self.max_terms, "max_terms", 1)
+        require_integer(self.tail_safety, "tail_safety", 1)
 
 
 @dataclass(frozen=True)

@@ -286,11 +286,9 @@ def _closed_root(
     return x
 
 
-def _first_iterate(seed: Callable[[], float] | None, lo: float, hi: float) -> float | None:
+def _first_iterate(seed: Callable[[], float], lo: float, hi: float) -> float | None:
     """``seed()`` where it lies strictly inside (lo, hi); None where it does
     not, is not finite, or cannot be computed."""
-    if seed is None:
-        return None
     try:
         x = seed()
     except (ArithmeticError, ValueError):
@@ -304,8 +302,8 @@ def _brent(
     res_lo: EvalResult,
     hi: float,
     res_hi: EvalResult,
-    weight: Callable[[float], float] | None = None,
-    seed: Callable[[], float] | None = None,
+    weight: Callable[[float], float],
+    seed: Callable[[], float],
 ) -> tuple[float, EvalResult, float, EvalResult]:
     """Brent-Dekker (zeroin) on a bracket with opposite computed signs.
 
@@ -328,10 +326,10 @@ def _brent(
     computed signs within about two ulps, which is all _bisect reads of it:
     they change how many series Brent sums, not the reported root.
     """
-    w = weight or (lambda r: 1.0)
     # b is the best point, c the contrapoint of opposite sign, a the previous
     # b; fa, fb, fc are their weighted values
-    b, rb, fb, c, rc, fc = hi, res_hi, res_hi.value * w(hi), lo, res_lo, res_lo.value * w(lo)
+    b, rb, c, rc = hi, res_hi, lo, res_lo
+    fb, fc = rb.value * weight(b), rc.value * weight(c)
     a, ra, fa = c, rc, fc
     d = e = b - a
     x = _first_iterate(seed, lo, hi)
@@ -374,7 +372,7 @@ def _brent(
         else:
             b, x = x, None
         rb = f.sign_result(b, min(_SIGN_REL_TOL, abs(d / b)))
-        fb = rb.value * w(b)
+        fb = rb.value * weight(b)
         if rb.value != 0.0 and (rb.value > 0.0) == (rc.value > 0.0):
             c, rc, fc = a, ra, fa
             d = e = b - a

@@ -40,7 +40,10 @@ _HEAD_MODES remainder modes, then the deeper modes as rows of images, each
 row j the j-th term of sum_j A_m^j = A_m / (1 - A_m) summed over all modes
 m >= _HEAD_MODES in closed form.  The rows shrink by a^(k + 2 _HEAD_MODES),
 and terms_used counts head modes plus image rows.  robin2d_eval keeps its
-modes: its 1/m weights have no elementary sum over m.
+modes: its 1/m weights have no elementary sum over m.  One generator,
+_image_rows, forms the rows at one radius and at an array of radii, with the
+caller's tools (math's or numpy's elementwise functions, see _Tools) and
+stream of image indices j: integers, or for a grid columns of them.
 
 _robin_series sums every Robin-family series of either dimension, at one
 radius or an array of them, from the table _SERIES; its closed forms share
@@ -75,14 +78,16 @@ _green_slice take an array of radii and sum their remainders as one
 beside the scalar ones, yield rows of the same shape, reuse the same closed
 forms and count rounding with the same named constants; only the powers and
 logs that depend on the radius are numpy's, and each adds _NUMPY_EXTRA units
-to its piece.  A grid
-entry therefore matches the scalar evaluator's terms used and convergence
-and stays inside its bound, while its value may differ by ulps.  A single
-point keeps the scalar path, whose fixed cost is far below a table's.
+to its piece.  The image rows and the binary frame (_framed_images) have no
+twin: both take their tools from the caller.  A grid entry therefore matches
+the scalar evaluator's terms used and convergence and stays inside its
+bound, while its value may differ by ulps.  A single point keeps the scalar
+path, whose fixed cost is far below a table's.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -101,6 +106,7 @@ from .core import (
     SingularityError,
     TailEnvelopeError,
     TruncationPolicy,
+    require_integer,
 )
 from .specfun import _clamp_argument, _gegenbauer_modes, _mode_table, iter_gegenbauer
 from . import summation
@@ -120,8 +126,7 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
     it leaves the double-precision range (at large n, where omega underflows).
     """
     geom.require_series_dim()
-    if m < 0:
-        raise DomainValidationError(f"mode must be >= 0, got {m!r}")
+    require_integer(m, "mode", 0)
     lo = geom.clamp_radius(min(r, s))
     hi = geom.clamp_radius(max(r, s))
     n, a = geom.n, geom.a
@@ -167,7 +172,7 @@ def _split_result(
     closed: float,
     closed_rounding: float,
     remainder: EvalResult,
-    prefactor_rel_error: float = 0.0,
+    prefactor_rel_error: float,
 ) -> EvalResult:
     """Closed form plus summed remainder, with the closed form's rounding and
     the final sum's added to the remainder's tail, which covers its own.
@@ -623,9 +628,19 @@ def _robin_modes(k: int, parts, after=None):
         m += 1
 
 
-def _framed_images(bases, starts, powers, polys):
+# the elementwise functions that _image_rows and _framed_images apply, math's
+# at one radius (_SCALAR) and numpy's at an array of radii (_GRID), and the
+# errors of log q, per |log q|, and of each exp or expm1, in units of the unit
+# roundoff (see _image_units)
+_Tools = collections.namedtuple("_Tools", "exp expm1 log frexp ldexp maximum log_units exp_units")
+_SCALAR = _Tools(math.exp, math.expm1, math.log, math.frexp, math.ldexp, max, 8.0, 2.0)
+_GRID = _Tools(np.exp, np.expm1, np.log, np.frexp, np.ldexp, np.maximum, 10.0, 2.0 + _NUMPY_EXTRA)
+
+
+def _framed_images(bases, starts, powers, polys, tools: _Tools):
     """(w, top): the images s_i b_i^n_i P_i of a Robin-family remainder mode
-    as w_i 2^top, for a mode whose direct images sum below _FRAME_BELOW.
+    as w_i 2^top, for a mode whose direct images sum below _FRAME_BELOW; with
+    _GRID's tools every argument may be an array of entries.
 
     frexp splits each base into f 2^e and each start into g 2^h, both
     exactly, and w_i = g f^n P_i 2^(n e + h - top) rounds as s b^n P_i does:
@@ -635,29 +650,19 @@ def _framed_images(bases, starts, powers, polys):
     for the image of a^2) stays under about 1000, and only a row that is
     itself subnormal rounds when it is scaled back by 2^top.  An image scaled
     below the normal range errs by at most 2^-1074 in the frame, far below
-    the unit roundoff of the largest.
+    the unit roundoff of the largest.  A vanished image is moved 2^30 down
+    so that it never sets top; where every image vanishes the row is zero
+    whatever top is.
     """
+    frexp, ldexp = tools.frexp, tools.ldexp
     ws, tops = [], []
     for b, s, n, p in zip(bases, starts, powers, polys):
-        f, e = math.frexp(b)
-        g, h = math.frexp(s)
+        f, e = frexp(b)
+        g, h = frexp(s)
         ws.append(g * f**n * p)
         tops.append(n * e + h)
-    top = max((t for w, t in zip(ws, tops) if w), default=0)
-    return [math.ldexp(w, t - top) for w, t in zip(ws, tops)], top
-
-
-def _framed_images_grid(bases, starts, powers, polys):
-    """_framed_images for arrays of entries, with numpy's power as the grid
-    twin takes it; an entry whose images all vanish keeps them zero."""
-    ws, tops = [], []
-    for b, s, n, p in zip(bases, starts, powers, polys):
-        f, e = np.frexp(b)
-        g, h = np.frexp(s)
-        ws.append(g * f**n * p)
-        tops.append(n * e + h)
-    top = np.max([np.where(w != 0.0, t, -(2**30)) for w, t in zip(ws, tops)], axis=0)
-    return [np.ldexp(w, t - top) for w, t in zip(ws, tops)], top
+    top = functools.reduce(tools.maximum, [t - (w == 0.0) * 2**30 for w, t in zip(ws, tops)])
+    return [ldexp(w, t - top) for w, t in zip(ws, tops)], top
 
 
 def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
@@ -721,8 +726,9 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
                 size * inv * units,
             )
         else:  # the same row, formed as w_i 2^top and scaled back at the end
+            n = 2 * m
             (w1, w2, w4), top = _framed_images(
-                (b1, a, b4), (s1_0, s2_0, s4_0), (2 * m, 4 * m, 2 * m), (p1, p2, p4)
+                (b1, a, b4), (s1_0, s2_0, s4_0), (n, 2 * n, n), (p1, p2, p4), _SCALAR
             )
             size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
             yield (
@@ -743,7 +749,7 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
     order of operations.  w_4 holds two of them, so the rounding row adds
     2 _NUMPY_EXTRA to _robin_remainder's count; in the plane, where the
     starts are 1, it adds one.  The entries below _FRAME_BELOW are formed
-    again in _robin_remainder's frame, with numpy's powers.
+    again in _framed_images' frame, with _GRID's tools.
     """
     (c1, _, _), (c2, _, _), (c4, _, _) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
@@ -777,11 +783,12 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
         if low.any():  # _robin_remainder's frame, at those entries alone
             i, j = np.nonzero(low)
             n = 2 * np.array(ms)[i]
-            (w1, w2, w4), top = _framed_images_grid(
+            (w1, w2, w4), top = _framed_images(
                 (b1[j], a, b4[j]),
                 (s1_0, s2_0[j], s4_0[j]),
                 (n, 2 * n, n),
                 [p[i, 0] for p in (p1, p2, p4)],
+                _GRID,
             )
             sb_l, inv_l = np.broadcast_to(sb, low.shape)[i, j], inv[i, 0]
             size = np.abs(sb_l) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
@@ -856,17 +863,18 @@ def _image_units(k: int, degree: int, m0: int, e_y: float, t: float) -> tuple[fl
     )
 
 
-def _images(k: int, a: float, r, scale, parts, m0: int, log, e_y: float, t: float):
+def _images(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     """Per image with a nonzero coefficient: scale coef_i s_i, log x_i, the
     weights of _image_weights and the (fixed, slope) counts of _image_units.
 
     s_i = c_i a^k is _robin_remainder's start (1 in the plane), and
-    log x_i = (2 log r, 2 log a, 2 (log a - log r)); ``log`` is math.log, or
-    np.log for an array of radii.
+    log x_i = (2 log r, 2 log a, 2 (log a - log r)), with the log of
+    ``tools``.
     """
-    la, lr = math.log(a), log(r)
+    la, lr = math.log(a), tools.log(r)
     starts = (a**k, (a * a / r) ** k, (a / r) ** (2 * k))
     logs = (2.0 * lr, 2.0 * la, 2.0 * (la - lr))
+    e_y, t = tools.log_units, tools.exp_units
     out = []
     for (coef, d, e), start, log_x in zip(parts, starts, logs):
         if coef:
@@ -876,9 +884,9 @@ def _images(k: int, a: float, r, scale, parts, m0: int, log, e_y: float, t: floa
     return out
 
 
-def _image_rows(k: int, a: float, r: float, scale: float, parts, m0: int):
+def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools, js):
     """The modes m >= m0 of a Robin-family remainder, summed over m as rows of
-    images j = 1, 2, ...
+    images j = 1, 2, ..., which ``js`` yields in turn.
 
     The remainder is scale sum_m w_i(m) coef_i c_i x_i^m A_m / (1 - A_m) over
     the images of _robin_remainder (in the plane, k = 0, c_i = 1 and
@@ -888,20 +896,25 @@ def _image_rows(k: int, a: float, r: float, scale: float, parts, m0: int):
     Q_i(q) = sum_{m >= m0} w_i(m) q^m, which _image_weights sums in closed
     form.  Row j is the j-th term of that sum.  Each Q_i has nonnegative
     terms, so Q_i(q a^2) <= a^(2 m0) Q_i(q) and the rows' envelopes shrink
-    by the constant ratio a^(k + 2 m0).
+    by the constant ratio a^(k + 2 m0), which every row carries.
 
-    q = x_i a^(2j) is carried as its log, y = log x_i + 2j log a, which errs
-    by at most 8 |y| units, and 1 - q as -expm1(y), so nothing cancels next to
-    a sphere or as a -> 1.  c_i a^(jk) q^m0 = s_i exp((j-1) k log a + m0 y)
-    with s_i <= 1.  Each row's rounding allowance adds up _image_units over
-    its images.
+    q = x_i a^(2j) is carried as its log, y = log x_i + 2j log a, and 1 - q
+    as -expm1(y), so nothing cancels next to a sphere or as a -> 1.
+    c_i a^(jk) q^m0 = s_i exp((j-1) k log a + m0 y) with s_i <= 1.  Each
+    row's rounding allowance adds up _image_units over its images.
+
+    At one radius the tools are _SCALAR's and js the integers 1, 2, ...,
+    and y errs by at most 8 |y| units.  At an array of radii they are _GRID's
+    and columns of j (see _image_rows_grid), each row a (j x radii) table in
+    which y errs by 10 |y| units and each numpy power, exp or expm1 by
+    _NUMPY_EXTRA more.
     """
     ratio = a ** (k + 2 * m0)
     la = math.log(a)
     two_la, k_la = 2.0 * la, k * la
-    images = _images(k, a, r, scale, parts, m0, math.log, 8.0, 2.0)
-    exp, expm1 = math.exp, math.expm1
-    for j in itertools.count(1):
+    images = _images(k, a, r, scale, parts, m0, tools)
+    exp, expm1 = tools.exp, tools.expm1
+    for j in js:
         shift = (j - 1) * k_la
         term = env = units = 0.0
         for start, log_x, weights, fixed, slope in images:
@@ -912,42 +925,20 @@ def _image_rows(k: int, a: float, r: float, scale: float, parts, m0: int):
             for c in weights:
                 p = p * z + c
             g = exp(shift + m0 * y) / w * p
-            term += start * g
+            term = term + start * g
             size = abs(start) * g
-            env += size
-            units += size * (fixed - slope * y)
+            env = env + size
+            units = units + size * (fixed - slope * y)
         yield term, env, ratio, units
 
 
 def _image_rows_grid(k: int, a: float, r, scale, parts, m0: int):
-    """_image_rows for an array of radii (and of scales, in the plane), in
-    chunks of summation.TABLE_MODES rows as sum_series_table reads them.
-
-    The arithmetic is _image_rows', in its order; log r, the starts' powers,
-    exp and expm1 are numpy's, so log q errs by at most 10 |log q| units
-    and each power, exp or expm1 by _NUMPY_EXTRA more.
-    """
-    ratio = a ** (k + 2 * m0)
-    la = math.log(a)
-    two_la, k_la = 2.0 * la, k * la
-    images = _images(k, a, r, scale, parts, m0, np.log, 10.0, 2.0 + _NUMPY_EXTRA)
+    """_image_rows for an array of radii, in chunks of summation.TABLE_MODES
+    rows as sum_series_table reads them: a column of j per chunk, and the
+    ratio spread over the chunk's shape."""
     modes = summation.TABLE_MODES
-    for j0 in itertools.count(1, modes):
-        j = _column(range(j0, j0 + modes))
-        shift = (j - 1.0) * k_la
-        term = env = units = 0.0
-        for start, log_x, weights, fixed, slope in images:
-            y = log_x + j * two_la
-            w = -np.expm1(y)
-            z = np.exp(y) / w
-            p = 0.0
-            for c in weights:
-                p = p * z + c
-            g = np.exp(shift + m0 * y) / w * p
-            term = term + start * g
-            size = np.abs(start) * g
-            env = env + size
-            units = units + size * (fixed - slope * y)
+    js = (_column(range(j0, j0 + modes)) for j0 in itertools.count(1, modes))
+    for term, env, ratio, units in _image_rows(k, a, r, scale, parts, m0, _GRID, js):
         yield term, env, np.full(term.shape, ratio), units
 
 
@@ -978,14 +969,14 @@ def _remainder_rows(k: int, a: float, r, scale, parts, images: bool):
     with ``images`` its first _HEAD_MODES modes and then the image rows of
     the rest.  For an array of radii (and of scales, in the plane) the rows
     come in the grid twins' chunks, as sum_series_table reads them."""
-    if isinstance(r, np.ndarray):
-        modes, image_rows, imaged = _robin_remainder_grid, _image_rows_grid, _imaged_grid
-    else:
-        modes, image_rows, imaged = _robin_remainder, _image_rows, _imaged
-    rows = modes(k, a, r, scale, parts)
-    if images:
-        rows = imaged(rows, image_rows(k, a, r, scale, parts, _HEAD_MODES + _mode_form(k)[0]))
-    return rows
+    grid = isinstance(r, np.ndarray)
+    rows = (_robin_remainder_grid if grid else _robin_remainder)(k, a, r, scale, parts)
+    if not images:
+        return rows
+    m0 = _HEAD_MODES + _mode_form(k)[0]
+    if grid:
+        return _imaged_grid(rows, _image_rows_grid(k, a, r, scale, parts, m0))
+    return _imaged(rows, _image_rows(k, a, r, scale, parts, m0, _SCALAR, itertools.count(1)))
 
 
 def _robin_closed(k, a, r, u, v, w, log):

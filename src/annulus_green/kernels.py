@@ -12,6 +12,9 @@ _norm_units + 1 per component, so the cosine t errs by the dot product's n
 plus both factors' errors (plus the division by |y| where y is not
 normalised); the ratio of radii and the power |p|^(2-n) inherit the norms'
 errors, and the power adds 2.  Their tail bounds therefore cover rounding.
+
+harmonic_extension reads its per-mode ratio, binomial and m + lam from lam's
+mode table in specfun, zipped with iter_gegenbauer's P_m.
 """
 
 from __future__ import annotations
@@ -29,11 +32,18 @@ from .core import (
     QuadratureDegreeError,
     SeriesDivergenceError,
     TruncationPolicy,
+    require_integer,
     require_unit,
     sphere_surface_area,
     unit_and_radius,
 )
-from .specfun import _clamp_argument, _generating_rows, iter_gegenbauer
+from .specfun import (
+    _clamp_argument,
+    _gegenbauer_modes,
+    _generating_rows,
+    _mode_table,
+    iter_gegenbauer,
+)
 from .summation import sum_series
 
 
@@ -91,8 +101,7 @@ class SphereQuadrature:
 def build_sphere_quadrature(degree: int) -> SphereQuadrature:
     """Product rule on S^2: Gauss-Legendre in the polar cosine, uniform
     trapezoid in azimuth; exact for spherical harmonics through ``degree``."""
-    if degree < 0:
-        raise DomainValidationError(f"degree must be >= 0, got {degree!r}")
+    require_integer(degree, "degree", 0)
     n_t = degree // 2 + 1
     n_phi = degree + 1
     t, wt = np.polynomial.legendre.leggauss(n_t)
@@ -178,8 +187,7 @@ def newtonian_series_exterior(
 def poisson_coeff_b(geom: AnnulusGeometry, m: int, r: float) -> float:
     """Outer-sphere radial coefficient (1 - (a/r)^(2m+n-2)) / (1 - a^(2m+n-2))."""
     geom.require_series_dim()
-    if m < 0:
-        raise DomainValidationError(f"mode must be >= 0, got {m!r}")
+    require_integer(m, "mode", 0)
     rr = geom.clamp_radius(r)
     beta = 2 * m + geom.n - 2
     return (1.0 - (geom.a / rr) ** beta) / (1.0 - geom.a**beta)
@@ -188,8 +196,7 @@ def poisson_coeff_b(geom: AnnulusGeometry, m: int, r: float) -> float:
 def poisson_coeff_c(geom: AnnulusGeometry, m: int, r: float) -> float:
     """Inner-sphere radial coefficient r^(-m) (a/r)^(m+n-2) (1-r^(2m+n-2))/(1-a^(2m+n-2))."""
     geom.require_series_dim()
-    if m < 0:
-        raise DomainValidationError(f"mode must be >= 0, got {m!r}")
+    require_integer(m, "mode", 0)
     rr = geom.clamp_radius(r)
     beta = 2 * m + geom.n - 2
     return rr ** (-m) * (geom.a / rr) ** (m + geom.n - 2) * (1.0 - rr**beta) / (1.0 - geom.a**beta)
@@ -245,26 +252,25 @@ def harmonic_extension(
         rbeta = r ** (n - 2)  # r^(2m+n-2)
         rp = 1.0  # r^m
         qin = (a / r) ** (n - 2)  # (a/r)^(m+n-2)
-        binom = 1.0  # C(n+m-3, m)
-        m = 0
-        for p in iter_gegenbauer(lam, t):
-            beta = 2 * m + n - 2
-            z = (beta / (n - 2)) * p
+        # ratio = (n + m - 2)/(m + 1), binom = C(n + m - 3, m), and
+        # m + lam = beta / 2 with beta = 2m + n - 2
+        modes = zip(_mode_table(_gegenbauer_modes, lam), iter_gegenbauer(lam, t))
+        for (ratio, binom, m_lam, _, _), p in modes:
+            z = (m_lam / lam) * p  # (beta / (n - 2)) P_m(t)
             i_out = float(w @ (f_out * z))
             i_in = float(w @ (f_in * z))
             b_rm = (1.0 - A / rbeta) / (1.0 - A) * rp  # b_m(r) r^m
             c_rm = qin * (1.0 - rbeta) / (1.0 - A)  # c_m(r) r^m
             term = b_rm * i_out + c_rm * i_in
-            dm = binom * beta / (n - 2)
+            dm = binom * (m_lam + m_lam) / (n - 2)  # dim H_m = binom beta / (n - 2)
             env = dm * (rp * fmax_out + qin * fmax_in) / denom0
-            rho = ((n + m - 2) / (m + 1)) * ((2 * m + n) / (2 * m + n - 2)) * max(r, a / r)
+            # dm grows by ratio (beta + 2) / beta to the next mode
+            rho = ratio * ((m_lam + 1.0) / m_lam) * max(r, a / r)
             yield term, env, rho, 0.0
             A *= a * a
             rbeta *= r * r
             rp *= r
             qin *= a / r
-            binom *= (n + m - 2) / (m + 1)
-            m += 1
 
     res = sum_series(rows(), replace(policy, max_terms=mode_cap))
     if not res.converged and mode_cap < policy.max_terms:

@@ -20,6 +20,7 @@ from .core import (
     GridEdgeError,
     SingularityError,
     TailEnvelopeError,
+    require_integer,
     sphere_surface_area,
 )
 
@@ -34,10 +35,8 @@ class ModalOperator:
     a: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise DomainValidationError(f"needs n >= 3, got {self.n!r}")
-        if self.m < 0:
-            raise DomainValidationError(f"mode must be >= 0, got {self.m!r}")
+        require_integer(self.n, "n", 3)
+        require_integer(self.m, "mode", 0)
         if not (0.0 < self.a < 1.0):
             raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {self.a!r}")
 
@@ -85,8 +84,7 @@ class FDGrid:
     a: float
 
     def __post_init__(self):
-        if self.num_nodes < 3:
-            raise DomainValidationError(f"need at least 3 nodes, got {self.num_nodes!r}")
+        require_integer(self.num_nodes, "num_nodes", 3)
         if not (0.0 < self.a < 1.0):
             raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {self.a!r}")
 

@@ -13,12 +13,13 @@ coefficient ratio (m + 2 lam)/(m + 1), the running binomial
 C(m + 2 lam - 1, m) = P_m(1) and the recurrence constants m + lam,
 m + 2 lam - 1 and m + 1; iter_gegenbauer, the generating series
 (_generating_rows, behind gegenbauer_generating_sum and the three
-kernels.newtonian_series_*) and the two Green streams of green.py read it.
-green.py keeps one table per Robin-family shape the same way.  The scalar
-streams among these run iter_gegenbauer's recurrence inline on the table's
-constants, with the same expressions and so the same doubles: taking P_m
-from iter_gegenbauer beside the table costs one more generator step per
-mode, which measured 10 to 40 % more time per term.
+kernels.newtonian_series_*), kernels.harmonic_extension and the Green
+streams of green.py read it.  green.py keeps one table per Robin-family
+shape the same way.  The scalar streams among these run iter_gegenbauer's
+recurrence inline on the table's constants, with the same expressions and
+so the same doubles: taking P_m from iter_gegenbauer beside the table costs
+one more generator step per mode, which measured 10 to 40 % more time per
+term.
 
 A table is filled at its first use, never at import, in blocks of _BLOCK
 rows as far as its callers read, and stores at most _STORED_MODES = 256
@@ -47,6 +48,7 @@ from .core import (
     DomainValidationError,
     EvalResult,
     TruncationPolicy,
+    require_integer,
     require_unit,
 )
 from .summation import sum_series
@@ -138,6 +140,12 @@ def _gegenbauer_modes(lam: float, after=None) -> Iterator[tuple]:
         below = (m + two_lam) - 1.0
 
 
+def _require_degree(n: int, m: int) -> None:
+    """The dimension n >= 3 and degree m >= 0 of a zonal function of R^n."""
+    require_integer(n, "n", 3)
+    require_integer(m, "degree", 0)
+
+
 def _check_order(lam: float) -> float:
     if not math.isfinite(lam) or lam <= 0.0:
         raise DomainValidationError(f"Gegenbauer parameter must be positive, got {lam!r}")
@@ -168,8 +176,7 @@ def iter_gegenbauer(lam: float, t: Scalar) -> Iterator[Scalar]:
 def gegenbauer_eval(lam: float, m: int, t: float) -> float:
     """P_m(t) for parameter lam > 0, |t| <= 1, via the three-term recurrence."""
     lam = _check_order(lam)
-    if m < 0:
-        raise DomainValidationError(f"degree must be >= 0, got {m!r}")
+    require_integer(m, "degree", 0)
     tc = _clamp_argument(t)
     it = iter_gegenbauer(lam, tc)
     for _ in range(m):
@@ -183,10 +190,7 @@ def gegenbauer_endpoint_exact(n: int, m: int) -> int:
     The result is always the integer C(n+m-3, m); a non-integer intermediate
     would indicate a recurrence defect, so that case raises.
     """
-    if n < 3:
-        raise DomainValidationError(f"needs n >= 3, got {n!r}")
-    if m < 0:
-        raise DomainValidationError(f"degree must be >= 0, got {m!r}")
+    _require_degree(n, m)
     lam = Fraction(n - 2, 2)
     p_prev, p = Fraction(0), Fraction(1)
     for k in range(m):
@@ -260,10 +264,7 @@ def harmonic_space_dim(n: int, m: int) -> int:
     Uses the product form (2m+n-2)/(n-2) * C(n+m-3, m) with exact integer
     arithmetic; equals the diagonal value of the degree-m zonal kernel.
     """
-    if n < 3:
-        raise DomainValidationError(f"needs n >= 3, got {n!r}")
-    if m < 0:
-        raise DomainValidationError(f"degree must be >= 0, got {m!r}")
+    _require_degree(n, m)
     if m == 0:
         return 1
     num = (2 * m + n - 2) * math.comb(n + m - 3, m)
@@ -300,10 +301,7 @@ def zonal_direct(n: int, m: int, x: ArrayLike, xi: ArrayLike) -> float:
     ``x`` may be any vector (the kernel is homogeneous of degree m in x);
     ``xi`` must be a unit vector.
     """
-    if n < 3:
-        raise DomainValidationError(f"needs n >= 3, got {n!r}")
-    if m < 0:
-        raise DomainValidationError(f"degree must be >= 0, got {m!r}")
+    _require_degree(n, m)
     xv = np.asarray(x, dtype=float)
     xiv = require_unit(xi)
     if xv.shape != (n,) or xiv.shape != (n,):
@@ -323,8 +321,7 @@ def zonal_from_gegenbauer(n: int, m: int, xprime: ArrayLike, yprime: ArrayLike) 
 
     Z_m(x', y') = (2m+n-2)/(n-2) * P_m(x'.y') for the parameter (n-2)/2.
     """
-    if n < 3:
-        raise DomainValidationError(f"needs n >= 3, got {n!r}")
+    _require_degree(n, m)
     xp = require_unit(xprime)
     yp = require_unit(yprime)
     if xp.shape != (n,) or yp.shape != (n,):

@@ -24,7 +24,7 @@ from annulus_green import (
     robin_radial_gradient,
     sphere_surface_area,
 )
-from annulus_green import core
+from annulus_green import core, green, kernels, oracle, specfun
 from annulus_green.core import sphere_surface_area_rel_error
 
 # 16-digit reference values of 2 pi^(n/2) / Gamma(n/2), computed from an
@@ -192,6 +192,45 @@ def test_geometry_point_validation():
 def test_policy_invariants(kwargs):
     with pytest.raises(DomainValidationError):
         TruncationPolicy(**kwargs)
+
+
+GEOM3 = AnnulusGeometry(3, 0.5)
+UNIT = np.array([0.0, 0.6, 0.8])
+# each entry point that takes an integer, as a function of that integer alone,
+# and the value it is called with where it is valid
+INTEGER_ARGUMENTS = {
+    "AnnulusGeometry.n": (lambda v: AnnulusGeometry(v, 0.5).omega, 3),
+    "sphere_surface_area": (sphere_surface_area, 3),
+    "TruncationPolicy.max_terms": (lambda v: TruncationPolicy(max_terms=v).max_terms, 30),
+    "TruncationPolicy.tail_safety": (lambda v: TruncationPolicy(tail_safety=v).tail_safety, 2),
+    "modal_coefficient": (lambda v: green.modal_coefficient(GEOM3, v, 0.6, 0.8), 2),
+    "poisson_coeff_b": (lambda v: kernels.poisson_coeff_b(GEOM3, v, 0.7), 2),
+    "poisson_coeff_c": (lambda v: kernels.poisson_coeff_c(GEOM3, v, 0.7), 2),
+    "gegenbauer_eval": (lambda v: specfun.gegenbauer_eval(1.0, v, 0.3), 2),
+    "gegenbauer_endpoint_exact.n": (lambda v: specfun.gegenbauer_endpoint_exact(v, 2), 3),
+    "gegenbauer_endpoint_exact.m": (lambda v: specfun.gegenbauer_endpoint_exact(3, v), 2),
+    "harmonic_space_dim.n": (lambda v: specfun.harmonic_space_dim(v, 2), 3),
+    "harmonic_space_dim.m": (lambda v: specfun.harmonic_space_dim(3, v), 2),
+    "zonal_direct.n": (lambda v: specfun.zonal_direct(v, 2, UNIT, UNIT), 3),
+    "zonal_direct.m": (lambda v: specfun.zonal_direct(3, v, UNIT, UNIT), 2),
+    "zonal_from_gegenbauer.n": (lambda v: specfun.zonal_from_gegenbauer(v, 2, UNIT, UNIT), 3),
+    "zonal_from_gegenbauer.m": (lambda v: specfun.zonal_from_gegenbauer(3, v, UNIT, UNIT), 2),
+    "ModalOperator.n": (lambda v: oracle.ModalOperator(v, 2, 0.5).eigenvalue, 3),
+    "ModalOperator.m": (lambda v: oracle.ModalOperator(3, v, 0.5).eigenvalue, 2),
+    "modal_green_analytic": (lambda v: oracle.modal_green_analytic(3, v, 0.5, 0.6, 0.8), 2),
+    "build_sphere_quadrature": (lambda v: kernels.build_sphere_quadrature(v).weights.sum(), 4),
+    "FDGrid.num_nodes": (lambda v: oracle.FDGrid(v, 0.5).spacing, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_are_checked_where_they_enter(name):
+    call, valid = INTEGER_ARGUMENTS[name]
+    for bad in (valid + 0.5, True):
+        with pytest.raises(DomainValidationError):
+            call(bad)
+    # a numpy integer is taken; numpy's power of it may differ by an ulp
+    assert call(np.int64(valid)) == pytest.approx(call(valid), rel=1e-15)
 
 
 def test_eval_result_scaled():

@@ -10,6 +10,7 @@ m >= M the same way.  The values and roots of thin annuli come from
 here.
 """
 
+import itertools
 import json
 import math
 
@@ -34,6 +35,7 @@ from annulus_green import (
 from annulus_green import green
 from annulus_green.green import (
     _HEAD_MODES,
+    _SCALAR,
     _image_rows,
     _image_rows_grid,
     _image_weights,
@@ -141,7 +143,8 @@ def test_image_rows_cover_mpmath_remainder(name, n, a, frac):
     r = a + frac * (1.0 - a)
     k, scale, parts, m0 = _remainder(name, n, a, r)
     policy = TruncationPolicy(abs_tol=1e-30, max_terms=300_000)
-    res = sum_series(_image_rows(k, a, r, scale, parts, m0), policy)
+    rows = _image_rows(k, a, r, scale, parts, m0, _SCALAR, itertools.count(1))
+    res = sum_series(rows, policy)
     ref = mp_split_remainder(k, a, r, scale, parts, start=m0)
     assert res.converged
     assert _error(res.value, ref) <= res.tail_bound

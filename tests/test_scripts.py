@@ -1,13 +1,15 @@
 """Smoke tests of the example scripts, each run in-process as ``__main__``."""
 
 import csv
+import random
 import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from annulus_green import critical
+from annulus_green import critical, green
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -89,10 +91,35 @@ def test_output_digest_repeats_itself(monkeypatch, capsys):
     rows = [line.split() for line in outputs[0].splitlines()]
     assert [row[0] for row in rows] == [
         "robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed", "green", "gegenbauer",
-        "critical", "errors",
+        "harmonic", "frames", "critical", "errors",
     ]
     assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
     assert outputs[1] == outputs[0]
+
+
+def test_output_digest_frames_draw_forms_framed_rows(monkeypatch):
+    # the "frames" group exists to reach the binary frame: at one radius and
+    # on a grid, in the plane and in space
+    import annulus_green as ag
+
+    script = runpy.run_path(str(SCRIPTS / "output_digest.py"))
+    series, framed = green._robin_series, green._framed_images
+    current, seen = [], set()
+
+    def each_series(s, geom, r, policy):
+        current[:] = [(isinstance(geom, ag.AnnulusGeometry), isinstance(r, np.ndarray))]
+        return series(s, geom, r, policy)
+
+    def counted(bases, starts, powers, polys, tools):
+        seen.add((*current[0], tools is green._GRID))
+        return framed(bases, starts, powers, polys, tools)
+
+    monkeypatch.setattr(green, "_robin_series", each_series)
+    monkeypatch.setattr(green, "_framed_images", counted)
+    records = script["_frames_draw"](ag, random.Random(5))
+    assert not any(isinstance(rec[0], str) for rec in records)  # no errors
+    # (spatial, grid evaluator, grid tools)
+    assert seen == {(s, g, g) for s in (False, True) for g in (False, True)}
 
 
 def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):

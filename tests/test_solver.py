@@ -179,8 +179,9 @@ def _unseeded(patch):
 
 
 def _unweighted(patch):
-    """Switch off the pole weight of Brent's interpolation."""
-    patch.setattr(critical, "_pole_weight", lambda a, order: None)
+    """Switch off the pole weight of Brent's interpolation: a unit weight
+    leaves every value as it is."""
+    patch.setattr(critical, "_pole_weight", lambda a, order: lambda r: 1.0)
 
 
 def _solve_both(n, a, monkeypatch, seeded=True):
@@ -327,6 +328,8 @@ def test_brent_ends_are_settled_to_the_absolute_policy():
     f = critical._CountedSeries(_steep_line(1e-3), policy)
     lo, res_lo, hi, res_hi, _ = critical._sweep_bracket(f, 0.5, 1e-4)
     assert (res_lo.terms_used, res_hi.terms_used) == (1, 1)
-    p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi)
+    # unweighted and unseeded: a non-finite seed is skipped
+    unit, no_seed = (lambda r: 1.0), (lambda: math.nan)
+    p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi, unit, no_seed)
     assert p < q and res_p.value > 0.0 > res_q.value
     assert (res_p.terms_used, res_q.terms_used) == (2, 2)

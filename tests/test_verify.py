@@ -2,6 +2,7 @@ import math
 import re
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ CHECKS_AT_TEST_SEED = {
     "robin-derivatives": 462,
     "critical-point": 24,
 }
+SUMMARY_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "verify_seed1234.txt"
 # wall-clock limits in seconds
 TIME_LIMITS = {"green-function": 30.0, "modal-oracle": 60.0}
 
@@ -150,6 +152,9 @@ def test_full_summary_is_byte_identical_across_runs(seeded_run):
     first = render_summary([seeded_run(name)[0] for name in SUITES], TEST_SEED)
     second = render_summary(run_suites(seed=TEST_SEED), TEST_SEED)
     assert second == first
+    # and to the pinned summary: a change meant to move verify output
+    # regenerates this file and says so
+    assert first == SUMMARY_FIXTURE.read_text()
 
 
 def test_suite_registry_names():
