@@ -64,6 +64,7 @@ from .core import (
     DomainValidationError,
     EvalResult,
     TruncationPolicy,
+    require_integer,
 )
 from .green import _radial
 from .summation import _U
@@ -545,53 +546,6 @@ def find_critical_point(
     )
 
 
-# Newton steps refine_critical_point takes before it judges the residual
-_NEWTON_MAX_ITER = 30
-
-
-def refine_critical_point(
-    geom: AnnulusGeometry,
-    r_start: float,
-    policy: TruncationPolicy | None = None,
-    solver_tol: float = 1e-12,
-) -> float:
-    """Derivative-based refinement of a critical-radius estimate.
-
-    Newton iteration on the gradient with its own derivative series (the
-    planar pair for n = 2); a route independent of the bracketing solver,
-    kept for cross-method agreement checks.  The start must lie inside the gap and
-    close enough that the iterates stay there.
-    """
-    pol = _series_policy(policy, solver_tol)
-    a = geom.a
-    family = _radial(geom)
-    fun = lambda r: family.gradient(r, pol).value
-    slope = lambda r: family.slope(r, pol).value
-    r = float(r_start)
-    if not (a < r < 1.0):
-        raise DomainValidationError(f"start {r} outside the open gap ({a}, 1)")
-    for _ in range(_NEWTON_MAX_ITER):
-        fv = fun(r)
-        if abs(fv) <= solver_tol:
-            return r
-        sv = slope(r)
-        if sv == 0.0:
-            break
-        step = fv / sv
-        nxt = r - step
-        if not (a < nxt < 1.0):
-            nxt = 0.5 * (r + (a if step > 0 else 1.0))
-        if abs(nxt - r) < 1e-16:
-            r = nxt
-            break
-        r = nxt
-    if abs(fun(r)) > solver_tol:
-        raise BracketingError(
-            f"derivative refinement stalled at residual {abs(fun(r))} > {solver_tol}"
-        )
-    return r
-
-
 def concentration_root(
     geom: AnnulusGeometry,
     policy: TruncationPolicy | None = None,
@@ -619,8 +573,7 @@ def count_gradient_sign_changes(
     one change contradicts uniqueness of the critical point and should be
     treated as a reported defect by callers, never silently fixed.
     """
-    if num < 3:
-        raise DomainValidationError(f"need at least 3 grid points, got {num!r}")
+    require_integer(num, "num", 3)
     pol = policy if policy is not None else TruncationPolicy(abs_tol=1e-8)
     a = geom.a
     delta = DEFAULT_STANDOFF_FACTOR * (1.0 - a)

@@ -127,6 +127,7 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
     """
     geom.require_series_dim()
     require_integer(m, "mode", 0)
+    m = int(m)
     lo = geom.clamp_radius(min(r, s))
     hi = geom.clamp_radius(max(r, s))
     n, a = geom.n, geom.a

@@ -188,6 +188,7 @@ def poisson_coeff_b(geom: AnnulusGeometry, m: int, r: float) -> float:
     """Outer-sphere radial coefficient (1 - (a/r)^(2m+n-2)) / (1 - a^(2m+n-2))."""
     geom.require_series_dim()
     require_integer(m, "mode", 0)
+    m = int(m)
     rr = geom.clamp_radius(r)
     beta = 2 * m + geom.n - 2
     return (1.0 - (geom.a / rr) ** beta) / (1.0 - geom.a**beta)
@@ -197,6 +198,7 @@ def poisson_coeff_c(geom: AnnulusGeometry, m: int, r: float) -> float:
     """Inner-sphere radial coefficient r^(-m) (a/r)^(m+n-2) (1-r^(2m+n-2))/(1-a^(2m+n-2))."""
     geom.require_series_dim()
     require_integer(m, "mode", 0)
+    m = int(m)
     rr = geom.clamp_radius(r)
     beta = 2 * m + geom.n - 2
     return rr ** (-m) * (geom.a / rr) ** (m + geom.n - 2) * (1.0 - rr**beta) / (1.0 - geom.a**beta)

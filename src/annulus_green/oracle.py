@@ -61,6 +61,8 @@ def modal_green_analytic(n: int, m: int, a: float, r: float, s: float) -> float:
     standard Wronskian normalization; equals omega * modal_coefficient of the
     series module, which is exactly the cross-check it exists for.
     """
+    require_integer(m, "mode", 0)
+    m = int(m)
     op = ModalOperator(n, m, a)
     lo, hi = sorted((float(r), float(s)))
     if not (a - 1e-12 <= lo and hi <= 1.0 + 1e-12):
@@ -169,7 +171,7 @@ def modal_green_fd(n: int, m: int, a: float, s: float, grid: FDGrid | int) -> np
     Converges to modal_green_analytic at second order in the spacing when s
     falls on a shared node of the refinement family.
     """
-    g = grid if isinstance(grid, FDGrid) else FDGrid(int(grid), a)
+    g = grid if isinstance(grid, FDGrid) else FDGrid(grid, a)
     if g.a != a:
         raise DomainValidationError(f"grid covers [{g.a}, 1] but the operator needs [{a}, 1]")
     if g.num_nodes < 100:
@@ -191,7 +193,7 @@ def modal_bvp_fd(
 ) -> np.ndarray:
     """Finite-difference solve of the homogeneous modal equation with Dirichlet
     data (inner_value at r = a, outer_value at r = 1)."""
-    g = grid if isinstance(grid, FDGrid) else FDGrid(int(grid), a)
+    g = grid if isinstance(grid, FDGrid) else FDGrid(grid, a)
     if g.a != a:
         raise DomainValidationError(f"grid covers [{g.a}, 1] but the operator needs [{a}, 1]")
     ModalOperator(n, m, a)
@@ -242,8 +244,7 @@ def grid_scan_extremum(
     raises GridEdgeError, since it means the requested window failed to
     bracket the interior extremum.
     """
-    if num < 1000:
-        raise DomainValidationError(f"need at least 1000 grid points, got {num!r}")
+    require_integer(num, "num", 1000)
     if not (lo < hi):
         raise DomainValidationError(f"empty window [{lo}, {hi}]")
     if kind not in ("min", "max"):

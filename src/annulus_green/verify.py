@@ -29,11 +29,7 @@ from .core import (
     TruncationPolicy,
     newtonian_potential,
 )
-from .critical import (
-    count_gradient_sign_changes,
-    find_critical_point,
-    refine_critical_point,
-)
+from .critical import count_gradient_sign_changes, find_critical_point
 from .green import (
     _SERIES,
     _normalised,
@@ -525,13 +521,6 @@ def suite_critical_point(rng: np.random.Generator) -> SuiteResult:
             )
             err = abs(r_scan - rep.r0)
             out.check(err <= 1e-6, err, f"grid scan n={n}")
-
-            # cross-method agreement: bracketing solver vs derivative refinement,
-            # started off-center on purpose
-            start = rep.r0 + 0.05 * (1.0 - a)
-            newton = refine_critical_point(geom, start, pol, solver_tol=1e-12)
-            err_n = abs(newton - rep.r0)
-            out.check(err_n <= 1e-10, err_n, f"newton agreement n={n}")
 
         out.run_guarded(run, f"critical point n={n} a={a}")
 

@@ -4,10 +4,12 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from annulus_green import AnnulusGeometry, EvalResult, refine_critical_point
+import image_references as refs
+from annulus_green import EvalResult
 from annulus_green import cli
 from annulus_green.cli import main
 
@@ -122,11 +124,11 @@ class TestCriticalPoint:
         assert record["nondegenerate"] is True
         assert record["certificate"] == "residual"
         assert "concentration_root" not in record
-        # the independent Newton route, started off-centre, lands on r0
-        newton = refine_critical_point(
-            AnnulusGeometry(3, 0.5), record["r0"] + 0.05 * 0.5, None, solver_tol=1e-12
-        )
-        assert abs(newton - record["r0"]) <= 1e-10
+        # r0 lies within residual / |slope| of the 50-digit mpmath root
+        root, slope = refs.root(3, 0.5, record["r0"])
+        with mpmath.workdps(refs.DPS):
+            error = float(abs(mpmath.mpf(record["r0"]) - root))
+        assert error <= record["residual"] / abs(float(slope))
 
     def test_planar_record(self, capsys):
         code, out = run_cli(capsys, "critical-point", "--n", "2", "--a", "0.2")

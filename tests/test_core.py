@@ -24,7 +24,7 @@ from annulus_green import (
     robin_radial_gradient,
     sphere_surface_area,
 )
-from annulus_green import core, green, kernels, oracle, specfun
+from annulus_green import core, critical, green, kernels, oracle, specfun
 from annulus_green.core import sphere_surface_area_rel_error
 
 # 16-digit reference values of 2 pi^(n/2) / Gamma(n/2), computed from an
@@ -220,6 +220,14 @@ INTEGER_ARGUMENTS = {
     "modal_green_analytic": (lambda v: oracle.modal_green_analytic(3, v, 0.5, 0.6, 0.8), 2),
     "build_sphere_quadrature": (lambda v: kernels.build_sphere_quadrature(v).weights.sum(), 4),
     "FDGrid.num_nodes": (lambda v: oracle.FDGrid(v, 0.5).spacing, 5),
+    "count_gradient_sign_changes": (
+        lambda v: critical.count_gradient_sign_changes(GEOM3, None, num=v), 5
+    ),
+    "grid_scan_extremum": (
+        lambda v: oracle.grid_scan_extremum(lambda x: (x - 0.3) ** 2, 0.0, 1.0, v), 1000
+    ),
+    "modal_green_fd": (lambda v: oracle.modal_green_fd(3, 2, 0.5, 0.7, v).tolist(), 150),
+    "modal_bvp_fd": (lambda v: oracle.modal_bvp_fd(3, 2, 0.5, 1.0, 2.0, v).tolist(), 150),
 }
 
 
@@ -227,10 +235,27 @@ INTEGER_ARGUMENTS = {
 def test_integer_arguments_are_checked_where_they_enter(name):
     call, valid = INTEGER_ARGUMENTS[name]
     for bad in (valid + 0.5, True):
-        with pytest.raises(DomainValidationError):
+        # refused by the integer check, not by some later test it fails
+        with pytest.raises(DomainValidationError, match="must be an integer"):
             call(bad)
-    # a numpy integer is taken; numpy's power of it may differ by an ulp
-    assert call(np.int64(valid)) == pytest.approx(call(valid), rel=1e-15)
+    # a numpy integer is taken, and gives the same doubles as an int
+    assert call(np.int64(valid)) == call(valid)
+
+
+@pytest.mark.parametrize(
+    "mode_fn",
+    [
+        lambda m: green.modal_coefficient(GEOM3, m, 0.6, 0.8),
+        lambda m: kernels.poisson_coeff_b(GEOM3, m, 0.6),
+        lambda m: kernels.poisson_coeff_c(GEOM3, m, 0.6),
+        lambda m: oracle.modal_green_analytic(3, m, 0.5, 0.6, 0.8),
+    ],
+    ids=["modal_coefficient", "poisson_coeff_b", "poisson_coeff_c", "modal_green_analytic"],
+)
+def test_numpy_integer_modes_give_the_int_modes_doubles(mode_fn):
+    # a float raised to a numpy integer goes through numpy's power, which
+    # may differ from Python's by an ulp
+    assert [mode_fn(np.int64(m)) for m in range(60)] == [mode_fn(m) for m in range(60)]
 
 
 def test_eval_result_scaled():

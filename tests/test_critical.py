@@ -13,7 +13,6 @@ from annulus_green import (
     count_gradient_sign_changes,
     find_critical_point,
     grid_scan_extremum,
-    refine_critical_point,
     robin2d_eval_grid,
     robin2d_second,
     robin_eval,
@@ -82,15 +81,15 @@ class TestSpatialCriticalPoint:
             report = find_critical_point(geom, POLICY, solver_tol=1e-12)
             assert concentration_root(geom, POLICY, solver_tol=1e-12) == report.r0
 
-    def test_bisection_and_newton_agree(self):
-        # independent solver routes must coincide to 1e-10
-        for n, a in ((2, 0.2), (3, 0.5)):
-            geom = AnnulusGeometry(n, a)
-            r_bisect = find_critical_point(geom, POLICY, solver_tol=1e-12).r0
-            r_newton = refine_critical_point(
-                geom, r_bisect + 0.05 * (1 - a), POLICY, solver_tol=1e-12
-            )
-            assert abs(r_newton - r_bisect) <= 1e-10
+    def test_root_matches_the_mpmath_root(self):
+        # the 50-digit root shares no arithmetic with the series; r0 lies
+        # within the certificate's own bound residual / |slope| of it
+        for n, a in ((2, 0.2), (3, 0.5), (4, 0.3)):
+            report = find_critical_point(AnnulusGeometry(n, a), POLICY, solver_tol=1e-12)
+            root, slope = refs.root(n, a, report.r0)
+            with mpmath.workdps(refs.DPS):
+                error = float(abs(mpf(report.r0) - root))
+            assert error <= report.residual / abs(float(slope))
 
 
 class TestSignChanges:

@@ -20,7 +20,6 @@ from annulus_green import (
     EvalResult,
     concentration_root,
     find_critical_point,
-    refine_critical_point,
 )
 from annulus_green import critical, green
 
@@ -141,14 +140,12 @@ def test_concentration_root_refuses_the_plane():
     "solve",
     [
         lambda geom, tol: find_critical_point(geom, None, tol),
-        lambda geom, tol: refine_critical_point(geom, 0.7, None, tol),
         lambda geom, tol: concentration_root(geom, None, tol),
     ],
-    ids=["find_critical_point", "refine_critical_point", "concentration_root"],
+    ids=["find_critical_point", "concentration_root"],
 )
 def test_solver_tol_must_be_positive_and_finite(solve, solver_tol):
-    # a NaN budget can certify no point and an infinite one any point,
-    # refine_critical_point's start included
+    # a NaN budget can certify no point and an infinite one any point
     with pytest.raises(DomainValidationError):
         solve(AnnulusGeometry(3, 0.5), solver_tol)
 
