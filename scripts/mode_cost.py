@@ -16,6 +16,14 @@ r (newtonian_series_inner its source on the inner sphere, so its layer lies
 next to a); gegenbauer_generating_sum runs at lam = (n - 2)/2, t = 0.3 and
 its variable q = r.
 
+A second table times the grid twins that export-grid runs, on its default
+window of radii: robin_eval_grid, robin_radial_gradient_grid,
+robin2d_eval_grid and robin2d_first_grid over 200 radii standing off both
+spheres by 1e-3 of the gap, and green._green_slice over 200 radii from wall
+to wall, with the point-pair evaluators' second point as its source.  For
+each it prints the mean terms_used per row and the median over ``--repeat``
+warm calls of the time per row, in microseconds.
+
 Example:
     python scripts/mode_cost.py --n 3 --a 0.5 --repeat 51
 """
@@ -27,7 +35,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+GRID_ROWS = 200  # radii per grid call, as the benchmark's export-grid requests
 
 
 def _calls(ag, n: int, a: float):
@@ -72,6 +83,22 @@ def _calls(ag, n: int, a: float):
         yield name, call, {"mid": mid, "layer": layer}
 
 
+def _grid_calls(ag, n: int, a: float):
+    """(grid evaluator, call, radii) for export-grid's default windows."""
+    from annulus_green import green
+
+    geom, pol, gap = ag.AnnulusGeometry(n, a), ag.TruncationPolicy(), 1.0 - a
+    window = np.linspace(a + 1e-3 * gap, 1.0 - 1e-3 * gap, GRID_ROWS)
+    s = a + 0.25 * gap
+    y = [s * math.cos(1.0), s * math.sin(1.0)] + [0.0] * (n - 2)
+    for name in ("robin_eval_grid", "robin_radial_gradient_grid"):
+        yield name, lambda r, f=getattr(ag, name): f(geom, r, pol), window
+    for name in ("robin2d_eval_grid", "robin2d_first_grid"):
+        yield name, lambda r, f=getattr(ag, name): f(a, r, pol), window
+    wall_to_wall = np.linspace(a, 1.0, GRID_ROWS)
+    yield "_green_slice", lambda r: green._green_slice(geom, r, y, pol)[1], wall_to_wall
+
+
 def _timed(call, r, clear) -> tuple[int, float]:
     """(terms used, ns per term) of one call, after ``clear()``."""
     clear()
@@ -105,6 +132,15 @@ def main() -> int:
             cold_ns = statistics.median(ns for _, ns in cold)
             warm_ns = statistics.median(ns for _, ns in warm)
             print(f"{name:<34} {label:<6} {r:>8.6g} {terms:>6} {cold_ns:>9.1f} {warm_ns:>9.1f}")
+    print(f"{'grid_evaluator':<34} {'rows':>6} {'terms_per_row':>13} {'us_per_row':>10}")
+    for name, call, radii in _grid_calls(ag, args.n, args.a):
+        terms = float(np.mean(call(radii).terms_used))
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter_ns()
+            call(radii)
+            times.append((time.perf_counter_ns() - t0) / 1e3 / radii.size)
+        print(f"{name:<34} {radii.size:>6} {terms:>13.2f} {statistics.median(times):>10.2f}")
     clear()
     return 0
 

@@ -8,9 +8,9 @@ vary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -87,6 +87,12 @@ def sphere_surface_area_rel_error(n: int) -> float:
     return arg_error + u
 
 
+@functools.cache
+def _omega(n: int) -> tuple[float, float]:
+    """(sphere_surface_area(n), its relative rounding bound), once per n."""
+    return sphere_surface_area(n), sphere_surface_area_rel_error(n)
+
+
 def unit_and_radius(v: np.ndarray) -> tuple[float, np.ndarray]:
     r = float(np.linalg.norm(v))
     if r == 0.0:
@@ -114,16 +120,15 @@ class AnnulusGeometry:
         if not (0.0 < self.a < 1.0):
             raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {self.a!r}")
 
-    @cached_property
+    @property
     def omega(self) -> float:
-        """Surface area of the unit sphere in R^n, computed once per geometry."""
-        return sphere_surface_area(self.n)
+        """Surface area of the unit sphere in R^n, computed once per dimension."""
+        return _omega(self.n)[0]
 
-    @cached_property
+    @property
     def omega_rel_error(self) -> float:
-        """Rounding bound of ``omega`` relative to its value, computed once per
-        geometry."""
-        return sphere_surface_area_rel_error(self.n)
+        """Rounding bound of ``omega`` relative to its value, once per dimension."""
+        return _omega(self.n)[1]
 
     def require_series_dim(self) -> None:
         if self.n < 3:

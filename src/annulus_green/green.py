@@ -76,13 +76,15 @@ _green_slice take an array of radii and sum their remainders as one
 (modes x radii) table with summation.sum_series_table.  Their generators
 (_robin_remainder_grid, planar for k = 0, and _green_remainder_grid) sit
 beside the scalar ones, yield rows of the same shape, reuse the same closed
-forms and count rounding with the same named constants; only the powers and
-logs that depend on the radius are numpy's, and each adds _NUMPY_EXTRA units
-to its piece.  The image rows and the binary frame (_framed_images) have no
-twin: both take their tools from the caller.  A grid entry therefore matches
-the scalar evaluator's terms used and convergence and stays inside its
-bound, while its value may differ by ulps.  A single point keeps the scalar
-path, whose fixed cost is far below a table's.
+forms and count rounding with the same named constants (_green_remainder_grid
+writes its running products mode by mode into one array, the scalar stream's
+multiplications); only the powers and logs that depend on the radius are
+numpy's, and each adds _NUMPY_EXTRA units to its piece.  The image rows and
+the binary frame (_framed_images) have no twin: both take their tools from
+the caller.  A grid entry therefore matches the scalar evaluator's terms
+used and convergence and stays inside its bound, while its value may differ
+by ulps.  A single point keeps the scalar path, whose fixed cost is far
+below a table's.
 """
 
 from __future__ import annotations
@@ -376,7 +378,6 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
     quad, per_mode, fixed = _green_units(k, amp)
     fixed += _NUMPY_EXTRA
     modes = summation.TABLE_MODES
-    steps = np.broadcast_to(b[:, None, :], (4, modes - 1, lo.size))
     lam = 0.5 * k
     rows = zip(_mode_table(_gegenbauer_modes, lam), iter_gegenbauer(lam, t))
     for m0 in itertools.count(0, modes):
@@ -387,7 +388,10 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
             one_minus_a.append(1.0 - big_a)
             big_a *= a2
         # h_i carried as running products, as the scalar stream carries them
-        products = np.multiply.accumulate(np.concatenate([h[:, None], steps], axis=1), axis=1)
+        products = np.empty((4, modes, lo.size))
+        products[:, 0] = h
+        for i in range(1, modes):
+            np.multiply(products[:, i - 1], b, out=products[:, i])
         h1, h2, h3, h4 = products
         h = products[:, -1] * b
         env = env_k * _column(binoms) * (h1 + h4)

@@ -27,7 +27,9 @@ sums many series at once, one per column of a (modes x columns) table that
 arrives in chunks of a few modes, and stops each column on its own row by the
 same rule.  A grid of radii shares one mode loop that way, and no table is
 ever larger than one chunk of one column block.  It takes absolute targets
-only and refuses a policy with ``rel_tol`` > 0 rather than ignore it.
+only and refuses a policy with ``rel_tol`` > 0 rather than ignore it.  Along
+the mode axis of a chunk it runs two scans, for the streaks, and the Kahan
+loop; everything else is elementwise or a reduction per column.
 """
 
 from __future__ import annotations
@@ -174,7 +176,12 @@ def _sum_columns(
     converged: np.ndarray,
 ) -> None:
     """sum_series_table on one block of columns, written into the block's
-    views of the result arrays."""
+    views of the result arrays.
+
+    Per chunk, a cumsum counts certified rows and a running maximum holds
+    the count at the latest uncertified one: the streak is the difference.
+    Onset of contraction, the last tail consumed and the stops are per-column
+    reductions.  The chunk is read in place until a column stops."""
     tol, safety = policy.abs_tol, policy.tail_safety
     width = value.size
     # state of the columns still summing; column live[j] is entry j
@@ -195,7 +202,8 @@ def _sum_columns(
                 raise TailEnvelopeError(
                     "series stream exhausted before the policy allowed stopping"
                 )
-            term, env, rho, units = (x[:rows, live] for x in chunk)
+            pick = slice(None) if live.size == width else live
+            term, env, rho, units = (x[:rows, pick] for x in chunk)
             idx = np.arange(rows)[:, None]
             cols = np.arange(live.size)
 
@@ -203,24 +211,24 @@ def _sum_columns(
             tails = env * rho / (1.0 - rho)
             ok = below & (tails <= tol)
             # the streak on each row: certified tails since the last
-            # uncertified one, or since the carried streak began
+            # uncertified one, or since the carried streak began; a restart
+            # is marked by the count of certified rows before it, plus one
             hits = np.cumsum(ok, axis=0)
-            reset = np.maximum.accumulate(np.where(below & ~ok, idx, -1), axis=0)
-            start = np.where(
-                reset >= 0, np.take_along_axis(hits, np.maximum(reset, 0), axis=0), -streak
-            )
-            run = hits - start
+            restart = np.maximum.accumulate(np.where(below & ~ok, hits + 1, 0), axis=0)
+            run = hits + np.where(restart > 0, 1 - restart, streak)
             done = ok & (run >= safety)
             first = np.where(done.any(axis=0), done.argmax(axis=0), rows)
             capped = used + rows >= policy.max_terms
             ends = (first < rows) | capped
             stop = np.minimum(first, rows - 1)  # the last row each column consumes
+            consumed = idx <= stop
 
-            seen = contracting | np.logical_or.accumulate(below, axis=0)
-            before = np.vstack([contracting[None, :], seen[:-1]])
-            prev = np.vstack([prev_env[None, :], env[:-1]])
+            began = below.any(axis=0)
+            before = contracting | (idx > np.where(began, below.argmax(axis=0), rows))
+            prev = np.empty((rows, live.size))
+            prev[0], prev[1:] = prev_env, env[:-1]
             bad = ~np.isfinite(term + env)
-            faulty = (bad | (before & (env > prev * _ENVELOPE_SLACK))) & (idx <= stop)
+            faulty = (bad | (before & (env > prev * _ENVELOPE_SLACK))) & consumed
             if faulty.any():
                 i, j = divmod(int(np.argmax(faulty)), live.size)
                 if bad[i, j]:
@@ -241,11 +249,13 @@ def _sum_columns(
                 total = t
                 partial[i] = t
 
-            last = np.maximum.accumulate(np.where(below, idx, -1), axis=0)[stop, cols]
+            last = np.where(below & consumed, idx, -1).max(axis=0)
             tail_now = np.where(last >= 0, tails[np.maximum(last, 0), cols], last_tail)
             # cumsum runs down the rows one at a time, after the carried sum,
             # in sum_series's order of additions
-            units_now = np.cumsum(np.vstack([units_sum[None, :], units]), axis=0)[stop + 1, cols]
+            acc = np.empty((depth + 1, live.size))
+            acc[0], acc[1:] = units_sum, units[:depth]
+            units_now = np.cumsum(acc, axis=0)[stop + 1, cols]
 
             out = live[ends]
             value[out] = partial[stop, cols][ends]
@@ -258,6 +268,6 @@ def _sum_columns(
             total, comp = total[keep], comp[keep]
             units_sum, last_tail = units_now[keep], tail_now[keep]
             streak = run[-1, keep]
-            contracting = seen[-1, keep]
+            contracting = (contracting | began)[keep]
             prev_env = env[-1, keep]
             used += rows

@@ -78,8 +78,12 @@ def test_omega_is_computed_once_per_geometry(monkeypatch):
         return sphere_surface_area(n)
 
     monkeypatch.setattr(core, "sphere_surface_area", counted)
+    core._omega.cache_clear()
     geom = AnnulusGeometry(5, 0.4)
     assert geom.omega == geom.omega == sphere_surface_area(5)
+    assert calls == [5]
+    # the memo is per dimension: another geometry of the same n reads it
+    assert AnnulusGeometry(5, 0.7).omega == geom.omega
     assert calls == [5]
     # the cache is not a field: equality and hashing still see (n, a) only
     assert geom == AnnulusGeometry(5, 0.4)
@@ -94,12 +98,16 @@ def test_omega_rounding_bound_is_computed_once_per_geometry(monkeypatch):
         return sphere_surface_area_rel_error(n)
 
     monkeypatch.setattr(core, "sphere_surface_area_rel_error", counted)
+    core._omega.cache_clear()
     geom = AnnulusGeometry(4, 0.5)
     policy = TruncationPolicy()
     robin_eval(geom, 0.7, policy)
     robin_radial_gradient(geom, 0.7, policy)
     green_eval(geom, [0.6, 0.0, 0.0, 0.0], [0.0, 0.8, 0.0, 0.0], policy)
     assert geom.omega_rel_error == sphere_surface_area_rel_error(4)
+    assert calls == [4]
+    # the memo is per dimension: another geometry of the same n reads it
+    robin_eval(AnnulusGeometry(4, 0.3), 0.7, policy)
     assert calls == [4]
 
 

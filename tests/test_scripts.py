@@ -128,6 +128,17 @@ def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):
     assert run_script(monkeypatch, "mode_cost.py", *argv) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[0] == ["evaluator", "radius", "r", "terms", "cold_ns", "warm_ns"]
-    assert len(rows) == 1 + 12 * 2
+    assert len(rows) == 1 + 12 * 2 + 1 + 5
+    rows, grid = rows[: 1 + 12 * 2], rows[1 + 12 * 2 :]
     assert {row[1] for row in rows[1:]} == {"mid", "layer"}
     assert all(int(row[3]) > 0 and float(row[4]) > 0 and float(row[5]) > 0 for row in rows[1:])
+    # the grid twins on export-grid's default windows
+    assert grid[0] == ["grid_evaluator", "rows", "terms_per_row", "us_per_row"]
+    assert [row[0] for row in grid[1:]] == [
+        "robin_eval_grid",
+        "robin_radial_gradient_grid",
+        "robin2d_eval_grid",
+        "robin2d_first_grid",
+        "_green_slice",
+    ]
+    assert all(int(row[1]) == 200 and float(row[2]) > 0 and float(row[3]) > 0 for row in grid[1:])

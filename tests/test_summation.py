@@ -266,6 +266,53 @@ def test_table_columns_match_sum_series(seed, width, modes, tail_safety, max_ter
         assert _row(grid, j) == res
 
 
+def _returning_stream(rng, length, fault):
+    """Rows whose ratio returns to >= 1 on a few rows after contraction
+    began (by row 3): such rows neither extend nor break a streak.  The
+    envelope may grow up to the row where contraction begins, which is no
+    fault; with ``fault`` the stream holds a NaN/inf term or an envelope
+    that grows later."""
+    env = rng.uniform(0.5, 2.0) * np.cumprod(rng.uniform(0.2, 1.0, length))
+    rho = rng.uniform(0.05, 0.995, length)
+    lead = rng.integers(0, 4)
+    rho[:lead] = rng.uniform(1.0, 3.0)
+    env[: lead + 1] *= rng.uniform(1.0, 3.0) ** np.arange(lead + 1)
+    for at in rng.integers(4, length, rng.integers(1, 4)):
+        rho[at : at + rng.integers(1, 4)] = rng.uniform(1.0, 3.0)
+    term = env * rng.uniform(-1.0, 1.0, length)
+    if fault and rng.random() < 0.5:
+        env[rng.integers(lead + 1, length)] *= 1.5
+    elif fault:
+        term[rng.integers(0, length)] = rng.choice([math.inf, -math.inf, math.nan])
+    return term, env, rho, rng.uniform(0.0, 1.0, length) * 10.0 ** rng.integers(-3, 4, length)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    width=st.integers(min_value=1, max_value=40),
+    modes=st.integers(min_value=1, max_value=30),
+    tail_safety=st.integers(min_value=1, max_value=6),
+    max_terms=st.integers(min_value=1, max_value=80),
+)
+def test_table_columns_match_sum_series_when_ratios_return(
+    seed, width, modes, tail_safety, max_terms
+):
+    # wide tables whose columns stop many chunks apart, with streaks held
+    # over rows of ratio >= 1; a fault sits in one column of some tables
+    rng = np.random.default_rng(seed)
+    faulty = rng.integers(width) if rng.random() < 0.3 else -1
+    streams = [_returning_stream(rng, 60, j == faulty) for j in range(width)]
+    policy = TruncationPolicy(abs_tol=1e-3, max_terms=max_terms, tail_safety=tail_safety)
+    scalars = [_scalar(s, policy) for s in streams]
+    if any(res is None for res in scalars):
+        with pytest.raises(TailEnvelopeError):
+            _sum_in_chunks(modes, streams, policy)
+        return
+    grid = _sum_in_chunks(modes, streams, policy)
+    for j, res in enumerate(scalars):
+        assert _row(grid, j) == res
+
+
 def _stream(env, rho):
     env = np.array(env, dtype=float)
     return 0.5 * env, env, np.array(rho, dtype=float), np.ones(len(env))
