@@ -288,7 +288,9 @@ def _cmd_verify(args) -> int:
 
 def _radial_grid(args, geom: AnnulusGeometry, standoff: float = 1e-3) -> np.ndarray:
     """The requested radii; the default window stands off both spheres by
-    ``standoff`` times the gap."""
+    ``standoff`` times the gap.  Its ends are checked by the geometry's rule
+    (AnnulusGeometry.clamp_radius), the one green_eval applies: [a, 1] up to
+    RADIUS_SLACK."""
     span = 1.0 - geom.a
     lo = args.r_min if args.r_min is not None else geom.a + standoff * span
     hi = args.r_max if args.r_max is not None else 1.0 - standoff * span
@@ -298,8 +300,10 @@ def _radial_grid(args, geom: AnnulusGeometry, standoff: float = 1e-3) -> np.ndar
         raise DomainValidationError(
             f"at most {_MAX_GRID_POINTS} grid points, got {args.grid_points}"
         )
-    if not (geom.a - 1e-12 <= lo < hi <= 1.0 + 1e-12):
-        raise DomainValidationError(f"grid window [{lo}, {hi}] must sit inside [{geom.a}, 1]")
+    for end in (lo, hi):
+        geom.clamp_radius(end)
+    if not lo < hi:
+        raise DomainValidationError(f"grid window [{lo}, {hi}] must have r-min < r-max")
     return np.linspace(lo, hi, args.grid_points)
 
 

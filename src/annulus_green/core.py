@@ -146,20 +146,44 @@ class AnnulusGeometry:
             raise DomainValidationError("point coordinates must be finite")
         return arr
 
-    def clamp_radius(self, r: float) -> float:
-        """Validate r against [a, 1], up to RADIUS_SLACK, and clamp roundoff."""
+    def clamp_radius(self, r):
+        """Validate r against [a, 1], up to RADIUS_SLACK, and clamp roundoff.
+
+        ``r`` is a float or a 1-d array of radii (see _radii), which is
+        checked by the same rule and clamped elementwise.
+        """
+        if isinstance(r, np.ndarray):
+            inside = (self.a - RADIUS_SLACK <= r) & (r <= 1.0 + RADIUS_SLACK)
+            _radii(r, inside, f"outside the annulus range [{self.a}, 1]")
+            return np.clip(r, self.a, 1.0)
         if not (self.a - RADIUS_SLACK <= r <= 1.0 + RADIUS_SLACK):
             raise DomainValidationError(
                 f"radius {r} outside the annulus range [{self.a}, 1]"
             )
         return min(1.0, max(self.a, r))
 
-    def require_interior_radius(self, r: float) -> float:
+    def require_interior_radius(self, r):
+        """r as a float, or a 1-d array of radii as it is (see _radii), once
+        every radius lies strictly between a and 1."""
+        if isinstance(r, np.ndarray):
+            inside = (self.a < r) & (r < 1.0)
+            return _radii(r, inside, f"must lie strictly between a = {self.a} and 1")
         if not (self.a < r < 1.0):
             raise DomainValidationError(
                 f"radius {r} must lie strictly between a = {self.a} and 1"
             )
         return float(r)
+
+
+def _radii(r: np.ndarray, inside: np.ndarray, rule: str) -> np.ndarray:
+    """r, once it is 1-d and ``inside`` holds at every entry; otherwise
+    DomainValidationError, naming the first radius that breaks ``rule`` with
+    the scalar check's message."""
+    if r.ndim != 1:
+        raise DomainValidationError(f"expected a 1-d array of radii, got shape {r.shape}")
+    if not inside.all():
+        raise DomainValidationError(f"radius {float(r[~inside][0])} {rule}")
+    return r
 
 
 def newtonian_potential(geom: AnnulusGeometry, x: ArrayLike, y: ArrayLike) -> float:

@@ -42,8 +42,9 @@ m >= _HEAD_MODES in closed form.  The rows shrink by a^(k + 2 _HEAD_MODES),
 and terms_used counts head modes plus image rows.  robin2d_eval keeps its
 modes: its 1/m weights have no elementary sum over m.  One generator,
 _image_rows, forms the rows at one radius and at an array of radii, with the
-caller's tools (math's or numpy's elementwise functions, see _Tools) and
-stream of image indices j: integers, or for a grid columns of them.
+tools (see _Tools) that _robin_series chose and _remainder_rows passes on:
+math's or numpy's elementwise functions, and image indices j that are
+integers, or for a grid columns of them.
 
 _robin_series sums every Robin-family series of either dimension, at one
 radius or an array of them, from the table _SERIES; its closed forms share
@@ -72,19 +73,21 @@ independent route that green_eval is checked against.
 Every split remainder contracts by at most a^2 per mode at every radius, so
 a grid of radii can share one mode loop.  The grid twins robin_eval_grid,
 robin_radial_gradient_grid, robin2d_eval_grid, robin2d_first_grid and
-_green_slice take an array of radii and sum their remainders as one
-(modes x radii) table with summation.sum_series_table.  Their generators
-(_robin_remainder_grid, planar for k = 0, and _green_remainder_grid) sit
-beside the scalar ones, yield rows of the same shape, reuse the same closed
-forms and count rounding with the same named constants (_green_remainder_grid
-writes its running products mode by mode into one array, the scalar stream's
-multiplications); only the powers and logs that depend on the radius are
-numpy's, and each adds _NUMPY_EXTRA units to its piece.  The image rows and
-the binary frame (_framed_images) have no twin: both take their tools from
-the caller.  A grid entry therefore matches the scalar evaluator's terms
-used and convergence and stays inside its bound, while its value may differ
-by ulps.  A single point keeps the scalar path, whose fixed cost is far
-below a table's.
+_green_slice sum their remainders as one (modes x radii) table with
+summation.sum_series_table.  Only _robin_series and _green_split choose
+between one radius and an array, and they pass the choice down as a _Tools
+value (_SCALAR or _GRID); the geometry checks both by one rule.  Every
+formula outside the per-mode loops is written once: the closed forms, the
+remainders' starts (_robin_starts, _green_starts), the image rows and the
+binary frame (_framed_images).  The loops of _robin_remainder and
+_green_remainder keep grid twins, as sum_series keeps sum_series_table: a
+helper call per mode would slow the scalar path.  A twin yields rows of the
+same shape and counts rounding with the same named constants; only the
+powers and logs that depend on the radius are numpy's, and each adds
+_NUMPY_EXTRA units to its piece.  A grid entry therefore matches the scalar
+evaluator's terms used and convergence and stays inside its bound, while
+its value may differ by ulps.  A single point keeps the scalar path, whose
+fixed cost is far below a table's.
 """
 
 from __future__ import annotations
@@ -99,7 +102,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (
-    RADIUS_SLACK,
     AnnulusGeometry,
     ArrayLike,
     DomainValidationError,
@@ -235,8 +237,10 @@ _E_DIST = 3.0
 _E_COSINE = 4.0 + 2.0 * _E_RADIUS
 
 
-def _green_closed(k: int, a: float, lo: float, hi: float, d: float):
-    """The Newtonian term and the four images of the Green correction.
+def _green_closed(k: int, a: float, lo, hi, d, scale: float, tools: _Tools):
+    """The Newtonian term minus the four images of the Green correction,
+    times ``scale`` = 1/(k omega), and its rounding bound; lo, hi and d are
+    floats, or arrays of them with _GRID's tools (see _Tools).
 
     Mode m of the correction is (g1 - g2 - g3 + g4) P_m(t) / (1 - A_m) with
     g_i = c_i q_i^m, q = (lo hi, a^2 lo / hi, a^2 hi / lo, a^2 / (lo hi)) and
@@ -253,9 +257,10 @@ def _green_closed(k: int, a: float, lo: float, hi: float, d: float):
     every base is a sum of nonnegative parts whose differences are formed as
     (p - q)(p + q), so nothing cancels as r, s approach a sphere.
 
-    Returns the pieces of d^-k - image 1 + image 2 + image 3 - image 4 and a
+    The pieces of d^-k - image 1 + image 2 + image 3 - image 4 carry a
     first-order bound on their rounding, in units of the unit roundoff and
-    relative to 1 (the common factor 1/(k omega) is left to the caller).
+    relative to 1; their four sums and the two roundings of scale add 7, and
+    each numpy power tools.numpy_units more.
     """
     lam = 0.5 * k
     a2 = a * a
@@ -287,7 +292,8 @@ def _green_closed(k: int, a: float, lo: float, hi: float, d: float):
         image = (c / base) ** lam
         pieces.append(sign * image)
         ulps += image * (lam * (err / base + 2.0) + 2.0)
-    return pieces, ulps
+    closed = sum(pieces) * scale
+    return closed, _U * scale * (ulps + (7.0 + tools.numpy_units) * sum(abs(p) for p in pieces))
 
 
 def _column(values) -> np.ndarray:
@@ -295,15 +301,27 @@ def _column(values) -> np.ndarray:
     return np.fromiter(values, dtype=float)[:, None]
 
 
-def _green_units(k: int, amp: float) -> tuple[float, float, float]:
-    """(quad, per_mode, fixed): a Green remainder mode m rounds by at most
-    quad (m+1)^2 + per_mode m + fixed units of its envelope, counted in
-    _green_remainder's docstring; amp = 1/(1 - a^k)."""
-    return (
+def _green_starts(k: int, a: float, lo, hi, scale: float, tools: _Tools):
+    """The per-pair constants of a Green remainder (see _green_remainder) at
+    radii lo <= hi, floats or arrays as ``tools`` says: the factors b_i and
+    the starts h_i of its four parts, A_0 = a^k, the envelope's constant
+    |scale| / (1 - a^k), the largest factor max(b_1, b_4) and the counts
+    (quad, per_mode, fixed): mode m rounds by at most quad (m+1)^2 +
+    per_mode m + fixed units of its envelope, where fixed takes
+    tools.numpy_units for numpy's powers h_2, h_3 and h_4.
+    """
+    a2 = a * a
+    a4 = a2 * a2
+    bs = (a2 * (lo * hi), a4 * lo / hi, a4 * hi / lo, a4 / (lo * hi))
+    big_a = a**k
+    amp = 1.0 / (1.0 - big_a)  # bounds every 1/(1 - A_m)
+    units = (
         2.0 + _E_COSINE,
         6.0 + 2.0 * _E_RADIUS + 2.0 * amp,
-        (3.0 + 2.0 * _E_RADIUS) * k + 13.0 + amp,
+        (3.0 + 2.0 * _E_RADIUS) * k + 13.0 + amp + tools.numpy_units,
     )
+    hs = (big_a, (a2 / hi) ** k, (a2 / lo) ** k, (a2 / (lo * hi)) ** k)
+    return bs, hs, big_a, abs(scale) * amp, tools.maximum(bs[0], bs[3]), units
 
 
 def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: float):
@@ -329,15 +347,9 @@ def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: fl
     |dP_m/dt| <= (m+1)^2 C(k+m-1, m) turns the error of t into
     (m+1)^2 _E_COSINE units more.
     """
+    bs, hs, big_a, env_k, qmax, units = _green_starts(k, a, lo, hi, scale, _SCALAR)
+    (b1, b2, b3, b4), (h1, h2, h3, h4), (quad, per_mode, fixed) = bs, hs, units
     a2 = a * a
-    a4 = a2 * a2
-    b1, b2, b3, b4 = a2 * (lo * hi), a4 * lo / hi, a4 * hi / lo, a4 / (lo * hi)
-    h1, h2, h3, h4 = a**k, (a2 / hi) ** k, (a2 / lo) ** k, (a2 / (lo * hi)) ** k
-    big_a = a**k
-    amp = 1.0 / (1.0 - big_a)  # bounds every 1/(1 - A_m)
-    env_k = abs(scale) * amp
-    qmax = max(b1, b4)
-    quad, per_mode, fixed = _green_units(k, amp)
     # iter_gegenbauer's recurrence, inline as specfun's docstring explains;
     # ratio = (k + m)/(m + 1) and binom = C(k + m - 1, m)
     two_t = 2.0 * t
@@ -365,18 +377,12 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
     The arithmetic is _green_remainder's, in the same order: the h_i are the
     same running products and P_m(t) the same recurrence, so a column differs
     from the scalar stream only through h2, h3 and h4's starting powers, which
-    numpy takes; the rounding row adds _NUMPY_EXTRA for them.
+    numpy takes; the rounding row adds _NUMPY_EXTRA for them (_green_starts).
     """
+    bs, hs, big_a, env_k, qmax, (quad, per_mode, fixed) = _green_starts(k, a, lo, hi, scale, _GRID)
+    b = np.array(bs)
+    h = np.array([np.full_like(lo, hs[0]), *hs[1:]])
     a2 = a * a
-    a4 = a2 * a2
-    b = np.array([a2 * (lo * hi), a4 * lo / hi, a4 * hi / lo, a4 / (lo * hi)])
-    h = np.array([np.full_like(lo, a**k), (a2 / hi) ** k, (a2 / lo) ** k, (a2 / (lo * hi)) ** k])
-    big_a = a**k
-    amp = 1.0 / (1.0 - big_a)
-    env_k = abs(scale) * amp
-    qmax = np.maximum(b[0], b[3])
-    quad, per_mode, fixed = _green_units(k, amp)
-    fixed += _NUMPY_EXTRA
     modes = summation.TABLE_MODES
     lam = 0.5 * k
     rows = zip(_mode_table(_gegenbauer_modes, lam), iter_gegenbauer(lam, t))
@@ -404,13 +410,32 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
         )
 
 
-def _green_closed_part(k: int, a: float, lo, hi, d, scale: float, extra: float = 0.0):
-    """The Newtonian term minus the four images, times ``scale`` = 1/(k omega),
-    and its rounding bound; ``extra`` units per piece cover numpy's powers."""
-    pieces, ulps = _green_closed(k, a, lo, hi, d)
-    closed = sum(pieces) * scale
-    # the pieces' own errors, their four sums and the two roundings of scale
-    return closed, _U * scale * (ulps + (7.0 + extra) * sum(abs(p) for p in pieces))
+def _green_split(geom: AnnulusGeometry, lo, hi, t, d, policy: TruncationPolicy):
+    """green_eval's series at radii lo <= hi, cosine t and distance d: its
+    closed form (_green_closed) plus its remainder.  For floats an
+    EvalResult; for arrays, one entry per pair, an EvalGrid summed as one
+    table.  With _robin_series the only place that chooses between the two:
+    it picks the remainder stream, the summer and the tools (see _Tools).
+    """
+    k, a = geom.n - 2, geom.a
+    try:
+        scale = 1.0 / (k * geom.omega)
+        if isinstance(lo, np.ndarray):
+            with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
+                closed, rounding = _green_closed(k, a, lo, hi, d, scale, _GRID)
+                res = sum_series_table(
+                    lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
+                    lo.size,
+                    policy,
+                )
+        else:
+            closed, rounding = _green_closed(k, a, lo, hi, d, scale, _SCALAR)
+            res = sum_series(_green_remainder(k, a, lo, hi, t, -scale), policy, closed)
+    except (OverflowError, ZeroDivisionError):
+        raise TailEnvelopeError(
+            f"the Green function for n = {geom.n} leaves the double-precision range here"
+        ) from None
+    return _split_result(closed, rounding, res, geom.omega_rel_error)
 
 
 def green_eval(
@@ -437,18 +462,8 @@ def green_eval(
             "diagonal values come from robin_eval"
         )
     t = _clamp_argument(math.fsum(map(operator.mul, xs, ys)) / (r * s))
-    n, a = geom.n, geom.a
-    k = n - 2
     lo, hi = (r, s) if r <= s else (s, r)
-    try:
-        scale = 1.0 / (k * geom.omega)
-        closed, closed_rounding = _green_closed_part(k, a, lo, hi, d, scale)
-        res = sum_series(_green_remainder(k, a, lo, hi, t, -scale), policy, closed)
-    except (OverflowError, ZeroDivisionError):
-        raise TailEnvelopeError(
-            f"the Green function for n = {n} leaves the double-precision range here"
-        ) from None
-    return _split_result(closed, closed_rounding, res, geom.omega_rel_error)
+    return _green_split(geom, lo, hi, t, d, policy)
 
 
 def _green_slice(
@@ -467,13 +482,8 @@ def _green_slice(
     """
     geom.require_series_dim()
     ys = geom.point(y).tolist()
-    n, a = geom.n, geom.a
-    x0 = _radius_array(radii)
-    outside = ~((a - RADIUS_SLACK <= x0) & (x0 <= 1.0 + RADIUS_SLACK))
-    if outside.any():
-        raise DomainValidationError(
-            f"radius {float(x0[outside][0])} outside the annulus range [{a}, 1]"
-        )
+    x0 = np.asarray(radii, dtype=float)
+    r = geom.clamp_radius(x0)
     # |x - y| errs by _E_DIST like math.dist: the difference and its square
     # take 3 units, fsum of the other squares 2, their sum and sqrt 1 each
     d = np.sqrt((x0 - ys[0]) ** 2 + math.fsum(v * v for v in ys[1:]))
@@ -484,27 +494,11 @@ def _green_slice(
         tail_bound=np.full(d.size, np.nan),
         converged=np.zeros(d.size, dtype=bool),
     )
-    x0 = x0[far]
-    r = np.clip(x0, a, 1.0)
+    x0, r = x0[far], r[far]
     s = geom.clamp_radius(math.hypot(*ys))
     # <x, y> / (|x| |y|) with the roundings of green_eval's fsum form
     t = np.clip((x0 * ys[0]) / (r * s), -1.0, 1.0)
-    k = n - 2
-    lo, hi = np.minimum(r, s), np.maximum(r, s)
-    try:
-        with np.errstate(all="ignore"):
-            scale = 1.0 / (k * geom.omega)
-            closed, closed_rounding = _green_closed_part(k, a, lo, hi, d[far], scale, _NUMPY_EXTRA)
-            res = sum_series_table(
-                lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
-                r.size,
-                policy,
-            )
-    except (OverflowError, ZeroDivisionError):
-        raise TailEnvelopeError(
-            f"the Green function for n = {n} leaves the double-precision range here"
-        ) from None
-    res = _split_result(closed, closed_rounding, res, geom.omega_rel_error)
+    res = _green_split(geom, np.minimum(r, s), np.maximum(r, s), t, d[far], policy)
     grid.value[far], grid.terms_used[far] = res.value, res.terms_used
     grid.tail_bound[far], grid.converged[far] = res.tail_bound, res.converged
     return d, grid
@@ -633,13 +627,34 @@ def _robin_modes(k: int, parts, after=None):
         m += 1
 
 
-# the elementwise functions that _image_rows and _framed_images apply, math's
-# at one radius (_SCALAR) and numpy's at an array of radii (_GRID), and the
-# errors of log q, per |log q|, and of each exp or expm1, in units of the unit
-# roundoff (see _image_units)
-_Tools = collections.namedtuple("_Tools", "exp expm1 log frexp ldexp maximum log_units exp_units")
-_SCALAR = _Tools(math.exp, math.expm1, math.log, math.frexp, math.ldexp, max, 8.0, 2.0)
-_GRID = _Tools(np.exp, np.expm1, np.log, np.frexp, np.ldexp, np.maximum, 10.0, 2.0 + _NUMPY_EXTRA)
+# what differs between one radius (_SCALAR) and an array of radii (_GRID),
+# chosen once by _robin_series or _green_split and passed down: the
+# elementwise functions, math's or numpy's; the errors of log q, per |log q|,
+# and of each exp or expm1 (see _image_units) and the units that each numpy
+# power or log adds (0 at one radius), in units of the unit roundoff; the
+# Robin-family mode stream and the splice of its image rows (see
+# _remainder_rows); and the image indices j that _image_rows reads
+_Tools = collections.namedtuple(
+    "_Tools",
+    "exp expm1 log frexp ldexp maximum log_units exp_units numpy_units modes imaged js",
+)
+
+
+def _robin_starts(k: int, a: float, r, tools: _Tools):
+    """(b1, b4, starts, env_k, step): the per-radius constants of a
+    Robin-family remainder (see _robin_remainder) at r, a float or an array
+    of radii as ``tools`` says.  b1 = r a and b4 = a^2 / r are the image
+    bases, the starts are s_i = c_i A_0 = (a^k, (a^2/r)^k, (a/r)^(2k)),
+    env_k = 1/(1 - A_first) bounds every 1/(1 - A_m), and step =
+    a^2 max(r^2, a^2/r^2) bounds the images' shrinking per mode.
+    """
+    return (
+        r * a,
+        a * a / r,
+        (a**k, (a * a / r) ** k, (a / r) ** (2 * k)),
+        -1.0 / math.expm1((k + 2 * _mode_form(k)[0]) * math.log(a)),
+        a * a * tools.maximum(r * r, (a / r) ** 2),
+    )
 
 
 def _framed_images(bases, starts, powers, polys, tools: _Tools):
@@ -702,15 +717,7 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
     expm1, ldexp = math.expm1, math.ldexp
     log_a = math.log(a)
-    first = _mode_form(k)[0]
-    b1 = r * a
-    b4 = a * a / r
-    s1_0 = a**k
-    s2_0 = (a * a / r) ** k
-    s4_0 = (a / r) ** (2 * k)
-    # 1/(1 - A_first) bounds every 1/(1 - A_m)
-    env_k = -1.0 / expm1((k + 2 * first) * log_a)
-    step = a * a * max(r * r, (a / r) ** 2)
+    b1, b4, (s1_0, s2_0, s4_0), env_k, step = _robin_starts(k, a, r, _SCALAR)
     below = _FRAME_BELOW
     for m, p1, p2, p4, weight, ratio, growth, units in _mode_table(_robin_modes, k, parts):
         # s_i (x + d_i)^e_i, so that P_i(m) s_i = coef_i w_i
@@ -760,15 +767,8 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
     expm1 = math.expm1
     log_a = math.log(a)
-    first = _mode_form(k)[0]
     extra = (2.0 if k else 1.0) * _NUMPY_EXTRA
-    b1 = r * a
-    b4 = a * a / r
-    s1_0 = a**k
-    s2_0 = (a * a / r) ** k
-    s4_0 = (a / r) ** (2 * k)
-    env_k = -1.0 / expm1((k + 2 * first) * log_a)
-    step = a * a * np.maximum(r * r, (a / r) ** 2)
+    b1, b4, (s1_0, s2_0, s4_0), env_k, step = _robin_starts(k, a, r, _GRID)
     rows = iter(_mode_table(_robin_modes, k, parts))
     modes = summation.TABLE_MODES
     while True:
@@ -872,12 +872,12 @@ def _images(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     """Per image with a nonzero coefficient: scale coef_i s_i, log x_i, the
     weights of _image_weights and the (fixed, slope) counts of _image_units.
 
-    s_i = c_i a^k is _robin_remainder's start (1 in the plane), and
-    log x_i = (2 log r, 2 log a, 2 (log a - log r)), with the log of
-    ``tools``.
+    s_i = c_i a^k is _robin_remainder's start (1 in the plane, see
+    _robin_starts), and log x_i = (2 log r, 2 log a, 2 (log a - log r)), with
+    the log of ``tools``.
     """
     la, lr = math.log(a), tools.log(r)
-    starts = (a**k, (a * a / r) ** k, (a / r) ** (2 * k))
+    starts = _robin_starts(k, a, r, tools)[2]
     logs = (2.0 * lr, 2.0 * la, 2.0 * (la - lr))
     e_y, t = tools.log_units, tools.exp_units
     out = []
@@ -889,9 +889,9 @@ def _images(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     return out
 
 
-def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools, js):
+def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     """The modes m >= m0 of a Robin-family remainder, summed over m as rows of
-    images j = 1, 2, ..., which ``js`` yields in turn.
+    images j = 1, 2, ..., which tools.js() yields in turn.
 
     The remainder is scale sum_m w_i(m) coef_i c_i x_i^m A_m / (1 - A_m) over
     the images of _robin_remainder (in the plane, k = 0, c_i = 1 and
@@ -908,18 +908,19 @@ def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools, js):
     c_i a^(jk) q^m0 = s_i exp((j-1) k log a + m0 y) with s_i <= 1.  Each
     row's rounding allowance adds up _image_units over its images.
 
-    At one radius the tools are _SCALAR's and js the integers 1, 2, ...,
-    and y errs by at most 8 |y| units.  At an array of radii they are _GRID's
-    and columns of j (see _image_rows_grid), each row a (j x radii) table in
-    which y errs by 10 |y| units and each numpy power, exp or expm1 by
-    _NUMPY_EXTRA more.
+    At one radius the tools are _SCALAR's and j the integers 1, 2, ..., and
+    y errs by at most 8 |y| units.  At an array of radii they are _GRID's and
+    j a column of summation.TABLE_MODES indices per chunk, each row a
+    (j x radii) table in which y errs by 10 |y| units and each numpy power,
+    exp or expm1 by _NUMPY_EXTRA more; _imaged_grid spreads its ratio over
+    the chunk.
     """
     ratio = a ** (k + 2 * m0)
     la = math.log(a)
     two_la, k_la = 2.0 * la, k * la
     images = _images(k, a, r, scale, parts, m0, tools)
     exp, expm1 = tools.exp, tools.expm1
-    for j in js:
+    for j in tools.js():
         shift = (j - 1) * k_la
         term = env = units = 0.0
         for start, log_x, weights, fixed, slope in images:
@@ -937,16 +938,6 @@ def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools, js):
         yield term, env, ratio, units
 
 
-def _image_rows_grid(k: int, a: float, r, scale, parts, m0: int):
-    """_image_rows for an array of radii, in chunks of summation.TABLE_MODES
-    rows as sum_series_table reads them: a column of j per chunk, and the
-    ratio spread over the chunk's shape."""
-    modes = summation.TABLE_MODES
-    js = (_column(range(j0, j0 + modes)) for j0 in itertools.count(1, modes))
-    for term, env, ratio, units in _image_rows(k, a, r, scale, parts, m0, _GRID, js):
-        yield term, env, np.full(term.shape, ratio), units
-
-
 def _imaged(rows, images):
     """The first _HEAD_MODES rows of a mode stream, with ratio inf so that
     they never stop the sum, then the image rows of the deeper modes."""
@@ -958,7 +949,7 @@ def _imaged(rows, images):
 
 def _imaged_grid(chunks, images):
     """_imaged for a grid twin's chunks: the first _HEAD_MODES rows, cut from
-    whole chunks, then the image chunks."""
+    whole chunks, then the image chunks, each ratio spread over its chunk."""
     left = _HEAD_MODES
     for term, env, rho, units in chunks:
         rows = min(left, len(term))
@@ -966,22 +957,40 @@ def _imaged_grid(chunks, images):
         left -= rows
         if not left:
             break
-    yield from images
+    for term, env, ratio, units in images:
+        yield term, env, np.full(term.shape, ratio), units
 
 
-def _remainder_rows(k: int, a: float, r, scale, parts, images: bool):
+def _image_columns():
+    """The image indices j = 1, 2, ... as one column of summation.TABLE_MODES
+    of them per chunk, as sum_series_table reads a grid twin's rows."""
+    modes = summation.TABLE_MODES
+    return (_column(range(j0, j0 + modes)) for j0 in itertools.count(1, modes))
+
+
+_SCALAR = _Tools(
+    exp=math.exp, expm1=math.expm1, log=math.log, frexp=math.frexp, ldexp=math.ldexp,
+    maximum=max, log_units=8.0, exp_units=2.0, numpy_units=0.0,
+    modes=_robin_remainder, imaged=_imaged, js=functools.partial(itertools.count, 1),
+)
+_GRID = _Tools(
+    exp=np.exp, expm1=np.expm1, log=np.log, frexp=np.frexp, ldexp=np.ldexp,
+    maximum=np.maximum, log_units=10.0, exp_units=2.0 + _NUMPY_EXTRA, numpy_units=_NUMPY_EXTRA,
+    modes=_robin_remainder_grid, imaged=_imaged_grid, js=_image_columns,
+)
+
+
+def _remainder_rows(k: int, a: float, r, scale, parts, images: bool, tools: _Tools):
     """The rows of a Robin-family remainder (planar for k = 0): its modes, or
     with ``images`` its first _HEAD_MODES modes and then the image rows of
-    the rest.  For an array of radii (and of scales, in the plane) the rows
-    come in the grid twins' chunks, as sum_series_table reads them."""
-    grid = isinstance(r, np.ndarray)
-    rows = (_robin_remainder_grid if grid else _robin_remainder)(k, a, r, scale, parts)
+    the rest.  With _GRID's tools, for an array of radii (and of scales, in
+    the plane), the rows come in the grid twins' chunks, as sum_series_table
+    reads them."""
+    rows = tools.modes(k, a, r, scale, parts)
     if not images:
         return rows
     m0 = _HEAD_MODES + _mode_form(k)[0]
-    if grid:
-        return _imaged_grid(rows, _image_rows_grid(k, a, r, scale, parts, m0))
-    return _imaged(rows, _image_rows(k, a, r, scale, parts, m0, _SCALAR, itertools.count(1)))
+    return tools.imaged(rows, _image_rows(k, a, r, scale, parts, m0, tools))
 
 
 def _robin_closed(k, a, r, u, v, w, log):
@@ -1075,18 +1084,17 @@ _SERIES = {
 }
 
 
-def _normalised(series: _Series, geom: AnnulusGeometry, r, log):
+def _normalised(series: _Series, geom: AnnulusGeometry, r, tools: _Tools):
     """The closed form of ``series`` at r, its rounding bound, and its
     remainder's prefactor and parts, in the family's normalisation: for
     n >= 3 the closed form times -1/omega and the prefactor over -k omega, in
-    the plane both as they are.  ``log`` is math.log, or np.log for an array
-    of radii.
+    the plane both as they are.  r is a float with _SCALAR's tools, or an
+    array of radii with _GRID's.
     """
     k, a = geom.n - 2, geom.a
     u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
-    pieces, ulps, absolute, factors = series.closed(k, a, r, u, v, w, log)
-    if log is np.log:
-        ulps += factors * _NUMPY_EXTRA
+    pieces, ulps, absolute, factors = series.closed(k, a, r, u, v, w, tools.log)
+    ulps += factors * tools.numpy_units
     closed, rounding = sum(pieces), _U * (absolute + ulps * sum(map(abs, pieces)))
     scale, parts = series.remainder(k, r)
     if not k:
@@ -1105,31 +1113,23 @@ def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
         geom.require_series_dim()
     else:
         geom = AnnulusGeometry(2, geom)
-    grid = isinstance(r, np.ndarray)
-    if grid:
-        outside = ~((geom.a < _radius_array(r)) & (r < 1.0))
-        if outside.any():
-            raise DomainValidationError(
-                f"radius {float(r[outside][0])} must lie strictly between a = {geom.a} and 1"
-            )
-    else:
-        r = geom.require_interior_radius(r)
+    r = geom.require_interior_radius(r)
     k, a = geom.n - 2, geom.a
     try:
-        if grid:
+        if isinstance(r, np.ndarray):
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-                closed, rounding, scale, parts = _normalised(series, geom, r, np.log)
+                closed, rounding, scale, parts = _normalised(series, geom, r, _GRID)
                 route = _image_route(a, policy, parts)
 
                 def table(cols):  # in the plane a prefactor may vary with r
                     sc = scale[cols] if np.ndim(scale) else scale
-                    return _remainder_rows(k, a, r[cols], sc, parts, route)
+                    return _remainder_rows(k, a, r[cols], sc, parts, route, _GRID)
 
                 res = sum_series_table(table, r.size, policy)
         else:
-            closed, rounding, scale, parts = _normalised(series, geom, r, math.log)
-            rows = _remainder_rows(k, a, r, scale, parts, _image_route(a, policy, parts))
-            res = sum_series(rows, policy, closed)
+            closed, rounding, scale, parts = _normalised(series, geom, r, _SCALAR)
+            route = _image_route(a, policy, parts)
+            res = sum_series(_remainder_rows(k, a, r, scale, parts, route, _SCALAR), policy, closed)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
             f"the Robin series for n = {k + 2} leaves the double-precision range here: "
@@ -1148,13 +1148,6 @@ def _scalar_radius(r):
                 f"expected a scalar radius, got an array of shape {r.shape}"
             )
         return float(r)
-    return r
-
-
-def _radius_array(radii) -> np.ndarray:
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1:
-        raise DomainValidationError(f"expected a 1-d array of radii, got shape {r.shape}")
     return r
 
 

@@ -19,6 +19,7 @@ mode table in specfun, zipped with iter_gegenbauer's P_m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -31,6 +32,7 @@ from .core import (
     EvalResult,
     QuadratureDegreeError,
     SeriesDivergenceError,
+    TailEnvelopeError,
     TruncationPolicy,
     require_integer,
     require_unit,
@@ -127,6 +129,18 @@ def _norm_units(n: int) -> float:
     return 0.5 * n + 1.0
 
 
+def _source_scale(rho: float, n: int) -> float:
+    """rho^(2-n), the prefactor of a Newtonian series whose larger radius is
+    rho; TailEnvelopeError where it overflows (rho < 1 at large n)."""
+    try:
+        return rho ** (2 - n)
+    except OverflowError:
+        raise TailEnvelopeError(
+            f"the Newtonian series for n = {n} leaves the double-precision range here: "
+            f"{rho}^{2 - n} overflows"
+        ) from None
+
+
 def newtonian_series_outer(
     geom: AnnulusGeometry, xi: ArrayLike, y: ArrayLike, policy: TruncationPolicy
 ) -> EvalResult:
@@ -160,7 +174,7 @@ def newtonian_series_inner(
     if s <= geom.a:
         raise SeriesDivergenceError(f"series diverges for |y| <= a, got |y| = {s}")
     t = _clamp_argument(float(xiv @ yv) / s)
-    scale = s ** (2 - geom.n)
+    scale = _source_scale(s, geom.n)
     e = _norm_units(geom.n)
     inputs = (geom.n + 2.0 * e + 3.0, e + 1.0, (geom.n - 2) * e + 2.0)
     return sum_series(_generating_rows(0.5 * (geom.n - 2), t, geom.a / s, scale, inputs), policy)
@@ -178,7 +192,7 @@ def newtonian_series_exterior(
     if r <= s:
         raise SeriesDivergenceError(f"series needs |x| > |y|, got |x| = {r}, |y| = {s}")
     t = _clamp_argument(float(xhat @ yhat))
-    scale = r ** (2 - geom.n)
+    scale = _source_scale(r, geom.n)
     e = _norm_units(geom.n)
     inputs = (geom.n + 2.0 * e + 2.0, 2.0 * e + 1.0, (geom.n - 2) * e + 2.0)
     return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s / r, scale, inputs), policy)
@@ -195,13 +209,30 @@ def poisson_coeff_b(geom: AnnulusGeometry, m: int, r: float) -> float:
 
 
 def poisson_coeff_c(geom: AnnulusGeometry, m: int, r: float) -> float:
-    """Inner-sphere radial coefficient r^(-m) (a/r)^(m+n-2) (1-r^(2m+n-2))/(1-a^(2m+n-2))."""
+    """Inner-sphere radial coefficient r^(-m) (a/r)^(m+n-2) (1-r^(2m+n-2))/(1-a^(2m+n-2)).
+
+    Formed as q^(m/2) rest q^(m/2) with q = a/r^2 and rest = (a/r)^(n-2)
+    (1 - r^beta)/(1 - a^beta) in [0, 1], beta = 2m + n - 2, so that a half
+    power of q overflows only where the value is far beyond the double
+    range.  Where the value leaves that range it raises TailEnvelopeError.
+    """
     geom.require_series_dim()
     require_integer(m, "mode", 0)
     m = int(m)
     rr = geom.clamp_radius(r)
-    beta = 2 * m + geom.n - 2
-    return rr ** (-m) * (geom.a / rr) ** (m + geom.n - 2) * (1.0 - rr**beta) / (1.0 - geom.a**beta)
+    n, a = geom.n, geom.a
+    beta = 2 * m + n - 2
+    q = a / (rr * rr)
+    rest = (a / rr) ** (n - 2) * (1.0 - rr**beta) / (1.0 - a**beta)
+    try:
+        value = q ** (m // 2) * rest * q ** (m - m // 2)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise TailEnvelopeError(
+            f"the Poisson coefficient for m = {m} leaves the double-precision range here"
+        )
+    return value
 
 
 def harmonic_extension(

@@ -47,6 +47,7 @@ from .core import (
     ArrayLike,
     DomainValidationError,
     EvalResult,
+    TailEnvelopeError,
     TruncationPolicy,
     require_integer,
     require_unit,
@@ -173,15 +174,27 @@ def iter_gegenbauer(lam: float, t: Scalar) -> Iterator[Scalar]:
         p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or TailEnvelopeError where it is not a finite double."""
+    if not math.isfinite(value):
+        raise TailEnvelopeError(f"{what} leaves the double-precision range ({value!r})")
+    return value
+
+
 def gegenbauer_eval(lam: float, m: int, t: float) -> float:
-    """P_m(t) for parameter lam > 0, |t| <= 1, via the three-term recurrence."""
+    """P_m(t) for parameter lam > 0, |t| <= 1, via the three-term recurrence.
+
+    |P_m(t)| <= P_m(1) = C(m + 2 lam - 1, m), which overflows at large m and
+    lam; where the recurrence does (its inf - inf gives a NaN) it raises
+    TailEnvelopeError.
+    """
     lam = _check_order(lam)
     require_integer(m, "degree", 0)
     tc = _clamp_argument(t)
     it = iter_gegenbauer(lam, tc)
     for _ in range(m):
         next(it)
-    return float(next(it))
+    return _finite(float(next(it)), f"P_{m}({tc}) for lam = {lam}")
 
 
 def gegenbauer_endpoint_exact(n: int, m: int) -> int:
@@ -327,5 +340,6 @@ def zonal_from_gegenbauer(n: int, m: int, xprime: ArrayLike, yprime: ArrayLike) 
     if xp.shape != (n,) or yp.shape != (n,):
         raise DomainValidationError("arguments must be unit vectors of R^n")
     t = _clamp_argument(float(xp @ yp))
-    return (2 * m + n - 2) / (n - 2) * gegenbauer_eval(0.5 * (n - 2), m, t)
+    value = (2 * m + n - 2) / (n - 2) * gegenbauer_eval(0.5 * (n - 2), m, t)
+    return _finite(value, f"Z_{m} for n = {n}")
 

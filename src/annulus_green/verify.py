@@ -31,6 +31,7 @@ from .core import (
 )
 from .critical import count_gradient_sign_changes, find_critical_point
 from .green import (
+    _SCALAR,
     _SERIES,
     _normalised,
     _radial,
@@ -472,9 +473,9 @@ def suite_robin_derivatives(rng: np.random.Generator) -> SuiteResult:
             else:
                 names = ("robin_eval", "robin_radial_gradient", "robin_radial_gradient_derivative")
             for name in names:
-                _, _, scale, parts = _normalised(_SERIES[name], geom, r, math.log)
+                _, _, scale, parts = _normalised(_SERIES[name], geom, r, _SCALAR)
                 modes, images = (
-                    sum_series(_remainder_rows(k, a, r, scale, parts, flag), tail_pol)
+                    sum_series(_remainder_rows(k, a, r, scale, parts, flag, _SCALAR), tail_pol)
                     for flag in (False, True)
                 )
                 bound = modes.tail_bound + images.tail_bound

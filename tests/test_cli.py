@@ -404,6 +404,27 @@ class TestExportGrid:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, end, code",
+        [
+            ("--r-min", 0.5 - 5e-10, 0),
+            ("--r-max", 1.0 + 5e-10, 0),
+            ("--r-min", 0.5 - 2e-9, 2),
+            ("--r-max", 1.0 + 2e-9, 2),
+        ],
+    )
+    def test_green_slice_window_takes_the_radius_slack(self, capsys, option, end, code):
+        # a window end may miss [a, 1] by RADIUS_SLACK = 1e-9, as green_eval's
+        # radii may, and no further
+        argv = ["export-grid", "green-slice", "--n", "3", "--a", "0.5", "--y", "0,0.7,0"]
+        got, out = run_cli(capsys, *argv, "--grid-points", "3", option, repr(end))
+        assert got == code
+        if code:
+            record = json.loads(out)
+            assert record["message"] == f"radius {end!r} outside the annulus range [0.5, 1]"
+        else:
+            assert json.loads(out)["rows"][0 if option == "--r-min" else -1][0] == end
+
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_green_slice_needs_two_grid_points(self, capsys, points):
         code, out = run_cli(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from annulus_green import (
     AnnulusGeometry,
+    DomainValidationError,
     TailEnvelopeError,
     TruncationPolicy,
     green_eval,
@@ -96,6 +97,42 @@ def test_robin_family_grid_matches_scalar(name, n, a, fracs):
     radii = _radii(a, fracs)
     grid = grid_fn(n, a, radii, POLICY)
     assert_matches_scalar(grid, [scalar_fn(n, a, float(r), POLICY) for r in radii])
+
+
+def _refusal(call):
+    """The message of the DomainValidationError that ``call`` raises, or None
+    where it returns."""
+    try:
+        call()
+    except DomainValidationError as exc:
+        return str(exc)
+    return None
+
+
+# a = 0.5: the Robin family's grid twins at the spheres, just past them and
+# at NaN, and green_eval at r e1 against _green_slice, whose radii may miss
+# [a, 1] by RADIUS_SLACK = 1e-9 (a NaN coordinate is refused as a point)
+SPHERE_RADII = [0.5 - 2e-9, 1.0 + 2e-9, 0.5, 1.0]
+PAIRS_AT_SPHERES = [(name, r) for name in sorted(QUANTITIES) for r in SPHERE_RADII + [math.nan]]
+PAIRS_AT_SPHERES += [("green", r) for r in SPHERE_RADII]
+
+
+@pytest.mark.parametrize("name, r", PAIRS_AT_SPHERES)
+def test_scalar_and_grid_refuse_the_same_radii(name, r):
+    # the geometry checks a float and an array of radii by one rule, so both
+    # members of a pair refuse a radius with the same message or both accept
+    if name == "green":
+        geom, y = AnnulusGeometry(3, 0.5), np.array([0.0, 0.7, 0.0])
+        scalar = _refusal(lambda: green_eval(geom, [r, 0.0, 0.0], y, POLICY))
+        grid = _refusal(lambda: green._green_slice(geom, np.array([0.75, r]), y, POLICY))
+    else:
+        grid_fn, scalar_fn = QUANTITIES[name]
+        n = 2 if name.startswith("robin2d") else 3
+        scalar = _refusal(lambda: scalar_fn(n, 0.5, r, POLICY))
+        grid = _refusal(lambda: grid_fn(n, 0.5, np.array([0.75, r]), POLICY))
+    assert scalar == grid
+    # the Robin family is interior, and green_eval takes the closed range
+    assert (scalar is None) == (name == "green" and r in (0.5, 1.0))
 
 
 @given(

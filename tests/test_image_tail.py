@@ -10,7 +10,6 @@ m >= M the same way.  The values and roots of thin annuli come from
 here.
 """
 
-import itertools
 import json
 import math
 
@@ -34,11 +33,12 @@ from annulus_green import (
 )
 from annulus_green import green
 from annulus_green.green import (
+    _GRID,
     _HEAD_MODES,
     _SCALAR,
     _image_rows,
-    _image_rows_grid,
     _image_weights,
+    _imaged_grid,
     _remainder_rows,
 )
 from annulus_green.summation import sum_series, sum_series_table
@@ -143,20 +143,20 @@ def test_image_rows_cover_mpmath_remainder(name, n, a, frac):
     r = a + frac * (1.0 - a)
     k, scale, parts, m0 = _remainder(name, n, a, r)
     policy = TruncationPolicy(abs_tol=1e-30, max_terms=300_000)
-    rows = _image_rows(k, a, r, scale, parts, m0, _SCALAR, itertools.count(1))
+    rows = _image_rows(k, a, r, scale, parts, m0, _SCALAR)
     res = sum_series(rows, policy)
     ref = mp_split_remainder(k, a, r, scale, parts, start=m0)
     assert res.converged
     assert _error(res.value, ref) <= res.tail_bound
-    # the grid twin, with the row of the same radius twice
+    # the grid twin, with the row of the same radius twice: the image rows
+    # as _imaged_grid passes them on after no head modes
     radii, scales = np.array([r, r]), np.array([scale, scale])
-    grid = sum_series_table(
-        lambda cols: _image_rows_grid(
-            k, a, radii[cols], scales[cols] if n == 2 else scale, parts, m0
-        ),
-        2,
-        policy,
-    )
+
+    def table(cols):
+        sc = scales[cols] if n == 2 else scale
+        return _imaged_grid((), _image_rows(k, a, radii[cols], sc, parts, m0, _GRID))
+
+    grid = sum_series_table(table, 2, policy)
     for j in range(2):
         assert grid.terms_used[j] == res.terms_used
         assert _error(grid.value[j], ref) <= grid.tail_bound[j]
@@ -173,8 +173,8 @@ def test_image_route_agrees_with_mode_series(name, n, a, frac):
     r = a + frac * (1.0 - a)
     k, scale, parts, _ = _remainder(name, n, a, r)
     policy = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
-    plain = sum_series(_remainder_rows(k, a, r, scale, parts, False), policy)
-    imaged = sum_series(_remainder_rows(k, a, r, scale, parts, True), policy)
+    plain = sum_series(_remainder_rows(k, a, r, scale, parts, False, _SCALAR), policy)
+    imaged = sum_series(_remainder_rows(k, a, r, scale, parts, True, _SCALAR), policy)
     assert plain.converged and imaged.converged
     assert abs(plain.value - imaged.value) <= plain.tail_bound + imaged.tail_bound
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,8 +11,10 @@ from annulus_green import (
     QuadratureDegreeError,
     SeriesDivergenceError,
     SphereQuadrature,
+    TailEnvelopeError,
     TruncationPolicy,
     build_sphere_quadrature,
+    gegenbauer_eval,
     harmonic_extension,
     modal_bvp_fd,
     newtonian_series_exterior,
@@ -21,6 +24,7 @@ from annulus_green import (
     poisson_coeff_c,
     sphere_surface_area,
     zonal_direct,
+    zonal_from_gegenbauer,
 )
 from annulus_green.oracle import FDGrid
 from conftest import random_unit
@@ -121,6 +125,56 @@ class TestPoissonCoefficients:
             poisson_coeff_b(geom, 1, 0.4)
         with pytest.raises(DomainValidationError):
             poisson_coeff_c(geom, 1, 1.1)
+
+    @pytest.mark.parametrize(
+        "n, m, r",
+        [
+            (3, 1200, 0.55),  # 7.1e261, where r^-m alone overflows
+            (3, 8000, 0.9),  # 4e-1677, which is 0.0 as a double
+            (10, 1413, 0.55),  # 1.1e308, where (a/r^2)^m alone would overflow
+        ],
+    )
+    def test_inner_coefficient_where_a_power_leaves_the_range(self, n, m, r):
+        with mpmath.workdps(50):
+            a, rr, beta = mpmath.mpf(0.5), mpmath.mpf(r), 2 * m + n - 2
+            ref = rr ** (-m) * (a / rr) ** (m + n - 2) * (1 - rr**beta) / (1 - a**beta)
+            want = float(ref)
+        got = poisson_coeff_c(AnnulusGeometry(n, 0.5), m, r)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_inner_coefficient_beyond_the_range_is_a_typed_error(self):
+        # the value is 7.3e309
+        with pytest.raises(TailEnvelopeError):
+            poisson_coeff_c(AnnulusGeometry(3, 0.5), 1420, 0.55)
+
+
+def _axis(n, i, length=1.0):
+    v = np.zeros(n)
+    v[i] = length
+    return v
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # |y|^(2-n) overflows, at |y| = 0.55 and n = 1200
+        lambda: newtonian_series_inner(
+            AnnulusGeometry(1200, 0.5), _axis(1200, 0), _axis(1200, 1, 0.55), POLICY
+        ),
+        # |x|^(2-n) overflows, at |x| = 0.9 and n = 7000
+        lambda: newtonian_series_exterior(
+            AnnulusGeometry(7000, 0.5), _axis(7000, 0, 0.9), _axis(7000, 1, 0.5), POLICY
+        ),
+        # P_2000(1) = C(2799, 2000), about 1.5e725
+        lambda: gegenbauer_eval(400.0, 2000, 1.0),
+        lambda: zonal_from_gegenbauer(802, 2000, _axis(802, 0), _axis(802, 0)),
+    ],
+    ids=["newtonian_series_inner", "newtonian_series_exterior", "gegenbauer_eval", "zonal"],
+)
+def test_values_beyond_the_double_range_are_typed_errors(call):
+    # an evaluator never returns a NaN and never raises an untyped error
+    with pytest.raises(TailEnvelopeError):
+        call()
 
 
 class TestQuadrature:
