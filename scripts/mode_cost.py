@@ -119,8 +119,10 @@ def main() -> int:
     import annulus_green as ag
     from annulus_green import specfun
 
-    # a source tree without mode tables times every call as warm
-    clear = getattr(getattr(specfun, "_mode_table", None), "cache_clear", lambda: None)
+    # the mode tables' cache: _stored_rows, or _mode_table in an older source
+    # tree; a source tree without mode tables times every call as warm
+    tables = getattr(specfun, "_stored_rows", None) or getattr(specfun, "_mode_table", None)
+    clear = getattr(tables, "cache_clear", lambda: None)
     print(f"{'evaluator':<34} {'radius':<6} {'r':>8} {'terms':>6} {'cold_ns':>9} {'warm_ns':>9}")
     for name, call, radii in _calls(ag, args.n, args.a):
         for label, r in radii.items():

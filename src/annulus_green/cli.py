@@ -21,10 +21,7 @@ import numpy as np
 from .core import (
     AnnulusError,
     AnnulusGeometry,
-    BracketingError,
     DomainValidationError,
-    GridEdgeError,
-    QuadratureDegreeError,
     SeriesDivergenceError,
     EvalGrid,
     SingularityError,
@@ -52,7 +49,6 @@ _VALIDATION_ERRORS = (
     SeriesDivergenceError,
     ValueError,
 )
-_CONVERGENCE_ERRORS = (BracketingError, GridEdgeError, QuadratureDegreeError)
 
 # eval-green reports the green_piecewise_eval cross-check (the piecewise_*
 # and path_difference keys) only where the radii satisfy lo <= this * hi
@@ -381,9 +377,6 @@ def main(argv: list[str] | None = None) -> int:
     except _VALIDATION_ERRORS as exc:
         _report_error(args, exc)
         return EXIT_VALIDATION
-    except _CONVERGENCE_ERRORS as exc:
-        _report_error(args, exc)
-        return EXIT_NO_CONVERGENCE
     except AnnulusError as exc:
         _report_error(args, exc)
         return EXIT_NO_CONVERGENCE

@@ -53,9 +53,9 @@ dimension (_normalised).  _radial binds a geometry's public evaluators: it
 is the one place that chooses between the spatial family and the planar one.
 
 The per-mode constants that depend only on a stream's shape come from the
-mode tables of specfun (see its docstring), filled at first use and bounded
-by specfun._STORED_MODES = 256 modes per shape and specfun._SHAPES shapes in
-one LRU, grown copy on write.  _green_remainder, its grid twin and
+mode tables of specfun (see its docstring): one cached tuple per shape of
+its first specfun._STORED_MODES = 256 rows, built whole at first use, and at
+most specfun._SHAPES shapes in one LRU.  _green_remainder, its grid twin and
 _modal_rows read the Gegenbauer table of lam = k/2: the ratio (k+m)/(m+1),
 the binomial C(k+m-1, m) and the recurrence constants.  Every Robin-family
 remainder reads the table of its shape (k, parts), whose rows _robin_modes
@@ -235,11 +235,15 @@ _E_DIST = 3.0
 # error of t = <x, y> / (|x| |y|): fsum of the rounded products (2), the two
 # radii (2 _E_RADIUS), their product and the division (2)
 _E_COSINE = 4.0 + 2.0 * _E_RADIUS
+# error of a point that _clamped moves onto its sphere, in units of its
+# radius: |x| (_E_RADIUS), the quotient r/|x| and each coordinate's product
+_E_MOVED = _E_RADIUS + 2.0
 
 
-def _green_closed(k: int, a: float, lo, hi, d, scale: float, tools: _Tools):
+def _green_closed(k: int, a: float, lo, hi, d, d_units, scale: float, tools: _Tools):
     """The Newtonian term minus the four images of the Green correction,
-    times ``scale`` = 1/(k omega), and its rounding bound; lo, hi and d are
+    times ``scale`` = 1/(k omega), and its rounding bound; lo, hi, d and
+    d_units, the relative error of d in units of the unit roundoff, are
     floats, or arrays of them with _GRID's tools (see _Tools).
 
     Mode m of the correction is (g1 - g2 - g3 + g4) P_m(t) / (1 - A_m) with
@@ -266,11 +270,11 @@ def _green_closed(k: int, a: float, lo, hi, d, scale: float, tools: _Tools):
     a2 = a * a
     d2 = d * d
     ad2 = (a * d) ** 2
-    ad2_err = ad2 * (2.0 * _E_DIST + 3.0)
+    ad2_err = ad2 * (2.0 * d_units + 3.0)
     bases = (
         _image_base(
             d2,
-            d2 * (2.0 * _E_DIST + 1.0),
+            d2 * (2.0 * d_units + 1.0),
             _factored(1.0, lo, _E_RADIUS),
             _factored(1.0, hi, _E_RADIUS),
         ),
@@ -284,10 +288,10 @@ def _green_closed(k: int, a: float, lo, hi, d, scale: float, tools: _Tools):
     )
     newton = d**-k
     pieces = [newton]
-    # d^-k errs by k _E_DIST units plus the power's two; (c/E)^lam by lam
+    # d^-k errs by k d_units units plus the power's two; (c/E)^lam by lam
     # times (E's relative error plus two units for a^2 and the division),
     # plus the power's two
-    ulps = newton * (k * _E_DIST + 2.0)
+    ulps = newton * (k * d_units + 2.0)
     for sign, c, (base, err) in zip((-1.0, 1.0, 1.0, -1.0), (1.0, a2, a2, a2), bases):
         image = (c / base) ** lam
         pieces.append(sign * image)
@@ -410,11 +414,11 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
         )
 
 
-def _green_split(geom: AnnulusGeometry, lo, hi, t, d, policy: TruncationPolicy):
-    """green_eval's series at radii lo <= hi, cosine t and distance d: its
-    closed form (_green_closed) plus its remainder.  For floats an
-    EvalResult; for arrays, one entry per pair, an EvalGrid summed as one
-    table.  With _robin_series the only place that chooses between the two:
+def _green_split(geom: AnnulusGeometry, lo, hi, t, d, d_units, policy: TruncationPolicy):
+    """green_eval's series at radii lo <= hi, cosine t and distance d, which
+    errs by d_units units: its closed form (_green_closed) plus its
+    remainder.  For floats an EvalResult; for arrays, one entry per pair, an
+    EvalGrid summed as one table.  With _robin_series the only place that chooses between the two:
     it picks the remainder stream, the summer and the tools (see _Tools).
     """
     k, a = geom.n - 2, geom.a
@@ -422,14 +426,14 @@ def _green_split(geom: AnnulusGeometry, lo, hi, t, d, policy: TruncationPolicy):
         scale = 1.0 / (k * geom.omega)
         if isinstance(lo, np.ndarray):
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-                closed, rounding = _green_closed(k, a, lo, hi, d, scale, _GRID)
+                closed, rounding = _green_closed(k, a, lo, hi, d, d_units, scale, _GRID)
                 res = sum_series_table(
                     lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
                     lo.size,
                     policy,
                 )
         else:
-            closed, rounding = _green_closed(k, a, lo, hi, d, scale, _SCALAR)
+            closed, rounding = _green_closed(k, a, lo, hi, d, d_units, scale, _SCALAR)
             res = sum_series(_green_remainder(k, a, lo, hi, t, -scale), policy, closed)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
@@ -446,6 +450,8 @@ def green_eval(
     Fundamental solution minus the correction series; valid for radii in the
     closed interval [a, 1] (so boundary points are admissible and give zero
     up to the tail bound) and in particular at coincident radii |x| = |y|.
+    A point whose radius misses [a, 1] by at most RADIUS_SLACK is moved
+    along its ray onto the sphere it missed.
     The correction is four closed-form images plus a remainder whose term
     ratio is at most a^2, and ``tail_bound`` covers rounding as well as
     truncation.
@@ -453,17 +459,34 @@ def green_eval(
     geom.require_series_dim()
     xs = geom.point(x).tolist()
     ys = geom.point(y).tolist()
-    r = geom.clamp_radius(math.hypot(*xs))
-    s = geom.clamp_radius(math.hypot(*ys))
-    d = math.dist(xs, ys)
+    (x_norm, r, x_on, x_err), (y_norm, s, y_on, y_err) = _clamped(geom, xs), _clamped(geom, ys)
+    d = math.dist(x_on, y_on)
     if d < NEAR_DIAGONAL:
         raise SingularityError(
             f"|x - y| = {d} is inside the near-diagonal guard {NEAR_DIAGONAL}; "
             "diagonal values come from robin_eval"
         )
-    t = _clamp_argument(math.fsum(map(operator.mul, xs, ys)) / (r * s))
+    # the cosine of x and y is that of the points on the clamped radii
+    t = _clamp_argument(math.fsum(map(operator.mul, xs, ys)) / (x_norm * y_norm))
     lo, hi = (r, s) if r <= s else (s, r)
-    return _green_split(geom, lo, hi, t, d, policy)
+    return _green_split(geom, lo, hi, t, d, _E_DIST + (x_err + y_err) / d, policy)
+
+
+def _clamped(geom: AnnulusGeometry, xs: list) -> tuple[float, float, list, float]:
+    """(|x|, r, x', err) for the point x with coordinates ``xs``: r is its
+    radius clamped to [a, 1] (see AnnulusGeometry.clamp_radius), x' the
+    point at radius r on x's ray and err the error of x', in units of the
+    unit roundoff times length.  Where the clamp moved the radius,
+    x' = x r/|x| errs by _E_MOVED units of r; elsewhere x' is x, exact.
+    The origin, admissible only where a <= RADIUS_SLACK, has no ray: it
+    stays, and its radius counts as r.
+    """
+    norm = math.hypot(*xs)
+    r = geom.clamp_radius(norm)
+    if norm == r or not norm:
+        return r, r, xs, 0.0
+    f = r / norm
+    return norm, r, [v * f for v in xs], _E_MOVED * r
 
 
 def _green_slice(
@@ -474,19 +497,20 @@ def _green_slice(
     |r e1 - y| and the rows.
 
     Each row stays inside green_eval's bound and matches its terms used and
-    convergence; values may differ from green_eval's by ulps.  A radius may
-    miss [a, 1] by RADIUS_SLACK.  A point within NEAR_DIAGONAL of y, where
-    green_eval raises SingularityError, is not evaluated: its row holds a NaN
-    value and tail, 0 terms and converged False.  export-grid writes those
-    rows as they are.
+    convergence; values may differ from green_eval's by ulps.  A radius, or
+    y's, may miss [a, 1] by RADIUS_SLACK, as in green_eval.  A point within
+    NEAR_DIAGONAL of y, where green_eval raises SingularityError, is not
+    evaluated: its row holds a NaN value and tail, 0 terms and converged
+    False.  export-grid writes those rows as they are.
     """
     geom.require_series_dim()
     ys = geom.point(y).tolist()
-    x0 = np.asarray(radii, dtype=float)
-    r = geom.clamp_radius(x0)
-    # |x - y| errs by _E_DIST like math.dist: the difference and its square
-    # take 3 units, fsum of the other squares 2, their sum and sqrt 1 each
-    d = np.sqrt((x0 - ys[0]) ** 2 + math.fsum(v * v for v in ys[1:]))
+    r = geom.clamp_radius(np.asarray(radii, dtype=float))
+    y_norm, s, y_on, y_err = _clamped(geom, ys)
+    # the points r e1 lie on the clamped radii, exact; |x - y| errs by
+    # _E_DIST like math.dist (the difference and its square take 3 units,
+    # fsum of the other squares 2, their sum and sqrt 1 each) and by y_err
+    d = np.sqrt((r - y_on[0]) ** 2 + math.fsum(v * v for v in y_on[1:]))
     far = d >= NEAR_DIAGONAL
     grid = EvalGrid(
         value=np.full(d.size, np.nan),
@@ -494,11 +518,11 @@ def _green_slice(
         tail_bound=np.full(d.size, np.nan),
         converged=np.zeros(d.size, dtype=bool),
     )
-    x0, r = x0[far], r[far]
-    s = geom.clamp_radius(math.hypot(*ys))
+    r, d_far = r[far], d[far]
     # <x, y> / (|x| |y|) with the roundings of green_eval's fsum form
-    t = np.clip((x0 * ys[0]) / (r * s), -1.0, 1.0)
-    res = _green_split(geom, np.minimum(r, s), np.maximum(r, s), t, d[far], policy)
+    t = np.clip((r * ys[0]) / (r * y_norm), -1.0, 1.0)
+    d_units = _E_DIST + y_err / d_far
+    res = _green_split(geom, np.minimum(r, s), np.maximum(r, s), t, d_far, d_units, policy)
     grid.value[far], grid.terms_used[far] = res.value, res.terms_used
     grid.tail_bound[far], grid.converged[far] = res.tail_bound, res.converged
     return d, grid

@@ -6,39 +6,37 @@ as an independent cross-check path, and the two routes are tied together by
 the endpoint identity P_m(1) = C(n+m-3, m) for the parameter (n-2)/2.
 
 Mode tables.  A series stream's per-mode constants that depend only on its
-shape are read from one table per shape (_ModeTable, looked up through
-_mode_table), not computed again on every call.  For the Gegenbauer
-parameter lam the table (rows from _gegenbauer_modes) holds, per mode m, the
-coefficient ratio (m + 2 lam)/(m + 1), the running binomial
-C(m + 2 lam - 1, m) = P_m(1) and the recurrence constants m + lam,
-m + 2 lam - 1 and m + 1; iter_gegenbauer, the generating series
-(_generating_rows, behind gegenbauer_generating_sum and the three
-kernels.newtonian_series_*), kernels.harmonic_extension and the Green
-streams of green.py read it.  green.py keeps one table per Robin-family
-shape the same way.  The scalar streams among these run iter_gegenbauer's
-recurrence inline on the table's constants, with the same expressions and
-so the same doubles: taking P_m from iter_gegenbauer beside the table costs
-one more generator step per mode, which measured 10 to 40 % more time per
-term.
+shape are read from one table per shape (_mode_table), not computed again
+on every call.  For the Gegenbauer parameter lam the table (rows from
+_gegenbauer_modes) holds, per mode m, the coefficient ratio
+(m + 2 lam)/(m + 1), the running binomial C(m + 2 lam - 1, m) = P_m(1) and
+the recurrence constants m + lam, m + 2 lam - 1 and m + 1; iter_gegenbauer,
+the generating series (_generating_rows, behind gegenbauer_generating_sum
+and the three kernels.newtonian_series_*), kernels.harmonic_extension and
+the Green streams of green.py read it.  green.py keeps one table per
+Robin-family shape the same way.  The scalar streams among these run
+iter_gegenbauer's recurrence inline on the table's constants, with the same
+expressions and so the same doubles: taking P_m from iter_gegenbauer beside
+the table costs one more generator step per mode, which measured 10 to 40 %
+more time per term.
 
-A table is filled at its first use, never at import, in blocks of _BLOCK
-rows as far as its callers read, and stores at most _STORED_MODES = 256
-modes; deeper modes come from the same row builder and are not stored.  At
-most _SHAPES = 64 tables are kept, in one LRU, least recently used first
-out.  A table grows by publishing a new tuple (copy on write), so a caller
-running beside another never sees a torn or repeated row.  Every entry is
-the double that the stream's own arithmetic gave per call before the tables
-existed, in the same order of operations, so every value, tail bound, term
-count and error is bit for bit what it was.
+A table is one cached tuple per shape (_stored_rows): its first
+_STORED_MODES = 256 rows, built whole at the shape's first use, never at
+import.  Deeper modes come from the same row builder, continued from the
+last stored row, and are not stored.  At most _SHAPES = 64 shapes are kept,
+in one LRU, least recently used first out.  Two threads that miss the same
+shape at once may each build it, but they build equal tuples.  Every entry
+is the double that the stream's own arithmetic gave per call before the
+tables existed, in the same order of operations, so every value, tail
+bound, term count and error is bit for bit what it was.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -58,61 +56,25 @@ Scalar = Union[float, np.ndarray]
 
 _T_TOL = 1e-12
 
-# a mode table stores at most _STORED_MODES modes, and at most _SHAPES tables
-# are kept (see the module docstring)
+# a mode table stores the first _STORED_MODES modes of a shape, and at most
+# _SHAPES shapes are kept (see the module docstring)
 _STORED_MODES = 256
 _SHAPES = 64
-# a table grows by whole blocks of this many rows
-_BLOCK = 16
-
-
-class _ModeTable:
-    """The per-mode constants of one series shape, one tuple row per mode.
-
-    ``build(after)`` yields the rows that follow the row ``after``, or the
-    rows from the first mode when ``after`` is None.  Iterating the table
-    gives every row from the first mode on: the stored ones, then, while
-    fewer than _STORED_MODES are stored, the next block of _BLOCK rows
-    stored, then rows built on the fly.
-    """
-
-    __slots__ = ("rows", "_build", "_lock")
-
-    def __init__(self, build: Callable[[object], Iterator[tuple]]):
-        self.rows: tuple = ()
-        self._build = build
-        self._lock = threading.Lock()
-
-    def __iter__(self) -> Iterator[tuple]:
-        rows = self.rows
-        return itertools.chain(rows, self._beyond(len(rows)))
-
-    def _beyond(self, start: int) -> Iterator[tuple]:
-        rows = self.rows
-        while start < _STORED_MODES:
-            rows = self._grow(start + 1)
-            yield from itertools.islice(rows, start, None)
-            start = len(rows)
-        yield from self._build(rows[start - 1] if start else None)
-
-    def _grow(self, need: int) -> tuple:
-        """The stored rows, first grown to at least ``need`` of them (up to
-        _STORED_MODES); the longer tuple replaces the old one whole."""
-        with self._lock:
-            rows = self.rows
-            if len(rows) < need:
-                size = min(-(-need // _BLOCK) * _BLOCK, _STORED_MODES)
-                more = self._build(rows[-1] if rows else None)
-                rows += tuple(itertools.islice(more, size - len(rows)))
-                self.rows = rows
-            return rows
 
 
 @lru_cache(maxsize=_SHAPES)
-def _mode_table(build: Callable, *shape) -> _ModeTable:
-    """The table of the rows ``build(*shape, after)`` yields, made at its
-    first use; the least recently used of _SHAPES tables is dropped."""
-    return _ModeTable(partial(build, *shape))
+def _stored_rows(build: Callable, *shape) -> tuple:
+    """The first _STORED_MODES rows ``build(*shape)`` yields, built whole at
+    the shape's first use; the least recently used of _SHAPES shapes is
+    dropped."""
+    return tuple(itertools.islice(build(*shape), _STORED_MODES))
+
+
+def _mode_table(build: Callable, *shape) -> Iterator[tuple]:
+    """Every row of a shape from the first mode on: the stored rows, then the
+    rows ``build(*shape, after)`` yields after the last of them."""
+    rows = _stored_rows(build, *shape)
+    return itertools.chain(rows, build(*shape, rows[-1]))
 
 
 def _gegenbauer_modes(lam: float, after=None) -> Iterator[tuple]:

@@ -125,6 +125,37 @@ class TestGreenEval:
             green_eval(self.GEOM, [0.3, 0.0, 0.0], [0.7, 0.0, 0.0], POLICY)
 
 
+# radii that miss a sphere of a = 0.5 by at most RADIUS_SLACK = 1e-9: the
+# clamp moves such a point onto the sphere, where G = 0 exactly
+PAST_A_SPHERE = [0.5 - 5e-10, 0.5 - 1e-9, 1.0 + 5e-10, 1.0 + 1e-9]
+
+
+@pytest.mark.parametrize("policy", [TruncationPolicy(), POLICY], ids=["default", "fine"])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("r", PAST_A_SPHERE)
+def test_points_past_a_sphere_vanish_within_the_bound(r, n, policy):
+    geom = AnnulusGeometry(n, 0.5)
+    e1, e2 = np.eye(n)[:2]
+    ray = np.zeros(n)
+    ray[:3] = [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]  # coordinates that round when scaled
+    past_other = 0.5 - 7e-10 if r > 0.75 else 1.0 + 7e-10
+    pairs = [
+        (r * e1, 0.7 * e2),
+        (0.7 * e2, r * e1),
+        (r * ray, 0.6 * e1),
+        (r * ray, past_other * e2),  # both points moved
+    ]
+    for x, y in pairs:
+        res = green_eval(geom, x, y, policy)
+        assert abs(res.value) <= res.tail_bound
+    # the slice's row at r, with a source inside or past the other sphere
+    for y in (0.7 * e2, past_other * ray):
+        grid = green._green_slice(geom, np.array([r, 0.75]), y, policy)[1]
+        assert abs(grid.value[0]) <= grid.tail_bound[0]
+    grid = green._green_slice(geom, np.array([0.6, 0.75, 0.9]), r * ray, policy)[1]
+    assert (abs(grid.value) <= grid.tail_bound).all()
+
+
 class TestPiecewiseRoute:
     GEOM = AnnulusGeometry(3, 0.5)
 

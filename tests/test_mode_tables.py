@@ -1,6 +1,6 @@
 """The mode tables of specfun and green: the stored rows and the rows built
-past the store give the same results, the store stays bounded, and callers
-filling one table at once see the rows a single caller sees."""
+past them give the same results, the cache stays bounded, and callers
+building one table at once see the rows a single caller sees."""
 
 import math
 import random
@@ -42,13 +42,13 @@ FINE = TruncationPolicy(abs_tol=1e-12)
 
 @pytest.fixture()
 def fresh_tables():
-    specfun._mode_table.cache_clear()
+    specfun._stored_rows.cache_clear()
     yield
-    specfun._mode_table.cache_clear()
+    specfun._stored_rows.cache_clear()
 
 
 def _lam_table(lam):
-    return specfun._mode_table(specfun._gegenbauer_modes, lam)
+    return specfun._stored_rows(specfun._gegenbauer_modes, lam)
 
 
 def _fields(res):
@@ -125,10 +125,10 @@ def test_stored_and_built_rows_agree(monkeypatch, fresh_tables, stored):
     want = _run(calls)
     terms = [r[2] for r in want if isinstance(r, tuple)]
     assert max(np.max(t) for t in terms) > 256
-    specfun._mode_table.cache_clear()
+    specfun._stored_rows.cache_clear()
     monkeypatch.setattr(specfun, "_STORED_MODES", stored)
     assert _run(calls) == want
-    assert _run(calls) == want  # with the tables filled to the cap
+    assert _run(calls) == want  # with the tables stored
 
 
 def test_tables_stay_bounded(fresh_tables):
@@ -136,20 +136,23 @@ def test_tables_stay_bounded(fresh_tables):
     long = TruncationPolicy(abs_tol=0.0, max_terms=100_000)
     res = gegenbauer_generating_sum(1.5, 0.3, 0.9999, long)
     assert res.terms_used == 100_000
-    assert len(_lam_table(1.5).rows) == specfun._STORED_MODES
+    assert len(_lam_table(1.5)) == specfun._STORED_MODES
     shapes = []
     for n in range(3, 201):
         geom = AnnulusGeometry(n, 0.5)
         robin_radial_gradient(geom, 0.7, POLICY)
         newtonian_series_outer(geom, np.eye(n)[0], 0.3 * np.eye(n)[1], POLICY)
         shapes.append((n - 2, green._SERIES["robin_radial_gradient"].remainder(n - 2, 0.7)[1]))
-        info = specfun._mode_table.cache_info()
+        info = specfun._stored_rows.cache_info()
         assert info.currsize <= specfun._SHAPES
-    # the last shapes of the sweep are still held
+    # the last shapes of the sweep are still held, each of exactly
+    # _STORED_MODES rows
+    misses = specfun._stored_rows.cache_info().misses
     for k, parts in shapes[-10:]:
-        assert 0 < len(specfun._mode_table(green._robin_modes, k, parts).rows) <= 256
-        assert 0 < len(_lam_table(0.5 * k).rows) <= 256
-    assert specfun._mode_table.cache_info().maxsize == specfun._SHAPES
+        assert len(specfun._stored_rows(green._robin_modes, k, parts)) == specfun._STORED_MODES
+        assert len(_lam_table(0.5 * k)) == specfun._STORED_MODES
+    assert specfun._stored_rows.cache_info().misses == misses
+    assert specfun._stored_rows.cache_info().maxsize == specfun._SHAPES
 
 
 def test_threads_filling_one_table_agree(fresh_tables):
@@ -160,11 +163,8 @@ def test_threads_filling_one_table_agree(fresh_tables):
     ]
     want = _run(calls)
     parts = green._SERIES["robin2d_eval"].remainder(0, 0.5)[1]
-    rows = [
-        _lam_table(3.25).rows,
-        specfun._mode_table(green._robin_modes, 0, parts).rows,
-    ]
-    specfun._mode_table.cache_clear()
+    rows = [_lam_table(3.25), specfun._stored_rows(green._robin_modes, 0, parts)]
+    specfun._stored_rows.cache_clear()
     barrier = threading.Barrier(4)
     results = [None] * 4
 
@@ -174,7 +174,7 @@ def test_threads_filling_one_table_agree(fresh_tables):
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often inside a table's growth
+    sys.setswitchinterval(1e-6)  # switch threads often inside a table's build
     try:
         for th in threads:
             th.start()
@@ -184,8 +184,8 @@ def test_threads_filling_one_table_agree(fresh_tables):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == [want] * 4
-    assert _lam_table(3.25).rows == rows[0]
-    assert specfun._mode_table(green._robin_modes, 0, parts).rows == rows[1]
+    assert _lam_table(3.25) == rows[0]
+    assert specfun._stored_rows(green._robin_modes, 0, parts) == rows[1]
 
 
 SCALAR_ROBIN = [

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulus_green import critical, green
+from annulus_green import critical, green, specfun
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,32 +19,6 @@ def run_script(monkeypatch, name, *argv):
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
     return exc.value.code
-
-
-def test_robin_profile_writes_its_csv(monkeypatch, capsys, tmp_path):
-    path = tmp_path / "profile.csv"
-    code = run_script(monkeypatch, "robin_profile.py", "--points", "40", "--out", str(path))
-    assert code == 0
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["r", "robin", "robin_tail", "radial_gradient", "gradient_tail"]
-    assert len(rows) == 41
-    out = capsys.readouterr().out
-    assert out.startswith("critical radius r0 = ")
-    assert f"wrote 40 rows to {path}" in out
-
-
-def test_robin_profile_in_the_plane(monkeypatch, capsys, tmp_path):
-    path = tmp_path / "profile.csv"
-    argv = ["--n", "2", "--a", "0.2", "--points", "40", "--out", str(path)]
-    assert run_script(monkeypatch, "robin_profile.py", *argv) == 0
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    # the planar R'(r), times r, rises through one zero: a radial minimum
-    positive = [float(row[3]) > 0 for row in rows]
-    assert not positive[0] and positive[-1]
-    assert sum(p != q for p, q in zip(positive, positive[1:])) == 1
-    assert "(minimum)" in capsys.readouterr().out
 
 
 def test_ball_limit_study_fits_its_constant(monkeypatch, capsys):
@@ -124,8 +98,21 @@ def test_output_digest_frames_draw_forms_framed_rows(monkeypatch):
 
 def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends --src
+    tables = specfun._stored_rows
+    cache_clear = tables.cache_clear
+    seen = []  # the tables' cache statistics at each clearing, since the last
+
+    def clear():
+        seen.append(tables.cache_info())
+        cache_clear()
+
+    monkeypatch.setattr(tables, "cache_clear", clear)
     argv = ["--n", "4", "--a", "0.2", "--repeat", "1"]
     assert run_script(monkeypatch, "mode_cost.py", *argv) == 0
+    # one clearing before each of the 24 cold calls and one at the end; each
+    # cold call found its tables empty and built at least one
+    assert len(seen) == 1 + 12 * 2
+    assert all(info.misses > 0 for info in seen[1:])
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[0] == ["evaluator", "radius", "r", "terms", "cold_ns", "warm_ns"]
     assert len(rows) == 1 + 12 * 2 + 1 + 5
