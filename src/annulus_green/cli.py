@@ -22,9 +22,7 @@ from .core import (
     AnnulusError,
     AnnulusGeometry,
     DomainValidationError,
-    SeriesDivergenceError,
     EvalGrid,
-    SingularityError,
     TruncationPolicy,
 )
 from .critical import find_critical_point
@@ -42,13 +40,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-_VALIDATION_ERRORS = (
-    DomainValidationError,
-    SingularityError,
-    SeriesDivergenceError,
-    ValueError,
-)
 
 # eval-green reports the green_piecewise_eval cross-check (the piecewise_*
 # and path_difference keys) only where the radii satisfy lo <= this * hi
@@ -372,9 +363,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
+    # exit 2 for every ValueError, DomainValidationError, SingularityError and
+    # SeriesDivergenceError among them
     try:
         return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         _report_error(args, exc)
         return EXIT_VALIDATION
     except AnnulusError as exc:

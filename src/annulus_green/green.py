@@ -653,14 +653,14 @@ def _robin_modes(k: int, parts, after=None):
 
 # what differs between one radius (_SCALAR) and an array of radii (_GRID),
 # chosen once by _robin_series or _green_split and passed down: the
-# elementwise functions, math's or numpy's; the errors of log q, per |log q|,
-# and of each exp or expm1 (see _image_units) and the units that each numpy
-# power or log adds (0 at one radius), in units of the unit roundoff; the
-# Robin-family mode stream and the splice of its image rows (see
-# _remainder_rows); and the image indices j that _image_rows reads
+# elementwise functions, math's or numpy's; the units of the unit roundoff
+# that each numpy function adds to the error of its math twin (0 at one
+# radius, _NUMPY_EXTRA on a grid); the Robin-family mode stream and the
+# splice of its image rows (see _remainder_rows); and the image indices j
+# that _image_rows reads
 _Tools = collections.namedtuple(
     "_Tools",
-    "exp expm1 log frexp ldexp maximum log_units exp_units numpy_units modes imaged js",
+    "exp expm1 log frexp ldexp maximum numpy_units modes imaged js",
 )
 
 
@@ -903,7 +903,8 @@ def _images(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     la, lr = math.log(a), tools.log(r)
     starts = _robin_starts(k, a, r, tools)[2]
     logs = (2.0 * lr, 2.0 * la, 2.0 * (la - lr))
-    e_y, t = tools.log_units, tools.exp_units
+    # log q errs by 8 |log q| units and each exp or expm1 by 2, plus numpy's
+    e_y, t = 8.0 + tools.numpy_units, 2.0 + tools.numpy_units
     out = []
     for (coef, d, e), start, log_x in zip(parts, starts, logs):
         if coef:
@@ -933,11 +934,11 @@ def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     row's rounding allowance adds up _image_units over its images.
 
     At one radius the tools are _SCALAR's and j the integers 1, 2, ..., and
-    y errs by at most 8 |y| units.  At an array of radii they are _GRID's and
-    j a column of summation.TABLE_MODES indices per chunk, each row a
-    (j x radii) table in which y errs by 10 |y| units and each numpy power,
-    exp or expm1 by _NUMPY_EXTRA more; _imaged_grid spreads its ratio over
-    the chunk.
+    y errs by at most 8 |y| units and each exp or expm1 by 2.  At an array of
+    radii they are _GRID's and j a column of summation.TABLE_MODES indices
+    per chunk, each row a (j x radii) table in which each numpy log, power,
+    exp or expm1 adds tools.numpy_units to those counts (_images forms
+    them); _imaged_grid spreads its ratio over the chunk.
     """
     ratio = a ** (k + 2 * m0)
     la = math.log(a)
@@ -994,12 +995,12 @@ def _image_columns():
 
 _SCALAR = _Tools(
     exp=math.exp, expm1=math.expm1, log=math.log, frexp=math.frexp, ldexp=math.ldexp,
-    maximum=max, log_units=8.0, exp_units=2.0, numpy_units=0.0,
+    maximum=max, numpy_units=0.0,
     modes=_robin_remainder, imaged=_imaged, js=functools.partial(itertools.count, 1),
 )
 _GRID = _Tools(
     exp=np.exp, expm1=np.expm1, log=np.log, frexp=np.frexp, ldexp=np.ldexp,
-    maximum=np.maximum, log_units=10.0, exp_units=2.0 + _NUMPY_EXTRA, numpy_units=_NUMPY_EXTRA,
+    maximum=np.maximum, numpy_units=_NUMPY_EXTRA,
     modes=_robin_remainder_grid, imaged=_imaged_grid, js=_image_columns,
 )
 

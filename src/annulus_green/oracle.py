@@ -59,7 +59,9 @@ def modal_green_analytic(n: int, m: int, a: float, r: float, s: float) -> float:
 
     Built from the homogeneous solutions vanishing at each end with the
     standard Wronskian normalization; equals omega * modal_coefficient of the
-    series module, which is exactly the cross-check it exists for.
+    series module, which is exactly the cross-check it exists for.  A mode
+    whose homogeneous solutions leave the double range at these radii (the
+    power r^(2-n-m) overflows) raises TailEnvelopeError.
     """
     require_integer(m, "mode", 0)
     m = int(m)
@@ -73,8 +75,14 @@ def modal_green_analytic(n: int, m: int, a: float, r: float, s: float) -> float:
     wron = beta * (1.0 - a**beta)  # p(s) * Wronskian of the two solutions, constant in s
     if not (wron > 0.0) or not math.isfinite(wron):
         raise ArithmeticError(f"degenerate Wronskian {wron} for n={n}, m={m}, a={a}")
-    phi = op.solution_vanishing_inner(lo)
-    psi_neg = -op.solution_vanishing_outer(hi)
+    try:
+        phi = op.solution_vanishing_inner(lo)
+        psi_neg = -op.solution_vanishing_outer(hi)
+    except OverflowError:
+        raise TailEnvelopeError(
+            f"mode m = {m} of the radial operator leaves the double-precision range "
+            f"at radii ({lo}, {hi}) for n = {n}, a = {a}"
+        ) from None
     return phi * psi_neg / wron
 
 

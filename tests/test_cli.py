@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-import image_references as refs
+import references as refs
 from annulus_green import EvalResult
 from annulus_green import cli
 from annulus_green.cli import main

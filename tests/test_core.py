@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import annulus_green
+import references as refs
 from annulus_green import (
     AnnulusGeometry,
     DomainValidationError,
@@ -64,9 +65,8 @@ def test_surface_area_gamma_recursion():
 @pytest.mark.parametrize("n", list(range(2, 41)) + [57, 120, 301, 400])
 def test_surface_area_rounding_bound(n):
     # the Robin family adds this share of |value| to its certified bound
-    with mpmath.workdps(40):
-        exact = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
-        rel = float(abs(mpmath.mpf(sphere_surface_area(n)) / exact - 1))
+    with mpmath.workdps(refs.DPS):
+        rel = float(abs(mpmath.mpf(sphere_surface_area(n)) / refs.omega(n) - 1))
     assert rel <= sphere_surface_area_rel_error(n)
 
 

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-import image_references as refs
+import references as refs
 from annulus_green import (
     AnnulusGeometry,
     BracketingError,

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import references as refs
 from annulus_green import (
     AnnulusGeometry,
     DomainValidationError,
@@ -80,7 +81,7 @@ class TestModalCoefficient:
             exact = (
                 (lo**beta - a**beta)
                 * (1 - hi**beta)
-                / (beta * (lo * hi) ** (m + 1) * (1 - a**beta) * 4 * mpmath.pi)
+                / (beta * (lo * hi) ** (m + 1) * (1 - a**beta) * refs.omega(3))
             )
             assert abs(value - exact) <= 1e-12 * exact
 

@@ -32,8 +32,7 @@ from annulus_green import (
 )
 from annulus_green.cli import main
 from annulus_green import green, summation
-from test_green_split import _error, mp_green
-from test_robin_split import mp_reference
+import references as refs
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
 
@@ -188,6 +187,18 @@ def test_image_route_past_one_chunk(name, modes, monkeypatch):
     assert_matches_scalar(grid, [scalar_fn(n, a, float(r), policy) for r in radii])
 
 
+@pytest.mark.parametrize("a", [0.85, 0.99, 0.999])
+@pytest.mark.parametrize("name", ["robin", "gradient", "robin2d_first"])
+def test_image_grid_matches_scalar(name, a):
+    # abs_tol 1e-13 takes the image route from a = 0.79 on
+    policy = TruncationPolicy(abs_tol=1e-13, max_terms=300_000)
+    grid_fn, scalar_fn = QUANTITIES[name]
+    n = 2 if name.startswith("robin2d") else 4
+    radii = _radii(a, [1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3])
+    grid = grid_fn(n, a, radii, policy)
+    assert_matches_scalar(grid, [scalar_fn(n, a, float(r), policy) for r in radii])
+
+
 @pytest.mark.parametrize("modes", [7, summation.TABLE_MODES])
 def test_green_slice_past_one_chunk(modes, monkeypatch):
     monkeypatch.setattr(summation, "TABLE_MODES", modes)
@@ -218,7 +229,8 @@ def test_end_rows_bound_covers_mpmath_error(name, a):
     grid = QUANTITIES[name][0](n, a, radii, POLICY)
     for i, r in enumerate(radii.tolist()):
         assert grid.converged[i]
-        assert _error(grid.value[i], mp_reference(MP_NAMES[name], n, a, r)) <= grid.tail_bound[i]
+        ref = refs.reference(MP_NAMES[name], n, a, r)
+        assert refs.error(grid.value[i], ref) <= grid.tail_bound[i]
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -232,7 +244,7 @@ def test_green_slice_end_rows_against_mpmath(n, a):
         x = np.zeros(n)
         x[0] = r
         assert grid.converged[i]
-        assert _error(grid.value[i], mp_green(n, a, x, y)) <= grid.tail_bound[i]
+        assert refs.error(grid.value[i], refs.mp_green(n, a, x, y)) <= grid.tail_bound[i]
     # the sphere rows are zeros of the Green function, within the bound
     assert abs(grid.value[0]) <= grid.tail_bound[0]
     assert abs(grid.value[-1]) <= grid.tail_bound[-1]

@@ -56,6 +56,14 @@ class TestModalAnalytic:
                     )
                     assert ratio == pytest.approx(1.0, abs=1e-10)
 
+    def test_overflowing_mode_is_a_typed_error(self):
+        # 0.5^(2 - n - m) leaves the double range from m = 1389 on, where
+        # m = 1388 still gives 1.73e-177
+        assert modal_green_analytic(3, 1388, 0.5, 0.6, 0.8) > 0.0
+        for m in (1389, 2000):
+            with pytest.raises(TailEnvelopeError, match=f"m = {m} "):
+                modal_green_analytic(3, m, 0.5, 0.6, 0.8)
+
     def test_operator_validation(self):
         with pytest.raises(DomainValidationError):
             ModalOperator(2, 0, 0.5)

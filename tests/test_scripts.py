@@ -21,13 +21,6 @@ def run_script(monkeypatch, name, *argv):
     return exc.value.code
 
 
-def test_ball_limit_study_fits_its_constant(monkeypatch, capsys):
-    assert run_script(monkeypatch, "ball_limit_study.py") == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("ball Green value: ")
-    assert lines[-1].startswith("fitted constant C = ")
-
-
 def test_tail_crossover_prints_both_routes(monkeypatch, capsys):
     argv = ["--n", "2", "3", "--a", "0.5", "0.99", "--head", "16", "24", "--repeat", "1"]
     assert run_script(monkeypatch, "tail_crossover.py", *argv) == 0
