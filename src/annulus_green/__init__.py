@@ -1,7 +1,15 @@
 """Green function, Robin function, and Poisson kernels of the n-dimensional
 annulus {a < |x| < 1}, evaluated through zonal-harmonic series with certified
 truncation tails, plus the location of the Robin function's unique radial
-critical point and a set of independent brute-force oracles."""
+critical point and a set of independent brute-force oracles.
+
+Importing the package loads no numpy: the scalar evaluators, the solver and
+their CLI commands build no arrays, and the grid evaluators import numpy on
+first use.  The modules that import numpy as they load (kernels, oracle and
+verify), and the names of the first two, are loaded on first access through
+the module ``__getattr__`` of PEP 562."""
+
+import importlib
 
 from .core import (
     AnnulusError,
@@ -42,26 +50,6 @@ from .green import (
     robin_radial_gradient_derivative,
     robin_radial_gradient_grid,
 )
-from .kernels import (
-    BoundaryData,
-    SphereQuadrature,
-    build_sphere_quadrature,
-    harmonic_extension,
-    newtonian_series_exterior,
-    newtonian_series_inner,
-    newtonian_series_outer,
-    poisson_coeff_b,
-    poisson_coeff_c,
-)
-from .oracle import (
-    FDGrid,
-    ModalOperator,
-    ball_green_closed_form,
-    grid_scan_extremum,
-    modal_bvp_fd,
-    modal_green_analytic,
-    modal_green_fd,
-)
 from .specfun import (
     gegenbauer_endpoint_exact,
     gegenbauer_eval,
@@ -73,6 +61,53 @@ from .specfun import (
 from .summation import sum_series, sum_series_table
 
 __version__ = "0.1.0"
+
+# loaded on first access, with numpy: each name, by the submodule defining it
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "BoundaryData",
+            "SphereQuadrature",
+            "build_sphere_quadrature",
+            "harmonic_extension",
+            "newtonian_series_exterior",
+            "newtonian_series_inner",
+            "newtonian_series_outer",
+            "poisson_coeff_b",
+            "poisson_coeff_c",
+        ),
+        "kernels",
+    ),
+    **dict.fromkeys(
+        (
+            "FDGrid",
+            "ModalOperator",
+            "ball_green_closed_form",
+            "grid_scan_extremum",
+            "modal_bvp_fd",
+            "modal_green_analytic",
+            "modal_green_fd",
+        ),
+        "oracle",
+    ),
+}
+_LAZY_MODULES = ("kernels", "oracle", "verify")
+
+
+def __getattr__(name: str):
+    """A submodule of _LAZY_MODULES, imported now, or a name of _LAZY, read
+    from its submodule.  A name is read again on every access and never
+    stored here, so a wrapper put in its submodule (a tracer's, a test's)
+    is seen while it is there and never left behind after it is removed."""
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})
 
 __all__ = [
     "AnnulusError",

@@ -15,8 +15,7 @@ import io
 import json
 import sys
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     AnnulusError,
@@ -34,7 +33,9 @@ from .green import (
     green_piecewise_eval,
     modal_coefficient,
 )
-from .verify import SUITES, render_summary, run_suites
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -47,6 +48,18 @@ PIECEWISE_RATIO = 0.99
 
 # export-grid refuses more radii than this before it allocates any of them
 _MAX_GRID_POINTS = 1_000_000
+
+# the names of verify.SUITES, sorted, which --suite accepts: verify, and with
+# it numpy, is imported only when the verify command runs
+_SUITES = (
+    "critical-point",
+    "distance-series",
+    "green-function",
+    "modal-oracle",
+    "poisson-extension",
+    "robin-derivatives",
+    "special-functions",
+)
 
 
 def _fmt(value: float) -> str:
@@ -118,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         action="append",
-        choices=sorted(SUITES),
+        choices=_SUITES,
         help="restrict to the named suite (repeatable; default all)",
     )
 
@@ -190,6 +203,8 @@ def _cmd_eval_green(args) -> int:
         raise DomainValidationError(
             f"expected {2 * geom.n} coordinates for n = {geom.n}, got {len(coords)}"
         )
+    import numpy as np
+
     x = np.array(coords[: geom.n])
     y = np.array(coords[geom.n :])
     res = green_eval(geom, x, y, policy)
@@ -267,6 +282,8 @@ def _cmd_critical_point(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import render_summary, run_suites
+
     results = run_suites(args.suite, seed=args.seed)
     summary = render_summary(results, args.seed)
     _emit(args, summary)
@@ -278,6 +295,8 @@ def _radial_grid(args, geom: AnnulusGeometry, standoff: float = 1e-3) -> np.ndar
     ``standoff`` times the gap.  Its ends are checked by the geometry's rule
     (AnnulusGeometry.clamp_radius), the one green_eval applies: [a, 1] up to
     RADIUS_SLACK."""
+    import numpy as np
+
     span = 1.0 - geom.a
     lo = args.r_min if args.r_min is not None else geom.a + standoff * span
     hi = args.r_max if args.r_max is not None else 1.0 - standoff * span
@@ -298,6 +317,8 @@ def _interior_rows(evaluate, radii: np.ndarray, a: float) -> EvalGrid:
     """``evaluate`` over the radii, which it refuses if one lies outside
     (a, 1); the rows before that radius are evaluated first, so that their
     errors come first, as they would one row at a time."""
+    import numpy as np
+
     inside = (a < radii) & (radii < 1.0)
     if not inside.all():
         evaluate(radii[: int(np.argmin(inside))])
@@ -305,6 +326,8 @@ def _interior_rows(evaluate, radii: np.ndarray, a: float) -> EvalGrid:
 
 
 def _cmd_export_grid(args) -> int:
+    import numpy as np
+
     geom = AnnulusGeometry(args.n, args.a)
     policy = _policy_from(args)
 

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, TypeAlias, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-ArrayLike = Union[Sequence[float], np.ndarray]
+# numpy is imported where an array is built, not with the package: the
+# scalar evaluators, the solver and their CLI commands run without it
+ArrayLike: TypeAlias = "Union[Sequence[float], np.ndarray]"
 
 # radii passed to the evaluators may miss [a, 1] by this much before rejection
 RADIUS_SLACK = 1e-9
@@ -55,10 +59,22 @@ class QuadratureDegreeError(AnnulusError, RuntimeError):
     """The truncation degree exceeds what the quadrature integrates exactly."""
 
 
+def is_numpy(value, kind: str) -> bool:
+    """Whether ``value`` is an instance of numpy's ``kind`` ("ndarray",
+    "integer"), read without importing numpy: where no caller has imported
+    numpy, no caller can hold a numpy value."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, getattr(np, kind))
+
+
 def require_integer(value, name: str, least: int) -> None:
     """DomainValidationError unless ``value`` is an int or a numpy integer,
     not a bool, and at least ``least``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+    if (
+        isinstance(value, bool)
+        or not (isinstance(value, int) or is_numpy(value, "integer"))
+        or value < least
+    ):
         raise DomainValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -94,6 +110,8 @@ def _omega(n: int) -> tuple[float, float]:
 
 
 def unit_and_radius(v: np.ndarray) -> tuple[float, np.ndarray]:
+    import numpy as np
+
     r = float(np.linalg.norm(v))
     if r == 0.0:
         raise DomainValidationError("the zero vector has no direction")
@@ -101,6 +119,8 @@ def unit_and_radius(v: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def require_unit(v: ArrayLike, tol: float = 1e-10) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(v, dtype=float)
     r = float(np.linalg.norm(arr))
     if abs(r - 1.0) > tol:
@@ -137,6 +157,8 @@ class AnnulusGeometry:
             )
 
     def point(self, x: ArrayLike) -> np.ndarray:
+        import numpy as np
+
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.n,):
             raise DomainValidationError(
@@ -152,7 +174,9 @@ class AnnulusGeometry:
         ``r`` is a float or a 1-d array of radii (see _radii), which is
         checked by the same rule and clamped elementwise.
         """
-        if isinstance(r, np.ndarray):
+        if not isinstance(r, float) and is_numpy(r, "ndarray"):
+            import numpy as np
+
             inside = (self.a - RADIUS_SLACK <= r) & (r <= 1.0 + RADIUS_SLACK)
             _radii(r, inside, f"outside the annulus range [{self.a}, 1]")
             return np.clip(r, self.a, 1.0)
@@ -165,7 +189,7 @@ class AnnulusGeometry:
     def require_interior_radius(self, r):
         """r as a float, or a 1-d array of radii as it is (see _radii), once
         every radius lies strictly between a and 1."""
-        if isinstance(r, np.ndarray):
+        if not isinstance(r, float) and is_numpy(r, "ndarray"):
             inside = (self.a < r) & (r < 1.0)
             return _radii(r, inside, f"must lie strictly between a = {self.a} and 1")
         if not (self.a < r < 1.0):
@@ -194,6 +218,8 @@ def newtonian_potential(geom: AnnulusGeometry, x: ArrayLike, y: ArrayLike) -> fl
     the value is not a finite double (at large n, where omega underflows)
     it raises TailEnvelopeError.
     """
+    import numpy as np
+
     geom.require_series_dim()
     xv = geom.point(x)
     yv = geom.point(y)
@@ -289,6 +315,8 @@ class EvalGrid:
 
     def scaled(self, factor) -> "EvalGrid":
         """Every value times ``factor``, a number or one factor per point."""
+        import numpy as np
+
         return EvalGrid(
             value=self.value * factor,
             terms_used=self.terms_used,

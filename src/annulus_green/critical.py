@@ -56,8 +56,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from .core import (
     AnnulusGeometry,
     BracketingError,
@@ -573,6 +571,8 @@ def count_gradient_sign_changes(
     one change contradicts uniqueness of the critical point and should be
     treated as a reported defect by callers, never silently fixed.
     """
+    import numpy as np
+
     require_integer(num, "num", 3)
     pol = policy if policy is not None else TruncationPolicy(abs_tol=1e-8)
     a = geom.a

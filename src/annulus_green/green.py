@@ -76,7 +76,7 @@ robin_radial_gradient_grid, robin2d_eval_grid, robin2d_first_grid and
 _green_slice sum their remainders as one (modes x radii) table with
 summation.sum_series_table.  Only _robin_series and _green_split choose
 between one radius and an array, and they pass the choice down as a _Tools
-value (_SCALAR or _GRID); the geometry checks both by one rule.  Every
+value (_SCALAR or _grid()); the geometry checks both by one rule.  Every
 formula outside the per-mode loops is written once: the closed forms, the
 remainders' starts (_robin_starts, _green_starts), the image rows and the
 binary frame (_framed_images).  The loops of _robin_remainder and
@@ -97,9 +97,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core import (
     AnnulusGeometry,
@@ -110,11 +108,15 @@ from .core import (
     SingularityError,
     TailEnvelopeError,
     TruncationPolicy,
+    is_numpy,
     require_integer,
 )
 from .specfun import _clamp_argument, _gegenbauer_modes, _mode_table, iter_gegenbauer
 from . import summation
 from .summation import _U, sum_series, sum_series_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # below this separation the subtraction against the fundamental solution is
 # pure cancellation; callers wanting diagonal values should use robin_eval
@@ -191,6 +193,8 @@ def _split_result(
     if isinstance(remainder, EvalResult):
         finite = math.isfinite(value)
     else:
+        import numpy as np
+
         finite = bool(np.isfinite(value).all())
     if not finite:
         raise TailEnvelopeError(f"the series value is not a finite double ({value!r})")
@@ -244,7 +248,7 @@ def _green_closed(k: int, a: float, lo, hi, d, d_units, scale: float, tools: _To
     """The Newtonian term minus the four images of the Green correction,
     times ``scale`` = 1/(k omega), and its rounding bound; lo, hi, d and
     d_units, the relative error of d in units of the unit roundoff, are
-    floats, or arrays of them with _GRID's tools (see _Tools).
+    floats, or arrays of them with _grid()'s tools (see _Tools).
 
     Mode m of the correction is (g1 - g2 - g3 + g4) P_m(t) / (1 - A_m) with
     g_i = c_i q_i^m, q = (lo hi, a^2 lo / hi, a^2 hi / lo, a^2 / (lo hi)) and
@@ -302,6 +306,8 @@ def _green_closed(k: int, a: float, lo, hi, d, d_units, scale: float, tools: _To
 
 def _column(values) -> np.ndarray:
     """Per-mode numbers as a column that broadcasts against a row of radii."""
+    import numpy as np
+
     return np.fromiter(values, dtype=float)[:, None]
 
 
@@ -383,7 +389,9 @@ def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
     from the scalar stream only through h2, h3 and h4's starting powers, which
     numpy takes; the rounding row adds _NUMPY_EXTRA for them (_green_starts).
     """
-    bs, hs, big_a, env_k, qmax, (quad, per_mode, fixed) = _green_starts(k, a, lo, hi, scale, _GRID)
+    import numpy as np
+
+    bs, hs, big_a, env_k, qmax, (quad, per_mode, fixed) = _green_starts(k, a, lo, hi, scale, _grid())
     b = np.array(bs)
     h = np.array([np.full_like(lo, hs[0]), *hs[1:]])
     a2 = a * a
@@ -424,9 +432,11 @@ def _green_split(geom: AnnulusGeometry, lo, hi, t, d, d_units, policy: Truncatio
     k, a = geom.n - 2, geom.a
     try:
         scale = 1.0 / (k * geom.omega)
-        if isinstance(lo, np.ndarray):
+        if not isinstance(lo, float) and is_numpy(lo, "ndarray"):
+            import numpy as np
+
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-                closed, rounding = _green_closed(k, a, lo, hi, d, d_units, scale, _GRID)
+                closed, rounding = _green_closed(k, a, lo, hi, d, d_units, scale, _grid())
                 res = sum_series_table(
                     lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
                     lo.size,
@@ -503,6 +513,8 @@ def _green_slice(
     evaluated: its row holds a NaN value and tail, 0 terms and converged
     False.  export-grid writes those rows as they are.
     """
+    import numpy as np
+
     geom.require_series_dim()
     ys = geom.point(y).tolist()
     r = geom.clamp_radius(np.asarray(radii, dtype=float))
@@ -565,6 +577,8 @@ def green_piecewise_eval(
     mode leaves the double-precision range (at large n) it raises
     TailEnvelopeError, as green_eval does.
     """
+    import numpy as np
+
     geom.require_series_dim()
     xv = geom.point(x)
     yv = geom.point(y)
@@ -651,7 +665,7 @@ def _robin_modes(k: int, parts, after=None):
         m += 1
 
 
-# what differs between one radius (_SCALAR) and an array of radii (_GRID),
+# what differs between one radius (_SCALAR) and an array of radii (_grid()),
 # chosen once by _robin_series or _green_split and passed down: the
 # elementwise functions, math's or numpy's; the units of the unit roundoff
 # that each numpy function adds to the error of its math twin (0 at one
@@ -684,7 +698,7 @@ def _robin_starts(k: int, a: float, r, tools: _Tools):
 def _framed_images(bases, starts, powers, polys, tools: _Tools):
     """(w, top): the images s_i b_i^n_i P_i of a Robin-family remainder mode
     as w_i 2^top, for a mode whose direct images sum below _FRAME_BELOW; with
-    _GRID's tools every argument may be an array of entries.
+    _grid()'s tools every argument may be an array of entries.
 
     frexp splits each base into f 2^e and each start into g 2^h, both
     exactly, and w_i = g f^n P_i 2^(n e + h - top) rounds as s b^n P_i does:
@@ -785,14 +799,17 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
     order of operations.  w_4 holds two of them, so the rounding row adds
     2 _NUMPY_EXTRA to _robin_remainder's count; in the plane, where the
     starts are 1, it adds one.  The entries below _FRAME_BELOW are formed
-    again in _framed_images' frame, with _GRID's tools.
+    again in _framed_images' frame, with _grid()'s tools.
     """
+    import numpy as np
+
     (c1, _, _), (c2, _, _), (c4, _, _) = parts
     abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
     expm1 = math.expm1
     log_a = math.log(a)
     extra = (2.0 if k else 1.0) * _NUMPY_EXTRA
-    b1, b4, (s1_0, s2_0, s4_0), env_k, step = _robin_starts(k, a, r, _GRID)
+    grid = _grid()
+    b1, b4, (s1_0, s2_0, s4_0), env_k, step = _robin_starts(k, a, r, grid)
     rows = iter(_mode_table(_robin_modes, k, parts))
     modes = summation.TABLE_MODES
     while True:
@@ -817,7 +834,7 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
                 (s1_0, s2_0[j], s4_0[j]),
                 (n, 2 * n, n),
                 [p[i, 0] for p in (p1, p2, p4)],
-                _GRID,
+                grid,
             )
             sb_l, inv_l = np.broadcast_to(sb, low.shape)[i, j], inv[i, 0]
             size = np.abs(sb_l) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
@@ -935,7 +952,7 @@ def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
 
     At one radius the tools are _SCALAR's and j the integers 1, 2, ..., and
     y errs by at most 8 |y| units and each exp or expm1 by 2.  At an array of
-    radii they are _GRID's and j a column of summation.TABLE_MODES indices
+    radii they are _grid()'s and j a column of summation.TABLE_MODES indices
     per chunk, each row a (j x radii) table in which each numpy log, power,
     exp or expm1 adds tools.numpy_units to those counts (_images forms
     them); _imaged_grid spreads its ratio over the chunk.
@@ -975,6 +992,8 @@ def _imaged(rows, images):
 def _imaged_grid(chunks, images):
     """_imaged for a grid twin's chunks: the first _HEAD_MODES rows, cut from
     whole chunks, then the image chunks, each ratio spread over its chunk."""
+    import numpy as np
+
     left = _HEAD_MODES
     for term, env, rho, units in chunks:
         rows = min(left, len(term))
@@ -998,17 +1017,25 @@ _SCALAR = _Tools(
     maximum=max, numpy_units=0.0,
     modes=_robin_remainder, imaged=_imaged, js=functools.partial(itertools.count, 1),
 )
-_GRID = _Tools(
-    exp=np.exp, expm1=np.expm1, log=np.log, frexp=np.frexp, ldexp=np.ldexp,
-    maximum=np.maximum, numpy_units=_NUMPY_EXTRA,
-    modes=_robin_remainder_grid, imaged=_imaged_grid, js=_image_columns,
-)
+
+
+@functools.cache
+def _grid() -> _Tools:
+    """The tools of an array of radii, built at the first grid evaluation:
+    numpy is imported there, not with this module."""
+    import numpy as np
+
+    return _Tools(
+        exp=np.exp, expm1=np.expm1, log=np.log, frexp=np.frexp, ldexp=np.ldexp,
+        maximum=np.maximum, numpy_units=_NUMPY_EXTRA,
+        modes=_robin_remainder_grid, imaged=_imaged_grid, js=_image_columns,
+    )
 
 
 def _remainder_rows(k: int, a: float, r, scale, parts, images: bool, tools: _Tools):
     """The rows of a Robin-family remainder (planar for k = 0): its modes, or
     with ``images`` its first _HEAD_MODES modes and then the image rows of
-    the rest.  With _GRID's tools, for an array of radii (and of scales, in
+    the rest.  With _grid()'s tools, for an array of radii (and of scales, in
     the plane), the rows come in the grid twins' chunks, as sum_series_table
     reads them."""
     rows = tools.modes(k, a, r, scale, parts)
@@ -1114,7 +1141,7 @@ def _normalised(series: _Series, geom: AnnulusGeometry, r, tools: _Tools):
     remainder's prefactor and parts, in the family's normalisation: for
     n >= 3 the closed form times -1/omega and the prefactor over -k omega, in
     the plane both as they are.  r is a float with _SCALAR's tools, or an
-    array of radii with _GRID's.
+    array of radii with _grid()'s.
     """
     k, a = geom.n - 2, geom.a
     u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
@@ -1141,20 +1168,23 @@ def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
     r = geom.require_interior_radius(r)
     k, a = geom.n - 2, geom.a
     try:
-        if isinstance(r, np.ndarray):
+        if isinstance(r, float):  # else a 1-d array: see require_interior_radius
+            closed, rounding, scale, parts = _normalised(series, geom, r, _SCALAR)
+            route = _image_route(a, policy, parts)
+            res = sum_series(_remainder_rows(k, a, r, scale, parts, route, _SCALAR), policy, closed)
+        else:
+            import numpy as np
+
+            grid = _grid()
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-                closed, rounding, scale, parts = _normalised(series, geom, r, _GRID)
+                closed, rounding, scale, parts = _normalised(series, geom, r, grid)
                 route = _image_route(a, policy, parts)
 
                 def table(cols):  # in the plane a prefactor may vary with r
                     sc = scale[cols] if np.ndim(scale) else scale
-                    return _remainder_rows(k, a, r[cols], sc, parts, route, _GRID)
+                    return _remainder_rows(k, a, r[cols], sc, parts, route, grid)
 
                 res = sum_series_table(table, r.size, policy)
-        else:
-            closed, rounding, scale, parts = _normalised(series, geom, r, _SCALAR)
-            route = _image_route(a, policy, parts)
-            res = sum_series(_remainder_rows(k, a, r, scale, parts, route, _SCALAR), policy, closed)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
             f"the Robin series for n = {k + 2} leaves the double-precision range here: "
@@ -1167,7 +1197,7 @@ def _scalar_radius(r):
     """A scalar evaluator's radius: a 0-d array becomes a float, so that
     _robin_series takes its scalar path, and an array with a dimension is
     refused.  Numpy scalars pass; require_interior_radius makes them floats."""
-    if isinstance(r, np.ndarray):
+    if not isinstance(r, float) and is_numpy(r, "ndarray"):
         if r.ndim:
             raise DomainValidationError(
                 f"expected a scalar radius, got an array of shape {r.shape}"
@@ -1203,6 +1233,8 @@ def robin_eval_grid(geom: AnnulusGeometry, radii, policy: TruncationPolicy) -> E
     Each entry stays inside robin_eval's bound and matches its terms used and
     convergence; values may differ from robin_eval's by ulps.
     """
+    import numpy as np
+
     return _robin_series(_SERIES["robin_eval"], geom, np.asarray(radii, dtype=float), policy)
 
 
@@ -1211,6 +1243,8 @@ def robin_radial_gradient_grid(
 ) -> EvalGrid:
     """robin_radial_gradient at every radius of ``radii``, summed as one table,
     with robin_eval_grid's contract."""
+    import numpy as np
+
     radii = np.asarray(radii, dtype=float)
     return _robin_series(_SERIES["robin_radial_gradient"], geom, radii, policy)
 
@@ -1249,12 +1283,16 @@ def robin2d_first(a: float, r: float, policy: TruncationPolicy) -> EvalResult:
 def robin2d_eval_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
     """robin2d_eval at every radius of ``radii``, summed as one table, with
     robin_eval_grid's contract."""
+    import numpy as np
+
     return _robin_series(_SERIES["robin2d_eval"], a, np.asarray(radii, dtype=float), policy)
 
 
 def robin2d_first_grid(a: float, radii, policy: TruncationPolicy) -> EvalGrid:
     """robin2d_first at every radius of ``radii``, summed as one table, with
     robin_eval_grid's contract."""
+    import numpy as np
+
     return _robin_series(_SERIES["robin2d_first"], a, np.asarray(radii, dtype=float), policy)
 
 

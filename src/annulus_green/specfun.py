@@ -37,9 +37,10 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Iterator, TypeAlias, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .core import (
     ArrayLike,
@@ -52,7 +53,7 @@ from .core import (
 )
 from .summation import sum_series
 
-Scalar = Union[float, np.ndarray]
+Scalar: TypeAlias = "Union[float, np.ndarray]"
 
 _T_TOL = 1e-12
 
@@ -276,6 +277,8 @@ def zonal_direct(n: int, m: int, x: ArrayLike, xi: ArrayLike) -> float:
     ``x`` may be any vector (the kernel is homogeneous of degree m in x);
     ``xi`` must be a unit vector.
     """
+    import numpy as np
+
     _require_degree(n, m)
     xv = np.asarray(x, dtype=float)
     xiv = require_unit(xi)

@@ -35,9 +35,10 @@ loop; everything else is elementwise or a reduction per column.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Tuple, TypeAlias
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .core import (
     DomainValidationError,
@@ -53,7 +54,7 @@ _U = 2.0**-53
 
 Row = Tuple[float, float, float, float]
 # the rows of one chunk as four arrays of shape (modes, columns)
-Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+Chunk: TypeAlias = "Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]"
 
 # modes per chunk and columns per block of sum_series_table: a chunk holds at
 # most TABLE_MODES x TABLE_COLUMNS doubles per array, whatever max_terms is
@@ -153,6 +154,8 @@ def sum_series_table(
     ``table`` call.  A policy with ``rel_tol`` > 0 raises
     DomainValidationError: the table has no relative target.
     """
+    import numpy as np
+
     if policy.rel_tol > 0.0:
         raise DomainValidationError(
             f"sum_series_table takes absolute targets only, got rel_tol = {policy.rel_tol!r}"
@@ -182,6 +185,8 @@ def _sum_columns(
     the count at the latest uncertified one: the streak is the difference.
     Onset of contraction, the last tail consumed and the stops are per-column
     reductions.  The chunk is read in place until a column stops."""
+    import numpy as np
+
     tol, safety = policy.abs_tol, policy.tail_safety
     width = value.size
     # state of the columns still summing; column live[j] is entry j

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mpmath
@@ -283,16 +285,100 @@ def test_public_surface_is_sorted_unique_and_resolves():
     assert [name for name in names if not hasattr(annulus_green, name)] == []
 
 
-def test_package_and_cli_import_without_scipy():
-    # a fresh interpreter, so that no other test's imports are counted: the
-    # package's import time is what every CLI process pays first
+def _fresh_interpreter(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter on src/,
+    so that no other test's imports are counted."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys; import annulus_green, annulus_green.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_package_and_cli_import_without_scipy():
+    # the package's import time is what every CLI process pays first: no
+    # scipy, and no numpy until a command builds an array
+    code = """
+        import contextlib, io, json, sys
+        import annulus_green, annulus_green.cli as cli
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(list(argv))
+
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        scalar = [
+            run("critical-point", "--n", "3", "--a", "0.5"),
+            run("eval-robin", "--n", "3", "--a", "0.5", "0.7"),
+        ]
+        loaded = [m for m in ("numpy", "annulus_green.verify") if m in sys.modules]
+        arrays = [
+            run("export-grid", "robin", "--grid-points", "5"),
+            run("eval-green", "--n", "3", "0.6", "0", "0", "0", "0.8", "0"),
+        ]
+        print(json.dumps([scipy, scalar, loaded, arrays, "numpy" in sys.modules]))
+    """
+    scipy, scalar, loaded, arrays, numpy_after = json.loads(_fresh_interpreter(code))
+    assert scipy == []
+    assert scalar == [0, 0]
+    assert loaded == []
+    assert arrays == [0, 0] and numpy_after
+
+
+def test_numpy_imported_after_the_package_is_recognised():
+    # whether a value is a numpy array or integer is read when it is passed,
+    # not fixed when the package is imported
+    code = """
+        import json
+        import annulus_green as ag
+        import numpy as np
+
+        geom, policy = ag.AnnulusGeometry(3, 0.5), ag.TruncationPolicy()
+        values = [
+            ag.robin_eval(geom, r, policy).value for r in (0.7, np.float64(0.7), np.array(0.7))
+        ]
+        try:
+            ag.robin_eval(geom, np.array([0.7]), policy)
+            refused = None
+        except ag.DomainValidationError as exc:
+            refused = str(exc)
+        n = ag.AnnulusGeometry(np.int64(3), 0.5).n
+        grid = ag.robin_eval_grid(geom, np.array([0.6, 0.7, 0.8]), policy)
+        print(json.dumps([[v.hex() for v in values], refused, int(n), grid.value.tolist(),
+                          grid.terms_used.tolist(), grid.tail_bound.tolist()]))
+    """
+    values, refused, n, value, terms, tails = json.loads(_fresh_interpreter(code))
+    policy = TruncationPolicy()
+    want = robin_eval(AnnulusGeometry(3, 0.5), 0.7, policy).value.hex()
+    assert values == [want] * 3
+    assert refused == "expected a scalar radius, got an array of shape (1,)"
+    assert n == 3
+    grid = annulus_green.robin_eval_grid(AnnulusGeometry(3, 0.5), np.array([0.6, 0.7, 0.8]), policy)
+    assert value == grid.value.tolist()
+    assert terms == grid.terms_used.tolist() and tails == grid.tail_bound.tolist()
+
+
+def test_package_namespace_holds_what_the_benchmark_reads(monkeypatch):
+    # bench/run.py collects the typed failures from vars(annulus_green), so
+    # every error class is bound there eagerly; bench/tracing.py reads these
+    # submodules as package attributes and swaps wrappers into them
+    modules = ("core", "summation", "specfun", "kernels", "green", "critical", "cli",
+               "verify", "oracle")
+    for name in modules:
+        module = getattr(annulus_green, name)
+        assert module is sys.modules[f"annulus_green.{name}"]
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, annulus_green.AnnulusError):
+                assert vars(annulus_green)[value.__name__] is value
+    # a lazily exported name is read from its submodule on every access and
+    # never stored in the package, so a wrapper does not outlive its removal
+    original = kernels.newtonian_series_outer
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "newtonian_series_outer", lambda *args: None)
+        assert annulus_green.newtonian_series_outer is kernels.newtonian_series_outer
+    assert annulus_green.newtonian_series_outer is original
+    assert "newtonian_series_outer" not in vars(annulus_green)
+    with pytest.raises(AttributeError):
+        annulus_green.no_such_name

@@ -24,9 +24,9 @@ import references as refs
 from annulus_green import AnnulusGeometry, TruncationPolicy, find_critical_point
 from annulus_green import green
 from annulus_green.green import (
-    _GRID,
     _HEAD_MODES,
     _SCALAR,
+    _grid,
     _image_rows,
     _image_weights,
     _imaged_grid,
@@ -128,7 +128,7 @@ def test_image_rows_cover_mpmath_remainder(name, n, a, frac):
 
     def table(cols):
         sc = scales[cols] if n == 2 else scale
-        return _imaged_grid((), _image_rows(k, a, radii[cols], sc, parts, m0, _GRID))
+        return _imaged_grid((), _image_rows(k, a, radii[cols], sc, parts, m0, _grid()))
 
     grid = sum_series_table(table, 2, policy)
     for j in range(2):

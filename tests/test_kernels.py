@@ -280,40 +280,40 @@ class TestGeneratingSeriesRounding:
 
     def test_seeded_draw_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
-        rng = np.random.default_rng(20261018)
-        policy = TruncationPolicy(abs_tol=1e-12)
+        with mp.workdps(50):
+            rng = np.random.default_rng(20261018)
+            policy = TruncationPolicy(abs_tol=1e-12)
 
-        def exact(p, q, n):
-            d2 = sum((mp.mpf(float(u)) - mp.mpf(float(v))) ** 2 for u, v in zip(p, q))
-            return d2 ** (mp.mpf(2 - n) / 2)
+            def exact(p, q, n):
+                d2 = sum((mp.mpf(float(u)) - mp.mpf(float(v))) ** 2 for u, v in zip(p, q))
+                return d2 ** (mp.mpf(2 - n) / 2)
 
-        def direction(v):
-            # the exact unit vector along the given doubles
-            norm = mp.sqrt(sum(mp.mpf(float(c)) ** 2 for c in v))
-            return [mp.mpf(float(c)) / norm for c in v]
+            def direction(v):
+                # the exact unit vector along the given doubles
+                norm = mp.sqrt(sum(mp.mpf(float(c)) ** 2 for c in v))
+                return [mp.mpf(float(c)) / norm for c in v]
 
-        checked = 0
-        for n in (3, 4, 5, 6, 9):
-            geom = AnnulusGeometry(n, float(rng.uniform(0.2, 0.8)))
-            for _ in range(20):
-                xi = random_unit(rng, n)
-                # source radii up to 0.99 of the far one, so that terms cancel
-                y = rng.uniform(0.0, 0.99) * random_unit(rng, n)
-                res = newtonian_series_outer(geom, xi, y, policy)
-                ref = exact(direction(xi), y, n)
-                assert res.converged and abs(res.value - ref) <= res.tail_bound, (n, xi, y)
-
-                s = float(np.linalg.norm(y))
-                if s > geom.a:
-                    res = newtonian_series_inner(geom, xi, y, policy)
-                    ref = exact([geom.a * c for c in direction(xi)], y, n)
+            checked = 0
+            for n in (3, 4, 5, 6, 9):
+                geom = AnnulusGeometry(n, float(rng.uniform(0.2, 0.8)))
+                for _ in range(20):
+                    xi = random_unit(rng, n)
+                    # source radii up to 0.99 of the far one, so that terms cancel
+                    y = rng.uniform(0.0, 0.99) * random_unit(rng, n)
+                    res = newtonian_series_outer(geom, xi, y, policy)
+                    ref = exact(direction(xi), y, n)
                     assert res.converged and abs(res.value - ref) <= res.tail_bound, (n, xi, y)
 
-                x = rng.uniform(0.3, 1.0) * random_unit(rng, n)
-                y = rng.uniform(0.0, 0.99) * float(np.linalg.norm(x)) * random_unit(rng, n)
-                res = newtonian_series_exterior(geom, x, y, policy)
-                ref = exact(x, y, n)
-                assert res.converged and abs(res.value - ref) <= res.tail_bound, (n, x, y)
-                checked += 1
-        assert checked == 100
+                    s = float(np.linalg.norm(y))
+                    if s > geom.a:
+                        res = newtonian_series_inner(geom, xi, y, policy)
+                        ref = exact([geom.a * c for c in direction(xi)], y, n)
+                        assert res.converged and abs(res.value - ref) <= res.tail_bound, (n, xi, y)
+
+                    x = rng.uniform(0.3, 1.0) * random_unit(rng, n)
+                    y = rng.uniform(0.0, 0.99) * float(np.linalg.norm(x)) * random_unit(rng, n)
+                    res = newtonian_series_exterior(geom, x, y, policy)
+                    ref = exact(x, y, n)
+                    assert res.converged and abs(res.value - ref) <= res.tail_bound, (n, x, y)
+                    checked += 1
+            assert checked == 100

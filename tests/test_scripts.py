@@ -78,7 +78,7 @@ def test_output_digest_frames_draw_forms_framed_rows(monkeypatch):
         return series(s, geom, r, policy)
 
     def counted(bases, starts, powers, polys, tools):
-        seen.add((*current[0], tools is green._GRID))
+        seen.add((*current[0], tools is green._grid()))
         return framed(bases, starts, powers, polys, tools)
 
     monkeypatch.setattr(green, "_robin_series", each_series)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from annulus_green import EvalResult, verify
+from annulus_green import EvalResult, cli, verify
 from annulus_green.verify import SUITES, SuiteResult, render_summary, run_suites
 
 # Tier-1 runs every suite at this seed.  The check counts are pinned, so a
@@ -167,6 +167,8 @@ def test_suite_registry_names():
         "robin-derivatives",
         "critical-point",
     }
+    # the CLI's --suite choices, listed there so that verify loads only when it runs
+    assert cli._SUITES == tuple(sorted(SUITES))
 
 
 def test_distance_suite_passes_and_is_deterministic():
