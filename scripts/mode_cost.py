@@ -19,7 +19,7 @@ its variable q = r.
 A second table times the grid twins that export-grid runs, on its default
 window of radii: robin_eval_grid, robin_radial_gradient_grid,
 robin2d_eval_grid and robin2d_first_grid over 200 radii standing off both
-spheres by 1e-3 of the gap, and green._green_slice over 200 radii from wall
+spheres by 1e-3 of the gap, and grid._green_slice over 200 radii from wall
 to wall, with the point-pair evaluators' second point as its source.  For
 each it prints the mean terms_used per row and the median over ``--repeat``
 warm calls of the time per row, in microseconds.
@@ -85,7 +85,7 @@ def _calls(ag, n: int, a: float):
 
 def _grid_calls(ag, n: int, a: float):
     """(grid evaluator, call, radii) for export-grid's default windows."""
-    from annulus_green import green
+    from annulus_green import grid
 
     geom, pol, gap = ag.AnnulusGeometry(n, a), ag.TruncationPolicy(), 1.0 - a
     window = np.linspace(a + 1e-3 * gap, 1.0 - 1e-3 * gap, GRID_ROWS)
@@ -96,7 +96,7 @@ def _grid_calls(ag, n: int, a: float):
     for name in ("robin2d_eval_grid", "robin2d_first_grid"):
         yield name, lambda r, f=getattr(ag, name): f(a, r, pol), window
     wall_to_wall = np.linspace(a, 1.0, GRID_ROWS)
-    yield "_green_slice", lambda r: green._green_slice(geom, r, y, pol)[1], wall_to_wall
+    yield "_green_slice", lambda r: grid._green_slice(geom, r, y, pol)[1], wall_to_wall
 
 
 def _timed(call, r, clear) -> tuple[int, float]:

@@ -117,7 +117,7 @@ def _frames_draw(ag, rng: random.Random) -> list:
 
 def _groups(ag, count: int, seed: int) -> dict:
     """Group name -> list of records, in the draw's order."""
-    from annulus_green import green
+    from annulus_green import green, grid
 
     rng = random.Random(seed)
     policies = (ag.TruncationPolicy(), ag.TruncationPolicy(rel_tol=0.05))
@@ -162,7 +162,7 @@ def _groups(ag, count: int, seed: int) -> dict:
             out["green"] += [
                 _record(ag.green_eval, geom, x, y, pol),
                 _record(ag.green_piecewise_eval, geom, x, y, pol),
-                _record(green._green_slice, geom, np.linspace(a, 1.0, 5), y, pol),
+                _record(grid._green_slice, geom, np.linspace(a, 1.0, 5), y, pol),
             ]
 
         geom = ag.AnnulusGeometry(rng.choice((2, *SPATIAL_DIMS)), _thickness(rng))

@@ -4,10 +4,11 @@ truncation tails, plus the location of the Robin function's unique radial
 critical point and a set of independent brute-force oracles.
 
 Importing the package loads no numpy: the scalar evaluators, the solver and
-their CLI commands build no arrays, and the grid evaluators import numpy on
-first use.  The modules that import numpy as they load (kernels, oracle and
-verify), and the names of the first two, are loaded on first access through
-the module ``__getattr__`` of PEP 562."""
+their CLI commands build no arrays, and the grid evaluators import the grid
+module, and numpy with it, on first use.  The modules that import numpy as
+they load (grid, kernels, oracle and verify), the names of the first three,
+and the cli module are loaded on first access through the module
+``__getattr__`` of PEP 562."""
 
 import importlib
 
@@ -58,7 +59,7 @@ from .specfun import (
     zonal_direct,
     zonal_from_gegenbauer,
 )
-from .summation import sum_series, sum_series_table
+from .summation import sum_series
 
 __version__ = "0.1.0"
 
@@ -90,8 +91,9 @@ _LAZY = {
         ),
         "oracle",
     ),
+    "sum_series_table": "grid",
 }
-_LAZY_MODULES = ("kernels", "oracle", "verify")
+_LAZY_MODULES = ("cli", "grid", "kernels", "oracle", "verify")
 
 
 def __getattr__(name: str):

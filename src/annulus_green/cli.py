@@ -10,7 +10,6 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -27,7 +26,6 @@ from .core import (
 from .critical import find_critical_point
 from .green import (
     NEAR_DIAGONAL,
-    _green_slice,
     _radial,
     green_eval,
     green_piecewise_eval,
@@ -171,6 +169,8 @@ def _emit_record(args, record: dict) -> None:
     if args.format == "json":
         _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
     else:
+        import csv
+
         # quoted where a field holds a comma (the critical-point method does)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -360,6 +360,8 @@ def _cmd_export_grid(args) -> int:
         y = geom.point(y)
         radii = _radial_grid(args, geom, standoff=0.0)  # the slice reaches both walls
         column = "green"
+        from .grid import _green_slice
+
         # near-singular points are refused: their rows hold NaNs, not bad data
         d, res = _green_slice(geom, radii, y, policy)
         settled = res.converged | (d < NEAR_DIAGONAL)

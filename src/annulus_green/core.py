@@ -246,8 +246,8 @@ class TruncationPolicy:
     ``abs_tol``, or with ``rel_tol`` > 0 the larger of ``abs_tol`` and
     ``rel_tol`` times the magnitude of the running value, the closed part of
     a split series included (see summation.sum_series).  The default 0.0
-    keeps the absolute target; the grid summer sum_series_table refuses a
-    relative one.
+    keeps the absolute target; the grid summer grid.sum_series_table refuses
+    a relative one.
     """
 
     abs_tol: float = 1e-10

@@ -71,23 +71,20 @@ would be the same computation as green_eval's, and it serves as the
 independent route that green_eval is checked against.
 
 Every split remainder contracts by at most a^2 per mode at every radius, so
-a grid of radii can share one mode loop.  The grid twins robin_eval_grid,
-robin_radial_gradient_grid, robin2d_eval_grid, robin2d_first_grid and
-_green_slice sum their remainders as one (modes x radii) table with
-summation.sum_series_table.  Only _robin_series and _green_split choose
-between one radius and an array, and they pass the choice down as a _Tools
-value (_SCALAR or _grid()); the geometry checks both by one rule.  Every
-formula outside the per-mode loops is written once: the closed forms, the
-remainders' starts (_robin_starts, _green_starts), the image rows and the
-binary frame (_framed_images).  The loops of _robin_remainder and
-_green_remainder keep grid twins, as sum_series keeps sum_series_table: a
-helper call per mode would slow the scalar path.  A twin yields rows of the
-same shape and counts rounding with the same named constants; only the
-powers and logs that depend on the radius are numpy's, and each adds
-_NUMPY_EXTRA units to its piece.  A grid entry therefore matches the scalar
-evaluator's terms used and convergence and stays inside its bound, while
-its value may differ by ulps.  A single point keeps the scalar path, whose
-fixed cost is far below a table's.
+a grid of radii can share one mode loop.  The grid evaluators
+robin_eval_grid, robin_radial_gradient_grid, robin2d_eval_grid,
+robin2d_first_grid and grid._green_slice sum their remainders as one
+(modes x radii) table with grid.sum_series_table.  Only _robin_series and
+_green_split choose between one radius and an array, and they pass the
+choice down as a _Tools value (_SCALAR, or grid.TOOLS); the geometry checks
+both by one rule.  Their array branches import the grid module, and numpy
+with it, at the first grid evaluation.  Every formula outside the per-mode
+loops is written once, here: the closed forms, the remainders' starts
+(_robin_starts, _green_starts), the image rows and the binary frame
+(_framed_images).  The loops of _robin_remainder and _green_remainder keep
+twins in the grid module (see its docstring), as sum_series keeps
+sum_series_table: a helper call per mode would slow the scalar path.  A
+single point keeps the scalar path, whose fixed cost is far below a table's.
 """
 
 from __future__ import annotations
@@ -97,7 +94,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (
     AnnulusGeometry,
@@ -111,12 +108,8 @@ from .core import (
     is_numpy,
     require_integer,
 )
-from .specfun import _clamp_argument, _gegenbauer_modes, _mode_table, iter_gegenbauer
-from . import summation
-from .summation import _U, sum_series, sum_series_table
-
-if TYPE_CHECKING:
-    import numpy as np
+from .specfun import _clamp_argument, _gegenbauer_modes, _mode_table
+from .summation import _U, sum_series
 
 # below this separation the subtraction against the fundamental solution is
 # pure cancellation; callers wanting diagonal values should use robin_eval
@@ -154,12 +147,6 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
             f"the modal coefficient for n = {n} leaves the double-precision range here"
         ) from None
 
-
-# the grid twins take powers and logs of arrays with numpy, whose vectorised
-# power and log may err by this many units more than the libm results the
-# scalar counts allow for (tests/test_numpy_rounding.py measures both against
-# mpmath); every factor taken that way adds it to its piece's count
-_NUMPY_EXTRA = 2.0
 
 # the image route of the Robin family (see _image_rows): where the mode
 # series is predicted to need more than _SWITCH_MODES modes, the remainder
@@ -248,7 +235,7 @@ def _green_closed(k: int, a: float, lo, hi, d, d_units, scale: float, tools: _To
     """The Newtonian term minus the four images of the Green correction,
     times ``scale`` = 1/(k omega), and its rounding bound; lo, hi, d and
     d_units, the relative error of d in units of the unit roundoff, are
-    floats, or arrays of them with _grid()'s tools (see _Tools).
+    floats, or arrays of them with grid.TOOLS (see _Tools).
 
     Mode m of the correction is (g1 - g2 - g3 + g4) P_m(t) / (1 - A_m) with
     g_i = c_i q_i^m, q = (lo hi, a^2 lo / hi, a^2 hi / lo, a^2 / (lo hi)) and
@@ -302,13 +289,6 @@ def _green_closed(k: int, a: float, lo, hi, d, d_units, scale: float, tools: _To
         ulps += image * (lam * (err / base + 2.0) + 2.0)
     closed = sum(pieces) * scale
     return closed, _U * scale * (ulps + (7.0 + tools.numpy_units) * sum(abs(p) for p in pieces))
-
-
-def _column(values) -> np.ndarray:
-    """Per-mode numbers as a column that broadcasts against a row of radii."""
-    import numpy as np
-
-    return np.fromiter(values, dtype=float)[:, None]
 
 
 def _green_starts(k: int, a: float, lo, hi, scale: float, tools: _Tools):
@@ -380,54 +360,13 @@ def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: fl
         big_a *= a2
 
 
-def _green_remainder_grid(k: int, a: float, lo, hi, t, scale: float):
-    """_green_remainder for arrays of radius pairs (lo, hi) and cosines t, in
-    chunks of summation.TABLE_MODES modes as sum_series_table reads them.
-
-    The arithmetic is _green_remainder's, in the same order: the h_i are the
-    same running products and P_m(t) the same recurrence, so a column differs
-    from the scalar stream only through h2, h3 and h4's starting powers, which
-    numpy takes; the rounding row adds _NUMPY_EXTRA for them (_green_starts).
-    """
-    import numpy as np
-
-    bs, hs, big_a, env_k, qmax, (quad, per_mode, fixed) = _green_starts(k, a, lo, hi, scale, _grid())
-    b = np.array(bs)
-    h = np.array([np.full_like(lo, hs[0]), *hs[1:]])
-    a2 = a * a
-    modes = summation.TABLE_MODES
-    lam = 0.5 * k
-    rows = zip(_mode_table(_gegenbauer_modes, lam), iter_gegenbauer(lam, t))
-    for m0 in itertools.count(0, modes):
-        consts, p = zip(*itertools.islice(rows, modes))
-        ratios, binoms, *_ = zip(*consts)
-        one_minus_a = []
-        for _ in consts:
-            one_minus_a.append(1.0 - big_a)
-            big_a *= a2
-        # h_i carried as running products, as the scalar stream carries them
-        products = np.empty((4, modes, lo.size))
-        products[:, 0] = h
-        for i in range(1, modes):
-            np.multiply(products[:, i - 1], b, out=products[:, i])
-        h1, h2, h3, h4 = products
-        h = products[:, -1] * b
-        env = env_k * _column(binoms) * (h1 + h4)
-        m = _column(range(m0, m0 + modes))
-        yield (
-            scale * (((h1 - h2) - h3) + h4) * np.array(p) / _column(one_minus_a),
-            env,
-            _column(ratios) * qmax,
-            2.0 * env * (quad * (m + 1.0) ** 2 + per_mode * m + fixed),
-        )
-
-
 def _green_split(geom: AnnulusGeometry, lo, hi, t, d, d_units, policy: TruncationPolicy):
     """green_eval's series at radii lo <= hi, cosine t and distance d, which
     errs by d_units units: its closed form (_green_closed) plus its
     remainder.  For floats an EvalResult; for arrays, one entry per pair, an
-    EvalGrid summed as one table.  With _robin_series the only place that chooses between the two:
-    it picks the remainder stream, the summer and the tools (see _Tools).
+    EvalGrid summed as one table.  With _robin_series the only place that
+    chooses between the two: it picks the remainder stream, the summer and
+    the tools (see _Tools).
     """
     k, a = geom.n - 2, geom.a
     try:
@@ -435,10 +374,14 @@ def _green_split(geom: AnnulusGeometry, lo, hi, t, d, d_units, policy: Truncatio
         if not isinstance(lo, float) and is_numpy(lo, "ndarray"):
             import numpy as np
 
+            from . import grid
+
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-                closed, rounding = _green_closed(k, a, lo, hi, d, d_units, scale, _grid())
-                res = sum_series_table(
-                    lambda cols: _green_remainder_grid(k, a, lo[cols], hi[cols], t[cols], -scale),
+                closed, rounding = _green_closed(k, a, lo, hi, d, d_units, scale, grid.TOOLS)
+                res = grid.sum_series_table(
+                    lambda cols: grid._green_remainder_grid(
+                        k, a, lo[cols], hi[cols], t[cols], -scale
+                    ),
                     lo.size,
                     policy,
                 )
@@ -497,47 +440,6 @@ def _clamped(geom: AnnulusGeometry, xs: list) -> tuple[float, float, list, float
         return r, r, xs, 0.0
     f = r / norm
     return norm, r, [v * f for v in xs], _E_MOVED * r
-
-
-def _green_slice(
-    geom: AnnulusGeometry, radii, y: ArrayLike, policy: TruncationPolicy
-) -> tuple[np.ndarray, EvalGrid]:
-    """green_eval(geom, r e1, y, policy) for every radius r of ``radii``, with
-    e1 the first coordinate axis, summed as one table; returns the distances
-    |r e1 - y| and the rows.
-
-    Each row stays inside green_eval's bound and matches its terms used and
-    convergence; values may differ from green_eval's by ulps.  A radius, or
-    y's, may miss [a, 1] by RADIUS_SLACK, as in green_eval.  A point within
-    NEAR_DIAGONAL of y, where green_eval raises SingularityError, is not
-    evaluated: its row holds a NaN value and tail, 0 terms and converged
-    False.  export-grid writes those rows as they are.
-    """
-    import numpy as np
-
-    geom.require_series_dim()
-    ys = geom.point(y).tolist()
-    r = geom.clamp_radius(np.asarray(radii, dtype=float))
-    y_norm, s, y_on, y_err = _clamped(geom, ys)
-    # the points r e1 lie on the clamped radii, exact; |x - y| errs by
-    # _E_DIST like math.dist (the difference and its square take 3 units,
-    # fsum of the other squares 2, their sum and sqrt 1 each) and by y_err
-    d = np.sqrt((r - y_on[0]) ** 2 + math.fsum(v * v for v in y_on[1:]))
-    far = d >= NEAR_DIAGONAL
-    grid = EvalGrid(
-        value=np.full(d.size, np.nan),
-        terms_used=np.zeros(d.size, dtype=np.int64),
-        tail_bound=np.full(d.size, np.nan),
-        converged=np.zeros(d.size, dtype=bool),
-    )
-    r, d_far = r[far], d[far]
-    # <x, y> / (|x| |y|) with the roundings of green_eval's fsum form
-    t = np.clip((r * ys[0]) / (r * y_norm), -1.0, 1.0)
-    d_units = _E_DIST + y_err / d_far
-    res = _green_split(geom, np.minimum(r, s), np.maximum(r, s), t, d_far, d_units, policy)
-    grid.value[far], grid.terms_used[far] = res.value, res.terms_used
-    grid.tail_bound[far], grid.converged[far] = res.tail_bound, res.converged
-    return d, grid
 
 
 def _modal_rows(n: int, a: float, lo: float, hi: float, t: float, omega: float):
@@ -665,12 +567,12 @@ def _robin_modes(k: int, parts, after=None):
         m += 1
 
 
-# what differs between one radius (_SCALAR) and an array of radii (_grid()),
-# chosen once by _robin_series or _green_split and passed down: the
-# elementwise functions, math's or numpy's; the units of the unit roundoff
-# that each numpy function adds to the error of its math twin (0 at one
-# radius, _NUMPY_EXTRA on a grid); the Robin-family mode stream and the
-# splice of its image rows (see _remainder_rows); and the image indices j
+# what differs between one radius (_SCALAR) and an array of radii
+# (grid.TOOLS), chosen once by _robin_series or _green_split and passed down:
+# the elementwise functions, math's or numpy's; the units of the unit
+# roundoff that each numpy function adds to the error of its math twin (0 at
+# one radius, grid._NUMPY_EXTRA on a grid); the Robin-family mode stream and
+# the splice of its image rows (see _remainder_rows); and the image indices j
 # that _image_rows reads
 _Tools = collections.namedtuple(
     "_Tools",
@@ -698,7 +600,7 @@ def _robin_starts(k: int, a: float, r, tools: _Tools):
 def _framed_images(bases, starts, powers, polys, tools: _Tools):
     """(w, top): the images s_i b_i^n_i P_i of a Robin-family remainder mode
     as w_i 2^top, for a mode whose direct images sum below _FRAME_BELOW; with
-    _grid()'s tools every argument may be an array of entries.
+    grid.TOOLS every argument may be an array of entries.
 
     frexp splits each base into f 2^e and each start into g 2^h, both
     exactly, and w_i = g f^n P_i 2^(n e + h - top) rounds as s b^n P_i does:
@@ -787,61 +689,6 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
                 rho,
                 ldexp(size * inv * units, top),
             )
-
-
-def _robin_remainder_grid(k: int, a: float, r, scale, parts):
-    """_robin_remainder for an array of radii (and of scales, in the plane),
-    in chunks of summation.TABLE_MODES modes as sum_series_table reads them.
-
-    The per-mode factors that do not depend on r (a^(4m), 1/(1 - A_m) and
-    the shape table's rows) are _robin_remainder's own scalars; the powers
-    b^(2m) and the starts s_2, s_4 of every radius are numpy's, in the same
-    order of operations.  w_4 holds two of them, so the rounding row adds
-    2 _NUMPY_EXTRA to _robin_remainder's count; in the plane, where the
-    starts are 1, it adds one.  The entries below _FRAME_BELOW are formed
-    again in _framed_images' frame, with _grid()'s tools.
-    """
-    import numpy as np
-
-    (c1, _, _), (c2, _, _), (c4, _, _) = parts
-    abs_c1, abs_c2, abs_c4 = abs(c1), abs(c2), abs(c4)
-    expm1 = math.expm1
-    log_a = math.log(a)
-    extra = (2.0 if k else 1.0) * _NUMPY_EXTRA
-    grid = _grid()
-    b1, b4, (s1_0, s2_0, s4_0), env_k, step = _robin_starts(k, a, r, grid)
-    rows = iter(_mode_table(_robin_modes, k, parts))
-    modes = summation.TABLE_MODES
-    while True:
-        ms, *columns = zip(*itertools.islice(rows, modes))
-        p1, p2, p4, weights, ratios, growths, counts = map(_column, columns)
-        counts += extra
-        inv = _column(-1.0 / expm1((k + 2 * m) * log_a) for m in ms)
-        sb, m = scale * weights, _column(ms)
-        w1 = s1_0 * b1 ** (2.0 * m) * p1
-        w2 = s2_0 * _column(a ** (4 * m) for m in ms) * p2
-        w4 = s4_0 * b4 ** (2.0 * m) * p4
-        size = np.abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-        term = sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv
-        env = size * env_k
-        units = size * inv * counts
-        low = w1 + w4 < _FRAME_BELOW
-        if low.any():  # _robin_remainder's frame, at those entries alone
-            i, j = np.nonzero(low)
-            n = 2 * np.array(ms)[i]
-            (w1, w2, w4), top = _framed_images(
-                (b1[j], a, b4[j]),
-                (s1_0, s2_0[j], s4_0[j]),
-                (n, 2 * n, n),
-                [p[i, 0] for p in (p1, p2, p4)],
-                grid,
-            )
-            sb_l, inv_l = np.broadcast_to(sb, low.shape)[i, j], inv[i, 0]
-            size = np.abs(sb_l) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
-            term[i, j] = np.ldexp(sb_l * (c1 * w1 + c2 * w2 + c4 * w4) * inv_l, top)
-            env[i, j] = np.ldexp(size * env_k, top)
-            units[i, j] = np.ldexp(size * inv_l * counts[i, 0], top)
-        yield term, env, ratios * step * growths, units
 
 
 def _image_route(a: float, policy: TruncationPolicy, parts) -> bool:
@@ -952,10 +799,10 @@ def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
 
     At one radius the tools are _SCALAR's and j the integers 1, 2, ..., and
     y errs by at most 8 |y| units and each exp or expm1 by 2.  At an array of
-    radii they are _grid()'s and j a column of summation.TABLE_MODES indices
+    radii they are grid.TOOLS and j a column of grid.TABLE_MODES indices
     per chunk, each row a (j x radii) table in which each numpy log, power,
     exp or expm1 adds tools.numpy_units to those counts (_images forms
-    them); _imaged_grid spreads its ratio over the chunk.
+    them); grid._imaged_grid spreads its ratio over the chunk.
     """
     ratio = a ** (k + 2 * m0)
     la = math.log(a)
@@ -989,29 +836,6 @@ def _imaged(rows, images):
     yield from images
 
 
-def _imaged_grid(chunks, images):
-    """_imaged for a grid twin's chunks: the first _HEAD_MODES rows, cut from
-    whole chunks, then the image chunks, each ratio spread over its chunk."""
-    import numpy as np
-
-    left = _HEAD_MODES
-    for term, env, rho, units in chunks:
-        rows = min(left, len(term))
-        yield term[:rows], env[:rows], np.full(rho[:rows].shape, math.inf), units[:rows]
-        left -= rows
-        if not left:
-            break
-    for term, env, ratio, units in images:
-        yield term, env, np.full(term.shape, ratio), units
-
-
-def _image_columns():
-    """The image indices j = 1, 2, ... as one column of summation.TABLE_MODES
-    of them per chunk, as sum_series_table reads a grid twin's rows."""
-    modes = summation.TABLE_MODES
-    return (_column(range(j0, j0 + modes)) for j0 in itertools.count(1, modes))
-
-
 _SCALAR = _Tools(
     exp=math.exp, expm1=math.expm1, log=math.log, frexp=math.frexp, ldexp=math.ldexp,
     maximum=max, numpy_units=0.0,
@@ -1019,25 +843,12 @@ _SCALAR = _Tools(
 )
 
 
-@functools.cache
-def _grid() -> _Tools:
-    """The tools of an array of radii, built at the first grid evaluation:
-    numpy is imported there, not with this module."""
-    import numpy as np
-
-    return _Tools(
-        exp=np.exp, expm1=np.expm1, log=np.log, frexp=np.frexp, ldexp=np.ldexp,
-        maximum=np.maximum, numpy_units=_NUMPY_EXTRA,
-        modes=_robin_remainder_grid, imaged=_imaged_grid, js=_image_columns,
-    )
-
-
 def _remainder_rows(k: int, a: float, r, scale, parts, images: bool, tools: _Tools):
     """The rows of a Robin-family remainder (planar for k = 0): its modes, or
     with ``images`` its first _HEAD_MODES modes and then the image rows of
-    the rest.  With _grid()'s tools, for an array of radii (and of scales, in
-    the plane), the rows come in the grid twins' chunks, as sum_series_table
-    reads them."""
+    the rest.  With grid.TOOLS, for an array of radii (and of scales, in
+    the plane), the rows come in the grid twins' chunks, as
+    grid.sum_series_table reads them."""
     rows = tools.modes(k, a, r, scale, parts)
     if not images:
         return rows
@@ -1104,7 +915,7 @@ class _Series(NamedTuple):
     ``closed(k, a, r, u, v, w, log)`` returns (pieces, ulps, absolute units,
     radius factors): the closed form is the sum of the pieces and rounds by
     at most ulps units of their summed magnitudes plus the absolute units,
-    and on the grid path each radius factor adds _NUMPY_EXTRA to ulps.
+    and on the grid path each radius factor adds grid._NUMPY_EXTRA to ulps.
     u = 1 - r^2, v = r^2 - a^2 and w = 1 - a^2 come as (p - q)(p + q).
     """
 
@@ -1141,7 +952,7 @@ def _normalised(series: _Series, geom: AnnulusGeometry, r, tools: _Tools):
     remainder's prefactor and parts, in the family's normalisation: for
     n >= 3 the closed form times -1/omega and the prefactor over -k omega, in
     the plane both as they are.  r is a float with _SCALAR's tools, or an
-    array of radii with _grid()'s.
+    array of radii with grid.TOOLS.
     """
     k, a = geom.n - 2, geom.a
     u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
@@ -1175,16 +986,17 @@ def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
         else:
             import numpy as np
 
-            grid = _grid()
+            from . import grid
+
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-                closed, rounding, scale, parts = _normalised(series, geom, r, grid)
+                closed, rounding, scale, parts = _normalised(series, geom, r, grid.TOOLS)
                 route = _image_route(a, policy, parts)
 
                 def table(cols):  # in the plane a prefactor may vary with r
                     sc = scale[cols] if np.ndim(scale) else scale
-                    return _remainder_rows(k, a, r[cols], sc, parts, route, grid)
+                    return _remainder_rows(k, a, r[cols], sc, parts, route, grid.TOOLS)
 
-                res = sum_series_table(table, r.size, policy)
+                res = grid.sum_series_table(table, r.size, policy)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
             f"the Robin series for n = {k + 2} leaves the double-precision range here: "

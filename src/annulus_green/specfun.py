@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, TypeAlias, Union
 
@@ -166,6 +165,8 @@ def gegenbauer_endpoint_exact(n: int, m: int) -> int:
     The result is always the integer C(n+m-3, m); a non-integer intermediate
     would indicate a recurrence defect, so that case raises.
     """
+    from fractions import Fraction
+
     _require_degree(n, m)
     lam = Fraction(n - 2, 2)
     p_prev, p = Fraction(0), Fraction(1)
@@ -258,6 +259,8 @@ def _zonal_coeffs(n: int, m: int) -> tuple[float, ...]:
     no factors; exact rationals keep the alternating coefficients clean
     before the final float conversion.
     """
+    from fractions import Fraction
+
     out = []
     for k in range(m // 2 + 1):
         prod = 1

@@ -299,7 +299,8 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_package_and_cli_import_without_scipy():
     # the package's import time is what every CLI process pays first: no
-    # scipy, and no numpy until a command builds an array
+    # scipy, and no numpy, grid module, fractions or csv until a command
+    # needs them
     code = """
         import contextlib, io, json, sys
         import annulus_green, annulus_green.cli as cli
@@ -313,18 +314,20 @@ def test_package_and_cli_import_without_scipy():
             run("critical-point", "--n", "3", "--a", "0.5"),
             run("eval-robin", "--n", "3", "--a", "0.5", "0.7"),
         ]
-        loaded = [m for m in ("numpy", "annulus_green.verify") if m in sys.modules]
+        unused = ("numpy", "annulus_green.verify", "annulus_green.grid", "fractions", "csv")
+        loaded = [m for m in unused if m in sys.modules]
         arrays = [
             run("export-grid", "robin", "--grid-points", "5"),
             run("eval-green", "--n", "3", "0.6", "0", "0", "0", "0.8", "0"),
         ]
-        print(json.dumps([scipy, scalar, loaded, arrays, "numpy" in sys.modules]))
+        after = [m in sys.modules for m in ("numpy", "annulus_green.grid")]
+        print(json.dumps([scipy, scalar, loaded, arrays, after]))
     """
-    scipy, scalar, loaded, arrays, numpy_after = json.loads(_fresh_interpreter(code))
+    scipy, scalar, loaded, arrays, after = json.loads(_fresh_interpreter(code))
     assert scipy == []
     assert scalar == [0, 0]
     assert loaded == []
-    assert arrays == [0, 0] and numpy_after
+    assert arrays == [0, 0] and after == [True, True]
 
 
 def test_numpy_imported_after_the_package_is_recognised():
@@ -363,9 +366,9 @@ def test_numpy_imported_after_the_package_is_recognised():
 def test_package_namespace_holds_what_the_benchmark_reads(monkeypatch):
     # bench/run.py collects the typed failures from vars(annulus_green), so
     # every error class is bound there eagerly; bench/tracing.py reads these
-    # submodules as package attributes and swaps wrappers into them
+    # submodules but grid as package attributes and swaps wrappers into them
     modules = ("core", "summation", "specfun", "kernels", "green", "critical", "cli",
-               "verify", "oracle")
+               "verify", "oracle", "grid")
     for name in modules:
         module = getattr(annulus_green, name)
         assert module is sys.modules[f"annulus_green.{name}"]
@@ -380,5 +383,6 @@ def test_package_namespace_holds_what_the_benchmark_reads(monkeypatch):
         assert annulus_green.newtonian_series_outer is kernels.newtonian_series_outer
     assert annulus_green.newtonian_series_outer is original
     assert "newtonian_series_outer" not in vars(annulus_green)
+    assert annulus_green.sum_series_table is annulus_green.grid.sum_series_table
     with pytest.raises(AttributeError):
         annulus_green.no_such_name

@@ -30,6 +30,7 @@ from annulus_green import (
     robin_radial_gradient_grid,
 )
 from annulus_green import green
+from annulus_green.grid import _green_slice
 from conftest import random_unit
 
 POLICY = TruncationPolicy(abs_tol=1e-12, max_terms=300_000)
@@ -151,9 +152,9 @@ def test_points_past_a_sphere_vanish_within_the_bound(r, n, policy):
         assert abs(res.value) <= res.tail_bound
     # the slice's row at r, with a source inside or past the other sphere
     for y in (0.7 * e2, past_other * ray):
-        grid = green._green_slice(geom, np.array([r, 0.75]), y, policy)[1]
+        grid = _green_slice(geom, np.array([r, 0.75]), y, policy)[1]
         assert abs(grid.value[0]) <= grid.tail_bound[0]
-    grid = green._green_slice(geom, np.array([0.6, 0.75, 0.9]), r * ray, policy)[1]
+    grid = _green_slice(geom, np.array([0.6, 0.75, 0.9]), r * ray, policy)[1]
     assert (abs(grid.value) <= grid.tail_bound).all()
 
 
@@ -194,7 +195,7 @@ class TestPiecewiseRoute:
             with pytest.raises(TailEnvelopeError):
                 fn(geom, x, y, POLICY)
         with pytest.raises(TailEnvelopeError):
-            green._green_slice(geom, np.array([0.6, 0.7]), y, POLICY)
+            _green_slice(geom, np.array([0.6, 0.7]), y, POLICY)
 
 
 class TestRobin:

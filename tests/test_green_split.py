@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 import direct_series
 import references as refs
 from annulus_green import AnnulusGeometry, TailEnvelopeError, TruncationPolicy, green_eval
-from annulus_green.green import _green_remainder, _green_remainder_grid
-from annulus_green.summation import sum_series, sum_series_table
+from annulus_green.green import _green_remainder
+from annulus_green.grid import _green_remainder_grid, sum_series_table
+from annulus_green.summation import sum_series
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
 

@@ -31,7 +31,8 @@ from annulus_green import (
     robin_radial_gradient_grid,
 )
 from annulus_green.cli import main
-from annulus_green import green, summation
+from annulus_green import green
+from annulus_green.grid import TABLE_MODES, _green_slice
 import references as refs
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
@@ -123,7 +124,7 @@ def test_scalar_and_grid_refuse_the_same_radii(name, r):
     if name == "green":
         geom, y = AnnulusGeometry(3, 0.5), np.array([0.0, 0.7, 0.0])
         scalar = _refusal(lambda: green_eval(geom, [r, 0.0, 0.0], y, POLICY))
-        grid = _refusal(lambda: green._green_slice(geom, np.array([0.75, r]), y, POLICY))
+        grid = _refusal(lambda: _green_slice(geom, np.array([0.75, r]), y, POLICY))
     else:
         grid_fn, scalar_fn = QUANTITIES[name]
         n = 2 if name.startswith("robin2d") else 3
@@ -145,18 +146,18 @@ def test_green_slice_matches_scalar(n, a, fracs, s_frac, angle):
     geom = AnnulusGeometry(n, a)
     y = _source(n, a, s_frac, angle)
     radii = _radii(a, fracs)
-    grid = green._green_slice(geom, radii, y, POLICY)[1]
+    grid = _green_slice(geom, radii, y, POLICY)[1]
     e1 = np.eye(n)[0]
     assert_matches_scalar(grid, [green_eval(geom, float(r) * e1, y, POLICY) for r in radii])
 
 
-@pytest.mark.parametrize("modes", [7, summation.TABLE_MODES])
+@pytest.mark.parametrize("modes", [7, TABLE_MODES])
 @pytest.mark.parametrize("name", sorted(QUANTITIES))
 def test_series_past_one_chunk(name, modes, monkeypatch):
     # a = 0.95 needs hundreds of modes at the end rows, so the stopping state
     # crosses many chunk edges; the interior rows stop at other depths.  The
     # mode series is forced: the image route stops within 40 terms here
-    monkeypatch.setattr(summation, "TABLE_MODES", modes)
+    monkeypatch.setattr("annulus_green.grid.TABLE_MODES", modes)
     monkeypatch.setattr(green, "_SWITCH_MODES", 10**9)
     a = 0.95
     n = 2 if name.startswith("robin2d") else 4
@@ -169,14 +170,14 @@ def test_series_past_one_chunk(name, modes, monkeypatch):
     assert_matches_scalar(grid, [scalar_fn(n, a, float(r), policy) for r in radii])
 
 
-@pytest.mark.parametrize("modes", [7, summation.TABLE_MODES])
+@pytest.mark.parametrize("modes", [7, TABLE_MODES])
 @pytest.mark.parametrize("name", ["robin", "gradient", "robin2d_first"])
 def test_image_route_past_one_chunk(name, modes, monkeypatch):
     # at a = 0.99 the head modes and the image rows cross at least three
     # chunk edges.  Each image row shrinks by a^(k + 2M), far more than the
     # rows' envelopes differ from one radius to the next, so here every
     # radius stops on the same row
-    monkeypatch.setattr(summation, "TABLE_MODES", modes)
+    monkeypatch.setattr("annulus_green.grid.TABLE_MODES", modes)
     a = 0.99
     n = 2 if name.startswith("robin2d") else 4
     policy = TruncationPolicy(abs_tol=1e-12, tail_safety=3)
@@ -199,14 +200,14 @@ def test_image_grid_matches_scalar(name, a):
     assert_matches_scalar(grid, [scalar_fn(n, a, float(r), policy) for r in radii])
 
 
-@pytest.mark.parametrize("modes", [7, summation.TABLE_MODES])
+@pytest.mark.parametrize("modes", [7, TABLE_MODES])
 def test_green_slice_past_one_chunk(modes, monkeypatch):
-    monkeypatch.setattr(summation, "TABLE_MODES", modes)
+    monkeypatch.setattr("annulus_green.grid.TABLE_MODES", modes)
     geom = AnnulusGeometry(4, 0.95)
     y = _source(4, 0.95, 0.5, 0.4)
     radii = np.linspace(0.95, 1.0, 9)
     policy = TruncationPolicy(abs_tol=1e-12, tail_safety=3)
-    grid = green._green_slice(geom, radii, y, policy)[1]
+    grid = _green_slice(geom, radii, y, policy)[1]
     assert grid.terms_used.max() > 3 * modes
     e1 = np.eye(4)[0]
     assert_matches_scalar(grid, [green_eval(geom, float(r) * e1, y, policy) for r in radii])
@@ -239,7 +240,7 @@ def test_green_slice_end_rows_against_mpmath(n, a):
     geom = AnnulusGeometry(n, a)
     y = _source(n, a, 0.5, 0.7)
     radii = np.array([a, a + 1e-3 * (1.0 - a), 1.0 - 1e-3 * (1.0 - a), 1.0])
-    grid = green._green_slice(geom, radii, y, POLICY)[1]
+    grid = _green_slice(geom, radii, y, POLICY)[1]
     for i, r in enumerate(radii.tolist()):
         x = np.zeros(n)
         x[0] = r
@@ -260,7 +261,7 @@ def test_empty_grid():
     [
         lambda r: robin_eval_grid(AnnulusGeometry(400, 0.5), r, POLICY),
         lambda r: robin_radial_gradient_grid(AnnulusGeometry(400, 0.5), r, POLICY),
-        lambda r: green._green_slice(AnnulusGeometry(400, 0.5), r, np.eye(400)[1] * 0.7, POLICY),
+        lambda r: _green_slice(AnnulusGeometry(400, 0.5), r, np.eye(400)[1] * 0.7, POLICY),
     ],
 )
 def test_overflow_at_large_n_is_a_typed_error(fn):

@@ -26,13 +26,12 @@ from annulus_green import green
 from annulus_green.green import (
     _HEAD_MODES,
     _SCALAR,
-    _grid,
     _image_rows,
     _image_weights,
-    _imaged_grid,
     _remainder_rows,
 )
-from annulus_green.summation import sum_series, sum_series_table
+from annulus_green.grid import TOOLS, _imaged_grid, sum_series_table
+from annulus_green.summation import sum_series
 
 # abs_tol 1e-13 takes the image route from a = 0.79 on
 POLICY = TruncationPolicy(abs_tol=1e-13, max_terms=300_000)
@@ -128,7 +127,7 @@ def test_image_rows_cover_mpmath_remainder(name, n, a, frac):
 
     def table(cols):
         sc = scales[cols] if n == 2 else scale
-        return _imaged_grid((), _image_rows(k, a, radii[cols], sc, parts, m0, _grid()))
+        return _imaged_grid((), _image_rows(k, a, radii[cols], sc, parts, m0, TOOLS))
 
     grid = sum_series_table(table, 2, policy)
     for j in range(2):

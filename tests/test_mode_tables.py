@@ -34,7 +34,8 @@ from annulus_green import (
     specfun,
 )
 from annulus_green import green
-from annulus_green.summation import sum_series, sum_series_table
+from annulus_green.grid import _green_slice, _robin_remainder_grid, sum_series_table
+from annulus_green.summation import sum_series
 
 POLICY = TruncationPolicy()
 FINE = TruncationPolicy(abs_tol=1e-12)
@@ -98,7 +99,7 @@ def _deep_calls(seed: int) -> list:
 
 
 def _slice(geom, radii, y):
-    return green._green_slice(geom, radii, y, POLICY)[1]
+    return _green_slice(geom, radii, y, POLICY)[1]
 
 
 def _modes(k, a, r, parts):
@@ -107,7 +108,7 @@ def _modes(k, a, r, parts):
 
 def _modes_grid(k, a, radii, parts):
     return sum_series_table(
-        lambda cols: green._robin_remainder_grid(k, a, radii[cols], 1.0, parts), radii.size, FINE
+        lambda cols: _robin_remainder_grid(k, a, radii[cols], 1.0, parts), radii.size, FINE
     )
 
 

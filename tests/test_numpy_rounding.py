@@ -1,5 +1,5 @@
 """numpy's vectorised power and log against mpmath, over the arguments the
-grid twins in annulus_green.green give them.
+grid twins in annulus_green.grid give them.
 
 The scalar evaluators count a libm power or log as correctly rounded give or
 take one unit of the unit roundoff u = 2^-53.  The grid twins take the same
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from annulus_green.green import _NUMPY_EXTRA
+from annulus_green.grid import _NUMPY_EXTRA
 
 U = 2.0**-53
 TINY = 2.0**-1022  # below this a result is subnormal and its error absolute

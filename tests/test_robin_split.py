@@ -34,8 +34,9 @@ from annulus_green import (
     robin_radial_gradient_derivative,
 )
 from annulus_green.cli import main
-from annulus_green.green import _robin_remainder, _robin_remainder_grid
-from annulus_green.summation import sum_series, sum_series_table
+from annulus_green.green import _robin_remainder
+from annulus_green.grid import _robin_remainder_grid, sum_series_table
+from annulus_green.summation import sum_series
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulus_green import critical, green, specfun
+from annulus_green import critical, green, grid, specfun
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -78,7 +78,7 @@ def test_output_digest_frames_draw_forms_framed_rows(monkeypatch):
         return series(s, geom, r, policy)
 
     def counted(bases, starts, powers, polys, tools):
-        seen.add((*current[0], tools is green._grid()))
+        seen.add((*current[0], tools is grid.TOOLS))
         return framed(bases, starts, powers, polys, tools)
 
     monkeypatch.setattr(green, "_robin_series", each_series)
@@ -122,3 +122,18 @@ def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):
         "_green_slice",
     ]
     assert all(int(row[1]) == 200 and float(row[2]) > 0 and float(row[3]) > 0 for row in grid[1:])
+
+
+def test_import_cost_prints_both_measures_with_and_without_bytecode(monkeypatch, capsys):
+    assert run_script(monkeypatch, "import_cost.py", "--count", "3") == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["measure", "bytecode", "median_ms", "q1_ms", "q3_ms"]
+    assert [row[:2] for row in rows[1:]] == [
+        ["import", "off"], ["import", "on"], ["process", "off"], ["process", "on"]
+    ]
+    for row in rows[1:]:
+        median, q1, q3 = map(float, row[2:])
+        assert 0 < q1 <= median <= q3
+    # a process includes its import
+    medians = {tuple(row[:2]): float(row[2]) for row in rows[1:]}
+    assert all(medians["process", b] > medians["import", b] for b in ("off", "on"))

@@ -11,9 +11,10 @@ from annulus_green import (
     EvalResult,
     TailEnvelopeError,
     TruncationPolicy,
-    summation,
+    grid,
 )
-from annulus_green.summation import TABLE_COLUMNS, sum_series, sum_series_table
+from annulus_green.grid import TABLE_COLUMNS, TABLE_MODES, sum_series_table
+from annulus_green.summation import sum_series
 
 _U = 2.0**-53
 
@@ -207,11 +208,11 @@ def _random_stream(rng, length):
 
 def _table(streams):
     """sum_series_table's callable over a list of per-column streams, in
-    chunks of summation.TABLE_MODES modes like the grid generators."""
+    chunks of grid.TABLE_MODES modes like the grid generators."""
 
     def table(cols):
         block = streams[cols]
-        modes = summation.TABLE_MODES
+        modes = grid.TABLE_MODES
         length = len(block[0][0])
         for start in range(0, length, modes):
             yield tuple(
@@ -232,7 +233,7 @@ def _row(grid, j):
 
 def _sum_in_chunks(modes, streams, policy):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(summation, "TABLE_MODES", modes)
+        patch.setattr(grid, "TABLE_MODES", modes)
         return sum_series_table(_table(streams), len(streams), policy)
 
 
@@ -358,7 +359,7 @@ def test_table_is_read_in_bounded_blocks():
     # a wide grid is summed TABLE_COLUMNS columns at a time
     width = 2 * TABLE_COLUMNS + 5
     seen = []
-    modes = summation.TABLE_MODES
+    modes = TABLE_MODES
 
     def table(cols):
         n = cols.stop - cols.start
