@@ -14,6 +14,12 @@ in a temporary directory, filled by one untimed process first).  The script
 prints the median and the quartiles of each, in milliseconds of wall time on
 the machine it runs on.
 
+A second table lists, for each bytecode setting, the ``TOP`` modules with the
+largest self time in ``python -X importtime`` of the same import, the median
+over ``--count`` further interpreters.  Only the modules that the import
+loads are counted, not those the interpreter's start (site and its hooks)
+loaded before it.
+
 Example:
     python scripts/import_cost.py --count 15
 """
@@ -28,10 +34,12 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE_IMPORT = "import annulus_green, annulus_green.cli"
 IMPORT_CODE = (
-    "import time; t = time.perf_counter(); "
-    "import annulus_green, annulus_green.cli; print(time.perf_counter() - t)"
+    f"import time; t = time.perf_counter(); {PACKAGE_IMPORT}; print(time.perf_counter() - t)"
 )
+# modules listed per bytecode setting in the self-time table
+TOP = 8
 REQUEST = ["-m", "annulus_green", "critical-point", "--n", "3", "--a", "0.5"]
 
 
@@ -62,6 +70,43 @@ def _process_s(env: dict) -> float:
     return time.perf_counter() - t0
 
 
+def _self_times_us(env: dict) -> dict[str, int]:
+    """Self time in microseconds of each module that PACKAGE_IMPORT loads,
+    read from ``-X importtime``.  Its rows come children first, each
+    indented two spaces per level; a row at level 0 closes a top-level
+    import, and only those of the package's top-level imports are kept."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", PACKAGE_IMPORT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    times: dict[str, int] = {}
+    pending: dict[str, int] = {}
+    for line in done.stderr.splitlines():
+        if not line.startswith("import time:"):
+            continue
+        self_us, _cumulative, name = line.removeprefix("import time:").split("|")
+        if not self_us.strip().isdigit():
+            continue  # the header row
+        module = name.strip()
+        pending[module] = int(self_us)
+        if name == f" {module}":  # level 0
+            if module.startswith("annulus_green"):
+                times.update(pending)
+            pending = {}
+    return times
+
+
+def _largest_self_times(env: dict, count: int) -> list[tuple[str, float]]:
+    """The TOP (module, median self time in seconds) pairs over ``count``
+    interpreters, largest first."""
+    runs = [_self_times_us(env) for _ in range(count)]
+    medians = {
+        name: 1e-6 * statistics.median(run.get(name, 0) for run in runs)
+        for name in set().union(*runs)
+    }
+    return sorted(medians.items(), key=lambda item: (-item[1], item[0]))[:TOP]
+
+
 def _measure(env: dict, count: int) -> dict:
     """Seconds per fresh interpreter, for the import and the whole process,
     the two taken in turn."""
@@ -82,6 +127,7 @@ def main() -> int:
 
     src = args.src.resolve()
     rows = []
+    largest = []
     with tempfile.TemporaryDirectory() as cache:
         for bytecode, prefix in (("off", None), ("on", cache)):
             env = _environment(src, prefix)
@@ -90,10 +136,16 @@ def main() -> int:
             for what, times in _measure(env, args.count).items():
                 q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
                 rows.append((what, bytecode, median, q1, q3))
+            for module, self_s in _largest_self_times(env, args.count):
+                largest.append((bytecode, module, self_s))
 
     print(f"{'measure':<8} {'bytecode':<8} {'median_ms':>9} {'q1_ms':>8} {'q3_ms':>8}")
     for what, bytecode, median, q1, q3 in sorted(rows):
         print(f"{what:<8} {bytecode:<8} {1e3 * median:9.2f} {1e3 * q1:8.2f} {1e3 * q3:8.2f}")
+    print()
+    print(f"{'bytecode':<8} {'self_ms':>8} module")
+    for bytecode, module, self_s in largest:
+        print(f"{bytecode:<8} {1e3 * self_s:8.2f} {module}")
     return 0
 
 

@@ -4,6 +4,16 @@ Everything in this module is an immutable value type and every function is
 pure, so instances can be shared freely across threads.  The geometry fixes
 the outer radius at 1; only the dimension ``n`` and the inner radius ``a``
 vary.
+
+The four record types are named tuples (collections.namedtuple subclasses
+with empty ``__slots__``), which the package import defines without loading
+dataclasses and inspect, and which build faster than frozen dataclasses.
+They compare, hash, iterate and unpack as tuples, and ``_asdict``,
+``_replace`` and ``_make`` work on them.  AnnulusGeometry and
+TruncationPolicy check their fields in ``__new__``, which every construction
+path goes through: the constructor, ``_make``, ``_replace``, pickling and
+copying (see _Checked).  EvalGrid, whose fields are arrays, compares and
+hashes by identity.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence, TypeAlias, Union
 
 if TYPE_CHECKING:
@@ -128,17 +138,34 @@ def require_unit(v: ArrayLike, tol: float = 1e-10) -> np.ndarray:
     return arr / r
 
 
-@dataclass(frozen=True)
-class AnnulusGeometry:
+class _Checked:
+    """Base of a named tuple whose ``__new__`` checks its fields.
+
+    namedtuple's ``_make``, and ``_replace`` through it, build with
+    tuple.__new__ and would skip those checks; here both go through the
+    class, so no construction path yields an unchecked record.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class AnnulusGeometry(_Checked, namedtuple("AnnulusGeometry", "n a")):
     """The annulus {x in R^n : a < |x| < 1} (outer radius normalized to 1)."""
 
-    n: int
-    a: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_integer(self.n, "dimension", 2)
-        if not (0.0 < self.a < 1.0):
-            raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {self.a!r}")
+    def __new__(cls, n: int, a: float):
+        require_integer(n, "dimension", 2)
+        if not (0.0 < a < 1.0):
+            raise DomainValidationError(f"inner radius must satisfy 0 < a < 1, got {a!r}")
+        return tuple.__new__(cls, (n, a))
 
     @property
     def omega(self) -> float:
@@ -237,8 +264,9 @@ def newtonian_potential(geom: AnnulusGeometry, x: ArrayLike, y: ArrayLike) -> fl
     return value
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(
+    _Checked, namedtuple("TruncationPolicy", "abs_tol max_terms tail_safety rel_tol")
+):
     """Controls series truncation: target tail bound plus hard term caps.
 
     ``tail_safety`` is the number of consecutive indices whose certified tail
@@ -247,26 +275,35 @@ class TruncationPolicy:
     ``rel_tol`` times the magnitude of the running value, the closed part of
     a split series included (see summation.sum_series).  The default 0.0
     keeps the absolute target; the grid summer grid.sum_series_table refuses
-    a relative one.
+    a relative one.  ``_replace`` and ``_make`` check the fields as the
+    constructor does.
     """
 
-    abs_tol: float = 1e-10
-    max_terms: int = 100_000
-    tail_safety: int = 2
-    rel_tol: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.abs_tol >= 0.0) or not math.isfinite(self.abs_tol):
-            raise DomainValidationError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
-        if not (self.rel_tol >= 0.0) or not math.isfinite(self.rel_tol):
-            raise DomainValidationError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
-        require_integer(self.max_terms, "max_terms", 1)
-        require_integer(self.tail_safety, "tail_safety", 1)
+    def __new__(
+        cls,
+        abs_tol: float = 1e-10,
+        max_terms: int = 100_000,
+        tail_safety: int = 2,
+        rel_tol: float = 0.0,
+    ):
+        if not (abs_tol >= 0.0) or not math.isfinite(abs_tol):
+            raise DomainValidationError(f"abs_tol must be finite and >= 0, got {abs_tol!r}")
+        if not (rel_tol >= 0.0) or not math.isfinite(rel_tol):
+            raise DomainValidationError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+        require_integer(max_terms, "max_terms", 1)
+        require_integer(tail_safety, "tail_safety", 1)
+        return tuple.__new__(cls, (abs_tol, max_terms, tail_safety, rel_tol))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value terms_used tail_bound converged")):
     """A numeric value plus the evidence of how it was truncated.
+
+    A named tuple (value, terms_used, tail_bound, converged) of a float, an
+    int, a float and a bool: it unpacks, compares and hashes as that tuple,
+    and its repr names the fields, as in ``EvalResult(value=1.0,
+    terms_used=2, tail_bound=3.0, converged=True)``.
 
     ``tail_bound`` is a certified upper bound on the error of ``value``: the
     discarded remainder plus the rounding allowances that summation adds up
@@ -289,10 +326,7 @@ class EvalResult:
     included, ``tail_bound`` can exceed ``abs_tol`` on a converged result.
     """
 
-    value: float
-    terms_used: int
-    tail_bound: float
-    converged: bool
+    __slots__ = ()
 
     def scaled(self, factor: float) -> "EvalResult":
         return EvalResult(
@@ -303,15 +337,18 @@ class EvalResult:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class EvalGrid:
+class EvalGrid(namedtuple("EvalGrid", "value terms_used tail_bound converged")):
     """EvalResult over a grid of points: four arrays with one entry per point,
-    in the order the points were given."""
+    in the order the points were given.
 
-    value: np.ndarray
-    terms_used: np.ndarray
-    tail_bound: np.ndarray
-    converged: np.ndarray
+    Two grids are equal only where they are one object: a tuple's comparison
+    would compare the arrays, whose truth value is ambiguous.
+    """
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def scaled(self, factor) -> "EvalGrid":
         """Every value times ``factor``, a number or one factor per point."""

@@ -53,7 +53,7 @@ unseeded, unweighted one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Callable
 
 from .core import (
@@ -80,17 +80,19 @@ _SIGN_REL_TOL = 0.05
 PHASES = ("sweep", "brent", "bisection", "pinning", "second_derivative")
 
 
-@dataclass(frozen=True)
-class PhaseCounts:
+class PhaseCounts(namedtuple("PhaseCounts", "phase evaluations terms")):
     """Series evaluations made by one solver phase and the terms they summed."""
 
-    phase: str
-    evaluations: int
-    terms: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriticalPointReport:
+class CriticalPointReport(
+    namedtuple(
+        "CriticalPointReport",
+        "r0 bracket residual certificate second_derivative second_derivative_uncertainty "
+        "is_radial_minimum method evaluations phases",
+    )
+):
     """Root location plus the evidence used to certify it.
 
     ``second_derivative`` is R''(r0) read from the slope series at the
@@ -101,19 +103,11 @@ class CriticalPointReport:
     quotient and of that sum.  ``nondegenerate`` holds where |R''(r0)| is
     certainly positive.  ``evaluations`` counts every series evaluation of
     the solve, the slope series included; ``phases`` splits it, and the
-    terms summed, over PHASES.
+    terms summed, over PHASES.  ``bracket`` is a (lo, hi) pair of floats and
+    ``phases`` a PhaseCounts per phase.
     """
 
-    r0: float
-    bracket: tuple[float, float]
-    residual: float
-    certificate: str
-    second_derivative: float
-    second_derivative_uncertainty: float
-    is_radial_minimum: bool
-    method: str
-    evaluations: int
-    phases: tuple[PhaseCounts, ...]
+    __slots__ = ()
 
     @property
     def nondegenerate(self) -> bool:
@@ -138,7 +132,7 @@ class _CountedSeries:
     ):
         self._fn = fn
         self._policy = policy
-        self._sign_policy = replace(policy, rel_tol=_SIGN_REL_TOL)
+        self._sign_policy = policy._replace(rel_tol=_SIGN_REL_TOL)
         self._exact_limit = self._limit(_SIGN_REL_TOL)
         self._relaxed: dict[int, EvalResult] = {}
         self.phase = PHASES[0]
@@ -493,7 +487,7 @@ def _series_policy(policy: TruncationPolicy | None, solver_tol: float) -> Trunca
     if not 0.0 < solver_tol < math.inf:
         raise DomainValidationError(f"solver_tol must be positive and finite, got {solver_tol!r}")
     base = policy if policy is not None else TruncationPolicy()
-    return replace(base, abs_tol=min(base.abs_tol, 0.05 * solver_tol), rel_tol=0.0)
+    return base._replace(abs_tol=min(base.abs_tol, 0.05 * solver_tol), rel_tol=0.0)
 
 
 def find_critical_point(

@@ -20,7 +20,7 @@ mode table in specfun, zipped with iter_gegenbauer's P_m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -305,7 +305,7 @@ def harmonic_extension(
             rp *= r
             qin *= a / r
 
-    res = sum_series(rows(), replace(policy, max_terms=mode_cap))
+    res = sum_series(rows(), policy._replace(max_terms=mode_cap))
     if not res.converged and mode_cap < policy.max_terms:
         raise QuadratureDegreeError(
             f"truncation needs modes beyond degree {quad.max_exact_degree} "

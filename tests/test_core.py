@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,9 @@ import annulus_green
 import references as refs
 from annulus_green import (
     AnnulusGeometry,
+    CriticalPointReport,
     DomainValidationError,
+    EvalGrid,
     EvalResult,
     SingularityError,
     TailEnvelopeError,
@@ -25,6 +28,7 @@ from annulus_green import (
     newtonian_potential,
     robin_eval,
     robin_radial_gradient,
+    find_critical_point,
     sphere_surface_area,
 )
 from annulus_green import core, critical, green, kernels, oracle, specfun
@@ -276,6 +280,69 @@ def test_eval_result_scaled():
     assert scaled.converged and scaled.terms_used == 5
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncationPolicy()._replace(abs_tol=-1.0),
+        lambda: TruncationPolicy._make([1e-10, 0, 2, 0.0]),
+        lambda: AnnulusGeometry(3, 0.5)._replace(a=1.5),
+        lambda: AnnulusGeometry._make([1, 0.5]),
+    ],
+    ids=["policy._replace", "TruncationPolicy._make", "geom._replace", "AnnulusGeometry._make"],
+)
+def test_every_construction_path_checks_the_fields(build):
+    # namedtuple's own _make and _replace build through tuple.__new__, which
+    # would skip the checks in __new__
+    with pytest.raises(DomainValidationError):
+        build()
+
+
+def test_checked_records_replace_and_make_as_named_tuples():
+    policy = TruncationPolicy()._replace(rel_tol=0.1)
+    assert type(policy) is TruncationPolicy
+    assert policy == TruncationPolicy(rel_tol=0.1) == (1e-10, 100_000, 2, 0.1)
+    assert TruncationPolicy._make(policy) == policy
+    assert AnnulusGeometry._make([4, 0.25])._asdict() == {"n": 4, "a": 0.25}
+    with pytest.raises(TypeError):
+        policy._replace(tolerance=1.0)
+
+
+def test_records_pickle_and_unpickle_equal():
+    geom = AnnulusGeometry(3, 0.5)
+    report = find_critical_point(geom)
+    assert type(report) is CriticalPointReport
+    records = [geom, TruncationPolicy(rel_tol=0.05), EvalResult(1.0, 2, 3.0, True), report,
+               report.phases[0]]
+    for record in records:
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record
+    grid = EvalGrid(np.array([1.0, 2.0]), np.array([3, 4]), np.array([0.5, 0.25]),
+                    np.array([True, False]))
+    back = pickle.loads(pickle.dumps(grid))
+    assert type(back) is EvalGrid
+    assert all(np.array_equal(x, y) for x, y in zip(back, grid))
+
+
+def test_record_reprs_name_their_fields():
+    res = EvalResult(1.0, 2, 3.0, True)
+    assert repr(res) == "EvalResult(value=1.0, terms_used=2, tail_bound=3.0, converged=True)"
+    assert repr(AnnulusGeometry(3, 0.5)) == "AnnulusGeometry(n=3, a=0.5)"
+    report = find_critical_point(AnnulusGeometry(3, 0.5))
+    assert repr(report).startswith(f"CriticalPointReport(r0={report.r0!r}, bracket=")
+    assert "phases=(PhaseCounts(phase='sweep', evaluations=" in repr(report)
+
+
+def test_eval_grids_compare_by_identity():
+    arrays = [np.array([1.0, 2.0]), np.array([3, 4]), np.array([0.5, 0.25]),
+              np.array([True, True])]
+    one = EvalGrid(*arrays)
+    other = EvalGrid(*(x.copy() for x in arrays))
+    # no elementwise comparison of the arrays, so no ambiguous truth value
+    assert one == one and not one != one
+    assert one != other and not one == other
+    assert len({one, other, one}) == 2
+
+
 def test_public_surface_is_sorted_unique_and_resolves():
     # a name left in __all__ after its function is deleted breaks
     # `from annulus_green import *`
@@ -300,9 +367,12 @@ def _fresh_interpreter(code: str) -> str:
 def test_package_and_cli_import_without_scipy():
     # the package's import time is what every CLI process pays first: no
     # scipy, and no numpy, grid module, fractions or csv until a command
-    # needs them
+    # needs them, and no dataclasses or inspect (the records are named
+    # tuples); a site hook may load those two itself, so only the modules
+    # loaded after it count
     code = """
         import contextlib, io, json, sys
+        before = set(sys.modules)
         import annulus_green, annulus_green.cli as cli
 
         def run(*argv):
@@ -316,6 +386,7 @@ def test_package_and_cli_import_without_scipy():
         ]
         unused = ("numpy", "annulus_green.verify", "annulus_green.grid", "fractions", "csv")
         loaded = [m for m in unused if m in sys.modules]
+        loaded += sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
         arrays = [
             run("export-grid", "robin", "--grid-points", "5"),
             run("eval-green", "--n", "3", "0.6", "0", "0", "0", "0.8", "0"),

@@ -125,8 +125,9 @@ def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):
 
 
 def test_import_cost_prints_both_measures_with_and_without_bytecode(monkeypatch, capsys):
-    assert run_script(monkeypatch, "import_cost.py", "--count", "3") == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert run_script(monkeypatch, "import_cost.py", "--count", "2") == 0
+    timing, largest = capsys.readouterr().out.split("\n\n")
+    rows = [line.split() for line in timing.splitlines()]
     assert rows[0] == ["measure", "bytecode", "median_ms", "q1_ms", "q3_ms"]
     assert [row[:2] for row in rows[1:]] == [
         ["import", "off"], ["import", "on"], ["process", "off"], ["process", "on"]
@@ -137,3 +138,14 @@ def test_import_cost_prints_both_measures_with_and_without_bytecode(monkeypatch,
     # a process includes its import
     medians = {tuple(row[:2]): float(row[2]) for row in rows[1:]}
     assert all(medians["process", b] > medians["import", b] for b in ("off", "on"))
+    # the 8 largest self times of the package import, largest first, for
+    # each bytecode setting; the interpreter's start is not counted
+    rows = [line.split() for line in largest.splitlines()]
+    assert rows[0] == ["bytecode", "self_ms", "module"]
+    assert [row[0] for row in rows[1:]] == ["off"] * 8 + ["on"] * 8
+    for bytecode in ("off", "on"):
+        listed = [(float(ms), module) for b, ms, module in rows[1:] if b == bytecode]
+        assert [ms for ms, _ in listed] == sorted((ms for ms, _ in listed), reverse=True)
+        modules = [module for _, module in listed]
+        assert "site" not in modules and len(set(modules)) == 8
+    assert ("off", "annulus_green.green") in {(b, module) for b, _, module in rows[1:]}

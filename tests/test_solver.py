@@ -6,7 +6,6 @@ The new solver must end on the same adjacent-double pair, and so on the same
 root, in far fewer evaluations.
 """
 
-import dataclasses
 import math
 import random
 
@@ -165,7 +164,7 @@ def _wide_geometries(count, seed=20261019):
 
 def _reported(report):
     """Every field of a report except the evaluation and term counts."""
-    fields = dataclasses.asdict(report)
+    fields = report._asdict()
     del fields["evaluations"], fields["phases"]
     return fields
 
