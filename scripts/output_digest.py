@@ -8,7 +8,9 @@ terms_used and converged of every result, every field of every
 CriticalPointReport, and the type and message of every error.  Two source
 trees that print the same digests give bit-identical outputs on the draw, so
 running the script on a change and on its parent checks a refactor that
-should change no number.
+should change no number.  The "critical_values" group digests the same
+reports without ``evaluations`` and ``phases``: a change to the solver's
+search that moves no reported value leaves it equal while "critical" moves.
 
 The draw takes n in {2..6, 9, 20}; a uniform in [0.05, 0.95] or 1 - a
 log-uniform down to 1e-4, where the deep modes are summed as images; radii
@@ -61,6 +63,18 @@ def _record(fn, *args):
         # tolist turns numpy scalars and arrays into floats, whose repr is exact
         return tuple(np.asarray(getattr(res, f)).tolist() for f in FIELDS)
     return repr(res)
+
+
+def _critical_records(ag, geom) -> tuple:
+    """The record of find_critical_point at geom, and its record without the
+    counts ``evaluations`` and ``phases``; an error is both records."""
+    try:
+        report = ag.find_critical_point(geom)
+    except Exception as exc:  # every error is an output here
+        error = type(exc).__name__, str(exc)
+        return error, error
+    values = {k: v for k, v in report._asdict().items() if k not in ("evaluations", "phases")}
+    return repr(report), repr(values)
 
 
 def _thickness(rng: random.Random) -> float:
@@ -133,7 +147,8 @@ def _groups(ag, count: int, seed: int) -> dict:
     out = {
         name: []
         for name in ("robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed",
-                     "green", "gegenbauer", "harmonic", "frames", "critical", "errors")
+                     "green", "gegenbauer", "harmonic", "frames", "critical",
+                     "critical_values", "errors")
     }
     for _ in range(count):
         n, a = rng.choice(SPATIAL_DIMS), _thickness(rng)
@@ -166,7 +181,9 @@ def _groups(ag, count: int, seed: int) -> dict:
             ]
 
         geom = ag.AnnulusGeometry(rng.choice((2, *SPATIAL_DIMS)), _thickness(rng))
-        out["critical"].append(_record(ag.find_critical_point, geom))
+        report, values = _critical_records(ag, geom)
+        out["critical"].append(report)
+        out["critical_values"].append(values)
 
     deep = random.Random(f"deep modes {seed}")
     for _ in range(count):
@@ -232,7 +249,7 @@ def main() -> int:
         digest = hashlib.sha256()
         for record in records:
             digest.update(repr(record).encode() + b"\n")
-        print(f"{name:<14} {len(records):>6} {digest.hexdigest()}")
+        print(f"{name:<15} {len(records):>6} {digest.hexdigest()}")
     return 0
 
 

@@ -39,15 +39,18 @@ sign of a relaxed result is the sign of the true value, and a relaxed result
 whose sign is not certain is summed again to the absolute policy, so the
 sweep stops, and raises BracketingError, where an absolute sweep does.
 Bisection, the sign-pinned certificate and the slope series keep the
-absolute policy, and so do Brent's final ends, which bisection reuses.
-Every number the report carries (r0, bracket, residual, certificate, second
-derivative and its uncertainty) is therefore computed from absolute sums,
-at the midpoints of the sweep bracket that plain bisection visits; Brent's
-bracket, which the relaxed values, the seed and the weight may move, only
-decides which of them are evaluated.  On 20 000 seeded geometries every
-field of the report except ``evaluations`` and ``phases`` matched an
-all-absolute solve, and on 2 521 (n = 2..7, a up to 0.98) it matched an
-unseeded, unweighted one.
+absolute policy.  A solve keeps one store of absolute sums keyed by radius
+(_CountedSeries), so its phases pass radii alone and no radius is summed to
+the absolute policy twice: the pinning phase reads the points bisection
+summed, and a relaxed sum that provably stopped where the absolute one does
+is filed as absolute.  Every number the report carries (r0, bracket,
+residual, certificate, second derivative and its uncertainty) is therefore
+computed from absolute sums, at the midpoints of the sweep bracket that
+plain bisection visits; Brent's bracket, which the relaxed values, the seed
+and the weight may move, only decides which of them are evaluated.  On
+20 000 seeded geometries every field of the report except ``evaluations``
+and ``phases`` matched an all-absolute solve, and on 2 521 (n = 2..7, a up
+to 0.98) it matched an unseeded, unweighted one.
 """
 
 from __future__ import annotations
@@ -118,13 +121,14 @@ class _CountedSeries:
     """Wraps a series evaluator fn(r, policy), counting its evaluations and
     their terms per phase of PHASES; ``phase`` names the current one.
 
-    ``result`` sums to the absolute policy.  ``sign_result`` sums to a
-    relative target, _SIGN_REL_TOL or a smaller one.  Where that target
-    cannot have stopped the sum early (the sum ran to max_terms, or
+    It keeps one store of absolute sums per solve, keyed by radius.
+    ``result`` sums to the absolute policy where the store has no sum at r.
+    ``sign_result`` returns the stored sum where there is one, and otherwise
+    sums to a relative target, _SIGN_REL_TOL or a smaller one.  Where that
+    target cannot have stopped the sum early (the sum ran to max_terms, or
     rel |value| stayed below abs_tol on every row of the stopping streak) the
-    result is the absolute one; otherwise it is kept where its sign is
-    certain and replaced by ``result`` where not.  ``settled`` swaps a kept
-    relaxed result for the absolute one.
+    result is the absolute one and is stored; otherwise it is kept where its
+    sign is certain and replaced by ``result`` where not.
     """
 
     def __init__(
@@ -134,7 +138,7 @@ class _CountedSeries:
         self._policy = policy
         self._sign_policy = policy._replace(rel_tol=_SIGN_REL_TOL)
         self._exact_limit = self._limit(_SIGN_REL_TOL)
-        self._relaxed: dict[int, EvalResult] = {}
+        self._sums: dict[float, EvalResult] = {}
         self.phase = PHASES[0]
         self._counts = {name: [0, 0] for name in PHASES}
 
@@ -146,7 +150,10 @@ class _CountedSeries:
         return res
 
     def result(self, r: float) -> EvalResult:
-        return self.tally(self._fn(r, self._policy))
+        res = self._sums.get(r)
+        if res is None:
+            res = self._sums[r] = self.tally(self._fn(r, self._policy))
+        return res
 
     def _limit(self, rel: float) -> float:
         # a term is at most the tail certified on the row before it, so the
@@ -157,6 +164,8 @@ class _CountedSeries:
         return self._policy.abs_tol * max(0.0, 1.0 - self._policy.tail_safety * rel)
 
     def sign_result(self, r: float, rel: float | None = None) -> EvalResult:
+        if r in self._sums:
+            return self._sums[r]
         policy, exact_limit = self._sign_policy, self._exact_limit
         if rel is None or rel >= policy.rel_tol:
             rel = policy.rel_tol
@@ -166,16 +175,9 @@ class _CountedSeries:
             exact_limit = self._limit(rel)
         res = self.tally(self._fn(r, policy))
         if not res.converged or rel * abs(res.value) <= exact_limit:
-            return res  # summed as the absolute policy sums it
-        if _certain_sign(res) is None:
-            return self.result(r)
-        self._relaxed[id(res)] = res
-        return res
-
-    def settled(self, r: float, res: EvalResult) -> EvalResult:
-        # by identity: a result is relaxed by how it was summed, not by its
-        # fields (the dict keeps it alive, so its id is not reused)
-        return self.result(r) if id(res) in self._relaxed else res
+            self._sums[r] = res  # summed as the absolute policy sums it
+            return res
+        return res if _certain_sign(res) is not None else self.result(r)
 
     @property
     def calls(self) -> int:
@@ -196,12 +198,12 @@ def _certain_sign(res: EvalResult) -> int | None:
 
 def _sweep_bracket(
     f: _CountedSeries, a: float, standoff: float
-) -> tuple[float, EvalResult, float, EvalResult, int]:
+) -> tuple[float, float, float, float]:
     """Shrink offsets geometrically toward both boundaries until the series
     shows certain opposite signs; the strict monotonicity of the gradient
     guarantees this succeeds once the offsets pass the root.  Each end is
-    summed to the relative sign target first.  Returns both ends with their
-    results and the sign at the low end."""
+    summed to the relative sign target first.  Returns both ends, low end
+    first, and the computed values there, whose signs are certain."""
     off = standoff
     for _ in range(48):
         lo = a + off
@@ -218,7 +220,7 @@ def _sweep_bracket(
                 "raise max_terms in the truncation policy"
             )
         if sign_lo != sign_hi:
-            return lo, res_lo, hi, res_hi, sign_lo
+            return lo, hi, res_lo.value, res_hi.value
         off *= 0.5
     raise BracketingError(
         "no sign change found while sweeping toward the boundaries; this would "
@@ -292,13 +294,14 @@ def _first_iterate(seed: Callable[[], float], lo: float, hi: float) -> float | N
 def _brent(
     f: _CountedSeries,
     lo: float,
-    res_lo: EvalResult,
     hi: float,
-    res_hi: EvalResult,
+    v_lo: float,
+    v_hi: float,
     weight: Callable[[float], float],
     seed: Callable[[], float],
-) -> tuple[float, EvalResult, float, EvalResult]:
-    """Brent-Dekker (zeroin) on a bracket with opposite computed signs.
+) -> tuple[float, float]:
+    """Brent-Dekker (zeroin) on a bracket [lo, hi] whose computed values
+    v_lo and v_hi have opposite signs.
 
     Secant, inverse quadratic and bisection steps as in Brent, Algorithms for
     Minimization without Derivatives (1973), ch. 4.  They, and the choice of
@@ -307,36 +310,35 @@ def _brent(
     zero test and every sign decision read f's own values.  ``seed()``, where
     it lies strictly inside (lo, hi), is the first iterate and replaces the
     end of its sign as any iterate does; one that is not finite or raises
-    ArithmeticError or ValueError is skipped.  Every iterate is summed to a
-    relative sign target first: _SIGN_REL_TOL, or the step's length relative
-    to the iterate where that is smaller, since an interpolation step moves
-    by about that share of its value's error.  Returns the final bracket, low
-    end first, with its results settled to the absolute policy; its ends
-    keep the computed signs of ``lo`` and ``hi``.  It is one point twice
-    where the computed value is exactly zero.
+    ArithmeticError or ValueError is skipped.  Every iterate not in f's
+    store is summed to a relative sign target first: _SIGN_REL_TOL, or the
+    step's length relative to the iterate where that is smaller, since an
+    interpolation step moves by about that share of its value's error.
+    Returns the final bracket, low end first; its ends keep the computed
+    signs of ``lo`` and ``hi``.  It is one point twice where the computed
+    value is exactly zero.
 
     Whatever the weight and the seed, the result is a bracket of opposite
     computed signs within about two ulps, which is all _bisect reads of it:
     they change how many series Brent sums, not the reported root.
     """
     # b is the best point, c the contrapoint of opposite sign, a the previous
-    # b; fa, fb, fc are their weighted values
-    b, rb, c, rc = hi, res_hi, lo, res_lo
-    fb, fc = rb.value * weight(b), rc.value * weight(c)
-    a, ra, fa = c, rc, fc
+    # b; va, vb, vc are their values and fa, fb, fc their weighted values
+    b, vb, c, vc = hi, v_hi, lo, v_lo
+    fb, fc = vb * weight(b), vc * weight(c)
+    a, va, fa = c, vc, fc
     d = e = b - a
     x = _first_iterate(seed, lo, hi)
     while True:
         if abs(fc) < abs(fb):
-            a, ra, fa = b, rb, fb
-            b, rb, fb, c, rc, fc = c, rc, fc, b, rb, fb
-        if rb.value == 0.0:
-            return b, rb, b, rb
+            a, va, fa = b, vb, fb
+            b, vb, fb, c, vc, fc = c, vc, fc, b, vb, fb
+        if vb == 0.0:
+            return b, b
         tol = _BRENT_REL_TOL * abs(b)
         xm = 0.5 * (c - b)
         if abs(xm) <= tol:
-            rb, rc = f.settled(b, rb), f.settled(c, rc)
-            return (b, rb, c, rc) if b < c else (c, rc, b, rb)
+            return (b, c) if b < c else (c, b)
         if x is not None:  # the seed, as the first step
             d = e = x - b
         elif abs(e) >= tol and abs(fa) > abs(fb):
@@ -359,79 +361,67 @@ def _brent(
                 d = e = xm
         else:
             d = e = xm
-        a, ra, fa = b, rb, fb
+        a, va, fa = b, vb, fb
         if x is None:
             b += d if abs(d) > tol else (tol if xm > 0.0 else -tol)
         else:
             b, x = x, None
-        rb = f.sign_result(b, min(_SIGN_REL_TOL, abs(d / b)))
-        fb = rb.value * weight(b)
-        if rb.value != 0.0 and (rb.value > 0.0) == (rc.value > 0.0):
-            c, rc, fc = a, ra, fa
+        vb = f.sign_result(b, min(_SIGN_REL_TOL, abs(d / b))).value
+        fb = vb * weight(b)
+        if vb != 0.0 and (vb > 0.0) == (vc > 0.0):
+            c, vc, fc = a, va, fa
             d = e = b - a
 
 
 def _bisect(
-    f: _CountedSeries,
-    lo: float,
-    hi: float,
-    sign_lo: int,
-    p: float,
-    res_p: EvalResult,
-    q: float,
-    res_q: EvalResult,
-) -> tuple[float, EvalResult, float, EvalResult]:
+    f: _CountedSeries, lo: float, hi: float, sign_lo: int, p: float, q: float
+) -> tuple[float, float]:
     """Bisection of the sweep bracket [lo, hi] to adjacent doubles, given
     Brent's final bracket [p, q].
 
     The midpoints are those of plain bisection of [lo, hi].  Only midpoints
-    within half a bracket width of [p, q] are evaluated; one farther out
-    takes the side of the nearer end.  Rounding can flip the computed sign
-    within a few ulps of the root, so the window reaches past [p, q]; where
-    no flip lies beyond it, the end pair is the one plain bisection reaches.
-    Returns the ends, low end first, with their results: adjacent doubles
-    with opposite computed signs, or one point twice where the computed value
-    is exactly zero.
+    within half a bracket width of [p, q] are evaluated, to the absolute
+    policy; one farther out takes the side of the nearer end.  Rounding can
+    flip the computed sign within a few ulps of the root, so the window
+    reaches past [p, q]; where no flip lies beyond it, the end pair is the
+    one plain bisection reaches.  Returns the ends, low end first: adjacent
+    doubles with opposite computed signs, or one point twice where the
+    computed value is exactly zero.
     """
     margin = 0.5 * (q - p)
-    res_lo = res_hi = None
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
+            return lo, hi
         if mid < p - margin:
-            lo, res_lo = mid, None
+            lo = mid
         elif mid > q + margin:
-            hi, res_hi = mid, None
+            hi = mid
         else:
-            res = res_p if mid == p else res_q if mid == q else f.result(mid)
-            if res.value == 0.0:
-                return mid, res, mid, res
-            if (1 if res.value > 0.0 else -1) == sign_lo:
-                lo, res_lo = mid, res
+            value = f.result(mid).value
+            if value == 0.0:
+                return mid, mid
+            if (value > 0.0) == (sign_lo > 0):
+                lo = mid
             else:
-                hi, res_hi = mid, res
-    # an end settled without an evaluation is one double outside the
-    # evaluated window; it still needs its value
-    return lo, res_lo or f.result(lo), hi, res_hi or f.result(hi)
+                hi = mid
 
 
 # the sign-pinned certificate steps out from each end by 1, 2, 4, ... ulps
 _PIN_MAX_ULPS = 128
 
 
-def _pinned(f: _CountedSeries, x: float, res: EvalResult, step: float, want: int) -> bool:
+def _pinned(f: _CountedSeries, x: float, step: float, want: int) -> bool:
     """Whether the series certainly has sign ``want`` at x or at x + k step
     for the first k in 1, 2, 4, ..., 128 where its sign is certain."""
     k = 0
     while True:
-        sign = _certain_sign(res)
+        sign = _certain_sign(f.result(x + k * step))
         if sign is not None:
             return sign == want
         k = 2 * k or 1
         if k > _PIN_MAX_ULPS:
             return False
-        res = f.result(x + k * step)
 
 
 def _solve(
@@ -458,20 +448,22 @@ def _solve(
     """
     standoff = DEFAULT_STANDOFF_FACTOR * (1.0 - a)
     f.phase = "sweep"
-    lo, res_lo, hi, res_hi, sign_lo = _sweep_bracket(f, a, standoff)
+    lo, hi, v_lo, v_hi = _sweep_bracket(f, a, standoff)
+    sign_lo = 1 if v_lo > 0.0 else -1
     f.phase = "brent"
     seed = lambda: _closed_root(closed, lo, hi, sign_lo)  # noqa: E731
-    weight = _pole_weight(a, order)
-    p, res_p, q, res_q = _brent(f, lo, res_lo, hi, res_hi, weight, seed)
+    p, q = _brent(f, lo, hi, v_lo, v_hi, _pole_weight(a, order), seed)
     f.phase = "bisection"
-    x_lo, r_lo, x_hi, r_hi = _bisect(f, lo, hi, sign_lo, p, res_p, q, res_q)
-    root, res = (x_lo, r_lo) if abs(r_lo.value) <= abs(r_hi.value) else (x_hi, r_hi)
+    x_lo, x_hi = _bisect(f, lo, hi, sign_lo, p, q)
+    # an end that bisection reached without evaluating it is summed here
+    res_lo, res_hi = f.result(x_lo), f.result(x_hi)
+    root, res = (x_lo, res_lo) if abs(res_lo.value) <= abs(res_hi.value) else (x_hi, res_hi)
     residual = abs(res.value) + res.tail_bound
     if residual <= solver_tol:
         return root, residual, "residual", (lo, hi)
     ulp = x_hi - x_lo or 2.0**-52 * x_hi
     f.phase = "pinning"
-    if _pinned(f, x_lo, r_lo, -ulp, sign_lo) and _pinned(f, x_hi, r_hi, ulp, -sign_lo):
+    if _pinned(f, x_lo, -ulp, sign_lo) and _pinned(f, x_hi, ulp, -sign_lo):
         return root, residual, "sign-pinned", (lo, hi)
     raise BracketingError(
         f"residual {residual} exceeds solver tolerance {solver_tol} at adjacent "

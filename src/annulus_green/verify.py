@@ -70,7 +70,7 @@ from .specfun import (
     zonal_direct,
     zonal_from_gegenbauer,
 )
-from .summation import sum_series
+from .summation import _U, sum_series
 
 
 @dataclass
@@ -272,12 +272,9 @@ def suite_green_function(rng: np.random.Generator) -> SuiteResult:
                 x = bdry_r * unit_vector(rng, n)
                 y = rng.uniform(a + 1e-3 * span, 1.0 - 1e-3 * span) * unit_vector(rng, n)
                 res = green_eval(geom, x, y, pol)
+                # the reference is exactly 0, so the bound alone must cover it
                 err = abs(res.value)
-                out.check(
-                    res.converged and err <= res.tail_bound + 1e-8,
-                    err,
-                    f"dirichlet n={n} a={a}",
-                )
+                out.check(res.converged and err <= res.tail_bound, err, f"dirichlet n={n} a={a}")
 
     geom = AnnulusGeometry(3, 0.5)
     span = 0.5
@@ -304,8 +301,10 @@ def suite_green_function(rng: np.random.Generator) -> SuiteResult:
             continue
         g1 = green_eval(geom, x, y, tight)
         g2 = green_piecewise_eval(geom, x, y, tight)
+        # both sides are certified: only the subtraction and the sum round
         err = abs(g1.value - g2.value)
-        out.check(err <= g1.tail_bound + g2.tail_bound + 1e-12, err, "path agreement")
+        bound = (1.0 + 2.0 * _U) * (g1.tail_bound + g2.tail_bound)
+        out.check(err <= bound, err, "path agreement")
 
     # regular part is harmonic: discrete Laplacian of G - fundamental solution
     vtight = TruncationPolicy(abs_tol=1e-13, max_terms=200_000)

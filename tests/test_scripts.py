@@ -44,7 +44,8 @@ def test_solver_phases_prints_every_phase(monkeypatch, capsys):
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == [*critical.PHASES, "total"]
     evals = [float(row[1]) for row in rows]
-    assert evals[-1] == pytest.approx(sum(evals[:-1]))
+    # each of the six printed means is rounded to 0.005 at most
+    assert abs(evals[-1] - sum(evals[:-1])) <= 6 * 0.005
     # the sweep's two ends and the second-derivative phase's slope series
     assert evals[0] == 2.0 and evals[-2] == 1.0
 
@@ -58,10 +59,28 @@ def test_output_digest_repeats_itself(monkeypatch, capsys):
     rows = [line.split() for line in outputs[0].splitlines()]
     assert [row[0] for row in rows] == [
         "robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed", "green", "gegenbauer",
-        "harmonic", "frames", "critical", "errors",
+        "harmonic", "frames", "critical", "critical_values", "errors",
     ]
     assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
     assert outputs[1] == outputs[0]
+
+
+def test_output_digest_critical_values_ignore_the_counts(monkeypatch):
+    # an all-absolute solve sums more terms to the same report, so its
+    # "critical" record moves and its "critical_values" record does not
+    import annulus_green as ag
+
+    records = runpy.run_path(str(SCRIPTS / "output_digest.py"))["_critical_records"]
+    geometries = [ag.AnnulusGeometry(n, a) for n, a in ((2, 0.3), (3, 0.5), (5, 0.96))]
+    relaxed = [records(ag, geom) for geom in geometries]
+    monkeypatch.setattr(critical, "_SIGN_REL_TOL", 0.0)
+    absolute = [records(ag, geom) for geom in geometries]
+    for (report, values), (abs_report, abs_values) in zip(relaxed, absolute):
+        assert report != abs_report and values == abs_values
+        assert "evaluations" in report and "evaluations" not in values
+    # an error is recorded in both groups
+    error = records(ag, ag.AnnulusGeometry(456, 0.5))
+    assert error[0] == error[1] and error[0][0] == "TailEnvelopeError"
 
 
 def test_output_digest_frames_draw_forms_framed_rows(monkeypatch):

@@ -43,27 +43,37 @@ def _gradient(n, a):
 
 
 def _swept(n, a):
+    """The counted gradient, its closed part, the sweep bracket with the
+    values at its ends, and the sign at its low end."""
     f, closed = _gradient(n, a)
     standoff = critical.DEFAULT_STANDOFF_FACTOR * (1.0 - a)
-    return f, closed, critical._sweep_bracket(f, a, standoff)
+    lo, hi, v_lo, v_hi = critical._sweep_bracket(f, a, standoff)
+    return f, closed, (lo, hi, v_lo, v_hi), 1 if v_lo > 0.0 else -1
+
+
+def _oracle_pair(n, a, lo, hi, sign_lo):
+    # a series of its own, so that the oracle's sums do not fill the
+    # solver's store
+    return bisection_oracle.bisect_bracket(_gradient(n, a)[0], lo, hi, sign_lo)
 
 
 def test_same_adjacent_pair_as_bisection():
     certified = 0
     for n, a in _seeded_geometries(120) + [SIGN_NOISE_CASE]:
-        f, closed, (lo, res_lo, hi, res_hi, sign_lo) = _swept(n, a)
+        f, closed, (lo, hi, v_lo, v_hi), sign_lo = _swept(n, a)
 
-        oracle_pair = bisection_oracle.bisect_bracket(f, lo, hi, sign_lo)
+        oracle_pair = _oracle_pair(n, a, lo, hi, sign_lo)
         try:
-            oracle_root, _ = bisection_oracle.bisect(f, lo, hi, sign_lo, SOLVER_TOL)
+            oracle_root, _ = bisection_oracle.bisect(
+                _gradient(n, a)[0], lo, hi, sign_lo, SOLVER_TOL
+            )
         except BracketingError:
             oracle_root = None
 
         weight = critical._pole_weight(a, n - 1)
         seed = lambda: critical._closed_root(closed, lo, hi, sign_lo)  # noqa: E731
-        p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi, weight, seed)
-        x_lo, _, x_hi, _ = critical._bisect(f, lo, hi, sign_lo, p, res_p, q, res_q)
-        assert (x_lo, x_hi) == oracle_pair, (n, a)
+        p, q = critical._brent(f, lo, hi, v_lo, v_hi, weight, seed)
+        assert critical._bisect(f, lo, hi, sign_lo, p, q) == oracle_pair, (n, a)
 
         report = find_critical_point(AnnulusGeometry(n, a), None, SOLVER_TOL)
         if oracle_root is None:
@@ -99,16 +109,15 @@ BAD_SEEDS = {
 @pytest.mark.parametrize("name", sorted(BAD_SEEDS))
 @pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2), (6, 0.93), SIGN_NOISE_CASE])
 def test_any_seed_ends_on_the_bisection_pair(n, a, name):
-    f, _, (lo, res_lo, hi, res_hi, sign_lo) = _swept(n, a)
-    oracle_pair = bisection_oracle.bisect_bracket(f, lo, hi, sign_lo)
+    f, _, (lo, hi, v_lo, v_hi), sign_lo = _swept(n, a)
+    oracle_pair = _oracle_pair(n, a, lo, hi, sign_lo)
     root = oracle_pair[0]
     x = BAD_SEEDS[name]
     seed = lambda: x(lo, hi, root)  # noqa: E731
     weight = critical._pole_weight(a, n - 1)
-    p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi, weight, seed)
+    p, q = critical._brent(f, lo, hi, v_lo, v_hi, weight, seed)
     assert p <= q
-    x_lo, _, x_hi, _ = critical._bisect(f, lo, hi, sign_lo, p, res_p, q, res_q)
-    assert (x_lo, x_hi) == oracle_pair
+    assert critical._bisect(f, lo, hi, sign_lo, p, q) == oracle_pair
 
 
 @pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2)])
@@ -310,22 +319,49 @@ def _steep_line(relaxed_tail):
 
 def test_uncertain_relaxed_sign_is_summed_again():
     # every relaxed result is too loose to fix a sign, so the sweep must
-    # fall back to absolute sums rather than give up
+    # fall back to absolute sums rather than give up; the store holds them
     policy = critical._series_policy(None, SOLVER_TOL)
     f = critical._CountedSeries(_steep_line(1.0), policy)
-    lo, res_lo, hi, res_hi, sign_lo = critical._sweep_bracket(f, 0.5, 1e-4)
-    assert (sign_lo, res_lo.terms_used, res_hi.terms_used) == (1, 2, 2)
+    lo, hi, v_lo, v_hi = critical._sweep_bracket(f, 0.5, 1e-4)
+    calls = f.calls
+    assert (v_lo > 0.0, f.result(lo).terms_used, f.result(hi).terms_used) == (True, 2, 2)
+    assert f.calls == calls
 
 
-def test_brent_ends_are_settled_to_the_absolute_policy():
+def test_brent_ends_are_read_as_absolute_sums():
     # on a steep line the relaxed values next to the root still exceed
-    # abs_tol / rel_tol, so Brent's final ends must be summed again
+    # abs_tol / rel_tol, so they must not stand in for Brent's final ends
     policy = critical._series_policy(None, SOLVER_TOL)
     f = critical._CountedSeries(_steep_line(1e-3), policy)
-    lo, res_lo, hi, res_hi, _ = critical._sweep_bracket(f, 0.5, 1e-4)
-    assert (res_lo.terms_used, res_hi.terms_used) == (1, 1)
+    lo, hi, v_lo, v_hi = critical._sweep_bracket(f, 0.5, 1e-4)
+    assert f.phase_counts()[0] == ("sweep", 2, 2)  # one term each: relaxed
     # unweighted and unseeded: a non-finite seed is skipped
     unit, no_seed = (lambda r: 1.0), (lambda: math.nan)
-    p, res_p, q, res_q = critical._brent(f, lo, res_lo, hi, res_hi, unit, no_seed)
+    p, q = critical._brent(f, lo, hi, v_lo, v_hi, unit, no_seed)
+    res_p, res_q = f.result(p), f.result(q)
     assert p < q and res_p.value > 0.0 > res_q.value
     assert (res_p.terms_used, res_q.terms_used) == (2, 2)
+
+
+# thin annuli whose roots are sign-pinned: the pinning phase steps out
+# through points that bisection has already summed
+PINNED_GEOMETRIES = [(2, 0.97), (3, 0.97), (4, 0.95), (5, 0.96), (6, 0.96)]
+
+
+@pytest.mark.parametrize("n, a", PINNED_GEOMETRIES + [(3, 0.5)])
+def test_no_radius_is_summed_twice_to_the_absolute_policy(n, a, monkeypatch):
+    absolute = []
+
+    def recorded(fn):
+        def wrapper(first, r, policy):
+            if policy.rel_tol == 0.0:
+                absolute.append(r)
+            return fn(first, r, policy)
+
+        return wrapper
+
+    for name in ("robin_radial_gradient", "robin2d_first"):
+        monkeypatch.setattr(green, name, recorded(getattr(green, name)))
+    report = find_critical_point(AnnulusGeometry(n, a), None, SOLVER_TOL)
+    assert report.certificate == ("residual" if a == 0.5 else "sign-pinned")
+    assert absolute and len(set(absolute)) == len(absolute)
