@@ -14,7 +14,10 @@ Point-pair evaluators take x = r e1 and a second point at a quarter of the
 gap at angle 1 rad; the Newtonian expansions take their series variable at
 r (newtonian_series_inner its source on the inner sphere, so its layer lies
 next to a); gegenbauer_generating_sum runs at lam = (n - 2)/2, t = 0.3 and
-its variable q = r.
+its variable q = r.  newtonian_series_outer and gegenbauer_generating_sum
+also run with their series variable at 0.97 and 0.99 (the rows q0.97 and
+q0.99): series of 1 000 to 4 000 terms, which read up to 1 024 stored rows
+of their table and build the rest.
 
 A second table times the grid twins that export-grid runs, on its default
 window of radii: robin_eval_grid, robin_radial_gradient_grid,
@@ -23,6 +26,11 @@ spheres by 1e-3 of the gap, and grid._green_slice over 200 radii from wall
 to wall, with the point-pair evaluators' second point as its source.  For
 each it prints the mean terms_used per row and the median over ``--repeat``
 warm calls of the time per row, in microseconds.
+
+A third table lists the store that one more call of each evaluator and
+grid twin above leaves, the store emptied first: each cached shape, as its
+row builder and arguments, and the number of rows it holds (a source tree
+whose tables are not kept in specfun._TABLES lists none).
 
 Example:
     python scripts/mode_cost.py --n 3 --a 0.5 --repeat 51
@@ -78,9 +86,13 @@ def _calls(ag, n: int, a: float):
         "robin2d_first": lambda r: ag.robin2d_first(a, r, pol),
         "robin2d_second": lambda r: ag.robin2d_second(a, r, pol),
     }
+    deep = {"q0.97": 0.97, "q0.99": 0.99}
     for name, call in {**spatial, **planar}.items():
         layer = inner if name == "newtonian_series_inner" else outer
-        yield name, call, {"mid": mid, "layer": layer}
+        radii = {"mid": mid, "layer": layer}
+        if name in ("newtonian_series_outer", "gegenbauer_generating_sum"):
+            radii.update(deep)
+        yield name, call, radii
 
 
 def _grid_calls(ag, n: int, a: float):
@@ -119,10 +131,14 @@ def main() -> int:
     import annulus_green as ag
     from annulus_green import specfun
 
-    # the mode tables' cache: _stored_rows, or _mode_table in an older source
-    # tree; a source tree without mode tables times every call as warm
-    tables = getattr(specfun, "_stored_rows", None) or getattr(specfun, "_mode_table", None)
-    clear = getattr(tables, "cache_clear", lambda: None)
+    # the mode tables' store: _TABLES, or the cache of _stored_rows or of
+    # _mode_table in an older source tree; a source tree without mode tables
+    # times every call as warm
+    if hasattr(specfun, "_TABLES"):
+        store, clear = specfun._TABLES, specfun._TABLES.clear
+    else:
+        cache = getattr(specfun, "_stored_rows", None) or getattr(specfun, "_mode_table", None)
+        store, clear = {}, getattr(cache, "cache_clear", lambda: None)
     print(f"{'evaluator':<34} {'radius':<6} {'r':>8} {'terms':>6} {'cold_ns':>9} {'warm_ns':>9}")
     for name, call, radii in _calls(ag, args.n, args.a):
         for label, r in radii.items():
@@ -143,6 +159,15 @@ def main() -> int:
             call(radii)
             times.append((time.perf_counter_ns() - t0) / 1e3 / radii.size)
         print(f"{name:<34} {radii.size:>6} {terms:>13.2f} {statistics.median(times):>10.2f}")
+    clear()
+    for _, call, radii in _calls(ag, args.n, args.a):
+        for r in radii.values():
+            call(r)
+    for _, call, radii in _grid_calls(ag, args.n, args.a):
+        call(radii)
+    print(f"{'mode_table':<34} {'rows':>6}  shape")
+    for (build, *shape), rows in store.items():
+        print(f"{build.__name__:<34} {len(rows):>6}  {', '.join(map(str, shape))}")
     clear()
     return 0
 

@@ -53,18 +53,19 @@ dimension (_normalised).  _radial binds a geometry's public evaluators: it
 is the one place that chooses between the spatial family and the planar one.
 
 The per-mode constants that depend only on a stream's shape come from the
-mode tables of specfun (see its docstring): one cached tuple per shape of
-its first specfun._STORED_MODES = 256 rows, built whole at first use, and at
-most specfun._SHAPES shapes in one LRU.  _green_remainder, its grid twin and
-_modal_rows read the Gegenbauer table of lam = k/2: the ratio (k+m)/(m+1),
-the binomial C(k+m-1, m) and the recurrence constants.  Every Robin-family
-remainder reads the table of its shape (k, parts), whose rows _robin_modes
-builds: per mode m, the polynomials (x + d_i)^e_i, the weight
-float(C(order+m-1, m)), the weight ratio, the polynomials' growth to the next
-mode and the rounding count 4m + fixed.  _robin_remainder and its grid twin
-both read it, so neither keeps its own copy of that arithmetic.  A row holds
-the doubles the streams computed per call before, so every value, tail
-bound and term count is unchanged bit for bit.
+mode tables of specfun (see its docstring): one stored tuple per shape of
+the rows its streams have read, up to specfun._STORED_MODES = 1024, and at
+most specfun._SHAPES shapes, least recently used first out.
+_green_remainder, its grid twin and _modal_rows read the Gegenbauer table
+of lam = k/2: the ratio (k+m)/(m+1), the binomial C(k+m-1, m) and the
+recurrence constants.  Every Robin-family remainder reads the table of its
+shape (k, parts), whose rows _robin_modes builds: per mode m, the
+polynomials (x + d_i)^e_i, the weight float(C(order+m-1, m)), the weight
+ratio, the polynomials' growth to the next mode and the rounding count
+4m + fixed.  _robin_remainder and its grid twin both read it, so neither
+keeps its own copy of that arithmetic.  A row holds the doubles the streams
+computed per call before, so every value, tail bound and term count is
+unchanged bit for bit.
 
 green_piecewise_eval stays the unsplit modal series on purpose: its split
 would be the same computation as green_eval's, and it serves as the

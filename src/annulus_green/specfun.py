@@ -20,21 +20,31 @@ expressions and so the same doubles: taking P_m from iter_gegenbauer beside
 the table costs one more generator step per mode, which measured 10 to 40 %
 more time per term.
 
-A table is one cached tuple per shape (_stored_rows): its first
-_STORED_MODES = 256 rows, built whole at the shape's first use, never at
-import.  Deeper modes come from the same row builder, continued from the
-last stored row, and are not stored.  At most _SHAPES = 64 shapes are kept,
-in one LRU, least recently used first out.  Two threads that miss the same
-shape at once may each build it, but they build equal tuples.  Every entry
-is the double that the stream's own arithmetic gave per call before the
-tables existed, in the same order of operations, so every value, tail
+A table is one stored tuple per shape (_TABLES): the rows that the shape's
+streams have read, first mode first, up to _STORED_MODES = 1024 rows.
+Nothing is built ahead of a reader, and nothing at import.  A stream reads
+the stored rows, then continues the row builder from the last of them
+(_recorded); it records each row it yields while the store is under
+_STORED_MODES, and when it closes (its consumer stops, runs out or raises)
+or reaches the cap it publishes the stored and recorded rows, if they are
+more than the shape holds by then.  Publishing copies pointers, and every
+row is the builder's own double wherever the builder resumed, so every
+published tuple is a prefix of the shape's one sequence of rows: threads
+racing on one shape can only cost rows, never change one.  At most
+_SHAPES = 64 shapes are kept, least recently used first out, so the store
+holds at most 64 x 1024 rows: about 18 MB, at the 180 to 280 bytes that a
+row's tuple and its 5 to 8 floats take (tracemalloc, CPython 3.11).  Every
+entry is the double that the stream's own arithmetic gave per call before
+the tables existed, in the same order of operations, so every value, tail
 bound, term count and error is bit for bit what it was.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import threading
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, TypeAlias, Union
 
@@ -56,25 +66,57 @@ Scalar: TypeAlias = "Union[float, np.ndarray]"
 
 _T_TOL = 1e-12
 
-# a mode table stores the first _STORED_MODES modes of a shape, and at most
-# _SHAPES shapes are kept (see the module docstring)
-_STORED_MODES = 256
+# a mode table stores at most the first _STORED_MODES modes of a shape, and
+# at most _SHAPES shapes are kept (see the module docstring)
+_STORED_MODES = 1024
 _SHAPES = 64
 
-
-@lru_cache(maxsize=_SHAPES)
-def _stored_rows(build: Callable, *shape) -> tuple:
-    """The first _STORED_MODES rows ``build(*shape)`` yields, built whole at
-    the shape's first use; the least recently used of _SHAPES shapes is
-    dropped."""
-    return tuple(itertools.islice(build(*shape), _STORED_MODES))
+# (build, *shape) -> the rows its streams have read, least recently used
+# first.  A hit only reorders and reads, each one atomic step; whatever
+# adds, drops or replaces a table holds the lock.  The lock is reentrant:
+# the garbage collector may close a stream, which then publishes, while its
+# thread holds the lock.
+_TABLES: collections.OrderedDict = collections.OrderedDict()
+_LOCK = threading.RLock()
 
 
 def _mode_table(build: Callable, *shape) -> Iterator[tuple]:
     """Every row of a shape from the first mode on: the stored rows, then the
-    rows ``build(*shape, after)`` yields after the last of them."""
-    rows = _stored_rows(build, *shape)
+    rows ``build(*shape, after)`` yields after the last of them (or
+    ``build(*shape)`` where none is stored), recorded while the store is
+    under _STORED_MODES."""
+    key = (build, *shape)
+    try:
+        _TABLES.move_to_end(key)
+        rows = _TABLES[key]
+    except KeyError:  # a new shape, or one dropped meanwhile
+        with _LOCK:
+            rows = _TABLES.setdefault(key, ())
+            if len(_TABLES) > _SHAPES:
+                _TABLES.popitem(last=False)
+    if len(rows) < _STORED_MODES:
+        return itertools.chain(rows, _recorded(key, rows))
     return itertools.chain(rows, build(*shape, rows[-1]))
+
+
+def _recorded(key: tuple, rows: tuple) -> Iterator[tuple]:
+    """The rows after ``rows`` of the shape ``key``; the first of them, up to
+    _STORED_MODES rows in all, are published with ``rows`` once the stream
+    closes or reaches the cap, unless the shape holds as many by then or was
+    dropped."""
+    build, *shape = key
+    built = build(*shape, *rows[-1:])
+    read = []
+    try:
+        for row in itertools.islice(built, _STORED_MODES - len(rows)):
+            read.append(row)
+            yield row
+    finally:
+        stored = rows + tuple(read)
+        with _LOCK:
+            if len(_TABLES.get(key, stored)) < len(stored):
+                _TABLES[key] = stored
+    yield from built
 
 
 def _gegenbauer_modes(lam: float, after=None) -> Iterator[tuple]:

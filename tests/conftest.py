@@ -9,6 +9,8 @@ settings.register_profile(
     "default",
     max_examples=40,
     deadline=None,
+    # the same draws on every run, so that a corner found once repeats
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")

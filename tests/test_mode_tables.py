@@ -1,7 +1,11 @@
 """The mode tables of specfun and green: the stored rows and the rows built
-past them give the same results, the cache stays bounded, and callers
-building one table at once see the rows a single caller sees."""
+past them give the same results at every depth of the store, a table holds
+the rows its streams read and the store stays bounded, and threads filling
+one table publish prefixes of one sequence of rows."""
 
+import collections
+import functools
+import itertools
 import math
 import random
 import sys
@@ -9,10 +13,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annulus_green import (
     AnnulusGeometry,
     DomainValidationError,
+    TailEnvelopeError,
     TruncationPolicy,
     gegenbauer_eval,
     gegenbauer_generating_sum,
@@ -43,13 +50,20 @@ FINE = TruncationPolicy(abs_tol=1e-12)
 
 @pytest.fixture()
 def fresh_tables():
-    specfun._stored_rows.cache_clear()
+    specfun._TABLES.clear()
     yield
-    specfun._stored_rows.cache_clear()
+    specfun._TABLES.clear()
 
 
-def _lam_table(lam):
-    return specfun._stored_rows(specfun._gegenbauer_modes, lam)
+def _held(build, *shape):
+    """The rows the store holds for a shape, () where it holds none."""
+    return specfun._TABLES.get((build, *shape), ())
+
+
+def _built(key, count):
+    """The first ``count`` rows of a shape, from its builder alone."""
+    build, *shape = key
+    return tuple(itertools.islice(build(*shape), count))
 
 
 def _fields(res):
@@ -120,52 +134,136 @@ def _run(calls) -> list:
     return out
 
 
-@pytest.mark.parametrize("stored", [1, 7, 256])
-def test_stored_and_built_rows_agree(monkeypatch, fresh_tables, stored):
-    calls = _deep_calls(11)
-    want = _run(calls)
-    terms = [r[2] for r in want if isinstance(r, tuple)]
-    assert max(np.max(t) for t in terms) > 256
-    specfun._stored_rows.cache_clear()
-    monkeypatch.setattr(specfun, "_STORED_MODES", stored)
-    assert _run(calls) == want
-    assert _run(calls) == want  # with the tables stored
+@functools.lru_cache(maxsize=None)
+def _reference(seed: int) -> list:
+    """(call, its outputs, the shapes it reads) per call of _deep_calls(seed),
+    each run on an empty store."""
+    out = []
+    for call in _deep_calls(seed):
+        specfun._TABLES.clear()
+        out.append((call, _run([call])[0], tuple(specfun._TABLES)))
+    specfun._TABLES.clear()
+    return out
+
+
+def test_deep_calls_pass_the_stored_modes():
+    terms = [np.max(want[2]) for _, want, _ in _reference(11) if isinstance(want, tuple)]
+    assert max(terms) > 1024
+    assert sum(t > 256 for t in terms) > 10
+
+
+@pytest.mark.parametrize("stored", [1, 7, 256, 1024])
+@settings(max_examples=20)
+@given(depth=st.integers(min_value=0, max_value=1100), pick=st.integers(min_value=0))
+def test_stored_and_built_rows_agree(stored, depth, pick):
+    # one stream fills a shape to the drawn depth; every call that reads the
+    # shape then gives its outputs on an empty store, reading the stored
+    # rows and continuing the builder from the last of them
+    reference = _reference(11)
+    shapes = sorted({key for _, _, keys in reference for key in keys}, key=repr)
+    key = shapes[pick % len(shapes)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "_STORED_MODES", stored)
+        specfun._TABLES.clear()
+        stream = specfun._mode_table(*key)
+        assert tuple(itertools.islice(stream, depth)) == _built(key, depth)
+        del stream
+        assert _held(*key) == _built(key, min(depth, stored))
+        calls = [(call, want) for call, want, keys in reference if key in keys]
+        assert _run([call for call, _ in calls]) == [want for _, want in calls]
+        assert _run([call for call, _ in calls]) == [want for _, want in calls]
+        assert len(_held(*key)) <= stored
+    specfun._TABLES.clear()
 
 
 def test_tables_stay_bounded(fresh_tables):
-    assert robin2d_eval(0.999, 0.9995, FINE).terms_used > 256
+    assert robin2d_eval(0.999, 0.9995, FINE).terms_used > specfun._STORED_MODES
     long = TruncationPolicy(abs_tol=0.0, max_terms=100_000)
     res = gegenbauer_generating_sum(1.5, 0.3, 0.9999, long)
     assert res.terms_used == 100_000
-    assert len(_lam_table(1.5)) == specfun._STORED_MODES
-    shapes = []
+    assert _held(specfun._gegenbauer_modes, 1.5) == _built(
+        (specfun._gegenbauer_modes, 1.5), specfun._STORED_MODES
+    )
     for n in range(3, 201):
         geom = AnnulusGeometry(n, 0.5)
-        robin_radial_gradient(geom, 0.7, POLICY)
+        # a mid-gap Robin call leaves only the rows it read, one per term
+        res = robin_radial_gradient(geom, 0.7, POLICY)
+        parts = green._SERIES["robin_radial_gradient"].remainder(n - 2, 0.7)[1]
+        assert len(_held(green._robin_modes, n - 2, parts)) == res.terms_used
         newtonian_series_outer(geom, np.eye(n)[0], 0.3 * np.eye(n)[1], POLICY)
-        shapes.append((n - 2, green._SERIES["robin_radial_gradient"].remainder(n - 2, 0.7)[1]))
-        info = specfun._stored_rows.cache_info()
-        assert info.currsize <= specfun._SHAPES
-    # the last shapes of the sweep are still held, each of exactly
-    # _STORED_MODES rows
-    misses = specfun._stored_rows.cache_info().misses
-    for k, parts in shapes[-10:]:
-        assert len(specfun._stored_rows(green._robin_modes, k, parts)) == specfun._STORED_MODES
-        assert len(_lam_table(0.5 * k)) == specfun._STORED_MODES
-    assert specfun._stored_rows.cache_info().misses == misses
-    assert specfun._stored_rows.cache_info().maxsize == specfun._SHAPES
+        assert len(specfun._TABLES) <= specfun._SHAPES
+        assert all(len(rows) <= specfun._STORED_MODES for rows in specfun._TABLES.values())
+    # the last shapes of the sweep are still held
+    keys = list(specfun._TABLES)
+    assert keys[-1] == (specfun._gegenbauer_modes, 99.0)
+    assert keys[-2] == (green._robin_modes, 198, parts)
+    assert len(keys) == specfun._SHAPES
 
 
-def test_threads_filling_one_table_agree(fresh_tables):
+def test_streams_leave_exactly_the_rows_they_read(fresh_tables):
+    gegenbauer = (specfun._gegenbauer_modes, 1.5)
+    # a stream its consumer stops early, and one it closes
+    polys = specfun.iter_gegenbauer(1.5, 0.3)
+    assert len(list(itertools.islice(polys, 37))) == 37
+    del polys
+    assert _held(*gegenbauer) == _built(gegenbauer, 37)
+    stream = specfun._mode_table(*gegenbauer)
+    assert len(list(itertools.islice(stream, 50))) == 50
+    assert _held(*gegenbauer) == _built(gegenbauer, 37)  # still open
+    del stream
+    assert _held(*gegenbauer) == _built(gegenbauer, 50)
+    # of two streams open at once, the one that read fewer rows and closes
+    # last leaves the longer table
+    short, long = specfun._mode_table(*gegenbauer), specfun._mode_table(*gegenbauer)
+    assert len(list(itertools.islice(short, 60))) == 60
+    assert len(list(itertools.islice(long, 70))) == 70
+    del long
+    assert _held(*gegenbauer) == _built(gegenbauer, 70)
+    del short
+    assert _held(*gegenbauer) == _built(gegenbauer, 70)
+    # a series that converges reads one row per term, and a shallower one
+    # leaves the table as it was
+    res = gegenbauer_generating_sum(1.5, 0.3, 0.9, POLICY)
+    assert _held(*gegenbauer) == _built(gegenbauer, res.terms_used)
+    gegenbauer_generating_sum(1.5, 0.3, 0.3, POLICY)
+    assert len(_held(*gegenbauer)) == res.terms_used
+    # a series whose consumer raises at the term of index i read i + 1 rows
+    try:
+        gegenbauer_generating_sum(300.0, 1.0, 0.999, POLICY)
+    except TailEnvelopeError as exc:
+        prefix, index = str(exc).rsplit(" ", 1)
+        assert prefix.endswith("at index")
+    else:
+        pytest.fail("the series does not leave the double range")
+    assert _held(specfun._gegenbauer_modes, 300.0) == _built(
+        (specfun._gegenbauer_modes, 300.0), int(index) + 1
+    )
+    with pytest.raises(TailEnvelopeError):
+        gegenbauer_eval(300.0, 500, 1.0)
+    assert len(_held(specfun._gegenbauer_modes, 300.0)) == 501
+
+
+class _Published(collections.OrderedDict):
+    """A store that keeps every table written to it, per shape."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = collections.defaultdict(list)
+
+    def __setitem__(self, key, rows):
+        self.seen[key].append(rows)
+        super().__setitem__(key, rows)
+
+
+def test_threads_filling_one_table_agree(monkeypatch, fresh_tables):
     calls = [
         (gegenbauer_generating_sum, 3.25, -0.4, 0.995, POLICY),
         (robin2d_eval, 0.993, 0.996, FINE),
         (robin2d_eval_grid, 0.993, np.array([0.994, 0.998]), FINE),
     ]
     want = _run(calls)
-    parts = green._SERIES["robin2d_eval"].remainder(0, 0.5)[1]
-    rows = [_lam_table(3.25), specfun._stored_rows(green._robin_modes, 0, parts)]
-    specfun._stored_rows.cache_clear()
+    store = _Published()
+    monkeypatch.setattr(specfun, "_TABLES", store)
     barrier = threading.Barrier(4)
     results = [None] * 4
 
@@ -185,8 +283,15 @@ def test_threads_filling_one_table_agree(fresh_tables):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == [want] * 4
-    assert _lam_table(3.25) == rows[0]
-    assert specfun._stored_rows(green._robin_modes, 0, parts) == rows[1]
+    # every table published is a prefix of its shape's one sequence of rows,
+    # and the store holds the longest
+    parts = green._SERIES["robin2d_eval"].remainder(0, 0.5)[1]
+    assert {(specfun._gegenbauer_modes, 3.25), (green._robin_modes, 0, parts)} <= set(store.seen)
+    for key, published in store.seen.items():
+        longest = max(published, key=len)
+        assert longest == _built(key, len(longest))
+        assert all(rows == longest[: len(rows)] for rows in published)
+        assert store[key] == longest
 
 
 SCALAR_ROBIN = [

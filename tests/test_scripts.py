@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts, each run in-process as ``__main__``."""
 
+import collections
 import csv
 import random
 import runpy
@@ -110,27 +111,33 @@ def test_output_digest_frames_draw_forms_framed_rows(monkeypatch):
 
 def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends --src
-    tables = specfun._stored_rows
-    cache_clear = tables.cache_clear
-    seen = []  # the tables' cache statistics at each clearing, since the last
+    seen = []  # the shapes the store held at each clearing
 
-    def clear():
-        seen.append(tables.cache_info())
-        cache_clear()
+    class Store(collections.OrderedDict):
+        def clear(self):
+            seen.append(len(self))
+            super().clear()
 
-    monkeypatch.setattr(tables, "cache_clear", clear)
+    monkeypatch.setattr(specfun, "_TABLES", Store())
     argv = ["--n", "4", "--a", "0.2", "--repeat", "1"]
     assert run_script(monkeypatch, "mode_cost.py", *argv) == 0
-    # one clearing before each of the 24 cold calls and one at the end; each
-    # cold call found its tables empty and built at least one
-    assert len(seen) == 1 + 12 * 2
-    assert all(info.misses > 0 for info in seen[1:])
+    # one clearing before each of the 28 cold calls, one before the pass that
+    # fills the listed store and one at the end; each cold call found the
+    # store empty and filled at least one table
+    assert len(seen) == 12 * 2 + 2 * 2 + 2
+    assert all(held > 0 for held in seen[1:])
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[0] == ["evaluator", "radius", "r", "terms", "cold_ns", "warm_ns"]
-    assert len(rows) == 1 + 12 * 2 + 1 + 5
-    rows, grid = rows[: 1 + 12 * 2], rows[1 + 12 * 2 :]
-    assert {row[1] for row in rows[1:]} == {"mid", "layer"}
+    rows, grid, store = rows[:29], rows[29:35], rows[35:]
+    assert {row[1] for row in rows[1:]} == {"mid", "layer", "q0.97", "q0.99"}
     assert all(int(row[3]) > 0 and float(row[4]) > 0 and float(row[5]) > 0 for row in rows[1:])
+    # the deep rows: series of 1 000 to 4 000 terms
+    deep = {(row[0], row[1]): int(row[3]) for row in rows[1:] if row[1].startswith("q")}
+    assert sorted(deep) == [
+        (name, q) for name in ("gegenbauer_generating_sum", "newtonian_series_outer")
+        for q in ("q0.97", "q0.99")
+    ]
+    assert all(1_000 <= terms <= 4_000 for terms in deep.values())
     # the grid twins on export-grid's default windows
     assert grid[0] == ["grid_evaluator", "rows", "terms_per_row", "us_per_row"]
     assert [row[0] for row in grid[1:]] == [
@@ -141,6 +148,14 @@ def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):
         "_green_slice",
     ]
     assert all(int(row[1]) == 200 and float(row[2]) > 0 and float(row[3]) > 0 for row in grid[1:])
+    # the store: lam = 1's Gegenbauer table is full, and the Robin-family
+    # tables hold the few rows their series read
+    assert store[0] == ["mode_table", "rows", "shape"]
+    held = [(row[0], int(row[1]), " ".join(row[2:])) for row in store[1:]]
+    assert ("_gegenbauer_modes", specfun._STORED_MODES, "1.0") in held
+    robin = [rows for name, rows, _ in held if name == "_robin_modes"]
+    assert len(robin) >= 4 and all(0 < rows < 100 for rows in robin)
+    assert {name for name, _, _ in held} == {"_gegenbauer_modes", "_robin_modes"}
 
 
 def test_import_cost_prints_both_measures_with_and_without_bytecode(monkeypatch, capsys):
