@@ -15,9 +15,9 @@ gap at angle 1 rad; the Newtonian expansions take their series variable at
 r (newtonian_series_inner its source on the inner sphere, so its layer lies
 next to a); gegenbauer_generating_sum runs at lam = (n - 2)/2, t = 0.3 and
 its variable q = r.  newtonian_series_outer and gegenbauer_generating_sum
-also run with their series variable at 0.97 and 0.99 (the rows q0.97 and
-q0.99): series of 1 000 to 4 000 terms, which read up to 1 024 stored rows
-of their table and build the rest.
+also run with their series variable at 0.98 and 0.99 (the rows q0.98 and
+q0.99): series of 1 000 to 4 000 terms for n = 3 and 4, which read up to
+1 024 stored rows of their table and build the rest.
 
 A second table times the grid twins that export-grid runs, on its default
 window of radii: robin_eval_grid, robin_radial_gradient_grid,
@@ -86,7 +86,7 @@ def _calls(ag, n: int, a: float):
         "robin2d_first": lambda r: ag.robin2d_first(a, r, pol),
         "robin2d_second": lambda r: ag.robin2d_second(a, r, pol),
     }
-    deep = {"q0.97": 0.97, "q0.99": 0.99}
+    deep = {"q0.98": 0.98, "q0.99": 0.99}
     for name, call in {**spatial, **planar}.items():
         layer = inner if name == "newtonian_series_inner" else outer
         radii = {"mid": mid, "layer": layer}

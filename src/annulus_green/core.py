@@ -308,13 +308,12 @@ class EvalResult(namedtuple("EvalResult", "value terms_used tail_bound converged
     ``tail_bound`` is a certified upper bound on the error of ``value``: the
     discarded remainder plus the rounding allowances that summation adds up
     over the terms it consumed, and for a split series the rounding of its
-    closed form.  ``green_eval``, the Robin family (``robin_eval``, both
-    gradient series, ``critical_equation_eval`` and the three planar
-    ``robin2d_*``), the generating series and the three
-    ``newtonian_series_*`` count their rounding.  The other series still
-    yield a rounding allowance of 0.0 (``green_piecewise_eval``,
-    ``harmonic_extension``), so for them it bounds the discarded remainder
-    only.
+    closed form.  ``green_eval``, ``green_piecewise_eval``, the Robin family
+    (``robin_eval``, both gradient series, ``critical_equation_eval`` and
+    the three planar ``robin2d_*``), the generating series and the three
+    ``newtonian_series_*`` count their rounding.  ``harmonic_extension``
+    still yields a rounding allowance of 0.0, so for it it bounds the
+    discarded remainder only.
 
     ``terms_used`` counts the terms summed.  Where the Robin family takes its
     image route in a thin annulus (see annulus_green.green), those are the

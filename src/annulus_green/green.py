@@ -109,7 +109,7 @@ from .core import (
     is_numpy,
     require_integer,
 )
-from .specfun import _clamp_argument, _gegenbauer_modes, _mode_table
+from .specfun import _clamp_argument, _gegenbauer_modes, _inverse_sine, _mode_table
 from .summation import _U, sum_series
 
 # below this separation the subtraction against the fundamental solution is
@@ -345,7 +345,7 @@ def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: fl
     # ratio = (k + m)/(m + 1) and binom = C(k + m - 1, m)
     two_t = 2.0 * t
     p_prev, p = 0.0, 1.0
-    for ratio, binom, m_lam, below, m_next in _mode_table(_gegenbauer_modes, 0.5 * k):
+    for ratio, binom, m_lam, below, m_next, _ in _mode_table(_gegenbauer_modes, 0.5 * k):
         env = env_k * binom * (h1 + h4)
         yield (
             scale * (((h1 - h2) - h3) + h4) * p / (1.0 - big_a),
@@ -443,9 +443,53 @@ def _clamped(geom: AnnulusGeometry, xs: list) -> tuple[float, float, list, float
     return norm, r, [v * f for v in xs], _E_MOVED * r
 
 
-def _modal_rows(n: int, a: float, lo: float, hi: float, t: float, omega: float):
-    """Modes of the radius-ordered Green series (lo < hi strictly); their
-    rounding is not counted yet."""
+def _modal_rows(
+    n: int, a: float, lo: float, hi: float, t: float, omega: float, omega_units: float
+):
+    """Modes of the radius-ordered Green series (lo < hi strictly), radii
+    from np.linalg.norm and t from their dot product (green_piecewise_eval).
+
+    Mode m is coeff_m (beta/(n-2)) P_m(t) / omega with beta = 2m + n - 2 and
+    coeff_m = (hi_pow - g4)(1 - hi^beta) / (beta (1 - A_m)), where
+    hi_pow = hi^(2-n) (lo/hi)^m, g4 = a^beta / (lo hi)^(m+n-2) <= hi_pow and
+    A_m = a^beta.  Its pole envelope env_k C(n+m-3, m) hi_pow, with
+    env_k = 1/((n-2) omega (1 - a^(n-2))), takes |P_m| <= C(n+m-3, m) and
+    bounds each of the factors (hi_pow - g4)/hi_pow, 1 - hi^beta and
+    (1 - a^(n-2))/(1 - A_m) by 1.  The off-pole envelope replaces
+    C(n+m-3, m) by off_m / sin(theta), with specfun._inverse_sine over t's
+    error; the rows switch to it once, as specfun._generating_rows does, and
+    the pole ratio (n+m-2)/(m+1) lo/hi bounds both envelopes.
+
+    Each row's rounding allowance bounds its mode's rounding error to first
+    order, in units of the unit roundoff, as a multiple of its pole envelope
+    whichever envelope the row yields.  An error of d units in a factor that
+    the envelope bounds by 1 costs d units, so the counts add:
+
+    - the recurrence and t: (2 + t_units)(m+1)^2, as in _generating_rows,
+      with t_units = 3n + 6: the n-term dot product, both radii and the
+      product and quotient that form t;
+    - the radii, each erring by e_r = n + 2 units (the n-term sum of squares
+      and the root of np.linalg.norm, counted twice over): the exact
+      (hi_pow - g4)(1 - hi^beta) moves by at most beta e_r units of hi_pow
+      per radius, as m hi_pow + (m+n-2) g4 <= beta hi_pow for lo, and for hi
+      (m+n-2)(1 - hi^beta) + beta hi^beta <= beta: 2 (2m + n) e_r bounds
+      both;
+    - the powers and running products: hi_pow 2m + 2 (the power, and per
+      mode the quotient lo/hi and the product), g4 4m + 2n - 2 (a/(lo hi)
+      rounds twice before its power, a^2/(lo hi) three times before each
+      product), hi^beta 2m + 2;
+    - the mode's three differences (1 - A_m among them), its two products
+      and its quotient, (beta/(n-2)) P_m, the product by it and the
+      division by omega: 10, and the compensated sum 2;
+    - 1/(1 - A_m), with A_m carried as a product of 2m + 2 roundings:
+      (2m + 2) A_m/(1 - A_m) <= (2m + 2)(amp - 1), amp = 1/(1 - a^(n-2));
+    - omega's own error, omega_units (AnnulusGeometry.omega_rel_error).
+
+    With amp >= 1 these add up to at most
+    (2 + t_units)(m+1)^2 + (8m + 2n + 14 + 2 (2m + n) e_r) amp + omega_units
+    units, which the rows advance by their differences: the rounding of
+    those sums is of second order.
+    """
     lam = 0.5 * (n - 2)
     hi_pow = hi ** (2 - n)  # hi^(2-n) (lo/hi)^m
     q = lo / hi
@@ -454,20 +498,44 @@ def _modal_rows(n: int, a: float, lo: float, hi: float, t: float, omega: float):
     hib = hi ** (n - 2)  # hi^(2m+n-2)
     big_a = a ** (n - 2)
     env_k = 1.0 / ((n - 2) * omega * (1.0 - a ** (n - 2)))
+    amp, e_r, quad = 1.0 / (1.0 - big_a), n + 2.0, 3.0 * n + 8.0
+    units = quad + amp * (2.0 * n + 14.0 + 2.0 * n * e_r) + omega_units
+    step = 3.0 * quad + amp * (8.0 + 4.0 * e_r)
+    curve = 2.0 * quad
+    inv_sin = _inverse_sine(t, 3.0 * n + 6.0)
     # iter_gegenbauer's recurrence, inline as specfun's docstring explains;
     # ratio = (n + m - 2)/(m + 1), binom = C(n + m - 3, m), and
     # m + lam = beta / 2 with beta = 2m + n - 2
     two_t = 2.0 * t
     p_prev, p = 0.0, 1.0
-    for ratio, binom, m_lam, below, m_next in _mode_table(_gegenbauer_modes, lam):
+    rows = _mode_table(_gegenbauer_modes, lam)
+    for ratio, binom, m_lam, below, m_next, off in rows:
         z = (m_lam / lam) * p  # (beta / (n - 2)) P_m(t)
         coeff = (hi_pow - g4) * (1.0 - hib) / ((m_lam + m_lam) * (1.0 - big_a))
-        yield coeff * z / omega, env_k * binom * hi_pow, ratio * q, 0.0
+        env = env_k * binom * hi_pow
+        yield coeff * z / omega, env, ratio * q, env * units
         p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
         hi_pow *= q
         g4 *= q4
         hib *= hi * hi
         big_a *= a * a
+        units += step
+        step += curve
+        if off * inv_sin < binom:
+            break
+    env_sin = env_k * hi_pow * inv_sin
+    for ratio, binom, m_lam, below, m_next, off in rows:
+        z = (m_lam / lam) * p
+        coeff = (hi_pow - g4) * (1.0 - hib) / ((m_lam + m_lam) * (1.0 - big_a))
+        yield coeff * z / omega, off * env_sin, ratio * q, env_k * binom * hi_pow * units
+        p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
+        env_sin *= q
+        hi_pow *= q
+        g4 *= q4
+        hib *= hi * hi
+        big_a *= a * a
+        units += step
+        step += curve
 
 
 def green_piecewise_eval(
@@ -485,17 +553,21 @@ def green_piecewise_eval(
     geom.require_series_dim()
     xv = geom.point(x)
     yv = geom.point(y)
-    r = geom.clamp_radius(float(np.linalg.norm(xv)))
-    s = geom.clamp_radius(float(np.linalg.norm(yv)))
+    x_norm, y_norm = float(np.linalg.norm(xv)), float(np.linalg.norm(yv))
+    r = geom.clamp_radius(x_norm)
+    s = geom.clamp_radius(y_norm)
     if abs(r - s) <= 1e-9:
         raise DomainValidationError(
             f"|x| = {r} and |y| = {s} are (numerically) equal; use green_eval for "
             "coincident radii"
         )
     lo, hi = (r, s) if r < s else (s, r)
-    t = _clamp_argument(float(xv @ yv) / (r * s))
+    # the cosine of x and y is that of the points on the clamped radii; the
+    # origin, admissible only where a <= RADIUS_SLACK, counts as radius r
+    t = _clamp_argument(float(xv @ yv) / ((x_norm or r) * (y_norm or s)))
     try:
-        return sum_series(_modal_rows(geom.n, geom.a, lo, hi, t, geom.omega), policy)
+        rows = _modal_rows(geom.n, geom.a, lo, hi, t, geom.omega, geom.omega_rel_error / _U)
+        return sum_series(rows, policy)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
             f"the Green function for n = {geom.n} leaves the double-precision range here"

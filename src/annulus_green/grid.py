@@ -83,7 +83,8 @@ def sum_series_table(
     Every column follows sum_series's rule: Kahan compensation, a streak of
     ``tail_safety`` certified tails <= ``abs_tol``, the ``max_terms`` cap, and
     TailEnvelopeError for a non-finite term or envelope, or a growing
-    envelope, on a row the column consumes.  Each column stops on its own row
+    envelope, on a row the column consumes, or for a non-finite sum of the
+    rounding allowances it consumed.  Each column stops on its own row
     and is read there; the streak, envelope and contraction state carry from
     one chunk to the next, and so does the sum of the rounding allowances,
     added in row order.  A column therefore gets bit for bit the value, terms
@@ -195,6 +196,10 @@ def _sum_columns(
             acc = np.empty((depth + 1, live.size))
             acc[0], acc[1:] = units_sum, units[:depth]
             units_now = np.cumsum(acc, axis=0)[stop + 1, cols]
+            if not np.isfinite(units_now[ends]).all():
+                raise TailEnvelopeError(
+                    "the rounding allowance of a column leaves the double range"
+                )
 
             out = live[ends]
             value[out] = partial[stop, cols][ends]

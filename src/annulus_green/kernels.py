@@ -288,7 +288,7 @@ def harmonic_extension(
         # ratio = (n + m - 2)/(m + 1), binom = C(n + m - 3, m), and
         # m + lam = beta / 2 with beta = 2m + n - 2
         modes = zip(_mode_table(_gegenbauer_modes, lam), iter_gegenbauer(lam, t))
-        for (ratio, binom, m_lam, _, _), p in modes:
+        for (ratio, binom, m_lam, _, _, _), p in modes:
             z = (m_lam / lam) * p  # (beta / (n - 2)) P_m(t)
             i_out = float(w @ (f_out * z))
             i_in = float(w @ (f_in * z))

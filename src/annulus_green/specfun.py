@@ -9,8 +9,9 @@ Mode tables.  A series stream's per-mode constants that depend only on its
 shape are read from one table per shape (_mode_table), not computed again
 on every call.  For the Gegenbauer parameter lam the table (rows from
 _gegenbauer_modes) holds, per mode m, the coefficient ratio
-(m + 2 lam)/(m + 1), the running binomial C(m + 2 lam - 1, m) = P_m(1) and
-the recurrence constants m + lam, m + 2 lam - 1 and m + 1; iter_gegenbauer,
+(m + 2 lam)/(m + 1), the running binomial C(m + 2 lam - 1, m) = P_m(1),
+the recurrence constants m + lam, m + 2 lam - 1 and m + 1, and the off-pole
+constant off_m (see below); iter_gegenbauer,
 the generating series (_generating_rows, behind gegenbauer_generating_sum
 and the three kernels.newtonian_series_*), kernels.harmonic_extension and
 the Green streams of green.py read it.  green.py keeps one table per
@@ -19,6 +20,24 @@ iter_gegenbauer's recurrence inline on the table's constants, with the same
 expressions and so the same doubles: taking P_m from iter_gegenbauer beside
 the table costs one more generator step per mode, which measured 10 to 40 %
 more time per term.
+
+Off-pole envelopes.  |P_m(t)| <= P_m(1) = C(m + 2 lam - 1, m) is sharp only
+at t = -1 and 1.  Off the poles, t = cos(theta), summation by parts on
+P_m(cos theta) = sum_j a_j a_(m-j) cos((m - 2j) theta), a_j = (lam)_j / j!,
+gives |P_m(t)| <= 2 max_j a_j a_(m-j) / sin(theta) (Szego, Orthogonal
+Polynomials, section 7.33).  Its numerator grows like m^(2 lam - 2) for
+lam >= 1 and like m^(lam - 1) below: by a factor m^(-min(1, lam)) slower
+than the binomial's m^(2 lam - 1).  The table's column off_m bounds that
+numerator from above (_gegenbauer_modes).  The generating series and the
+modal Green series (green._modal_rows) switch once, at the first mode where
+off_m / sin(theta) is below the binomial, from the pole envelope to this one,
+and keep the pole ratio and the pole units of their rounding allowances
+(see _generating_rows).  That cuts a deep series by 12 to 24 % at n = 3
+to 6.  The other readers of the table keep the pole envelope:
+iter_gegenbauer has none, kernels.harmonic_extension bounds its modes by
+the dimensions of the harmonic spaces, and the split Green remainders
+(green._green_remainder and its grid twin) contract by at most a^2 per
+mode, so they stop near 20 modes, before the off-pole envelope would gain.
 
 A table is one stored tuple per shape (_TABLES): the rows that the shape's
 streams have read, first mode first, up to _STORED_MODES = 1024 rows.
@@ -33,10 +52,11 @@ published tuple is a prefix of the shape's one sequence of rows: threads
 racing on one shape can only cost rows, never change one.  At most
 _SHAPES = 64 shapes are kept, least recently used first out, so the store
 holds at most 64 x 1024 rows: about 18 MB, at the 180 to 280 bytes that a
-row's tuple and its 5 to 8 floats take (tracemalloc, CPython 3.11).  Every
+row's tuple and its 6 to 8 floats take (tracemalloc, CPython 3.11).  Every
 entry is the double that the stream's own arithmetic gave per call before
 the tables existed, in the same order of operations, so every value, tail
-bound, term count and error is bit for bit what it was.
+bound, term count and error of a stream that keeps the pole envelope is bit
+for bit what it was.
 """
 
 from __future__ import annotations
@@ -60,7 +80,7 @@ from .core import (
     require_integer,
     require_unit,
 )
-from .summation import sum_series
+from .summation import _U, sum_series
 
 Scalar: TypeAlias = "Union[float, np.ndarray]"
 
@@ -70,6 +90,10 @@ _T_TOL = 1e-12
 # at most _SHAPES shapes are kept (see the module docstring)
 _STORED_MODES = 1024
 _SHAPES = 64
+
+# the growth of the off-pole column beside its exact ratio (see
+# _gegenbauer_modes)
+_OFF_SLACK = 1.0 + 4.0 * _U
 
 # (build, *shape) -> the rows its streams have read, least recently used
 # first.  A hit only reorders and reads, each one atomic step; whatever
@@ -120,7 +144,7 @@ def _recorded(key: tuple, rows: tuple) -> Iterator[tuple]:
 
 
 def _gegenbauer_modes(lam: float, after=None) -> Iterator[tuple]:
-    """Rows (ratio, binomial, m + lam, m + 2 lam - 1, m + 1) of the mode
+    """Rows (ratio, binomial, m + lam, m + 2 lam - 1, m + 1, off) of the mode
     constants for the parameter lam, in the order of operations of the
     recurrence and of the coefficient ratio (m + 2 lam)/(m + 1), whose
     running product is the binomial C(m + 2 lam - 1, m).
@@ -128,19 +152,49 @@ def _gegenbauer_modes(lam: float, after=None) -> Iterator[tuple]:
     Mode 0 stores 0.0 for m + 2 lam - 1: it multiplies P_{-1} = 0, and a zero
     constant keeps P_1 = ((2 t) lam) 1.0 - 0.0 equal to (2 lam) t, signed
     zeros included.
+
+    ``off`` is an upper bound on 2 max_j a_j a_(m-j), a_j = (lam)_j / j!, so
+    that |P_m(cos theta)| <= off / sin(theta) (see the module docstring).
+    For lam >= 1 the a_j grow with ratios (j + lam)/(j + 1) that fall toward
+    1, so the largest product is a_h a_(m-h), h = floor(m/2), and it grows by
+    (h + lam)/(h + 1) to the next mode; for lam < 1 the a_j fall and it is
+    a_0 a_m, which grows by (m + lam)/(m + 1).  The running product starts
+    at 2 and takes _OFF_SLACK = 1 + 4u per mode beside its ratio: that covers
+    the step's four roundings (h + lam, the quotient, the slack's product
+    and the running product) to first order, and fully where h + lam is
+    exact, as it is for every half-integer lam.
     """
     two_lam = 2.0 * lam
     if after is None:
-        m, binom, below = 0.0, 1.0, 0.0
+        m, binom, below, off = 0.0, 1.0, 0.0, 2.0
     else:
-        ratio, binom, _, _, m = after
+        ratio, binom, _, _, m, off = after
         binom *= ratio
         below = (m + two_lam) - 1.0
+        h = (m - 1.0) // 2.0 if lam >= 1.0 else m - 1.0
+        off *= (h + lam) / (h + 1.0) * _OFF_SLACK
+    if lam < 1.0:  # h = m
+        while True:
+            m_next = m + 1.0
+            ratio = (m + two_lam) / m_next
+            m_lam = m + lam
+            yield ratio, binom, m_lam, below, m_next, off
+            binom *= ratio
+            off *= m_lam / m_next * _OFF_SLACK
+            m = m_next
+            below = (m + two_lam) - 1.0
+    # h = floor(m/2), which grows after every odd mode
+    h = m // 2.0
+    grow = (h + lam) / (h + 1.0) * _OFF_SLACK
     while True:
         m_next = m + 1.0
         ratio = (m + two_lam) / m_next
-        yield ratio, binom, m + lam, below, m_next
+        yield ratio, binom, m + lam, below, m_next, off
         binom *= ratio
+        off *= grow
+        if m != h + h:
+            h += 1.0
+            grow = (h + lam) / (h + 1.0) * _OFF_SLACK
         m = m_next
         below = (m + two_lam) - 1.0
 
@@ -173,7 +227,7 @@ def iter_gegenbauer(lam: float, t: Scalar) -> Iterator[Scalar]:
     two_t = 2.0 * t
     p_prev: Scalar = 0.0
     p: Scalar = 1.0 + 0.0 * t
-    for _, _, m_lam, below, m_next in _mode_table(_gegenbauer_modes, lam):
+    for _, _, m_lam, below, m_next, _ in _mode_table(_gegenbauer_modes, lam):
         yield p
         p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
 
@@ -228,7 +282,8 @@ def gegenbauer_generating_sum(
 ) -> EvalResult:
     """Policy-truncated generating series with a certified tail bound.
 
-    The envelope uses |P_m(t)| <= P_m(1) = C(m+2lam-1, m); the coefficient
+    The envelope uses |P_m(t)| <= P_m(1) = C(m+2lam-1, m), and off the
+    poles the smaller off-pole bound (see _generating_rows); the coefficient
     ratio (m+2lam)/(m+1) is monotone toward 1 from either side, so the
     geometric ratio bound takes the max against 1.
     """
@@ -239,16 +294,48 @@ def gegenbauer_generating_sum(
     return sum_series(_generating_rows(lam, tc, r), policy)
 
 
+def _inverse_sine(t: float, t_units: float) -> float:
+    """An upper bound on 1/sin(theta) over every cos(theta) within t_units
+    units of the unit roundoff of t: inf where that interval reaches -1 or 1.
+
+    tau = |t| + (t_units + 2) u rounds by at most u, so it is at least
+    |t| + t_units u wherever it is below 1.  (1 - tau)(1 + tau), its square
+    root, the quotient and the product by 1 + 8u then err by less than the
+    8u that the last of them adds.
+    """
+    tau = abs(t) + (t_units + 2.0) * _U
+    if tau >= 1.0:
+        return math.inf
+    return (1.0 + 8.0 * _U) / math.sqrt((1.0 - tau) * (1.0 + tau))
+
+
 def _generating_rows(
     lam: float, t: float, r: float, scale: float = 1.0, inputs=(0.0, 0.0, 0.0)
 ):
     """Rows of scale * sum_m r^m P_m(t) for sum_series, scale > 0.
 
     ``inputs`` holds the errors the caller's arithmetic left in t (absolute),
-    r and scale (relative), in units of the unit roundoff.  Each row's
-    rounding allowance bounds its mode's rounding error to first order, in
-    those units, as a multiple of its envelope C(m+2lam-1, m) scale r^m >=
-    |P_m(t)| scale r^m.  The forward recurrence errs by less than
+    r and scale (relative), in units of the unit roundoff.
+
+    Two envelopes bound |P_m(t)| scale r^m: the pole envelope
+    C(m+2lam-1, m) scale r^m, and the off-pole envelope off_m scale r^m /
+    sin(theta), with _gegenbauer_modes' off column and 1/sin(theta) bounded
+    over t's error by _inverse_sine.  The rows yield the pole envelope
+    through the first mode where the off-pole one is smaller, and the
+    off-pole one after it, with no test per row: off_m grows by at most
+    (m+2lam)/(m+1) per mode, so it stays the smaller, and the pole ratio
+    r max(1, (m+2lam)/(m+1)) bounds the growth of both.  Where t is within
+    its error of -1 or 1 the off-pole envelope is infinite and the rows keep
+    the pole one.  After the switch the rows carry scale r^m / sin(theta)
+    as a running product of its own, and the pole envelope only in the
+    rounding allowance: where it leaves the double range so does the
+    allowance, and sum_series raises TailEnvelopeError, as it did for the
+    envelope before the switch.
+
+    Each row's rounding allowance bounds its mode's rounding error to first
+    order, in units of the unit roundoff, as a multiple of its pole envelope
+    whichever envelope the row yields, since the recurrence's error bound is
+    written in those units.  The forward recurrence errs by less than
     2 (m+1)^2 u C(m+2lam-1, m): measured against a 40-digit recurrence over
     t in [-1, 1] and lam from 1/4 to 24, it reached at most 0.2 of that for
     m <= 100 000, the default max_terms.  |dP_m/dt| <= (m+1)^2
@@ -264,15 +351,27 @@ def _generating_rows(
     step = 3.0 * quad + 1.0 + r_units
     curve = 2.0 * quad
     rp = scale
+    inv_sin = _inverse_sine(t, t_units)
     # iter_gegenbauer's recurrence, inline (see the module docstring);
     # coeff = C(m + 2 lam - 1, m), the t = 1 polynomial value
     two_t = 2.0 * t
     p_prev, p = 0.0, 1.0
-    for crat, coeff, m_lam, below, m_next in _mode_table(_gegenbauer_modes, lam):
+    rows = _mode_table(_gegenbauer_modes, lam)
+    for crat, coeff, m_lam, below, m_next, off in rows:
         env = coeff * rp
         yield p * rp, env, r * crat if crat > 1.0 else r, env * units
         p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
         rp *= r
+        units += step
+        step += curve
+        if off * inv_sin < coeff:
+            break
+    rp_sin = rp * inv_sin
+    for crat, coeff, m_lam, below, m_next, off in rows:
+        yield p * rp, off * rp_sin, r * crat if crat > 1.0 else r, coeff * rp * units
+        p_prev, p = p, (two_t * m_lam * p - below * p_prev) / m_next
+        rp *= r
+        rp_sin *= r
         units += step
         step += curve
 

@@ -6,14 +6,17 @@ Every series in this package supplies, per index m, a row
 ``k >= m`` and nonincreasing in m.  Once ``ratio < 1`` the discarded tail
 after index m is at most ``envelope * ratio / (1 - ratio)``.  ``rounding``
 bounds the row's rounding error to first order, in units of u = 2^-53.
+A stream may yield a smaller envelope than the one its rounding allowance
+is counted in (the off-pole envelopes of specfun): a row's rounding then
+stays a multiple of the larger one.
 
 Rounding enters a bound here alone: ``tail_bound`` is the truncation tail
 plus u times the rounding of the rows consumed, summed in row order, while
 stopping and ``converged`` judge the truncation tail.  The split remainders
-of green_eval and the Robin family and the generating series
-(gegenbauer_generating_sum and the three newtonian_series_*) count their
-rounding; the modes of green_piecewise_eval and harmonic_extension still
-yield 0.0.
+of green_eval and the Robin family, the generating series
+(gegenbauer_generating_sum and the three newtonian_series_*) and the modes
+of green_piecewise_eval count their rounding; only the modes of
+harmonic_extension still yield 0.0.
 
 A tail is certified when it is at most the policy's target: ``abs_tol``, or
 with ``rel_tol`` > 0 the larger of ``abs_tol`` and ``rel_tol`` times
@@ -54,7 +57,8 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.
     > 0 a tail also counts when it is <= rel_tol |offset + running sum|;
     ``offset`` is the closed part of a split series, which the returned value
     does not include.  A term or envelope that is not a finite double raises
-    TailEnvelopeError instead of poisoning the sum.
+    TailEnvelopeError instead of poisoning the sum, and so does a sum of the
+    rows' rounding allowances that is not.
     """
     total = 0.0
     comp = 0.0
@@ -105,6 +109,10 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.
                 streak = 0
         prev_env = env
 
+    if not isfinite(units):
+        raise TailEnvelopeError(
+            f"the rounding allowance of the first {used} terms leaves the double range"
+        )
     return EvalResult(
         value=total, terms_used=used, tail_bound=tail + _U * units, converged=converged
     )

@@ -11,6 +11,8 @@ Every 50-digit value a test compares with comes from here:
   ``mp_remainder``;
 - ``mp_split_remainder``: a Robin-family split remainder alone, from its own
   tables of parts;
+- ``mp_distance_power``: |p - q|^(2-n), the Newtonian kernel that the three
+  zonal expansions sum;
 - ``omega``: the area of the unit sphere.
 
 None of them expands A_m / (1 - A_m) into images or shares the evaluators'
@@ -23,7 +25,10 @@ Near a = 1 the remainder needs 1e4 to 3e5 modes, seconds to tens of seconds
 at 50 digits, so the values and roots of thin annuli are kept in
 ``fixtures/image_references.json``.  ``python tests/references.py``
 recomputes that file (about ten minutes on one core); the tests recompute
-the entries with a <= 0.95 live to guard it.
+the entries with a <= 0.95 live to guard it.  The Green values of
+green_piecewise_eval's certificate test are kept the same way, in
+``fixtures/piecewise_references.json``, which
+``scripts/piecewise_references.py`` writes.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from annulus_green import (
 
 DPS = 50
 FIXTURE = Path(__file__).parent / "fixtures" / "image_references.json"
+PIECEWISE_FIXTURE = Path(__file__).parent / "fixtures" / "piecewise_references.json"
 
 # the fixture's names, those of the evaluators that switch to image rows
 SPATIAL = ("robin_eval", "robin_radial_gradient", "robin_radial_gradient_derivative")
@@ -231,6 +237,13 @@ def mp_green(n: int, a: float, x, y):
         images = [c * (1 - 2 * q * t + q * q) ** (-mpf(k) / 2) for c, q in zip(cs, qs)]
         head = d**-k - (images[0] - images[1] - images[2] + images[3])
         return (head - mp_remainder(k, a, lo, hi, t, 1)) / (k * omega(n))
+
+
+def mp_distance_power(n: int, p, q):
+    """|p - q|^(2-n) at 50 digits, p and q doubles or 50-digit numbers."""
+    with mpmath.workdps(DPS):
+        d2 = mpmath.fsum((mpf(u) - mpf(v)) ** 2 for u, v in zip(p, q))
+        return d2 ** (mpf(2 - n) / 2)
 
 
 # (parts, scale factor) of each Robin-family split remainder as green.py sums

@@ -129,13 +129,13 @@ def test_mode_cost_prints_every_table_backed_evaluator(monkeypatch, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[0] == ["evaluator", "radius", "r", "terms", "cold_ns", "warm_ns"]
     rows, grid, store = rows[:29], rows[29:35], rows[35:]
-    assert {row[1] for row in rows[1:]} == {"mid", "layer", "q0.97", "q0.99"}
+    assert {row[1] for row in rows[1:]} == {"mid", "layer", "q0.98", "q0.99"}
     assert all(int(row[3]) > 0 and float(row[4]) > 0 and float(row[5]) > 0 for row in rows[1:])
     # the deep rows: series of 1 000 to 4 000 terms
     deep = {(row[0], row[1]): int(row[3]) for row in rows[1:] if row[1].startswith("q")}
     assert sorted(deep) == [
         (name, q) for name in ("gegenbauer_generating_sum", "newtonian_series_outer")
-        for q in ("q0.97", "q0.99")
+        for q in ("q0.98", "q0.99")
     ]
     assert all(1_000 <= terms <= 4_000 for terms in deep.values())
     # the grid twins on export-grid's default windows

@@ -388,3 +388,18 @@ def test_exhausted_table_is_an_error():
     stream = _stream([1.0, 0.5], [0.5, 0.5])
     with pytest.raises(TailEnvelopeError):
         sum_series_table(_table([stream]), 1, TruncationPolicy(abs_tol=0.0, max_terms=10))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_rounding_is_an_error_in_both_summers(bad):
+    # finite terms and envelopes whose rounding allowance overflows leave no
+    # bound to report
+    env = 0.5 ** np.arange(40.0)
+    rounding = np.zeros(40)
+    rounding[3] = bad
+    stream = (env, env, np.full(40, 0.5), rounding)
+    policy = TruncationPolicy(abs_tol=1e-6, max_terms=40)
+    with pytest.raises(TailEnvelopeError):
+        sum_series(zip(*stream), policy)
+    with pytest.raises(TailEnvelopeError):
+        _sum_in_chunks(7, [stream], policy)
