@@ -17,7 +17,10 @@ log-uniform down to 1e-4, where the deep modes are summed as images; radii
 1e-6 of the gap from either sphere and one in between; and the default
 policy beside one with rel_tol 0.05.  The "errors" group adds the typed
 errors at n = 456 (where omega underflows), in the plane for the spatial
-evaluators, at r = 0 and where r^2 underflows.
+evaluators, at r = 0 and where r^2 underflows.  The "green" group holds
+green_eval and grid._green_slice, and "green_piecewise" holds
+green_piecewise_eval on the same pairs, so a change to one Green route moves
+its own group only.
 
 Two more draws, from a second generator so that the groups above keep their
 records, reach past the 1 024 modes that a mode table stores at most:
@@ -149,8 +152,8 @@ def _groups(ag, count: int, seed: int) -> dict:
     out = {
         name: []
         for name in ("robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed",
-                     "green", "gegenbauer", "harmonic", "frames", "critical",
-                     "critical_values", "errors")
+                     "green", "green_piecewise", "gegenbauer", "harmonic", "frames",
+                     "critical", "critical_values", "errors")
     }
     for _ in range(count):
         n, a = rng.choice(SPATIAL_DIMS), _thickness(rng)
@@ -178,9 +181,9 @@ def _groups(ag, count: int, seed: int) -> dict:
         for pol in policies:
             out["green"] += [
                 _record(ag.green_eval, geom, x, y, pol),
-                _record(ag.green_piecewise_eval, geom, x, y, pol),
                 _record(grid._green_slice, geom, np.linspace(a, 1.0, 5), y, pol),
             ]
+            out["green_piecewise"].append(_record(ag.green_piecewise_eval, geom, x, y, pol))
 
         geom = ag.AnnulusGeometry(rng.choice((2, *SPATIAL_DIMS)), _thickness(rng))
         report, values = _critical_records(ag, geom)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -203,23 +204,21 @@ def _cmd_eval_green(args) -> int:
         raise DomainValidationError(
             f"expected {2 * geom.n} coordinates for n = {geom.n}, got {len(coords)}"
         )
-    import numpy as np
-
-    x = np.array(coords[: geom.n])
-    y = np.array(coords[geom.n :])
+    x, y = coords[: geom.n], coords[geom.n :]
     res = green_eval(geom, x, y, policy)
     record = {
         "command": "eval-green",
         "n": geom.n,
         "a": geom.a,
-        "x": [float(v) for v in x],
-        "y": [float(v) for v in y],
+        "x": x,
+        "y": y,
         "value": res.value,
         "terms_used": res.terms_used,
         "tail_bound": res.tail_bound,
         "converged": res.converged,
     }
-    rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    # green_piecewise_eval's radii before their clamp (see green._clamped)
+    rx, ry = math.hypot(*x), math.hypot(*y)
     if min(rx, ry) <= PIECEWISE_RATIO * max(rx, ry):
         # reported cross-check only: the unsplit route contracts like lo/hi
         # per mode, so nearer radii would take it to max_terms where

@@ -119,21 +119,12 @@ def _omega(n: int) -> tuple[float, float]:
     return sphere_surface_area(n), sphere_surface_area_rel_error(n)
 
 
-def unit_and_radius(v: np.ndarray) -> tuple[float, np.ndarray]:
-    import numpy as np
-
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        raise DomainValidationError("the zero vector has no direction")
-    return r, v / r
-
-
 def require_unit(v: ArrayLike, tol: float = 1e-10) -> np.ndarray:
     import numpy as np
 
     arr = np.asarray(v, dtype=float)
     r = float(np.linalg.norm(arr))
-    if abs(r - 1.0) > tol:
+    if not abs(r - 1.0) <= tol:
         raise DomainValidationError(f"expected a unit vector, got |v| = {r}")
     return arr / r
 

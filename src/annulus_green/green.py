@@ -421,7 +421,7 @@ def green_eval(
             "diagonal values come from robin_eval"
         )
     # the cosine of x and y is that of the points on the clamped radii
-    t = _clamp_argument(math.fsum(map(operator.mul, xs, ys)) / (x_norm * y_norm))
+    t = _cosine(xs, ys, x_norm, y_norm)
     lo, hi = (r, s) if r <= s else (s, r)
     return _green_split(geom, lo, hi, t, d, _E_DIST + (x_err + y_err) / d, policy)
 
@@ -443,11 +443,24 @@ def _clamped(geom: AnnulusGeometry, xs: list) -> tuple[float, float, list, float
     return norm, r, [v * f for v in xs], _E_MOVED * r
 
 
+def _cosine(xs: list, ys: list, x_norm: float, y_norm: float) -> float:
+    """t = <x, y> / (|x| |y|) for points with coordinates ``xs`` and ``ys``
+    and norms from math.hypot (the first entry of _clamped), clamped to
+    [-1, 1]; it errs by _E_COSINE units.  Outside [2^-969, 2^1023] for
+    |x| |y| a product of coordinates could overflow, or underflow by more
+    than n 2^-53 units of |x| |y|: there it raises DomainValidationError.
+    """
+    norms = x_norm * y_norm
+    if not 2.0**-969 <= norms <= 2.0**1023:
+        raise DomainValidationError(f"|x| |y| = {norms} is outside the range of the cosine")
+    return _clamp_argument(math.fsum(map(operator.mul, xs, ys)) / norms)
+
+
 def _modal_rows(
     n: int, a: float, lo: float, hi: float, t: float, omega: float, omega_units: float
 ):
     """Modes of the radius-ordered Green series (lo < hi strictly), radii
-    from np.linalg.norm and t from their dot product (green_piecewise_eval).
+    from _clamped and t from _cosine (green_piecewise_eval).
 
     Mode m is coeff_m (beta/(n-2)) P_m(t) / omega with beta = 2m + n - 2 and
     coeff_m = (hi_pow - g4)(1 - hi^beta) / (beta (1 - A_m)), where
@@ -457,23 +470,21 @@ def _modal_rows(
     bounds each of the factors (hi_pow - g4)/hi_pow, 1 - hi^beta and
     (1 - a^(n-2))/(1 - A_m) by 1.  The off-pole envelope replaces
     C(n+m-3, m) by off_m / sin(theta), with specfun._inverse_sine over t's
-    error; the rows switch to it once, as specfun._generating_rows does, and
-    the pole ratio (n+m-2)/(m+1) lo/hi bounds both envelopes.
+    _E_COSINE units; the rows switch to it once, as
+    specfun._generating_rows does, and the pole ratio (n+m-2)/(m+1) lo/hi
+    bounds both envelopes.
 
     Each row's rounding allowance bounds its mode's rounding error to first
     order, in units of the unit roundoff, as a multiple of its pole envelope
     whichever envelope the row yields.  An error of d units in a factor that
     the envelope bounds by 1 costs d units, so the counts add:
 
-    - the recurrence and t: (2 + t_units)(m+1)^2, as in _generating_rows,
-      with t_units = 3n + 6: the n-term dot product, both radii and the
-      product and quotient that form t;
-    - the radii, each erring by e_r = n + 2 units (the n-term sum of squares
-      and the root of np.linalg.norm, counted twice over): the exact
-      (hi_pow - g4)(1 - hi^beta) moves by at most beta e_r units of hi_pow
-      per radius, as m hi_pow + (m+n-2) g4 <= beta hi_pow for lo, and for hi
-      (m+n-2)(1 - hi^beta) + beta hi^beta <= beta: 2 (2m + n) e_r bounds
-      both;
+    - the recurrence and t: (2 + _E_COSINE)(m+1)^2, as in _generating_rows;
+    - the radii, each erring by _E_RADIUS units: the exact
+      (hi_pow - g4)(1 - hi^beta) moves by at most beta _E_RADIUS units of
+      hi_pow per radius, as m hi_pow + (m+n-2) g4 <= beta hi_pow for lo,
+      and for hi (m+n-2)(1 - hi^beta) + beta hi^beta <= beta:
+      2 (2m + n) _E_RADIUS bounds both;
     - the powers and running products: hi_pow 2m + 2 (the power, and per
       mode the quotient lo/hi and the product), g4 4m + 2n - 2 (a/(lo hi)
       rounds twice before its power, a^2/(lo hi) three times before each
@@ -486,9 +497,9 @@ def _modal_rows(
     - omega's own error, omega_units (AnnulusGeometry.omega_rel_error).
 
     With amp >= 1 these add up to at most
-    (2 + t_units)(m+1)^2 + (8m + 2n + 14 + 2 (2m + n) e_r) amp + omega_units
-    units, which the rows advance by their differences: the rounding of
-    those sums is of second order.
+    (2 + _E_COSINE)(m+1)^2 + (8m + 2n + 14 + 2 (2m + n) _E_RADIUS) amp
+    + omega_units units, which the rows advance by their differences: the
+    rounding of those sums is of second order.
     """
     lam = 0.5 * (n - 2)
     hi_pow = hi ** (2 - n)  # hi^(2-n) (lo/hi)^m
@@ -498,11 +509,11 @@ def _modal_rows(
     hib = hi ** (n - 2)  # hi^(2m+n-2)
     big_a = a ** (n - 2)
     env_k = 1.0 / ((n - 2) * omega * (1.0 - a ** (n - 2)))
-    amp, e_r, quad = 1.0 / (1.0 - big_a), n + 2.0, 3.0 * n + 8.0
-    units = quad + amp * (2.0 * n + 14.0 + 2.0 * n * e_r) + omega_units
-    step = 3.0 * quad + amp * (8.0 + 4.0 * e_r)
+    amp, quad = 1.0 / (1.0 - big_a), 2.0 + _E_COSINE
+    units = quad + amp * (2.0 * n + 14.0 + 2.0 * n * _E_RADIUS) + omega_units
+    step = 3.0 * quad + amp * (8.0 + 4.0 * _E_RADIUS)
     curve = 2.0 * quad
-    inv_sin = _inverse_sine(t, 3.0 * n + 6.0)
+    inv_sin = _inverse_sine(t, _E_COSINE)
     # iter_gegenbauer's recurrence, inline as specfun's docstring explains;
     # ratio = (n + m - 2)/(m + 1), binom = C(n + m - 3, m), and
     # m + lam = beta / 2 with beta = 2m + n - 2
@@ -544,27 +555,23 @@ def green_piecewise_eval(
     """Green function from the radius-ordered modal series, |x| != |y|.
 
     Coincident radii make every mode the same size, so that case is refused
-    and callers are pointed at green_eval, which stays valid there.  Where a
-    mode leaves the double-precision range (at large n) it raises
-    TailEnvelopeError, as green_eval does.
+    and callers are pointed at green_eval, which stays valid there.  The
+    radii and the cosine are green_eval's (_clamped and _cosine), and the
+    rows count their errors as _E_RADIUS and _E_COSINE units (see
+    _modal_rows).  Where a mode leaves the double-precision range (at large
+    n) it raises TailEnvelopeError, as green_eval does.
     """
-    import numpy as np
-
     geom.require_series_dim()
-    xv = geom.point(x)
-    yv = geom.point(y)
-    x_norm, y_norm = float(np.linalg.norm(xv)), float(np.linalg.norm(yv))
-    r = geom.clamp_radius(x_norm)
-    s = geom.clamp_radius(y_norm)
+    xs = geom.point(x).tolist()
+    ys = geom.point(y).tolist()
+    (x_norm, r, _, _), (y_norm, s, _, _) = _clamped(geom, xs), _clamped(geom, ys)
     if abs(r - s) <= 1e-9:
         raise DomainValidationError(
             f"|x| = {r} and |y| = {s} are (numerically) equal; use green_eval for "
             "coincident radii"
         )
     lo, hi = (r, s) if r < s else (s, r)
-    # the cosine of x and y is that of the points on the clamped radii; the
-    # origin, admissible only where a <= RADIUS_SLACK, counts as radius r
-    t = _clamp_argument(float(xv @ yv) / ((x_norm or r) * (y_norm or s)))
+    t = _cosine(xs, ys, x_norm, y_norm)
     try:
         rows = _modal_rows(geom.n, geom.a, lo, hi, t, geom.omega, geom.omega_rel_error / _U)
         return sum_series(rows, policy)

@@ -7,11 +7,11 @@ harmonically into the annulus.  All series carry certified geometric tail
 bounds built from |Z_m| <= dim of the degree-m harmonic space.  The three
 expansions sum specfun's generating series, |p - q|^(2-n) =
 |p|^(2-n) sum_m (|q|/|p|)^m P_m(t) for |q| < |p|, and hand it the errors of
-its inputs, in units of the unit roundoff: a unit vector x / |x| errs by
-_norm_units + 1 per component, so the cosine t errs by the dot product's n
-plus both factors' errors (plus the division by |y| where y is not
-normalised); the ratio of radii and the power |p|^(2-n) inherit the norms'
-errors, and the power adds 2.  Their tail bounds therefore cover rounding.
+its inputs, in units of the unit roundoff.  They form their radii and t as
+green_eval does: math.hypot norms of the coordinate lists, erring by
+green._E_RADIUS units, and green._cosine, erring by green._E_COSINE.  A
+ratio of radii adds one rounding to theirs, and the power |p|^(2-n) adds 2
+to n - 2 times its radius's.  Their tail bounds therefore cover rounding.
 
 harmonic_extension reads its per-mode ratio, binomial and m + lam from lam's
 mode table in specfun, zipped with iter_gegenbauer's P_m.
@@ -35,12 +35,10 @@ from .core import (
     TailEnvelopeError,
     TruncationPolicy,
     require_integer,
-    require_unit,
     sphere_surface_area,
-    unit_and_radius,
 )
+from .green import _E_COSINE, _E_RADIUS, _cosine
 from .specfun import (
-    _clamp_argument,
     _gegenbauer_modes,
     _generating_rows,
     _mode_table,
@@ -122,11 +120,14 @@ def build_sphere_quadrature(degree: int) -> SphereQuadrature:
     )
 
 
-def _norm_units(n: int) -> float:
-    """Relative error bound of np.linalg.norm on an n-vector, in units of the
-    unit roundoff: the dot product's n halved by the square root, plus the
-    root's own rounding."""
-    return 0.5 * n + 1.0
+def _direction(geom: AnnulusGeometry, xi: ArrayLike) -> tuple[list, float]:
+    """The coordinates of the source direction xi, a point of R^n (see
+    AnnulusGeometry.point), and its norm, which must lie within 1e-10 of 1."""
+    xis = geom.point(xi).tolist()
+    norm = math.hypot(*xis)
+    if not abs(norm - 1.0) <= 1e-10:
+        raise DomainValidationError(f"expected a unit vector, got |v| = {norm}")
+    return xis, norm
 
 
 def _source_scale(rho: float, n: int) -> float:
@@ -150,16 +151,15 @@ def newtonian_series_outer(
     exactly with a zero tail.
     """
     geom.require_series_dim()
-    xiv = require_unit(xi)
-    yv = geom.point(y)
-    s = float(np.linalg.norm(yv))
+    xis, xi_norm = _direction(geom, xi)
+    ys = geom.point(y).tolist()
+    s = math.hypot(*ys)
     if s >= 1.0:
         raise SeriesDivergenceError(f"series diverges for |y| >= 1, got |y| = {s}")
     if s == 0.0:
         return EvalResult(value=1.0, terms_used=1, tail_bound=0.0, converged=True)
-    t = _clamp_argument(float(xiv @ yv) / s)
-    e = _norm_units(geom.n)
-    inputs = (geom.n + 2.0 * e + 3.0, e, 0.0)
+    t = _cosine(xis, ys, xi_norm, s)
+    inputs = (_E_COSINE, _E_RADIUS, 0.0)
     return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s, 1.0, inputs), policy)
 
 
@@ -168,15 +168,14 @@ def newtonian_series_inner(
 ) -> EvalResult:
     """Zonal expansion of |a xi - y|^(2-n) for an inner-sphere source, |y| > a."""
     geom.require_series_dim()
-    xiv = require_unit(xi)
-    yv = geom.point(y)
-    s = float(np.linalg.norm(yv))
+    xis, xi_norm = _direction(geom, xi)
+    ys = geom.point(y).tolist()
+    s = math.hypot(*ys)
     if s <= geom.a:
         raise SeriesDivergenceError(f"series diverges for |y| <= a, got |y| = {s}")
-    t = _clamp_argument(float(xiv @ yv) / s)
+    t = _cosine(xis, ys, xi_norm, s)
     scale = _source_scale(s, geom.n)
-    e = _norm_units(geom.n)
-    inputs = (geom.n + 2.0 * e + 3.0, e + 1.0, (geom.n - 2) * e + 2.0)
+    inputs = (_E_COSINE, _E_RADIUS + 1.0, (geom.n - 2) * _E_RADIUS + 2.0)
     return sum_series(_generating_rows(0.5 * (geom.n - 2), t, geom.a / s, scale, inputs), policy)
 
 
@@ -185,16 +184,16 @@ def newtonian_series_exterior(
 ) -> EvalResult:
     """Zonal expansion of |x - y|^(2-n) valid for |x| > |y| > 0."""
     geom.require_series_dim()
-    xv = geom.point(x)
-    yv = geom.point(y)
-    r, xhat = unit_and_radius(xv)
-    s, yhat = unit_and_radius(yv)
+    xs = geom.point(x).tolist()
+    ys = geom.point(y).tolist()
+    r, s = math.hypot(*xs), math.hypot(*ys)
+    if not (r and s):
+        raise DomainValidationError("the zero vector has no direction")
     if r <= s:
         raise SeriesDivergenceError(f"series needs |x| > |y|, got |x| = {r}, |y| = {s}")
-    t = _clamp_argument(float(xhat @ yhat))
+    t = _cosine(xs, ys, r, s)
     scale = _source_scale(r, geom.n)
-    e = _norm_units(geom.n)
-    inputs = (geom.n + 2.0 * e + 2.0, 2.0 * e + 1.0, (geom.n - 2) * e + 2.0)
+    inputs = (_E_COSINE, 2.0 * _E_RADIUS + 1.0, (geom.n - 2) * _E_RADIUS + 2.0)
     return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s / r, scale, inputs), policy)
 
 

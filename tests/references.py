@@ -8,7 +8,8 @@ Every 50-digit value a test compares with comes from here:
   critical radius by Newton's method on it;
 - ``mp_green``: the Green function, its four images summed in their
   generating-function form from the exact inputs, plus its remainder
-  ``mp_remainder``;
+  ``mp_remainder``, at two points or (``mp_green_polar``) at two radii and
+  a cosine;
 - ``mp_split_remainder``: a Robin-family split remainder alone, from its own
   tables of parts;
 - ``mp_distance_power``: |p - q|^(2-n), the Newtonian kernel that the three
@@ -220,16 +221,26 @@ def mp_remainder(k: int, a, lo, hi, t, scale):
 
 
 def mp_green(n: int, a: float, x, y):
-    """Green function at 50 digits from the float coordinates x, y: the
-    Newtonian term minus four generating-function images
-    c_i (1 - 2 q_i t + q_i^2)^(-k/2), and minus the remainder."""
+    """Green function at 50 digits from the float coordinates x, y (see
+    mp_green_polar)."""
     with mpmath.workdps(DPS):
-        a = mpf(a)
         xs, ys = [mpf(v) for v in x], [mpf(v) for v in y]
         r = mpmath.sqrt(mpmath.fsum(v * v for v in xs))
         s = mpmath.sqrt(mpmath.fsum(v * v for v in ys))
         d = mpmath.sqrt(mpmath.fsum((u - v) ** 2 for u, v in zip(xs, ys)))
         t = mpmath.fsum(u * v for u, v in zip(xs, ys)) / (r * s)
+        return mp_green_polar(n, a, r, s, t, d)
+
+
+def mp_green_polar(n: int, a: float, r, s, t, d=None):
+    """Green function at 50 digits at radii r, s and cosine t, taken as
+    exact, and distance d, by default sqrt((r - s)^2 + 2 r s (1 - t)): the
+    Newtonian term minus four generating-function images
+    c_i (1 - 2 q_i t + q_i^2)^(-k/2), and minus the remainder."""
+    with mpmath.workdps(DPS):
+        a, r, s, t = (mpf(v) for v in (a, r, s, t))
+        if d is None:
+            d = mpmath.sqrt((r - s) ** 2 + 2 * r * s * (1 - t))
         k = n - 2
         lo, hi = min(r, s), max(r, s)
         qs = (lo * hi, a * a * lo / hi, a * a * hi / lo, a * a / (lo * hi))

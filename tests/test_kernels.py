@@ -26,8 +26,10 @@ from annulus_green import (
     zonal_direct,
     zonal_from_gegenbauer,
 )
+from annulus_green.green import _E_COSINE
 from annulus_green.oracle import FDGrid
 from conftest import random_unit
+from references import mp_distance_power
 
 POLICY = TruncationPolicy(abs_tol=1e-12, max_terms=100_000)
 
@@ -177,6 +179,39 @@ def test_values_beyond_the_double_range_are_typed_errors(call):
         call()
 
 
+_MID = AnnulusGeometry(3, 0.5)
+_NAN = [math.nan, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: newtonian_series_outer(_MID, [1.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0], POLICY),
+         "R\\^3"),
+        (lambda: newtonian_series_inner(_MID, [1.0, 0.0], [0.8, 0.0, 0.0], POLICY), "R\\^3"),
+        (lambda: newtonian_series_outer(_MID, _NAN, [0.1, 0.0, 0.0], POLICY), "finite"),
+        (lambda: newtonian_series_inner(_MID, _NAN, [0.8, 0.0, 0.0], POLICY), "finite"),
+        (lambda: zonal_direct(3, 2, [0.1, 0.0, 0.0], _NAN), "unit vector"),
+        (lambda: zonal_from_gegenbauer(3, 2, _NAN, [1.0, 0.0, 0.0]), "unit vector"),
+        # |x| |y| overflows, or underflows to 0, so the cosine has no double
+        (lambda: newtonian_series_exterior(_MID, [1.9e154, 0.0, 0.0], [7e153, 1.6e154, 0.0],
+                                           POLICY), "range"),
+        (lambda: newtonian_series_exterior(_MID, [1e-170, 0.0, 0.0], [3e-171, 4e-171, 0.0],
+                                           POLICY), "range"),
+        (lambda: newtonian_series_inner(_MID, [0.6, 0.8, 0.0], [1.7e308, 1e308, 0.0], POLICY),
+         "range"),
+    ],
+    ids=["outer-length", "inner-length", "outer-nan", "inner-nan", "zonal-direct-nan",
+         "zonal-nan", "exterior-huge", "exterior-tiny", "inner-huge"],
+)
+def test_malformed_source_points_are_domain_errors(call, match):
+    # a wrong-length or NaN direction, or points whose cosine leaves the
+    # double range, is refused as such, not met later as a bare ValueError,
+    # a bad polynomial argument or a silently wrong cosine
+    with pytest.raises(DomainValidationError, match=match):
+        call()
+
+
 class TestQuadrature:
     def test_weight_sum_and_nodes(self):
         quad = build_sphere_quadrature(48)
@@ -277,6 +312,27 @@ class TestGeneratingSeriesRounding:
         res = newtonian_series_exterior(geom, e1, -0.99 * e1, TruncationPolicy(abs_tol=1e-12))
         assert res.converged
         assert abs(res.value - 1.99**-7) <= res.tail_bound
+
+    @pytest.mark.parametrize(
+        "series, a, first, y, source",
+        [
+            (newtonian_series_outer, 0.5, [1.0, 0.0, 0.0], 0.99, [1.0, 0.0, 0.0]),
+            (newtonian_series_inner, 0.495, [1.0, 0.0, 0.0], 0.5, [0.495, 0.0, 0.0]),
+            (newtonian_series_exterior, 0.5, [0.8, 0.0, 0.0], 0.792, [0.8, 0.0, 0.0]),
+        ],
+        ids=["outer", "inner", "exterior"],
+    )
+    def test_bound_covers_every_cosine_within_its_error(self, series, a, first, y, source):
+        # y on the source's ray at q = 0.99 of its radius (of a / |y| for the
+        # inner series): the computed cosine is exactly 1, where the sum is
+        # most sensitive to it.  The cosine _E_COSINE units below moves the
+        # value by 0.4 of the bound, and by 2.0 of it where the inputs'
+        # errors are not counted.
+        res = series(AnnulusGeometry(3, a), first, [y, 0.0, 0.0], TruncationPolicy(abs_tol=1e-16))
+        with mpmath.workdps(50):
+            c = 1 - _E_COSINE * mpmath.mpf(2) ** -53
+            ref = mp_distance_power(3, source, [y * c, y * mpmath.sqrt(1 - c * c), 0])
+        assert res.converged and abs(res.value - ref) <= res.tail_bound
 
     def test_seeded_draw_against_mpmath(self):
         mp = pytest.importorskip("mpmath")

@@ -59,8 +59,9 @@ def test_output_digest_repeats_itself(monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
     rows = [line.split() for line in outputs[0].splitlines()]
     assert [row[0] for row in rows] == [
-        "robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed", "green", "gegenbauer",
-        "harmonic", "frames", "critical", "critical_values", "errors",
+        "robin", "robin_grid", "robin2d", "robin2d_grid", "radial_closed", "green",
+        "green_piecewise", "gegenbauer", "harmonic", "frames", "critical", "critical_values",
+        "errors",
     ]
     assert all(int(row[1]) > 0 and len(row[2]) == 64 for row in rows)
     assert outputs[1] == outputs[0]
