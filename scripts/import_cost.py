@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """What a one-shot process pays before and around its first request.
 
-Times two things, each in ``--count`` fresh interpreters run one at a time:
+Times three things, each in ``--count`` fresh interpreters run one at a
+time:
 
 - ``import``: ``import annulus_green, annulus_green.cli``, timed inside the
   interpreter, as bench/run.py's setup_s times it;
-- ``process``: a whole ``python -m annulus_green critical-point --n 3
-  --a 0.5`` process, timed from outside, start to exit.
+- ``critical-point``: a whole ``python -m annulus_green critical-point --n 3
+  --a 0.5`` process, timed from outside, start to exit;
+- ``eval-green``: a whole ``python -m annulus_green eval-green --n 3 --a 0.5
+  0.6 0 0 0 0.7 0`` process, timed the same way.
 
 Each is measured with bytecode caching off (PYTHONDONTWRITEBYTECODE=1, so
 the package's sources compile on every start) and on (PYTHONPYCACHEPREFIX
-in a temporary directory, filled by one untimed process first).  The script
+in a temporary directory, filled by one untimed process of each command
+first).  The script
 prints the median and the quartiles of each, in milliseconds of wall time on
 the machine it runs on.
 
@@ -40,7 +44,11 @@ IMPORT_CODE = (
 )
 # modules listed per bytecode setting in the self-time table
 TOP = 8
-REQUEST = ["-m", "annulus_green", "critical-point", "--n", "3", "--a", "0.5"]
+# the one-shot processes timed, by measure
+REQUESTS = {
+    "critical-point": ["critical-point", "--n", "3", "--a", "0.5"],
+    "eval-green": ["eval-green", "--n", "3", "--a", "0.5", "0.6", "0", "0", "0", "0.7", "0"],
+}
 
 
 def _environment(src: Path, cache: str | None) -> dict:
@@ -64,9 +72,10 @@ def _import_s(env: dict) -> float:
     return float(done.stdout)
 
 
-def _process_s(env: dict) -> float:
+def _process_s(env: dict, request: list[str]) -> float:
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, *REQUEST], env=env, stdout=subprocess.DEVNULL, check=True)
+    argv = [sys.executable, "-m", "annulus_green", *request]
+    subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
     return time.perf_counter() - t0
 
 
@@ -108,12 +117,13 @@ def _largest_self_times(env: dict, count: int) -> list[tuple[str, float]]:
 
 
 def _measure(env: dict, count: int) -> dict:
-    """Seconds per fresh interpreter, for the import and the whole process,
-    the two taken in turn."""
-    times = {"import": [], "process": []}
+    """Seconds per fresh interpreter, for the import and each whole
+    process, taken in turn."""
+    times = {"import": [], **{name: [] for name in REQUESTS}}
     for _ in range(count):
         times["import"].append(_import_s(env))
-        times["process"].append(_process_s(env))
+        for name, request in REQUESTS.items():
+            times[name].append(_process_s(env, request))
     return times
 
 
@@ -132,16 +142,17 @@ def main() -> int:
         for bytecode, prefix in (("off", None), ("on", cache)):
             env = _environment(src, prefix)
             if prefix is not None:
-                _process_s(env)  # fills the cache
+                for request in REQUESTS.values():
+                    _process_s(env, request)  # fills the cache
             for what, times in _measure(env, args.count).items():
                 q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
                 rows.append((what, bytecode, median, q1, q3))
             for module, self_s in _largest_self_times(env, args.count):
                 largest.append((bytecode, module, self_s))
 
-    print(f"{'measure':<8} {'bytecode':<8} {'median_ms':>9} {'q1_ms':>8} {'q3_ms':>8}")
+    print(f"{'measure':<14} {'bytecode':<8} {'median_ms':>9} {'q1_ms':>8} {'q3_ms':>8}")
     for what, bytecode, median, q1, q3 in sorted(rows):
-        print(f"{what:<8} {bytecode:<8} {1e3 * median:9.2f} {1e3 * q1:8.2f} {1e3 * q3:8.2f}")
+        print(f"{what:<14} {bytecode:<8} {1e3 * median:9.2f} {1e3 * q1:8.2f} {1e3 * q3:8.2f}")
     print()
     print(f"{'bytecode':<8} {'self_ms':>8} module")
     for bytecode, module, self_s in largest:

@@ -6,9 +6,10 @@ critical point and a set of independent brute-force oracles.
 Importing the package loads no numpy: the scalar evaluators, the solver and
 their CLI commands build no arrays, and the grid evaluators import the grid
 module, and numpy with it, on first use.  The modules that import numpy as
-they load (grid, kernels, oracle and verify), the names of the first three,
-and the cli module are loaded on first access through the module
-``__getattr__`` of PEP 562."""
+they load (grid, oracle and verify), kernels (whose quadrature and boundary
+types are dataclasses, and whose Newtonian series load no numpy), the names
+of grid, kernels and oracle, and the cli module are loaded on first access
+through the module ``__getattr__`` of PEP 562."""
 
 import importlib
 
@@ -63,7 +64,7 @@ from .summation import sum_series
 
 __version__ = "0.1.0"
 
-# loaded on first access, with numpy: each name, by the submodule defining it
+# loaded on first access: each name, by the submodule defining it
 _LAZY = {
     **dict.fromkeys(
         (

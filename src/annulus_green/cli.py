@@ -355,8 +355,7 @@ def _cmd_export_grid(args) -> int:
     else:  # green-slice
         if args.y is None:
             raise DomainValidationError("green-slice needs --y with n comma-separated floats")
-        y = np.array([float(v) for v in args.y.split(",")])
-        y = geom.point(y)
+        y = geom.coordinates(args.y.split(","))
         radii = _radial_grid(args, geom, standoff=0.0)  # the slice reaches both walls
         column = "green"
         from .grid import _green_slice

@@ -14,6 +14,10 @@ TruncationPolicy check their fields in ``__new__``, which every construction
 path goes through: the constructor, ``_make``, ``_replace``, pickling and
 copying (see _Checked).  EvalGrid, whose fields are arrays, compares and
 hashes by identity.
+
+AnnulusGeometry.coordinates is the one check of a point: it reads a point
+of R^n as a list of finite doubles, without numpy, for every evaluator that
+takes points; ``point`` builds its array from that list.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING, Sequence, TypeAlias, Union
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, TypeAlias, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -174,17 +179,43 @@ class AnnulusGeometry(_Checked, namedtuple("AnnulusGeometry", "n a")):
                 "this operation is defined for n >= 3; the plane has dedicated 2-d routines"
             )
 
+    def coordinates(self, x: ArrayLike) -> list:
+        """The coordinates of the point x of R^n, as a list of n finite doubles.
+
+        This is the one check of a point's form, and it loads no numpy.  x is
+        a sequence of n real numbers (a list, a tuple, ...) or an array of
+        shape (n,); each coordinate goes through float(), which gives the
+        double that numpy's conversion gives for every form it accepts:
+        floats of any width, ints, bools, numpy scalars, numeric strings.
+        Anything else raises DomainValidationError: a string, a mapping, a
+        set or an iterator; a wrong length; a nested sequence or an array of
+        another shape; a coordinate that float() refuses (complex, an
+        arbitrary object, an int beyond the double range); NaN or inf.
+        """
+        if type(x) is not list and type(x) is not tuple:
+            if is_numpy(x, "ndarray"):
+                x = x.tolist()  # nested lists where the shape is not (n,)
+            if isinstance(x, (str, bytes)) or not isinstance(x, Sequence):
+                raise DomainValidationError(
+                    f"expected a point of R^{self.n}, got {type(x).__name__}"
+                )
+        if len(x) != self.n:
+            raise DomainValidationError(
+                f"expected a point of R^{self.n}, got {len(x)} coordinates"
+            )
+        try:
+            xs = list(map(float, x))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainValidationError(f"point coordinates must be real numbers: {exc}") from None
+        if not all(map(math.isfinite, xs)):
+            raise DomainValidationError("point coordinates must be finite")
+        return xs
+
     def point(self, x: ArrayLike) -> np.ndarray:
+        """The point x as a float64 array of shape (n,), checked by coordinates."""
         import numpy as np
 
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.n,):
-            raise DomainValidationError(
-                f"expected a point of R^{self.n}, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise DomainValidationError("point coordinates must be finite")
-        return arr
+        return np.array(self.coordinates(x))
 
     def clamp_radius(self, r):
         """Validate r against [a, 1], up to RADIUS_SLACK, and clamp roundoff.

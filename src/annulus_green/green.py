@@ -411,8 +411,8 @@ def green_eval(
     truncation.
     """
     geom.require_series_dim()
-    xs = geom.point(x).tolist()
-    ys = geom.point(y).tolist()
+    xs = geom.coordinates(x)
+    ys = geom.coordinates(y)
     (x_norm, r, x_on, x_err), (y_norm, s, y_on, y_err) = _clamped(geom, xs), _clamped(geom, ys)
     d = math.dist(x_on, y_on)
     if d < NEAR_DIAGONAL:
@@ -562,8 +562,8 @@ def green_piecewise_eval(
     n) it raises TailEnvelopeError, as green_eval does.
     """
     geom.require_series_dim()
-    xs = geom.point(x).tolist()
-    ys = geom.point(y).tolist()
+    xs = geom.coordinates(x)
+    ys = geom.coordinates(y)
     (x_norm, r, _, _), (y_norm, s, _, _) = _clamped(geom, xs), _clamped(geom, ys)
     if abs(r - s) <= 1e-9:
         raise DomainValidationError(

@@ -364,7 +364,7 @@ def _green_slice(
     False.  export-grid writes those rows as they are.
     """
     geom.require_series_dim()
-    ys = geom.point(y).tolist()
+    ys = geom.coordinates(y)
     r = geom.clamp_radius(np.asarray(radii, dtype=float))
     y_norm, s, y_on, y_err = green._clamped(geom, ys)
     # the points r e1 lie on the clamped radii, exact; |x - y| errs by

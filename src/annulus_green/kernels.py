@@ -12,6 +12,9 @@ green_eval does: math.hypot norms of the coordinate lists, erring by
 green._E_RADIUS units, and green._cosine, erring by green._E_COSINE.  A
 ratio of radii adds one rounding to theirs, and the power |p|^(2-n) adds 2
 to n - 2 times its radius's.  Their tail bounds therefore cover rounding.
+They read their points with AnnulusGeometry.coordinates, so they load no
+numpy: it is imported only where an array is built, in SphereQuadrature,
+build_sphere_quadrature and harmonic_extension.
 
 harmonic_extension reads its per-mode ratio, binomial and m + lam from lam's
 mode table in specfun, zipped with iter_gegenbauer's P_m.
@@ -21,9 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .core import (
     AnnulusGeometry,
@@ -45,6 +46,9 @@ from .specfun import (
     iter_gegenbauer,
 )
 from .summation import sum_series
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,8 @@ class SphereQuadrature:
     max_exact_degree: int
 
     def __post_init__(self):
+        import numpy as np
+
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 2 or weights.ndim != 1 or nodes.shape[0] != weights.shape[0]:
@@ -101,6 +107,8 @@ class SphereQuadrature:
 def build_sphere_quadrature(degree: int) -> SphereQuadrature:
     """Product rule on S^2: Gauss-Legendre in the polar cosine, uniform
     trapezoid in azimuth; exact for spherical harmonics through ``degree``."""
+    import numpy as np
+
     require_integer(degree, "degree", 0)
     n_t = degree // 2 + 1
     n_phi = degree + 1
@@ -122,8 +130,8 @@ def build_sphere_quadrature(degree: int) -> SphereQuadrature:
 
 def _direction(geom: AnnulusGeometry, xi: ArrayLike) -> tuple[list, float]:
     """The coordinates of the source direction xi, a point of R^n (see
-    AnnulusGeometry.point), and its norm, which must lie within 1e-10 of 1."""
-    xis = geom.point(xi).tolist()
+    AnnulusGeometry.coordinates), and its norm, which must lie within 1e-10 of 1."""
+    xis = geom.coordinates(xi)
     norm = math.hypot(*xis)
     if not abs(norm - 1.0) <= 1e-10:
         raise DomainValidationError(f"expected a unit vector, got |v| = {norm}")
@@ -152,7 +160,7 @@ def newtonian_series_outer(
     """
     geom.require_series_dim()
     xis, xi_norm = _direction(geom, xi)
-    ys = geom.point(y).tolist()
+    ys = geom.coordinates(y)
     s = math.hypot(*ys)
     if s >= 1.0:
         raise SeriesDivergenceError(f"series diverges for |y| >= 1, got |y| = {s}")
@@ -169,7 +177,7 @@ def newtonian_series_inner(
     """Zonal expansion of |a xi - y|^(2-n) for an inner-sphere source, |y| > a."""
     geom.require_series_dim()
     xis, xi_norm = _direction(geom, xi)
-    ys = geom.point(y).tolist()
+    ys = geom.coordinates(y)
     s = math.hypot(*ys)
     if s <= geom.a:
         raise SeriesDivergenceError(f"series diverges for |y| <= a, got |y| = {s}")
@@ -184,8 +192,8 @@ def newtonian_series_exterior(
 ) -> EvalResult:
     """Zonal expansion of |x - y|^(2-n) valid for |x| > |y| > 0."""
     geom.require_series_dim()
-    xs = geom.point(x).tolist()
-    ys = geom.point(y).tolist()
+    xs = geom.coordinates(x)
+    ys = geom.coordinates(y)
     r, s = math.hypot(*xs), math.hypot(*ys)
     if not (r and s):
         raise DomainValidationError("the zero vector has no direction")
@@ -251,6 +259,8 @@ def harmonic_extension(
     covers M modes for n = 3.  The certified tail envelope uses the sampled
     sup of |data| and so only reflects series truncation.
     """
+    import numpy as np
+
     geom.require_series_dim()
     xv = geom.point(x)
     r = float(np.linalg.norm(xv))

@@ -33,6 +33,7 @@ module, which loads with numpy at the first grid evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Tuple
 
@@ -58,7 +59,8 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.
     ``offset`` is the closed part of a split series, which the returned value
     does not include.  A term or envelope that is not a finite double raises
     TailEnvelopeError instead of poisoning the sum, and so does a sum of the
-    rows' rounding allowances that is not.
+    rows' rounding allowances that is not, or a stream that ends before
+    ``max_terms`` rows without converging.
     """
     total = 0.0
     comp = 0.0
@@ -73,15 +75,7 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.
     abs_tol, rel_tol, max_terms = policy.abs_tol, policy.rel_tol, policy.max_terms
     isfinite = math.isfinite
     slack = _ENVELOPE_SLACK
-    it = iter(rows)
-    while used < max_terms:
-        try:
-            term, env, rho, rounding = next(it)
-        except StopIteration:
-            raise TailEnvelopeError(
-                "series stream exhausted before the policy allowed stopping"
-            ) from None
-
+    for term, env, rho, rounding in itertools.islice(rows, max_terms):
         if not isfinite(term + env):
             raise TailEnvelopeError(
                 f"non-finite term {term!r} or envelope {env!r} at index {used}"
@@ -108,6 +102,9 @@ def sum_series(rows: Iterable[Row], policy: TruncationPolicy, offset: float = 0.
             else:
                 streak = 0
         prev_env = env
+    else:
+        if used < max_terms:
+            raise TailEnvelopeError("series stream exhausted before the policy allowed stopping")
 
     if not isfinite(units):
         raise TailEnvelopeError(

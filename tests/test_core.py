@@ -25,6 +25,7 @@ from annulus_green import (
     TailEnvelopeError,
     TruncationPolicy,
     green_eval,
+    green_piecewise_eval,
     newtonian_potential,
     robin_eval,
     robin_radial_gradient,
@@ -33,6 +34,7 @@ from annulus_green import (
 )
 from annulus_green import core, critical, green, kernels, oracle, specfun
 from annulus_green.core import sphere_surface_area_rel_error
+from conftest import random_unit
 
 # 16-digit reference values of 2 pi^(n/2) / Gamma(n/2), computed from an
 # independent Gamma table (integer and half-integer arguments)
@@ -192,6 +194,114 @@ def test_geometry_point_validation():
         geom.point([1.0, float("nan"), 0.0])
     arr = geom.point([0.7, 0.1, 0.0])
     assert arr.shape == (3,)
+    assert arr.dtype == np.float64 and arr.tolist() == geom.coordinates([0.7, 0.1, 0.0])
+    # one rule for both routes: length, nesting, shape and finiteness
+    refused = [
+        [0.7, 0.1],
+        (0.7, 0.1, 0.0, 0.0),
+        np.zeros(4),
+        [0.7, math.inf, 0.0],
+        [-math.inf, 0.1, 0.0],
+        np.array([0.7, math.nan, 0.0]),
+        ["0.7", "nan", "0"],
+        [[0.7], [0.1], [0.0]],
+        [0.7, [0.1], 0.0],
+        [0.7, np.array([0.1]), 0.0],
+        np.array([[0.7], [0.1], [0.0]]),
+        np.array([[0.7, 0.1, 0.0]]),
+        np.array(0.7),
+        0.7,
+        b"0.7",
+    ]
+    for x in refused:
+        for read in (geom.coordinates, geom.point):
+            with pytest.raises(DomainValidationError):
+                read(x)
+
+
+def _float32_point(rng, n, lo, hi):
+    """A point of R^n at a radius in about [lo, hi] whose coordinates are
+    float32 values, so that every form below holds the same doubles."""
+    v = (rng.uniform(lo, hi) * random_unit(rng, n)).astype(np.float32)
+    return v.astype(float).tolist()
+
+
+def _exact_unit(rng, n):
+    """A unit vector of R^n whose coordinates are float32 values and whose
+    norm is exactly 1: a signed axis, or at n = 4 a vector of signed halves."""
+    if n == 4:
+        return (0.5 * rng.choice([-1.0, 1.0], size=4)).tolist()
+    v = [0.0] * n
+    v[int(rng.integers(n))] = float(rng.choice([-1.0, 1.0]))
+    return v
+
+
+_LOOSE = TruncationPolicy(abs_tol=1e-8)
+# each evaluator that takes points, with a draw of a valid pair of them
+_POINT_DRAWS = {
+    "green_eval": (
+        lambda g, x, y: green_eval(g, x, y, _LOOSE),
+        lambda rng, n: (_float32_point(rng, n, 0.55, 0.95), _float32_point(rng, n, 0.55, 0.95)),
+    ),
+    "green_piecewise_eval": (
+        lambda g, x, y: green_piecewise_eval(g, x, y, _LOOSE),
+        lambda rng, n: (_float32_point(rng, n, 0.55, 0.7), _float32_point(rng, n, 0.8, 0.95)),
+    ),
+    "newtonian_series_outer": (
+        lambda g, x, y: kernels.newtonian_series_outer(g, x, y, _LOOSE),
+        lambda rng, n: (_exact_unit(rng, n), _float32_point(rng, n, 0.05, 0.9)),
+    ),
+    "newtonian_series_inner": (
+        lambda g, x, y: kernels.newtonian_series_inner(g, x, y, _LOOSE),
+        lambda rng, n: (_exact_unit(rng, n), _float32_point(rng, n, 0.55, 0.95)),
+    ),
+    "newtonian_series_exterior": (
+        lambda g, x, y: kernels.newtonian_series_exterior(g, x, y, _LOOSE),
+        lambda rng, n: (_float32_point(rng, n, 0.6, 0.95), _float32_point(rng, n, 0.05, 0.5)),
+    ),
+    "newtonian_potential": (
+        newtonian_potential,
+        lambda rng, n: (_float32_point(rng, n, 0.55, 0.95), _float32_point(rng, n, 0.55, 0.95)),
+    ),
+}
+
+
+def _point_forms(xs):
+    """The forms of the point with float32-valued coordinates ``xs`` that
+    numpy's conversion accepts, each holding the same doubles."""
+    return {
+        "list": list(xs),
+        "tuple": tuple(xs),
+        "float64 array": np.array(xs),
+        "float32 array": np.array(xs, dtype=np.float32),
+        "numpy float64 scalars": [np.float64(v) for v in xs],
+        "numpy float32 scalars": [np.float32(v) for v in xs],
+        "numeric strings": [repr(v) for v in xs],
+    }
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("evaluator", sorted(_POINT_DRAWS))
+def test_every_accepted_point_form_gives_the_same_result(evaluator, seed):
+    evaluate, draw = _POINT_DRAWS[evaluator]
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        n = int(rng.choice([3, 4, 5]))
+        geom = AnnulusGeometry(n, 0.5)
+        x, y = draw(rng, n)
+        want = evaluate(geom, x, y)
+        xf, yf = _point_forms(x), _point_forms(y)
+        for form in xf:
+            # the doubles numpy's conversion gives, and so the same result
+            assert geom.coordinates(xf[form]) == np.asarray(xf[form], dtype=float).tolist() == x
+            assert evaluate(geom, xf[form], yf[form]) == want, form
+    # integer, bool and numpy-integer coordinates, at a point on the outer sphere
+    geom = AnnulusGeometry(3, 0.5)
+    y = {"newtonian_series_outer": [0.0, 0.3, 0.0], "newtonian_series_exterior": [0.0, 0.3, 0.0]}
+    y = y.get(evaluator, [0.0, 0.7, 0.0])
+    want = evaluate(geom, [1.0, 0.0, 0.0], y)
+    for x in ([1, 0, 0], [True, False, False], [np.int64(1), np.int8(0), np.uint16(0)]):
+        assert evaluate(geom, x, y) == want
 
 
 @pytest.mark.parametrize(
@@ -369,7 +479,8 @@ def test_package_and_cli_import_without_scipy():
     # scipy, and no numpy, grid module, fractions or csv until a command
     # needs them, and no dataclasses or inspect (the records are named
     # tuples); a site hook may load those two itself, so only the modules
-    # loaded after it count
+    # loaded after it count.  The scalar commands, eval-green among them,
+    # and the Newtonian series build no arrays and load no numpy
     code = """
         import contextlib, io, json, sys
         before = set(sys.modules)
@@ -383,22 +494,29 @@ def test_package_and_cli_import_without_scipy():
         scalar = [
             run("critical-point", "--n", "3", "--a", "0.5"),
             run("eval-robin", "--n", "3", "--a", "0.5", "0.7"),
+            run("eval-green", "--n", "3", "0.6", "0", "0", "0", "0.8", "0"),
         ]
         unused = ("numpy", "annulus_green.verify", "annulus_green.grid", "fractions", "csv")
         loaded = [m for m in unused if m in sys.modules]
         loaded += sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
-        arrays = [
-            run("export-grid", "robin", "--grid-points", "5"),
-            run("eval-green", "--n", "3", "0.6", "0", "0", "0", "0.8", "0"),
-        ]
+        # the Newtonian series read their points without numpy too
+        geom, policy = annulus_green.AnnulusGeometry(3, 0.5), annulus_green.TruncationPolicy()
+        newtonian = annulus_green.kernels.newtonian_series_outer(
+            geom, [1.0, 0.0, 0.0], [0.0, 0.5, 0.0], policy
+        ).converged
+        numpy_free = "numpy" not in sys.modules
+        arrays = [run("export-grid", "robin", "--grid-points", "5")]
         after = [m in sys.modules for m in ("numpy", "annulus_green.grid")]
-        print(json.dumps([scipy, scalar, loaded, arrays, after]))
+        print(json.dumps([scipy, scalar, loaded, newtonian, numpy_free, arrays, after]))
     """
-    scipy, scalar, loaded, arrays, after = json.loads(_fresh_interpreter(code))
+    scipy, scalar, loaded, newtonian, numpy_free, arrays, after = json.loads(
+        _fresh_interpreter(code)
+    )
     assert scipy == []
-    assert scalar == [0, 0]
+    assert scalar == [0, 0, 0]
     assert loaded == []
-    assert arrays == [0, 0] and after == [True, True]
+    assert newtonian and numpy_free
+    assert arrays == [0] and after == [True, True]
 
 
 def test_numpy_imported_after_the_package_is_recognised():

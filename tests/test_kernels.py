@@ -15,8 +15,11 @@ from annulus_green import (
     TruncationPolicy,
     build_sphere_quadrature,
     gegenbauer_eval,
+    green_eval,
+    green_piecewise_eval,
     harmonic_extension,
     modal_bvp_fd,
+    newtonian_potential,
     newtonian_series_exterior,
     newtonian_series_inner,
     newtonian_series_outer,
@@ -181,6 +184,28 @@ def test_values_beyond_the_double_range_are_typed_errors(call):
 
 _MID = AnnulusGeometry(3, 0.5)
 _NAN = [math.nan, 0.0, 0.0]
+# each evaluator that takes points, as a function of its first point alone
+_POINT_TAKERS = {
+    "green_eval": lambda p: green_eval(_MID, p, [0.0, 0.8, 0.0], POLICY),
+    "green_piecewise_eval": lambda p: green_piecewise_eval(_MID, p, [0.0, 0.8, 0.0], POLICY),
+    "newtonian_series_outer": lambda p: newtonian_series_outer(_MID, p, [0.0, 0.1, 0.0], POLICY),
+    "newtonian_series_inner": lambda p: newtonian_series_inner(_MID, [1.0, 0.0, 0.0], p, POLICY),
+    "newtonian_series_exterior": lambda p: newtonian_series_exterior(
+        _MID, p, [0.0, 0.1, 0.0], POLICY
+    ),
+    "newtonian_potential": lambda p: newtonian_potential(_MID, p, [0.0, 0.8, 0.0]),
+}
+# point forms that numpy's conversion refused with a bare TypeError,
+# ValueError or OverflowError, each built afresh for every call
+_MALFORMED_POINTS = {
+    "generator": lambda: (v for v in (0.6, 0.0, 0.0)),
+    "dict": lambda: {0: 0.6, 1: 0.0, 2: 0.0},
+    "set": lambda: {0.6, 0.0, 0.1},
+    "string": lambda: "abc",
+    "complex": lambda: [0.6 + 0.0j, 0.0, 0.0],
+    "object": lambda: [object(), 0.0, 0.0],
+    "huge-int": lambda: [10**400, 0, 0],
+}
 
 
 @pytest.mark.parametrize(
@@ -200,13 +225,21 @@ _NAN = [math.nan, 0.0, 0.0]
                                            POLICY), "range"),
         (lambda: newtonian_series_inner(_MID, [0.6, 0.8, 0.0], [1.7e308, 1e308, 0.0], POLICY),
          "range"),
+        # a malformed point, whichever evaluator reads it, is refused by name
+        *(
+            (lambda e=e, f=f: _POINT_TAKERS[e](_MALFORMED_POINTS[f]()), "point")
+            for e in sorted(_POINT_TAKERS)
+            for f in sorted(_MALFORMED_POINTS)
+        ),
     ],
     ids=["outer-length", "inner-length", "outer-nan", "inner-nan", "zonal-direct-nan",
-         "zonal-nan", "exterior-huge", "exterior-tiny", "inner-huge"],
+         "zonal-nan", "exterior-huge", "exterior-tiny", "inner-huge",
+         *(f"{e}-{f}" for e in sorted(_POINT_TAKERS) for f in sorted(_MALFORMED_POINTS))],
 )
 def test_malformed_source_points_are_domain_errors(call, match):
-    # a wrong-length or NaN direction, or points whose cosine leaves the
-    # double range, is refused as such, not met later as a bare ValueError,
+    # a wrong-length or NaN direction, points whose cosine leaves the double
+    # range, or a point that is no sequence of real numbers, is refused as
+    # such, not met later as a bare ValueError, TypeError or OverflowError,
     # a bad polynomial argument or a silently wrong cosine
     with pytest.raises(DomainValidationError, match=match):
         call()

@@ -165,14 +165,17 @@ def test_import_cost_prints_both_measures_with_and_without_bytecode(monkeypatch,
     rows = [line.split() for line in timing.splitlines()]
     assert rows[0] == ["measure", "bytecode", "median_ms", "q1_ms", "q3_ms"]
     assert [row[:2] for row in rows[1:]] == [
-        ["import", "off"], ["import", "on"], ["process", "off"], ["process", "on"]
+        [measure, bytecode]
+        for measure in ("critical-point", "eval-green", "import")
+        for bytecode in ("off", "on")
     ]
     for row in rows[1:]:
         median, q1, q3 = map(float, row[2:])
         assert 0 < q1 <= median <= q3
     # a process includes its import
     medians = {tuple(row[:2]): float(row[2]) for row in rows[1:]}
-    assert all(medians["process", b] > medians["import", b] for b in ("off", "on"))
+    for process in ("critical-point", "eval-green"):
+        assert all(medians[process, b] > medians["import", b] for b in ("off", "on"))
     # the 8 largest self times of the package import, largest first, for
     # each bytecode setting; the interpreter's start is not counted
     rows = [line.split() for line in largest.splitlines()]
