@@ -16,8 +16,9 @@ copying (see _Checked).  EvalGrid, whose fields are arrays, compares and
 hashes by identity.
 
 AnnulusGeometry.coordinates is the one check of a point: it reads a point
-of R^n as a list of finite doubles, without numpy, for every evaluator that
-takes points; ``point`` builds its array from that list.
+of R^n as a list of finite doubles, without importing numpy for a list, a
+tuple or an array, for every evaluator that takes points; ``point`` builds
+its array from that list.
 """
 
 from __future__ import annotations
@@ -182,19 +183,26 @@ class AnnulusGeometry(_Checked, namedtuple("AnnulusGeometry", "n a")):
     def coordinates(self, x: ArrayLike) -> list:
         """The coordinates of the point x of R^n, as a list of n finite doubles.
 
-        This is the one check of a point's form, and it loads no numpy.  x is
-        a sequence of n real numbers (a list, a tuple, ...) or an array of
-        shape (n,); each coordinate goes through float(), which gives the
-        double that numpy's conversion gives for every form it accepts:
-        floats of any width, ints, bools, numpy scalars, numeric strings.
-        Anything else raises DomainValidationError: a string, a mapping, a
-        set or an iterator; a wrong length; a nested sequence or an array of
-        another shape; a coordinate that float() refuses (complex, an
+        This is the one check of a point's form, and it loads no numpy for a
+        list or a tuple.  x is a sequence of n real numbers (a list, a
+        tuple, ...), an array of shape (n,), or another array-like of that
+        shape (an object with ``__array__`` or ``__array_interface__``,
+        read through numpy).  Each coordinate goes through float(), which
+        gives the double that numpy's conversion gives for every form it
+        accepts: floats of any width, ints, bools, numpy scalars, numeric
+        strings.  Anything else raises DomainValidationError: a string, a
+        mapping, a set or an iterator; a wrong length; a nested sequence or
+        an array of another shape; a coordinate that is itself an array of
+        one or more dimensions, or that float() refuses (complex, an
         arbitrary object, an int beyond the double range); NaN or inf.
         """
         if type(x) is not list and type(x) is not tuple:
             if is_numpy(x, "ndarray"):
                 x = x.tolist()  # nested lists where the shape is not (n,)
+            elif hasattr(x, "__array__") or hasattr(x, "__array_interface__"):
+                import numpy as np
+
+                x = np.asarray(x).tolist()
             if isinstance(x, (str, bytes)) or not isinstance(x, Sequence):
                 raise DomainValidationError(
                     f"expected a point of R^{self.n}, got {type(x).__name__}"
@@ -203,6 +211,12 @@ class AnnulusGeometry(_Checked, namedtuple("AnnulusGeometry", "n a")):
             raise DomainValidationError(
                 f"expected a point of R^{self.n}, got {len(x)} coordinates"
             )
+        for v in x:
+            # float() reads a one-element array on NumPy before 2.4
+            if type(v) is not float and getattr(v, "ndim", 0):
+                raise DomainValidationError(
+                    f"point coordinates must be numbers, got an array of {v.ndim} dimensions"
+                )
         try:
             xs = list(map(float, x))
         except (TypeError, ValueError, OverflowError) as exc:

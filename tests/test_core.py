@@ -186,6 +186,33 @@ def test_geometry_invariants(n, a):
         AnnulusGeometry(n, a)
 
 
+class _OneElementFloat(np.ndarray):
+    """An array that float() reads when it holds one element, at any shape,
+    as NumPy before 2.4 does."""
+
+    def __float__(self):
+        return float(self.reshape(-1)[0])
+
+
+class _ArrayProtocol:
+    """An array-like that is not a sequence and exposes only ``__array__``,
+    as pandas, xarray and torch objects do."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values)
+
+    def __array__(self, dtype=None, copy=None):
+        return self._values if dtype is None else self._values.astype(dtype)
+
+
+class _ArrayInterface:
+    """An array-like that exposes only ``__array_interface__``."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values)
+        self.__array_interface__ = self._values.__array_interface__
+
+
 def test_geometry_point_validation():
     geom = AnnulusGeometry(3, 0.5)
     with pytest.raises(DomainValidationError):
@@ -207,6 +234,10 @@ def test_geometry_point_validation():
         [[0.7], [0.1], [0.0]],
         [0.7, [0.1], 0.0],
         [0.7, np.array([0.1]), 0.0],
+        [0.7, np.array([0.1]).view(_OneElementFloat), 0.0],
+        [0.7, np.array([[0.1]]).view(_OneElementFloat), 0.0],
+        _ArrayProtocol([[0.7], [0.1], [0.0]]),
+        _ArrayProtocol([0.7, 0.1]),
         np.array([[0.7], [0.1], [0.0]]),
         np.array([[0.7, 0.1, 0.0]]),
         np.array(0.7),
@@ -277,6 +308,9 @@ def _point_forms(xs):
         "numpy float64 scalars": [np.float64(v) for v in xs],
         "numpy float32 scalars": [np.float32(v) for v in xs],
         "numeric strings": [repr(v) for v in xs],
+        "0-d arrays": [np.array(v) for v in xs],
+        "__array__ object": _ArrayProtocol(xs),
+        "__array_interface__ object": _ArrayInterface(np.array(xs, dtype=np.float32)),
     }
 
 
