@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """What a one-shot process pays before and around its first request.
 
-Times three things, each in ``--count`` fresh interpreters run one at a
+Times four things, each in ``--count`` fresh interpreters run one at a
 time:
 
 - ``import``: ``import annulus_green, annulus_green.cli``, timed inside the
@@ -9,7 +9,10 @@ time:
 - ``critical-point``: a whole ``python -m annulus_green critical-point --n 3
   --a 0.5`` process, timed from outside, start to exit;
 - ``eval-green``: a whole ``python -m annulus_green eval-green --n 3 --a 0.5
-  0.6 0 0 0 0.7 0`` process, timed the same way.
+  0.6 0 0 0 0.7 0`` process, timed the same way;
+- ``export-grid``: a whole ``python -m annulus_green export-grid robin --n 3
+  --a 0.5 --format csv`` process (1000 radii, the command's default), timed
+  the same way.
 
 Each is measured with bytecode caching off (PYTHONDONTWRITEBYTECODE=1, so
 the package's sources compile on every start) and on (PYTHONPYCACHEPREFIX
@@ -48,6 +51,7 @@ TOP = 8
 REQUESTS = {
     "critical-point": ["critical-point", "--n", "3", "--a", "0.5"],
     "eval-green": ["eval-green", "--n", "3", "--a", "0.5", "0.6", "0", "0", "0", "0.7", "0"],
+    "export-grid": ["export-grid", "robin", "--n", "3", "--a", "0.5", "--format", "csv"],
 }
 
 

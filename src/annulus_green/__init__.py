@@ -5,11 +5,13 @@ critical point and a set of independent brute-force oracles.
 
 Importing the package loads no numpy: the scalar evaluators, the solver and
 their CLI commands build no arrays, and the grid evaluators import the grid
-module, and numpy with it, on first use.  The modules that import numpy as
-they load (grid, oracle and verify), kernels (whose quadrature and boundary
-types are dataclasses, and whose Newtonian series load no numpy), the names
-of grid, kernels and oracle, and the cli module are loaded on first access
-through the module ``__getattr__`` of PEP 562."""
+module, and numpy with it, on first use.  Loaded on first access, through
+the module ``__getattr__`` of PEP 562, are the modules that import numpy as
+they load (grid, oracle and verify); kernels, whose quadrature and boundary
+types are dataclasses and whose Newtonian series load no numpy; critical,
+the radial critical-point solver, which no evaluator needs and which a fresh
+process would otherwise compile for every command; the cli module; and the
+names that critical, grid, kernels and oracle define."""
 
 import importlib
 
@@ -28,13 +30,6 @@ from .core import (
     TruncationPolicy,
     newtonian_potential,
     sphere_surface_area,
-)
-from .critical import (
-    CriticalPointReport,
-    PhaseCounts,
-    concentration_root,
-    count_gradient_sign_changes,
-    find_critical_point,
 )
 from .green import (
     critical_equation_eval,
@@ -68,6 +63,16 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         (
+            "CriticalPointReport",
+            "PhaseCounts",
+            "concentration_root",
+            "count_gradient_sign_changes",
+            "find_critical_point",
+        ),
+        "critical",
+    ),
+    **dict.fromkeys(
+        (
             "BoundaryData",
             "SphereQuadrature",
             "build_sphere_quadrature",
@@ -94,7 +99,7 @@ _LAZY = {
     ),
     "sum_series_table": "grid",
 }
-_LAZY_MODULES = ("cli", "grid", "kernels", "oracle", "verify")
+_LAZY_MODULES = ("cli", "critical", "grid", "kernels", "oracle", "verify")
 
 
 def __getattr__(name: str):

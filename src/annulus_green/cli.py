@@ -4,14 +4,14 @@ Subcommands: eval-green, eval-robin, critical-point, verify, export-grid.
 Every numeric record carries its tail bound or solver residual, CSV output
 is full-precision with LF line endings, and exit codes follow a stable
 contract: 0 success, 1 verification failure, 2 validation error, 3
-non-convergence.
+non-convergence.  The solver, json, csv, numpy and the verify suites are
+imported by the commands and formats that use them, not with this module.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
 from functools import lru_cache
@@ -24,7 +24,6 @@ from .core import (
     EvalGrid,
     TruncationPolicy,
 )
-from .critical import find_critical_point
 from .green import (
     NEAR_DIAGONAL,
     _radial,
@@ -168,6 +167,8 @@ def _emit(args, text: str) -> None:
 
 def _emit_record(args, record: dict) -> None:
     if args.format == "json":
+        import json
+
         _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
     else:
         import csv
@@ -192,8 +193,7 @@ def _emit_table(args, header: list[str], columns: list[np.ndarray]) -> None:
         line = ",".join(_CSV_FIELDS[c.dtype.kind] for c in columns) + "\n"
         _emit(args, ",".join(header) + "\n" + "".join(map(line.__mod__, rows)))
     else:
-        record = {"columns": header, "rows": [list(r) for r in rows]}
-        _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
+        _emit_record(args, {"columns": header, "rows": [list(r) for r in rows]})
 
 
 def _cmd_eval_green(args) -> int:
@@ -257,6 +257,10 @@ def _cmd_eval_robin(args) -> int:
 
 
 def _cmd_critical_point(args) -> int:
+    # read from critical when the command runs, so that a wrapper put there
+    # (a tracer's, a test's) is the function called
+    from .critical import find_critical_point
+
     geom = AnnulusGeometry(args.n, args.a)
     policy = _policy_from(args)
     report = find_critical_point(geom, policy, solver_tol=args.solver_tol)
@@ -400,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _report_error(args, exc: Exception) -> None:
     if getattr(args, "format", "json") == "json":
+        import json
+
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
     else:

@@ -193,8 +193,9 @@ class AnnulusGeometry(_Checked, namedtuple("AnnulusGeometry", "n a")):
         strings.  Anything else raises DomainValidationError: a string, a
         mapping, a set or an iterator; a wrong length; a nested sequence or
         an array of another shape; a coordinate that is itself an array of
-        one or more dimensions, or that float() refuses (complex, an
-        arbitrary object, an int beyond the double range); NaN or inf.
+        one or more dimensions, or that is complex (numpy's complex scalars
+        too, whose real part float() would keep), or that float() refuses
+        (an arbitrary object, an int beyond the double range); NaN or inf.
         """
         if type(x) is not list and type(x) is not tuple:
             if is_numpy(x, "ndarray"):
@@ -212,10 +213,17 @@ class AnnulusGeometry(_Checked, namedtuple("AnnulusGeometry", "n a")):
                 f"expected a point of R^{self.n}, got {len(x)} coordinates"
             )
         for v in x:
-            # float() reads a one-element array on NumPy before 2.4
-            if type(v) is not float and getattr(v, "ndim", 0):
+            if type(v) is float or type(v) is int:
+                continue
+            # float() reads a one-element array on NumPy before 2.4, and
+            # keeps only the real part of a numpy complex scalar
+            if getattr(v, "ndim", 0):
                 raise DomainValidationError(
                     f"point coordinates must be numbers, got an array of {v.ndim} dimensions"
+                )
+            if is_numpy(v, "complexfloating"):
+                raise DomainValidationError(
+                    f"point coordinates must be real numbers, got {type(v).__name__}"
                 )
         try:
             xs = list(map(float, x))

@@ -383,19 +383,23 @@ def _bisect(
     within half a bracket width of [p, q] are evaluated, to the absolute
     policy; one farther out takes the side of the nearer end.  Rounding can
     flip the computed sign within a few ulps of the root, so the window
-    reaches past [p, q]; where no flip lies beyond it, the end pair is the
-    one plain bisection reaches.  Returns the ends, low end first: adjacent
-    doubles with opposite computed signs, or one point twice where the
-    computed value is exactly zero.
+    reaches past [p, q], by at least the next double on each side: half a
+    one-ulp bracket is an exact tie, which rounds to p or q or past them by
+    their last bit.  Where no flip lies beyond the window, the end pair is
+    the one plain bisection reaches.  Returns the ends, low end first:
+    adjacent doubles with opposite computed signs, or one point twice where
+    the computed value is exactly zero.
     """
     margin = 0.5 * (q - p)
+    below = min(p - margin, math.nextafter(p, -math.inf))
+    above = max(q + margin, math.nextafter(q, math.inf))
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return lo, hi
-        if mid < p - margin:
+        if mid < below:
             lo = mid
-        elif mid > q + margin:
+        elif mid > above:
             hi = mid
         else:
             value = f.result(mid).value

@@ -222,7 +222,8 @@ def test_geometry_point_validation():
     arr = geom.point([0.7, 0.1, 0.0])
     assert arr.shape == (3,)
     assert arr.dtype == np.float64 and arr.tolist() == geom.coordinates([0.7, 0.1, 0.0])
-    # one rule for both routes: length, nesting, shape and finiteness
+    # one rule for both routes: length, nesting, shape, finiteness and
+    # real numbers
     refused = [
         [0.7, 0.1],
         (0.7, 0.1, 0.0, 0.0),
@@ -243,6 +244,8 @@ def test_geometry_point_validation():
         np.array(0.7),
         0.7,
         b"0.7",
+        [np.complex128(0.7 + 0.5j), 0.1, 0.0],
+        [0.7, np.complex64(0.1), 0.0],
     ]
     for x in refused:
         for read in (geom.coordinates, geom.point):
@@ -514,9 +517,12 @@ def test_package_and_cli_import_without_scipy():
     # needs them, and no dataclasses or inspect (the records are named
     # tuples); a site hook may load those two itself, so only the modules
     # loaded after it count.  The scalar commands, eval-green among them,
-    # and the Newtonian series build no arrays and load no numpy
-    code = """
-        import contextlib, io, json, sys
+    # and the Newtonian series build no arrays and load no numpy.  Neither
+    # the import nor the other commands load the solver, which only
+    # critical-point loads, or json, which only JSON output loads: the
+    # harness snapshots the modules before it imports json itself
+    head = """
+        import contextlib, io, sys
         before = set(sys.modules)
         import annulus_green, annulus_green.cli as cli
 
@@ -524,15 +530,24 @@ def test_package_and_cli_import_without_scipy():
             with contextlib.redirect_stdout(io.StringIO()):
                 return cli.main(list(argv))
 
+        def new(*names):
+            return sorted(set(names) & (set(sys.modules) - before))
+
+        deferred = ("annulus_green.critical", "json")
+        on_import = new(*deferred)
+    """
+    code = head + """
         scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         scalar = [
-            run("critical-point", "--n", "3", "--a", "0.5"),
             run("eval-robin", "--n", "3", "--a", "0.5", "0.7"),
             run("eval-green", "--n", "3", "0.6", "0", "0", "0", "0.8", "0"),
         ]
+        before_solve = new(*deferred)
+        scalar.append(run("critical-point", "--n", "3", "--a", "0.5"))
+        after_solve = new(*deferred)
         unused = ("numpy", "annulus_green.verify", "annulus_green.grid", "fractions", "csv")
         loaded = [m for m in unused if m in sys.modules]
-        loaded += sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
+        loaded += new("dataclasses", "inspect")
         # the Newtonian series read their points without numpy too
         geom, policy = annulus_green.AnnulusGeometry(3, 0.5), annulus_green.TruncationPolicy()
         newtonian = annulus_green.kernels.newtonian_series_outer(
@@ -541,16 +556,30 @@ def test_package_and_cli_import_without_scipy():
         numpy_free = "numpy" not in sys.modules
         arrays = [run("export-grid", "robin", "--grid-points", "5")]
         after = [m in sys.modules for m in ("numpy", "annulus_green.grid")]
-        print(json.dumps([scipy, scalar, loaded, newtonian, numpy_free, arrays, after]))
+        import json
+        print(json.dumps([on_import, before_solve, after_solve, scipy, scalar, loaded,
+                          newtonian, numpy_free, arrays, after]))
     """
-    scipy, scalar, loaded, newtonian, numpy_free, arrays, after = json.loads(
-        _fresh_interpreter(code)
-    )
+    (on_import, before_solve, after_solve, scipy, scalar, loaded, newtonian, numpy_free,
+     arrays, after) = json.loads(_fresh_interpreter(code))
+    assert on_import == [] and before_solve == ["json"]
+    assert after_solve == ["annulus_green.critical", "json"]
     assert scipy == []
     assert scalar == [0, 0, 0]
     assert loaded == []
     assert newtonian and numpy_free
     assert arrays == [0] and after == [True, True]
+
+    # CSV output loads no json, and no command but critical-point the solver
+    code = head + """
+        exits = [
+            run("eval-robin", "--n", "3", "--a", "0.5", "0.7", "--format", "csv"),
+            run("eval-green", "--n", "3", "--format", "csv", "0.6", "0", "0", "0", "0.8", "0"),
+            run("export-grid", "robin", "--grid-points", "5", "--format", "csv"),
+        ]
+        print(on_import, new(*deferred), exits)
+    """
+    assert _fresh_interpreter(code) == "[] [] [0, 0, 0]\n"
 
 
 def test_numpy_imported_after_the_package_is_recognised():

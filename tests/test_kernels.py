@@ -203,6 +203,9 @@ _MALFORMED_POINTS = {
     "set": lambda: {0.6, 0.0, 0.1},
     "string": lambda: "abc",
     "complex": lambda: [0.6 + 0.0j, 0.0, 0.0],
+    # float() would keep their real parts
+    "numpy-complex128": lambda: [np.complex128(0.6 + 0.5j), 0.0, 0.0],
+    "numpy-complex64": lambda: [0.6, np.complex64(0.5j), 0.0],
     "object": lambda: [object(), 0.0, 0.0],
     "huge-int": lambda: [10**400, 0, 0],
 }

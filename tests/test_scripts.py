@@ -166,7 +166,7 @@ def test_import_cost_prints_both_measures_with_and_without_bytecode(monkeypatch,
     assert rows[0] == ["measure", "bytecode", "median_ms", "q1_ms", "q3_ms"]
     assert [row[:2] for row in rows[1:]] == [
         [measure, bytecode]
-        for measure in ("critical-point", "eval-green", "import")
+        for measure in ("critical-point", "eval-green", "export-grid", "import")
         for bytecode in ("off", "on")
     ]
     for row in rows[1:]:
@@ -174,7 +174,7 @@ def test_import_cost_prints_both_measures_with_and_without_bytecode(monkeypatch,
         assert 0 < q1 <= median <= q3
     # a process includes its import
     medians = {tuple(row[:2]): float(row[2]) for row in rows[1:]}
-    for process in ("critical-point", "eval-green"):
+    for process in ("critical-point", "eval-green", "export-grid"):
         assert all(medians[process, b] > medians["import", b] for b in ("off", "on"))
     # the 8 largest self times of the package import, largest first, for
     # each bytecode setting; the interpreter's start is not counted

@@ -8,6 +8,7 @@ root, in far fewer evaluations.
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -118,6 +119,56 @@ def test_any_seed_ends_on_the_bisection_pair(n, a, name):
     p, q = critical._brent(f, lo, hi, v_lo, v_hi, weight, seed)
     assert p <= q
     assert critical._bisect(f, lo, hi, sign_lo, p, q) == oracle_pair
+
+
+def _up(x, k):
+    """The double k doubles above x."""
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _even(x):
+    """Whether the last bit of the double x's significand is 0."""
+    return struct.unpack("<q", struct.pack("<d", x))[0] % 2 == 0
+
+
+# the computed signs on nine adjacent doubles, and Brent's one-ulp bracket
+# [p, q] among them, by offset from the first: rounding flips the sign one
+# double beyond q ("above") or below p ("below"), and plain bisection of
+# the nine, whose first midpoint is that double, ends past the bracket
+ULP_FLIPS = {
+    "above": ("+++-+----", 2),
+    "below": ("++++-+---", 5),
+}
+
+
+@pytest.mark.parametrize("side", sorted(ULP_FLIPS))
+def test_bisection_window_reaches_the_double_past_a_one_ulp_bracket(side):
+    signs, at_p = ULP_FLIPS[side]
+    base = 0.6
+    while not _even(_up(base, 3)):
+        base = _up(base, 1)
+    radii = [_up(base, k) for k in range(len(signs))]
+    values = {r: 1.0 if s == "+" else -1.0 for r, s in zip(radii, signs)}
+    policy = critical._series_policy(None, SOLVER_TOL)
+
+    def series():
+        return critical._CountedSeries(lambda r, _: EvalResult(values[r], 1, 0.0, True), policy)
+
+    p, q = radii[at_p], radii[at_p + 1]
+    # the bracket's end on the flip's side has an even last bit, so half the
+    # bracket past it is a tie that rounds back onto it
+    if side == "above":
+        assert q + 0.5 * (q - p) == q
+        beyond = radii[at_p + 2 : at_p + 4]
+    else:
+        assert p - 0.5 * (q - p) == p
+        beyond = radii[at_p - 2 : at_p]
+    lo, hi = radii[0], radii[-1]
+    oracle_pair = bisection_oracle.bisect_bracket(series(), lo, hi, 1)
+    assert oracle_pair == tuple(beyond)
+    assert critical._bisect(series(), lo, hi, 1, p, q) == oracle_pair
 
 
 @pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2)])
