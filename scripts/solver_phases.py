@@ -4,11 +4,11 @@
 Solves find_critical_point with the CLI defaults (tol 1e-10, max_terms
 100 000, solver_tol 1e-12) on a seeded draw of geometries over the
 benchmark's range, n = 2..6 and a uniform in [0.05, 0.95], and prints the
-mean evaluations, terms and milliseconds per solve of each phase in
-critical.PHASES, then their total.  A phase's time runs from the moment the
-solver enters it to the moment it enters the next, so Brent's row includes
-its interpolation and its closed-form seed; the last phase ends when
-find_critical_point returns.
+mean evaluations, the most evaluations any one solve made, and the mean
+terms and milliseconds per solve of each phase in critical.PHASES, then
+their total.  A phase's time runs from the moment the solver enters it to
+the moment it enters the next, so the interpolation's row includes its
+closed-form seed; the last phase ends when find_critical_point returns.
 
 Example:
     python scripts/solver_phases.py --count 1500 --seed 11
@@ -59,6 +59,7 @@ def main() -> int:
 
     policy = TruncationPolicy(abs_tol=1e-10, max_terms=100_000, tail_safety=2)
     totals = {name: [0, 0, 0.0] for name in critical.PHASES}
+    most = dict.fromkeys([*critical.PHASES, "total"], 0)
     failed = 0
     counted = critical._CountedSeries
     critical._CountedSeries = PhaseTimed
@@ -76,16 +77,21 @@ def main() -> int:
                 row[0] += phase.evaluations
                 row[1] += phase.terms
                 row[2] += f.times[phase.phase]
+                most[phase.phase] = max(most[phase.phase], phase.evaluations)
+            most["total"] = max(most["total"], report.evaluations)
     finally:
         critical._CountedSeries = counted
 
     solved = args.count - failed
     print(f"{solved} solves, {failed} failed (n = 2..6, a in [0.05, 0.95], seed {args.seed})")
-    print(f"{'phase':<18} {'evals':>7} {'terms':>8} {'ms':>8}")
+    print(f"{'phase':<18} {'evals':>7} {'max':>5} {'terms':>8} {'ms':>8}")
     rows = list(totals.items()) + [("total", [sum(col) for col in zip(*totals.values())])]
     for name, (evals, terms, seconds) in rows:
         per = max(solved, 1)
-        print(f"{name:<18} {evals / per:7.2f} {terms / per:8.1f} {1e3 * seconds / per:8.3f}")
+        print(
+            f"{name:<18} {evals / per:7.2f} {most[name]:5d} {terms / per:8.1f} "
+            f"{1e3 * seconds / per:8.3f}"
+        )
     return 0
 
 

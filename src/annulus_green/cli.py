@@ -114,10 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-12,
         help=(
-            "residual budget: Brent-Dekker then bisection to adjacent doubles "
-            "certifies the root when |gradient| + tail bound there is within "
-            "it, or else when certain opposite signs lie within 128 ulps on "
-            "both sides (certificate sign-pinned)"
+            "residual budget: Anderson-Bjorck regula falsi, then bisection to "
+            "adjacent doubles, certifies the root when |gradient| + tail "
+            "bound there is within it, or else when certain opposite signs "
+            "lie within 128 ulps on both sides (certificate sign-pinned)"
         ),
     )
 

@@ -2,12 +2,12 @@
 
 For n >= 3 the zero of the strictly decreasing radial gradient r R'(r) is
 bracketed by a geometric sweep out of both boundary layers (where its signs
-are guaranteed), located by Brent-Dekker to within about two ulps, and then
-bisected to adjacent doubles; for n = 2 the same procedure runs on the
-planar R'(r), which is strictly increasing.  green.py owns that choice:
-green._radial gives the gradient, its slope and its closed part for the
-geometry's dimension, and this module never branches on it.  The root is
-the end of that pair with the smaller |value|, and it carries one of two
+are guaranteed), located by Anderson-Bjorck regula falsi to within about two
+ulps, and then bisected to adjacent doubles; for n = 2 the same procedure
+runs on the planar R'(r), which is strictly increasing.  green.py owns that
+choice: green._radial gives the gradient, its slope and its closed part for
+the geometry's dimension, and this module never branches on it.  The root
+is the end of that pair with the smaller |value|, and it carries one of two
 certificates: ``"residual"`` when |value| + tail_bound is within the solver
 tolerance, or ``"sign-pinned"`` when a steep gradient moves by more than
 that tolerance from one double to the next but certain opposite signs lie
@@ -18,39 +18,39 @@ classification as evidence rather than assumption, and the evaluations and
 terms of each phase.  concentration_root returns the same r0 as the root of
 the concentration-radius equation, the gradient times -omega/2.
 
-Brent-Dekker is aimed with the family's closed part.  Its first iterate
-is the root of the series' closed part (the Kelvin images; for n = 2 the
-planar closed forms), found by a float-only Newton iteration, and its
-interpolation and |value| comparisons read g = f w with
-w = ((1 - r)(r - a)/(1 - a)^2)^(n - 1), which has f's sign and root but not
-its poles of order n - 1 at the spheres.  Its sign decisions, its zero test
-and the results it returns stay f's.  On a draw of 1 500 geometries over
-n = 2..6, a in [0.05, 0.95] this takes Brent from 10.2 evaluations per solve
-to 6.2, and a solve from 17.0 to 13.0; bounding the second derivative from
-its slope series alone takes it to 11.0 (scripts/solver_phases.py).
+One routine, _interpolate, finds both the series' root and the seed it
+starts from.  The seed is the root of the series' closed part (the Kelvin
+images; for n = 2 the planar closed forms), found in floats only.  Both
+runs' secants read g = f w with w = ((1 - r)(r - a)/(1 - a)^2)^(n - 1),
+which has f's sign and root but not its poles of order n - 1 at the
+spheres; their sign decisions, their zero test and the brackets they return
+stay f's.  On a draw of 1 500 geometries over n = 2..6, a in [0.05, 0.95]
+the seed and the weight take the interpolation from 11.1 evaluations per
+solve to 6.4, and a solve from 16.0 to 11.1 (scripts/solver_phases.py).
 
-The sweep and Brent-Dekker only decide signs, so they sum each gradient to a
-relative target: until its tail is within _SIGN_REL_TOL of its value, or
-abs_tol if that is larger (see summation.sum_series).  That saves the deep
-modes of the large values away from the root.  Brent's iterates tighten the
-target to the relative size of the step that reached them, so that its
-interpolation reads values as accurate as its steps are short.  A certain
-sign of a relaxed result is the sign of the true value, and a relaxed result
-whose sign is not certain is summed again to the absolute policy, so the
-sweep stops, and raises BracketingError, where an absolute sweep does.
-Bisection, the sign-pinned certificate and the slope series keep the
-absolute policy.  A solve keeps one store of absolute sums keyed by radius
-(_CountedSeries), so its phases pass radii alone and no radius is summed to
-the absolute policy twice: the pinning phase reads the points bisection
-summed, and a relaxed sum that provably stopped where the absolute one does
-is filed as absolute.  Every number the report carries (r0, bracket,
-residual, certificate, second derivative and its uncertainty) is therefore
-computed from absolute sums, at the midpoints of the sweep bracket that
-plain bisection visits; Brent's bracket, which the relaxed values, the seed
-and the weight may move, only decides which of them are evaluated.  On
-20 000 seeded geometries every field of the report except ``evaluations``
-and ``phases`` matched an all-absolute solve, and on 2 521 (n = 2..7, a up
-to 0.98) it matched an unseeded, unweighted one.
+The sweep and the interpolation only decide signs, so they sum each
+gradient to a relative target: until its tail is within _SIGN_REL_TOL of
+its value, or abs_tol if that is larger (see summation.sum_series).  That
+saves the deep modes of the large values away from the root.  The
+interpolation tightens the target to an iterate's distance from its bracket
+relative to the iterate, so that it reads values as accurate as its steps
+are short.  A certain sign of a relaxed result is the sign of the true
+value, and a relaxed result whose sign is not certain is summed again to
+the absolute policy, so the sweep stops, and raises BracketingError, where
+an absolute sweep does.  Bisection, the sign-pinned certificate and the
+slope series keep the absolute policy.  A solve keeps one store of absolute
+sums keyed by radius (_CountedSeries), so its phases pass radii alone and
+no radius is summed to the absolute policy twice: the pinning phase reads
+the points bisection summed, and a relaxed sum that provably stopped where
+the absolute one does is filed as absolute.  Every number the report
+carries (r0, bracket, residual, certificate, second derivative and its
+uncertainty) is therefore computed from absolute sums, at the midpoints of
+the sweep bracket that plain bisection visits; the interpolation's bracket,
+which the relaxed values, the seed and the weight may move, only decides
+which of them are evaluated.  On 20 000 seeded geometries (n = 2..6, a in
+[0.05, 0.95]) every field of the report except ``evaluations`` and
+``phases`` matched an all-absolute solve, and on 2 500 (n = 2..7, a up to
+0.98) it matched an unseeded, unweighted one.
 """
 
 from __future__ import annotations
@@ -73,14 +73,15 @@ from .summation import _U
 # the gradient diverges at both boundaries; stand off before sweeping
 DEFAULT_STANDOFF_FACTOR = 1e-3
 
-# the sweep and Brent-Dekker only decide signs: they sum each series until
-# its tail is within this share of its value (or abs_tol, if larger), so a
-# converged result has |value| >= 20 tail and, rounding aside, a certain sign
+# the sweep and the interpolation only decide signs: they sum each series
+# until its tail is within this share of its value (or abs_tol, if larger),
+# so a converged result has |value| >= 20 tail and, rounding aside, a
+# certain sign
 _SIGN_REL_TOL = 0.05
 
 # the solver phases, in the order they run; the second-derivative phase
 # sums the slope series once, at r0
-PHASES = ("sweep", "brent", "bisection", "pinning", "second_derivative")
+PHASES = ("sweep", "interpolation", "bisection", "pinning", "second_derivative")
 
 
 class PhaseCounts(namedtuple("PhaseCounts", "phase evaluations terms")):
@@ -229,9 +230,10 @@ def _sweep_bracket(
     )
 
 
-# Brent-Dekker stops once its bracket is within tol = 2**-52 |b| of its best
-# point b on either side, one to two ulps; no step is shorter than tol
-_BRENT_REL_TOL = 2.0**-52
+# the interpolation stops once its bracket is at most 2 tol wide, with
+# tol = 2**-52 |b| (b its larger end), one to two ulps; every iterate lies at
+# least tol inside the bracket
+_BRACKET_REL_TOL = 2.0**-52
 
 
 def _pole_weight(a: float, order: int) -> Callable[[float], float]:
@@ -247,137 +249,99 @@ def _pole_weight(a: float, order: int) -> Callable[[float], float]:
     return lambda r: ((1.0 - r) * (r - a) / span2) ** order
 
 
-# _closed_root stops once a Newton step is within this share of the sweep
-# bracket: the next would move the seed by about its square, far less than
-# the closed part's root lies from the series' root
-_SEED_TOL = 1e-6
-_SEED_MAX_ITER = 40
-
-
-def _closed_root(
-    closed: Callable[[float], tuple[float, float]], lo: float, hi: float, sign_lo: int
-) -> float:
-    """Root in (lo, hi) of the closed part of the series, in floats only.
-
-    ``closed(r)`` gives the closed part's value and slope, scaled as the
-    series is, so that its sign at lo is ``sign_lo`` as the series' is.
-    Newton's method runs from the middle of the bracket; a step that leaves
-    the bracket of the signs seen so far bisects it instead.
-    """
-    tol = _SEED_TOL * (hi - lo)
-    x = 0.5 * (lo + hi)
-    for _ in range(_SEED_MAX_ITER):
-        value, slope = closed(x)
-        if (value > 0.0) == (sign_lo > 0):
-            lo = x
-        else:
-            hi = x
-        step = value / slope
-        x -= step
-        if abs(step) <= tol:
-            break
-        if not (lo < x < hi):
-            x = 0.5 * (lo + hi)
-    return x
-
-
-def _first_iterate(seed: Callable[[], float], lo: float, hi: float) -> float | None:
-    """``seed()`` where it lies strictly inside (lo, hi); None where it does
-    not, is not finite, or cannot be computed."""
-    try:
-        x = seed()
-    except (ArithmeticError, ValueError):
-        return None
-    return x if lo < x < hi else None
-
-
-def _brent(
-    f: _CountedSeries,
+def _interpolate(
+    value: Callable[[float, float], float],
     lo: float,
     hi: float,
     v_lo: float,
     v_hi: float,
     weight: Callable[[float], float],
-    seed: Callable[[], float],
+    x: float | None = None,
 ) -> tuple[float, float]:
-    """Brent-Dekker (zeroin) on a bracket [lo, hi] whose computed values
-    v_lo and v_hi have opposite signs.
+    """Anderson-Bjorck regula falsi on a bracket [lo, hi] whose values v_lo
+    and v_hi have opposite signs.
 
-    Secant, inverse quadratic and bisection steps as in Brent, Algorithms for
-    Minimization without Derivatives (1973), ch. 4.  They, and the choice of
-    the best point, read the values times ``weight(r) > 0`` (_pole_weight:
-    without the poles at the ends, f's secants aim far from its root); the
-    zero test and every sign decision read f's own values.  ``seed()``, where
-    it lies strictly inside (lo, hi), is the first iterate and replaces the
-    end of its sign as any iterate does; one that is not finite or raises
-    ArithmeticError or ValueError is skipped.  Every iterate not in f's
-    store is summed to a relative sign target first: _SIGN_REL_TOL, or the
-    step's length relative to the iterate where that is smaller, since an
-    interpolation step moves by about that share of its value's error.
-    Returns the final bracket, low end first; its ends keep the computed
-    signs of ``lo`` and ``hi``.  It is one point twice where the computed
-    value is exactly zero.
+    ``value(r, step)`` is the value at r, ``step`` being r's distance from
+    the nearer end of the bracket.  Secant steps read the values times
+    ``weight(r) > 0`` (_pole_weight: without the poles at the ends, f's
+    secants aim far from its root); the zero test and every sign decision
+    read the values themselves.  Where the same end is kept twice in a row,
+    its weighted value is scaled by m = 1 - g_x/g_b, g_x and g_b being the
+    new and the replaced weighted values, or by 1/2 where m <= 0 (Anderson
+    and Bjorck, BIT 13, 1973): without it regula falsi keeps one end for
+    good on a one-sided function and converges linearly.  ``x``, where
+    given, is the first iterate.  An iterate is moved to at least tol inside
+    the bracket, and one that is not a number, a secant through a weight
+    that underflowed to 0 among them, is the midpoint.  Returns the final
+    bracket, at most 2 tol wide; its ends keep the signs of ``lo`` and
+    ``hi``.  It is one point twice where the value is exactly zero.
 
-    Whatever the weight and the seed, the result is a bracket of opposite
-    computed signs within about two ulps, which is all _bisect reads of it:
-    they change how many series Brent sums, not the reported root.
+    Whatever the weight and the first iterate, the result is a bracket of
+    opposite computed signs within about two ulps, which is all _bisect
+    reads of it: they change how many series the solver sums, not the
+    reported root.
     """
-    # b is the best point, c the contrapoint of opposite sign, a the previous
-    # b; va, vb, vc are their values and fa, fb, fc their weighted values
-    b, vb, c, vc = hi, v_hi, lo, v_lo
-    fb, fc = vb * weight(b), vc * weight(c)
-    a, va, fa = c, vc, fc
-    d = e = b - a
-    x = _first_iterate(seed, lo, hi)
+    # the values are never 0 here, so a weighted value of 0 is a weight that
+    # underflowed and says nothing of the root: it is read as NaN, which
+    # makes a secant through it the midpoint
+    positive = v_lo > 0.0
+    g_lo, g_hi = v_lo * weight(lo) or math.nan, v_hi * weight(hi) or math.nan
+    kept = 0  # the end the last iterate left in place: -1 lo, 1 hi
     while True:
-        if abs(fc) < abs(fb):
-            a, va, fa = b, vb, fb
-            b, vb, fb, c, vc, fc = c, vc, fc, b, vb, fb
-        if vb == 0.0:
-            return b, b
-        tol = _BRENT_REL_TOL * abs(b)
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol:
-            return (b, c) if b < c else (c, b)
-        if x is not None:  # the seed, as the first step
-            d = e = x - b
-        elif abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:  # inverse quadratic interpolation
-                q = fa / fc
-                t = fb / fc
-                p = s * (2.0 * xm * q * (q - t) - (b - a) * (t - 1.0))
-                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, va, fa = b, vb, fb
+        tol = _BRACKET_REL_TOL * max(abs(lo), abs(hi))
+        if hi - lo <= 2.0 * tol:
+            return lo, hi
         if x is None:
-            b += d if abs(d) > tol else (tol if xm > 0.0 else -tol)
+            x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        x = min(max(x, lo + tol), hi - tol) if x == x else 0.5 * (lo + hi)
+        v = value(x, min(x - lo, hi - x))
+        if v == 0.0:
+            return x, x
+        g = v * weight(x) or math.nan
+        if (v > 0.0) == positive:
+            if kept > 0:
+                m = 1.0 - g / g_lo
+                g_hi *= m if m > 0.0 else 0.5
+            lo, g_lo, kept = x, g, 1
         else:
-            b, x = x, None
-        vb = f.sign_result(b, min(_SIGN_REL_TOL, abs(d / b))).value
-        fb = vb * weight(b)
-        if vb != 0.0 and (vb > 0.0) == (vc > 0.0):
-            c, vc, fc = a, va, fa
-            d = e = b - a
+            if kept < 0:
+                m = 1.0 - g / g_hi
+                g_lo *= m if m > 0.0 else 0.5
+            hi, g_hi, kept = x, g, -1
+        x = None
+
+
+def _seed(
+    closed: Callable[[float], float],
+    lo: float,
+    hi: float,
+    sign_lo: int,
+    weight: Callable[[float], float],
+) -> float | None:
+    """The root in (lo, hi) of the series' closed part, in floats only, or
+    None where there is none to take.
+
+    ``closed(r)`` is the closed part's value, scaled as the series is.  It
+    is solved by _interpolate with the series' weight.  There is no seed
+    where the closed part does not have the series' signs at lo and hi,
+    where it raises ArithmeticError or ValueError, or where its root is not
+    strictly inside (lo, hi).
+    """
+    try:
+        c_lo, c_hi = closed(lo), closed(hi)
+        if not c_lo * sign_lo > 0.0 > c_hi * sign_lo:
+            return None
+        x = _interpolate(lambda r, step: closed(r), lo, hi, c_lo, c_hi, weight)[0]
+    except (ArithmeticError, ValueError):
+        return None
+    return x if lo < x < hi else None
 
 
 def _bisect(
     f: _CountedSeries, lo: float, hi: float, sign_lo: int, p: float, q: float
 ) -> tuple[float, float]:
     """Bisection of the sweep bracket [lo, hi] to adjacent doubles, given
-    Brent's final bracket [p, q].
+    the interpolation's final bracket [p, q].
 
     The midpoints are those of plain bisection of [lo, hi].  Only midpoints
     within half a bracket width of [p, q] are evaluated, to the absolute
@@ -433,30 +397,34 @@ def _solve(
     a: float,
     solver_tol: float,
     order: int,
-    closed: Callable[[float], tuple[float, float]],
+    closed: Callable[[float], float],
 ) -> tuple[float, float, str, tuple[float, float]]:
     """Certified root of the monotone series f in (a, 1).
 
-    Sweep a bracket, run Brent-Dekker and bisection to adjacent doubles, and
-    take the end with the smaller |value| as the root.  Its residual
-    |f(r0)| + tail_bound is reported either way.  The ``"residual"``
-    certificate holds when that residual is within ``solver_tol``.  Where a
-    steep gradient moves by more than ``solver_tol`` from one double to the
-    next, the ``"sign-pinned"`` certificate holds instead when certain
-    opposite signs are found within 128 ulps outside both ends, so the root
-    is pinned to a few ulps.  Brent's interpolation reads f times
-    _pole_weight(a, order), ``order`` being that of f's poles at the spheres,
-    and it starts from the root of ``closed``, the value and slope of f's
-    closed part (see _closed_root).  Returns (r0, residual, certificate,
-    sweep bracket).
+    Sweep a bracket, run Anderson-Bjorck regula falsi and bisection to
+    adjacent doubles, and take the end with the smaller |value| as the root.
+    Its residual |f(r0)| + tail_bound is reported either way.  The
+    ``"residual"`` certificate holds when that residual is within
+    ``solver_tol``.  Where a steep gradient moves by more than ``solver_tol``
+    from one double to the next, the ``"sign-pinned"`` certificate holds
+    instead when certain opposite signs are found within 128 ulps outside
+    both ends, so the root is pinned to a few ulps.  The interpolation reads
+    f times _pole_weight(a, order), ``order`` being that of f's poles at the
+    spheres, and it starts from the root of ``closed``, f's closed part (see
+    _seed).  Returns (r0, residual, certificate, sweep bracket).
     """
     standoff = DEFAULT_STANDOFF_FACTOR * (1.0 - a)
     f.phase = "sweep"
     lo, hi, v_lo, v_hi = _sweep_bracket(f, a, standoff)
     sign_lo = 1 if v_lo > 0.0 else -1
-    f.phase = "brent"
-    seed = lambda: _closed_root(closed, lo, hi, sign_lo)  # noqa: E731
-    p, q = _brent(f, lo, hi, v_lo, v_hi, _pole_weight(a, order), seed)
+    f.phase = "interpolation"
+    weight = _pole_weight(a, order)
+    # an iterate is summed to a relative sign target of its distance from
+    # the bracket relative to itself, since a secant step moves by about
+    # that share of its value's error
+    value = lambda r, step: f.sign_result(r, abs(step / r)).value  # noqa: E731
+    x = _seed(closed, lo, hi, sign_lo, weight)
+    p, q = _interpolate(value, lo, hi, v_lo, v_hi, weight, x)
     f.phase = "bisection"
     x_lo, x_hi = _bisect(f, lo, hi, sign_lo, p, q)
     # an end that bisection reached without evaluating it is summed here
@@ -526,8 +494,8 @@ def find_critical_point(
         second_derivative_uncertainty=uncertainty,
         is_radial_minimum=second > 0.0,
         method=(
-            f"Brent-Dekker then bisection to adjacent doubles on {family.name}, "
-            "series second derivative"
+            "Anderson-Bjorck regula falsi then bisection to adjacent doubles on "
+            f"{family.name}, series second derivative"
         ),
         evaluations=f.calls,
         phases=f.phase_counts(),

@@ -1202,7 +1202,7 @@ class _Radial(NamedTuple):
     gradient: Callable  # the solved gradient: r R'(r) for n >= 3, R'(r) for n = 2
     gradient_grid: Callable
     slope: Callable  # the gradient's derivative in r
-    closed: Callable  # r -> the value and slope of the gradient's closed part
+    closed: Callable  # r -> the value of the gradient's closed part
     d: Callable  # r -> d(r), with R'(r) = gradient / d(r)
     name: str  # the gradient, as a solver's method names it
 
@@ -1215,32 +1215,29 @@ def _radial(geom: AnnulusGeometry) -> _Radial:
     namespace holds it when the family is built, bound to the geometry.  A
     wrapper installed there (a tracer, a test's counter) therefore sees the
     calls of families built after it: build one per use and keep none.
-    ``closed`` is the part of the gradient and of its slope that the series
-    split off in closed form (their _SERIES closed forms, times -1/omega for
-    n >= 3), computed in floats only.
+    ``closed`` is the part of the gradient that its series splits off in
+    closed form (its _SERIES closed form, times -1/omega for n >= 3),
+    computed in floats only.
     """
     a, k = geom.a, geom.n - 2
     if k:
         first, d, name = geom, lambda r: r, "r*R'(r)"
         value, value_grid = robin_eval, robin_eval_grid
         gradient, gradient_grid = robin_radial_gradient, robin_radial_gradient_grid
-        slope = robin_radial_gradient_derivative
-        closed_forms = ("robin_radial_gradient", "robin_radial_gradient_derivative")
+        slope, closed_form = robin_radial_gradient_derivative, "robin_radial_gradient"
     else:
         first, d, name = a, lambda r: 1.0, "R'(r)"
         value, value_grid = robin2d_eval, robin2d_eval_grid
         gradient, gradient_grid = robin2d_first, robin2d_first_grid
-        slope = robin2d_second
-        closed_forms = ("robin2d_first", "robin2d_second")
-    gradient_closed, slope_closed = (_SERIES[s].closed for s in closed_forms)
+        slope, closed_form = robin2d_second, "robin2d_first"
+    gradient_closed = _SERIES[closed_form].closed
 
-    def closed(r: float) -> tuple[float, float]:
+    def closed(r: float) -> float:
         # formed per call, not when the family is built: omega underflows to
         # 0 for n >= 456, where the series raise TailEnvelopeError first
         scale = -1.0 / geom.omega if k else 1.0
         u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
-        part = sum(gradient_closed(k, a, r, u, v, w, math.log)[0])
-        return scale * part, scale * sum(slope_closed(k, a, r, u, v, w, math.log)[0])
+        return scale * sum(gradient_closed(k, a, r, u, v, w, math.log)[0])
 
     evaluators = (value, value_grid, gradient, gradient_grid, slope)
     return _Radial(*(functools.partial(f, first) for f in evaluators), closed, d, name)

@@ -1,6 +1,6 @@
 """The pure-bisection critical-point solver, kept as a test-only oracle.
 
-This is the root finder ``critical.py`` used before Brent-Dekker replaced
+This is the root finder ``critical.py`` used before interpolation replaced
 it: bisection of the sweep bracket down to adjacent doubles, the end with
 the smaller |value| as the root, and the absolute residual certificate
 |value| + tail_bound <= solver_tol.  The new solver must end on the same

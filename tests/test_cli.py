@@ -453,6 +453,13 @@ class TestExportGrid:
         assert run_cli(capsys, *argv, "--format", "csv", "--out", str(path)) == (2, "")
         assert not path.exists()
 
+    def test_modal_coefficient_without_second_radius_exit_2(self, capsys):
+        code, out = run_cli(capsys, "export-grid", "modal-coefficient", "--n", "3", "--a", "0.5")
+        assert code == 2
+        record = json.loads(out)
+        assert record["error"] == "DomainValidationError"
+        assert "--s-radius" in record["message"]
+
     def test_missing_source_point_exit_2(self, capsys):
         code, _ = run_cli(capsys, "export-grid", "green-slice", "--n", "3", "--a", "0.5")
         assert code == 2

@@ -13,8 +13,11 @@ the map has no rounding; the two sides share the evaluator, and differ in
 the order in which it sums the norms and the dot product.
 
 Kelvin inversion: the inversion x -> a x / |x|^2 maps the annulus onto
-itself, so the spatial Robin function satisfies R(a/r) = (r^2/a)^(n-2) R(r).
-The two sides share the evaluator at two radii whose series differ.
+itself, so the spatial Robin function satisfies R(a/r) = (r^2/a)^(n-2) R(r),
+and with g = r R'(r) and k = n - 2 its gradient satisfies
+g(a/r) = -(r^2/a)^k (2k R(r) + g(r)).  The planar Robin function satisfies
+R(a/r) = R(r) + log(r^2/a), and so (a/r) R'(a/r) + r R'(r) = -2.  The two
+sides share the evaluators at two radii whose series differ.
 
 Every relation is checked on seeded draws of the wide probe's strata,
 whether or not either side converged."""
@@ -27,11 +30,16 @@ import pytest
 from annulus_green import (
     AnnulusError,
     AnnulusGeometry,
+    EvalResult,
     TruncationPolicy,
     green_eval,
     green_piecewise_eval,
+    robin2d_eval,
+    robin2d_first,
+    robin2d_second,
     robin_eval,
     robin_radial_gradient,
+    robin_radial_gradient_derivative,
 )
 
 U = 2.0**-53
@@ -153,6 +161,17 @@ def test_green_is_symmetric_and_invariant_under_signed_permutations(evaluate):
     assert compared >= 50
 
 
+def _kelvin_draws(dimensions):
+    """(n, a, r, policy): 200 draws of n, a in the strata of _inner_radius,
+    r at a uniform share of the gap or 1e-3 of it from a sphere, and the
+    policies in turn."""
+    rng = random.Random(34)
+    for i in range(200):
+        n, a = rng.choice(dimensions), _inner_radius(rng, i)
+        share = rng.uniform(0.001, 0.999) if rng.random() < 0.5 else rng.choice((1e-3, 1 - 1e-3))
+        yield n, a, a + share * (1.0 - a), POLICIES[i % 3]
+
+
 def test_spatial_robin_function_is_kelvin_invariant():
     """R(a/r) = f R(r) with f = (r^2/a)^k, k = n - 2.  s = a/r is rounded
     once, by at most u s, which moves R by |R'(s)| u s = |g(s)| u to first
@@ -160,14 +179,10 @@ def test_spatial_robin_function_is_kelvin_invariant():
     twice and raised to the k-th power, and pow and the product f R(r) round
     once each: (2k + 2) u |f R(r)| to first order, of which (2k + 4) u is
     charged."""
-    rng = random.Random(34)
     disjoint = []
-    for i in range(200):
-        n, a = rng.choice((3, 4, 5, 6, 9)), _inner_radius(rng, i)
-        share = rng.uniform(0.001, 0.999) if rng.random() < 0.5 else rng.choice((1e-3, 1 - 1e-3))
-        r = a + share * (1.0 - a)
+    for n, a, r, policy in _kelvin_draws((3, 4, 5, 6, 9)):
         s = a / r
-        geom, policy, k = AnnulusGeometry(n, a), POLICIES[i % 3], n - 2
+        geom, k = AnnulusGeometry(n, a), n - 2
         inverted, direct = robin_eval(geom, s, policy), robin_eval(geom, r, policy)
         slope = robin_radial_gradient(geom, s, policy)
         f = (r * r / a) ** k
@@ -175,4 +190,61 @@ def test_spatial_robin_function_is_kelvin_invariant():
         rounding = (abs(slope.value) + slope.tail_bound) * U + (2 * k + 4) * U * abs(scaled.value)
         if not _overlap(inverted, scaled, rounding):
             disjoint.append((n, a, r, policy.abs_tol, inverted, scaled, rounding))
+    assert not disjoint
+
+
+def test_spatial_robin_gradient_is_kelvin_covariant():
+    """g(a/r) = -f (2k R(r) + g(r)), g = r R'(r), f = (r^2/a)^k, k = n - 2.
+    s = a/r is rounded once, which moves g by |g'(s)| u s to first order,
+    g' being robin_radial_gradient_derivative.  2k R(r), the sum and the
+    product with f round once each, and f by (2k + 1) u as in the Robin
+    function's relation: u f |2k R| + u f |sum| + (2k + 2) u f |sum|, of
+    which one u of f |sum| more is charged."""
+    disjoint = []
+    for n, a, r, policy in _kelvin_draws((3, 4, 5, 6, 9)):
+        s = a / r
+        geom, k = AnnulusGeometry(n, a), n - 2
+        inverted = robin_radial_gradient(geom, s, policy)
+        value, gradient = robin_eval(geom, r, policy), robin_radial_gradient(geom, r, policy)
+        slope = robin_radial_gradient_derivative(geom, s, policy)
+        f = (r * r / a) ** k
+        twice_k = 2 * k * value.value
+        total = twice_k + gradient.value
+        mapped = EvalResult(-f * total, 0, f * (2 * k * value.tail_bound + gradient.tail_bound), True)
+        rounding = (abs(slope.value) + slope.tail_bound) * s * U + f * U * (
+            abs(twice_k) + (2 * k + 4) * abs(total)
+        )
+        if not _overlap(inverted, mapped, rounding):
+            disjoint.append((n, a, r, policy.abs_tol, inverted, mapped, rounding))
+    assert not disjoint
+
+
+def test_planar_robin_function_and_gradient_are_kelvin_covariant():
+    """R(a/r) = R(r) + L, L = log(r^2/a), and s R'(s) + r R'(r) = -2 at
+    s = a/r.  Rounding s moves R(s) by |R'(s)| u s and s R'(s) by
+    |R'(s) + s R''(s)| u s to first order.  L's argument rounds twice, which
+    moves L by 2u, log by at most one ulp, 2u |L|, and the sum by u |R + L|.
+    The products s R'(s) and r R'(r) and the difference -2 - r R'(r) round
+    once each."""
+    disjoint = []
+    for _, a, r, policy in _kelvin_draws((2,)):
+        s = a / r
+        inverted, direct = robin2d_eval(a, s, policy), robin2d_eval(a, r, policy)
+        first_s, first_r = robin2d_first(a, s, policy), robin2d_first(a, r, policy)
+        second_s = robin2d_second(a, s, policy)
+        log = math.log(r * r / a)
+        mapped = direct._replace(value=direct.value + log)
+        rounding = (abs(first_s.value) + first_s.tail_bound) * s * U + U * (
+            2.0 + 2.0 * abs(log) + abs(mapped.value)
+        )
+        if not _overlap(inverted, mapped, rounding):
+            disjoint.append(("R", a, r, policy.abs_tol, inverted, mapped, rounding))
+        lhs = EvalResult(s * first_s.value, 0, s * first_s.tail_bound, True)
+        rhs = EvalResult(-2.0 - r * first_r.value, 0, r * first_r.tail_bound, True)
+        drift = abs(first_s.value) + first_s.tail_bound + s * (
+            abs(second_s.value) + second_s.tail_bound
+        )
+        rounding = drift * s * U + U * (abs(lhs.value) + abs(r * first_r.value) + abs(rhs.value))
+        if not _overlap(lhs, rhs, rounding):
+            disjoint.append(("s R'", a, r, policy.abs_tol, lhs, rhs, rounding))
     assert not disjoint

@@ -117,6 +117,11 @@ def test_robin_family_grid_matches_scalar(name, n, a, abs_tol, fracs):
     assert_matches_scalar(grid_fn(n, a, radii, policy), scalars)
 
 
+def test_grid_refuses_radii_that_are_not_1d():
+    with pytest.raises(DomainValidationError, match="expected a 1-d array of radii"):
+        robin_eval_grid(AnnulusGeometry(3, 0.5), [[0.6, 0.7]], POLICY)
+
+
 def _refusal(call):
     """The message of the DomainValidationError that ``call`` raises, or None
     where it returns."""

@@ -66,6 +66,11 @@ class TestOuterSeries:
         with pytest.raises(SeriesDivergenceError):
             newtonian_series_outer(geom, [1.0, 0, 0], [0.0, 1.0, 0.1], POLICY)
 
+    def test_refuses_a_direction_that_is_not_a_unit_vector(self):
+        geom = AnnulusGeometry(3, 0.5)
+        with pytest.raises(DomainValidationError, match="expected a unit vector"):
+            newtonian_series_outer(geom, [1.0, 0.1, 0.0], [0.1, 0.0, 0.0], POLICY)
+
 
 class TestInnerSeries:
     def test_aligned(self):
@@ -114,6 +119,12 @@ class TestExteriorSeries:
         geom = AnnulusGeometry(3, 0.5)
         with pytest.raises(SeriesDivergenceError):
             newtonian_series_exterior(geom, [0.3, 0, 0], [0.0, 0.4, 0.0], POLICY)
+
+    def test_refuses_the_zero_vector(self):
+        # the cosine of the angle to the zero vector is undefined
+        geom = AnnulusGeometry(3, 0.5)
+        with pytest.raises(DomainValidationError, match="zero vector"):
+            newtonian_series_exterior(geom, [0.9, 0.0, 0.0], [0.0, 0.0, 0.0], POLICY)
 
 
 class TestPoissonCoefficients:

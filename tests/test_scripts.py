@@ -49,6 +49,12 @@ def test_solver_phases_prints_every_phase(monkeypatch, capsys):
     assert abs(evals[-1] - sum(evals[:-1])) <= 6 * 0.005
     # the sweep's two ends and the second-derivative phase's slope series
     assert evals[0] == 2.0 and evals[-2] == 1.0
+    # each phase's most evaluations in one solve, at least its mean; the
+    # total's is at most the sum of the phases' and at least its own mean
+    most = [int(row[2]) for row in rows]
+    assert all(m >= e for m, e in zip(most, evals))
+    assert most[0] == 2 and most[-2] == 1
+    assert most[-1] <= sum(most[:-1])
 
 
 def test_output_digest_repeats_itself(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""The Brent-Dekker critical-point solver against the pure-bisection oracle.
+"""The regula falsi critical-point solver against the pure-bisection oracle.
 
 ``bisection_oracle`` is the solver this package used before: bisection of
 the sweep bracket to adjacent doubles with an absolute residual certificate.
@@ -10,9 +10,11 @@ import math
 import random
 import struct
 
+import mpmath
 import pytest
 
 import bisection_oracle
+import references as refs
 from annulus_green import (
     AnnulusGeometry,
     BracketingError,
@@ -25,9 +27,9 @@ from annulus_green import critical, green
 
 SOLVER_TOL = 1e-12
 
-# rounding flips the computed gradient's sign one ulp beyond Brent's final
-# bracket here, so bisection must evaluate past that bracket to end on the
-# same pair
+# rounding flips the computed gradient's sign one ulp beyond the
+# interpolation's final bracket here, so bisection must evaluate past that
+# bracket to end on the same pair
 SIGN_NOISE_CASE = (3, 0.1401626201573381)
 
 
@@ -52,6 +54,13 @@ def _swept(n, a):
     return f, closed, (lo, hi, v_lo, v_hi), 1 if v_lo > 0.0 else -1
 
 
+def _interpolated(f, lo, hi, v_lo, v_hi, weight, x):
+    """The interpolation phase of the solver on f's sweep bracket, from the
+    first iterate x."""
+    value = lambda r, step: f.sign_result(r, abs(step / r)).value  # noqa: E731
+    return critical._interpolate(value, lo, hi, v_lo, v_hi, weight, x)
+
+
 def _oracle_pair(n, a, lo, hi, sign_lo):
     # a series of its own, so that the oracle's sums do not fill the
     # solver's store
@@ -72,8 +81,8 @@ def test_same_adjacent_pair_as_bisection():
             oracle_root = None
 
         weight = critical._pole_weight(a, n - 1)
-        seed = lambda: critical._closed_root(closed, lo, hi, sign_lo)  # noqa: E731
-        p, q = critical._brent(f, lo, hi, v_lo, v_hi, weight, seed)
+        x = critical._seed(closed, lo, hi, sign_lo, weight)
+        p, q = _interpolated(f, lo, hi, v_lo, v_hi, weight, x)
         assert critical._bisect(f, lo, hi, sign_lo, p, q) == oracle_pair, (n, a)
 
         report = find_critical_point(AnnulusGeometry(n, a), None, SOLVER_TOL)
@@ -92,8 +101,9 @@ def _raising():
     raise OverflowError("the closed part overflows")
 
 
-# first iterates Brent must survive: each is skipped, or taken as an
-# ordinary iterate, and the pair stays the one bisection reaches
+# first iterates the interpolation must survive: as the closed part's root
+# each is refused by _seed or returned by it, and as a first iterate it is
+# taken as an ordinary one; the pair stays the one bisection reaches
 BAD_SEEDS = {
     "low end": lambda lo, hi, root: lo,
     "high end": lambda lo, hi, root: hi,
@@ -110,15 +120,77 @@ BAD_SEEDS = {
 @pytest.mark.parametrize("name", sorted(BAD_SEEDS))
 @pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2), (6, 0.93), SIGN_NOISE_CASE])
 def test_any_seed_ends_on_the_bisection_pair(n, a, name):
-    f, _, (lo, hi, v_lo, v_hi), sign_lo = _swept(n, a)
+    _, _, (lo, hi, v_lo, v_hi), sign_lo = _swept(n, a)
     oracle_pair = _oracle_pair(n, a, lo, hi, sign_lo)
     root = oracle_pair[0]
-    x = BAD_SEEDS[name]
-    seed = lambda: x(lo, hi, root)  # noqa: E731
+    bad = BAD_SEEDS[name]
     weight = critical._pole_weight(a, n - 1)
-    p, q = critical._brent(f, lo, hi, v_lo, v_hi, weight, seed)
-    assert p <= q
-    assert critical._bisect(f, lo, hi, sign_lo, p, q) == oracle_pair
+    closed = lambda r: sign_lo * (bad(lo, hi, root) - r)  # noqa: E731
+    firsts = [critical._seed(closed, lo, hi, sign_lo, weight)]
+    if name != "raises":
+        firsts.append(bad(lo, hi, root))
+    for x in firsts:
+        f = _swept(n, a)[0]  # a store of its own
+        p, q = _interpolated(f, lo, hi, v_lo, v_hi, weight, x)
+        assert p <= q
+        assert critical._bisect(f, lo, hi, sign_lo, p, q) == oracle_pair
+
+
+# closed parts on [0.5, 0.75], where the series is positive at 0.5, that
+# give no seed: the wrong signs at the ends, one sign throughout, no number,
+# an error, and a root in the first ulp above 0.5
+NO_SEEDS = {
+    "reversed signs": lambda r: r - 0.6,
+    "no sign change": lambda r: 1.0,
+    "nan": lambda r: math.nan,
+    "raises": lambda r: _raising(),
+    "root at the low end": lambda r: 1.0 if r == 0.5 else -1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_SEEDS))
+def test_no_seed_without_a_closed_root_strictly_inside(name):
+    assert critical._seed(NO_SEEDS[name], 0.5, 0.75, 1, lambda r: 1.0) is None
+
+
+def _gap(x):
+    """0 outside [0.1, 0.9] and 1 inside: a weight that underflows next to
+    both ends of [0, 1]."""
+    return 0.0 if x < 0.1 or x > 0.9 else 1.0
+
+
+# (function, weight, first iterate) on [0, 1] that the interpolation must
+# bring to a bracket of opposite signs, or to an exact zero: a root where
+# the weight is 0 at both ends and next to the root; an exact zero at the
+# second iterate; and a steep one-sided function, on which regula falsi
+# without Anderson-Bjorck's scaling keeps one end for good, either end
+INTERPOLATION_CASES = {
+    "zero weights": (lambda x: x - 0.95, _gap, None),
+    "exact zero": (lambda x: x - 0.25, lambda x: 1.0, 0.75),
+    "one-sided": (lambda x: (x - 0.3) ** 15, lambda x: 1.0, None),
+    "one-sided, mirrored": (lambda x: (x - 0.7) ** 15, lambda x: 1.0, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERPOLATION_CASES))
+def test_interpolation_ends_on_opposite_signs(name):
+    fn, weight, x = INTERPOLATION_CASES[name]
+    calls = []
+
+    def value(r, step):
+        calls.append(r)
+        # plain regula falsi takes more than 200 000 on the one-sided case
+        assert len(calls) <= 1000, "the interpolation stalls"
+        return fn(r)
+
+    p, q = critical._interpolate(value, 0.0, 1.0, fn(0.0), fn(1.0), weight, x)
+    if p == q:
+        assert fn(p) == 0.0
+    else:
+        assert 0.0 < p < q < 1.0 and q - p <= 4.0 * 2.0**-52
+        assert fn(p) < 0.0 < fn(q)
+    if name == "exact zero":
+        assert (p, q, len(calls)) == (0.25, 0.25, 2)
 
 
 def _up(x, k):
@@ -133,7 +205,7 @@ def _even(x):
     return struct.unpack("<q", struct.pack("<d", x))[0] % 2 == 0
 
 
-# the computed signs on nine adjacent doubles, and Brent's one-ulp bracket
+# the computed signs on nine adjacent doubles, and a one-ulp bracket
 # [p, q] among them, by offset from the first: rounding flips the sign one
 # double beyond q ("above") or below p ("below"), and plain bisection of
 # the nine, whose first midpoint is that double, ends past the bracket
@@ -173,8 +245,9 @@ def test_bisection_window_reaches_the_double_past_a_one_ulp_bracket(side):
 
 @pytest.mark.parametrize("n, a", [(3, 0.5), (2, 0.2)])
 def test_evaluation_count(n, a):
-    # pure bisection took 58 evaluations on both, Brent from the sweep
-    # bracket 16 and 13; from the closed-form seed they take 13 each
+    # pure bisection took 58 evaluations on both; regula falsi takes 17
+    # and 11 unseeded and unweighted, and 11 and 9 with the seed and the
+    # pole weight
     report = find_critical_point(AnnulusGeometry(n, a), None, SOLVER_TOL)
     assert report.evaluations <= 14
 
@@ -209,7 +282,7 @@ def test_solver_tol_must_be_positive_and_finite(solve, solver_tol):
         solve(AnnulusGeometry(3, 0.5), solver_tol)
 
 
-# --- the relative sign target of the sweep and Brent-Dekker ---------------
+# --- the relative sign target of the sweep and the interpolation ----------
 
 
 def _wide_geometries(count, seed=20261019):
@@ -230,12 +303,12 @@ def _reported(report):
 
 
 def _unseeded(patch):
-    """Switch off Brent's closed-form seed: a non-finite seed is skipped."""
-    patch.setattr(critical, "_closed_root", lambda *args: math.nan)
+    """Switch off the closed-form seed."""
+    patch.setattr(critical, "_seed", lambda *args: None)
 
 
 def _unweighted(patch):
-    """Switch off the pole weight of Brent's interpolation: a unit weight
+    """Switch off the pole weight of the interpolation: a unit weight
     leaves every value as it is."""
     patch.setattr(critical, "_pole_weight", lambda a, order: lambda r: 1.0)
 
@@ -252,8 +325,8 @@ def _solve_both(n, a, monkeypatch, seeded=True):
 
 
 def test_relative_sign_target_moves_no_reported_number(monkeypatch):
-    # the sweep and Brent only decide signs, and every number the report
-    # carries is summed to the absolute policy
+    # the sweep and the interpolation only decide signs, and every number
+    # the report carries is summed to the absolute policy
     draws = _seeded_geometries(120) + [SIGN_NOISE_CASE] + _wide_geometries(600)
     pinned = 0
     for n, a in draws:
@@ -295,8 +368,9 @@ def _solve_seeded_and_plain(n, a, monkeypatch):
 
 
 def test_seed_and_weight_move_no_reported_number(monkeypatch):
-    # Brent's path only chooses which midpoints of plain bisection are
-    # evaluated, so the seed and the pole weight change the counts alone
+    # the interpolation's path only chooses which midpoints of plain
+    # bisection are evaluated, so the seed and the pole weight change the
+    # counts alone
     draws = _seeded_geometries(120) + [SIGN_NOISE_CASE] + _wide_geometries(600)
     pinned = 0
     for n, a in draws:
@@ -310,15 +384,15 @@ def _phase(report, name):
     return next(p for p in report.phases if p.phase == name)
 
 
-def test_seed_and_weight_save_brent_evaluations(monkeypatch):
-    brent = plain_brent = terms = plain_terms = 0
+def test_seed_and_weight_save_interpolation_evaluations(monkeypatch):
+    evals = plain_evals = terms = plain_terms = 0
     for n, a in GUARD_GEOMETRIES:
         seeded, plain = _solve_seeded_and_plain(n, a, monkeypatch)
-        brent += _phase(seeded, "brent").evaluations
-        plain_brent += _phase(plain, "brent").evaluations
+        evals += _phase(seeded, "interpolation").evaluations
+        plain_evals += _phase(plain, "interpolation").evaluations
         terms += _terms(seeded)
         plain_terms += _terms(plain)
-    assert brent <= 0.7 * plain_brent
+    assert evals <= 0.7 * plain_evals
     assert terms <= plain_terms
 
 
@@ -379,16 +453,54 @@ def test_uncertain_relaxed_sign_is_summed_again():
     assert f.calls == calls
 
 
-def test_brent_ends_are_read_as_absolute_sums():
+# a tiny inner radius puts the root inside the first standoff 1e-3 (1 - a),
+# so the sweep halves its offsets before the signs differ (12 and 20
+# evaluations)
+HALVING_GEOMETRIES = [(9, 1e-10), (20, 1e-12)]
+
+
+@pytest.mark.parametrize("n, a", HALVING_GEOMETRIES)
+def test_sweep_halves_its_offsets_toward_a_root_in_the_layer(n, a):
+    report = find_critical_point(AnnulusGeometry(n, a), None, SOLVER_TOL)
+    assert _phase(report, "sweep").evaluations > 2
+    assert report.certificate == "residual"
+    # the 50-digit root lies within the certificate's own bound of r0
+    root, slope = refs.root(n, a, report.r0)
+    with mpmath.workdps(refs.DPS):
+        error = float(abs(mpmath.mpf(report.r0) - root))
+    assert error <= report.residual / abs(float(slope))
+
+
+def _constant(value, tail_bound):
+    """A counted series with the same value and tail bound at every radius."""
+    policy = critical._series_policy(None, SOLVER_TOL)
+    return critical._CountedSeries(lambda r, _: EvalResult(value, 1, tail_bound, True), policy)
+
+
+def test_sweep_refuses_an_uncertain_sign():
+    # the tail could flip the sign even of the absolute sums
+    with pytest.raises(BracketingError, match="sign uncertain"):
+        critical._sweep_bracket(_constant(1.0, 1.0), 0.5, 1e-4)
+
+
+def test_sweep_refuses_a_series_without_a_sign_change():
+    f = _constant(1.0, 0.0)
+    with pytest.raises(BracketingError, match="no sign change"):
+        critical._sweep_bracket(f, 0.5, 1e-4)
+    # the offsets halved down to 1e-14 of the gap
+    assert f.calls > 40
+
+
+def test_interpolation_ends_are_read_as_absolute_sums():
     # on a steep line the relaxed values next to the root still exceed
-    # abs_tol / rel_tol, so they must not stand in for Brent's final ends
+    # abs_tol / rel_tol, so they must not stand in for the interpolation's
+    # final ends
     policy = critical._series_policy(None, SOLVER_TOL)
     f = critical._CountedSeries(_steep_line(1e-3), policy)
     lo, hi, v_lo, v_hi = critical._sweep_bracket(f, 0.5, 1e-4)
     assert f.phase_counts()[0] == ("sweep", 2, 2)  # one term each: relaxed
-    # unweighted and unseeded: a non-finite seed is skipped
-    unit, no_seed = (lambda r: 1.0), (lambda: math.nan)
-    p, q = critical._brent(f, lo, hi, v_lo, v_hi, unit, no_seed)
+    # unweighted and unseeded
+    p, q = _interpolated(f, lo, hi, v_lo, v_hi, lambda r: 1.0, None)
     res_p, res_q = f.result(p), f.result(q)
     assert p < q and res_p.value > 0.0 > res_q.value
     assert (res_p.terms_used, res_q.terms_used) == (2, 2)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from annulus_green import EvalResult, cli, verify
+from annulus_green import BracketingError, EvalResult, cli, verify
 from annulus_green.verify import SUITES, SuiteResult, render_summary, run_suites
 
 # Tier-1 runs every suite at this seed.  The check counts are pinned, so a
@@ -199,6 +199,21 @@ def test_wrong_series_reports_failures(monkeypatch):
     # every outer check fails, 250 for each of n = 3, 4, 5, and no other
     assert res.failures == 750
     assert any("FAIL" in note for note in res.notes)
+
+
+def test_suite_counts_an_error_inside_a_check_as_a_failure(monkeypatch):
+    # an AnnulusError inside a guarded check is one FAIL, not a crash of the
+    # suite
+    def refuse(*args, **kwargs):
+        raise BracketingError("no sign change")
+
+    monkeypatch.setattr(verify, "find_critical_point", refuse)
+    res = run_suites(["critical-point"], seed=0)[0]
+    assert not res.passed
+    assert res.failures == res.checks >= 1
+    assert res.worst == math.inf
+    assert all(note.startswith("FAIL critical point") for note in res.notes)
+    assert "BracketingError: no sign change" in res.notes[0]
 
 
 def test_unknown_suite_rejected():
