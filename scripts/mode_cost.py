@@ -5,7 +5,9 @@ Every evaluator whose series reads a mode table (specfun._mode_table: the
 Gegenbauer tables of the generating series and of both Green routes, and the
 Robin-family tables) is called at a mid-gap radius and at a boundary-layer
 radius, 1e-3 of the gap from the sphere its series converges slowest
-toward.  For each call the script prints terms_used and the time per term,
+toward; the split remainders of green_eval and the Robin family shrink by
+a^4 per mode there as mid-gap, the others far more slowly next to their
+poles.  For each call the script prints terms_used and the time per term,
 cold (every mode table cleared just before the call) and warm (the median of
 ``--repeat`` calls with the tables filled).  Term counts sit next to the
 times, so an algorithmic change shows even where timings are noisy.

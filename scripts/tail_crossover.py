@@ -5,9 +5,12 @@ For every (evaluator, n, a, r) the mode series and the image route (the
 first M remainder modes, then rows of images) are timed on the same call,
 at mid-gap and in both boundary layers (1e-3 of the gap from each sphere).
 The table is what fixes green._HEAD_MODES (M) and green._SWITCH_MODES (T):
-the image route is taken where abs_tol < a^(2T).  Each route is forced by
-setting T for the duration of the call, so both columns time the public
-evaluators as they run.
+the image route is taken where abs_tol < a^(2T).  That gate was set when the
+remainder's modes shrank by a^2; with the first image layer in the closed
+part they shrink by a^4, so the mode series meets it after about T/2 modes,
+and the image rows start at j = 2.  Each route is forced by setting T for
+the duration of the call, so both columns time the public evaluators as they
+run.
 
 Example:
     python scripts/tail_crossover.py --n 3 6 --a 0.5 0.9 0.99 --head 16 24 32

@@ -359,9 +359,12 @@ class EvalResult(namedtuple("EvalResult", "value terms_used tail_bound converged
     still yields a rounding allowance of 0.0, so for it it bounds the
     discarded remainder only.
 
-    ``terms_used`` counts the terms summed.  Where the Robin family takes its
-    image route in a thin annulus (see annulus_green.green), those are the
-    head modes plus the image rows, each row standing for every deeper mode.
+    ``terms_used`` counts the terms summed.  For the split series (green_eval
+    and the Robin family) those are the modes of the remainder left after the
+    closed part and its first image layer, which contract by a^4 per mode.
+    Where the Robin family takes its image route in a thin annulus (see
+    annulus_green.green), they are the head modes plus the image rows from
+    j = 2, each row standing for every deeper mode.
 
     ``converged`` refers to the truncation tail alone: it is set when the
     discarded remainder met the policy's target, ``abs_tol`` or the relative

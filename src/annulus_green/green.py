@@ -12,34 +12,43 @@ a product of per-mode factors in (0, 1), so deep truncations neither overflow
 nor divide underflowed quantities.
 
 The correction series of green_eval and the diagonal (Robin) series are
-split by the identity 1/(1 - A_m) = 1 + A_m/(1 - A_m), A_m = a^(2m+n-2).
-The A-free part sums in closed form and carries the divergence at both
-spheres: four Kelvin images through the Gegenbauer generating function
+split by the identity 1/(1 - A_m) = 1 + A_m + A_m^2/(1 - A_m),
+A_m = a^(2m+n-2), whose first two terms, the A-free part and the first layer
+of the Kelvin image series A_m/(1 - A_m) = sum_j A_m^j, sum in closed form.
+The A-free part carries the divergence at both spheres: four Kelvin images
+through the Gegenbauer generating function
 sum_m q^m P_m(t) = (1 - 2qt + q^2)^(-(n-2)/2) for green_eval, two images
 through sum_m C(k+m-1, m) x^m = (1 - x)^-k for the Robin family (and
 sum_m x^m/m = -log(1 - x) in the plane).  Every difference next to a sphere
-is formed as (p - q)(p + q), so no r^2 - a^2 or 1 - r^2 cancels.  One
-generator, _robin_remainder, yields the remainder modes of every
-Robin-family series: the plane is its k = 0 member, the family's limit in
-which the binomial weights become the log kernel's 1/m (see _mode_form).  The
-remainder's term ratio is at most a^2 wherever the points lie, so it takes
-as many modes next to a sphere as mid-gap: tens for a up to about 0.8, but
-about 11/(1 - a) at tol 1e-10 as a approaches 1.  Its products are powers
-of numbers in (0, 1) and overflow only where the value itself leaves the
-double range, which raises TailEnvelopeError.  The reported tail_bound of
-these series adds a first-order bound on rounding in the closed form and in
-the summed modes to the truncation tail: each remainder row carries its
-mode's rounding allowance, which summation folds into the tail.  The
-closed form goes to sum_series as its ``offset``, so that a policy with
-``rel_tol`` > 0 measures its target against the whole value.
+is formed as (p - q)(p + q), so no r^2 - a^2 or 1 - r^2 cancels.  The first
+layer, the A_m-part, sums the same way at image arguments X <= a^2, far from
+any pole: four more images for green_eval (_green_layer), one closed form per
+image for each Robin-family series (_robin_layer, whose 1 - X are products of
+nonnegative factors).  Each piece carries its own rounding count, and
+_with_layer adds the layer and its count to the closed part.  One generator,
+_robin_remainder, yields the remainder modes of every Robin-family series:
+the plane is its k = 0 member, the family's limit in which the binomial
+weights become the log kernel's 1/m (see _mode_form).  The remainder's term
+ratio is at most a^4 wherever the points lie, so it takes as many modes next
+to a sphere as mid-gap: about ten for a up to 0.5 at tol 1e-10, and
+5/(1 - a) to 8/(1 - a) as a approaches 1 (6 700 to 8 200 at a = 0.999).
+Its products are powers of numbers in (0, 1) and overflow only where the
+value itself leaves the double range, which raises TailEnvelopeError.  The
+reported tail_bound of these series adds a first-order bound on rounding in
+the closed part and in the summed modes to the truncation tail: each
+remainder row carries its mode's rounding allowance, which summation folds
+into the tail.  The closed part goes to sum_series as its ``offset``, so
+that a policy with ``rel_tol`` > 0 measures its target against the whole
+value.
 
 In a thin annulus the Robin family sums that remainder by images instead
 (see _image_route and _image_rows): robin_eval, both gradient series,
 robin2d_first, robin2d_second and their grid twins sum the first
 _HEAD_MODES remainder modes, then the deeper modes as rows of images, each
-row j the j-th term of sum_j A_m^j = A_m / (1 - A_m) summed over all modes
-m >= _HEAD_MODES in closed form.  The rows shrink by a^(k + 2 _HEAD_MODES),
-and terms_used counts head modes plus image rows.  robin2d_eval keeps its
+row j >= 2 the j-th term of sum_j A_m^j = A_m / (1 - A_m) summed over all
+modes m >= _HEAD_MODES in closed form (row 1 is in the closed part).  The
+rows shrink by a^(k + 2 _HEAD_MODES), and terms_used counts head modes plus
+image rows.  robin2d_eval keeps its
 modes: its 1/m weights have no elementary sum over m.  One generator,
 _image_rows, forms the rows at one radius and at an array of radii, with the
 tools (see _Tools) that _robin_series chose and _remainder_rows passes on:
@@ -62,7 +71,7 @@ recurrence constants.  Every Robin-family remainder reads the table of its
 shape (k, parts), whose rows _robin_modes builds: per mode m, the
 polynomials (x + d_i)^e_i, the weight float(C(order+m-1, m)), the weight
 ratio, the polynomials' growth to the next mode and the rounding count
-4m + fixed.  _robin_remainder and its grid twin both read it, so neither
+6m + fixed.  _robin_remainder and its grid twin both read it, so neither
 keeps its own copy of that arithmetic.  A row holds the doubles the streams
 computed per call before, so every value, tail bound and term count is
 unchanged bit for bit.
@@ -71,7 +80,7 @@ green_piecewise_eval stays the unsplit modal series on purpose: its split
 would be the same computation as green_eval's, and it serves as the
 independent route that green_eval is checked against.
 
-Every split remainder contracts by at most a^2 per mode at every radius, so
+Every split remainder contracts by at most a^4 per mode at every radius, so
 a grid of radii can share one mode loop.  The grid evaluators
 robin_eval_grid, robin_radial_gradient_grid, robin2d_eval_grid,
 robin2d_first_grid and grid._green_slice sum their remainders as one
@@ -123,7 +132,9 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
 
     Vanishes when either radius sits on a boundary sphere, is symmetric in
     (r, s), and is positive strictly inside.  Raises TailEnvelopeError where
-    it leaves the double-precision range (at large n, where omega underflows).
+    it leaves the double-precision range (at large n, where omega underflows):
+    a power that overflows raises OverflowError, but a product or quotient
+    overflows to inf silently, so the result is checked as well.
     """
     geom.require_series_dim()
     require_integer(m, "mode", 0)
@@ -136,7 +147,7 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
     # every power that grows with m is of a number in (0, 1], so none
     # underflows before the coefficient does
     try:
-        return (
+        value = (
             (lo / hi) ** m
             * hi ** (2 - n)
             * (1.0 - (a / lo) ** beta)
@@ -144,9 +155,12 @@ def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> floa
             / (beta * (1.0 - a**beta) * geom.omega)
         )
     except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
         raise TailEnvelopeError(
             f"the modal coefficient for n = {n} leaves the double-precision range here"
-        ) from None
+        )
+    return value
 
 
 # the image route of the Robin family (see _image_rows): where the mode
@@ -232,11 +246,12 @@ _E_COSINE = 4.0 + 2.0 * _E_RADIUS
 _E_MOVED = _E_RADIUS + 2.0
 
 
-def _green_closed(k: int, a: float, lo, hi, d, d_units, scale: float, tools: _Tools):
-    """The Newtonian term minus the four images of the Green correction,
-    times ``scale`` = 1/(k omega), and its rounding bound; lo, hi, d and
-    d_units, the relative error of d in units of the unit roundoff, are
-    floats, or arrays of them with grid.TOOLS (see _Tools).
+def _green_closed(k: int, a: float, lo, hi, t, d, d_units, scale: float, tools: _Tools):
+    """The Newtonian term minus the four images of the Green correction and
+    its first image layer, times ``scale`` = 1/(k omega), and its rounding
+    bound; lo, hi, the cosine t, d and d_units, the relative error of d in
+    units of the unit roundoff, are floats, or arrays of them with
+    grid.TOOLS (see _Tools).
 
     Mode m of the correction is (g1 - g2 - g3 + g4) P_m(t) / (1 - A_m) with
     g_i = c_i q_i^m, q = (lo hi, a^2 lo / hi, a^2 hi / lo, a^2 / (lo hi)) and
@@ -257,6 +272,10 @@ def _green_closed(k: int, a: float, lo, hi, d, d_units, scale: float, tools: _To
     first-order bound on their rounding, in units of the unit roundoff and
     relative to 1; their four sums and the two roundings of scale add 7, and
     each numpy power tools.numpy_units more.
+
+    The closed part also holds the first image layer (see _green_layer),
+    the A_m-part of 1/(1 - A_m) = 1 + A_m + A_m^2/(1 - A_m), times scale, as
+    _with_layer adds it.
     """
     lam = 0.5 * k
     a2 = a * a
@@ -289,7 +308,85 @@ def _green_closed(k: int, a: float, lo, hi, d, d_units, scale: float, tools: _To
         pieces.append(sign * image)
         ulps += image * (lam * (err / base + 2.0) + 2.0)
     closed = sum(pieces) * scale
-    return closed, _U * scale * (ulps + (7.0 + tools.numpy_units) * sum(abs(p) for p in pieces))
+    rounding = _U * scale * (ulps + (7.0 + tools.numpy_units) * sum(abs(p) for p in pieces))
+    return _with_layer(closed, rounding, scale, *_green_layer(k, a, lo, hi, t, tools))
+
+
+def _with_layer(closed, rounding: float, scale, layer, charge):
+    """closed + scale * layer and its rounding bound: ``rounding`` plus
+    |scale| ``charge`` units of the unit roundoff, where ``charge`` is the
+    layer's count of its own rounding and of its sum's and prefactor's (see
+    _green_layer and _robin_layer), and one unit of the result for the last
+    sum."""
+    total = closed + scale * layer
+    return total, rounding + _U * (abs(total) + abs(scale) * charge)
+
+
+# first-order rounding counts of the first image layer, in units of the unit
+# roundoff.  Both families: the sums of the layer's pieces and its share of
+# the prefactor (three sums of four Green pieces and scale's two roundings
+# and product; two sums of three Robin pieces and the Robin prefactor's at
+# most three roundings and product)
+_LAYER_SUMS = 6.0
+# Green (see _green_layer), per image: its sign, the relative error e_Q of
+# Q_i, and 2 e_alpha + 5 + e_Q, where the root alpha_i of its start errs by
+# e_alpha, with radii that err by _E_RADIUS units
+_GREEN_LAYER = tuple(
+    (sign, e_q, 2.0 * e_alpha + 5.0 + e_q)
+    for sign, e_q, e_alpha in (
+        (-1.0, 3.0 + 2.0 * _E_RADIUS, 0.0),
+        (1.0, 5.0 + 2.0 * _E_RADIUS, 2.0 + _E_RADIUS),
+        (1.0, 5.0 + 2.0 * _E_RADIUS, 2.0 + _E_RADIUS),
+        (-1.0, 5.0 + 2.0 * _E_RADIUS, 3.0 + 2.0 * _E_RADIUS),
+    )
+)
+
+
+def _green_layer(k: int, a: float, lo, hi, t, tools: _Tools):
+    """The first image layer of the Green correction and its charge (see
+    _with_layer): lo, hi and t are green_eval's (radii that err by
+    _E_RADIUS units, a cosine that errs by _E_COSINE units), floats or
+    arrays as ``tools`` says.
+
+    The A_m-part of mode m (see _green_closed) is g_i A_m = c_i a^k Q_i^m with
+    Q = (a^2 lo hi, a^4 lo / hi, a^4 hi / lo, a^4 / (lo hi)) <= a^2, the
+    factors of the modes in _green_remainder before its split, and c_i a^k =
+    alpha_i^k with alpha = (a, a^2 / hi, a^2 / lo, a^2 / (lo hi)).  The
+    generating function sums it over m: the layer is
+    -(image 1) + image 2 + image 3 - image 4 with
+
+        image i = (alpha_i^2 / E_i)^(k/2),  E_i = (1 - Q_i)^2 + 2 Q_i (1 - t),
+
+    where 1 - Q_i >= 1 - a^2 keeps every E_i away from 0.
+
+    Image i rounds by at most (k/2)(2 e_alpha + 2 + e_E) + 1 units of itself,
+    plus tools.numpy_units for a numpy power: alpha_i^2 and the quotient take
+    2 e_alpha + 2, and E_i errs by at most
+    e_E = e_Q + 3 + 2 Q_i (e_Q (1 - Q_i) + _E_COSINE) / E_i units, where Q_i
+    errs by e_Q (_GREEN_LAYER holds e_Q and the constant part): 1 - Q_i and
+    its square carry 2 e_Q Q_i (1 - Q_i) + 3 (1 - Q_i)^2 units,
+    2 Q_i (1 - t) carries 2 Q_i (1 - t)(e_Q + 2) + 2 Q_i _E_COSINE, and the
+    sum rounds once.  The charge adds _LAYER_SUMS to each image's count.
+    """
+    a2 = a * a
+    a4 = a2 * a2
+    lo_hi = lo * hi
+    lam = 0.5 * k
+    two_t = 2.0 * (1.0 - t)
+    fixed = 1.0 + tools.numpy_units + _LAYER_SUMS
+    layer = charge = 0.0
+    for q, alpha, (sign, e_q, e_fixed) in zip(
+        (a2 * lo_hi, a4 * lo / hi, a4 * hi / lo, a4 / lo_hi),
+        (a, a2 / hi, a2 / lo, a2 / lo_hi),
+        _GREEN_LAYER,
+    ):
+        y = 1.0 - q
+        base = y * y + q * two_t
+        image = (alpha * alpha / base) ** lam
+        layer = layer + sign * image
+        e_base = 2.0 * q * (e_q * y + _E_COSINE) / base
+        charge = charge + image * (lam * (e_fixed + e_base) + fixed)
+    return layer, charge
 
 
 def _green_starts(k: int, a: float, lo, hi, scale: float, tools: _Tools):
@@ -302,33 +399,36 @@ def _green_starts(k: int, a: float, lo, hi, scale: float, tools: _Tools):
     tools.numpy_units for numpy's powers h_2, h_3 and h_4.
     """
     a2 = a * a
+    a3 = a2 * a
     a4 = a2 * a2
-    bs = (a2 * (lo * hi), a4 * lo / hi, a4 * hi / lo, a4 / (lo * hi))
+    a6 = a4 * a2
+    bs = (a4 * (lo * hi), a6 * lo / hi, a6 * hi / lo, a6 / (lo * hi))
     big_a = a**k
     amp = 1.0 / (1.0 - big_a)  # bounds every 1/(1 - A_m)
     units = (
         2.0 + _E_COSINE,
-        6.0 + 2.0 * _E_RADIUS + 2.0 * amp,
-        (3.0 + 2.0 * _E_RADIUS) * k + 13.0 + amp + tools.numpy_units,
+        8.0 + 2.0 * _E_RADIUS + 2.0 * amp,
+        (4.0 + 2.0 * _E_RADIUS) * k + 13.0 + amp + tools.numpy_units,
     )
-    hs = (big_a, (a2 / hi) ** k, (a2 / lo) ** k, (a2 / (lo * hi)) ** k)
+    hs = (a2**k, (a3 / hi) ** k, (a3 / lo) ** k, (a3 / (lo * hi)) ** k)
     return bs, hs, big_a, abs(scale) * amp, tools.maximum(bs[0], bs[3]), units
 
 
 def _green_remainder(k: int, a: float, lo: float, hi: float, t: float, scale: float):
     """Remainder modes of the split Green correction, k = n - 2 >= 1.
 
-    With h_i = g_i A_m (see _green_closed) the remainder is
+    With h_i = g_i A_m^2 (see _green_closed; the A_m-part is the closed
+    layer of _green_layer) the remainder is
     scale * sum_m (h1 - h2 - h3 + h4) P_m(t) / (1 - A_m), where
-    h = (a^k (a^2 lo hi)^m, (a^2/hi)^k (a^4 lo/hi)^m, (a^2/lo)^k (a^4 hi/lo)^m,
-    (a^2/(lo hi))^k (a^4/(lo hi))^m).  lo hi >= a^2 makes every per-mode
-    factor at most a^2, wherever the points lie.  |P_m| <= C(k+m-1, m) and
+    h = (a^2k (a^4 lo hi)^m, (a^3/hi)^k (a^6 lo/hi)^m, (a^3/lo)^k (a^6 hi/lo)^m,
+    (a^3/(lo hi))^k (a^6/(lo hi))^m).  lo hi >= a^2 makes every per-mode
+    factor at most a^4, wherever the points lie.  |P_m| <= C(k+m-1, m) and
     0 <= h1 - h2 - h3 + h4 <= h1 + h4 bound the envelope.
 
     Each row's rounding allowance bounds its mode's rounding error to first
     order, in units of the unit roundoff, as a multiple of its envelope (at
     least half the sum of the absolute values of its parts).  The h_i take
-    6 + 2 _E_RADIUS units per mode and (3 + 2 _E_RADIUS) k + 1 to start;
+    8 + 2 _E_RADIUS units per mode and (4 + 2 _E_RADIUS) k + 1 to start;
     1 - A_m, with A_m carried as a product, costs (2m + 1) A_m/(1 - A_m) + 2;
     the mode's sums and products, the prefactor and the compensated sum add
     10.  The forward recurrence errs by less than 2 (m+1)^2 u C(k+m-1, m)
@@ -378,7 +478,7 @@ def _green_split(geom: AnnulusGeometry, lo, hi, t, d, d_units, policy: Truncatio
             from . import grid
 
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-                closed, rounding = _green_closed(k, a, lo, hi, d, d_units, scale, grid.TOOLS)
+                closed, rounding = _green_closed(k, a, lo, hi, t, d, d_units, scale, grid.TOOLS)
                 res = grid.sum_series_table(
                     lambda cols: grid._green_remainder_grid(
                         k, a, lo[cols], hi[cols], t[cols], -scale
@@ -387,7 +487,7 @@ def _green_split(geom: AnnulusGeometry, lo, hi, t, d, d_units, policy: Truncatio
                     policy,
                 )
         else:
-            closed, rounding = _green_closed(k, a, lo, hi, d, d_units, scale, _SCALAR)
+            closed, rounding = _green_closed(k, a, lo, hi, t, d, d_units, scale, _SCALAR)
             res = sum_series(_green_remainder(k, a, lo, hi, t, -scale), policy, closed)
     except (OverflowError, ZeroDivisionError):
         raise TailEnvelopeError(
@@ -406,9 +506,9 @@ def green_eval(
     up to the tail bound) and in particular at coincident radii |x| = |y|.
     A point whose radius misses [a, 1] by at most RADIUS_SLACK is moved
     along its ray onto the sphere it missed.
-    The correction is four closed-form images plus a remainder whose term
-    ratio is at most a^2, and ``tail_bound`` covers rounding as well as
-    truncation.
+    The correction is four closed-form images and their first image layer
+    plus a remainder whose term ratio is at most a^4, and ``tail_bound``
+    covers rounding as well as truncation.
     """
     geom.require_series_dim()
     xs = geom.coordinates(x)
@@ -585,16 +685,16 @@ def _mode_form(k: int) -> tuple[int, int, int, int]:
     """(first, stride, order, fixed) of a Robin-family remainder (see
     _robin_remainder): its modes start at m = first, the argument of its
     polynomials is x = stride m, its weights are the binomials
-    C(order + m - 1, m), and mode m rounds by at most 4m + fixed units.
+    C(order + m - 1, m), and mode m rounds by at most 6m + fixed units.
 
-    In R^n (k = n - 2 >= 1) that is (0, 1, k, 20 + 2k).  The plane is the
+    In R^n (k = n - 2 >= 1) that is (0, 1, k, 22 + 2k).  The plane is the
     family's k -> 0 limit, where C(k+m-1, m)/k tends to 1/m: its modes start
     at 1, its parts carry the 1/m as 2 (2m)^-1, so x = 2m, and it has no
     binomial: order 1 makes every weight C(m, m) = 1 and every weight ratio
     (1 + m)/(m + 1) = 1.0.  Its starts a^0 and its weights are exact, which
-    saves 3 units: (1, 2, 1, 17).
+    saves 5 units: (1, 2, 1, 17).
     """
-    return (0, 1, k, 20 + 2 * k) if k else (1, 2, 1, 17)
+    return (0, 1, k, 22 + 2 * k) if k else (1, 2, 1, 17)
 
 
 def _growth(parts) -> tuple[int, int]:
@@ -614,7 +714,7 @@ def _robin_modes(k: int, parts, after=None):
     weight float(C(order + m - 1, m)), the weight ratio (order + m)/(m + 1),
     the polynomials' growth ((x + stride + d_min)/(x + d_min))^e_max to the
     next mode (1.0 where e_max = 0, inf where x + d_min = 0 < e_max) and the
-    rounding count 4m + fixed, with _mode_form's stride, order and fixed and
+    rounding count 6m + fixed, with _mode_form's stride, order and fixed and
     _growth's e_max and d_min.
     """
     first, stride, order, fixed = _mode_form(k)
@@ -641,7 +741,7 @@ def _robin_modes(k: int, parts, after=None):
             float(binom) if binom != 1 else 1.0,
             (order + m) / (m + 1),
             growth,
-            float(4 * m + fixed),
+            float(6 * m + fixed),
         )
         binom = binom * (order + m) // (m + 1)
         m += 1
@@ -656,24 +756,27 @@ def _robin_modes(k: int, parts, after=None):
 # that _image_rows reads
 _Tools = collections.namedtuple(
     "_Tools",
-    "exp expm1 log frexp ldexp maximum numpy_units modes imaged js",
+    "exp expm1 log log1p frexp ldexp maximum numpy_units modes imaged js",
 )
 
 
 def _robin_starts(k: int, a: float, r, tools: _Tools):
     """(b1, b4, starts, env_k, step): the per-radius constants of a
     Robin-family remainder (see _robin_remainder) at r, a float or an array
-    of radii as ``tools`` says.  b1 = r a and b4 = a^2 / r are the image
-    bases, the starts are s_i = c_i A_0 = (a^k, (a^2/r)^k, (a/r)^(2k)),
-    env_k = 1/(1 - A_first) bounds every 1/(1 - A_m), and step =
-    a^2 max(r^2, a^2/r^2) bounds the images' shrinking per mode.
+    of radii as ``tools`` says.  b1 = r a^2 and b4 = a^3 / r are the image
+    bases, whose powers 2m with a^(6m) carry x_i^m A_m^2 / A_0^2, the starts
+    are s_i = c_i A_0^2 = (a^2k, (a^2/r)^k a^k, (a/r)^(2k) a^k), env_k =
+    1/(1 - A_first) bounds every 1/(1 - A_m), and step =
+    a^4 max(r^2, a^2/r^2) bounds the images' shrinking per mode.
     """
+    a2 = a * a
+    ak = a**k
     return (
-        r * a,
-        a * a / r,
-        (a**k, (a * a / r) ** k, (a / r) ** (2 * k)),
+        r * a2,
+        a2 * a / r,
+        (a ** (2 * k), (a2 / r) ** k * ak, (a / r) ** (2 * k) * ak),
         -1.0 / math.expm1((k + 2 * _mode_form(k)[0]) * math.log(a)),
-        a * a * tools.maximum(r * r, (a / r) ** 2),
+        a2 * a2 * tools.maximum(r * r, (a / r) ** 2),
     )
 
 
@@ -686,9 +789,10 @@ def _framed_images(bases, starts, powers, polys, tools: _Tools):
     exactly, and w_i = g f^n P_i 2^(n e + h - top) rounds as s b^n P_i does:
     the power once, each product once, so the rounding rows stand.  top is
     the largest n e + h of a nonzero image, so the largest w_i is at least
-    2^-(n+1) P_i: every step stays in the normal range while n (2m, or 4m
-    for the image of a^2) stays under about 1000, and only a row that is
-    itself subnormal rounds when it is scaled back by 2^top.  An image scaled
+    2^-(n+1) P_i: every step stays in the normal range while n (2m for the
+    images of r a^2 and a^3 / r, one of which sets top) stays under about
+    1000, and only a row that is itself subnormal rounds when it is scaled
+    back by 2^top.  An image scaled
     below the normal range errs by at most 2^-1074 in the frame, far below
     the unit roundoff of the largest.  A vanished image is moved 2^30 down
     so that it never sets top; where every image vanishes the row is zero
@@ -716,20 +820,23 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     modes m, their arguments x and their weights w(m) are _mode_form's:
     m >= 0, x = m and w(m) = C(k+m-1, m) in R^n, where every d >= 0, and
     m >= 1, x = 2m and w(m) = 1 in the plane.  Writing
-    1/(1 - A) = 1 + A/(1 - A) gives a closed form plus this remainder, whose
-    products s_i = c_i x_i^m A_m shrink by at most a^2 max(r^2, a^2/r^2) <= a^2
-    per mode wherever r lies.  Each s_i is a product of powers of numbers in
-    (0, 1), so nothing overflows before the true terms do.
+    1/(1 - A) = 1 + A + A^2/(1 - A) gives a closed form, the A-free part and
+    the first image layer (see _robin_layer), plus this remainder, whose
+    products s_i = c_i x_i^m A_m^2 shrink by at most a^4 max(r^2, a^2/r^2)
+    <= a^4 per mode wherever r lies.  Each s_i is a product of powers of
+    numbers in (0, 1), so nothing overflows before the true terms do.
 
     Each row's rounding allowance bounds its mode's rounding error to first
     order, in units of the unit roundoff and relative to the sum of the
-    absolute values of its parts.  The s_i (x + d_i)^e_i are products of
-    powers of bases with at most two roundings: 4m + 2k + 4, or 4m + 3 in the
-    plane, whose starts are 1.  1 - A_m is -expm1((k+2m) log a), which errs
-    by 4 since |y| e^y / (1 - e^y) <= 1 for y < 0.  The binomial's
-    conversion, the prefactor, the mode's products and sums and the
-    compensated sum add 12, or 10 in the plane, whose weights are 1.  A mode
-    thus rounds by at most 4m + 20 + 2k units in R^n and 4m + 17 in the plane.
+    absolute values of its parts.  The s_i (x + d_i)^e_i are products of a
+    start with at most 2k + 3 roundings (see _robin_starts) and a power 2m
+    of a base with at most three (a^3 / r), or 6m of a: 6m + 2k + 6, or
+    6m + 3 in the plane, whose starts are 1.  1 - A_m is
+    -expm1((k+2m) log a), which errs by 4 since |y| e^y / (1 - e^y) <= 1 for
+    y < 0.  The binomial's conversion, the prefactor, the mode's products and
+    sums and the compensated sum add 12, or 10 in the plane, whose weights
+    are 1.  A mode thus rounds by at most 6m + 22 + 2k units in R^n and
+    6m + 17 in the plane.
     A mode deep enough that its powers may leave the normal range is formed
     in _framed_images' binary frame, which keeps these counts.
     """
@@ -742,7 +849,7 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
     for m, p1, p2, p4, weight, ratio, growth, units in _mode_table(_robin_modes, k, parts):
         # s_i (x + d_i)^e_i, so that P_i(m) s_i = coef_i w_i
         w1 = s1_0 * b1 ** (2 * m) * p1
-        w2 = s2_0 * a ** (4 * m) * p2
+        w2 = s2_0 * a ** (6 * m) * p2
         w4 = s4_0 * b4 ** (2 * m) * p4
         inv = -1.0 / expm1((k + 2 * m) * log_a)
         sb = scale * weight
@@ -760,7 +867,7 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
         else:  # the same row, formed as w_i 2^top and scaled back at the end
             n = 2 * m
             (w1, w2, w4), top = _framed_images(
-                (b1, a, b4), (s1_0, s2_0, s4_0), (n, 2 * n, n), (p1, p2, p4), _SCALAR
+                (b1, a, b4), (s1_0, s2_0, s4_0), (n, 3 * n, n), (p1, p2, p4), _SCALAR
             )
             size = abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
             yield (
@@ -774,10 +881,12 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
 def _image_route(a: float, policy: TruncationPolicy, parts) -> bool:
     """Whether a Robin-family remainder is summed through _image_rows.
 
-    The remainder's modes shrink like a^(2m), so the mode series is predicted
-    to need more than _SWITCH_MODES modes where abs_tol < a^(2 _SWITCH_MODES).
-    The prediction reads a and abs_tol only, so every radius of a geometry
-    takes the same route.  The route needs more than _HEAD_MODES terms and
+    The route is taken where abs_tol < a^(2 _SWITCH_MODES).  The gate was set
+    when the remainder's modes shrank like a^(2m), where the mode series was
+    predicted to need more than _SWITCH_MODES modes there; with the first
+    image layer in the closed part they shrink like a^(4m), and the mode
+    series would need about half as many.  The gate reads a and abs_tol
+    only, so every radius of a geometry takes the same route.  The route needs more than _HEAD_MODES terms and
     polynomial weights: the 1/m weights of robin2d_eval have no elementary
     image sum.
     """
@@ -821,17 +930,18 @@ def _image_units(k: int, degree: int, m0: int, e_y: float, t: float) -> tuple[fl
     units of itself, as _image_rows computes it, when log q errs by at most
     e_y |log q| units and each exp or expm1 by t.
 
-    The start s_i, a k-th power of a base with two roundings, takes 2k + t,
-    and the prefactor scale coef_i s_i 5 more; 1 - q = -expm1(log q) errs by
-    e_y + t, as |y| e^y / (1 - e^y) <= 1 for y < 0; z = q / (1 - q) by
+    The start s_i, a k-th power of a base with two roundings times the power
+    a^k (see _robin_starts), takes 2k + 2t + 1, and the prefactor
+    scale coef_i s_i 5 more; 1 - q = -expm1(log q) errs by e_y + t, as
+    |y| e^y / (1 - e^y) <= 1 for y < 0; z = q / (1 - q) by
     e_y |log q| + e_y + 2t + 1; the Horner sum of degree D with nonnegative
     weights by D times z's error plus 2D + 1; the exponent
-    (j-1) k log a + m0 log q by (2.5k + m0 (e_y + 2)) |log q| absolutely,
+    (j-2) k log a + m0 log q by (2.5k + m0 (e_y + 2)) |log q| absolutely,
     with j k |log a| <= k |log q| / 2; its exp, the division and the two
     products add t + 3, and the sum over the images and the compensated sum 4.
     """
     return (
-        2 * k + 3 * t + e_y + 13 + degree * (e_y + 2 * t + 3),
+        2 * k + 4 * t + e_y + 14 + degree * (e_y + 2 * t + 3),
         2.5 * k + m0 * (e_y + 2) + degree * e_y,
     )
 
@@ -840,7 +950,7 @@ def _images(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     """Per image with a nonzero coefficient: scale coef_i s_i, log x_i, the
     weights of _image_weights and the (fixed, slope) counts of _image_units.
 
-    s_i = c_i a^k is _robin_remainder's start (1 in the plane, see
+    s_i = c_i a^2k is _robin_remainder's start (1 in the plane, see
     _robin_starts), and log x_i = (2 log r, 2 log a, 2 (log a - log r)), with
     the log of ``tools``.
     """
@@ -860,13 +970,14 @@ def _images(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
 
 def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     """The modes m >= m0 of a Robin-family remainder, summed over m as rows of
-    images j = 1, 2, ..., which tools.js() yields in turn.
+    images j = 2, 3, ..., which tools.js() yields in turn.
 
-    The remainder is scale sum_m w_i(m) coef_i c_i x_i^m A_m / (1 - A_m) over
-    the images of _robin_remainder (in the plane, k = 0, c_i = 1 and
-    A_m = a^(2m)), with w_i the weights of _image_weights.  As
-    A_m / (1 - A_m) = sum_{j >= 1} A_m^j and A_m^j = a^(jk) a^(2jm), its modes
-    m >= m0 equal sum_j scale a^(jk) sum_i coef_i c_i Q_i(x_i a^(2j)) with
+    The remainder is scale sum_m w_i(m) coef_i c_i x_i^m A_m^2 / (1 - A_m)
+    over the images of _robin_remainder (in the plane, k = 0, c_i = 1 and
+    A_m = a^(2m)), with w_i the weights of _image_weights: row j = 1 of
+    A_m / (1 - A_m) = sum_{j >= 1} A_m^j is the closed layer of
+    _robin_layer.  As A_m^j = a^(jk) a^(2jm), its modes m >= m0 equal
+    sum_{j >= 2} scale a^(jk) sum_i coef_i c_i Q_i(x_i a^(2j)) with
     Q_i(q) = sum_{m >= m0} w_i(m) q^m, which _image_weights sums in closed
     form.  Row j is the j-th term of that sum.  Each Q_i has nonnegative
     terms, so Q_i(q a^2) <= a^(2 m0) Q_i(q) and the rows' envelopes shrink
@@ -874,10 +985,10 @@ def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
 
     q = x_i a^(2j) is carried as its log, y = log x_i + 2j log a, and 1 - q
     as -expm1(y), so nothing cancels next to a sphere or as a -> 1.
-    c_i a^(jk) q^m0 = s_i exp((j-1) k log a + m0 y) with s_i <= 1.  Each
+    c_i a^(jk) q^m0 = s_i exp((j-2) k log a + m0 y) with s_i <= 1.  Each
     row's rounding allowance adds up _image_units over its images.
 
-    At one radius the tools are _SCALAR's and j the integers 1, 2, ..., and
+    At one radius the tools are _SCALAR's and j the integers 2, 3, ..., and
     y errs by at most 8 |y| units and each exp or expm1 by 2.  At an array of
     radii they are grid.TOOLS and j a column of grid.TABLE_MODES indices
     per chunk, each row a (j x radii) table in which each numpy log, power,
@@ -890,7 +1001,7 @@ def _image_rows(k: int, a: float, r, scale, parts, m0: int, tools: _Tools):
     images = _images(k, a, r, scale, parts, m0, tools)
     exp, expm1 = tools.exp, tools.expm1
     for j in tools.js():
-        shift = (j - 1) * k_la
+        shift = (j - 2) * k_la
         term = env = units = 0.0
         for start, log_x, weights, fixed, slope in images:
             y = log_x + j * two_la
@@ -917,9 +1028,9 @@ def _imaged(rows, images):
 
 
 _SCALAR = _Tools(
-    exp=math.exp, expm1=math.expm1, log=math.log, frexp=math.frexp, ldexp=math.ldexp,
-    maximum=max, numpy_units=0.0,
-    modes=_robin_remainder, imaged=_imaged, js=functools.partial(itertools.count, 1),
+    exp=math.exp, expm1=math.expm1, log=math.log, log1p=math.log1p, frexp=math.frexp,
+    ldexp=math.ldexp, maximum=max, numpy_units=0.0,
+    modes=_robin_remainder, imaged=_imaged, js=functools.partial(itertools.count, 2),
 )
 
 
@@ -1027,12 +1138,85 @@ _SERIES = {
 }
 
 
+# per image (r^2 a^2, a^4, a^4 / r^2) of the Robin layer (see _robin_layer):
+# the units of the base whose k-th power is c_i a^k (1 - X_i)^-k
+_LAYER_BASE = (7.0, 9.0, 8.0)
+# per exponent e of a part: the units of the layer's piece beyond k times
+# its base's, in R^n (the power included) and in the plane
+_LAYER_FORM = {0: 2.0, 1: 15.0, 2: 28.0}
+_PLANAR_LAYER_FORM = {-1: 12.0, 0: 11.0, 1: 24.0}
+
+
+def _robin_layer(k: int, a: float, r, parts, tools: _Tools):
+    """The first image layer of a Robin-family series (see _robin_remainder),
+    before its prefactor, and its charge (see _with_layer): the sum over the
+    images with a nonzero coefficient of coef_i c_i a^k sum_m w(m) P_i(m) X_i^m
+    with X = (r^2 a^2, a^4, a^4 / r^2), the A_m-part of the modes' x_i^m A_m.
+    r is a float or an array of radii as ``tools`` says.
+
+    Every form is written through z_i = X_i / (1 - X_i), with 1/(1 - X) =
+    1 + z, and each 1 - X_i is a product of nonnegative factors:
+    1 - r^2 a^2 = ((1 - r) + r (1 - a))(1 + r a), 1 - a^4 =
+    (1 - a)(1 + a)(1 + a^2) and r^2 (1 - a^4 / r^2) = ((r - a) + a (1 - a))
+    (r + a^2), so nothing cancels, and X_i <= a^2 keeps 1 - X_i >= 1 - a^2.
+    In R^n, with g_i = c_i a^k (1 - X_i)^-k the k-th power of a / (1 - X_1),
+    a^2 / (r (1 - X_2)) or a^2 / (r^2 (1 - X_4)) and the binomial weights,
+    sum_m C(k+m-1, m)(m + d)^e X^m is g for e = 0, g (k z + d) for e = 1 and
+    g (k z (1 + 2d + (k+1) z) + d^2) for e = 2.  In the plane, with weights
+    (2m + d)^e over m >= 1: log1p(z) / 2 for e = -1 (d = 0), z for e = 0 and
+    z (2 + d + 2z) for e = 1.
+
+    Every operation is counted as rounding.  The factors of 1 - X_i take 6
+    units, z_i 10 and the bases _LAYER_BASE; a piece then rounds by at most
+    k _LAYER_BASE[i] + _LAYER_FORM[e] units of itself in R^n, or
+    _PLANAR_LAYER_FORM[e] in the plane, plus tools.numpy_units for numpy's
+    power or log1p.  log1p(z) errs by 11 relative to itself, as
+    log1p(z) >= z / (1 + z).  The charge adds _LAYER_SUMS to each piece's
+    count.
+    """
+    a2 = a * a
+    a4 = a2 * a2
+    ra = r * a
+    xs = (ra * ra, a4, a4)
+    ys = (
+        ((1.0 - r) + r * (1.0 - a)) * (1.0 + ra),
+        ((1.0 - a) * (1.0 + a)) * (1.0 + a2),
+        ((r - a) + a * (1.0 - a)) * (r + a2),
+    )
+    fixed = tools.numpy_units + _LAYER_SUMS
+    layer = charge = 0.0
+    if k:
+        bases = (a / ys[0], a2 / (r * ys[1]), a2 / ys[2])
+        for (coef, d, e), x, y, base, e_base in zip(parts, xs, ys, bases, _LAYER_BASE):
+            g = coef * base**k
+            if e:
+                z = x / y
+                g = g * (k * z + d if e == 1 else k * z * ((1 + 2 * d) + (k + 1) * z) + d * d)
+            layer = layer + g
+            charge = charge + abs(g) * (k * e_base + _LAYER_FORM[e] + fixed)
+        return layer, charge
+    for (coef, d, e), x, y in zip(parts, xs, ys):
+        if coef:
+            z = x / y
+            if e < 0:
+                g = 0.5 * coef * tools.log1p(z)
+            elif e == 0:
+                g = coef * z
+            else:
+                g = coef * (z * ((2 + d) + 2.0 * z))
+            layer = layer + g
+            charge = charge + abs(g) * (_PLANAR_LAYER_FORM[e] + fixed)
+    return layer, charge
+
+
 def _normalised(series: _Series, geom: AnnulusGeometry, r, tools: _Tools):
-    """The closed form of ``series`` at r, its rounding bound, and its
+    """The closed part of ``series`` at r, its rounding bound, and its
     remainder's prefactor and parts, in the family's normalisation: for
     n >= 3 the closed form times -1/omega and the prefactor over -k omega, in
-    the plane both as they are.  r is a float with _SCALAR's tools, or an
-    array of radii with grid.TOOLS.
+    the plane both as they are.  The closed part is the closed form plus the
+    first image layer (_robin_layer) times the prefactor, as _with_layer
+    adds it.  r is a float with _SCALAR's tools, or an array of radii with
+    grid.TOOLS.
     """
     k, a = geom.n - 2, geom.a
     u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
@@ -1040,10 +1224,11 @@ def _normalised(series: _Series, geom: AnnulusGeometry, r, tools: _Tools):
     ulps += factors * tools.numpy_units
     closed, rounding = sum(pieces), _U * (absolute + ulps * sum(map(abs, pieces)))
     scale, parts = series.remainder(k, r)
-    if not k:
-        return closed, rounding, scale, parts
-    omega = geom.omega
-    return -closed / omega, rounding / omega, -scale / (k * omega), parts
+    if k:
+        omega = geom.omega
+        closed, rounding, scale = -closed / omega, rounding / omega, -scale / (k * omega)
+    closed, rounding = _with_layer(closed, rounding, scale, *_robin_layer(k, a, r, parts, tools))
+    return closed, rounding, scale, parts
 
 
 def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
@@ -1216,8 +1401,8 @@ def _radial(geom: AnnulusGeometry) -> _Radial:
     wrapper installed there (a tracer, a test's counter) therefore sees the
     calls of families built after it: build one per use and keep none.
     ``closed`` is the part of the gradient that its series splits off in
-    closed form (its _SERIES closed form, times -1/omega for n >= 3),
-    computed in floats only.
+    closed form (its _SERIES closed form and first image layer, normalised
+    as in _normalised), computed in floats only.
     """
     a, k = geom.a, geom.n - 2
     if k:
@@ -1230,14 +1415,20 @@ def _radial(geom: AnnulusGeometry) -> _Radial:
         value, value_grid = robin2d_eval, robin2d_eval_grid
         gradient, gradient_grid = robin2d_first, robin2d_first_grid
         slope, closed_form = robin2d_second, "robin2d_first"
-    gradient_closed = _SERIES[closed_form].closed
+    series = _SERIES[closed_form]
 
     def closed(r: float) -> float:
-        # formed per call, not when the family is built: omega underflows to
-        # 0 for n >= 456, where the series raise TailEnvelopeError first
-        scale = -1.0 / geom.omega if k else 1.0
+        # _normalised's closed part, bit for bit, without the rounding bound
+        # that the solver's seed never reads (a fifth of the cost); formed
+        # per call, not when the family is built: omega underflows to 0 for
+        # n >= 456, where the series raise TailEnvelopeError first
         u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
-        return scale * sum(gradient_closed(k, a, r, u, v, w, math.log)[0])
+        value = sum(series.closed(k, a, r, u, v, w, math.log)[0])
+        scale, parts = series.remainder(k, r)
+        if k:
+            omega = geom.omega
+            value, scale = -value / omega, -scale / (k * omega)
+        return value + scale * _robin_layer(k, a, r, parts, _SCALAR)[0]
 
     evaluators = (value, value_grid, gradient, gradient_grid, slope)
     return _Radial(*(functools.partial(f, first) for f in evaluators), closed, d, name)

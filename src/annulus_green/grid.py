@@ -270,7 +270,7 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
     """green._robin_remainder for an array of radii (and of scales, in the
     plane), in chunks of TABLE_MODES modes as sum_series_table reads them.
 
-    The per-mode factors that do not depend on r (a^(4m), 1/(1 - A_m) and
+    The per-mode factors that do not depend on r (a^(6m), 1/(1 - A_m) and
     the shape table's rows) are _robin_remainder's own scalars; the powers
     b^(2m) and the starts s_2, s_4 of every radius are numpy's, in the same
     order of operations.  w_4 holds two of them, so the rounding row adds
@@ -293,7 +293,7 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
         inv = _column(-1.0 / expm1((k + 2 * m) * log_a) for m in ms)
         sb, m = scale * weights, _column(ms)
         w1 = s1_0 * b1 ** (2.0 * m) * p1
-        w2 = s2_0 * _column(a ** (4 * m) for m in ms) * p2
+        w2 = s2_0 * _column(a ** (6 * m) for m in ms) * p2
         w4 = s4_0 * b4 ** (2.0 * m) * p4
         size = np.abs(sb) * (abs_c1 * w1 + abs_c2 * w2 + abs_c4 * w4)
         term = sb * (c1 * w1 + c2 * w2 + c4 * w4) * inv
@@ -306,7 +306,7 @@ def _robin_remainder_grid(k: int, a: float, r, scale, parts):
             (w1, w2, w4), top = green._framed_images(
                 (b1[j], a, b4[j]),
                 (s1_0, s2_0[j], s4_0[j]),
-                (n, 2 * n, n),
+                (n, 3 * n, n),
                 [p[i, 0] for p in (p1, p2, p4)],
                 TOOLS,
             )
@@ -334,16 +334,16 @@ def _imaged_grid(chunks, images):
 
 
 def _image_columns():
-    """The image indices j = 1, 2, ... of green._image_rows as one column of
+    """The image indices j = 2, 3, ... of green._image_rows as one column of
     TABLE_MODES of them per chunk, as sum_series_table reads a grid twin's
     rows."""
     modes = TABLE_MODES
-    return (_column(range(j0, j0 + modes)) for j0 in itertools.count(1, modes))
+    return (_column(range(j0, j0 + modes)) for j0 in itertools.count(2, modes))
 
 
 # the tools of an array of radii (see green._Tools), green._SCALAR's twin
 TOOLS = green._Tools(
-    exp=np.exp, expm1=np.expm1, log=np.log, frexp=np.frexp, ldexp=np.ldexp,
+    exp=np.exp, expm1=np.expm1, log=np.log, log1p=np.log1p, frexp=np.frexp, ldexp=np.ldexp,
     maximum=np.maximum, numpy_units=_NUMPY_EXTRA,
     modes=_robin_remainder_grid, imaged=_imaged_grid, js=_image_columns,
 )

@@ -206,7 +206,11 @@ def newtonian_series_exterior(
 
 
 def poisson_coeff_b(geom: AnnulusGeometry, m: int, r: float) -> float:
-    """Outer-sphere radial coefficient (1 - (a/r)^(2m+n-2)) / (1 - a^(2m+n-2))."""
+    """Outer-sphere radial coefficient (1 - (a/r)^(2m+n-2)) / (1 - a^(2m+n-2)).
+
+    A bare float: it carries no bound on its rounding error, unlike the
+    series evaluators' EvalResult.
+    """
     geom.require_series_dim()
     require_integer(m, "mode", 0)
     m = int(m)
@@ -222,6 +226,8 @@ def poisson_coeff_c(geom: AnnulusGeometry, m: int, r: float) -> float:
     (1 - r^beta)/(1 - a^beta) in [0, 1], beta = 2m + n - 2, so that a half
     power of q overflows only where the value is far beyond the double
     range.  Where the value leaves that range it raises TailEnvelopeError.
+    A bare float: it carries no bound on its rounding error, unlike the
+    series evaluators' EvalResult.
     """
     geom.require_series_dim()
     require_integer(m, "mode", 0)

@@ -36,8 +36,8 @@ and keep the pole ratio and the pole units of their rounding allowances
 to 6.  The other readers of the table keep the pole envelope:
 iter_gegenbauer has none, kernels.harmonic_extension bounds its modes by
 the dimensions of the harmonic spaces, and the split Green remainders
-(green._green_remainder and its grid twin) contract by at most a^2 per
-mode, so they stop near 20 modes, before the off-pole envelope would gain.
+(green._green_remainder and its grid twin) contract by at most a^4 per
+mode, so they stop near 10 modes, before the off-pole envelope would gain.
 
 A table is one stored tuple per shape (_TABLES): the rows that the shape's
 streams have read, first mode first, up to _STORED_MODES = 1024 rows.

@@ -11,12 +11,16 @@ Every 50-digit value a test compares with comes from here:
   ``mp_remainder``, at two points or (``mp_green_polar``) at two radii and
   a cosine;
 - ``mp_split_remainder``: a Robin-family split remainder alone, from its own
-  tables of parts;
+  tables of parts, or with ``part=LAYER`` the first image layer that the
+  split sums in closed form;
 - ``mp_distance_power``: |p - q|^(2-n), the Newtonian kernel that the three
   zonal expansions sum;
 - ``omega``: the area of the unit sphere.
 
-None of them expands A_m / (1 - A_m) into images or shares the evaluators'
+The series split 1/(1 - A_m) = 1 + A_m + A_m^2/(1 - A_m); ``part`` picks
+which share of A_m/(1 - A_m) a remainder reference sums, mode by mode: FULL,
+the split remainder SPLIT or the first image layer LAYER.  None of them
+expands A_m / (1 - A_m) into images beyond that or shares the evaluators'
 closed forms, rounding or Gegenbauer recurrence.  Derivatives in r are taken
 exactly on the Robin remainder, where every part is a constant times a power
 r^p on which D = r d/dr acts as multiplication by p; the closed form is
@@ -192,11 +196,27 @@ def root(n: int, a: float, start: float):
         return x, slope
 
 
-def mp_remainder(k: int, a, lo, hi, t, scale):
+# the share of A_m / (1 - A_m) that a remainder reference sums, as a factor
+# of A_m: all of it, the split remainder A_m^2 / (1 - A_m), or the first
+# image layer A_m
+FULL = "full"
+SPLIT = "split"
+LAYER = "layer"
+_PARTS = {
+    FULL: lambda x, big_a: x / (1 - big_a),
+    SPLIT: lambda x, big_a: x * big_a / (1 - big_a),
+    LAYER: lambda x, big_a: x,
+}
+
+
+def mp_remainder(k: int, a, lo, hi, t, scale, part=SPLIT):
     """The Green split's remainder at 50 digits, its inputs taken as exact:
-    scale * sum_m (h1 - h2 - h3 + h4) P_m(t) / (1 - A_m), with the h_i of
-    green._green_remainder's docstring, summed until its envelope is
-    negligible."""
+    scale * sum_m (h1 - h2 - h3 + h4) P_m(t) A_m / (1 - A_m) with h_i = g_i A_m
+    (the g_i of green._green_closed's docstring, so that h_i A_m are the h_i
+    of green._green_remainder's), summed until its envelope is negligible.
+    ``part`` FULL sums (h1 - h2 - h3 + h4) P_m(t) / (1 - A_m), and LAYER
+    (h1 - h2 - h3 + h4) P_m(t)."""
+    factor = _PARTS[part]
     with mpmath.workdps(DPS):
         a, lo, hi, t, scale = (mpf(v) for v in (a, lo, hi, t, scale))
         lam = mpf(k) / 2
@@ -209,7 +229,8 @@ def mp_remainder(k: int, a, lo, hi, t, scale):
         m = 0
         while True:
             big_a = a ** (k + 2 * m)
-            total += (hs[0] - hs[1] - hs[2] + hs[3]) * p / (1 - big_a)
+            total += factor((hs[0] - hs[1] - hs[2] + hs[3]) * p, big_a)
+            # every factor is at most 1 / (1 - a^k)
             env = binom * (hs[0] + hs[3]) / (1 - a**k)
             rho = (k + m) / mpf(m + 1) * qmax
             if rho < 1 and env * rho / (1 - rho) <= mpf(10) ** (8 - DPS) * abs(total):
@@ -247,7 +268,7 @@ def mp_green_polar(n: int, a: float, r, s, t, d=None):
         cs = (mpf(1), (a / hi) ** k, (a / lo) ** k, (a / (lo * hi)) ** k)
         images = [c * (1 - 2 * q * t + q * q) ** (-mpf(k) / 2) for c, q in zip(cs, qs)]
         head = d**-k - (images[0] - images[1] - images[2] + images[3])
-        return (head - mp_remainder(k, a, lo, hi, t, 1)) / (k * omega(n))
+        return (head - mp_remainder(k, a, lo, hi, t, 1, FULL)) / (k * omega(n))
 
 
 def mp_distance_power(n: int, p, q):
@@ -275,13 +296,15 @@ PLANAR_PARTS = {
 }
 
 
-def mp_split_remainder(k: int, a: float, r: float, scale, parts, start=None):
+def mp_split_remainder(k: int, a: float, r: float, scale, parts, start=None, part=SPLIT):
     """A split remainder at 50 digits from the float inputs:
-    scale sum_m C(k+m-1, m) sum_i coef_i (m + d_i)^e_i c_i x_i^m A_m / (1 - A_m)
+    scale sum_m C(k+m-1, m) sum_i coef_i (m + d_i)^e_i c_i x_i^m F(A_m)
     over x = (r^2, a^2, a^2/r^2), c = (1, (a/r)^k, (a/r^2)^k), A_m = a^(k+2m)
     for k >= 1, and for k = 0 the planar sum over m >= 1 with weights
-    coef_i (2m + d_i)^e_i and no binomial.  ``start`` sums the modes
-    m >= start only."""
+    coef_i (2m + d_i)^e_i and no binomial.  F(A) is A^2 / (1 - A), or as
+    ``part`` says: A / (1 - A) for FULL, A for LAYER.  ``start`` sums the
+    modes m >= start only."""
+    weight = _PARTS[part]
     with mpmath.workdps(DPS):
         a, r, scale = mpf(a), mpf(r), mpf(scale)
         m = (0 if k else 1) if start is None else start
@@ -295,7 +318,7 @@ def mp_split_remainder(k: int, a: float, r: float, scale, parts, start=None):
         while True:
             base = m if k else 2 * m
             weights = [coef * mpf(base + d) ** e for coef, d, e in parts]
-            factor = scale * binom * big_a / (1 - big_a)
+            factor = weight(scale * binom * big_a, big_a)
             total += factor * mpmath.fsum(w * y for w, y in zip(weights, images))
             env = abs(factor) * mpmath.fsum(abs(w) * y for w, y in zip(weights, images))
             # the modes shrink by at least a^2 max(r^2, a^2/r^2) <= a^2 <= 0.95

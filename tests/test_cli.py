@@ -453,6 +453,20 @@ class TestExportGrid:
         assert run_cli(capsys, *argv, "--format", "csv", "--out", str(path)) == (2, "")
         assert not path.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_modal_coefficient_overflow_exits_3(self, capsys, tmp_path, fmt):
+        # at n = 445 every row's product overflows to inf; no row is written
+        path = tmp_path / f"modal.{fmt}"
+        argv = ["export-grid", "modal-coefficient", "--n", "445", "--a", "0.5",
+                "--s-radius", "0.8", "--grid-points", "3", "--format", fmt]
+        code, out = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 3
+        assert not path.exists()
+        code, out = run_cli(capsys, *argv[:-2])
+        assert code == 3
+        record = json.loads(out)
+        assert record["error"] == "TailEnvelopeError" and "rows" not in record
+
     def test_modal_coefficient_without_second_radius_exit_2(self, capsys):
         code, out = run_cli(capsys, "export-grid", "modal-coefficient", "--n", "3", "--a", "0.5")
         assert code == 2

@@ -90,6 +90,13 @@ class TestModalCoefficient:
         with pytest.raises(TailEnvelopeError):
             modal_coefficient(AnnulusGeometry(456, 0.5), 2, 0.6, 0.7)
 
+    @pytest.mark.parametrize("n", [400, 445, 455])
+    def test_overflowing_product_is_a_tail_envelope_error(self, n):
+        # omega is tiny but normal or subnormal here: the quotient overflows
+        # to inf without raising OverflowError
+        with pytest.raises(TailEnvelopeError):
+            modal_coefficient(AnnulusGeometry(n, 0.5), 0, 0.5005, 0.8)
+
 
 class TestGreenEval:
     GEOM = AnnulusGeometry(3, 0.5)
@@ -443,6 +450,16 @@ class TestRadialFamily:
         near = 1e-3 * 0.6
         assert family.closed(0.4 + near) * family.gradient(0.4 + near, POLICY).value > 0
         assert family.closed(1.0 - near) * family.gradient(1.0 - near, POLICY).value > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 20])
+    def test_closed_part_is_the_series_closed_part(self, n):
+        # the solver's seed reads the closed part that the gradient series
+        # adds to its remainder, bit for bit
+        geom = AnnulusGeometry(n, 0.4)
+        family = green._radial(geom)
+        series = green._SERIES["robin_radial_gradient" if n > 2 else "robin2d_first"]
+        for r in (0.4 + 1e-9, 0.41, 0.7, 0.99, 1.0 - 1e-9):
+            assert family.closed(r) == green._normalised(series, geom, r, green._SCALAR)[0]
 
     def test_method_keeps_both_wordings(self):
         assert green._radial(AnnulusGeometry(2, 0.2)).name == "R'(r)"

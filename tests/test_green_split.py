@@ -10,7 +10,8 @@ Two references, neither sharing the split's closed forms or its rounding:
 
 The remainder is also checked alone, scalar generator and grid twin, against
 its own 50-digit sum (``references.mp_remainder``), so that its rounding
-allowance is tested by itself.
+allowance is tested by itself, and so is the first image layer that the split
+sums in closed form, against its modes summed one by one at 50 digits.
 """
 
 import math
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 import direct_series
 import references as refs
 from annulus_green import AnnulusGeometry, TailEnvelopeError, TruncationPolicy, green_eval
-from annulus_green.green import _green_remainder
-from annulus_green.grid import _green_remainder_grid, sum_series_table
+from annulus_green.green import _SCALAR, _green_layer, _green_remainder, _with_layer
+from annulus_green.grid import TOOLS, _green_remainder_grid, sum_series_table
 from annulus_green.summation import sum_series
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
@@ -154,3 +155,23 @@ def test_remainder_rounding_allowance_covers_mpmath_error(n, a, lo_frac, hi_frac
     for j in range(2):
         assert grid.terms_used[j] == res.terms_used
         assert refs.error(grid.value[j], ref) <= grid.tail_bound[j]
+
+
+@pytest.mark.parametrize(
+    "n, a, lo_frac, hi_frac, t",
+    REMAINDER_CASES + [(n, 0.3, 1e-3, 1.0 - 1e-3, t) for n in (3, 9) for t in (1.0, -0.5)],
+)
+def test_layer_rounding_allowance_covers_mpmath_layer(n, a, lo_frac, hi_frac, t):
+    # the first image layer alone, as _green_closed adds it, against its
+    # modes summed at 50 digits: the only budget is the layer's rounding count
+    k = n - 2
+    lo, hi = a + lo_frac * (1.0 - a), a + hi_frac * (1.0 - a)
+    scale = 1.0 / (k * AnnulusGeometry(n, a).omega)
+    ref = refs.mp_remainder(k, a, lo, hi, t, -scale, refs.LAYER)
+    value, rounding = _with_layer(0.0, 0.0, scale, *_green_layer(k, a, lo, hi, t, _SCALAR))
+    assert refs.error(value, ref) <= rounding
+    # the grid twin's arithmetic, with the pair twice
+    lo2, hi2, t2 = (np.array([v, v]) for v in (lo, hi, t))
+    values, roundings = _with_layer(0.0, 0.0, scale, *_green_layer(k, a, lo2, hi2, t2, TOOLS))
+    for v, bound in zip(values, roundings):
+        assert refs.error(v, ref) <= bound

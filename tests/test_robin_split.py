@@ -9,7 +9,9 @@ Three references, none sharing the split's closed forms or its rounding:
 
 The remainders are also checked alone, scalar generator and grid twin,
 against their own 50-digit sums (``references.mp_split_remainder``), so that
-their rounding allowances are tested by themselves.
+their rounding allowances are tested by themselves, and so is the first image
+layer that the split sums in closed form, against its modes summed one by
+one at 50 digits.
 """
 
 import itertools
@@ -34,8 +36,8 @@ from annulus_green import (
     robin_radial_gradient_derivative,
 )
 from annulus_green.cli import main
-from annulus_green.green import _robin_remainder
-from annulus_green.grid import _robin_remainder_grid, sum_series_table
+from annulus_green.green import _SCALAR, _SERIES, _Series, _normalised, _robin_remainder
+from annulus_green.grid import TOOLS, _robin_remainder_grid, sum_series_table
 from annulus_green.summation import sum_series
 
 POLICY = TruncationPolicy(abs_tol=1e-10, max_terms=300_000)
@@ -205,6 +207,31 @@ def test_remainder_rounding_allowance_covers_mpmath_error(name, n, a, frac):
     for j in range(2):
         assert grid.terms_used[j] == res.terms_used
         assert refs.error(grid.value[j], ref) <= grid.tail_bound[j]
+
+
+LAYER_CASES = SPLIT_REMAINDER_CASES + [
+    (name, n, 0.3, frac)
+    for n in (2, 3, 9)
+    for name in (sorted(refs.PLANAR_PARTS) if n == 2 else sorted(refs.SPATIAL_PARTS))
+    for frac in (1e-3, 0.5, 1.0 - 1e-3)
+]
+
+
+@pytest.mark.parametrize("name, n, a, frac", LAYER_CASES)
+def test_layer_rounding_allowance_covers_mpmath_layer(name, n, a, frac):
+    # the first image layer alone, as _normalised adds it to a closed form
+    # that is here empty, against its modes summed at 50 digits: the only
+    # budget is the layer's rounding count; at one radius and, in the grid
+    # twins' arithmetic, at an array of it twice
+    r = a + frac * (1.0 - a)
+    series = _Series(lambda *args: ((), 0.0, 0.0, 0), _SERIES[name].remainder)
+    geom = AnnulusGeometry(n, a)
+    value, rounding, scale, parts = _normalised(series, geom, r, _SCALAR)
+    ref = refs.mp_split_remainder(n - 2, a, r, scale, parts, part=refs.LAYER)
+    assert refs.error(value, ref) <= rounding
+    values, roundings, _, _ = _normalised(series, geom, np.array([r, r]), TOOLS)
+    for v, bound in zip(values, roundings):
+        assert refs.error(v, ref) <= bound
 
 
 # every remainder stream: the spatial parts for k = 0..6, where k = 0 sums

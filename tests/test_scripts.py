@@ -2,8 +2,10 @@
 
 import collections
 import csv
+import json
 import random
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -193,3 +195,17 @@ def test_import_cost_prints_both_measures_with_and_without_bytecode(monkeypatch,
         modules = [module for _, module in listed]
         assert "site" not in modules and len(set(modules)) == 8
     assert ("off", "annulus_green.green") in {(b, module) for b, _, module in rows[1:]}
+
+
+def test_cost_count_repeats_across_fresh_processes():
+    # each run counts in its own fresh interpreter; two runs of a small
+    # slice of every workload give the same counts
+    argv = [sys.executable, str(SCRIPTS / "cost_count.py"), "--json", "--requests", "3"]
+    first, second = (
+        json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+        for _ in range(2)
+    )
+    assert first == second
+    counts = first[0]["counts"]
+    assert set(counts) == {"interior-evals", "radial-profile", "critical-point"}
+    assert all(c["ops"] > 0 and c["opcodes"] > c["c_calls"] > 0 for c in counts.values())
