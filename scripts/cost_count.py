@@ -3,7 +3,7 @@
 
 Runs fixed, seeded slices of the three benchmark workloads in-process, with
 the request runners and inputs of bench/workloads.py: the first
-``--requests`` requests of block 0 of each workload's seeded stream.  Each
+``--requests`` requests of block 0 of each workload's stream, seed SEED.  Each
 slice runs once to load the lazy modules and fill the mode tables, then once
 counted: ``sys.settrace`` with ``f_trace_opcodes`` counts every Python opcode
 executed, and ``sys.setprofile`` every call into C (a numpy call counts as
@@ -26,7 +26,7 @@ two runs differ.
 Examples:
     python scripts/cost_count.py
     python scripts/cost_count.py --src ../parent/src --src src
-    python scripts/cost_count.py --workload interior-evals --requests 20 --check
+    python scripts/cost_count.py --requests 3 --check
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ BENCH = ROOT / "bench"
 # requests per slice: every interior-evals call of a block (88), and a few
 # CLI requests of the others, whose requests cost tens to hundreds of calls
 REQUESTS = {"interior-evals": 88, "radial-profile": 6, "critical-point": 20}
+SEED = 3
 
 
 def _count(workload, requests: list) -> dict:
@@ -83,7 +84,7 @@ def _count(workload, requests: list) -> dict:
     return {"ops": ops, "opcodes": opcodes, "c_calls": c_calls}
 
 
-def _child(names: list[str], seed: int, requests: int | None) -> dict:
+def _child(requests: int | None) -> dict:
     """The counts of each workload in this interpreter, whose path holds the
     source tree to count."""
     sys.path.insert(0, str(BENCH))
@@ -93,30 +94,29 @@ def _child(names: list[str], seed: int, requests: int | None) -> dict:
 
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for name in names:
+        for name, default in REQUESTS.items():
             workload = workloads.WORKLOADS[name](ag, workdir)
-            block = workload.block(seed, "cost", 0)[: requests or REQUESTS[name]]
+            block = workload.block(SEED, "cost", 0)[: requests or default]
             _count(workload, block)  # warm-up: lazy imports and mode tables
             out[name] = _count(workload, block)
     return out
 
 
-def _counts(src: Path, names: list[str], seed: int, requests: int | None) -> dict:
+def _counts(src: Path, requests: int | None) -> dict:
     """The counts of ``src`` from a fresh interpreter."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(src))
-    argv = [sys.executable, __file__, "--child", "--seed", str(seed), "--src", str(src)]
-    argv += [x for name in names for x in ("--workload", name)]
+    argv = [sys.executable, __file__, "--child"]
     if requests:
         argv += ["--requests", str(requests)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=1800)
     return json.loads(done.stdout)
 
 
-def _table(srcs: list[Path], results: list[dict], names: list[str]) -> None:
+def _table(srcs: list[Path], results: list[dict]) -> None:
     print(f"{'workload':<16} {'measure':<14} " + " ".join(f"{'tree ' + str(i):>12}"
                                                        for i in range(len(srcs)))
           + ("  change" if len(srcs) > 1 else ""))
-    for name in names:
+    for name in REQUESTS:
         for measure in ("opcodes", "c_calls"):
             per_op = [res[name][measure] / res[name]["ops"] for res in results]
             line = f"{name:<16} {measure + '/op':<14} " + " ".join(f"{v:12.1f}" for v in per_op)
@@ -132,34 +132,26 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, action="append",
                     help="source tree holding annulus_green (repeat to diff; default: src)")
-    ap.add_argument("--workload", action="append", choices=sorted(REQUESTS),
-                    help="workload to count (repeatable; default: all three)")
-    ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--requests", type=int, default=None,
                     help="requests per slice (default: per workload, see REQUESTS)")
-    ap.add_argument("--json", action="store_true", help="print the counts as JSON")
     ap.add_argument("--check", action="store_true",
                     help="count each tree twice and exit 1 where the runs differ")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    names = args.workload or list(REQUESTS)
     if args.child:
-        print(json.dumps(_child(names, args.seed, args.requests)))
+        print(json.dumps(_child(args.requests)))
         return 0
 
     srcs = [src.resolve() for src in args.src or [SRC]]
-    results = [_counts(src, names, args.seed, args.requests) for src in srcs]
-    if args.json:
-        print(json.dumps([{"src": str(s), "counts": r} for s, r in zip(srcs, results)]))
-    else:
-        _table(srcs, results, names)
+    results = [_counts(src, args.requests) for src in srcs]
+    _table(srcs, results)
     if args.check:
-        again = [_counts(src, names, args.seed, args.requests) for src in srcs]
+        again = [_counts(src, args.requests) for src in srcs]
         differ = [(src, name) for src, first, second in zip(srcs, results, again)
-                  for name in names if first[name] != second[name]]
+                  for name in REQUESTS if first[name] != second[name]]
         for src, name in differ:
             print(f"DIFFERS {name} in {src}")
-        print(f"{len(srcs) * len(names) - len(differ)} of {len(srcs) * len(names)} "
+        print(f"{len(srcs) * len(REQUESTS) - len(differ)} of {len(srcs) * len(REQUESTS)} "
               "slices repeat their counts exactly")
         return 1 if differ else 0
     return 0

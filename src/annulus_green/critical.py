@@ -19,8 +19,9 @@ terms of each phase.  concentration_root returns the same r0 as the root of
 the concentration-radius equation, the gradient times -omega/2.
 
 One routine, _interpolate, finds both the series' root and the seed it
-starts from.  The seed is the root of the series' closed part (the Kelvin
-images; for n = 2 the planar closed forms), found in floats only.  Both
+starts from.  The seed is the root of the series' closed form (the Kelvin
+images, without the first image layer that the series adds to them; for
+n = 2 the planar closed forms), found in floats only.  Both
 runs' secants read g = f w with w = ((1 - r)(r - a)/(1 - a)^2)^(n - 1),
 which has f's sign and root but not its poles of order n - 1 at the
 spheres; their sign decisions, their zero test and the brackets they return

@@ -1400,9 +1400,11 @@ def _radial(geom: AnnulusGeometry) -> _Radial:
     namespace holds it when the family is built, bound to the geometry.  A
     wrapper installed there (a tracer, a test's counter) therefore sees the
     calls of families built after it: build one per use and keep none.
-    ``closed`` is the part of the gradient that its series splits off in
-    closed form (its _SERIES closed form and first image layer, normalised
-    as in _normalised), computed in floats only.
+    ``closed`` is the gradient's _SERIES closed form, times -1/omega for
+    n >= 3, computed in floats only: the part that its series splits off in
+    closed form, without the first image layer (_robin_layer).  The layer
+    moves the solver's seed closer to the root, but in a solve it costs more
+    closed-part evaluations' time than the series evaluations it saves.
     """
     a, k = geom.a, geom.n - 2
     if k:
@@ -1415,20 +1417,14 @@ def _radial(geom: AnnulusGeometry) -> _Radial:
         value, value_grid = robin2d_eval, robin2d_eval_grid
         gradient, gradient_grid = robin2d_first, robin2d_first_grid
         slope, closed_form = robin2d_second, "robin2d_first"
-    series = _SERIES[closed_form]
+    gradient_closed = _SERIES[closed_form].closed
 
     def closed(r: float) -> float:
-        # _normalised's closed part, bit for bit, without the rounding bound
-        # that the solver's seed never reads (a fifth of the cost); formed
-        # per call, not when the family is built: omega underflows to 0 for
-        # n >= 456, where the series raise TailEnvelopeError first
+        # formed per call, not when the family is built: omega underflows to
+        # 0 for n >= 456, where the series raise TailEnvelopeError first
+        scale = -1.0 / geom.omega if k else 1.0
         u, v, w = (1.0 - r) * (1.0 + r), (r - a) * (r + a), (1.0 - a) * (1.0 + a)
-        value = sum(series.closed(k, a, r, u, v, w, math.log)[0])
-        scale, parts = series.remainder(k, r)
-        if k:
-            omega = geom.omega
-            value, scale = -value / omega, -scale / (k * omega)
-        return value + scale * _robin_layer(k, a, r, parts, _SCALAR)[0]
+        return scale * sum(gradient_closed(k, a, r, u, v, w, math.log)[0])
 
     evaluators = (value, value_grid, gradient, gradient_grid, slope)
     return _Radial(*(functools.partial(f, first) for f in evaluators), closed, d, name)

@@ -452,14 +452,17 @@ class TestRadialFamily:
         assert family.closed(1.0 - near) * family.gradient(1.0 - near, POLICY).value > 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 20])
-    def test_closed_part_is_the_series_closed_part(self, n):
-        # the solver's seed reads the closed part that the gradient series
-        # adds to its remainder, bit for bit
+    def test_seed_reads_the_series_closed_form(self, n):
+        # the solver's seed reads the closed form that the gradient series
+        # adds, with its first image layer, to its remainder
         geom = AnnulusGeometry(n, 0.4)
         family = green._radial(geom)
         series = green._SERIES["robin_radial_gradient" if n > 2 else "robin2d_first"]
         for r in (0.4 + 1e-9, 0.41, 0.7, 0.99, 1.0 - 1e-9):
-            assert family.closed(r) == green._normalised(series, geom, r, green._SCALAR)[0]
+            closed, rounding, scale, parts = green._normalised(series, geom, r, green._SCALAR)
+            layer = scale * green._robin_layer(n - 2, 0.4, r, parts, green._SCALAR)[0]
+            assert layer != 0.0
+            assert abs(family.closed(r) + layer - closed) <= rounding
 
     def test_method_keeps_both_wordings(self):
         assert green._radial(AnnulusGeometry(2, 0.2)).name == "R'(r)"
