@@ -58,16 +58,27 @@ SPATIAL_DIMS = (3, 4, 5, 6, 9, 20)
 FIELDS = ("value", "tail_bound", "terms_used", "converged")
 
 
+def _exact(res):
+    """An output as plain Python numbers, whose repr is exact: tolist turns
+    numpy scalars and arrays into floats, where numpy's own repr prints 8
+    significant digits.  A tuple that is not a result, such as the
+    (distances, rows) pair of grid._green_slice, is taken field by field."""
+    if all(hasattr(res, f) for f in FIELDS):
+        return tuple(np.asarray(getattr(res, f)).tolist() for f in FIELDS)
+    if isinstance(res, tuple):
+        return tuple(_exact(x) for x in res)
+    if isinstance(res, np.ndarray):
+        return res.tolist()
+    return repr(res)
+
+
 def _record(fn, *args):
     """The exact outputs of fn(*args), or its error's type and message."""
     try:
         res = fn(*args)
     except Exception as exc:  # every error is an output here
         return type(exc).__name__, str(exc)
-    if all(hasattr(res, f) for f in FIELDS):
-        # tolist turns numpy scalars and arrays into floats, whose repr is exact
-        return tuple(np.asarray(getattr(res, f)).tolist() for f in FIELDS)
-    return repr(res)
+    return _exact(res)
 
 
 def _critical_records(ag, geom) -> tuple:

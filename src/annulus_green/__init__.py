@@ -35,7 +35,6 @@ from .green import (
     critical_equation_eval,
     green_eval,
     green_piecewise_eval,
-    modal_coefficient,
     robin2d_eval,
     robin2d_eval_grid,
     robin2d_first,
@@ -77,6 +76,7 @@ _LAZY = {
             "SphereQuadrature",
             "build_sphere_quadrature",
             "harmonic_extension",
+            "modal_coefficient",
             "newtonian_series_exterior",
             "newtonian_series_inner",
             "newtonian_series_outer",

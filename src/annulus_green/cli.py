@@ -29,7 +29,6 @@ from .green import (
     _radial,
     green_eval,
     green_piecewise_eval,
-    modal_coefficient,
 )
 
 if TYPE_CHECKING:
@@ -337,10 +336,12 @@ def _cmd_export_grid(args) -> int:
     if args.quantity == "modal-coefficient":
         if args.s_radius is None:
             raise DomainValidationError("modal-coefficient needs --s-radius")
+        from .kernels import _modal_coefficient
+
         radii = _radial_grid(args, geom)
-        value = [modal_coefficient(geom, args.mode, r, args.s_radius) for r in radii.tolist()]
-        # closed form: roundoff-level error only
-        columns = [radii, np.array(value), np.zeros_like(radii)]
+        # a closed form: its bound is a first-order rounding bound
+        rows = [_modal_coefficient(geom, args.mode, r, args.s_radius) for r in radii.tolist()]
+        columns = [radii, *np.array(rows).T]
         _emit_table(args, ["r", "coefficient", "tail_bound"], columns)
         return EXIT_OK
 

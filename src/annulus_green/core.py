@@ -110,19 +110,31 @@ def sphere_surface_area_rel_error(n: int) -> float:
     exp turns the absolute error of its argument into a relative error.  That
     argument is log 2 + (n/2) log pi - lgamma(n/2): log and exp are taken as
     faithful, lgamma as good to 4 ulps, and each product and sum rounds once.
+    Raises TailEnvelopeError where the area is below the normal range
+    (n >= 439): exp rounds a subnormal result to a multiple of 2^-1074, so
+    its relative error is bounded by no count of units.
     """
     u = 2.0**-53
     t1 = math.log(2.0)
     t2 = 0.5 * n * math.log(math.pi)
     t3 = math.lgamma(0.5 * n)
+    if math.exp(t1 + t2 - t3) < sys.float_info.min:  # sphere_surface_area(n), bit for bit
+        raise TailEnvelopeError(
+            f"the area of the unit sphere for n = {n} is below the normal double range"
+        )
     arg_error = u * (t1 + 0.5 * n + 2.0 * t2 + 4.0 * abs(t3) + (t1 + t2) + abs(t1 + t2 - t3))
     return arg_error + u
 
 
 @functools.cache
-def _omega(n: int) -> tuple[float, float]:
-    """(sphere_surface_area(n), its relative rounding bound), once per n."""
-    return sphere_surface_area(n), sphere_surface_area_rel_error(n)
+def _omega(n: int) -> tuple[float, float | None]:
+    """(sphere_surface_area(n), its relative rounding bound), once per n; the
+    bound is None where sphere_surface_area_rel_error refuses one."""
+    try:
+        bound = sphere_surface_area_rel_error(n)
+    except TailEnvelopeError:
+        bound = None
+    return sphere_surface_area(n), bound
 
 
 def require_unit(v: ArrayLike, tol: float = 1e-10) -> np.ndarray:
@@ -171,8 +183,10 @@ class AnnulusGeometry(_Checked, namedtuple("AnnulusGeometry", "n a")):
 
     @property
     def omega_rel_error(self) -> float:
-        """Rounding bound of ``omega`` relative to its value, once per dimension."""
-        return _omega(self.n)[1]
+        """Rounding bound of ``omega`` relative to its value, once per
+        dimension; TailEnvelopeError where omega is subnormal or 0."""
+        bound = _omega(self.n)[1]
+        return sphere_surface_area_rel_error(self.n) if bound is None else bound
 
     def require_series_dim(self) -> None:
         if self.n < 3:

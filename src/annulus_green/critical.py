@@ -47,11 +47,12 @@ the absolute one does is filed as absolute.  Every number the report
 carries (r0, bracket, residual, certificate, second derivative and its
 uncertainty) is therefore computed from absolute sums, at the midpoints of
 the sweep bracket that plain bisection visits; the interpolation's bracket,
-which the relaxed values, the seed and the weight may move, only decides
 which of them are evaluated.  On 20 000 seeded geometries (n = 2..6, a in
 [0.05, 0.95]) every field of the report except ``evaluations`` and
-``phases`` matched an all-absolute solve, and on 2 500 (n = 2..7, a up to
-0.98) it matched an unseeded, unweighted one.
+``phases`` matched an all-absolute solve, as it did on 8 000 (n = 2..7, a in
+[0.787, 0.99]) where a relative target may take the gradient off the image
+route (green._relaxed_modes), and on 2 500 (n = 2..7, a up to 0.98) it
+matched an unseeded, unweighted one.
 """
 
 from __future__ import annotations
@@ -162,7 +163,10 @@ class _CountedSeries:
         # running sum moves by at most the larger of abs_tol and rel |sum| per
         # row; where rel |final sum| is at most this, rel |sum| <= abs_tol held
         # on every row of the stopping streak, and the relaxed sum stopped
-        # where the absolute one does (one spare rel covers rounding)
+        # where the absolute one does (one spare rel covers rounding).  The
+        # rows are the absolute policy's too: a relative target takes a
+        # series off the image route only where rel |value| > abs_tol
+        # (green._relaxed_modes)
         return self._policy.abs_tol * max(0.0, 1.0 - self._policy.tail_safety * rel)
 
     def sign_result(self, r: float, rel: float | None = None) -> EvalResult:

@@ -48,8 +48,10 @@ _HEAD_MODES remainder modes, then the deeper modes as rows of images, each
 row j >= 2 the j-th term of sum_j A_m^j = A_m / (1 - A_m) summed over all
 modes m >= _HEAD_MODES in closed form (row 1 is in the closed part).  The
 rows shrink by a^(k + 2 _HEAD_MODES), and terms_used counts head modes plus
-image rows.  robin2d_eval keeps its
-modes: its 1/m weights have no elementary sum over m.  One generator,
+image rows.  At one radius a relative target that makes the mode series
+short takes it back to that series (_relaxed_modes), but never where a
+caller could read the relaxed sum as the absolute one.  robin2d_eval keeps
+its modes: its 1/m weights have no elementary sum over m.  One generator,
 _image_rows, forms the rows at one radius and at an array of radii, with the
 tools (see _Tools) that _robin_series chose and _remainder_rows passes on:
 math's or numpy's elementwise functions, and image indices j that are
@@ -116,7 +118,6 @@ from .core import (
     TailEnvelopeError,
     TruncationPolicy,
     is_numpy,
-    require_integer,
 )
 from .specfun import _clamp_argument, _gegenbauer_modes, _inverse_sine, _mode_table
 from .summation import _U, sum_series
@@ -126,48 +127,16 @@ from .summation import _U, sum_series
 NEAR_DIAGONAL = 1e-6
 
 
-def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> float:
-    """Radius-ordered coefficient of the degree-m zonal kernel in the Green
-    series, including the 1/omega prefactor.
-
-    Vanishes when either radius sits on a boundary sphere, is symmetric in
-    (r, s), and is positive strictly inside.  Raises TailEnvelopeError where
-    it leaves the double-precision range (at large n, where omega underflows):
-    a power that overflows raises OverflowError, but a product or quotient
-    overflows to inf silently, so the result is checked as well.
-    """
-    geom.require_series_dim()
-    require_integer(m, "mode", 0)
-    m = int(m)
-    lo = geom.clamp_radius(min(r, s))
-    hi = geom.clamp_radius(max(r, s))
-    n, a = geom.n, geom.a
-    beta = 2 * m + n - 2
-    # (lo^beta - a^beta) / (lo hi)^(m+n-2) scaled as _modal_rows scales it:
-    # every power that grows with m is of a number in (0, 1], so none
-    # underflows before the coefficient does
-    try:
-        value = (
-            (lo / hi) ** m
-            * hi ** (2 - n)
-            * (1.0 - (a / lo) ** beta)
-            * (1.0 - hi**beta)
-            / (beta * (1.0 - a**beta) * geom.omega)
-        )
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise TailEnvelopeError(
-            f"the modal coefficient for n = {n} leaves the double-precision range here"
-        )
-    return value
-
-
 # the image route of the Robin family (see _image_rows): where the mode
 # series is predicted to need more than _SWITCH_MODES modes, the remainder
 # is summed as its first _HEAD_MODES modes and then as rows of images
 _HEAD_MODES = 16
 _SWITCH_MODES = 64
+# a relative target takes a remainder that abs_tol sends to images back to
+# the mode series where that series stops within about this many modes, the
+# crossover that scripts/tail_crossover.py --rel measures (see
+# _relaxed_modes); 0 never does
+_RELATIVE_MODES = 20
 
 # a Robin-family remainder mode whose two larger images, w_1 + w_4 (see
 # _robin_remainder), sum to less than this is formed in a binary frame (see
@@ -879,14 +848,16 @@ def _robin_remainder(k: int, a: float, r: float, scale: float, parts):
 
 
 def _image_route(a: float, policy: TruncationPolicy, parts) -> bool:
-    """Whether a Robin-family remainder is summed through _image_rows.
+    """Whether abs_tol sends a Robin-family remainder through _image_rows.
 
-    The route is taken where abs_tol < a^(2 _SWITCH_MODES).  The gate was set
-    when the remainder's modes shrank like a^(2m), where the mode series was
-    predicted to need more than _SWITCH_MODES modes there; with the first
-    image layer in the closed part they shrink like a^(4m), and the mode
-    series would need about half as many.  The gate reads a and abs_tol
-    only, so every radius of a geometry takes the same route.  The route needs more than _HEAD_MODES terms and
+    The gate is abs_tol < a^(2 _SWITCH_MODES).  It was set when the
+    remainder's modes shrank like a^(2m), where the mode series was
+    predicted to need more than _SWITCH_MODES modes to reach abs_tol; with
+    the first image layer in the closed part they shrink like a^(4m), so the
+    mode series needs about half as many there.  It reads a and abs_tol, so
+    on the grid path every radius of a geometry takes the same route; on the
+    scalar path a relative target may still take the mode series (see
+    _relaxed_modes).  The route needs more than _HEAD_MODES terms and
     polynomial weights: the 1/m weights of robin2d_eval have no elementary
     image sum.
     """
@@ -895,6 +866,49 @@ def _image_route(a: float, policy: TruncationPolicy, parts) -> bool:
         and policy.max_terms > _HEAD_MODES
         and min(e for c, _, e in parts if c) >= 0
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _late_mode(k: int, parts, skip: int) -> tuple[int, float, float, float, float]:
+    """(m, W_1, W_2, W_4, g) of the ``skip``-th mode m of a Robin-family
+    remainder of shape (k, parts) (see _robin_modes): W_i = weight |coef_i| P_i
+    and g = ratio growth, so that its envelope is at most
+    |scale| env_k step^m sum_i W_i s_i and its ratio g step."""
+    row = next(itertools.islice(_mode_table(_robin_modes, k, parts), skip, None))
+    m, p1, p2, p4, weight, ratio, growth, _ = row
+    (c1, _, _), (c2, _, _), (c4, _, _) = parts
+    return m, weight * abs(c1) * p1, weight * abs(c2) * p2, weight * abs(c4) * p4, ratio * growth
+
+
+def _relaxed_modes(k: int, a: float, r: float, closed: float, scale: float, parts, policy):
+    """The remainder of a Robin-family series at one radius that _image_route
+    sends to the images, summed by sum_series as its mode series instead
+    where the policy's relative target makes that series the shorter route;
+    None where it does not.
+
+    The mode series is summed if rel_tol |closed| > abs_tol and a bound on
+    its certified tail after _RELATIVE_MODES modes meets rel_tol |closed|:
+    _robin_remainder's envelope and ratio at that mode with every power
+    b_i^(2m) raised to step^m (see _robin_starts).  Its sum is returned only
+    if it converged with rel_tol |closed + sum| > abs_tol, so that no caller
+    reads it as the absolute sum (the solver's _CountedSeries files a relaxed
+    sum with rel_tol |value| <= abs_tol as absolute).  Where None is
+    returned, the image route sums the remainder as it does without a
+    relative target, and terms_used counts that route alone.
+    """
+    target = policy.rel_tol * abs(closed)
+    if not (_RELATIVE_MODES and target > policy.abs_tol):
+        return None
+    m, w1, w2, w4, growth = _late_mode(k, parts, _RELATIVE_MODES)
+    _, _, (s1, s2, s4), env_k, step = _robin_starts(k, a, r, _SCALAR)
+    rho = growth * step
+    env = abs(scale) * env_k * step**m * (w1 * s1 + w2 * s2 + w4 * s4)
+    if not (rho < 1.0 and env * rho <= target * (1.0 - rho)):
+        return None
+    res = sum_series(_robin_remainder(k, a, r, scale, parts), policy, closed)
+    if res.converged and policy.rel_tol * abs(closed + res.value) > policy.abs_tol:
+        return res
+    return None
 
 
 @functools.lru_cache(maxsize=256)
@@ -1234,7 +1248,8 @@ def _normalised(series: _Series, geom: AnnulusGeometry, r, tools: _Tools):
 def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
     """A Robin-family series of either dimension at r, or at every radius of
     an array r as one table: its closed form plus its remainder (k = n - 2,
-    0 in the plane), summed through images where _image_route holds.
+    0 in the plane), summed through images where _image_route holds, unless
+    at one radius a relative target prefers the modes (_relaxed_modes).
     ``geom`` is a spatial series' geometry, n >= 3, or as the planar
     evaluators take it the inner radius a of a planar annulus."""
     if isinstance(geom, AnnulusGeometry):
@@ -1247,7 +1262,11 @@ def _robin_series(series: _Series, geom, r, policy: TruncationPolicy):
         if isinstance(r, float):  # else a 1-d array: see require_interior_radius
             closed, rounding, scale, parts = _normalised(series, geom, r, _SCALAR)
             route = _image_route(a, policy, parts)
-            res = sum_series(_remainder_rows(k, a, r, scale, parts, route, _SCALAR), policy, closed)
+            res = None
+            if route and policy.rel_tol:  # a relative target may prefer the modes
+                res = _relaxed_modes(k, a, r, closed, scale, parts, policy)
+            if res is None:
+                res = sum_series(_remainder_rows(k, a, r, scale, parts, route, _SCALAR), policy, closed)
         else:
             import numpy as np
 

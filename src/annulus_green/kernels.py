@@ -18,6 +18,12 @@ build_sphere_quadrature and harmonic_extension.
 
 harmonic_extension reads its per-mode ratio, binomial and m + lam from lam's
 mode table in specfun, zipped with iter_gegenbauer's P_m.
+
+The radial coefficients are closed forms: modal_coefficient, the Green
+series' coefficient of one zonal mode, with a first-order bound on its
+rounding that export-grid reports (_modal_closed), and the Poisson
+kernel's poisson_coeff_b and poisson_coeff_c, which carry none.  They live
+here, loaded on first use, rather than in green, which every command loads.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .specfun import (
     _mode_table,
     iter_gegenbauer,
 )
-from .summation import sum_series
+from .summation import _U, sum_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -203,6 +209,87 @@ def newtonian_series_exterior(
     scale = _source_scale(r, geom.n)
     inputs = (_E_COSINE, 2.0 * _E_RADIUS + 1.0, (geom.n - 2) * _E_RADIUS + 2.0)
     return sum_series(_generating_rows(0.5 * (geom.n - 2), t, s / r, scale, inputs), policy)
+
+
+def modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float) -> float:
+    """Radius-ordered coefficient of the degree-m zonal kernel in the Green
+    series, including the 1/omega prefactor.
+
+    Vanishes when either radius sits on a boundary sphere, is symmetric in
+    (r, s), and is positive strictly inside.  Raises TailEnvelopeError where
+    it, or the bound on its rounding error that _modal_coefficient gives,
+    leaves the double-precision range (at large n, where omega underflows):
+    a power that overflows raises OverflowError, but a product or quotient
+    overflows to inf silently, so both are checked as well.
+    """
+    return _modal_coefficient(geom, m, r, s)[0]
+
+
+def _modal_coefficient(geom: AnnulusGeometry, m: int, r: float, s: float):
+    """(value, bound): modal_coefficient and a first-order bound on its
+    rounding error, _modal_closed's with omega's own share added, as
+    green._split_result adds it; export-grid writes the bound as the rows'
+    tail_bound.  omega's share raises TailEnvelopeError where omega is
+    subnormal (see AnnulusGeometry.omega_rel_error)."""
+    geom.require_series_dim()
+    require_integer(m, "mode", 0)
+    m = int(m)
+    lo = geom.clamp_radius(min(r, s))
+    hi = geom.clamp_radius(max(r, s))
+    try:
+        value, bound = _modal_closed(m, geom.n, geom.a, lo, hi, geom.omega)
+    except (OverflowError, ZeroDivisionError):
+        value = bound = math.inf
+    if not math.isfinite(value):
+        raise TailEnvelopeError(
+            f"the modal coefficient for n = {geom.n} leaves the double-precision range here"
+        )
+    bound += geom.omega_rel_error * abs(value)
+    if not math.isfinite(bound):
+        raise TailEnvelopeError(
+            f"the modal coefficient's rounding bound for n = {geom.n} leaves the double range"
+        )
+    return value, bound
+
+
+# the spacing of the subnormal doubles: a result rounded below the normal
+# range errs by at most half of it, which no relative count covers
+_TINY = 2.0**-1074
+
+
+def _modal_closed(m: int, n: int, a, lo, hi, omega):
+    """modal_coefficient's closed form at the clamped radii lo <= hi, and a
+    first-order bound on its rounding error, omega taken as exact.
+
+    The value is (lo^beta - a^beta)(1 - hi^beta) / (beta (lo hi)^(m+n-2)
+    (1 - a^beta) omega), beta = 2m + n - 2, scaled as green._modal_rows
+    scales it: every power that grows with m is of a number in (0, 1], so
+    none underflows before the coefficient does.  With A = (lo/hi)^m,
+    B = hi^(2-n), P = (a/lo)^beta, Q = hi^beta, S = a^beta and W = 1 - S it is
+    A B (1 - P)(1 - Q) / (beta W omega).  Each operation rounds once and each
+    power of a rounded base raises its base's error to the power: A errs by
+    m + 1 units, B, Q and S by 1, P by beta + 1.  1 - P errs by P (beta + 1)
+    units absolutely plus one of itself, 1 - Q by Q + |1 - Q|, W by S + W,
+    and the three products, beta W, its product with omega and the quotient
+    add one unit of |value| each.  A result that is subnormal errs by up to
+    _TINY more, times the value's derivative in it: 1 for the quotient, at
+    most B / |beta W omega| for A and for each of the numerator's products,
+    |K (1 - Q)| and |K (1 - P)| for P and Q, and |value| / W for S.
+    """
+    beta = 2 * m + n - 2
+    big_a = (lo / hi) ** m
+    big_b = hi ** (2 - n)
+    p, q, big_s = (a / lo) ** beta, hi**beta, a**beta
+    c, d, w = 1.0 - p, 1.0 - q, 1.0 - big_s
+    denominator = beta * w * omega
+    value = big_a * big_b * c * d / denominator
+    # value = K (1 - P)(1 - Q): the errors of 1 - P and of 1 - Q enter times
+    # |K (1 - Q)| and |K (1 - P)|
+    k = abs(big_a * big_b / denominator)
+    size = abs(value)
+    units = size * (m + 10 + (big_s + w) / w) + k * (abs(d) * p * (beta + 1) + abs(c) * q)
+    floor = 4.0 * big_b / abs(denominator) + 1.0 + k * (abs(c) + abs(d)) + size / w
+    return value, _U * units + _TINY * floor
 
 
 def poisson_coeff_b(geom: AnnulusGeometry, m: int, r: float) -> float:

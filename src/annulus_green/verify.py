@@ -38,7 +38,6 @@ from .green import (
     _remainder_rows,
     green_eval,
     green_piecewise_eval,
-    modal_coefficient,
     robin2d_eval,
     robin2d_first,
     robin2d_second,
@@ -50,6 +49,7 @@ from .kernels import (
     BoundaryData,
     build_sphere_quadrature,
     harmonic_extension,
+    modal_coefficient,
     newtonian_series_exterior,
     newtonian_series_inner,
     newtonian_series_outer,

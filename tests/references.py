@@ -82,8 +82,9 @@ EVALUATORS = {
 }
 
 # the remainder stops once every summed series' envelope is this share of its
-# closed part plus its sum; the modes shrink by a ratio at most a^2 < 1 - 1e-4
-# times a polynomial factor near 1, so what is left is far below it
+# closed part plus its sum and the modes shrink from one to the next (see
+# robin_powers); their ratio then falls toward a^2 max(r^2, a^2/r^2), so what
+# is left is far below it
 _STOP = mpf(10) ** (20 - DPS)
 
 
@@ -154,7 +155,12 @@ def robin_powers(n: int, a: float, r: float):
                 terms = [weight * c * mpf(q) ** order for c, q in zip(parts, p)]
                 sums[order] += mpmath.fsum(terms)
                 envs.append(mpmath.fsum(abs(t) for t in terms))
-            if m >= 20 and all(
+            # the envelopes shrink from here on only once the mode ratio, the
+            # weight's (k+m)/(m+1) times a^2 max(r^2, a^2/r^2) times the
+            # polynomials' ((m+1)/m)^2, is below 1: before that the binomial
+            # can still make the modes grow however small they are now
+            ratio = (k + m) / mpf(m + 1) * a * a * max(r * r, (a / r) ** 2)
+            if m >= 20 and ratio * ((m + 1) / mpf(m)) ** 2 < 1 and all(
                 env <= _STOP * (abs(c) + abs(s)) for env, c, s in zip(envs, closed, sums)
             ):
                 return tuple(c + s for c, s in zip(closed, sums))
@@ -239,6 +245,19 @@ def mp_remainder(k: int, a, lo, hi, t, scale, part=SPLIT):
             binom *= (k + m) / mpf(m + 1)
             hs = [h * b for h, b in zip(hs, bs)]
             m += 1
+
+
+def mp_modal(n: int, a: float, m: int, r: float, s: float):
+    """green.modal_coefficient at 50 digits: (lo^beta - a^beta)(1 - hi^beta)
+    / (beta (lo hi)^(m+n-2) (1 - a^beta) omega), beta = 2m + n - 2."""
+    with mpmath.workdps(DPS):
+        a, lo, hi = mpf(a), mpf(min(r, s)), mpf(max(r, s))
+        beta = 2 * m + n - 2
+        return (
+            (lo**beta - a**beta)
+            * (1 - hi**beta)
+            / (beta * (lo * hi) ** (m + n - 2) * (1 - a**beta) * omega(n))
+        )
 
 
 def mp_green(n: int, a: float, x, y):

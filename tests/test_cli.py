@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -383,6 +384,29 @@ class TestExportGrid:
         rows = json.loads(out)["rows"]
         assert len(rows) == 3
         assert all(math.isfinite(v) and v >= 0.0 for row in rows for v in row)
+
+    def test_modal_coefficient_rows_bound_their_rounding(self, capsys):
+        # each row errs by rounding alone, up to about 2e-14 relative next to
+        # the spheres; its tail_bound covers that error
+        rng = random.Random(29)
+        ratios = []
+        for _ in range(40):
+            n = rng.choice((3, 4, 5, 6, 9, 20))
+            a = rng.uniform(0.05, 0.95) if rng.random() < 0.8 else 1.0 - 10.0 ** rng.uniform(-4, -1)
+            m = rng.choice((0, 1, 2, rng.randint(3, 40), rng.randint(41, 400)))
+            s = a + rng.random() * (1.0 - a)
+            code, out = run_cli(
+                capsys,
+                "export-grid", "modal-coefficient", "--n", str(n), "--a", repr(a),
+                "--mode", str(m), "--s-radius", repr(s), "--grid-points", "7",
+            )
+            assert code == 0
+            for r, value, bound in json.loads(out)["rows"]:
+                error = refs.error(value, refs.mp_modal(n, a, m, r, s))
+                assert error <= bound, (n, a, m, r, s)
+                ratios.append(error / bound)
+        # and it is not vacuous
+        assert max(ratios) > 0.02
 
     def test_full_precision_rendering(self, capsys, tmp_path):
         path = tmp_path / "robin.csv"

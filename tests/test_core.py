@@ -32,7 +32,7 @@ from annulus_green import (
     find_critical_point,
     sphere_surface_area,
 )
-from annulus_green import core, critical, green, kernels, oracle, specfun
+from annulus_green import core, critical, kernels, oracle, specfun
 from annulus_green.core import sphere_surface_area_rel_error
 from conftest import random_unit
 
@@ -76,6 +76,25 @@ def test_surface_area_rounding_bound(n):
     with mpmath.workdps(refs.DPS):
         rel = float(abs(mpmath.mpf(sphere_surface_area(n)) / refs.omega(n) - 1))
     assert rel <= sphere_surface_area_rel_error(n)
+
+
+def test_surface_area_rounding_bound_stops_at_the_normal_range():
+    # omega is subnormal from n = 439 and 0 from n = 456; there a relative
+    # bound in units of u was false by up to 1.6e12 times from n = 443
+    normal = 0
+    for n in range(430, 461):
+        omega = sphere_surface_area(n)
+        if omega < sys.float_info.min:
+            with pytest.raises(TailEnvelopeError):
+                sphere_surface_area_rel_error(n)
+            with pytest.raises(TailEnvelopeError):
+                AnnulusGeometry(n, 0.5).omega_rel_error
+            continue
+        normal += 1
+        with mpmath.workdps(refs.DPS):
+            rel = float(abs(mpmath.mpf(omega) / refs.omega(n) - 1))
+        assert rel <= sphere_surface_area_rel_error(n), n
+    assert normal == 9
 
 
 def test_omega_is_computed_once_per_geometry(monkeypatch):
@@ -364,7 +383,7 @@ INTEGER_ARGUMENTS = {
     "sphere_surface_area": (sphere_surface_area, 3),
     "TruncationPolicy.max_terms": (lambda v: TruncationPolicy(max_terms=v).max_terms, 30),
     "TruncationPolicy.tail_safety": (lambda v: TruncationPolicy(tail_safety=v).tail_safety, 2),
-    "modal_coefficient": (lambda v: green.modal_coefficient(GEOM3, v, 0.6, 0.8), 2),
+    "modal_coefficient": (lambda v: kernels.modal_coefficient(GEOM3, v, 0.6, 0.8), 2),
     "poisson_coeff_b": (lambda v: kernels.poisson_coeff_b(GEOM3, v, 0.7), 2),
     "poisson_coeff_c": (lambda v: kernels.poisson_coeff_c(GEOM3, v, 0.7), 2),
     "gegenbauer_eval": (lambda v: specfun.gegenbauer_eval(1.0, v, 0.3), 2),
@@ -406,7 +425,7 @@ def test_integer_arguments_are_checked_where_they_enter(name):
 @pytest.mark.parametrize(
     "mode_fn",
     [
-        lambda m: green.modal_coefficient(GEOM3, m, 0.6, 0.8),
+        lambda m: kernels.modal_coefficient(GEOM3, m, 0.6, 0.8),
         lambda m: kernels.poisson_coeff_b(GEOM3, m, 0.6),
         lambda m: kernels.poisson_coeff_c(GEOM3, m, 0.6),
         lambda m: oracle.modal_green_analytic(3, m, 0.5, 0.6, 0.8),

@@ -1,10 +1,12 @@
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
 import references as refs
+import rounding_oracle as ro
 from annulus_green import (
     AnnulusGeometry,
     DomainValidationError,
@@ -29,7 +31,7 @@ from annulus_green import (
     robin_radial_gradient_derivative,
     robin_radial_gradient_grid,
 )
-from annulus_green import green
+from annulus_green import green, kernels
 from annulus_green.grid import _green_slice
 from conftest import random_unit
 
@@ -96,6 +98,24 @@ class TestModalCoefficient:
         # to inf without raising OverflowError
         with pytest.raises(TailEnvelopeError):
             modal_coefficient(AnnulusGeometry(n, 0.5), 0, 0.5005, 0.8)
+
+
+    def test_rounding_count_covers_the_propagated_error(self):
+        # _modal_closed's bound, run on rounding_oracle.E, against the error
+        # that the oracle propagates through the same operations; radii up to
+        # the spheres, where 1 - P or 1 - Q cancels
+        rng = random.Random(31)
+        for _ in range(600):
+            n = rng.choice((3, 4, 5, 6, 9, 20))
+            a = rng.uniform(0.05, 0.95) if rng.random() < 0.8 else 1.0 - 10.0 ** rng.uniform(-5, -1)
+            m = rng.choice((0, 1, rng.randint(2, 40), rng.randint(41, 2000)))
+            lo, hi = sorted(a + (1.0 - a) * rng.choice((rng.random(), 1e-4 * rng.random(),
+                                                      1.0 - 1e-4 * rng.random(), 0.0, 1.0))
+                            for _ in range(2))
+            omega = AnnulusGeometry(n, a).omega
+            value, bound = kernels._modal_closed(m, n, ro.E(a), ro.E(lo), ro.E(hi), ro.E(omega))
+            assert (value.v, bound.v) == kernels._modal_closed(m, n, a, lo, hi, omega)
+            assert value.err <= bound.v * (1.0 + 1e-12), (n, a, m, lo, hi)
 
 
 class TestGreenEval:

@@ -12,6 +12,7 @@ here.
 
 import json
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -162,6 +163,49 @@ def test_mode_series_below_the_gate_is_unchanged(tol, monkeypatch):
     before = [refs.evaluate(*case, policy) for case in cases]
     monkeypatch.setattr(green, "_SWITCH_MODES", 10**9)
     assert [refs.evaluate(*case, policy) for case in cases] == before
+
+
+def _relaxed_cases(count, seed=20261022):
+    """Switched evaluators on annuli that abs_tol 5e-14 sends to the images:
+    radii across the gap and in both 1e-3 layers, and for each gradient
+    series the solver's root, where the value all but vanishes."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n, a = rng.randint(2, 6), rng.uniform(0.79, 0.97)
+        names = refs.PLANAR if n == 2 else refs.SPATIAL
+        for frac in (1e-3, rng.uniform(0.0, 1.0), 1.0 - 1e-3):
+            cases.append((rng.choice(names), n, a, a + frac * (1.0 - a)))
+        root = find_critical_point(AnnulusGeometry(n, a), None, 1e-12).r0
+        cases.append(("robin2d_first" if n == 2 else "robin_radial_gradient", n, a, root))
+    return cases
+
+
+@pytest.mark.parametrize("rel", [0.05, 1e-3, 1e-6])
+def test_relative_target_leaves_the_images_only_above_abs_tol(rel, monkeypatch):
+    # a relaxed sum on the mode series has rel |value| > abs_tol, so that no
+    # caller can read it as the absolute sum, which takes the images; every
+    # other relaxed sum is the image route's, bit for bit
+    policy = TruncationPolicy(abs_tol=5e-14, rel_tol=rel)
+    taken = at_root = terms = image_terms = 0
+    for case in _relaxed_cases(40):
+        res = refs.evaluate(*case, policy)
+        with monkeypatch.context() as patch:
+            patch.setattr(green, "_RELATIVE_MODES", 0)
+            images = refs.evaluate(*case, policy)
+        if res == images:
+            at_root += rel * abs(res.value) <= policy.abs_tol
+            continue
+        taken += 1
+        terms += res.terms_used
+        image_terms += images.terms_used
+        assert res.converged and rel * abs(res.value) > policy.abs_tol, case
+        assert abs(res.value - images.value) <= res.tail_bound + images.tail_bound, case
+    # both kinds occur: mode sums, and values at the roots below abs_tol / rel
+    assert taken >= 20 and at_root >= 10
+    # the mode sums are the shorter ones (near a root the closed part can
+    # overstate the value, and one may run past _RELATIVE_MODES)
+    assert terms < 0.8 * image_terms
 
 
 @pytest.mark.parametrize(

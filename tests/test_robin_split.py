@@ -165,6 +165,16 @@ def test_fifty_dimensions_is_certified(r):
     assert res.tail_bound <= 1e-12 * abs(res.value)
 
 
+def test_reference_waits_for_the_modes_to_shrink():
+    # at n = 20 and a = 0.999 the binomial C(m+17, m) makes the modes grow
+    # for the first ~5 700 of them, though their envelopes are tiny beside
+    # the value at m = 20; a reference that stopped there was off by 5.5e44,
+    # against a tail_bound of 4.7e39
+    res = robin_eval(AnnulusGeometry(20, 0.999), 0.9995, POLICY)
+    assert res.converged
+    assert refs.error(res.value, refs.reference("robin_eval", 20, 0.999, 0.9995)) <= res.tail_bound
+
+
 # a near 1 with mid-gap radii, where the remainder is of the size of the value
 SPLIT_REMAINDER_CASES = [
     (name, n, a, frac)

@@ -25,18 +25,34 @@ def run_script(monkeypatch, name, *argv):
 
 def test_tail_crossover_prints_both_routes(monkeypatch, capsys):
     argv = ["--n", "2", "3", "--a", "0.5", "0.99", "--head", "16", "24", "--repeat", "1"]
+    argv += ["--rel", "0", "0.05"]
     assert run_script(monkeypatch, "tail_crossover.py", *argv) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert rows[0] == [
-        "evaluator", "n", "a", "r", "M", "mode_terms", "mode_us", "image_terms", "image_us"
+        "evaluator", "n", "a", "r", "rel", "M", "mode_terms", "mode_us", "image_terms",
+        "image_us", "route",
     ]
-    # two planar and three spatial evaluators, three radii, two a, two M
-    assert len(rows) == 1 + (2 + 3) * 3 * 2 * 2
+    # two planar and three spatial evaluators, three radii, two a, two M,
+    # two relative targets
+    assert len(rows) == 1 + (2 + 3) * 3 * 2 * 2 * 2
+    relaxed_modes = 0
     for row in rows[1:]:
-        mode_terms, image_terms = int(row[5]), int(row[7])
-        assert image_terms > int(row[4])
-        if row[2] == "0.99":
-            assert image_terms < mode_terms
+        a, rel, route = row[2], float(row[4]), row[10]
+        mode_terms, image_terms = int(row[6]), int(row[8])
+        assert image_terms > int(row[5])
+        if rel == 0.0:
+            # abs_tol 1e-10 alone sends a = 0.99 to the images, a = 0.5 not
+            assert route == ("images" if a == "0.99" else "modes")
+            if a == "0.99":
+                assert image_terms < mode_terms
+        elif a == "0.99" and route == "modes":
+            # taken only where the mode series stops within N modes and a
+            # stopping streak
+            assert mode_terms <= green._RELATIVE_MODES + 2
+            relaxed_modes += 1
+    # the relative target takes some thin-annulus calls to the mode series,
+    # but not those mid-gap, where it needs hundreds of modes
+    assert 0 < relaxed_modes < 2 * 5 * 3
 
 
 def test_solver_phases_prints_every_phase(monkeypatch, capsys):
@@ -90,6 +106,24 @@ def test_output_digest_critical_values_ignore_the_counts(monkeypatch):
     # an error is recorded in both groups
     error = records(ag, ag.AnnulusGeometry(456, 0.5))
     assert error[0] == error[1] and error[0][0] == "TailEnvelopeError"
+
+
+def test_output_digest_sees_every_bit_of_a_green_slice():
+    # numpy's repr prints an array to 8 significant digits, so the record of
+    # a (distances, rows) pair must hold its fields as exact floats
+    import annulus_green as ag
+
+    record = runpy.run_path(str(SCRIPTS / "output_digest.py"))["_record"]
+    y, policy = np.array([0.0, 0.7, 0.0]), ag.TruncationPolicy()
+    d, rows = grid._green_slice(ag.AnnulusGeometry(3, 0.4), np.linspace(0.4, 1.0, 5), y, policy)
+    value, tail = rows.value.copy(), rows.tail_bound.copy()
+    value[2] *= 1.0 + 1e-12
+    tail[3] *= 1.0 + 1e-12
+    same = record(lambda: (d, rows))
+    assert record(lambda: (d.copy(), rows._replace(value=rows.value.copy()))) == same
+    assert record(lambda: (d, rows._replace(value=value))) != same
+    assert record(lambda: (d, rows._replace(tail_bound=tail))) != same
+    assert record(lambda: (d * (1.0 + 1e-12), rows)) != same
 
 
 def test_output_digest_frames_draw_forms_framed_rows(monkeypatch):
